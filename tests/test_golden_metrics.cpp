@@ -18,11 +18,13 @@
 #include <gtest/gtest.h>
 
 #include <cstdlib>
+#include <filesystem>
 #include <fstream>
 #include <sstream>
 #include <string>
 #include <vector>
 
+#include "obs/timeline.hpp"
 #include "sim/scenario.hpp"
 
 #ifndef NOCDVFS_GOLDEN_DIR
@@ -33,6 +35,7 @@ namespace nocdvfs::sim {
 namespace {
 
 constexpr const char* kGoldenPath = NOCDVFS_GOLDEN_DIR "/golden_metrics.txt";
+constexpr const char* kSubsystemsGoldenPath = NOCDVFS_GOLDEN_DIR "/golden_subsystems.txt";
 
 /// The fixed-seed scenario matrix. Short fixed phases (no adaptive warmup)
 /// keep the whole matrix a few seconds while still exercising every
@@ -134,30 +137,367 @@ bool update_mode() {
   return v != nullptr && std::string(v) != "0";
 }
 
-TEST(GoldenMetrics, MatrixMatchesCheckedInGolden) {
-  const std::vector<std::string> fresh = compute_lines();
-
+/// Compares `fresh` line by line against the golden file at `path`, or
+/// rewrites the file in update mode.
+void check_against_golden(const char* path, const std::vector<std::string>& fresh) {
   if (update_mode()) {
-    std::ofstream out(kGoldenPath);
-    ASSERT_TRUE(out) << "cannot write golden file " << kGoldenPath;
+    std::ofstream out(path);
+    ASSERT_TRUE(out) << "cannot write golden file " << path;
     for (const std::string& line : fresh) out << line << '\n';
-    std::cout << "[golden] wrote " << fresh.size() << " scenario lines to " << kGoldenPath
-              << "\n";
+    std::cout << "[golden] wrote " << fresh.size() << " lines to " << path << "\n";
     return;
   }
 
-  const std::vector<std::string> golden = read_lines(kGoldenPath);
+  const std::vector<std::string> golden = read_lines(path);
   ASSERT_FALSE(golden.empty())
-      << "golden file missing or empty: " << kGoldenPath
+      << "golden file missing or empty: " << path
       << "\nregenerate with: NOCDVFS_UPDATE_GOLDEN=1 ./build/tests/test_golden_metrics";
-  ASSERT_EQ(golden.size(), fresh.size()) << "scenario matrix size changed; regenerate the "
+  ASSERT_EQ(golden.size(), fresh.size()) << "golden line count changed; regenerate the "
                                             "golden if the change is intentional";
   for (std::size_t i = 0; i < fresh.size(); ++i) {
     EXPECT_EQ(golden[i], fresh[i])
-        << "headline metrics diverged from the golden (scenario " << i
+        << "metrics diverged from the golden " << path << " (line " << i + 1
         << "). If this PR was meant to be metrics-preserving this is a bug; if the "
            "behaviour change is intentional, regenerate with NOCDVFS_UPDATE_GOLDEN=1.";
   }
+}
+
+TEST(GoldenMetrics, MatrixMatchesCheckedInGolden) {
+  check_against_golden(kGoldenPath, compute_lines());
+}
+
+// --- every-subsystem golden ------------------------------------------------
+//
+// The headline golden above pins 26 scalar fields. This second golden pins
+// everything else the run loop and its subsystems write — the window and
+// actuation traces, every island slice, the latency distributions, the
+// telemetry and thermal slices — plus the simulated sections of the
+// exported .nocobs file (windows, island rows, events, series, flights,
+// histograms). Host-side sections (wall time, profile, manifest) vary run
+// to run and are left out.
+
+/// Four 5x5 scenarios with thermal, full telemetry, histograms and the
+/// flight recorder on: two policies x {global, quadrants}, one of them with
+/// a mid-run link fault so the fault-epoch events are exercised too.
+std::vector<Scenario> subsystems_matrix() {
+  std::vector<Scenario> out;
+  for (const Policy policy : {Policy::Rmsd, Policy::Dmsd}) {
+    for (const char* islands : {"global", "quadrants"}) {
+      Scenario s;
+      s.pattern = policy == Policy::Rmsd ? "hotspot" : "transpose";
+      s.lambda = 0.15;
+      s.packet_size = 20;
+      s.network.width = 5;
+      s.network.height = 5;
+      s.policy.policy = policy;
+      s.islands = islands;
+      s.thermal = true;
+      s.telemetry = "full";
+      s.hist = "on";
+      s.pkt_trace = "on";
+      // A cap just above the warm die temperature, so the thermal guard
+      // engages and releases inside the run.
+      s.temp_cap_c = 48.8;
+      s.temp_hysteresis_c = 0.5;
+      if (policy == Policy::Dmsd && std::string(islands) == "quadrants") {
+        s.network.faults = "links:1@15000";
+      }
+      s.seed = 1;
+      s.control_period = 5000;
+      s.phases.warmup_node_cycles = 20000;
+      s.phases.measure_node_cycles = 20000;
+      s.phases.adaptive_warmup = false;
+      out.push_back(s);
+    }
+  }
+  return out;
+}
+
+/// Line-oriented hexfloat dump: every `field(...)` call appends one
+/// `name=value` token to the current line; `line()` starts a new one.
+class Dump {
+ public:
+  explicit Dump(std::vector<std::string>& out) : out_(out) {}
+  void line(const std::string& tag) {
+    flush();
+    os_.str("");
+    os_ << std::hexfloat << tag;
+  }
+  template <class T>
+  void field(const char* name, const T& v) {
+    os_ << ' ' << name << '=' << v;
+  }
+  void flush() {
+    if (!os_.str().empty()) out_.push_back(os_.str());
+  }
+
+ private:
+  std::vector<std::string>& out_;
+  std::ostringstream os_;
+};
+
+void dump_power(Dump& d, const power::PowerBreakdown& p) {
+  d.field("datapath_j", p.datapath_j);
+  d.field("clock_j", p.clock_j);
+  d.field("leakage_j", p.leakage_j);
+  d.field("elapsed_ps", p.elapsed_ps);
+}
+
+void dump_slice(Dump& d, const std::string& tag, const DelayDistResult::Slice& s) {
+  d.line(tag);
+  d.field("count", s.count);
+  d.field("min", s.min);
+  d.field("max", s.max);
+  d.field("p50", s.p50);
+  d.field("p90", s.p90);
+  d.field("p95", s.p95);
+  d.field("p99", s.p99);
+  d.field("p999", s.p999);
+}
+
+void dump_result(Dump& d, const std::string& name, const RunResult& r) {
+  d.line(name + " result");
+  d.field("offered", r.offered_lambda);
+  d.field("measured_offered", r.measured_offered_lambda);
+  d.field("node_cycles", r.measure_node_cycles);
+  d.field("noc_cycles", r.measure_noc_cycles);
+  d.field("duration_ps", r.measure_duration_ps);
+  d.field("packets", r.packets_delivered);
+  d.field("avg_delay", r.avg_delay_ns);
+  d.field("min_delay", r.min_delay_ns);
+  d.field("max_delay", r.max_delay_ns);
+  d.field("p50", r.p50_delay_ns);
+  d.field("p95", r.p95_delay_ns);
+  d.field("p99", r.p99_delay_ns);
+  d.field("latency", r.avg_latency_cycles);
+  d.field("hops", r.avg_hops);
+  d.field("max_hops", r.max_hops);
+  d.field("class0_delay", r.avg_class0_delay_ns);
+  d.field("class0", r.class0_packets);
+  d.field("class1_delay", r.avg_class1_delay_ns);
+  d.field("class1", r.class1_packets);
+  d.field("thr_node", r.delivered_flits_per_node_cycle);
+  d.field("thr_noc", r.delivered_flits_per_noc_cycle);
+  d.field("occupancy", r.avg_buffer_occupancy);
+  d.field("f_avg", r.avg_frequency_hz);
+  d.field("v_avg", r.avg_voltage);
+  d.field("f_final", r.final_frequency_hz);
+  dump_power(d, r.power);
+  d.field("epb", r.energy_per_bit_pj);
+  d.field("edp", r.energy_delay_product_js);
+  d.field("dropped_packets", r.dropped_packets);
+  d.field("dropped_flits", r.dropped_flits);
+  d.field("unreachable", r.unreachable_pairs);
+  d.field("rerouted", r.rerouted_pairs);
+  d.field("failed_links", r.failed_links);
+  d.field("failed_routers", r.failed_routers);
+  d.field("saturated", r.saturated ? 1 : 0);
+  d.field("backlog", r.backlog_growth_flits);
+  d.field("warmup_used", r.warmup_node_cycles_used);
+  d.field("settled", r.controller_settled ? 1 : 0);
+
+  for (const dvfs::VfTracePoint& p : r.vf_trace) {
+    d.line(name + " vf");
+    d.field("t", p.t);
+    d.field("f", p.f);
+    d.field("vdd", p.vdd);
+  }
+  for (const WindowSample& w : r.window_trace) {
+    d.line(name + " window");
+    d.field("t", w.t);
+    d.field("delay", w.avg_delay_ns);
+    d.field("packets", w.packets);
+    d.field("f", w.f_applied);
+  }
+
+  for (const IslandResult& isl : r.islands) {
+    const std::string tag = name + " island" + std::to_string(isl.island);
+    d.line(tag);
+    d.field("nodes", isl.nodes);
+    d.field("policy", isl.policy);
+    d.field("packets", isl.packets_delivered);
+    d.field("delay", isl.avg_delay_ns);
+    d.field("f_avg", isl.avg_frequency_hz);
+    d.field("v_avg", isl.avg_voltage);
+    d.field("f_final", isl.final_frequency_hz);
+    d.field("noc_cycles", isl.measure_noc_cycles);
+    d.field("occupancy", isl.avg_buffer_occupancy);
+    dump_power(d, isl.power);
+    d.field("peak_temp", isl.peak_temp_c);
+    d.field("throttle_res", isl.throttle_residency);
+    d.field("throttle_events", isl.throttle_events);
+    for (const dvfs::VfTracePoint& p : isl.vf_trace) {
+      d.line(tag + " vf");
+      d.field("t", p.t);
+      d.field("f", p.f);
+      d.field("vdd", p.vdd);
+    }
+    for (const vfi::FreqDwell& dw : isl.freq_residency) {
+      d.line(tag + " dwell");
+      d.field("f", dw.f_hz);
+      d.field("ps", dw.dwell_ps);
+    }
+  }
+
+  const ThermalResult& th = r.thermal;
+  d.line(name + " thermal");
+  d.field("enabled", th.enabled ? 1 : 0);
+  d.field("peak", th.peak_temp_c);
+  d.field("mean", th.mean_temp_c);
+  d.field("final_peak", th.final_peak_temp_c);
+  d.field("final_mean", th.final_mean_temp_c);
+  d.field("throttle_res", th.throttle_residency);
+  d.field("throttle_events", th.throttle_events);
+  d.field("leakage_j", th.leakage_j);
+  d.field("leakage_ref_j", th.leakage_ref_j);
+  d.line(name + " tile_peak");
+  for (const double t : th.tile_peak_temp_c) d.field("t", t);
+
+  const DelayDistResult& dd = r.delay_dist;
+  d.line(name + " dist");
+  d.field("enabled", dd.enabled ? 1 : 0);
+  dump_slice(d, name + " dist delay", dd.delay_ns);
+  dump_slice(d, name + " dist latency", dd.latency_cycles);
+  for (std::size_t i = 0; i < dd.island_delay_ns.size(); ++i) {
+    dump_slice(d, name + " dist island" + std::to_string(i), dd.island_delay_ns[i]);
+  }
+  for (std::size_t h = 0; h < dd.hop_delay_ns.size(); ++h) {
+    dump_slice(d, name + " dist hops" + std::to_string(h), dd.hop_delay_ns[h]);
+  }
+
+  const TelemetryResult& tr = r.telemetry;
+  d.line(name + " telemetry");
+  d.field("enabled", tr.enabled ? 1 : 0);
+  d.field("mode", tr.mode);
+  d.field("windows", tr.windows);
+  d.field("route", tr.stall_route);
+  d.field("vc_alloc", tr.stall_vc_alloc);
+  d.field("switch", tr.stall_switch);
+  d.field("credit", tr.stall_credit);
+  d.field("drop", tr.stall_drop);
+  d.field("busy", tr.busy_vc_cycles);
+  d.field("forwarded", tr.flits_forwarded);
+  d.line(name + " top_tiles");
+  for (const auto& t : tr.top_tiles) d.field(std::to_string(t.tile).c_str(), t.flits);
+  d.line(name + " top_links");
+  for (const auto& l : tr.top_links) {
+    d.field((std::to_string(l.src) + '>' + std::to_string(l.dst)).c_str(), l.flits);
+  }
+}
+
+/// FNV-1a over a value's bytes: folds long columns into one pinned token.
+template <class T>
+std::uint64_t fnv(std::uint64_t h, const T& v) {
+  const auto* p = reinterpret_cast<const unsigned char*>(&v);
+  for (std::size_t i = 0; i < sizeof(T); ++i) h = (h ^ p[i]) * 0x100000001b3ULL;
+  return h;
+}
+constexpr std::uint64_t kFnvBasis = 0xcbf29ce484222325ULL;
+
+void dump_timeline(Dump& d, const std::string& name, const obs::Timeline& tl) {
+  d.line(name + " nocobs");
+  d.field("routers", tl.num_routers);
+  d.field("islands", tl.num_islands);
+  d.field("windows", tl.windows());
+  d.field("links", tl.links.size());
+  for (std::size_t i = 0; i < tl.island_policy.size(); ++i) {
+    d.field("policy", tl.island_policy[i]);
+    d.field("nodes", tl.island_nodes[i]);
+  }
+  d.line(name + " nocobs window_t");
+  for (const std::uint64_t t : tl.window_t_ps) d.field("t", t);
+  for (const obs::IslandWindowRow& row : tl.island_rows) {
+    d.line(name + " nocobs row");
+    d.field("f", row.f_hz);
+    d.field("vdd", row.vdd);
+    d.field("delay", row.avg_delay_ns);
+    d.field("lambda", row.lambda_offered);
+    d.field("occ", row.occupancy);
+    d.field("err", row.ctrl_error);
+    d.field("thr", static_cast<int>(row.throttled));
+  }
+  for (const obs::TimelineEvent& ev : tl.events) {
+    d.line(name + " nocobs event");
+    d.field("kind", obs::to_string(ev.kind));
+    d.field("island", ev.island);
+    d.field("t", ev.t_ps);
+    d.field("a", ev.a);
+    d.field("b", ev.b);
+  }
+  for (const obs::MetricSeries& s : tl.series) {
+    d.line(name + " nocobs series " + s.name);
+    d.field("scope", obs::to_string(s.scope));
+    d.field("entities", s.entities);
+    if (s.kind == obs::MetricKind::Counter) {
+      std::uint64_t sum = 0;
+      std::uint64_t h = kFnvBasis;
+      for (const std::uint64_t c : s.counts) {
+        sum += c;
+        h = fnv(h, c);
+      }
+      d.field("sum", sum);
+      d.field("fnv", h);
+    } else {
+      double sum = 0.0;
+      std::uint64_t h = kFnvBasis;
+      for (const double g : s.gauges) {
+        sum += g;
+        h = fnv(h, g);
+      }
+      d.field("gsum", sum);
+      d.field("fnv", h);
+    }
+  }
+  for (const obs::FlightRecord& f : tl.flights) {
+    d.line(name + " nocobs flight");
+    d.field("id", f.packet_id);
+    d.field("src", f.src);
+    d.field("dst", f.dst);
+    d.field("size", f.size_flits);
+    d.field("class", static_cast<int>(f.traffic_class));
+    d.field("create", f.create_t_ps);
+    d.field("events", f.events.size());
+    std::uint64_t h = kFnvBasis;
+    for (const obs::FlightEvent& e : f.events) {
+      h = fnv(h, e.t_ps);
+      h = fnv(h, e.router);
+      h = fnv(h, e.arg);
+      h = fnv(h, static_cast<std::uint8_t>(e.stage));
+    }
+    d.field("fnv", h);
+  }
+  for (const obs::HistogramSnapshot& hs : tl.histograms) {
+    d.line(name + " nocobs hist " + hs.label);
+    d.field("count", hs.count);
+    d.field("min", hs.min);
+    d.field("max", hs.max);
+    for (std::size_t b = 0; b < hs.bucket_index.size(); ++b) {
+      d.field(std::to_string(hs.bucket_index[b]).c_str(), hs.bucket_count[b]);
+    }
+  }
+}
+
+std::vector<std::string> compute_subsystem_lines() {
+  namespace fs = std::filesystem;
+  std::vector<std::string> lines;
+  Dump d(lines);
+  for (Scenario s : subsystems_matrix()) {
+    const std::string name =
+        std::string(to_string(s.policy.policy)) + "-" + s.pattern + "-" + s.islands;
+    const std::string base =
+        (fs::temp_directory_path() / ("nocdvfs_golden_subsystems_" + name)).string();
+    s.telemetry_out = base;
+    dump_result(d, name, run(s));
+    dump_timeline(d, name, obs::read_timeline_binary(base + ".nocobs"));
+    fs::remove(base + ".nocobs");
+    fs::remove(base + ".json");
+  }
+  d.flush();
+  return lines;
+}
+
+TEST(GoldenMetrics, SubsystemsMatchCheckedInGolden) {
+  check_against_golden(kSubsystemsGoldenPath, compute_subsystem_lines());
 }
 
 /// The always-step escape hatch must be metrically invisible: a
