@@ -110,12 +110,12 @@ void BM_NetworkStep(benchmark::State& state) {
   // Warm the network into steady state.
   for (int i = 0; i < 2000; ++i) {
     gen.node_tick(net.cycle() * 1000, net.cycle(), net);
-    net.step((net.cycle() + 1) * 1000);
+    net.step_island(0, (net.cycle() + 1) * 1000);
     net.delivered().clear();
   }
   for (auto _ : state) {
     gen.node_tick(net.cycle() * 1000, net.cycle(), net);
-    net.step((net.cycle() + 1) * 1000);
+    net.step_island(0, (net.cycle() + 1) * 1000);
     net.delivered().clear();
   }
   state.SetItemsProcessed(state.iterations());
@@ -136,8 +136,8 @@ void BM_NetworkStepIdle(benchmark::State& state) {
   cfg.height = k;
   cfg.skip_idle = state.range(1) != 0;
   noc::Network net(cfg);
-  for (int i = 0; i < 10; ++i) net.step((net.cycle() + 1) * 1000);  // park everyone
-  for (auto _ : state) net.step((net.cycle() + 1) * 1000);
+  for (int i = 0; i < 10; ++i) net.step_island(0, (net.cycle() + 1) * 1000);  // park everyone
+  for (auto _ : state) net.step_island(0, (net.cycle() + 1) * 1000);
   state.SetItemsProcessed(state.iterations());
 }
 BENCHMARK(BM_NetworkStepIdle)

@@ -233,13 +233,6 @@ void Network::set_flight_recorder(obs::FlightRecorder* recorder) {
   for (auto& ni : nis_) ni->set_flight_recorder(recorder);
 }
 
-void Network::step(common::Picoseconds now) {
-  if (num_islands() != 1) {
-    throw std::logic_error("Network::step: multi-island network must be stepped per island");
-  }
-  step_island(0, now);
-}
-
 void Network::step_island(int island, common::Picoseconds now) {
   tick_island(island);
   run_island_phases(island, now);

@@ -12,15 +12,15 @@
 /// mesh every tile holds one NI and tile ids equal node ids, so everything
 /// below degenerates to the historical behaviour bit-for-bit.
 ///
-/// With a single island (the default, and the paper's configuration)
-/// `step()` advances exactly one NoC clock cycle; the clock kernel decides
-/// *when* those cycles happen in master (picosecond) time — that
-/// separation is what lets the DVFS controller slow the network relative
-/// to the nodes (the paper's central mechanism).
+/// `step_island(i, now)` advances island `i` by exactly one cycle of its
+/// NoC clock; the clock kernel decides *when* those cycles happen in
+/// master (picosecond) time — that separation is what lets the DVFS
+/// controller slow the network relative to the nodes (the paper's central
+/// mechanism). With a single island (the default, and the paper's
+/// configuration) that is `step_island(0, now)`.
 ///
 /// With a voltage–frequency-island partition (`NetworkConfig::island_of`)
-/// each island is stepped independently via `step_island()` whenever *its*
-/// clock fires. Links whose endpoints live in different islands become
+/// each island is stepped independently whenever *its* clock fires. Links whose endpoints live in different islands become
 /// clock-domain crossings: an asynchronous FIFO (`CdcFifo`) ticked by the
 /// receiving domain, charging `cdc_sync_cycles` receiver cycles of
 /// synchronizer latency on top of the link pipeline — in both the flit
@@ -98,11 +98,6 @@ class Network : public WakeSink {
 
   Network(const Network&) = delete;
   Network& operator=(const Network&) = delete;
-
-  /// Advance one NoC clock cycle at master time `now`. Only valid for
-  /// single-island networks (throws std::logic_error otherwise); island
-  /// partitions are stepped per domain with `step_island`.
-  void step(common::Picoseconds now);
 
   /// Advance island `island` by one cycle of its own clock at master time
   /// `now`: tick its channels (including CDC fifos it reads from), then

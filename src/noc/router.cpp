@@ -17,7 +17,6 @@ constexpr int kEscapeWaitCycles = 64;
 
 Router::Router(NodeId id, int radix, const RouterConfig& cfg)
     : id_(id),
-      topo_(nullptr),
       cfg_(cfg),
       radix_(radix),
       va_alloc_(radix * cfg.num_vcs, radix * cfg.num_vcs),
@@ -47,21 +46,8 @@ Router::Router(NodeId id, int radix, const RouterConfig& cfg)
   first_local_port_ = radix;  // no local ports until told otherwise
 }
 
-Router::Router(NodeId id, const MeshTopology& topo, const RouterConfig& cfg)
-    : Router(id, kMeshPorts, cfg) {
-  if (!topo.valid(id)) throw std::invalid_argument("Router: node id outside topology");
-  topo_ = &topo;
-  first_local_port_ = port_index(PortDir::Local);
-  for (int p = 0; p < kMeshPorts; ++p) {
-    const PortDir dir = port_dir(p);
-    port_peer_[static_cast<std::size_t>(p)] =
-        (dir != PortDir::Local && topo.has_neighbor(id, dir)) ? topo.neighbor(id, dir) : id;
-  }
-}
-
 void Router::set_routing_engine(const topo::RoutingEngine* engine) {
   engine_ = engine;
-  topo_ = nullptr;
   adaptive_escape_ = engine != nullptr && engine->adaptive_escape();
 }
 
@@ -405,20 +391,16 @@ void Router::route_computation() {
       if (ivc.state != VcStateKind::Idle || ivc.buffer.empty()) continue;
       Flit& head = ivc.buffer.front();
       NOCDVFS_ASSERT(head.head, "non-head flit at the front of an Idle VC");
-      if (engine_ != nullptr) {
-        const topo::RouteDecision decision = engine_->route(id_, head, *this, false);
-        if (decision.out_port < 0) {
-          // No surviving route: drain the packet into the drop counters.
-          ivc.state = VcStateKind::Drop;
-          --rc_pending_;
-          ++drop_pending_;
-          continue;
-        }
-        ivc.out_port = decision.out_port;
-        ivc.vc_mask = decision.vc_mask;
-      } else {
-        ivc.out_port = port_index(route_dor(cfg_.routing, *topo_, id_, head.dst));
+      const topo::RouteDecision decision = engine_->route(id_, head, *this, false);
+      if (decision.out_port < 0) {
+        // No surviving route: drain the packet into the drop counters.
+        ivc.state = VcStateKind::Drop;
+        --rc_pending_;
+        ++drop_pending_;
+        continue;
       }
+      ivc.out_port = decision.out_port;
+      ivc.vc_mask = decision.vc_mask;
       if (flight_recorder_) {
         flight_recorder_->on_route(head.packet_id, id_, ivc.out_port);
       }

@@ -4,8 +4,7 @@
 /// Input-queued virtual-channel router with the canonical 4-stage pipeline:
 ///
 ///   RC  — a head flit reaching the front of an Idle VC computes its output
-///         port (and the VC-class mask VA may use) via the routing engine,
-///         or plain dimension-ordered routing in the legacy mesh setup;
+///         port (and the VC-class mask VA may use) via the routing engine;
 ///   VA  — the VC requests an output VC (within its class mask) through a
 ///         separable input-first allocator; body flits inherit the grant;
 ///   SA  — per-cycle switch allocation: one flit per input port and per
@@ -38,7 +37,6 @@
 #include "noc/allocator.hpp"
 #include "noc/channel.hpp"
 #include "noc/routing.hpp"
-#include "noc/topology.hpp"
 #include "noc/types.hpp"
 #include "power/activity.hpp"
 #include "topo/routing_engine.hpp"
@@ -88,12 +86,8 @@ struct RouterStallCounters {
 
 class Router : public topo::RouterView {
  public:
-  /// Legacy mesh form: radix 5, port peers and XY/YX routes derived from
-  /// the mesh directly (no routing engine). Unit tests build routers this
-  /// way; Network uses the generic form below.
-  Router(NodeId id, const MeshTopology& topo, const RouterConfig& cfg);
-  /// Generic form: `radix` ports, initially all self-peered and routed by a
-  /// required routing engine (set_routing_engine before the first cycle).
+  /// `radix` ports, initially all self-peered and routed by a required
+  /// routing engine (set_routing_engine before the first cycle).
   Router(NodeId id, int radix, const RouterConfig& cfg);
 
   Router(const Router&) = delete;
@@ -122,9 +116,9 @@ class Router : public topo::RouterView {
     port_peer_[static_cast<std::size_t>(port)] = tile;
   }
   /// First NI-local port index (ports below it are network links); splits
-  /// the local/link hop activity counters. The legacy mesh form sets 4.
+  /// the local/link hop activity counters.
   void set_first_local_port(int port) noexcept { first_local_port_ = port; }
-  /// Route via `engine` instead of the legacy mesh DOR path.
+  /// Route via `engine` (required before the first cycle).
   void set_routing_engine(const topo::RoutingEngine* engine);
   /// Fault mode: every traversed flit is reported to the engine (up*/down*
   /// phase tracking). Toggled by Network on fault epochs.
@@ -223,7 +217,6 @@ class Router : public topo::RouterView {
   void compute_phase_tracked();
 
   NodeId id_;
-  const MeshTopology* topo_;  ///< legacy mesh routing (null with an engine)
   const topo::RoutingEngine* engine_ = nullptr;
   RouterConfig cfg_;
   int radix_;

@@ -10,8 +10,9 @@
 /// (minimal-adaptive with escape VCs) and Ugal (UGAL-L non-minimal with
 /// Valiant fallback paths) are implemented by topo::RoutingEngine, which
 /// also supplies the per-topology VC-class discipline they require;
-/// `route_dor` treats them as XY so legacy single-router call sites stay
-/// well-defined.
+/// `route_dor` treats them as XY so every call stays well-defined. The
+/// mesh topology's dimension-ordered port (topo/topology.cpp) delegates
+/// here.
 
 #include "noc/topology.hpp"
 #include "noc/types.hpp"

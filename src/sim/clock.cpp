@@ -58,12 +58,4 @@ void MultiClock::set_noc_frequency(int domain, common::Hertz f) {
   d.f = f;
 }
 
-DualClock::DualClock(common::Hertz f_node, common::Hertz f_noc)
-    : clock_(f_node, std::vector<common::Hertz>{f_noc}) {}
-
-DualClock::Edge DualClock::advance() {
-  const MultiClock::Edge e = clock_.advance();
-  return Edge{e.node, e.noc_any};
-}
-
 }  // namespace nocdvfs::sim

@@ -16,12 +16,8 @@
 /// place and applies the new period from the following edge — a glitch-free
 /// clock switch per domain; the PLL relock time is assumed hidden, as in
 /// the paper. Retuning one domain never perturbs the edge schedule of any
-/// other domain.
-///
-/// `DualClock` — the paper's original node + single-NoC-domain kernel — is
-/// kept as a thin wrapper over a one-domain `MultiClock` with identical
-/// semantics (and identical integer arithmetic, so results are
-/// bit-preserved).
+/// other domain. The paper's original node + NoC clock pair is simply a
+/// one-domain `MultiClock`.
 
 #include <vector>
 
@@ -75,34 +71,6 @@ class MultiClock {
   common::Picoseconds next_node_ = 0;
   std::uint64_t node_cycles_ = 0;
   std::vector<int> fired_;
-};
-
-/// The paper's original kernel: node domain + one retunable NoC domain.
-class DualClock {
- public:
-  DualClock(common::Hertz f_node, common::Hertz f_noc);
-
-  struct Edge {
-    bool node = false;
-    bool noc = false;
-  };
-
-  /// Advance to the next edge instant and report which domains fired.
-  Edge advance();
-
-  common::Picoseconds now() const noexcept { return clock_.now(); }
-  std::uint64_t node_cycles() const noexcept { return clock_.node_cycles(); }
-  std::uint64_t noc_cycles() const noexcept { return clock_.noc_cycles(0); }
-
-  common::Hertz node_frequency() const noexcept { return clock_.node_frequency(); }
-  common::Hertz noc_frequency() const noexcept { return clock_.noc_frequency(0); }
-  common::Picoseconds noc_period_ps() const noexcept { return clock_.noc_period_ps(0); }
-
-  /// Retune the NoC domain; takes effect after the pending NoC edge.
-  void set_noc_frequency(common::Hertz f) { clock_.set_noc_frequency(0, f); }
-
- private:
-  MultiClock clock_;
 };
 
 }  // namespace nocdvfs::sim

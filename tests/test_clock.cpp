@@ -1,7 +1,7 @@
 // Clock kernel tests: edge interleaving at integer and non-integer
-// frequency ratios, retuning semantics, and counter consistency — for the
-// original dual-clock kernel and its MultiClock generalization (N
-// independently retunable NoC domains for voltage–frequency islands).
+// frequency ratios, retuning semantics, and counter consistency — for a
+// single NoC domain (the paper's node + NoC clock pair) and for N
+// independently retunable NoC domains (voltage–frequency islands).
 
 #include <gtest/gtest.h>
 
@@ -12,94 +12,98 @@
 namespace nocdvfs::sim {
 namespace {
 
-TEST(DualClock, EqualFrequenciesTickTogether) {
-  DualClock clk(1e9, 1e9);
+// ---------------------------------------------------------------------------
+// One NoC domain: the paper's original node + NoC clock pair.
+// ---------------------------------------------------------------------------
+
+TEST(SingleDomainClock, EqualFrequenciesTickTogether) {
+  MultiClock clk(1e9, {1e9});
   for (int i = 0; i < 100; ++i) {
     const auto e = clk.advance();
     EXPECT_TRUE(e.node);
-    EXPECT_TRUE(e.noc);
+    EXPECT_TRUE(e.noc_any);
   }
   EXPECT_EQ(clk.node_cycles(), 100u);
-  EXPECT_EQ(clk.noc_cycles(), 100u);
+  EXPECT_EQ(clk.noc_cycles(0), 100u);
   EXPECT_EQ(clk.now(), 100'000u);  // 100 ns
 }
 
-TEST(DualClock, HalfRateNocTicksEveryOtherNodeCycle) {
-  DualClock clk(1e9, 0.5e9);
+TEST(SingleDomainClock, HalfRateNocTicksEveryOtherNodeCycle) {
+  MultiClock clk(1e9, {0.5e9});
   int node = 0, noc = 0;
   while (clk.now() < 100'000) {
     const auto e = clk.advance();
     node += e.node ? 1 : 0;
-    noc += e.noc ? 1 : 0;
+    noc += e.noc_any ? 1 : 0;
   }
   EXPECT_EQ(node, 100);
   EXPECT_EQ(noc, 50);
 }
 
-TEST(DualClock, NonIntegerRatioKeepsLongRunProportion) {
-  DualClock clk(1e9, 333e6);
+TEST(SingleDomainClock, NonIntegerRatioKeepsLongRunProportion) {
+  MultiClock clk(1e9, {333e6});
   while (clk.node_cycles() < 100000) clk.advance();
-  const double ratio = static_cast<double>(clk.noc_cycles()) / clk.node_cycles();
+  const double ratio = static_cast<double>(clk.noc_cycles(0)) / clk.node_cycles();
   EXPECT_NEAR(ratio, 0.333, 0.001);
 }
 
-TEST(DualClock, CountersMatchElapsedTime) {
-  DualClock clk(1e9, 750e6);
+TEST(SingleDomainClock, CountersMatchElapsedTime) {
+  MultiClock clk(1e9, {750e6});
   while (clk.node_cycles() < 10000) clk.advance();
   // node: 1000 ps period → time = cycles × 1000.
   EXPECT_EQ(clk.now(), clk.node_cycles() * 1000u);
   // noc: 1333 ps period; counter must match time/period ±1.
   const auto expected_noc = clk.now() / 1333;
-  EXPECT_NEAR(static_cast<double>(clk.noc_cycles()), static_cast<double>(expected_noc), 1.0);
+  EXPECT_NEAR(static_cast<double>(clk.noc_cycles(0)), static_cast<double>(expected_noc), 1.0);
 }
 
-TEST(DualClock, FrequencyChangeAppliesAfterPendingEdge) {
-  DualClock clk(1e9, 1e9);
+TEST(SingleDomainClock, FrequencyChangeAppliesAfterPendingEdge) {
+  MultiClock clk(1e9, {1e9});
   clk.advance();  // t = 1000, both fire; next noc edge scheduled at 2000
-  clk.set_noc_frequency(0.5e9);
+  clk.set_noc_frequency(0, 0.5e9);
   // The pending edge at 2000 still happens...
   auto e = clk.advance();
-  EXPECT_TRUE(e.noc);
+  EXPECT_TRUE(e.noc_any);
   EXPECT_EQ(clk.now(), 2000u);
   // ...and the new 2000 ps period applies afterwards: next noc edge at 4000.
   std::uint64_t next_noc_time = 0;
   while (next_noc_time == 0) {
     e = clk.advance();
-    if (e.noc) next_noc_time = clk.now();
+    if (e.noc_any) next_noc_time = clk.now();
   }
   EXPECT_EQ(next_noc_time, 4000u);
 }
 
-TEST(DualClock, SpeedUpAlsoHonored) {
-  DualClock clk(1e9, 333e6);
+TEST(SingleDomainClock, SpeedUpAlsoHonored) {
+  MultiClock clk(1e9, {333e6});
   clk.advance();  // node edge at 1000 (noc edge pending at 3003)
-  clk.set_noc_frequency(1e9);
+  clk.set_noc_frequency(0, 1e9);
   std::uint64_t noc_edges_seen = 0;
   while (clk.now() < 20000) {
-    if (clk.advance().noc) ++noc_edges_seen;
+    if (clk.advance().noc_any) ++noc_edges_seen;
   }
   // Pending edge at 3003, then 1000 ps period: ≈ 1 + 17 edges by t = 20000.
   EXPECT_GE(noc_edges_seen, 17u);
 }
 
-TEST(DualClock, FrequencyAccessors) {
-  DualClock clk(1e9, 500e6);
+TEST(SingleDomainClock, FrequencyAccessors) {
+  MultiClock clk(1e9, {500e6});
   EXPECT_DOUBLE_EQ(clk.node_frequency(), 1e9);
-  EXPECT_DOUBLE_EQ(clk.noc_frequency(), 500e6);
-  EXPECT_EQ(clk.noc_period_ps(), 2000u);
-  clk.set_noc_frequency(333e6);
-  EXPECT_EQ(clk.noc_period_ps(), 3003u);
+  EXPECT_DOUBLE_EQ(clk.noc_frequency(0), 500e6);
+  EXPECT_EQ(clk.noc_period_ps(0), 2000u);
+  clk.set_noc_frequency(0, 333e6);
+  EXPECT_EQ(clk.noc_period_ps(0), 3003u);
 }
 
-TEST(DualClock, RejectsBadFrequencies) {
-  EXPECT_THROW(DualClock(0.0, 1e9), std::invalid_argument);
-  EXPECT_THROW(DualClock(1e9, -1.0), std::invalid_argument);
-  DualClock clk(1e9, 1e9);
-  EXPECT_THROW(clk.set_noc_frequency(0.0), std::invalid_argument);
+TEST(SingleDomainClock, RejectsBadFrequencies) {
+  EXPECT_THROW(MultiClock(0.0, {1e9}), std::invalid_argument);
+  EXPECT_THROW(MultiClock(1e9, {-1.0}), std::invalid_argument);
+  MultiClock clk(1e9, {1e9});
+  EXPECT_THROW(clk.set_noc_frequency(0, 0.0), std::invalid_argument);
 }
 
-TEST(DualClock, TimeStrictlyIncreases) {
-  DualClock clk(1e9, 617e6);  // deliberately awkward ratio
+TEST(SingleDomainClock, TimeStrictlyIncreases) {
+  MultiClock clk(1e9, {617e6});  // deliberately awkward ratio
   common::Picoseconds prev = 0;
   for (int i = 0; i < 10000; ++i) {
     clk.advance();
@@ -111,24 +115,6 @@ TEST(DualClock, TimeStrictlyIncreases) {
 // ---------------------------------------------------------------------------
 // MultiClock: N retunable NoC domains on the shared picosecond timeline.
 // ---------------------------------------------------------------------------
-
-TEST(MultiClock, SingleDomainMatchesDualClockEdgeForEdge) {
-  DualClock dual(1e9, 617e6);
-  MultiClock multi(1e9, {617e6});
-  for (int i = 0; i < 20000; ++i) {
-    const auto de = dual.advance();
-    const auto me = multi.advance();
-    ASSERT_EQ(me.node, de.node);
-    ASSERT_EQ(me.noc_any, de.noc);
-    ASSERT_EQ(multi.now(), dual.now());
-    if (i == 7000) {
-      dual.set_noc_frequency(871e6);
-      multi.set_noc_frequency(0, 871e6);
-    }
-  }
-  EXPECT_EQ(multi.noc_cycles(0), dual.noc_cycles());
-  EXPECT_EQ(multi.node_cycles(), dual.node_cycles());
-}
 
 TEST(MultiClock, CoincidentEdgesAcrossThreeDomains) {
   // Periods 1000 / 2000 / 4000 ps: at t = 4000 the node domain and all
@@ -160,8 +146,8 @@ TEST(MultiClock, CoincidentEdgesAcrossThreeDomains) {
 TEST(MultiClock, RetuneExactlyOnControlWindowBoundary) {
   // Retuning at an instant where the domain just fired (a control update
   // lands exactly on the domain's own edge) keeps the already-scheduled
-  // next edge and applies the new period after it — same glitch-free rule
-  // as DualClock.
+  // next edge and applies the new period after it — the same glitch-free
+  // rule as a mid-period retune.
   MultiClock clk(1e9, {1e9});
   clk.advance();  // t = 1000: both domains fired; next noc edge at 2000
   ASSERT_EQ(clk.fired().size(), 1u);

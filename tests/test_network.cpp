@@ -22,7 +22,7 @@ NetworkConfig small_config() {
 
 void run_cycles(Network& net, int cycles) {
   for (int i = 0; i < cycles; ++i) {
-    net.step(static_cast<common::Picoseconds>((net.cycle() + 1) * 1000));
+    net.step_island(0, static_cast<common::Picoseconds>((net.cycle() + 1) * 1000));
   }
 }
 
@@ -78,7 +78,7 @@ TEST(Network, FlitConservationUnderRandomTraffic) {
         net.ni(s).enqueue_packet(d, 5, net.cycle() * 1000, net.cycle());
       }
     }
-    net.step((net.cycle() + 1) * 1000);
+    net.step_island(0, (net.cycle() + 1) * 1000);
     // Conservation: every injected flit is either ejected or in flight.
     ASSERT_EQ(net.total_flits_injected(),
               net.total_flits_ejected() + net.flits_in_network());
@@ -99,7 +99,7 @@ TEST(Network, DrainsCompletelyAfterTrafficStops) {
                                  net.cycle() * 1000, net.cycle());
       }
     }
-    net.step((net.cycle() + 1) * 1000);
+    net.step_island(0, (net.cycle() + 1) * 1000);
   }
   run_cycles(net, 2000);  // no new traffic: must drain
   EXPECT_EQ(net.flits_in_network(), 0u);

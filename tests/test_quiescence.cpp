@@ -79,7 +79,7 @@ TEST(Quiescence, IdleNetworkParksEveryNodeAfterOneCycle) {
   // Cycle 1 steps all 16 freshly constructed nodes, finds them all
   // quiescent and parks them; every later cycle skips all 16.
   const std::uint64_t cycles = 100;
-  for (std::uint64_t c = 1; c <= cycles; ++c) net.step(ps_of(c));
+  for (std::uint64_t c = 1; c <= cycles; ++c) net.step_island(0, ps_of(c));
   EXPECT_EQ(net.island_active_nodes(0), 0);
   EXPECT_EQ(net.island_idle_steps_skipped(0), 16 * (cycles - 1));
 
@@ -112,8 +112,8 @@ TEST(Quiescence, BurstThenSilenceDrainsToFreeStepsBitIdentically) {
         off.ni(src).enqueue_packet(dst, 11, ps_of(c), c);
       }
     }
-    on.step(ps_of(c));
-    off.step(ps_of(c));
+    on.step_island(0, ps_of(c));
+    off.step_island(0, ps_of(c));
   }
 
   // Fully drained, and the two disciplines agree packet by packet.
@@ -139,7 +139,7 @@ TEST(Quiescence, BurstThenSilenceDrainsToFreeStepsBitIdentically) {
   const std::uint64_t before = on.island_idle_steps_skipped(0);
   const std::uint64_t extra = 250;
   for (std::uint64_t c = total_cycles + 1; c <= total_cycles + extra; ++c) {
-    on.step(ps_of(c));
+    on.step_island(0, ps_of(c));
   }
   EXPECT_EQ(on.island_idle_steps_skipped(0) - before,
             extra * static_cast<std::uint64_t>(n));

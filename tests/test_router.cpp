@@ -6,6 +6,7 @@
 
 #include <optional>
 
+#include "mesh_router.hpp"
 #include "noc/channel.hpp"
 #include "noc/router.hpp"
 
@@ -30,7 +31,7 @@ Flit make_flit(NodeId src, NodeId dst, int index, int size, int vc) {
 class RouterHarness {
  public:
   explicit RouterHarness(RouterConfig cfg = RouterConfig{})
-      : topo_(2, 1), router_(0, topo_, cfg) {
+      : mesh_(2, 1, 0, cfg), router_(mesh_.router()) {
     router_.connect_input(PortDir::Local, &in_local, &credit_to_local_src);
     router_.connect_input(PortDir::East, &in_east, &credit_to_east_src);
     router_.connect_output(PortDir::Local, &out_local, &credit_from_local_sink);
@@ -59,13 +60,13 @@ class RouterHarness {
 
   Router& router() { return router_; }
 
-  MeshTopology topo_;
   FlitChannel in_local{1}, in_east{1}, out_local{1}, out_east{1};
   CreditChannel credit_to_local_src{1}, credit_to_east_src{1};
   CreditChannel credit_from_local_sink{1}, credit_from_east_sink{1};
 
  private:
-  Router router_;
+  MeshRouter mesh_;
+  Router& router_;
 };
 
 TEST(Router, HeadFlitPipelineLatency) {
@@ -281,21 +282,21 @@ TEST(Router, BufferOverflowFromCreditViolationIsCaught) {
 }
 
 TEST(Router, ConfigValidation) {
-  MeshTopology topo(2, 1);
   RouterConfig bad;
   bad.num_vcs = 0;
-  EXPECT_THROW(Router(0, topo, bad), std::invalid_argument);
+  EXPECT_THROW(Router(0, kMeshPorts, bad), std::invalid_argument);
   bad.num_vcs = 65;
-  EXPECT_THROW(Router(0, topo, bad), std::invalid_argument);
+  EXPECT_THROW(Router(0, kMeshPorts, bad), std::invalid_argument);
   bad.num_vcs = 4;
   bad.vc_buffer_depth = 0;
-  EXPECT_THROW(Router(0, topo, bad), std::invalid_argument);
-  EXPECT_THROW(Router(7, topo, RouterConfig{}), std::invalid_argument);
+  EXPECT_THROW(Router(0, kMeshPorts, bad), std::invalid_argument);
+  EXPECT_THROW(Router(0, 0, RouterConfig{}), std::invalid_argument);
+  EXPECT_THROW(Router(0, kMaxPorts + 1, RouterConfig{}), std::invalid_argument);
 }
 
 TEST(Router, WiringValidation) {
-  MeshTopology topo(2, 1);
-  Router r(0, topo, RouterConfig{});
+  MeshRouter mesh(2, 1, 0, RouterConfig{});
+  Router& r = mesh.router();
   FlitChannel f(1);
   CreditChannel c(1);
   EXPECT_THROW(r.connect_input(PortDir::Local, nullptr, &c), std::invalid_argument);

@@ -15,6 +15,7 @@
 #include <vector>
 
 #include "common/rng.hpp"
+#include "mesh_router.hpp"
 #include "noc/channel.hpp"
 #include "noc/network.hpp"
 #include "noc/router.hpp"
@@ -35,8 +36,8 @@ TEST_P(RouterFuzz, CreditLoopConservesAndDeliversInOrder) {
   RouterConfig cfg;
   cfg.num_vcs = num_vcs;
   cfg.vc_buffer_depth = depth;
-  MeshTopology topo(2, 1);
-  Router router(0, topo, cfg);
+  MeshRouter mesh(2, 1, 0, cfg);
+  Router& router = mesh.router();
 
   FlitChannel in_local(1), out_east(1), in_east(1), out_local(1);
   CreditChannel credit_src(1), credit_sink(1), credit_src_e(1), credit_sink_l(1);
@@ -206,8 +207,8 @@ TEST_P(ActivityFuzz, BurstyOnOffConservesAndMatchesAlwaysStep) {
         ++generated_packets;
       }
     }
-    on.step(static_cast<common::Picoseconds>(c) * 1000);
-    off.step(static_cast<common::Picoseconds>(c) * 1000);
+    on.step_island(0, static_cast<common::Picoseconds>(c) * 1000);
+    off.step_island(0, static_cast<common::Picoseconds>(c) * 1000);
 
     // Conservation on the skip-idle network, every cycle: no flit may be
     // lost in a parked corner of the mesh.
@@ -312,7 +313,7 @@ TEST_P(TopologyFuzz, FaultAwareConservationAndProgress) {
         net.ni(src).enqueue_packet(dst, 5, static_cast<common::Picoseconds>(c) * 1000, c);
       }
     }
-    net.step(static_cast<common::Picoseconds>(c) * 1000);
+    net.step_island(0, static_cast<common::Picoseconds>(c) * 1000);
 
     // Fault-aware conservation, every cycle.
     ASSERT_EQ(net.total_flits_generated(),
