@@ -28,6 +28,12 @@ struct PowerBreakdown {
   common::Picoseconds elapsed_ps = 0;
 
   double total_j() const noexcept { return datapath_j + clock_j + leakage_j; }
+  /// Add `o`'s energies (its elapsed time is the caller's business).
+  void add_energy(const PowerBreakdown& o) noexcept {
+    datapath_j += o.datapath_j;
+    clock_j += o.clock_j;
+    leakage_j += o.leakage_j;
+  }
   double elapsed_s() const noexcept { return common::seconds_from_ps(elapsed_ps); }
   double average_power_w() const noexcept {
     return elapsed_ps ? total_j() / elapsed_s() : 0.0;

@@ -2,9 +2,9 @@
 
 /// \file simulator.hpp
 /// Top-level simulation: composes the multi-clock kernel, the (possibly
-/// island-partitioned) network, a traffic model, the per-island DVFS
-/// control bank and the per-island power accumulators, and runs the
-/// two-phase (settle → measure) protocol every experiment uses.
+/// island-partitioned) network, a traffic model and the per-island DVFS
+/// control bank, and runs the two-phase (settle → measure) protocol every
+/// experiment uses.
 ///
 /// Phase protocol:
 ///  1. *Warmup/settle* — traffic and the DVFS control loops run, statistics
@@ -24,6 +24,10 @@
 /// Saturation is flagged when the source backlog grows materially during
 /// the measurement or delivery falls short of generation — the conditions
 /// under which delay statistics stop converging.
+///
+/// `run` itself is only that protocol core. Thermal, telemetry, latency
+/// histograms and host observability attach as plug-ins (sim/run_plugin.hpp)
+/// that are built only when their configuration turns them on.
 
 #include <memory>
 #include <string>
@@ -35,7 +39,6 @@
 #include "noc/network.hpp"
 #include "obs/telemetry.hpp"
 #include "power/energy_model.hpp"
-#include "power/power_model.hpp"
 #include "power/vf_curve.hpp"
 #include "sim/clock.hpp"
 #include "sim/metrics.hpp"
@@ -104,12 +107,8 @@ struct RunPhases {
 
 class Simulator {
  public:
-  /// Single-domain convenience (the paper's configuration): requires the
-  /// network config to describe exactly one island.
-  Simulator(const SimulatorConfig& cfg, std::unique_ptr<traffic::TrafficModel> traffic,
-            std::unique_ptr<dvfs::DvfsController> controller, power::VfCurve curve);
-
-  /// Island-partitioned form: one controller per island, in island order.
+  /// One controller per island, in island order (exactly one for the
+  /// paper's single-domain configuration).
   Simulator(const SimulatorConfig& cfg, std::unique_ptr<traffic::TrafficModel> traffic,
             std::vector<std::unique_ptr<dvfs::DvfsController>> controllers,
             power::VfCurve curve);
@@ -119,9 +118,6 @@ class Simulator {
   noc::Network& network() noexcept { return net_; }
   const noc::Network& network() const noexcept { return net_; }
   int num_islands() const noexcept { return bank_.num_islands(); }
-  const dvfs::DvfsManager& dvfs_manager() const noexcept { return bank_.manager(0); }
-  const dvfs::DvfsManager& dvfs_manager(int island) const { return bank_.manager(island); }
-  const MultiClock& clock() const noexcept { return clock_; }
   const SimulatorConfig& config() const noexcept { return cfg_; }
   const power::EnergyModel& energy_model() const noexcept { return energy_; }
 

@@ -12,6 +12,7 @@
 #include <cstdint>
 #include <cstring>
 #include <filesystem>
+#include <memory>
 #include <string>
 #include <vector>
 
@@ -173,7 +174,9 @@ TEST(LatencyHistogramSnapshot, QuantilesSurviveSerialization) {
   // Sparse: only non-empty buckets, in ascending index order.
   std::uint64_t total = 0;
   for (std::size_t i = 0; i < snap.bucket_index.size(); ++i) {
-    if (i > 0) EXPECT_LT(snap.bucket_index[i - 1], snap.bucket_index[i]);
+    if (i > 0) {
+      EXPECT_LT(snap.bucket_index[i - 1], snap.bucket_index[i]);
+    }
     EXPECT_GT(snap.bucket_count[i], 0u);
     total += snap.bucket_count[i];
   }
@@ -336,6 +339,46 @@ TEST(DelayDist, HistOnIsMetricsInvisible) {
   EXPECT_EQ(a.measure_noc_cycles, b.measure_noc_cycles);
   EXPECT_FALSE(a.delay_dist.enabled);
   EXPECT_TRUE(b.delay_dist.enabled);
+}
+
+/// Long paths get their own hop slices: on a 40x40 transpose the longest
+/// route is 79 hops, and every hop count up to the longest one seen has a
+/// slice (nothing is folded into a last bucket).
+TEST(DelayDist, HopSlicesCoverLongPaths) {
+  sim::Scenario s;
+  s.pattern = "transpose";
+  s.network.width = 40;
+  s.network.height = 40;
+  s.lambda = 0.01;
+  s.hist = "on";
+  s.control_period = 1000;
+  s.phases.adaptive_warmup = false;
+  s.phases.warmup_node_cycles = 1000;
+  s.phases.measure_node_cycles = 3000;
+  const sim::RunResult r = sim::run(s);
+  ASSERT_TRUE(r.delay_dist.enabled);
+  EXPECT_GT(r.max_hops, 63u);
+  EXPECT_EQ(r.delay_dist.hop_delay_ns.size(), r.max_hops + 1);
+  std::uint64_t hop_sum = 0;
+  for (const auto& slice : r.delay_dist.hop_delay_ns) hop_sum += slice.count;
+  EXPECT_EQ(hop_sum, r.delay_dist.delay_ns.count);
+  EXPECT_GT(r.delay_dist.hop_delay_ns.back().count, 0u);
+}
+
+/// The network outlives the run that installed a flight recorder on it:
+/// stepping it afterwards must not touch the run's (freed) recorder, and
+/// the run's stall attribution is switched off again.
+TEST(FlightRecorderEndToEnd, NetworkStepsSafelyAfterRun) {
+  sim::Scenario s = small_base();
+  s.telemetry = "windows";
+  s.pkt_trace = "on";
+  s.pkt_trace_rate = 1;
+  const std::unique_ptr<sim::Simulator> sim = sim::make_simulator(s);
+  (void)sim->run(s.phases);
+  noc::Network& net = sim->network();
+  EXPECT_FALSE(net.router_at(0).stall_tracking());
+  for (int c = 0; c < 200; ++c) net.step_island(0, static_cast<common::Picoseconds>(c) * 1000);
+  SUCCEED();
 }
 
 TEST(FlightRecorderEndToEnd, FlightsReconstructContiguousPaths) {
