@@ -73,10 +73,6 @@ double Histogram::bin_lo(std::size_t i) const noexcept {
   return lo_ + width_ * static_cast<double>(i);
 }
 
-double Histogram::bin_hi(std::size_t i) const noexcept {
-  return lo_ + width_ * static_cast<double>(i + 1);
-}
-
 double Histogram::quantile(double q) const noexcept {
   if (total_ == 0) return lo_;
   q = std::clamp(q, 0.0, 1.0);

@@ -52,9 +52,7 @@ class Histogram {
   std::uint64_t underflow() const noexcept { return underflow_; }
   std::uint64_t overflow() const noexcept { return overflow_; }
   std::size_t bins() const noexcept { return counts_.size(); }
-  std::uint64_t bin_count(std::size_t i) const { return counts_.at(i); }
   double bin_lo(std::size_t i) const noexcept;
-  double bin_hi(std::size_t i) const noexcept;
 
   /// Approximate quantile q in [0,1]; linear interpolation inside the bin.
   /// Returns lo/hi bounds when the mass sits in the under/overflow bins.

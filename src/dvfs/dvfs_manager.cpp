@@ -20,10 +20,6 @@ DvfsManager::DvfsManager(std::unique_ptr<DvfsController> controller, power::VfCu
   vdd_current_ = curve_.voltage_for(f_current_);
 }
 
-common::Hertz DvfsManager::apply_update(common::Picoseconds now, const WindowMeasurements& m) {
-  return apply_update(now, m, 0.0);
-}
-
 common::Hertz DvfsManager::apply_update(common::Picoseconds now, const WindowMeasurements& m,
                                         common::Hertz f_cap) {
   ControlContext ctx;

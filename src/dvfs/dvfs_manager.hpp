@@ -42,27 +42,22 @@ class DvfsManager {
 
   /// Run one control update; returns the (clamped, snapped) frequency now
   /// in effect. Records a trace point when the operating point moved.
-  common::Hertz apply_update(common::Picoseconds now, const WindowMeasurements& m);
-
-  /// Same, but with an actuation-side frequency cap (a thermal throttle):
-  /// when the snapped request exceeds `f_cap` the applied frequency is
-  /// floored down onto the curve at the cap — never rounded up, so a
-  /// throttled domain cannot run above the cap. `f_cap = 0` means no cap
-  /// and is arithmetically identical to the two-argument overload.
+  /// `f_cap` is an actuation-side frequency cap (a thermal throttle): when
+  /// the snapped request exceeds it the applied frequency is floored down
+  /// onto the curve at the cap — never rounded up, so a throttled domain
+  /// cannot run above the cap. `f_cap = 0` means no cap.
   common::Hertz apply_update(common::Picoseconds now, const WindowMeasurements& m,
-                             common::Hertz f_cap);
+                             common::Hertz f_cap = 0.0);
 
   const DvfsController& controller() const noexcept { return *controller_; }
   DvfsController& controller() noexcept { return *controller_; }
   const power::VfCurve& curve() const noexcept { return curve_; }
   const std::vector<VfTracePoint>& trace() const noexcept { return trace_; }
-  void clear_trace() { trace_.clear(); }
 
   /// Bound the actuation trace to the `max_points` most recent points
   /// (0 = unbounded, the default). Long sweeps over jittery policies can
   /// otherwise accumulate one point per control window for the whole run.
   void set_trace_limit(std::size_t max_points);
-  std::size_t trace_limit() const noexcept { return trace_limit_; }
 
   /// Reset policy state and return to the top of the range.
   void reset();

@@ -10,7 +10,7 @@ int NetworkConfig::num_islands() const noexcept {
   return *std::max_element(island_of.begin(), island_of.end()) + 1;
 }
 
-Network::Network(const NetworkConfig& cfg) : cfg_(cfg), topo_(cfg.width, cfg.height) {
+Network::Network(const NetworkConfig& cfg) : cfg_(cfg) {
   if (cfg.link_latency < 1) throw std::invalid_argument("Network: link_latency must be >= 1");
   if (cfg.cdc_sync_cycles < 0) {
     throw std::invalid_argument("Network: cdc_sync_cycles must be >= 0");
@@ -449,12 +449,6 @@ std::uint64_t Network::buffered_flits_now() const {
   return n;
 }
 
-std::uint64_t Network::buffer_capacity_flits() const {
-  std::uint64_t n = 0;
-  for (const auto& r : routers_) n += static_cast<std::uint64_t>(r->buffer_capacity());
-  return n;
-}
-
 std::uint64_t Network::island_flits_generated(int island) const {
   std::uint64_t n = 0;
   for (const NodeId id : island_members(island)) {
@@ -467,22 +461,6 @@ std::uint64_t Network::island_flits_injected(int island) const {
   std::uint64_t n = 0;
   for (const NodeId id : island_members(island)) {
     n += nis_[static_cast<std::size_t>(id)]->flits_injected();
-  }
-  return n;
-}
-
-std::uint64_t Network::island_flits_ejected(int island) const {
-  std::uint64_t n = 0;
-  for (const NodeId id : island_members(island)) {
-    n += nis_[static_cast<std::size_t>(id)]->flits_ejected();
-  }
-  return n;
-}
-
-std::uint64_t Network::island_source_backlog_flits(int island) const {
-  std::uint64_t n = 0;
-  for (const NodeId id : island_members(island)) {
-    n += nis_[static_cast<std::size_t>(id)]->source_backlog_flits();
   }
   return n;
 }

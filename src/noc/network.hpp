@@ -117,12 +117,9 @@ class Network : public WakeSink {
 
   std::uint64_t cycle() const noexcept { return island_cycles_[0]; }
   const NetworkConfig& config() const noexcept { return cfg_; }
-  /// Legacy NI-grid mesh view (node coordinates / hop distance). Only the
-  /// plain-mesh topology routes by it; prefer `topology_model()`.
-  const MeshTopology& topology() const noexcept { return topo_; }
-  /// The physical topology the network is actually wired from.
+  /// The physical topology the network is wired from.
   const topo::Topology& topology_model() const noexcept { return *topol_; }
-  int num_nodes() const noexcept { return topo_.num_nodes(); }
+  int num_nodes() const noexcept { return topol_->num_nodes(); }
   int num_routers() const noexcept { return static_cast<int>(routers_.size()); }
 
   // --- island structure ---
@@ -135,10 +132,6 @@ class Network : public WakeSink {
   /// Ascending tile (router) ids of one island.
   const std::vector<NodeId>& island_tiles(int island) const {
     return islands_.at(static_cast<std::size_t>(island)).tiles;
-  }
-  /// Cycles island `island` has executed (its local clock count).
-  std::uint64_t island_cycles(int island) const {
-    return island_cycles_.at(static_cast<std::size_t>(island));
   }
   /// Directed inter-router links that cross an island boundary.
   int num_boundary_links() const noexcept { return num_boundary_links_; }
@@ -242,8 +235,6 @@ class Network : public WakeSink {
   /// O(routers) snapshot of router-buffer occupancy (excludes link
   /// pipelines); cheap enough to sample every NoC cycle.
   std::uint64_t buffered_flits_now() const;
-  /// Total flit capacity of all wired input buffers.
-  std::uint64_t buffer_capacity_flits() const;
 
   // --- per-tile measurement (the thermal subsystem's attribution scope) ---
   /// Activity of node `node`'s tile: its router plus its own NI. Only
@@ -263,8 +254,6 @@ class Network : public WakeSink {
   power::NetworkInventory island_inventory(int island) const;
   std::uint64_t island_flits_generated(int island) const;
   std::uint64_t island_flits_injected(int island) const;
-  std::uint64_t island_flits_ejected(int island) const;
-  std::uint64_t island_source_backlog_flits(int island) const;
   std::uint64_t island_buffered_flits_now(int island) const;
   std::uint64_t island_buffer_capacity_flits(int island) const;
 
@@ -307,7 +296,6 @@ class Network : public WakeSink {
   void apply_due_faults(std::uint64_t cycle, common::Picoseconds now);
 
   NetworkConfig cfg_;
-  MeshTopology topo_;  ///< NI-grid view (legacy accessor; mesh routing)
   std::unique_ptr<topo::Topology> topol_;
   std::unique_ptr<topo::RoutingEngine> engine_;
   std::unique_ptr<topo::FaultModel> faults_;

@@ -55,12 +55,4 @@ int MeshTopology::num_directed_links() const noexcept {
   return 2 * ((width_ - 1) * height_ + width_ * (height_ - 1));
 }
 
-int MeshTopology::num_neighbors(NodeId node) const {
-  int n = 0;
-  for (const PortDir dir : {PortDir::North, PortDir::East, PortDir::South, PortDir::West}) {
-    if (has_neighbor(node, dir)) ++n;
-  }
-  return n;
-}
-
 }  // namespace nocdvfs::noc

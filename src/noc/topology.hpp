@@ -37,9 +37,6 @@ class MeshTopology {
   /// Directed inter-router links in the mesh: 2·[(W−1)·H + W·(H−1)].
   int num_directed_links() const noexcept;
 
-  /// Mesh neighbours of `node` (2 at a corner, 3 on an edge, 4 interior) —
-  /// also the number of directed links the node's router drives.
-  int num_neighbors(NodeId node) const;
 
  private:
   int width_;

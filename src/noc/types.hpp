@@ -50,17 +50,6 @@ constexpr PortDir opposite(PortDir d) noexcept {
   return PortDir::Local;
 }
 
-constexpr const char* port_name(PortDir d) noexcept {
-  switch (d) {
-    case PortDir::North: return "N";
-    case PortDir::East: return "E";
-    case PortDir::South: return "S";
-    case PortDir::West: return "W";
-    case PortDir::Local: return "L";
-  }
-  return "?";
-}
-
 /// Receiver of node wake-up notifications — implemented by the Network's
 /// skip-idle stepping. Routers and NIs call `wake(target)` whenever they
 /// push an item towards `target`'s clock-domain inputs (a flit downstream,

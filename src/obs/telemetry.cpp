@@ -141,7 +141,6 @@ void TelemetrySampler::sample() {
       for (int e = 0; e < m.entities; ++e) s.gauges.push_back(m.gauge(e));
     }
   }
-  ++windows_;
 }
 
 void TelemetrySampler::finish(Timeline& timeline) { timeline.series = std::move(series_); }

@@ -236,8 +236,6 @@ class TelemetrySampler {
   /// and instantaneous gauge values for every registered metric.
   void sample();
 
-  int windows() const noexcept { return windows_; }
-
   /// Move the accumulated series into `timeline.series`.
   void finish(Timeline& timeline);
 
@@ -247,7 +245,6 @@ class TelemetrySampler {
   /// Previous counter values, one slot per (counter metric, entity), in
   /// registration order.
   std::vector<std::uint64_t> prev_counts_;
-  int windows_ = 0;
 };
 
 }  // namespace nocdvfs::obs

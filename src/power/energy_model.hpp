@@ -123,10 +123,7 @@ class EnergyModel {
   // Geometry-scaled per-event energies at nominal voltage [J]; exposed for
   // tests and for the microbench that validates scaling monotonicity.
   double buffer_write_j() const noexcept { return e_buf_wr_; }
-  double buffer_read_j() const noexcept { return e_buf_rd_; }
-  double crossbar_j() const noexcept { return e_xbar_; }
   double link_j() const noexcept { return e_link_; }
-  double local_link_j() const noexcept { return e_local_; }
   double clock_per_cycle_j() const noexcept { return e_clock_; }
 
  private:

@@ -48,9 +48,6 @@ namespace nocdvfs::thermal {
 inline constexpr double kelvin_from_celsius(double c) {
   return c + common::kCelsiusToKelvinOffset;
 }
-inline constexpr double celsius_from_kelvin(double k) {
-  return k - common::kCelsiusToKelvinOffset;
-}
 
 /// The Arrhenius factor exp(k·(T − T_ref)) the integration applies to
 /// nominal leakage is bounded by `power::kMaxLeakTempScale` — one shared
@@ -100,7 +97,6 @@ class ThermalModel {
 
   // --- current state ---
   double tile_temp_c(int tile) const { return temps_c_.at(static_cast<std::size_t>(tile)); }
-  const std::vector<double>& tile_temps_c() const noexcept { return temps_c_; }
   double spreader_temp_c() const noexcept { return spreader_c_; }
   double peak_temp_c() const noexcept;  ///< max over tiles, current instant
   double mean_temp_c() const noexcept;  ///< mean over tiles, current instant

@@ -64,10 +64,6 @@ class Topology {
   int concentration() const noexcept { return concentration_; }
   int num_routers() const noexcept { return num_routers_; }
 
-  bool valid_node(noc::NodeId node) const noexcept {
-    return node >= 0 && node < num_nodes();
-  }
-
   /// Router owning NI `node`, and the port index its local channel uses.
   virtual int router_of(noc::NodeId node) const = 0;
   virtual int local_port(noc::NodeId node) const = 0;

@@ -45,8 +45,6 @@ class RecordingTraffic final : public traffic::TrafficModel {
   /// Transparent decorator: reports the inner workload's name.
   const char* name() const noexcept override { return inner_->name(); }
 
-  std::uint64_t packets_recorded() const noexcept { return writer_->packets_written(); }
-
  private:
   std::unique_ptr<traffic::TrafficModel> inner_;
   std::unique_ptr<TraceWriter> writer_;

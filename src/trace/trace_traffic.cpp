@@ -58,7 +58,6 @@ void TraceTraffic::node_tick(common::Picoseconds now, std::uint64_t noc_cycle,
     if (loop_base_ + scaled_cycle(p.inject_node_cycle) > tick_) break;
     net.ni(remap_[p.src]).enqueue_packet(remap_[p.dst], p.flits, now, noc_cycle,
                                          p.traffic_class);
-    ++packets_injected_;
     ++cursor_;
     if (cursor_ == trace_.packets.size() && options_.loop) {
       cursor_ = 0;

@@ -47,7 +47,6 @@ class TraceTraffic final : public traffic::TrafficModel {
 
   const Trace& trace() const noexcept { return trace_; }
   const TraceReplayOptions& options() const noexcept { return options_; }
-  std::uint64_t packets_injected() const noexcept { return packets_injected_; }
 
  private:
   std::uint64_t scaled_cycle(std::uint64_t cycle) const noexcept;
@@ -61,7 +60,6 @@ class TraceTraffic final : public traffic::TrafficModel {
   std::uint64_t tick_ = 0;           ///< node ticks elapsed in the replay
   std::size_t cursor_ = 0;
   std::uint64_t loop_base_ = 0;      ///< cycle offset of the current lap
-  std::uint64_t packets_injected_ = 0;
 };
 
 }  // namespace nocdvfs::trace

@@ -52,8 +52,6 @@ class OnOffInjection final : public InjectionProcess {
   void reset() override { on_ = false; }
   const char* name() const noexcept override { return "onoff"; }
 
-  bool is_on() const noexcept { return on_; }
-
  private:
   double rate_;
   double alpha_;

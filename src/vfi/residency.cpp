@@ -47,12 +47,6 @@ void FreqResidency::end(common::Picoseconds now) {
   running_ = false;
 }
 
-common::Picoseconds FreqResidency::total_ps() const noexcept {
-  common::Picoseconds total = 0;
-  for (const FreqDwell& level : levels_) total += level.dwell_ps;
-  return total;
-}
-
 std::string residency_to_string(const std::vector<FreqDwell>& levels,
                                 common::Picoseconds total) {
   std::string out;

@@ -36,8 +36,6 @@ class FreqResidency {
   /// Levels sorted by ascending frequency.
   const std::vector<FreqDwell>& levels() const noexcept { return levels_; }
 
-  /// Total accounted time.
-  common::Picoseconds total_ps() const noexcept;
 
  private:
   void charge(common::Picoseconds until);

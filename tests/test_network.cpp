@@ -55,7 +55,7 @@ TEST(Network, HopCountEqualsManhattanPlusOne) {
   // manhattan(src,dst) links plus the ejection stage at the destination
   // router, i.e. hops == distance + 1.
   Network net(small_config());
-  const auto& topo = net.topology();
+  const auto& topo = net.topology_model();
   for (NodeId s = 0; s < net.num_nodes(); ++s) {
     for (NodeId d = 0; d < net.num_nodes(); ++d) {
       net.ni(s).enqueue_packet(d, 2, 0, 0);

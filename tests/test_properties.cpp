@@ -83,7 +83,7 @@ TEST_P(NetworkPropertySweep, EveryPacketArrivesIntactAtItsDestination) {
   ASSERT_EQ(net.delivered().size(), 40u);
   for (const auto& rec : net.delivered()) {
     EXPECT_EQ(rec.size, packet_size());
-    EXPECT_EQ(rec.hops, net.topology().hop_distance(rec.src, rec.dst) + 1);
+    EXPECT_EQ(rec.hops, net.topology_model().hop_distance(rec.src, rec.dst) + 1);
     EXPECT_GE(rec.eject_time_ps, rec.create_time_ps);
   }
 }
