@@ -3,6 +3,8 @@
 // count) and latency, summarized into RunResult::delay_dist and, with
 // telemetry on, snapshotted into the timeline.
 
+#include <string>
+
 #include "obs/latency_hist.hpp"
 #include "sim/run_plugin.hpp"
 
@@ -29,7 +31,7 @@ class HistPlugin final : public RunPlugin {
 
   void finalize(RunContext& ctx, RunResult& result) override {
     // Delay slices record integer picoseconds; the result reports ns like
-    // every other delay field (exact /1000 in doubles).
+    // every other delay field.
     DelayDistResult& dd = result.delay_dist;
     dd.enabled = true;
     dd.delay_ns = slice(delay_ps_, 1e-3);

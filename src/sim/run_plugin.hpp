@@ -75,6 +75,9 @@ struct RunContext {
 /// after the core's headline fields; `post_run` after the root scope.
 class RunPlugin {
  public:
+  RunPlugin() = default;
+  RunPlugin(const RunPlugin&) = delete;  ///< the run holds plug-in addresses
+  RunPlugin& operator=(const RunPlugin&) = delete;
   virtual ~RunPlugin() = default;
   virtual void before_control(RunContext&) {}
   virtual void after_control(RunContext&) {}

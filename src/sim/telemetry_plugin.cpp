@@ -5,7 +5,6 @@
 // timeline files after the run.
 
 #include <algorithm>
-#include <cmath>
 
 #include "obs/flight_recorder.hpp"
 #include "obs/prof.hpp"
@@ -26,7 +25,8 @@ std::vector<T> top_k(std::vector<T> v, std::size_t k, Less less) {
 class TelemetryPlugin final : public RunPlugin {
  public:
   explicit TelemetryPlugin(RunContext& ctx)
-      : full_(ctx.cfg.telemetry.mode == obs::TelemetryMode::Full),
+      : net_(ctx.net),
+        full_(ctx.cfg.telemetry.mode == obs::TelemetryMode::Full),
         settled_(static_cast<std::size_t>(ctx.n_islands), 0) {
     ctx.net.set_stall_tracking(true);
     ctx.net.register_telemetry(registry_, full_);
@@ -50,6 +50,13 @@ class TelemetryPlugin final : public RunPlugin {
       ctx.net.set_flight_recorder(recorder_.get());
     }
     ctx.timeline = &timeline_;
+  }
+
+  /// The network outlives the run: it must not keep this run's recorder,
+  /// nor keep paying for stall attribution nobody samples.
+  ~TelemetryPlugin() override {
+    net_.set_flight_recorder(nullptr);
+    net_.set_stall_tracking(false);
   }
 
   /// Drain fault epochs first: their timestamps fall inside the elapsed
@@ -102,10 +109,6 @@ class TelemetryPlugin final : public RunPlugin {
     sampler_->finish(timeline_);
     summarize(ctx, result.telemetry);
     if (recorder_) timeline_.flights = recorder_->take_flights();
-    // The network must not outlive its view of this run's recorder, nor
-    // keep paying for stall attribution nobody samples.
-    ctx.net.set_flight_recorder(nullptr);
-    ctx.net.set_stall_tracking(false);
   }
 
   /// The file export waits until the host epilogue has attached the
@@ -184,6 +187,7 @@ class TelemetryPlugin final : public RunPlugin {
     });
   }
 
+  noc::Network& net_;
   const bool full_;
   obs::TelemetryRegistry registry_;
   std::unique_ptr<obs::TelemetrySampler> sampler_;
