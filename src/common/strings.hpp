@@ -3,6 +3,7 @@
 /// \file strings.hpp
 /// Small string helpers shared across the experiment surface.
 
+#include <charconv>
 #include <string>
 #include <vector>
 
@@ -21,6 +22,13 @@ inline std::vector<std::string> split_csv(const std::string& text, char sep = ',
     pos = cut + 1;
   }
   return out;
+}
+
+/// Shortest text that parses back to exactly `v` (std::to_chars round-trip
+/// form): 0.15 → "0.15", 1e-300 → "1e-300", never a rounded digit string.
+inline std::string format_double(double v) {
+  char buf[32];
+  return std::string(buf, std::to_chars(buf, buf + sizeof buf, v).ptr);
 }
 
 }  // namespace nocdvfs::common

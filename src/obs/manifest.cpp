@@ -4,6 +4,8 @@
 #include <mutex>
 #include <sstream>
 
+#include "common/strings.hpp"
+
 #ifndef NOCDVFS_GIT_DESCRIBE
 #define NOCDVFS_GIT_DESCRIBE "unknown"
 #endif
@@ -25,9 +27,7 @@ void RunManifest::set(const std::string& key, std::uint64_t value) {
 }
 
 void RunManifest::set_double(const std::string& key, double value) {
-  std::ostringstream os;
-  os << value;
-  set(key, os.str());
+  set(key, common::format_double(value));
 }
 
 const std::string* RunManifest::find(const std::string& key) const noexcept {

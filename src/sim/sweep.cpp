@@ -9,12 +9,14 @@
 #include <ostream>
 #include <set>
 #include <sstream>
+#include <string_view>
 #include <thread>
+#include <variant>
 
 #include "common/log.hpp"
-#include "common/table.hpp"
+#include "common/strings.hpp"
 #include "obs/timeline.hpp"
-#include "vfi/residency.hpp"
+#include "sim/result_schema.hpp"
 
 namespace nocdvfs::sim {
 
@@ -330,7 +332,7 @@ std::vector<SweepRecord> SweepRunner::run(const Scenario& base,
   std::vector<SweepRecord> records;
   records.reserve(points.size());
   for (std::size_t i = 0; i < points.size(); ++i) {
-    records.push_back(SweepRecord{std::move(points[i]), std::move(results[i])});
+    records.push_back(SweepRecord{group, std::move(points[i]), std::move(results[i])});
   }
 
   for (ResultSink* sink : sinks_) sink->begin_sweep(group, axes);
@@ -367,42 +369,7 @@ std::string csv_escape(const std::string& cell) {
   return out;
 }
 
-/// "i0=600MHz:0.250|1000MHz:0.750;i1=..." — one entry per island.
-std::string residency_cell(const RunResult& r) {
-  std::string out;
-  for (const IslandResult& isl : r.islands) {
-    if (!out.empty()) out += ';';
-    out += 'i' + std::to_string(isl.island) + '=' +
-           vfi::residency_to_string(isl.freq_residency, r.measure_duration_ps);
-  }
-  return out;
-}
-
-/// "seed=1;scenario.lambda=0.1;..." — the full run-provenance manifest in
-/// one cell (';'-joined key=value pairs; csv_escape handles embedded
-/// commas in values like island_policies).
-std::string manifest_cell(const obs::RunManifest& m) {
-  std::string out;
-  for (const auto& [key, value] : m.entries) {
-    if (!out.empty()) out += ';';
-    out += key;
-    out += '=';
-    out += value;
-  }
-  return out;
-}
-
-/// "i0=12.4;i1=..." — per-island average power in mW.
-std::string island_power_cell(const RunResult& r) {
-  std::ostringstream os;
-  for (std::size_t i = 0; i < r.islands.size(); ++i) {
-    if (i > 0) os << ';';
-    os << 'i' << r.islands[i].island << '=' << r.islands[i].power.average_power_mw();
-  }
-  return os.str();
-}
-
-std::string json_escape(const std::string& s) {
+std::string json_escape(std::string_view s) {
   std::string out;
   out.reserve(s.size());
   for (const char ch : s) {
@@ -430,256 +397,185 @@ std::string json_escape(const std::string& s) {
   return out;
 }
 
+/// One CSV cell: flags as 1/0, the manifest as ';'-joined k=v pairs.
+struct CsvCell {
+  std::string operator()(const std::string& text) const { return csv_escape(text); }
+  std::string operator()(bool flag) const { return flag ? "1" : "0"; }
+  std::string operator()(std::int64_t v) const { return std::to_string(v); }
+  std::string operator()(std::uint64_t v) const { return std::to_string(v); }
+  std::string operator()(double v) const { return common::format_double(v); }
+  std::string operator()(const obs::RunManifest* m) const {
+    std::string out;
+    for (const auto& [key, value] : m->entries) {
+      if (!out.empty()) out += ';';
+      out += key + '=' + value;
+    }
+    return csv_escape(out);
+  }
+};
+
+/// Appends JSON to `out`. `key` and `item` insert the separating comma
+/// unless they open their object/array.
+struct JsonOut {
+  std::string& out;
+
+  void item() const {
+    if (out.back() != '{' && out.back() != '[') out += ',';
+  }
+  void key(std::string_view name) const {
+    item();
+    out += '"' + json_escape(name) + "\":";
+  }
+  template <class T>
+  void field(std::string_view name, const T& value) const {
+    key(name);
+    (*this)(value);
+  }
+
+  void operator()(const std::string& text) const { out += '"' + json_escape(text) + '"'; }
+  void operator()(bool flag) const { out += flag ? "true" : "false"; }
+  void operator()(std::int64_t v) const { out += std::to_string(v); }
+  void operator()(std::uint64_t v) const { out += std::to_string(v); }
+  void operator()(double v) const { out += common::format_double(v); }
+  void operator()(const obs::RunManifest* m) const {
+    out += '{';
+    for (const auto& [k, v] : m->entries) field(k, v);
+    out += '}';
+  }
+
+  // Structured values with no scalar form.
+  void operator()(const DelayDistResult::Slice& sl) const {
+    out += '{';
+    field("count", sl.count);
+    field("min", sl.min);
+    field("max", sl.max);
+    field("p50", sl.p50);
+    field("p90", sl.p90);
+    field("p95", sl.p95);
+    field("p99", sl.p99);
+    field("p999", sl.p999);
+    out += '}';
+  }
+  void operator()(const DelayDistResult& dd) const {
+    out += '{';
+    field("delay_ns", dd.delay_ns);
+    field("latency_cycles", dd.latency_cycles);
+    field("island_delay_ns", dd.island_delay_ns);
+    field("hop_delay_ns", dd.hop_delay_ns);
+    out += '}';
+  }
+  void operator()(const TelemetryResult::HotTile& t) const {
+    out += '{';
+    field("tile", std::int64_t{t.tile});
+    field("flits", t.flits);
+    out += '}';
+  }
+  void operator()(const TelemetryResult::HotLink& l) const {
+    out += '{';
+    field("src", std::int64_t{l.src});
+    field("dst", std::int64_t{l.dst});
+    field("flits", l.flits);
+    out += '}';
+  }
+  void operator()(const dvfs::VfTracePoint& p) const {
+    out += '{';
+    field("t_ps", p.t);
+    field("f_hz", p.f);
+    field("vdd", p.vdd);
+    out += '}';
+  }
+  void operator()(const WindowSample& w) const {
+    out += '{';
+    field("t_ps", w.t);
+    field("avg_delay_ns", w.avg_delay_ns);
+    field("packets", w.packets);
+    field("f_hz", w.f_applied);
+    out += '}';
+  }
+  void operator()(const vfi::FreqDwell& level) const {
+    out += '{';
+    field("f_hz", level.f_hz);
+    field("dwell_ps", level.dwell_ps);
+    out += '}';
+  }
+  void operator()(const IslandResult& isl) const {
+    out += '{';
+    field("island", std::int64_t{isl.island});
+    field("nodes", std::int64_t{isl.nodes});
+    field("policy", isl.policy);
+    field("packets_delivered", isl.packets_delivered);
+    field("avg_delay_ns", isl.avg_delay_ns);
+    field("avg_frequency_ghz", isl.avg_frequency_hz * 1e-9);
+    field("avg_voltage", isl.avg_voltage);
+    field("final_frequency_ghz", isl.final_frequency_hz * 1e-9);
+    field("measure_noc_cycles", isl.measure_noc_cycles);
+    field("avg_buffer_occupancy", isl.avg_buffer_occupancy);
+    field("power_mw", isl.power.average_power_mw());
+    field("peak_temp_c", isl.peak_temp_c);
+    field("throttle_residency", isl.throttle_residency);
+    field("freq_residency", isl.freq_residency);
+    field("vf_trace", isl.vf_trace);
+    out += '}';
+  }
+  template <class T>
+  void operator()(const std::vector<T>& items) const {
+    out += '[';
+    for (const T& x : items) {
+      item();
+      (*this)(x);
+    }
+    out += ']';
+  }
+};
+
 }  // namespace
 
 CsvResultSink::CsvResultSink(std::ostream& os) : os_(os) {}
 
 void CsvResultSink::begin_sweep(const std::string& group,
                                 const std::vector<SweepAxis>& axes) {
+  (void)group;
   (void)axes;
-  group_ = group;
-  if (!header_written_) {
-    // New columns are appended (never inserted) so fixed-index consumers
-    // of the scenario/metric prefix keep working across versions.
-    os_ << "group,index,point,workload,pattern,app,lambda,speed,policy,seed,"
-           "control_period,vf_levels,avg_delay_ns,p50_delay_ns,p95_delay_ns,"
-           "p99_delay_ns,avg_latency_cycles,avg_hops,avg_frequency_ghz,avg_voltage,"
-           "power_mw,energy_per_bit_pj,energy_delay_product_js,"
-           "delivered_flits_per_node_cycle,avg_buffer_occupancy,"
-           "packets_delivered,saturated,controller_settled,warmup_node_cycles_used,"
-           "islands,num_islands,freq_residency,island_power_mw,"
-           "thermal,peak_temp_c,mean_temp_c,throttle_residency,leakage_j,leakage_ref_j,"
-           "topology,routing,faults,max_hops,dropped_packets,unreachable_pairs,"
-           "rerouted_pairs,"
-           "telemetry,stall_route,stall_vc_alloc,stall_switch,stall_credit,"
-           "stall_drop,hot_tile,hot_tile_flits,hot_link,hot_link_flits,"
-           "min_delay_ns,max_delay_ns,hist,dist_p50_ns,dist_p90_ns,dist_p95_ns,"
-           "dist_p99_ns,dist_p999_ns,dist_max_ns,"
-           "host_wall_s,peak_rss_mb,manifest\n";
-    header_written_ = true;
+  if (header_written_) return;
+  std::string header;
+  for (const ResultField& field : result_schema()) {
+    if (!header.empty()) header += ',';
+    header += field.name;
   }
+  os_ << header << '\n';
+  header_written_ = true;
 }
 
 void CsvResultSink::on_result(const SweepRecord& record) {
-  const Scenario& s = record.point.scenario;
-  const RunResult& r = record.result;
-  std::string point_label;
-  for (std::size_t i = 0; i < record.point.coordinates.size(); ++i) {
-    if (i > 0) point_label += ' ';
-    point_label += record.point.coordinates[i];
+  std::string row;
+  for (const ResultField& field : result_schema()) {
+    if (!row.empty()) row += ',';
+    row += std::visit(CsvCell{}, field.get(record));
   }
-  std::ostringstream row;
-  row << csv_escape(group_) << ',' << record.point.index << ',' << csv_escape(point_label)
-      << ',' << to_string(s.workload) << ',' << csv_escape(s.pattern) << ','
-      << csv_escape(s.app) << ',' << s.lambda << ',' << s.speed << ','
-      << to_string(s.policy.policy) << ',' << s.seed << ',' << s.control_period << ','
-      << s.vf_levels << ',' << r.avg_delay_ns << ',' << r.p50_delay_ns << ','
-      << r.p95_delay_ns << ',' << r.p99_delay_ns << ',' << r.avg_latency_cycles << ','
-      << r.avg_hops << ',' << r.avg_frequency_ghz() << ',' << r.avg_voltage << ','
-      << r.power_mw() << ',' << r.energy_per_bit_pj << ',' << r.energy_delay_product_js
-      << ',' << r.delivered_flits_per_node_cycle << ','
-      << r.avg_buffer_occupancy << ',' << r.packets_delivered << ','
-      << (r.saturated ? 1 : 0) << ',' << (r.controller_settled ? 1 : 0) << ','
-      << r.warmup_node_cycles_used << ',' << csv_escape(s.islands) << ','
-      << r.islands.size() << ',' << csv_escape(residency_cell(r)) << ','
-      << csv_escape(island_power_cell(r)) << ',' << (r.thermal.enabled ? 1 : 0) << ','
-      << r.thermal.peak_temp_c << ',' << r.thermal.mean_temp_c << ','
-      << r.thermal.throttle_residency << ',' << r.thermal.leakage_j << ','
-      << r.thermal.leakage_ref_j << ',' << topo::to_string(s.network.topology) << ','
-      << noc::to_string(s.network.routing) << ','
-      << csv_escape(s.network.faults.empty() ? "off" : s.network.faults) << ','
-      << r.max_hops << ',' << r.dropped_packets << ',' << r.unreachable_pairs << ','
-      << r.rerouted_pairs;
-  const TelemetryResult& tel = r.telemetry;
-  row << ',' << tel.mode << ',' << tel.stall_route << ',' << tel.stall_vc_alloc << ','
-      << tel.stall_switch << ',' << tel.stall_credit << ',' << tel.stall_drop << ','
-      << (tel.top_tiles.empty() ? -1 : tel.top_tiles.front().tile) << ','
-      << (tel.top_tiles.empty() ? 0 : tel.top_tiles.front().flits) << ',';
-  if (tel.top_links.empty()) {
-    row << ",0";
-  } else {
-    row << tel.top_links.front().src << "->" << tel.top_links.front().dst << ','
-        << tel.top_links.front().flits;
-  }
-  const DelayDistResult& dd = r.delay_dist;
-  row << ',' << r.min_delay_ns << ',' << r.max_delay_ns << ','
-      << (dd.enabled ? "on" : "off") << ',' << dd.delay_ns.p50 << ','
-      << dd.delay_ns.p90 << ',' << dd.delay_ns.p95 << ',' << dd.delay_ns.p99 << ','
-      << dd.delay_ns.p999 << ',' << dd.delay_ns.max;
-  row << ',' << r.host.wall_s << ','
-      << static_cast<double>(r.host.peak_rss_bytes) / (1024.0 * 1024.0) << ','
-      << csv_escape(manifest_cell(r.manifest));
-  row << '\n';
-  os_ << row.str();
+  row += '\n';
+  os_ << row;
 }
 
-JsonlResultSink::JsonlResultSink(std::ostream& os, bool include_traces)
-    : os_(os), include_traces_(include_traces) {}
-
-void JsonlResultSink::begin_sweep(const std::string& group,
-                                  const std::vector<SweepAxis>& axes) {
-  (void)axes;
-  group_ = group;
-}
+JsonlResultSink::JsonlResultSink(std::ostream& os) : os_(os) {}
 
 void JsonlResultSink::on_result(const SweepRecord& record) {
-  const Scenario& s = record.point.scenario;
   const RunResult& r = record.result;
-  std::ostringstream os;
-  os << "{\"group\":\"" << json_escape(group_) << "\",\"index\":" << record.point.index
-     << ",\"coordinates\":[";
-  for (std::size_t i = 0; i < record.point.coordinates.size(); ++i) {
-    if (i > 0) os << ',';
-    os << '"' << json_escape(record.point.coordinates[i]) << '"';
+  std::string out = "{";
+  const JsonOut j{out};
+  for (const ResultField& field : result_schema()) {
+    j.key(field.name);
+    std::visit(j, field.get(record));
   }
-  os << "],\"scenario\":{\"workload\":\"" << to_string(s.workload) << "\",\"pattern\":\""
-     << json_escape(s.pattern) << "\",\"app\":\"" << json_escape(s.app)
-     << "\",\"lambda\":" << s.lambda << ",\"speed\":" << s.speed << ",\"policy\":\""
-     << to_string(s.policy.policy) << "\",\"seed\":" << s.seed
-     << ",\"control_period\":" << s.control_period << ",\"vf_levels\":" << s.vf_levels
-     << ",\"width\":" << s.network.width << ",\"height\":" << s.network.height
-     << ",\"islands\":\"" << json_escape(s.islands) << "\",\"cdc_sync_cycles\":"
-     << s.cdc_sync_cycles << ",\"topology\":\"" << topo::to_string(s.network.topology)
-     << "\",\"routing\":\"" << noc::to_string(s.network.routing)
-     << "\",\"concentration\":" << s.network.concentration << ",\"faults\":\""
-     << json_escape(s.network.faults.empty() ? "off" : s.network.faults) << "\"}"
-     << ",\"result\":{\"avg_delay_ns\":" << r.avg_delay_ns
-     << ",\"min_delay_ns\":" << r.min_delay_ns
-     << ",\"max_delay_ns\":" << r.max_delay_ns
-     << ",\"p99_delay_ns\":" << r.p99_delay_ns
-     << ",\"avg_latency_cycles\":" << r.avg_latency_cycles
-     << ",\"avg_frequency_ghz\":" << r.avg_frequency_ghz()
-     << ",\"avg_voltage\":" << r.avg_voltage << ",\"power_mw\":" << r.power_mw()
-     << ",\"energy_per_bit_pj\":" << r.energy_per_bit_pj
-     << ",\"energy_delay_product_js\":" << r.energy_delay_product_js
-     << ",\"delivered_flits_per_node_cycle\":" << r.delivered_flits_per_node_cycle
-     << ",\"avg_buffer_occupancy\":" << r.avg_buffer_occupancy
-     << ",\"packets_delivered\":" << r.packets_delivered
-     << ",\"saturated\":" << (r.saturated ? "true" : "false")
-     << ",\"controller_settled\":" << (r.controller_settled ? "true" : "false")
-     << ",\"max_hops\":" << r.max_hops
-     << ",\"dropped_packets\":" << r.dropped_packets
-     << ",\"dropped_flits\":" << r.dropped_flits
-     << ",\"unreachable_pairs\":" << r.unreachable_pairs
-     << ",\"rerouted_pairs\":" << r.rerouted_pairs
-     << ",\"failed_links\":" << r.failed_links
-     << ",\"failed_routers\":" << r.failed_routers << "}"
-     << ",\"thermal\":{\"enabled\":" << (r.thermal.enabled ? "true" : "false")
-     << ",\"peak_temp_c\":" << r.thermal.peak_temp_c
-     << ",\"mean_temp_c\":" << r.thermal.mean_temp_c
-     << ",\"final_peak_temp_c\":" << r.thermal.final_peak_temp_c
-     << ",\"throttle_residency\":" << r.thermal.throttle_residency
-     << ",\"throttle_events\":" << r.thermal.throttle_events
-     << ",\"leakage_j\":" << r.thermal.leakage_j
-     << ",\"leakage_ref_j\":" << r.thermal.leakage_ref_j << "}"
-     << ",\"telemetry\":{\"enabled\":" << (r.telemetry.enabled ? "true" : "false")
-     << ",\"mode\":\"" << json_escape(r.telemetry.mode)
-     << "\",\"windows\":" << r.telemetry.windows
-     << ",\"stall_route\":" << r.telemetry.stall_route
-     << ",\"stall_vc_alloc\":" << r.telemetry.stall_vc_alloc
-     << ",\"stall_switch\":" << r.telemetry.stall_switch
-     << ",\"stall_credit\":" << r.telemetry.stall_credit
-     << ",\"stall_drop\":" << r.telemetry.stall_drop
-     << ",\"busy_vc_cycles\":" << r.telemetry.busy_vc_cycles
-     << ",\"flits_forwarded\":" << r.telemetry.flits_forwarded << ",\"top_tiles\":[";
-  for (std::size_t i = 0; i < r.telemetry.top_tiles.size(); ++i) {
-    if (i > 0) os << ',';
-    os << "{\"tile\":" << r.telemetry.top_tiles[i].tile
-       << ",\"flits\":" << r.telemetry.top_tiles[i].flits << "}";
-  }
-  os << "],\"top_links\":[";
-  for (std::size_t i = 0; i < r.telemetry.top_links.size(); ++i) {
-    if (i > 0) os << ',';
-    os << "{\"src\":" << r.telemetry.top_links[i].src
-       << ",\"dst\":" << r.telemetry.top_links[i].dst
-       << ",\"flits\":" << r.telemetry.top_links[i].flits << "}";
-  }
-  os << "]}";
-  const DelayDistResult& dd = r.delay_dist;
-  auto dist_slice = [&os](const char* name, const DelayDistResult::Slice& sl) {
-    os << '"' << name << "\":{\"count\":" << sl.count << ",\"min\":" << sl.min
-       << ",\"max\":" << sl.max << ",\"p50\":" << sl.p50 << ",\"p90\":" << sl.p90
-       << ",\"p95\":" << sl.p95 << ",\"p99\":" << sl.p99 << ",\"p999\":" << sl.p999
-       << "}";
-  };
-  os << ",\"delay_dist\":{\"enabled\":" << (dd.enabled ? "true" : "false") << ',';
-  dist_slice("delay_ns", dd.delay_ns);
-  os << ',';
-  dist_slice("latency_cycles", dd.latency_cycles);
-  os << ",\"island_delay_ns\":[";
-  for (std::size_t i = 0; i < dd.island_delay_ns.size(); ++i) {
-    if (i > 0) os << ',';
-    os << '{';
-    dist_slice("dist", dd.island_delay_ns[i]);
-    os << '}';
-  }
-  os << "],\"hop_delay_ns\":[";
-  for (std::size_t i = 0; i < dd.hop_delay_ns.size(); ++i) {
-    if (i > 0) os << ',';
-    os << '{';
-    dist_slice("dist", dd.hop_delay_ns[i]);
-    os << '}';
-  }
-  os << "]}"
-     << ",\"islands\":[";
-  for (std::size_t i = 0; i < r.islands.size(); ++i) {
-    const IslandResult& isl = r.islands[i];
-    if (i > 0) os << ',';
-    os << "{\"island\":" << isl.island << ",\"nodes\":" << isl.nodes << ",\"policy\":\""
-       << json_escape(isl.policy) << "\",\"packets_delivered\":" << isl.packets_delivered
-       << ",\"avg_delay_ns\":" << isl.avg_delay_ns
-       << ",\"avg_frequency_ghz\":" << isl.avg_frequency_hz * 1e-9
-       << ",\"avg_voltage\":" << isl.avg_voltage
-       << ",\"final_frequency_ghz\":" << isl.final_frequency_hz * 1e-9
-       << ",\"measure_noc_cycles\":" << isl.measure_noc_cycles
-       << ",\"avg_buffer_occupancy\":" << isl.avg_buffer_occupancy
-       << ",\"power_mw\":" << isl.power.average_power_mw()
-       << ",\"peak_temp_c\":" << isl.peak_temp_c
-       << ",\"throttle_residency\":" << isl.throttle_residency << ",\"freq_residency\":[";
-    for (std::size_t l = 0; l < isl.freq_residency.size(); ++l) {
-      if (l > 0) os << ',';
-      os << "{\"f_hz\":" << isl.freq_residency[l].f_hz
-         << ",\"dwell_ps\":" << isl.freq_residency[l].dwell_ps << "}";
-    }
-    os << ']';
-    if (include_traces_) {
-      os << ",\"vf_trace\":[";
-      for (std::size_t p = 0; p < isl.vf_trace.size(); ++p) {
-        if (p > 0) os << ',';
-        os << "{\"t_ps\":" << isl.vf_trace[p].t << ",\"f_hz\":" << isl.vf_trace[p].f
-           << ",\"vdd\":" << isl.vf_trace[p].vdd << "}";
-      }
-      os << ']';
-    }
-    os << '}';
-  }
-  os << ']';
-  if (include_traces_) {
-    os << ",\"window_trace\":[";
-    for (std::size_t i = 0; i < r.window_trace.size(); ++i) {
-      const WindowSample& w = r.window_trace[i];
-      if (i > 0) os << ',';
-      os << "{\"t_ps\":" << w.t << ",\"avg_delay_ns\":" << w.avg_delay_ns
-         << ",\"packets\":" << w.packets << ",\"f_hz\":" << w.f_applied << "}";
-    }
-    os << "],\"vf_trace\":[";
-    for (std::size_t i = 0; i < r.vf_trace.size(); ++i) {
-      const auto& p = r.vf_trace[i];
-      if (i > 0) os << ',';
-      os << "{\"t_ps\":" << p.t << ",\"f_hz\":" << p.f << ",\"vdd\":" << p.vdd << "}";
-    }
-    os << ']';
-  }
-  os << ",\"host\":{\"wall_s\":" << r.host.wall_s
-     << ",\"peak_rss_bytes\":" << r.host.peak_rss_bytes << "},\"manifest\":{";
-  for (std::size_t i = 0; i < r.manifest.entries.size(); ++i) {
-    if (i > 0) os << ',';
-    os << '"' << json_escape(r.manifest.entries[i].first) << "\":\""
-       << json_escape(r.manifest.entries[i].second) << '"';
-  }
-  os << '}';
-  os << "}\n";
-  os_ << os.str();
+
+  j.field("coordinates", record.point.coordinates);
+  j.field("top_tiles", r.telemetry.top_tiles);
+  j.field("top_links", r.telemetry.top_links);
+  j.field("delay_dist", r.delay_dist);
+  j.field("island_results", r.islands);
+  j.field("window_trace", r.window_trace);
+  j.field("vf_trace", r.vf_trace);
+  out += "}\n";
+  os_ << out;
 }
 
 }  // namespace nocdvfs::sim

@@ -11,9 +11,9 @@
 /// runs are embarrassingly parallel), and returns the results in
 /// deterministic row-major axis order — bit-identical to a serial sweep
 /// regardless of thread count. Pluggable `ResultSink`s observe every
-/// completed sweep in that same order: `TableSink` feeds a
-/// `common::Table` for stdout, `CsvResultSink` / `JsonlResultSink` write
-/// machine-readable rows and trajectories (e.g. under `bench/out/`).
+/// completed sweep in that same order: `CsvResultSink` / `JsonlResultSink`
+/// write machine-readable rows and trajectories (e.g. under `bench/out/`),
+/// with the scalar fields declared once in `sim/result_schema.hpp`.
 
 #include <cstddef>
 #include <functional>
@@ -66,6 +66,7 @@ struct SweepPoint {
 };
 
 struct SweepRecord {
+  std::string group;  ///< the tag passed to SweepRunner::run
   SweepPoint point;
   RunResult result;
 };
@@ -103,8 +104,9 @@ class ResultSink {
   virtual void end_sweep() {}
 };
 
-/// Headline-metric CSV, one row per run (stable column set across
-/// scenarios; the `group` and per-axis `point` columns identify the run).
+/// One CSV row per run: a header naming every `result_schema()` field,
+/// then one cell per field (the `group`, `index` and `point` columns
+/// identify the run).
 class CsvResultSink final : public ResultSink {
  public:
   explicit CsvResultSink(std::ostream& os);
@@ -114,24 +116,22 @@ class CsvResultSink final : public ResultSink {
 
  private:
   std::ostream& os_;
-  std::string group_;
   bool header_written_ = false;
 };
 
-/// One JSON object per line with the full result, including the
+/// One JSON object per line: every `result_schema()` field as a flat key,
+/// then the structured values — `coordinates`, `top_tiles`/`top_links`,
+/// the `delay_dist` slices, the per-island `island_results`, the
 /// per-control-window trajectory (`window_trace`) and the actuation trace
-/// (`vf_trace`) when `include_traces` is set.
+/// (`vf_trace`).
 class JsonlResultSink final : public ResultSink {
  public:
-  explicit JsonlResultSink(std::ostream& os, bool include_traces = true);
+  explicit JsonlResultSink(std::ostream& os);
 
-  void begin_sweep(const std::string& group, const std::vector<SweepAxis>& axes) override;
   void on_result(const SweepRecord& record) override;
 
  private:
   std::ostream& os_;
-  std::string group_;
-  bool include_traces_;
 };
 
 class SweepRunner {

@@ -1,12 +1,15 @@
 // Host-observability suite: the phase profiler's accounting and off-mode
 // guarantees, the run-provenance manifest, the .nocobs v3 host sections,
-// the cross-tool magic diagnostics, and the SweepRunner host report.
+// the cross-tool magic diagnostics, the SweepRunner host report, and the
+// by-name result diff (`nocdvfs_report diff`) against hostile input.
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <cstdint>
+#include <cmath>
 #include <cstdlib>
 #include <filesystem>
 #include <fstream>
@@ -15,10 +18,13 @@
 #include <string>
 #include <vector>
 
+#include "common/strings.hpp"
 #include "obs/manifest.hpp"
 #include "obs/memstats.hpp"
 #include "obs/prof.hpp"
 #include "obs/timeline.hpp"
+#include "sim/result_diff.hpp"
+#include "sim/result_schema.hpp"
 #include "sim/scenario.hpp"
 #include "sim/sweep.hpp"
 #include "trace/trace.hpp"
@@ -437,9 +443,9 @@ TEST(SweepHost, CsvSinkAppendsHostColumns) {
       << "the manifest cell must carry the scenario keys";
 }
 
-TEST(SweepHost, JsonlSinkCarriesHostAndManifestObjects) {
+TEST(SweepHost, JsonlSinkCarriesHostFieldsAndManifestObject) {
   std::ostringstream jsonl;
-  sim::JsonlResultSink sink(jsonl, /*include_traces=*/false);
+  sim::JsonlResultSink sink(jsonl);
   sim::SweepRunner::Options opt;
   opt.threads = 1;
   sim::SweepRunner runner(opt);
@@ -447,9 +453,195 @@ TEST(SweepHost, JsonlSinkCarriesHostAndManifestObjects) {
   runner.run(small_scenario(), {sim::SweepAxis::seeds(1)}, "host_jsonl");
 
   const std::string line = jsonl.str();
-  EXPECT_NE(line.find("\"host\":{\"wall_s\":"), std::string::npos);
+  EXPECT_NE(line.find("\"host_wall_s\":"), std::string::npos);
+  EXPECT_NE(line.find("\"peak_rss_mb\":"), std::string::npos);
   EXPECT_NE(line.find("\"manifest\":{"), std::string::npos);
   EXPECT_NE(line.find("\"scenario.seed\":\"1\""), std::string::npos);
+}
+
+// ---------------------------------------------------------------------------
+// nocdvfs_report diff: result CSVs compared by column name
+// ---------------------------------------------------------------------------
+
+/// Two seeds under groups "a" and "b" (identical scenarios), with the
+/// latency histograms on so dist_max_ns is populated.
+const std::string& diff_csv() {
+  static const std::string text = [] {
+    sim::Scenario s = small_scenario();
+    s.hist = "on";
+    std::ostringstream csv;
+    sim::CsvResultSink sink(csv);
+    sim::SweepRunner runner(sim::SweepRunner::Options{.threads = 2});
+    runner.add_sink(sink);
+    runner.run(s, {sim::SweepAxis::seeds(2)}, "a");
+    runner.run(s, {sim::SweepAxis::seeds(2)}, "b");
+    return csv.str();
+  }();
+  return text;
+}
+
+std::string write_file(const std::string& name, const std::string& text) {
+  const std::string path = tmp_path(name);
+  std::ofstream(path, std::ios::binary) << text;
+  return path;
+}
+
+std::string csv_line(const std::vector<std::string>& cells) {
+  std::string out;
+  for (const std::string& cell : cells) {
+    if (!out.empty()) out += ',';
+    if (cell.find_first_of(",\"\n") == std::string::npos) {
+      out += cell;
+      continue;
+    }
+    out += '"';
+    for (const char ch : cell) out += ch == '"' ? std::string("\"\"") : std::string(1, ch);
+    out += '"';
+  }
+  return out + "\n";
+}
+
+std::string to_csv_text(const sim::ResultCsv& csv) {
+  std::string out = csv_line(csv.header);
+  for (const auto& row : csv.rows) out += csv_line(row);
+  return out;
+}
+
+sim::ResultCsv parse(const std::string& text) {
+  std::istringstream in(text);
+  return sim::read_result_csv(in, "test.csv");
+}
+
+std::size_t column(const sim::ResultCsv& csv, const std::string& name) {
+  return static_cast<std::size_t>(
+      std::find(csv.header.begin(), csv.header.end(), name) - csv.header.begin());
+}
+
+struct DiffRun {
+  int code = -1;
+  std::string out;
+  std::string err;
+};
+
+DiffRun run_diff(const std::vector<std::string>& args) {
+  std::ostringstream out, err;
+  DiffRun r;
+  r.code = sim::result_diff_main(args, out, err);
+  r.out = out.str();
+  r.err = err.str();
+  return r;
+}
+
+std::size_t compared_columns() {
+  std::size_t n = 0;
+  for (const sim::ResultField& f : sim::result_schema()) {
+    n += f.cls == sim::FieldClass::Config || f.cls == sim::FieldClass::Metric;
+  }
+  return n;
+}
+
+TEST(ResultDiff, IdenticalGroupsMatchOnEveryConfigAndMetricColumn) {
+  const std::string path = write_file("nocdvfs_diff_same.csv", diff_csv());
+  const DiffRun r = run_diff({path, path, "a", "b"});
+  EXPECT_EQ(r.code, 0) << r.out << r.err;
+  EXPECT_NE(r.out.find("compared " + std::to_string(compared_columns()) +
+                       " columns over 2 row pairs: 0 mismatches"),
+            std::string::npos)
+      << r.out;
+  // Without a group, rows pair by (group, index) across the whole file.
+  EXPECT_EQ(run_diff({path, path}).code, 0);
+  std::filesystem::remove(path);
+}
+
+TEST(ResultDiff, OneUlpInDistMaxIsNamed) {
+  sim::ResultCsv csv = parse(diff_csv());
+  const std::size_t col = column(csv, "dist_max_ns");
+  std::string& cell = csv.rows[3][col];  // group b, index 1
+  const double v = std::stod(cell);
+  ASSERT_GT(v, 0.0);
+  const std::string bumped = common::format_double(std::nextafter(v, 2 * v));
+  ASSERT_NE(bumped, cell);
+  const std::string original = cell;
+  cell = bumped;
+  const std::string path = write_file("nocdvfs_diff_ulp.csv", to_csv_text(csv));
+  const DiffRun r = run_diff({path, path, "a", "b"});
+  EXPECT_EQ(r.code, 1) << r.out;
+  EXPECT_NE(r.out.find("mismatch: group=a|b index=1 column=dist_max_ns: " + original +
+                       " != " + bumped),
+            std::string::npos)
+      << r.out;
+  EXPECT_NE(r.out.find(": 1 mismatch\n"), std::string::npos) << r.out;
+  std::filesystem::remove(path);
+}
+
+TEST(ResultDiff, HostColumnsAreIgnoredAndSkipIsHonoured) {
+  sim::ResultCsv csv = parse(diff_csv());
+  csv.rows[2][column(csv, "host_wall_s")] = "12345";
+  csv.rows[2][column(csv, "manifest")] = "host.wall_s=12345";
+  csv.rows[2][column(csv, "workload")] = "trace";
+  const std::string path = write_file("nocdvfs_diff_skip.csv", to_csv_text(csv));
+  const DiffRun named = run_diff({path, path, "a", "b"});
+  EXPECT_EQ(named.code, 1);
+  EXPECT_NE(named.out.find("column=workload: synthetic != trace"), std::string::npos)
+      << named.out;
+  const DiffRun skipped = run_diff({path, path, "a", "b", "skip=workload"});
+  EXPECT_EQ(skipped.code, 0) << skipped.out;
+  EXPECT_NE(skipped.out.find("compared " + std::to_string(compared_columns() - 1) + " columns"),
+            std::string::npos)
+      << skipped.out;
+  EXPECT_EQ(run_diff({path, path, "a", "b", "skip=no_such_column"}).code, 2);
+  std::filesystem::remove(path);
+}
+
+TEST(ResultDiff, EveryReferenceRowNeedsAPartner) {
+  sim::ResultCsv csv = parse(diff_csv());
+  csv.rows.erase(csv.rows.begin() + 1);  // group a loses index 1
+  const std::string path = write_file("nocdvfs_diff_missing.csv", to_csv_text(csv));
+  const DiffRun r = run_diff({path, path, "a", "b"});
+  EXPECT_EQ(r.code, 1);
+  EXPECT_NE(r.out.find("row group=b index=1 has no partner"), std::string::npos) << r.out;
+  // The other way round, the extra reference-side row is only counted.
+  const DiffRun extra = run_diff({path, path, "b", "a"});
+  EXPECT_EQ(extra.code, 0) << extra.out;
+  EXPECT_NE(extra.out.find("1 further rows"), std::string::npos) << extra.out;
+  // A group with no rows is an input error, not a vacuous pass.
+  EXPECT_EQ(run_diff({path, path, "a", "nope"}).code, 2);
+  std::filesystem::remove(path);
+}
+
+TEST(ResultDiff, HostileInputIsANamedErrorWithExitCode2) {
+  const sim::ResultCsv good = parse(diff_csv());
+  const std::string header = csv_line(good.header);
+  std::vector<std::string> row = good.rows[0];
+  const std::string good_path = write_file("nocdvfs_diff_good.csv", diff_csv());
+
+  std::vector<std::string> shorter = row;
+  shorter.pop_back();
+  std::vector<std::string> unknown = good.header;
+  unknown[5] = "not_a_column";
+  const std::pair<std::string, std::string> cases[] = {
+      {"", "empty file"},
+      {header + "\"a,0,never closed\n", "unterminated quote"},
+      {header + csv_line(row) + csv_line(shorter), "cells, but the header has"},
+      {csv_line(unknown) + csv_line(row), "column 'not_a_column' is not in the result schema"},
+      {header + csv_line(row) + csv_line(row), "duplicate row group='a' index=0"},
+      {header + "a,0,x\"y\n", "stray quote"},
+  };
+  for (const auto& [text, message] : cases) {
+    const std::string path = write_file("nocdvfs_diff_hostile.csv", text);
+    for (const auto& args : {std::vector<std::string>{path, good_path},
+                             std::vector<std::string>{good_path, path}}) {
+      const DiffRun r = run_diff(args);
+      EXPECT_EQ(r.code, 2) << message;
+      EXPECT_NE(r.err.find(path), std::string::npos) << r.err;
+      EXPECT_NE(r.err.find(message), std::string::npos) << r.err;
+      EXPECT_TRUE(r.out.empty()) << r.out;
+    }
+    std::filesystem::remove(path);
+  }
+  EXPECT_EQ(run_diff({good_path}).code, 2);  // usage
+  EXPECT_EQ(run_diff({good_path, tmp_path("nocdvfs_diff_absent.csv")}).code, 2);
+  std::filesystem::remove(good_path);
 }
 
 }  // namespace

@@ -1,13 +1,21 @@
 // SweepRunner tests: cross-product expansion order, axis factories,
 // serial-vs-parallel determinism (the same Scenario + seed must produce
-// bit-identical RunResults regardless of thread count), sink output, and
-// error propagation out of the worker pool.
+// bit-identical RunResults regardless of thread count), sink output, the
+// result schema both sinks are written from, and error propagation out of
+// the worker pool.
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <charconv>
+#include <cstring>
+#include <map>
 #include <sstream>
+#include <stdexcept>
+#include <variant>
 
+#include "sim/result_diff.hpp"
+#include "sim/result_schema.hpp"
 #include "sim/sweep.hpp"
 
 namespace nocdvfs::sim {
@@ -25,6 +33,101 @@ Scenario tiny() {
   s.phases.adaptive_warmup = false;
   return s;
 }
+
+/// Minimal strict JSON reader: checks that a sink line is one well-formed
+/// value and collects the top-level members of an object (scalars as their
+/// text, strings unescaped; nested objects/arrays as "").
+struct JsonReader {
+  const std::string& s;
+  std::size_t i = 0;
+
+  [[noreturn]] void fail(const std::string& what) const {
+    throw std::runtime_error(what + " at offset " + std::to_string(i));
+  }
+  char peek() {
+    while (i < s.size() && std::strchr(" \t\r\n", s[i]) != nullptr) ++i;
+    return i < s.size() ? s[i] : '\0';
+  }
+  void expect(char c) {
+    if (peek() != c) fail(std::string("expected '") + c + "'");
+    ++i;
+  }
+  std::string string() {
+    expect('"');
+    std::string out;
+    for (;;) {
+      if (i >= s.size()) fail("unterminated string");
+      const char c = s[i++];
+      if (c == '"') return out;
+      if (static_cast<unsigned char>(c) < 0x20) fail("raw control character");
+      if (c != '\\') {
+        out += c;
+        continue;
+      }
+      if (i >= s.size()) fail("unterminated escape");
+      const char e = s[i++];
+      switch (e) {
+        case '"': case '\\': case '/': out += e; break;
+        case 'b': out += '\b'; break;
+        case 'f': out += '\f'; break;
+        case 'n': out += '\n'; break;
+        case 'r': out += '\r'; break;
+        case 't': out += '\t'; break;
+        case 'u':
+          if (i + 4 > s.size()) fail("short \\u escape");
+          out += static_cast<char>(std::stoi(s.substr(i, 4), nullptr, 16));
+          i += 4;
+          break;
+        default: fail("bad escape");
+      }
+    }
+  }
+  std::string value(std::map<std::string, std::string>* members = nullptr) {
+    const char c = peek();
+    if (c == '{' || c == '[') {
+      ++i;
+      const char close = c == '{' ? '}' : ']';
+      if (peek() == close) {
+        ++i;
+        return "";
+      }
+      for (;;) {
+        if (c == '{') {
+          const std::string key = string();
+          expect(':');
+          const std::string v = value();
+          if (members && !members->emplace(key, v).second) fail("duplicate key " + key);
+        } else {
+          value();
+        }
+        if (peek() != ',') break;
+        ++i;
+      }
+      expect(close);
+      return "";
+    }
+    if (c == '"') return string();
+    for (const char* lit : {"true", "false", "null"}) {
+      if (s.compare(i, std::strlen(lit), lit) == 0) {
+        i += std::strlen(lit);
+        return lit;
+      }
+    }
+    double v = 0.0;
+    const auto [end, ec] = std::from_chars(s.data() + i, s.data() + s.size(), v);
+    if (ec != std::errc() || end == s.data() + i) fail("bad token");
+    const std::string text(s.data() + i, end);
+    i = static_cast<std::size_t>(end - s.data());
+    return text;
+  }
+  std::map<std::string, std::string> object_line() {
+    std::map<std::string, std::string> members;
+    if (peek() != '{') fail("not an object");
+    value(&members);
+    if (peek() != '\0') fail("trailing text");
+    return members;
+  }
+};
 
 TEST(SweepExpand, RowMajorCrossProduct) {
   const auto points = SweepRunner::expand(
@@ -150,7 +253,7 @@ TEST(SweepSinks, CsvHasHeaderAndOneRowPerRun) {
 
 TEST(SweepSinks, JsonlCarriesTrajectories) {
   std::ostringstream jsonl;
-  JsonlResultSink sink(jsonl, /*include_traces=*/true);
+  JsonlResultSink sink(jsonl);
   SweepRunner runner;
   runner.add_sink(sink);
   runner.run(tiny(), {SweepAxis::policies({Policy::Rmsd})}, "unit-test");
@@ -169,10 +272,9 @@ TEST(SweepSinks, JsonlCarriesTrajectories) {
 /// valid JSON object per line.
 TEST(SweepSinks, JsonlEscapesHostileStrings) {
   std::ostringstream jsonl;
-  JsonlResultSink sink(jsonl, /*include_traces=*/false);
-  sink.begin_sweep("group \"quoted\"\\back", {});
-
+  JsonlResultSink sink(jsonl);
   SweepRecord rec;
+  rec.group = "group \"quoted\"\\back";
   rec.point.index = 0;
   rec.point.coordinates = {"label\twith\ttabs", "newline\nlabel"};
   rec.point.scenario.pattern = "uni\xc3\xa9orm";          // "uniéorm": UTF-8 passthrough
@@ -209,6 +311,161 @@ TEST(SweepSinks, JsonlEscapesHostileStrings) {
     }
   }
   EXPECT_EQ(unescaped_quotes % 2, 0u);
+
+  // And a strict parse recovers the hostile strings verbatim.
+  const std::string line = out.substr(0, out.size() - 1);
+  JsonReader reader{line};
+  const auto members = reader.object_line();
+  EXPECT_EQ(members.at("group"), rec.group);
+  EXPECT_EQ(members.at("app"), rec.point.scenario.app);
+  EXPECT_EQ(members.at("islands"), rec.point.scenario.islands);
+  EXPECT_EQ(members.at("point"), "label\twith\ttabs newline\nlabel");
+}
+
+// ---------------------------------------------------------------------------
+// Result schema: both sinks are written from one field table
+// ---------------------------------------------------------------------------
+
+struct SchemaRun {
+  std::vector<SweepRecord> records;
+  std::string csv;
+  std::string jsonl;
+};
+
+/// A small sweep that fills every result slice: three row islands,
+/// thermal, telemetry and the latency histograms, under two policies.
+const SchemaRun& schema_run() {
+  static const SchemaRun run = [] {
+    Scenario s = tiny();
+    s.islands = "rows";
+    s.thermal = true;
+    s.telemetry = "windows";
+    s.hist = "on";
+    std::ostringstream csv;
+    std::ostringstream jsonl;
+    CsvResultSink csv_sink(csv);
+    JsonlResultSink jsonl_sink(jsonl);
+    SweepRunner runner(SweepRunner::Options{.threads = 2});
+    runner.add_sink(csv_sink);
+    runner.add_sink(jsonl_sink);
+    SchemaRun out;
+    out.records = runner.run(s, {SweepAxis::policies({Policy::NoDvfs, Policy::Dmsd})}, "schema");
+    out.csv = csv.str();
+    out.jsonl = jsonl.str();
+    return out;
+  }();
+  return run;
+}
+
+std::vector<std::string> lines_of(const std::string& text) {
+  std::vector<std::string> lines;
+  std::istringstream in(text);
+  for (std::string line; std::getline(in, line);) lines.push_back(line);
+  return lines;
+}
+
+TEST(ResultSchema, NamesAreUniqueAndHostColumnsComeLast) {
+  const auto& schema = result_schema();
+  bool host_seen = false;
+  for (std::size_t i = 0; i < schema.size(); ++i) {
+    EXPECT_EQ(find_result_field(schema[i].name), &schema[i]) << schema[i].name;
+    if (schema[i].cls == FieldClass::Host) host_seen = true;
+    EXPECT_TRUE(!host_seen || schema[i].cls == FieldClass::Host) << schema[i].name;
+  }
+  EXPECT_EQ(find_result_field("no_such_column"), nullptr);
+  EXPECT_EQ(schema.front().name, "group");
+  EXPECT_EQ(schema.back().name, "manifest");
+}
+
+TEST(ResultSchema, CsvHeaderIsTheSchemaAndRowsHaveOneCellPerField) {
+  const SchemaRun& run = schema_run();
+  std::string expected;
+  for (const ResultField& field : result_schema()) {
+    if (!expected.empty()) expected += ',';
+    expected += field.name;
+  }
+  EXPECT_EQ(lines_of(run.csv).front(), expected);
+
+  std::istringstream in(run.csv);
+  const ResultCsv csv = read_result_csv(in, "schema.csv");
+  ASSERT_EQ(csv.rows.size(), run.records.size());
+  for (const auto& row : csv.rows) EXPECT_EQ(row.size(), result_schema().size());
+}
+
+TEST(ResultSchema, JsonlLinesParseAndCarryEveryField) {
+  const SchemaRun& run = schema_run();
+  const std::vector<std::string> lines = lines_of(run.jsonl);
+  ASSERT_EQ(lines.size(), run.records.size());
+  for (const std::string& line : lines) {
+    JsonReader reader{line};
+    const auto members = reader.object_line();
+    for (const ResultField& field : result_schema()) {
+      EXPECT_EQ(members.count(std::string(field.name)), 1u) << field.name;
+    }
+    for (const char* structured : {"coordinates", "top_tiles", "top_links", "delay_dist",
+                                   "island_results", "window_trace", "vf_trace"}) {
+      EXPECT_EQ(members.count(structured), 1u) << structured;
+    }
+  }
+}
+
+template <class T>
+T parse_number(const std::string& text) {
+  T v{};
+  const auto [end, ec] = std::from_chars(text.data(), text.data() + text.size(), v);
+  EXPECT_TRUE(ec == std::errc() && end == text.data() + text.size()) << "'" << text << "'";
+  return v;
+}
+
+/// Every numeric cell of both sinks parses back to the exact value it was
+/// written from: no digit is lost on the way to a file.
+TEST(ResultSchema, NumericCellsRoundTripExactly) {
+  const SchemaRun& run = schema_run();
+  std::istringstream in(run.csv);
+  const ResultCsv csv = read_result_csv(in, "schema.csv");
+  const std::vector<std::string> lines = lines_of(run.jsonl);
+  const auto& schema = result_schema();
+  std::size_t doubles = 0;
+  for (std::size_t r = 0; r < run.records.size(); ++r) {
+    const SweepRecord& rec = run.records[r];
+    JsonReader reader{lines[r]};
+    const auto json = reader.object_line();
+    for (std::size_t c = 0; c < schema.size(); ++c) {
+      const FieldValue v = schema[c].get(rec);
+      const std::string& cell = csv.rows[r][c];
+      const std::string& member = json.at(std::string(schema[c].name));
+      if (const double* d = std::get_if<double>(&v)) {
+        ++doubles;
+        EXPECT_EQ(parse_number<double>(cell), *d) << schema[c].name << " = " << cell;
+        EXPECT_EQ(parse_number<double>(member), *d) << schema[c].name << " = " << member;
+      } else if (const auto* u = std::get_if<std::uint64_t>(&v)) {
+        EXPECT_EQ(parse_number<std::uint64_t>(cell), *u) << schema[c].name;
+        EXPECT_EQ(parse_number<std::uint64_t>(member), *u) << schema[c].name;
+      } else if (const auto* s = std::get_if<std::int64_t>(&v)) {
+        EXPECT_EQ(parse_number<std::int64_t>(cell), *s) << schema[c].name;
+        EXPECT_EQ(parse_number<std::int64_t>(member), *s) << schema[c].name;
+      }
+    }
+
+    // And against the RunResult fields themselves, not only the getters.
+    auto cell = [&](const char* name) {
+      return parse_number<double>(csv.rows[r][static_cast<std::size_t>(
+          std::find(csv.header.begin(), csv.header.end(), name) - csv.header.begin())]);
+    };
+    const RunResult& res = rec.result;
+    EXPECT_EQ(cell("avg_delay_ns"), res.avg_delay_ns);
+    EXPECT_EQ(cell("power_mw"), res.power_mw());
+    EXPECT_EQ(cell("energy_delay_product_js"), res.energy_delay_product_js);
+    EXPECT_EQ(cell("avg_frequency_ghz"), res.avg_frequency_hz * 1e-9);
+    EXPECT_EQ(cell("leakage_j"), res.thermal.leakage_j);
+    EXPECT_EQ(cell("dist_max_ns"), res.delay_dist.delay_ns.max);
+    EXPECT_EQ(cell("lambda"), rec.point.scenario.lambda);
+    EXPECT_GT(res.thermal.peak_temp_c, 0.0);
+    EXPECT_GT(res.delay_dist.delay_ns.max, 0.0);
+  }
+  EXPECT_GE(doubles, 30u * run.records.size());
+  EXPECT_NE(lines_of(run.csv)[1].find(",0.08,"), std::string::npos)
+      << "lambda=0.08 must be written as 0.08, not a rounded or padded form";
 }
 
 TEST(SweepPointLabel, JoinsAxisNamesAndCoordinates) {

@@ -17,6 +17,10 @@
 ///                                                   utilization, manifest
 ///                                                   (prof=on runs / sweep
 ///                                                   host timelines)
+///   nocdvfs_report diff <a.csv> <b.csv> [group_a [group_b]] [skip=col,...]
+///                                                   compare two sweep CSVs by
+///                                                   column name (exit 1 on a
+///                                                   mismatch, 2 on bad input)
 ///
 /// Everything renders from the binary timeline alone — no simulator state
 /// — so reports work on artifacts copied off CI.
@@ -31,6 +35,7 @@
 #include "obs/latency_hist.hpp"
 #include "obs/telemetry.hpp"
 #include "obs/timeline.hpp"
+#include "sim/result_diff.hpp"
 
 namespace {
 
@@ -42,6 +47,7 @@ int usage() {
   std::cerr
       << "usage: nocdvfs_report <summary|heatmap|links|islands|events|percentiles|"
          "profile> <file.nocobs> [metric|count]\n"
+         "       nocdvfs_report diff <a.csv> <b.csv> [group_a [group_b]] [skip=col,...]\n"
          "  summary     header, stall-cause breakdown, hot tiles/links, island recap\n"
          "  heatmap     ASCII per-tile heatmap of a tile metric (default "
          "flits_forwarded;\n"
@@ -53,7 +59,10 @@ int usage() {
          "  percentiles latency-distribution tables: p50..p99.9 per scope "
          "(hist=on runs)\n"
          "  profile     host phase profile + top exclusive costs, sweep-worker\n"
-         "              utilization, and the run-provenance manifest (prof=on runs)\n";
+         "              utilization, and the run-provenance manifest (prof=on runs)\n"
+         "  diff        compare two sweep CSVs row by row (paired by index) on every\n"
+         "              config and metric column, by name and exactly; names each\n"
+         "              mismatch; exit 0 equal, 1 mismatch, 2 bad input\n";
   return 2;
 }
 
@@ -424,6 +433,9 @@ int cmd_summary(const Timeline& tl, const std::string& path) {
 }  // namespace
 
 int main(int argc, char** argv) {
+  if (argc > 1 && std::string(argv[1]) == "diff") {
+    return nocdvfs::sim::result_diff_main({argv + 2, argv + argc}, std::cout, std::cerr);
+  }
   if (argc < 3) return usage();
   const std::string cmd = argv[1];
   const std::string path = argv[2];
