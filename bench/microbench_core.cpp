@@ -1,7 +1,7 @@
 /// \file microbench_core.cpp
 /// google-benchmark microbenchmarks of the simulator's hot paths: the
 /// per-cycle cost of a network step across mesh sizes and loads, router
-/// pipeline stages, allocator/arbiter primitives, RNG, VF lookups, and —
+/// pipeline stages, the VC allocator, RNG, VF lookups, and —
 /// the headline set — end-to-end `Simulator::run` across mesh size ×
 /// offered load × island partition × thermal. These guard the simulation
 /// throughput the figure benches depend on; `bench/perf_baseline` turns a
@@ -13,7 +13,6 @@
 
 #include "common/rng.hpp"
 #include "noc/allocator.hpp"
-#include "noc/arbiter.hpp"
 #include "noc/network.hpp"
 #include "power/energy_model.hpp"
 #include "power/vf_curve.hpp"
@@ -36,15 +35,6 @@ void BM_RngBernoulli(benchmark::State& state) {
   for (auto _ : state) benchmark::DoNotOptimize(rng.bernoulli(0.1));
 }
 BENCHMARK(BM_RngBernoulli);
-
-void BM_RoundRobinArbiter(benchmark::State& state) {
-  noc::RoundRobinArbiter arb(static_cast<int>(state.range(0)));
-  for (auto _ : state) {
-    for (int i = 0; i < arb.size(); i += 2) arb.add_request(i);
-    benchmark::DoNotOptimize(arb.arbitrate());
-  }
-}
-BENCHMARK(BM_RoundRobinArbiter)->Arg(5)->Arg(8)->Arg(16);
 
 void BM_SeparableAllocator(benchmark::State& state) {
   const int n = static_cast<int>(state.range(0));

@@ -17,9 +17,10 @@
 /// (recorded in the file) and the comparing host: the gate tests the
 /// *calibration-relative* throughput ratio, so a slower CI runner does not
 /// read as a simulator regression. The sweep deliberately includes
-/// `skip_idle=0` twins of the idle/low 32×32 scenarios — the speedup
-/// column they imply is the number the skip-idle hot path is accountable
-/// for (ROADMAP acceptance: ≥2× on idle/low-load 32×32).
+/// always-step twins (`network.skip_idle = false`, no Scenario key) of the
+/// idle/low 32×32 scenarios — the speedup column they imply is the number
+/// the skip-idle hot path is accountable for (ROADMAP acceptance: ≥2× on
+/// idle/low-load 32×32).
 
 #include <chrono>
 #include <cstdint>
@@ -87,12 +88,12 @@ std::vector<PerfScenario> perf_sweep(bool fast) {
   out.push_back({"low_32x32", base(32, 0.01)});
   {
     PerfScenario p{"idle_32x32_alwaysstep", base(32, 0.0)};
-    p.s.skip_idle = false;
+    p.s.network.skip_idle = false;
     out.push_back(p);
   }
   {
     PerfScenario p{"low_32x32_alwaysstep", base(32, 0.01)};
-    p.s.skip_idle = false;
+    p.s.network.skip_idle = false;
     out.push_back(p);
   }
   out.push_back({"sat_16x16", base(16, 0.5)});

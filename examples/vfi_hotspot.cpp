@@ -48,7 +48,7 @@ int main() {
   sim::Scenario global = cfg;  // islands = "global" (the default)
   sim::Scenario quads = cfg;
   quads.islands = "quadrants";
-  quads.cdc_sync_cycles = 2;  // synchronizer penalty per boundary crossing
+  quads.network.cdc_sync_cycles = 2;  // synchronizer penalty per boundary crossing
 
   std::cout << "Running global vs quadrant islands (DMSD in every domain)...\n\n";
   const sim::RunResult rg = sim::run(global);

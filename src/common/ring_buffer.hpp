@@ -23,7 +23,6 @@ class RingBuffer {
   bool empty() const noexcept { return size_ == 0; }
   bool full() const noexcept { return size_ == slots_.size(); }
   std::size_t size() const noexcept { return size_; }
-  std::size_t capacity() const noexcept { return slots_.size(); }
 
   void push(T value) {
     NOCDVFS_ASSERT(!full(), "RingBuffer overflow");

@@ -1,7 +1,5 @@
 #include "common/rng.hpp"
 
-#include <cmath>
-
 namespace nocdvfs::common {
 
 namespace {
@@ -29,24 +27,6 @@ Xoshiro256StarStar::result_type Xoshiro256StarStar::operator()() noexcept {
   return result;
 }
 
-void Xoshiro256StarStar::jump() noexcept {
-  static constexpr std::uint64_t kJump[] = {0x180EC6D33CFD0ABAULL, 0xD5A61266F0C9392CULL,
-                                            0xA9582618E03FC9AAULL, 0x39ABDC4529B1661CULL};
-  std::uint64_t s0 = 0, s1 = 0, s2 = 0, s3 = 0;
-  for (std::uint64_t word : kJump) {
-    for (int bit = 0; bit < 64; ++bit) {
-      if (word & (std::uint64_t{1} << bit)) {
-        s0 ^= s_[0];
-        s1 ^= s_[1];
-        s2 ^= s_[2];
-        s3 ^= s_[3];
-      }
-      (*this)();
-    }
-  }
-  s_ = {s0, s1, s2, s3};
-}
-
 Rng Rng::for_stream(std::uint64_t seed, std::uint64_t stream) noexcept {
   // Mix the stream index through SplitMix64 so that streams 0,1,2,... of the
   // same master seed land far apart in seed space.
@@ -69,18 +49,6 @@ std::uint64_t Rng::uniform_below(std::uint64_t bound) noexcept {
     }
   }
   return static_cast<std::uint64_t>(m >> 64);
-}
-
-std::int64_t Rng::uniform_int(std::int64_t lo, std::int64_t hi) noexcept {
-  if (hi <= lo) return lo;
-  const auto span = static_cast<std::uint64_t>(hi - lo) + 1;
-  return lo + static_cast<std::int64_t>(uniform_below(span));
-}
-
-double Rng::exponential(double mean) noexcept {
-  // Inverse-CDF sampling; uniform01() < 1 so the log argument is > 0.
-  const double u = 1.0 - uniform01();
-  return -mean * std::log(u);
 }
 
 }  // namespace nocdvfs::common

@@ -43,9 +43,6 @@ class Xoshiro256StarStar {
 
   result_type operator()() noexcept;
 
-  /// Jump ahead 2^128 steps; used to carve non-overlapping substreams.
-  void jump() noexcept;
-
  private:
   std::array<std::uint64_t, 4> s_{};
 };
@@ -76,12 +73,6 @@ class Rng {
   /// Uniform integer in [0, bound). bound == 0 returns 0.
   /// Uses Lemire's multiply-shift rejection method (unbiased).
   std::uint64_t uniform_below(std::uint64_t bound) noexcept;
-
-  /// Uniform integer in [lo, hi] inclusive.
-  std::int64_t uniform_int(std::int64_t lo, std::int64_t hi) noexcept;
-
-  /// Exponentially distributed value with the given mean (> 0).
-  double exponential(double mean) noexcept;
 
  private:
   Xoshiro256StarStar engine_;

@@ -90,19 +90,6 @@ double Histogram::quantile(double q) const noexcept {
   return hi_;
 }
 
-Ewma::Ewma(double alpha) : alpha_(alpha) {
-  if (!(alpha > 0.0) || alpha > 1.0) throw std::invalid_argument("Ewma: alpha must be in (0,1]");
-}
-
-void Ewma::add(double x) noexcept {
-  if (!initialized_) {
-    value_ = x;
-    initialized_ = true;
-  } else {
-    value_ += alpha_ * (x - value_);
-  }
-}
-
 void TimeWeightedAverage::set(double t, double value) noexcept {
   if (!started_) {
     started_ = true;

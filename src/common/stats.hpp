@@ -28,7 +28,6 @@ class RunningStats {
   double stddev() const noexcept;
   double min() const noexcept { return n_ ? min_ : 0.0; }
   double max() const noexcept { return n_ ? max_ : 0.0; }
-  double sum() const noexcept { return mean_ * static_cast<double>(n_); }
 
  private:
   std::uint64_t n_ = 0;
@@ -51,7 +50,6 @@ class Histogram {
   std::uint64_t count() const noexcept { return total_; }
   std::uint64_t underflow() const noexcept { return underflow_; }
   std::uint64_t overflow() const noexcept { return overflow_; }
-  std::size_t bins() const noexcept { return counts_.size(); }
   double bin_lo(std::size_t i) const noexcept;
 
   /// Approximate quantile q in [0,1]; linear interpolation inside the bin.
@@ -62,23 +60,6 @@ class Histogram {
   double lo_, hi_, width_;
   std::vector<std::uint64_t> counts_;
   std::uint64_t underflow_ = 0, overflow_ = 0, total_ = 0;
-};
-
-/// Exponentially weighted moving average with smoothing factor alpha in
-/// (0, 1]; the first sample initializes the average.
-class Ewma {
- public:
-  explicit Ewma(double alpha);
-
-  void add(double x) noexcept;
-  void reset() noexcept { initialized_ = false; }
-  bool initialized() const noexcept { return initialized_; }
-  double value() const noexcept { return initialized_ ? value_ : 0.0; }
-
- private:
-  double alpha_;
-  double value_ = 0.0;
-  bool initialized_ = false;
 };
 
 /// Time-weighted average of a piecewise-constant signal: call `set(t, v)` at

@@ -46,26 +46,4 @@ void Table::print(std::ostream& os) const {
   for (const auto& row : rows_) print_row(row);
 }
 
-void Table::write_csv(std::ostream& os) const {
-  auto escape = [](const std::string& s) {
-    if (s.find_first_of(",\"\n") == std::string::npos) return s;
-    std::string out = "\"";
-    for (char ch : s) {
-      if (ch == '"') out += "\"\"";
-      else out += ch;
-    }
-    out += '"';
-    return out;
-  };
-  auto write_row = [&](const std::vector<std::string>& cells) {
-    for (std::size_t c = 0; c < cells.size(); ++c) {
-      os << escape(cells[c]);
-      if (c + 1 < cells.size()) os << ',';
-    }
-    os << '\n';
-  };
-  write_row(columns_);
-  for (const auto& row : rows_) write_row(row);
-}
-
 }  // namespace nocdvfs::common

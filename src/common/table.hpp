@@ -22,14 +22,10 @@ class Table {
   static std::string fmt(double v, int precision = 3);
 
   std::size_t rows() const noexcept { return rows_.size(); }
-  std::size_t columns() const noexcept { return columns_.size(); }
   const std::vector<std::string>& row(std::size_t i) const { return rows_.at(i); }
 
   /// Write an aligned, human-readable table.
   void print(std::ostream& os) const;
-
-  /// Write RFC-4180-ish CSV (quotes cells containing commas/quotes).
-  void write_csv(std::ostream& os) const;
 
  private:
   std::vector<std::string> columns_;

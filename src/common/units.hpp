@@ -38,19 +38,10 @@ inline Picoseconds period_ps_from_hz(Hertz f) {
   return rounded;
 }
 
-/// Inverse of period_ps_from_hz (exact to rounding of the period).
-inline Hertz hz_from_period_ps(Picoseconds ps) {
-  NOCDVFS_ASSERT(ps > 0, "period must be positive");
-  return kPicosPerSecond / static_cast<double>(ps);
-}
-
 inline constexpr double ns_from_ps(Picoseconds ps) { return static_cast<double>(ps) * 1e-3; }
 inline constexpr double us_from_ps(Picoseconds ps) { return static_cast<double>(ps) * 1e-6; }
 inline constexpr double seconds_from_ps(Picoseconds ps) {
   return static_cast<double>(ps) / kPicosPerSecond;
 }
-
-inline constexpr Hertz mhz(double v) { return v * 1e6; }
-inline constexpr Hertz ghz(double v) { return v * 1e9; }
 
 }  // namespace nocdvfs::common

@@ -33,7 +33,6 @@ class DvfsManager {
               common::Hertz f_node, std::uint64_t control_period_node_cycles);
 
   std::uint64_t control_period_node_cycles() const noexcept { return control_period_; }
-  common::Hertz f_node() const noexcept { return f_node_; }
   common::Hertz f_min() const noexcept { return curve_.f_min(); }
   common::Hertz f_max() const noexcept { return curve_.f_max(); }
 
@@ -51,7 +50,6 @@ class DvfsManager {
 
   const DvfsController& controller() const noexcept { return *controller_; }
   DvfsController& controller() noexcept { return *controller_; }
-  const power::VfCurve& curve() const noexcept { return curve_; }
   const std::vector<VfTracePoint>& trace() const noexcept { return trace_; }
 
   /// Bound the actuation trace to the `max_points` most recent points

@@ -17,8 +17,6 @@ class SeparableAllocator {
  public:
   SeparableAllocator(int num_agents, int num_resources);
 
-  int num_agents() const noexcept { return num_agents_; }
-  int num_resources() const noexcept { return num_resources_; }
 
   /// Register that `agent` could use `resource` this cycle.
   void add_request(int agent, int resource);

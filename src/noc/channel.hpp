@@ -119,8 +119,6 @@ class CdcFifo final : public Channel<T> {
     if (capacity < 1) throw std::invalid_argument("CdcFifo: capacity must be >= 1");
   }
 
-  int ready_delay() const noexcept { return ready_delay_; }
-
   /// Reader-domain clock edge.
   void tick() noexcept override {
     ++ticks_;

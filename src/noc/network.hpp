@@ -164,10 +164,7 @@ class Network : public WakeSink {
   /// Direct router access by router id (`0 <= r < num_routers()`).
   const Router& router_at(int r) const { return *routers_.at(static_cast<std::size_t>(r)); }
 
-  // --- fault & routing introspection ---
-  const topo::RoutingEngine& routing_engine() const noexcept { return *engine_; }
-  /// Null when the network is fault-free.
-  const topo::FaultModel* fault_model() const noexcept { return faults_.get(); }
+  // --- fault introspection ---
   /// Packets/flits dropped anywhere: refused at a source NI (destination
   /// unreachable at enqueue) or drained inside a router (no surviving
   /// route once in flight).

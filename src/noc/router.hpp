@@ -142,7 +142,6 @@ class Router : public topo::RouterView {
   /// Phase 2: SA+ST, drop drain, then VA, then RC (reverse pipeline order).
   void compute_phase();
 
-  NodeId id() const noexcept { return id_; }
   int radix() const noexcept { return radix_; }
   const RouterConfig& config() const noexcept { return cfg_; }
   const power::ActivityCounters& activity() const noexcept { return activity_; }

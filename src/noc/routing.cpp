@@ -8,23 +8,6 @@
 
 namespace nocdvfs::noc {
 
-PortDir route_dor(RoutingAlgo algo, const MeshTopology& topo, NodeId here, NodeId dst) {
-  const Coord h = topo.coord_of(here);
-  const Coord d = topo.coord_of(dst);
-  if (algo != RoutingAlgo::YX) {
-    if (d.x > h.x) return PortDir::East;
-    if (d.x < h.x) return PortDir::West;
-    if (d.y > h.y) return PortDir::North;
-    if (d.y < h.y) return PortDir::South;
-  } else {
-    if (d.y > h.y) return PortDir::North;
-    if (d.y < h.y) return PortDir::South;
-    if (d.x > h.x) return PortDir::East;
-    if (d.x < h.x) return PortDir::West;
-  }
-  return PortDir::Local;
-}
-
 namespace {
 constexpr RoutingAlgo kAllAlgos[] = {RoutingAlgo::XY, RoutingAlgo::YX, RoutingAlgo::Adaptive,
                                      RoutingAlgo::Ugal};

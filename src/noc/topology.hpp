@@ -1,9 +1,12 @@
 #pragma once
 
 /// \file topology.hpp
-/// 2-D mesh topology: coordinate arithmetic and neighbor lookup. The paper
-/// evaluates 4×4, 5×5 and 8×8 meshes; width and height are independent so
-/// rectangular meshes also work.
+/// The width×height row-major grid of network interfaces (NIs): coordinate
+/// arithmetic for traffic patterns, task-graph placement and island
+/// presets. The router fabric, its ports and its routing live in
+/// topo::Topology, which uses the same NI grid whatever its shape. The
+/// paper evaluates 4×4, 5×5 and 8×8 meshes; width and height are
+/// independent so rectangular grids also work.
 
 #include "noc/types.hpp"
 
@@ -26,17 +29,7 @@ class MeshTopology {
   Coord coord_of(NodeId node) const;
   NodeId node_at(Coord c) const;
 
-  /// Does `node` have a neighbor in direction `dir`? Local never does.
-  bool has_neighbor(NodeId node, PortDir dir) const;
-  /// Neighbor id; throws std::out_of_range if there is none.
-  NodeId neighbor(NodeId node, PortDir dir) const;
-
   static int manhattan(Coord a, Coord b) noexcept;
-  int hop_distance(NodeId a, NodeId b) const { return manhattan(coord_of(a), coord_of(b)); }
-
-  /// Directed inter-router links in the mesh: 2·[(W−1)·H + W·(H−1)].
-  int num_directed_links() const noexcept;
-
 
  private:
   int width_;

@@ -39,17 +39,6 @@ constexpr int port_index(PortDir d) noexcept { return static_cast<int>(d); }
 
 constexpr PortDir port_dir(int index) noexcept { return static_cast<PortDir>(index); }
 
-constexpr PortDir opposite(PortDir d) noexcept {
-  switch (d) {
-    case PortDir::North: return PortDir::South;
-    case PortDir::South: return PortDir::North;
-    case PortDir::East: return PortDir::West;
-    case PortDir::West: return PortDir::East;
-    case PortDir::Local: return PortDir::Local;
-  }
-  return PortDir::Local;
-}
-
 /// Receiver of node wake-up notifications — implemented by the Network's
 /// skip-idle stepping. Routers and NIs call `wake(target)` whenever they
 /// push an item towards `target`'s clock-domain inputs (a flit downstream,

@@ -102,7 +102,6 @@ class FlightRecorder {
   void on_eject(std::uint64_t id);
   void on_drop(std::uint64_t id, std::int32_t router);
 
-  const std::vector<FlightRecord>& flights() const noexcept { return flights_; }
   std::vector<FlightRecord> take_flights() { return std::move(flights_); }
 
  private:

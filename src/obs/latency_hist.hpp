@@ -61,8 +61,6 @@ class LatencyHistogram {
   /// bucket width of the exact order statistic.
   std::uint64_t quantile(double q) const noexcept;
 
-  std::uint64_t bucket_count(std::size_t i) const noexcept { return counts_[i]; }
-
   HistogramSnapshot snapshot(std::string label) const;
 
  private:

@@ -10,8 +10,7 @@ constexpr double kPicojoule = 1e-12;
 constexpr double kMilliwatt = 1e-3;
 }  // namespace
 
-EnergyModel::EnergyModel(RouterGeometry geometry, EnergyParams params)
-    : geometry_(geometry), params_(params) {
+EnergyModel::EnergyModel(RouterGeometry geometry, EnergyParams params) : params_(params) {
   if (geometry.num_ports < 2 || geometry.num_vcs < 1 || geometry.buffer_depth < 1 ||
       geometry.flit_bits < 1) {
     throw std::invalid_argument("EnergyModel: degenerate router geometry");

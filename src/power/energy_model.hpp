@@ -93,7 +93,6 @@ class EnergyModel {
 
   static RouterGeometry reference_geometry() noexcept { return RouterGeometry{}; }
 
-  const RouterGeometry& geometry() const noexcept { return geometry_; }
   const EnergyParams& params() const noexcept { return params_; }
 
   /// Dynamic voltage scale factor (V/V0)^dyn.
@@ -127,7 +126,6 @@ class EnergyModel {
   double clock_per_cycle_j() const noexcept { return e_clock_; }
 
  private:
-  RouterGeometry geometry_;
   EnergyParams params_;
   // geometry-scaled nominal energies [J]
   double e_buf_wr_, e_buf_rd_, e_xbar_, e_link_, e_local_;

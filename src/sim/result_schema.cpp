@@ -117,7 +117,7 @@ const std::vector<ResultField> kSchema = {
     {"island_power_mw", "mW", kMetric,
      [](R x) -> FieldValue { return island_power_cell(x.result); }},
     {"cdc_sync_cycles", "noc cycles", kConfig,
-     [](R x) -> FieldValue { return i64(x.point.scenario.cdc_sync_cycles); }},
+     [](R x) -> FieldValue { return i64(x.point.scenario.network.cdc_sync_cycles); }},
     // --- thermal ---
     {"thermal", "", kConfig, [](R x) -> FieldValue { return x.result.thermal.enabled; }},
     {"peak_temp_c", "C", kMetric, [](R x) -> FieldValue { return x.result.thermal.peak_temp_c; }},

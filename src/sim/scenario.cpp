@@ -235,7 +235,7 @@ common::Picoseconds thermal_step_ps_from(const Scenario& s) {
 
 std::string island_config_problem(const Scenario& s) {
   try {
-    if (s.cdc_sync_cycles < 0) return "cdc_sync_cycles must be >= 0";
+    if (s.network.cdc_sync_cycles < 0) return "cdc_sync_cycles must be >= 0";
     const vfi::Preset preset = vfi::preset_from_string(s.islands);
     if (preset != vfi::Preset::Custom && !s.island_map.empty()) {
       return "island_map= is only read with islands=custom (got islands=" + s.islands + ")";
@@ -425,7 +425,7 @@ void Scenario::declare_keys(common::Config& c, const Scenario& d) {
             "VF-island partition: global|rows|cols|quadrants|per_router|custom");
   c.declare("island_map", d.island_map,
             "node->island ids, comma-separated row-major (islands=custom)");
-  c.declare_int("cdc_sync_cycles", d.cdc_sync_cycles,
+  c.declare_int("cdc_sync_cycles", d.network.cdc_sync_cycles,
                 "synchronizer cycles on island-boundary links");
   c.declare("island_policies", d.island_policies,
             "per-island policy overrides, comma-separated (one per island)");
@@ -445,8 +445,6 @@ void Scenario::declare_keys(common::Config& c, const Scenario& d) {
   c.declare_int("vcs", d.network.num_vcs, "virtual channels per port");
   c.declare_int("bufs", d.network.vc_buffer_depth, "flit buffers per VC");
   c.declare_int("link_latency", d.network.link_latency, "inter-router link cycles");
-  c.declare_bool("skip_idle", d.skip_idle,
-                 "skip quiescent routers/NIs in the stepping hot path (metrics-invisible)");
   c.declare_int("packet", d.packet_size, "flits per packet");
 
   c.declare("policy", to_string(d.policy.policy), "nodvfs|rmsd|rmsd-closed|dmsd|qbsd");
@@ -514,7 +512,7 @@ Scenario Scenario::from_config(const common::Config& c) {
 
   s.islands = c.get_string("islands");
   s.island_map = c.get_string("island_map");
-  s.cdc_sync_cycles = static_cast<int>(c.get_int("cdc_sync_cycles"));
+  s.network.cdc_sync_cycles = static_cast<int>(c.get_int("cdc_sync_cycles"));
   s.island_policies = c.get_string("island_policies");
 
   s.network.width = static_cast<int>(c.get_int("width"));
@@ -527,7 +525,6 @@ Scenario Scenario::from_config(const common::Config& c) {
   s.network.num_vcs = static_cast<int>(c.get_int("vcs"));
   s.network.vc_buffer_depth = static_cast<int>(c.get_int("bufs"));
   s.network.link_latency = static_cast<int>(c.get_int("link_latency"));
-  s.skip_idle = c.get_bool("skip_idle");
   s.packet_size = static_cast<int>(c.get_int("packet"));
 
   s.policy.policy = policy_from_string(c.get_string("policy"));
@@ -617,8 +614,6 @@ std::unique_ptr<Simulator> make_simulator(const Scenario& s) {
   const vfi::IslandMap map =
       build_island_map(s, sim_cfg.network.width, sim_cfg.network.height);
   if (map.num_islands() > 1) sim_cfg.network.island_of = map.assignment();
-  sim_cfg.network.cdc_sync_cycles = s.cdc_sync_cycles;
-  sim_cfg.network.skip_idle = s.skip_idle;
 
   return std::make_unique<Simulator>(sim_cfg, std::move(traffic_model),
                                      make_island_controllers(s, map.num_islands()),

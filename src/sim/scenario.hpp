@@ -91,10 +91,10 @@ struct Scenario {
   // --- voltage–frequency islands (src/vfi/) ---
   /// Partition preset: global|rows|cols|quadrants|per_router|custom. Each
   /// island gets its own clock domain and DVFS controller instance;
-  /// island-boundary links pay `cdc_sync_cycles` of synchronizer latency.
+  /// island-boundary links pay `network.cdc_sync_cycles` of synchronizer
+  /// latency.
   std::string islands = "global";
   std::string island_map;        ///< node→island ids, row-major (islands=custom)
-  int cdc_sync_cycles = 2;       ///< receiver-domain cycles per boundary crossing
   /// Comma-separated per-island policy overrides ("rmsd,dmsd,..."); empty =
   /// every island runs `policy`. Must have exactly one entry per island.
   std::string island_policies;
@@ -147,10 +147,6 @@ struct Scenario {
 
   // --- platform ---
   noc::NetworkConfig network{};  ///< defaults: 5×5, 8 VCs, 4 flits/VC, XY
-  /// Skip quiescent routers/NIs in the stepping hot path (see
-  /// noc::NetworkConfig::skip_idle). Metrics-invisible; `false` forces the
-  /// always-step discipline for A/B comparison and perf attribution.
-  bool skip_idle = true;
   int packet_size = 20;          ///< flits per packet
   PolicyConfig policy{};
   std::uint64_t control_period = 10000;  ///< node cycles (paper: 10 000)

@@ -57,16 +57,6 @@ SweepAxis SweepAxis::speed(const std::vector<double>& values) {
   return axis;
 }
 
-SweepAxis SweepAxis::control_period(const std::vector<std::uint64_t>& values) {
-  SweepAxis axis;
-  axis.name = "control_period";
-  for (const std::uint64_t v : values) {
-    axis.points.push_back(
-        {std::to_string(v), [v](Scenario& s) { s.control_period = v; }});
-  }
-  return axis;
-}
-
 SweepAxis SweepAxis::vf_levels(const std::vector<int>& values) {
   SweepAxis axis;
   axis.name = "vf_levels";

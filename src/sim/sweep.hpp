@@ -44,7 +44,6 @@ struct SweepAxis {
   static SweepAxis lambda(const std::vector<double>& values);
   static SweepAxis policies(const std::vector<Policy>& values);
   static SweepAxis speed(const std::vector<double>& values);
-  static SweepAxis control_period(const std::vector<std::uint64_t>& values);
   static SweepAxis vf_levels(const std::vector<int>& values);
   static SweepAxis seeds(int count, std::uint64_t base_seed = 1);
   /// VF-island layouts ("global", "quadrants", "per_router", ...).

@@ -45,10 +45,6 @@
 
 namespace nocdvfs::thermal {
 
-inline constexpr double kelvin_from_celsius(double c) {
-  return c + common::kCelsiusToKelvinOffset;
-}
-
 /// The Arrhenius factor exp(k·(T − T_ref)) the integration applies to
 /// nominal leakage is bounded by `power::kMaxLeakTempScale` — one shared
 /// ceiling, so the energy the RC network charges and the energy
@@ -77,7 +73,6 @@ class ThermalModel {
                common::Picoseconds step_ps);
 
   int num_tiles() const noexcept { return width_ * height_; }
-  common::Picoseconds step_ps() const noexcept { return step_ps_; }
   common::Picoseconds now() const noexcept { return now_; }
   const ThermalParams& params() const noexcept { return params_; }
 

@@ -67,7 +67,6 @@ class RoutingEngine {
   /// Minimum VCs the (topology, algorithm) class discipline needs.
   static int required_vcs(const Topology& topo, noc::RoutingAlgo algo);
 
-  noc::RoutingAlgo algo() const noexcept { return algo_; }
   /// True when VA-starvation escape rerouting applies (minimal-adaptive).
   bool adaptive_escape() const noexcept;
 

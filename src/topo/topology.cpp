@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cctype>
+#include <cstdlib>
 #include <sstream>
 #include <stdexcept>
 
@@ -76,27 +77,41 @@ void Topology::finalize_link_inventory() {
 namespace {
 
 // ---------------------------------------------------------------------------
-// mesh — the original 2-D grid, moved behind the interface. Ports 0..3 are
-// N,E,S,W (the PortDir values), port 4 is the single NI local port; every
-// decision delegates to the exact arithmetic route_dor has always used, so
-// topology=mesh routing=xy is bit-identical to the pre-subsystem simulator.
+// mesh and cmesh — an open 2-D grid of routers. Router r sits at
+// (r % w, r / w) on the router grid; ports 0..3 are N,E,S,W (the PortDir
+// values), edge ports are unwired, and the NI local ports follow. The mesh
+// is the paper's grid: one router per NI, port 4 is its local port, and
+// topology=mesh routing=xy is bit-identical to the pre-subsystem
+// simulator. The concentrated mesh folds 2×1 (c=2) or 2×2 (c=4) NI blocks
+// onto one router, its NI locals in row-major block order. DOR finishes
+// one axis before the other; Adaptive and UGAL fall back to XY for the
+// deterministic port.
 // ---------------------------------------------------------------------------
-class MeshImpl final : public Topology {
+class GridImpl final : public Topology {
  public:
-  MeshImpl(int width, int height)
-      : Topology(TopologyKind::Mesh, width, height, 1, width * height),
-        mesh_(width, height) {
+  GridImpl(TopologyKind kind, int width, int height, int concentration)
+      : Topology(kind, width, height, concentration,
+                 (width / block_width(concentration)) * (height / block_height(concentration))),
+        block_w_(block_width(concentration)),
+        block_h_(block_height(concentration)),
+        w_(width / block_w_),
+        h_(height / block_h_) {
     finalize_link_inventory();
   }
 
-  int router_of(NodeId node) const override { return node; }
+  int router_of(NodeId node) const override {
+    const int x = node % width();
+    const int y = node / width();
+    return (y / block_h_) * w_ + x / block_w_;
+  }
   int local_port(NodeId node) const override {
-    (void)node;
-    return noc::port_index(PortDir::Local);
+    const int x = node % width();
+    const int y = node / width();
+    return 4 + (y % block_h_) * block_w_ + x % block_w_;
   }
   int radix(int router) const override {
     (void)router;
-    return noc::kMeshPorts;
+    return 4 + concentration();
   }
   int num_net_ports(int router) const override {
     (void)router;
@@ -104,34 +119,67 @@ class MeshImpl final : public Topology {
   }
 
   PortPeer peer(int router, int port) const override {
-    const PortDir dir = noc::port_dir(port);
-    if (!mesh_.has_neighbor(router, dir)) return {};
-    return {static_cast<int>(mesh_.neighbor(router, dir)),
-            noc::port_index(noc::opposite(dir))};
+    const int x = router % w_;
+    const int y = router / w_;
+    switch (noc::port_dir(port)) {
+      case PortDir::North:
+        if (y + 1 >= h_) return {};
+        return {router + w_, noc::port_index(PortDir::South)};
+      case PortDir::South:
+        if (y == 0) return {};
+        return {router - w_, noc::port_index(PortDir::North)};
+      case PortDir::East:
+        if (x + 1 >= w_) return {};
+        return {router + 1, noc::port_index(PortDir::West)};
+      case PortDir::West:
+        if (x == 0) return {};
+        return {router - 1, noc::port_index(PortDir::East)};
+      case PortDir::Local: break;
+    }
+    return {};
   }
 
-  int hop_distance(int ra, int rb) const override { return mesh_.hop_distance(ra, rb); }
+  int hop_distance(int ra, int rb) const override {
+    return std::abs(ra % w_ - rb % w_) + std::abs(ra / w_ - rb / w_);
+  }
 
   int dor_port(RoutingAlgo algo, int here, int dst_router) const override {
-    return noc::port_index(noc::route_dor(algo, mesh_, here, dst_router));
+    const int hx = here % w_, hy = here / w_;
+    const int dx = dst_router % w_, dy = dst_router / w_;
+    if (algo != RoutingAlgo::YX) {
+      if (dx > hx) return noc::port_index(PortDir::East);
+      if (dx < hx) return noc::port_index(PortDir::West);
+      if (dy > hy) return noc::port_index(PortDir::North);
+      if (dy < hy) return noc::port_index(PortDir::South);
+    } else {
+      if (dy > hy) return noc::port_index(PortDir::North);
+      if (dy < hy) return noc::port_index(PortDir::South);
+      if (dx > hx) return noc::port_index(PortDir::East);
+      if (dx < hx) return noc::port_index(PortDir::West);
+    }
+    return noc::port_index(PortDir::Local);
   }
 
   int minimal_ports(int here, int dst_router,
                     std::array<int, kMaxPorts>& out) const override {
-    const noc::Coord h = mesh_.coord_of(here);
-    const noc::Coord d = mesh_.coord_of(dst_router);
+    const int hx = here % w_, hy = here / w_;
+    const int dx = dst_router % w_, dy = dst_router / w_;
     int n = 0;
-    if (d.y > h.y) out[n++] = noc::port_index(PortDir::North);
-    if (d.x > h.x) out[n++] = noc::port_index(PortDir::East);
-    if (d.y < h.y) out[n++] = noc::port_index(PortDir::South);
-    if (d.x < h.x) out[n++] = noc::port_index(PortDir::West);
+    if (dy > hy) out[n++] = noc::port_index(PortDir::North);
+    if (dx > hx) out[n++] = noc::port_index(PortDir::East);
+    if (dy < hy) out[n++] = noc::port_index(PortDir::South);
+    if (dx < hx) out[n++] = noc::port_index(PortDir::West);
     return n;
   }
 
-  const noc::MeshTopology& mesh() const noexcept { return mesh_; }
-
  private:
-  noc::MeshTopology mesh_;
+  static int block_width(int concentration) { return concentration == 1 ? 1 : 2; }
+  static int block_height(int concentration) { return concentration == 4 ? 2 : 1; }
+
+  int block_w_;  ///< NI block folded onto one router
+  int block_h_;
+  int w_;  ///< router grid
+  int h_;
 };
 
 // ---------------------------------------------------------------------------
@@ -250,106 +298,6 @@ class TorusImpl final : public Topology {
 };
 
 // ---------------------------------------------------------------------------
-// cmesh — concentrated mesh. Concentration c=2 folds 2×1 NI blocks onto one
-// router, c=4 folds 2×2 blocks; the routers themselves form a smaller 2-D
-// mesh routed exactly like MeshImpl. Ports 0..3 are N,E,S,W on the router
-// grid; ports 4..4+c-1 are the NI locals in row-major block order.
-// ---------------------------------------------------------------------------
-class CmeshImpl final : public Topology {
- public:
-  CmeshImpl(int width, int height, int concentration)
-      : Topology(TopologyKind::Cmesh, width, height, concentration,
-                 (width / (concentration == 4 ? 2 : 2)) *
-                     (height / (concentration == 4 ? 2 : 1))),
-        block_w_(2),
-        block_h_(concentration == 4 ? 2 : 1),
-        routers_w_(width / 2),
-        routers_h_(height / (concentration == 4 ? 2 : 1)) {
-    finalize_link_inventory();
-  }
-
-  int router_of(NodeId node) const override {
-    const int x = node % width();
-    const int y = node / width();
-    return (y / block_h_) * routers_w_ + x / block_w_;
-  }
-  int local_port(NodeId node) const override {
-    const int x = node % width();
-    const int y = node / width();
-    return 4 + (y % block_h_) * block_w_ + x % block_w_;
-  }
-  int radix(int router) const override {
-    (void)router;
-    return 4 + concentration();
-  }
-  int num_net_ports(int router) const override {
-    (void)router;
-    return 4;
-  }
-
-  PortPeer peer(int router, int port) const override {
-    const int x = router % routers_w_;
-    const int y = router / routers_w_;
-    switch (noc::port_dir(port)) {
-      case PortDir::North:
-        if (y + 1 >= routers_h_) return {};
-        return {router + routers_w_, noc::port_index(PortDir::South)};
-      case PortDir::South:
-        if (y == 0) return {};
-        return {router - routers_w_, noc::port_index(PortDir::North)};
-      case PortDir::East:
-        if (x + 1 >= routers_w_) return {};
-        return {router + 1, noc::port_index(PortDir::West)};
-      case PortDir::West:
-        if (x == 0) return {};
-        return {router - 1, noc::port_index(PortDir::East)};
-      case PortDir::Local: break;
-    }
-    return {};
-  }
-
-  int hop_distance(int ra, int rb) const override {
-    return std::abs(ra % routers_w_ - rb % routers_w_) +
-           std::abs(ra / routers_w_ - rb / routers_w_);
-  }
-
-  int dor_port(RoutingAlgo algo, int here, int dst_router) const override {
-    const int hx = here % routers_w_, hy = here / routers_w_;
-    const int dx = dst_router % routers_w_, dy = dst_router / routers_w_;
-    if (algo != RoutingAlgo::YX) {
-      if (dx > hx) return noc::port_index(PortDir::East);
-      if (dx < hx) return noc::port_index(PortDir::West);
-      if (dy > hy) return noc::port_index(PortDir::North);
-      if (dy < hy) return noc::port_index(PortDir::South);
-    } else {
-      if (dy > hy) return noc::port_index(PortDir::North);
-      if (dy < hy) return noc::port_index(PortDir::South);
-      if (dx > hx) return noc::port_index(PortDir::East);
-      if (dx < hx) return noc::port_index(PortDir::West);
-    }
-    return noc::port_index(PortDir::Local);
-  }
-
-  int minimal_ports(int here, int dst_router,
-                    std::array<int, kMaxPorts>& out) const override {
-    const int hx = here % routers_w_, hy = here / routers_w_;
-    const int dx = dst_router % routers_w_, dy = dst_router / routers_w_;
-    int n = 0;
-    if (dy > hy) out[n++] = noc::port_index(PortDir::North);
-    if (dx > hx) out[n++] = noc::port_index(PortDir::East);
-    if (dy < hy) out[n++] = noc::port_index(PortDir::South);
-    if (dx < hx) out[n++] = noc::port_index(PortDir::West);
-    return n;
-  }
-
- private:
-  int block_w_;
-  int block_h_;
-  int routers_w_;
-  int routers_h_;
-};
-
-// ---------------------------------------------------------------------------
 // dragonfly — a small hierarchical network in the dragonfly mold. One group
 // per NI row: g = height groups of a = width/c routers, each router serving
 // c NIs. Inside a group the routers form a complete graph (a-1 local
@@ -462,7 +410,7 @@ std::unique_ptr<Topology> Topology::make(TopologyKind kind, int width, int heigh
     case TopologyKind::Mesh:
       if (concentration != 1) fail("mesh requires concentration=1");
       if (width * height < 2) fail("needs at least 2 nodes");
-      return std::make_unique<MeshImpl>(width, height);
+      return std::make_unique<GridImpl>(kind, width, height, concentration);
     case TopologyKind::Torus:
       if (concentration != 1) fail("torus requires concentration=1");
       if (width < 2 || height < 2) fail("torus requires width>=2 and height>=2");
@@ -475,7 +423,7 @@ std::unique_ptr<Topology> Topology::make(TopologyKind kind, int width, int heigh
       if (width % 2 != 0) fail("cmesh requires even width");
       if (height % bh != 0) fail("cmesh concentration=4 requires even height");
       if ((width / 2) * (height / bh) < 2) fail("needs at least 2 routers");
-      return std::make_unique<CmeshImpl>(width, height, concentration);
+      return std::make_unique<GridImpl>(kind, width, height, concentration);
     }
     case TopologyKind::Dragonfly: {
       if (concentration < 1) fail("concentration must be >= 1");

@@ -214,12 +214,6 @@ Trace Trace::load(const std::string& path) {
   return t;
 }
 
-void Trace::save(const std::string& path) const {
-  TraceWriter writer(path, header);
-  for (const TracePacket& p : packets) writer.append(p);
-  writer.close();
-}
-
 std::uint64_t Trace::total_flits() const noexcept {
   std::uint64_t flits = 0;
   for (const TracePacket& p : packets) flits += p.flits;

@@ -84,9 +84,6 @@ class TraceWriter {
   void append(const TracePacket& packet);
   void close();
 
-  std::uint64_t packets_written() const noexcept { return count_; }
-  const std::string& path() const noexcept { return path_; }
-
  private:
   std::string path_;
   TraceHeader header_;
@@ -126,7 +123,6 @@ struct Trace {
   std::vector<TracePacket> packets;
 
   static Trace load(const std::string& path);
-  void save(const std::string& path) const;
 
   std::uint64_t total_flits() const noexcept;
   /// Last inject cycle + 1 (0 for an empty trace).

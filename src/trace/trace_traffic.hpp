@@ -46,7 +46,6 @@ class TraceTraffic final : public traffic::TrafficModel {
   const char* name() const noexcept override { return "trace"; }
 
   const Trace& trace() const noexcept { return trace_; }
-  const TraceReplayOptions& options() const noexcept { return options_; }
 
  private:
   std::uint64_t scaled_cycle(std::uint64_t cycle) const noexcept;

@@ -1,14 +1,40 @@
 #include "traffic/injection.hpp"
 
+#include <sstream>
 #include <stdexcept>
 
 namespace nocdvfs::traffic {
 
+namespace {
+
+/// The one list of process names create() accepts.
+struct NamedProcess {
+  const char* name;
+  std::unique_ptr<InjectionProcess> (*make)(double packet_rate);
+};
+
+template <class P>
+std::unique_ptr<InjectionProcess> make_at(double packet_rate) {
+  return std::make_unique<P>(packet_rate);
+}
+
+constexpr NamedProcess kProcesses[] = {
+    {"bernoulli", make_at<BernoulliInjection>},
+    {"onoff", make_at<OnOffInjection>},
+};
+
+}  // namespace
+
 std::unique_ptr<InjectionProcess> InjectionProcess::create(const std::string& kind,
                                                            double packet_rate) {
-  if (kind == "bernoulli") return std::make_unique<BernoulliInjection>(packet_rate);
-  if (kind == "onoff") return std::make_unique<OnOffInjection>(packet_rate);
-  throw std::invalid_argument("InjectionProcess::create: unknown kind '" + kind + "'");
+  for (const NamedProcess& p : kProcesses) {
+    if (kind == p.name) return p.make(packet_rate);
+  }
+  std::ostringstream msg;
+  msg << "InjectionProcess::create: unknown kind '" << kind << "' (valid:";
+  for (const NamedProcess& p : kProcesses) msg << ' ' << p.name;
+  msg << ")";
+  throw std::invalid_argument(msg.str());
 }
 
 BernoulliInjection::BernoulliInjection(double rate) : rate_(rate) {

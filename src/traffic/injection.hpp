@@ -20,10 +20,9 @@ class InjectionProcess {
   virtual bool fire(common::Rng& rng) = 0;
   virtual double packet_rate() const noexcept = 0;  ///< mean packets/cycle
   virtual void reset() {}
-  virtual const char* name() const noexcept = 0;
 
   /// Factory: "bernoulli" or "onoff". Throws std::invalid_argument on an
-  /// unknown kind or rate outside [0, 1].
+  /// unknown kind (naming the valid set) or a rate outside [0, 1].
   static std::unique_ptr<InjectionProcess> create(const std::string& kind, double packet_rate);
 };
 
@@ -33,7 +32,6 @@ class BernoulliInjection final : public InjectionProcess {
   explicit BernoulliInjection(double rate);
   bool fire(common::Rng& rng) override;
   double packet_rate() const noexcept override { return rate_; }
-  const char* name() const noexcept override { return "bernoulli"; }
 
  private:
   double rate_;
@@ -50,7 +48,6 @@ class OnOffInjection final : public InjectionProcess {
   bool fire(common::Rng& rng) override;
   double packet_rate() const noexcept override { return rate_; }
   void reset() override { on_ = false; }
-  const char* name() const noexcept override { return "onoff"; }
 
  private:
   double rate_;

@@ -2,9 +2,9 @@
 
 #include <bit>
 #include <numeric>
+#include <sstream>
 #include <stdexcept>
 
-#include "common/assert.hpp"
 
 namespace nocdvfs::traffic {
 
@@ -21,7 +21,6 @@ class UniformPattern final : public TrafficPattern {
     return static_cast<NodeId>(rng.uniform_below(static_cast<std::uint64_t>(nodes_)));
   }
   bool deterministic() const noexcept override { return false; }
-  const char* name() const noexcept override { return "uniform"; }
 
  private:
   int nodes_;
@@ -44,7 +43,6 @@ class CoordPermutation : public TrafficPattern {
 class TornadoPattern final : public CoordPermutation {
  public:
   using CoordPermutation::CoordPermutation;
-  const char* name() const noexcept override { return "tornado"; }
 
  protected:
   // Dally & Towles: send (ceil(k/2) - 1) hops around each dimension.
@@ -58,7 +56,6 @@ class TornadoPattern final : public CoordPermutation {
 class BitComplementPattern final : public CoordPermutation {
  public:
   using CoordPermutation::CoordPermutation;
-  const char* name() const noexcept override { return "bitcomp"; }
 
  protected:
   Coord map(Coord c) const override {
@@ -73,7 +70,6 @@ class TransposePattern final : public CoordPermutation {
       throw std::invalid_argument("transpose pattern requires a square mesh");
     }
   }
-  const char* name() const noexcept override { return "transpose"; }
 
  protected:
   Coord map(Coord c) const override { return Coord{c.y, c.x}; }
@@ -82,7 +78,6 @@ class TransposePattern final : public CoordPermutation {
 class NeighborPattern final : public CoordPermutation {
  public:
   using CoordPermutation::CoordPermutation;
-  const char* name() const noexcept override { return "neighbor"; }
 
  protected:
   Coord map(Coord c) const override {
@@ -107,7 +102,6 @@ class ShufflePattern final : public TrafficPattern {
     return static_cast<NodeId>(rotated);
   }
   bool deterministic() const noexcept override { return true; }
-  const char* name() const noexcept override { return "shuffle"; }
 
  private:
   int bits_;
@@ -127,7 +121,6 @@ class BitReversePattern final : public TrafficPattern {
     return static_cast<NodeId>(out);
   }
   bool deterministic() const noexcept override { return true; }
-  const char* name() const noexcept override { return "bitrev"; }
 
  private:
   int bits_;
@@ -148,7 +141,6 @@ class HotspotPattern final : public TrafficPattern {
     return static_cast<NodeId>(rng.uniform_below(static_cast<std::uint64_t>(nodes_)));
   }
   bool deterministic() const noexcept override { return false; }
-  const char* name() const noexcept override { return "hotspot"; }
 
  private:
   int nodes_;
@@ -172,10 +164,40 @@ class RandomPermutationPattern final : public TrafficPattern {
     return perm_[static_cast<std::size_t>(src)];
   }
   bool deterministic() const noexcept override { return true; }
-  const char* name() const noexcept override { return "permutation"; }
 
  private:
   std::vector<NodeId> perm_;
+};
+
+/// The one list of pattern names: create() and known_patterns() walk it.
+struct NamedPattern {
+  const char* name;
+  std::unique_ptr<TrafficPattern> (*make)(const MeshTopology& topo, std::uint64_t seed,
+                                          double hotspot_fraction);
+};
+
+template <class P>
+std::unique_ptr<TrafficPattern> make_on(const MeshTopology& topo, std::uint64_t, double) {
+  return std::make_unique<P>(topo);
+}
+
+constexpr NamedPattern kPatterns[] = {
+    {"uniform", make_on<UniformPattern>},
+    {"tornado", make_on<TornadoPattern>},
+    {"bitcomp", make_on<BitComplementPattern>},
+    {"transpose", make_on<TransposePattern>},
+    {"neighbor", make_on<NeighborPattern>},
+    {"shuffle", make_on<ShufflePattern>},
+    {"bitrev", make_on<BitReversePattern>},
+    {"hotspot",
+     [](const MeshTopology& topo, std::uint64_t, double fraction)
+         -> std::unique_ptr<TrafficPattern> {
+       return std::make_unique<HotspotPattern>(topo, fraction);
+     }},
+    {"permutation",
+     [](const MeshTopology& topo, std::uint64_t seed, double) -> std::unique_ptr<TrafficPattern> {
+       return std::make_unique<RandomPermutationPattern>(topo, seed);
+     }},
 };
 
 }  // namespace
@@ -184,36 +206,20 @@ std::unique_ptr<TrafficPattern> TrafficPattern::create(const std::string& name,
                                                        const MeshTopology& topo,
                                                        std::uint64_t seed,
                                                        double hotspot_fraction) {
-  if (name == "uniform") return std::make_unique<UniformPattern>(topo);
-  if (name == "tornado") return std::make_unique<TornadoPattern>(topo);
-  if (name == "bitcomp") return std::make_unique<BitComplementPattern>(topo);
-  if (name == "transpose") return std::make_unique<TransposePattern>(topo);
-  if (name == "neighbor") return std::make_unique<NeighborPattern>(topo);
-  if (name == "shuffle") return std::make_unique<ShufflePattern>(topo);
-  if (name == "bitrev") return std::make_unique<BitReversePattern>(topo);
-  if (name == "hotspot") return std::make_unique<HotspotPattern>(topo, hotspot_fraction);
-  if (name == "permutation") return std::make_unique<RandomPermutationPattern>(topo, seed);
-  throw std::invalid_argument("TrafficPattern::create: unknown pattern '" + name + "'");
+  for (const NamedPattern& p : kPatterns) {
+    if (name == p.name) return p.make(topo, seed, hotspot_fraction);
+  }
+  std::ostringstream msg;
+  msg << "TrafficPattern::create: unknown pattern '" << name << "' (valid:";
+  for (const NamedPattern& p : kPatterns) msg << ' ' << p.name;
+  msg << ")";
+  throw std::invalid_argument(msg.str());
 }
 
 std::vector<std::string> TrafficPattern::known_patterns() {
-  return {"uniform",  "tornado", "bitcomp", "transpose",  "neighbor",
-          "shuffle",  "bitrev",  "hotspot", "permutation"};
-}
-
-double TrafficPattern::mean_hop_distance(const TrafficPattern& pattern, const MeshTopology& topo,
-                                         common::Rng& rng, int samples_per_node) {
-  NOCDVFS_ASSERT(samples_per_node > 0, "need at least one sample");
-  double total = 0.0;
-  std::uint64_t count = 0;
-  const int samples = pattern.deterministic() ? 1 : samples_per_node;
-  for (NodeId src = 0; src < topo.num_nodes(); ++src) {
-    for (int s = 0; s < samples; ++s) {
-      total += topo.hop_distance(src, pattern.pick(src, rng));
-      ++count;
-    }
-  }
-  return total / static_cast<double>(count);
+  std::vector<std::string> names;
+  for (const NamedPattern& p : kPatterns) names.emplace_back(p.name);
+  return names;
 }
 
 }  // namespace nocdvfs::traffic

@@ -26,13 +26,11 @@ class TrafficPattern {
 
   virtual noc::NodeId pick(noc::NodeId src, common::Rng& rng) const = 0;
   virtual bool deterministic() const noexcept = 0;
-  virtual const char* name() const noexcept = 0;
 
-  /// Factory. Known names: uniform, tornado, bitcomp, transpose, neighbor,
-  /// shuffle, bitrev, hotspot, permutation. Throws std::invalid_argument on
-  /// unknown names or patterns incompatible with the topology (e.g.
-  /// transpose on a non-square mesh, shuffle on a non-power-of-two node
-  /// count).
+  /// Factory over the names known_patterns() lists. Throws
+  /// std::invalid_argument on an unknown name (naming the valid set) or a
+  /// pattern incompatible with the topology (e.g. transpose on a
+  /// non-square mesh, shuffle on a non-power-of-two node count).
   static std::unique_ptr<TrafficPattern> create(const std::string& name,
                                                 const noc::MeshTopology& topo,
                                                 std::uint64_t seed = 1,
@@ -40,12 +38,6 @@ class TrafficPattern {
 
   /// Names accepted by create(), in a stable order (for sweeps and --help).
   static std::vector<std::string> known_patterns();
-
-  /// Mean hop distance of the pattern on `topo` (averaged over sources,
-  /// and over destinations for stochastic patterns) — used by tests and by
-  /// capacity sanity checks.
-  static double mean_hop_distance(const TrafficPattern& pattern, const noc::MeshTopology& topo,
-                                  common::Rng& rng, int samples_per_node = 200);
 };
 
 }  // namespace nocdvfs::traffic

@@ -31,7 +31,6 @@ class StepLoadTraffic final : public TrafficModel {
   }
   const char* name() const noexcept override { return "step-load"; }
 
-  common::Picoseconds step_at_ps() const noexcept { return step_at_ps_; }
   bool stepped() const noexcept { return stepped_; }
 
  private:

@@ -167,21 +167,4 @@ IslandMap IslandMap::from_assignment(std::vector<int> island_of, int width, int 
   return map;
 }
 
-std::string IslandMap::describe() const {
-  std::ostringstream os;
-  os << num_islands_ << (num_islands_ == 1 ? " island" : " islands");
-  if (island_of_.empty()) return os.str();
-  os << ':';
-  for (int isl = 0; isl < num_islands_; ++isl) {
-    const auto& nodes = members_[static_cast<std::size_t>(isl)];
-    os << " [" << isl << "]={";
-    for (std::size_t i = 0; i < nodes.size(); ++i) {
-      if (i > 0) os << ',';
-      os << nodes[i];
-    }
-    os << '}';
-  }
-  return os.str();
-}
-
 }  // namespace nocdvfs::vfi

@@ -62,9 +62,6 @@ class IslandMap {
   /// Directed mesh links whose endpoints live in different islands.
   int num_boundary_links() const noexcept { return boundary_links_; }
 
-  /// "2 islands: [0]={0,1} [1]={2,3}" — for logs and error messages.
-  std::string describe() const;
-
  private:
   int width_ = 0;
   int height_ = 0;

@@ -90,38 +90,6 @@ TEST(Rng, UniformBelowIsRoughlyUniform) {
   }
 }
 
-TEST(Rng, UniformIntInclusiveRange) {
-  Rng rng(8);
-  bool saw_lo = false, saw_hi = false;
-  for (int i = 0; i < 10000; ++i) {
-    const auto v = rng.uniform_int(-3, 3);
-    ASSERT_GE(v, -3);
-    ASSERT_LE(v, 3);
-    saw_lo |= (v == -3);
-    saw_hi |= (v == 3);
-  }
-  EXPECT_TRUE(saw_lo);
-  EXPECT_TRUE(saw_hi);
-  EXPECT_EQ(rng.uniform_int(5, 5), 5);
-  EXPECT_EQ(rng.uniform_int(5, 4), 5);  // degenerate: returns lo
-}
-
-TEST(Rng, ExponentialMeanMatches) {
-  Rng rng(9);
-  constexpr int kN = 200000;
-  double sum = 0.0;
-  for (int i = 0; i < kN; ++i) sum += rng.exponential(4.0);
-  EXPECT_NEAR(sum / kN, 4.0, 0.05);
-}
-
-TEST(Xoshiro, JumpDecorrelates) {
-  Xoshiro256StarStar a(11), b(11);
-  b.jump();
-  int equal = 0;
-  for (int i = 0; i < 1000; ++i) equal += (a() == b()) ? 1 : 0;
-  EXPECT_LT(equal, 5);
-}
-
 // -------------------------------------------------------------- stats ----
 
 TEST(RunningStats, MatchesDirectComputation) {
@@ -203,24 +171,6 @@ TEST(Histogram, InvalidConstruction) {
   EXPECT_THROW(Histogram(1.0, 1.0, 10), std::invalid_argument);
   EXPECT_THROW(Histogram(2.0, 1.0, 10), std::invalid_argument);
   EXPECT_THROW(Histogram(0.0, 1.0, 0), std::invalid_argument);
-}
-
-TEST(Ewma, ConvergesToConstant) {
-  Ewma e(0.2);
-  for (int i = 0; i < 100; ++i) e.add(5.0);
-  EXPECT_NEAR(e.value(), 5.0, 1e-9);
-}
-
-TEST(Ewma, FirstSampleInitializes) {
-  Ewma e(0.5);
-  EXPECT_FALSE(e.initialized());
-  e.add(3.0);
-  EXPECT_DOUBLE_EQ(e.value(), 3.0);
-}
-
-TEST(Ewma, RejectsBadAlpha) {
-  EXPECT_THROW(Ewma(0.0), std::invalid_argument);
-  EXPECT_THROW(Ewma(1.5), std::invalid_argument);
 }
 
 TEST(TimeWeightedAverage, PiecewiseConstantSignal) {
@@ -386,17 +336,6 @@ TEST(Table, RowWidthMismatchThrows) {
   EXPECT_THROW(t.add_row({"only-one"}), std::invalid_argument);
 }
 
-TEST(Table, CsvEscapesSpecialCharacters) {
-  Table t({"name"});
-  t.add_row({"has,comma"});
-  t.add_row({"has\"quote"});
-  std::ostringstream os;
-  t.write_csv(os);
-  const std::string out = os.str();
-  EXPECT_NE(out.find("\"has,comma\""), std::string::npos);
-  EXPECT_NE(out.find("\"has\"\"quote\""), std::string::npos);
-}
-
 TEST(Table, FmtPrecision) {
   EXPECT_EQ(Table::fmt(1.23456, 2), "1.23");
   EXPECT_EQ(Table::fmt(1.0, 0), "1");
@@ -407,7 +346,6 @@ TEST(Table, FmtPrecision) {
 TEST(Units, PeriodFrequencyRoundTrip) {
   EXPECT_EQ(period_ps_from_hz(1e9), 1000u);
   EXPECT_EQ(period_ps_from_hz(333e6), 3003u);
-  EXPECT_NEAR(hz_from_period_ps(1000), 1e9, 1.0);
 }
 
 TEST(Units, RejectsNonPositiveOrTinyFrequencies) {
@@ -419,8 +357,6 @@ TEST(Units, RejectsNonPositiveOrTinyFrequencies) {
 TEST(Units, Conversions) {
   EXPECT_DOUBLE_EQ(ns_from_ps(1500), 1.5);
   EXPECT_DOUBLE_EQ(seconds_from_ps(1'000'000'000'000ULL), 1.0);
-  EXPECT_DOUBLE_EQ(ghz(1.0), 1e9);
-  EXPECT_DOUBLE_EQ(mhz(333.0), 333e6);
 }
 
 // -------------------------------------------------------- ring buffer ----

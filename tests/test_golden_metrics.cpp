@@ -501,9 +501,9 @@ TEST(GoldenMetrics, SubsystemsMatchCheckedInGolden) {
 }
 
 /// The always-step escape hatch must be metrically invisible: a
-/// representative slice of the matrix re-run with skip_idle=false (the
-/// pre-optimization stepping discipline) produces byte-identical headline
-/// lines. This is the in-tree gate that the activity-list hot path is an
+/// representative slice of the matrix re-run with network.skip_idle=false
+/// (the pre-optimization stepping discipline) produces byte-identical
+/// headline lines. This is the in-tree gate that the activity-list hot path is an
 /// optimization, not a behaviour change.
 TEST(GoldenMetrics, SkipIdleOffIsBitIdentical) {
   const std::vector<Scenario> matrix = golden_matrix();
@@ -512,8 +512,8 @@ TEST(GoldenMetrics, SkipIdleOffIsBitIdentical) {
     ASSERT_LT(i, matrix.size());
     Scenario on = matrix[i];
     Scenario off = matrix[i];
-    on.skip_idle = true;
-    off.skip_idle = false;
+    on.network.skip_idle = true;
+    off.network.skip_idle = false;
     const std::string name = scenario_name(on);
     EXPECT_EQ(metrics_line(name, run(on)), metrics_line(name, run(off)))
         << "skip-idle stepping diverged from the always-step path for " << name;

@@ -1,98 +1,22 @@
-// Unit tests for the NoC building blocks below the router: arbiters, the
-// separable allocator, mesh topology, dimension-ordered routing, and the
-// pipelined channels.
+// Unit tests for the NoC building blocks below the router: the separable
+// allocator, the NI grid and the mesh fabric (topo::Topology),
+// dimension-ordered routing, and the pipelined channels.
 
 #include <gtest/gtest.h>
 
 #include <map>
+#include <memory>
 #include <set>
+#include <vector>
 
 #include "noc/allocator.hpp"
-#include "noc/arbiter.hpp"
 #include "noc/channel.hpp"
 #include "noc/routing.hpp"
 #include "noc/topology.hpp"
+#include "topo/topology.hpp"
 
 namespace nocdvfs::noc {
 namespace {
-
-// ------------------------------------------------------------ arbiter ----
-
-TEST(RoundRobinArbiter, GrantsSingleRequester) {
-  RoundRobinArbiter arb(4);
-  arb.add_request(2);
-  EXPECT_EQ(arb.arbitrate(), 2);
-  EXPECT_EQ(arb.arbitrate(), -1);  // requests consumed
-}
-
-TEST(RoundRobinArbiter, RotatesAfterGrant) {
-  RoundRobinArbiter arb(3);
-  // All requesting every cycle: grants must cycle 0, 1, 2, 0, ...
-  std::vector<int> grants;
-  for (int i = 0; i < 6; ++i) {
-    arb.add_request(0);
-    arb.add_request(1);
-    arb.add_request(2);
-    grants.push_back(arb.arbitrate());
-  }
-  EXPECT_EQ(grants, (std::vector<int>{0, 1, 2, 0, 1, 2}));
-}
-
-TEST(RoundRobinArbiter, FairUnderContention) {
-  RoundRobinArbiter arb(4);
-  std::map<int, int> wins;
-  for (int i = 0; i < 400; ++i) {
-    for (int r = 0; r < 4; ++r) arb.add_request(r);
-    ++wins[arb.arbitrate()];
-  }
-  for (int r = 0; r < 4; ++r) EXPECT_EQ(wins[r], 100) << "requester " << r;
-}
-
-TEST(RoundRobinArbiter, SkipsNonRequesters) {
-  RoundRobinArbiter arb(4);
-  arb.add_request(1);
-  arb.add_request(3);
-  EXPECT_EQ(arb.arbitrate(), 1);
-  arb.add_request(1);
-  arb.add_request(3);
-  EXPECT_EQ(arb.arbitrate(), 3);  // priority moved past 1
-}
-
-TEST(RoundRobinArbiter, InvalidConstructionAndRequests) {
-  EXPECT_THROW(RoundRobinArbiter(0), std::invalid_argument);
-  RoundRobinArbiter arb(2);
-  EXPECT_THROW(arb.add_request(2), common::InvariantViolation);
-  EXPECT_THROW(arb.add_request(-1), common::InvariantViolation);
-}
-
-TEST(MatrixArbiter, LeastRecentlyServedWins) {
-  MatrixArbiter arb(3);
-  arb.add_request(0);
-  arb.add_request(1);
-  EXPECT_EQ(arb.arbitrate(), 0);  // initial priority favors low index
-  arb.add_request(0);
-  arb.add_request(1);
-  EXPECT_EQ(arb.arbitrate(), 1);  // 0 dropped to lowest priority
-  arb.add_request(0);
-  arb.add_request(2);
-  EXPECT_EQ(arb.arbitrate(), 2);  // 2 untouched, still beats both served ones
-}
-
-TEST(MatrixArbiter, FairUnderContention) {
-  MatrixArbiter arb(4);
-  std::map<int, int> wins;
-  for (int i = 0; i < 400; ++i) {
-    for (int r = 0; r < 4; ++r) arb.add_request(r);
-    ++wins[arb.arbitrate()];
-  }
-  for (int r = 0; r < 4; ++r) EXPECT_EQ(wins[r], 100);
-}
-
-TEST(ArbiterFactory, CreatesByNameAndRejectsUnknown) {
-  EXPECT_NE(Arbiter::create("roundrobin", 3), nullptr);
-  EXPECT_NE(Arbiter::create("matrix", 3), nullptr);
-  EXPECT_THROW(Arbiter::create("priority", 3), std::invalid_argument);
-}
 
 // ---------------------------------------------------------- allocator ----
 
@@ -168,37 +92,55 @@ TEST(MeshTopology, CoordinateRoundTrip) {
   EXPECT_EQ(topo.num_nodes(), 20);
 }
 
-TEST(MeshTopology, NeighborsAtCornersAndCenter) {
-  MeshTopology topo(3, 3);
-  const NodeId corner = topo.node_at({0, 0});
-  EXPECT_FALSE(topo.has_neighbor(corner, PortDir::West));
-  EXPECT_FALSE(topo.has_neighbor(corner, PortDir::South));
-  EXPECT_TRUE(topo.has_neighbor(corner, PortDir::East));
-  EXPECT_TRUE(topo.has_neighbor(corner, PortDir::North));
-
-  const NodeId center = topo.node_at({1, 1});
-  for (PortDir d : {PortDir::North, PortDir::East, PortDir::South, PortDir::West}) {
-    EXPECT_TRUE(topo.has_neighbor(center, d));
-  }
-  EXPECT_FALSE(topo.has_neighbor(center, PortDir::Local));
-  EXPECT_EQ(topo.neighbor(center, PortDir::North), topo.node_at({1, 2}));
-  EXPECT_EQ(topo.neighbor(center, PortDir::South), topo.node_at({1, 0}));
-  EXPECT_EQ(topo.neighbor(center, PortDir::East), topo.node_at({2, 1}));
-  EXPECT_EQ(topo.neighbor(center, PortDir::West), topo.node_at({0, 1}));
+// The router fabric of the mesh is topo::Topology's; router ids equal the
+// row-major NI ids of the MeshTopology grid.
+std::unique_ptr<topo::Topology> make_mesh(int width, int height) {
+  return topo::Topology::make(topo::TopologyKind::Mesh, width, height, 1);
 }
 
-TEST(MeshTopology, NeighborThrowsOffMesh) {
-  MeshTopology topo(2, 2);
-  EXPECT_THROW(topo.neighbor(0, PortDir::West), std::out_of_range);
-  EXPECT_THROW(topo.coord_of(4), std::out_of_range);
-  EXPECT_THROW(topo.node_at({2, 0}), std::out_of_range);
+/// The mesh neighbour through `dir`, or -1 when that port is unwired.
+NodeId neighbor(const topo::Topology& mesh, NodeId node, PortDir dir) {
+  return mesh.peer(node, port_index(dir)).router;
+}
+
+PortDir dor(const topo::Topology& mesh, RoutingAlgo algo, NodeId here, NodeId dst) {
+  return port_dir(mesh.dor_port(algo, here, dst));
+}
+
+TEST(MeshTopology, NeighborsAtCornersAndCenter) {
+  const MeshTopology grid(3, 3);
+  const auto mesh = make_mesh(3, 3);
+  const NodeId corner = grid.node_at({0, 0});
+  EXPECT_EQ(neighbor(*mesh, corner, PortDir::West), -1);
+  EXPECT_EQ(neighbor(*mesh, corner, PortDir::South), -1);
+  EXPECT_EQ(neighbor(*mesh, corner, PortDir::East), grid.node_at({1, 0}));
+  EXPECT_EQ(neighbor(*mesh, corner, PortDir::North), grid.node_at({0, 1}));
+
+  const NodeId center = grid.node_at({1, 1});
+  EXPECT_EQ(mesh->router_net_degree(center), 4);
+  EXPECT_FALSE(mesh->peer(center, port_index(PortDir::Local)).valid());
+  EXPECT_EQ(neighbor(*mesh, center, PortDir::North), grid.node_at({1, 2}));
+  EXPECT_EQ(neighbor(*mesh, center, PortDir::South), grid.node_at({1, 0}));
+  EXPECT_EQ(neighbor(*mesh, center, PortDir::East), grid.node_at({2, 1}));
+  EXPECT_EQ(neighbor(*mesh, center, PortDir::West), grid.node_at({0, 1}));
+  // Each link arrives on the opposite port of its peer.
+  EXPECT_EQ(mesh->peer(center, port_index(PortDir::North)).port, port_index(PortDir::South));
+  EXPECT_EQ(mesh->peer(center, port_index(PortDir::West)).port, port_index(PortDir::East));
+}
+
+TEST(MeshTopology, NeighborUnwiredOffMesh) {
+  const MeshTopology grid(2, 2);
+  EXPECT_FALSE(make_mesh(2, 2)->peer(0, port_index(PortDir::West)).valid());
+  EXPECT_THROW(grid.coord_of(4), std::out_of_range);
+  EXPECT_THROW(grid.node_at({2, 0}), std::out_of_range);
 }
 
 TEST(MeshTopology, LinkCountFormula) {
-  EXPECT_EQ(MeshTopology(5, 5).num_directed_links(), 80);
-  EXPECT_EQ(MeshTopology(4, 4).num_directed_links(), 48);
-  EXPECT_EQ(MeshTopology(8, 8).num_directed_links(), 224);
-  EXPECT_EQ(MeshTopology(2, 1).num_directed_links(), 2);
+  // 2·[(W−1)·H + W·(H−1)] directed inter-router links.
+  EXPECT_EQ(make_mesh(5, 5)->num_directed_links(), 80);
+  EXPECT_EQ(make_mesh(4, 4)->num_directed_links(), 48);
+  EXPECT_EQ(make_mesh(8, 8)->num_directed_links(), 224);
+  EXPECT_EQ(make_mesh(2, 1)->num_directed_links(), 2);
 }
 
 TEST(MeshTopology, ManhattanDistance) {
@@ -214,39 +156,58 @@ TEST(MeshTopology, DegenerateSizesRejected) {
 // ------------------------------------------------------------ routing ----
 
 TEST(Routing, XYGoesXFirst) {
-  MeshTopology topo(5, 5);
-  const NodeId src = topo.node_at({1, 1});
-  EXPECT_EQ(route_dor(RoutingAlgo::XY, topo, src, topo.node_at({3, 3})), PortDir::East);
-  EXPECT_EQ(route_dor(RoutingAlgo::XY, topo, src, topo.node_at({0, 3})), PortDir::West);
-  EXPECT_EQ(route_dor(RoutingAlgo::XY, topo, src, topo.node_at({1, 3})), PortDir::North);
-  EXPECT_EQ(route_dor(RoutingAlgo::XY, topo, src, topo.node_at({1, 0})), PortDir::South);
-  EXPECT_EQ(route_dor(RoutingAlgo::XY, topo, src, src), PortDir::Local);
+  const MeshTopology grid(5, 5);
+  const auto mesh = make_mesh(5, 5);
+  const NodeId src = grid.node_at({1, 1});
+  EXPECT_EQ(dor(*mesh, RoutingAlgo::XY, src, grid.node_at({3, 3})), PortDir::East);
+  EXPECT_EQ(dor(*mesh, RoutingAlgo::XY, src, grid.node_at({0, 3})), PortDir::West);
+  EXPECT_EQ(dor(*mesh, RoutingAlgo::XY, src, grid.node_at({1, 3})), PortDir::North);
+  EXPECT_EQ(dor(*mesh, RoutingAlgo::XY, src, grid.node_at({1, 0})), PortDir::South);
+  EXPECT_EQ(dor(*mesh, RoutingAlgo::XY, src, src), PortDir::Local);
 }
 
 TEST(Routing, YXGoesYFirst) {
-  MeshTopology topo(5, 5);
-  const NodeId src = topo.node_at({1, 1});
-  EXPECT_EQ(route_dor(RoutingAlgo::YX, topo, src, topo.node_at({3, 3})), PortDir::North);
-  EXPECT_EQ(route_dor(RoutingAlgo::YX, topo, src, topo.node_at({3, 1})), PortDir::East);
+  const MeshTopology grid(5, 5);
+  const auto mesh = make_mesh(5, 5);
+  const NodeId src = grid.node_at({1, 1});
+  EXPECT_EQ(dor(*mesh, RoutingAlgo::YX, src, grid.node_at({3, 3})), PortDir::North);
+  EXPECT_EQ(dor(*mesh, RoutingAlgo::YX, src, grid.node_at({3, 1})), PortDir::East);
+}
+
+TEST(Routing, AdaptiveAndUgalFallBackToXY) {
+  // The deterministic port of the adaptive algorithms (their escape path)
+  // is the XY port, for every pair.
+  const auto mesh = make_mesh(4, 3);
+  for (NodeId s = 0; s < mesh->num_nodes(); ++s) {
+    for (NodeId d = 0; d < mesh->num_nodes(); ++d) {
+      const int xy = mesh->dor_port(RoutingAlgo::XY, s, d);
+      EXPECT_EQ(mesh->dor_port(RoutingAlgo::Adaptive, s, d), xy);
+      EXPECT_EQ(mesh->dor_port(RoutingAlgo::Ugal, s, d), xy);
+    }
+  }
 }
 
 TEST(Routing, EveryPairReachesDestinationMinimally) {
   // Property: following the routing function hop by hop reaches dst in
   // exactly manhattan-distance steps, for both dimension orders.
-  MeshTopology topo(4, 3);
+  const MeshTopology grid(4, 3);
+  const auto mesh = make_mesh(4, 3);
   for (const RoutingAlgo algo : {RoutingAlgo::XY, RoutingAlgo::YX}) {
-    for (NodeId s = 0; s < topo.num_nodes(); ++s) {
-      for (NodeId d = 0; d < topo.num_nodes(); ++d) {
+    for (NodeId s = 0; s < grid.num_nodes(); ++s) {
+      for (NodeId d = 0; d < grid.num_nodes(); ++d) {
+        const int dist = MeshTopology::manhattan(grid.coord_of(s), grid.coord_of(d));
+        ASSERT_EQ(mesh->hop_distance(s, d), dist);
         NodeId here = s;
         int steps = 0;
         while (here != d) {
-          const PortDir dir = route_dor(algo, topo, here, d);
+          const PortDir dir = dor(*mesh, algo, here, d);
           ASSERT_NE(dir, PortDir::Local);
-          here = topo.neighbor(here, dir);
-          ASSERT_LE(++steps, topo.hop_distance(s, d)) << "non-minimal route";
+          here = neighbor(*mesh, here, dir);
+          ASSERT_GE(here, 0) << "routed off the mesh";
+          ASSERT_LE(++steps, dist) << "non-minimal route";
         }
-        EXPECT_EQ(steps, topo.hop_distance(s, d));
-        EXPECT_EQ(route_dor(algo, topo, here, d), PortDir::Local);
+        EXPECT_EQ(steps, dist);
+        EXPECT_EQ(dor(*mesh, algo, here, d), PortDir::Local);
       }
     }
   }

@@ -4,6 +4,8 @@
 
 #include <gtest/gtest.h>
 
+#include <string>
+
 #include "sim/scenario.hpp"
 #include "traffic/request_reply.hpp"
 
@@ -160,6 +162,47 @@ TEST(ScenarioSimulator, MakeSimulatorExposesComposition) {
   ASSERT_NE(simulator, nullptr);
   EXPECT_EQ(simulator->config().network.width, 3);
   EXPECT_EQ(simulator->config().control_period_node_cycles, 2000u);
+}
+
+// Scenario::network is the only copy of the network settings: what a
+// caller sets there is what the simulator builds.
+
+TEST(ScenarioNetwork, CdcSyncCyclesReachTheNetwork) {
+  Scenario s = small_synthetic();
+  s.network.width = 4;
+  s.network.height = 4;
+  s.islands = "quadrants";
+  s.policy.policy = Policy::NoDvfs;
+  const RunResult synced = run(s);
+  ASSERT_EQ(s.network.cdc_sync_cycles, 2);
+  s.network.cdc_sync_cycles = 0;
+  const RunResult unsynced = run(s);
+  EXPECT_GT(unsynced.packets_delivered, 0u);
+  EXPECT_NE(unsynced.avg_delay_ns, synced.avg_delay_ns);
+}
+
+TEST(ScenarioNetwork, SkipIdleOffReachesTheNetwork) {
+  Scenario s = small_synthetic();
+  EXPECT_TRUE(make_simulator(s)->network().skip_idle());
+  s.network.skip_idle = false;
+  EXPECT_FALSE(make_simulator(s)->network().skip_idle());
+}
+
+TEST(ScenarioNetwork, CdcKeyReadsIntoNetworkAndSkipIdleKeyIsGone) {
+  common::Config c;
+  Scenario::declare_keys(c);
+  const char* cdc[] = {"prog", "cdc_sync_cycles=5"};
+  c.parse_args(2, cdc);
+  EXPECT_EQ(Scenario::from_config(c).network.cdc_sync_cycles, 5);
+
+  const char* skip[] = {"prog", "skip_idle=0"};
+  try {
+    c.parse_args(2, skip);
+    FAIL() << "skip_idle= was accepted";
+  } catch (const std::invalid_argument& e) {
+    EXPECT_NE(std::string(e.what()).find("unknown key 'skip_idle'"), std::string::npos)
+        << e.what();
+  }
 }
 
 }  // namespace

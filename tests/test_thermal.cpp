@@ -180,7 +180,7 @@ TEST(ThermalModel, WindowStatsTrackPeakAndReset) {
 
 TEST(EnergyModelThermal, TemperatureScaleAnchorsAndDoubling) {
   const power::EnergyModel m(power::EnergyModel::reference_geometry());
-  const double t_ref_k = thermal::kelvin_from_celsius(45.0);
+  const double t_ref_k = 45.0 + common::kCelsiusToKelvinOffset;
   // At the reference temperature the overloads agree exactly.
   EXPECT_DOUBLE_EQ(m.leakage_scale(0.9, t_ref_k), m.leakage_scale(0.9));
   EXPECT_DOUBLE_EQ(m.leakage_scale(0.56, t_ref_k), m.leakage_scale(0.56));

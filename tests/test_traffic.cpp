@@ -7,9 +7,11 @@
 
 #include <map>
 #include <set>
+#include <string>
 
 #include "common/rng.hpp"
 #include "noc/network.hpp"
+#include "sim/scenario.hpp"
 #include "traffic/injection.hpp"
 #include "traffic/pattern.hpp"
 #include "traffic/traffic_model.hpp"
@@ -114,13 +116,35 @@ TEST(Pattern, UnknownNameRejected) {
   EXPECT_THROW(TrafficPattern::create("nearest-enemy", topo), std::invalid_argument);
 }
 
+TEST(Pattern, UnknownNameErrorListsEveryKnownPattern) {
+  sim::Scenario s;
+  s.pattern = "bogus";
+  try {
+    sim::make_simulator(s);
+    FAIL() << "pattern=bogus was accepted";
+  } catch (const std::invalid_argument& e) {
+    const std::string what = e.what();
+    EXPECT_NE(what.find("'bogus'"), std::string::npos) << what;
+    for (const std::string& name : TrafficPattern::known_patterns()) {
+      EXPECT_NE(what.find(name), std::string::npos) << name << " missing from: " << what;
+    }
+  }
+}
+
 TEST(Pattern, MeanHopDistanceUniform) {
   // For a k×k mesh with uniform traffic (self included), the mean per-dim
   // distance is (k²−1)/(3k); for k = 5 the total is 2·(24/15) = 3.2.
   MeshTopology topo(5, 5);
   auto p = TrafficPattern::create("uniform", topo);
   common::Rng rng(3);
-  EXPECT_NEAR(TrafficPattern::mean_hop_distance(*p, topo, rng, 2000), 3.2, 0.05);
+  constexpr int kSamplesPerNode = 2000;
+  double total = 0.0;
+  for (NodeId src = 0; src < topo.num_nodes(); ++src) {
+    for (int i = 0; i < kSamplesPerNode; ++i) {
+      total += MeshTopology::manhattan(topo.coord_of(src), topo.coord_of(p->pick(src, rng)));
+    }
+  }
+  EXPECT_NEAR(total / (topo.num_nodes() * kSamplesPerNode), 3.2, 0.05);
 }
 
 /// Property: every deterministic pattern on a square power-of-two mesh is a
@@ -219,6 +243,18 @@ TEST(Injection, FactoryByName) {
   EXPECT_NE(InjectionProcess::create("bernoulli", 0.1), nullptr);
   EXPECT_NE(InjectionProcess::create("onoff", 0.1), nullptr);
   EXPECT_THROW(InjectionProcess::create("poisson", 0.1), std::invalid_argument);
+}
+
+TEST(Injection, UnknownKindErrorListsEveryProcess) {
+  try {
+    InjectionProcess::create("poisson", 0.1);
+    FAIL() << "process=poisson was accepted";
+  } catch (const std::invalid_argument& e) {
+    const std::string what = e.what();
+    EXPECT_NE(what.find("'poisson'"), std::string::npos) << what;
+    EXPECT_NE(what.find("bernoulli"), std::string::npos) << what;
+    EXPECT_NE(what.find("onoff"), std::string::npos) << what;
+  }
 }
 
 // ------------------------------------------------------ traffic model ----

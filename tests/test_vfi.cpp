@@ -140,7 +140,7 @@ TEST(VfiRun, GlobalIslandIsTheDefaultPathAndCdcKeyIsInert) {
   sim::Scenario a = tiny_vfi();
   sim::Scenario b = tiny_vfi();
   b.islands = "global";
-  b.cdc_sync_cycles = 9;
+  b.network.cdc_sync_cycles = 9;
   const auto ra = sim::run(a);
   const auto rb = sim::run(b);
   EXPECT_EQ(ra.packets_delivered, rb.packets_delivered);
@@ -267,9 +267,9 @@ TEST(VfiRun, CdcSynchronizerPenaltyRaisesCrossIslandDelay) {
   s.pattern = "transpose";
   s.islands = "cols";
   s.policy.policy = sim::Policy::NoDvfs;  // fixed clocks isolate the CDC cost
-  s.cdc_sync_cycles = 0;
+  s.network.cdc_sync_cycles = 0;
   const auto cheap = sim::run(s);
-  s.cdc_sync_cycles = 6;
+  s.network.cdc_sync_cycles = 6;
   const auto dear = sim::run(s);
   EXPECT_GT(cheap.packets_delivered, 0u);
   EXPECT_GT(dear.avg_delay_ns, cheap.avg_delay_ns);
