@@ -1,8 +1,8 @@
 /// \file microbench_core.cpp
 /// google-benchmark microbenchmarks of the simulator's hot paths: the
 /// per-cycle cost of a network step across mesh sizes and loads, router
-/// pipeline stages, the VC allocator, RNG, VF lookups, and —
-/// the headline set — end-to-end `Simulator::run` across mesh size ×
+/// pipeline stages, the VC allocator, RNG, the traffic loop, VF lookups,
+/// and — the headline set — end-to-end `Simulator::run` across mesh size ×
 /// offered load × island partition × thermal. These guard the simulation
 /// throughput the figure benches depend on; `bench/perf_baseline` turns a
 /// subset into the tracked `BENCH_core.json` trajectory.
@@ -82,6 +82,28 @@ void BM_EnergyEventBatch(benchmark::State& state) {
   for (auto _ : state) benchmark::DoNotOptimize(model.event_energy_j(a, 0.75));
 }
 BENCHMARK(BM_EnergyEventBatch);
+
+/// The traffic loop alone: one `SyntheticTraffic::node_tick` over a 64×64
+/// node grid at λ = 0.0005 (the sparse64 perfbench load), with the network
+/// never stepped, so the number is the per-node arrival-process cost and
+/// does not depend on the NoC. `items_processed` counts node ticks.
+void BM_SyntheticTrafficNodeTick(benchmark::State& state) {
+  noc::NetworkConfig cfg;
+  cfg.width = 64;
+  cfg.height = 64;
+  noc::Network net(cfg);
+  traffic::SyntheticTrafficParams params;
+  params.lambda = 0.0005;
+  traffic::SyntheticTraffic gen(noc::MeshTopology(cfg.width, cfg.height), params);
+  std::uint64_t cycle = 0;
+  for (auto _ : state) {
+    gen.node_tick(static_cast<common::Picoseconds>(cycle) * 1000, cycle, net);
+    benchmark::ClobberMemory();
+    ++cycle;
+  }
+  state.SetItemsProcessed(state.iterations() * cfg.num_nodes());
+}
+BENCHMARK(BM_SyntheticTrafficNodeTick);
 
 /// Full network cycle cost vs mesh size at a moderate load. The counter
 /// `items_processed` makes the per-cycle cost directly readable.

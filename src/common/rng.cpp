@@ -2,29 +2,11 @@
 
 namespace nocdvfs::common {
 
-namespace {
-constexpr std::uint64_t rotl(std::uint64_t x, int k) noexcept {
-  return (x << k) | (x >> (64 - k));
-}
-}  // namespace
-
 Xoshiro256StarStar::Xoshiro256StarStar(std::uint64_t seed) noexcept {
   // Seed via SplitMix64 per the xoshiro authors' recommendation: avoids the
   // all-zero state and decorrelates nearby integer seeds.
   SplitMix64 sm(seed);
   for (auto& word : s_) word = sm.next();
-}
-
-Xoshiro256StarStar::result_type Xoshiro256StarStar::operator()() noexcept {
-  const std::uint64_t result = rotl(s_[1] * 5, 7) * 9;
-  const std::uint64_t t = s_[1] << 17;
-  s_[2] ^= s_[0];
-  s_[3] ^= s_[1];
-  s_[1] ^= s_[2];
-  s_[0] ^= s_[3];
-  s_[2] ^= t;
-  s_[3] = rotl(s_[3], 45);
-  return result;
 }
 
 Rng Rng::for_stream(std::uint64_t seed, std::uint64_t stream) noexcept {

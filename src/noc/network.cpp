@@ -103,10 +103,9 @@ Network::Network(const NetworkConfig& cfg) : cfg_(cfg) {
   // this replays the historical node/direction order exactly. A link whose
   // endpoints live in different islands becomes a CDC fifo pair: the flit
   // fifo is read (and therefore clocked) by the receiver's island, the
-  // credit fifo by the sender's. Each channel is also indexed by the tile
-  // that pops it — flits by the downstream tile, credits by the upstream —
-  // which is the per-tile tick/quiescence set of the skip-idle path.
-  node_read_.resize(static_cast<std::size_t>(num_r));
+  // credit fifo by the sender's. Every channel reads the clock of the
+  // island that pops it; its reader (the router or NI it is wired into)
+  // hands it the pending-input bit a push raises.
   for (int r = 0; r < num_r; ++r) {
     const int src_island = router_island_[static_cast<std::size_t>(r)];
     const int net_ports = topol_->num_net_ports(r);
@@ -131,8 +130,6 @@ Network::Network(const NetworkConfig& cfg) : cfg_(cfg) {
       routers_[static_cast<std::size_t>(far.router)]->connect_input(far.port, flit_ch,
                                                                     credit_ch);
       routers_[static_cast<std::size_t>(r)]->set_port_peer(p, far.router);
-      node_read_[static_cast<std::size_t>(far.router)].push_back(flit_ch);
-      node_read_[static_cast<std::size_t>(r)].push_back(credit_ch);
     }
   }
 
@@ -150,17 +147,11 @@ Network::Network(const NetworkConfig& cfg) : cfg_(cfg) {
     routers_[static_cast<std::size_t>(r)]->connect_output(lp, &eject_flit, &eject_credit);
     nis_[static_cast<std::size_t>(id)]->connect(&inject_flit, &inject_credit, &eject_flit,
                                                 &eject_credit);
-    auto& reads = node_read_[static_cast<std::size_t>(r)];
-    reads.push_back(&inject_flit);
-    reads.push_back(&inject_credit);
-    reads.push_back(&eject_flit);
-    reads.push_back(&eject_credit);
   }
 
   // Skip-idle stepping: every tile starts awake (the first quiet cycles
   // park them) and every component reports its pushes. With skip_idle off
-  // the sinks stay null and the per-island channel lists above drive the
-  // ticks.
+  // the sinks stay null and every tile is phased every cycle.
   skip_idle_ = cfg.skip_idle;
   node_awake_.assign(static_cast<std::size_t>(num_r), skip_idle_ ? 1 : 0);
   if (skip_idle_) {
@@ -191,32 +182,28 @@ void Network::apply_due_faults(std::uint64_t cycle, common::Picoseconds now) {
                                            engine_->unreachable_pairs()});
 }
 
-FlitChannel& Network::new_flit_channel(int latency, int island) {
-  flit_channels_.emplace_back(latency);
-  islands_[static_cast<std::size_t>(island)].flit_lines.push_back(&flit_channels_.back());
-  return flit_channels_.back();
+FlitChannel& Network::new_flit_channel(int latency, int reader_island) {
+  return flit_channels_.emplace_back(latency,
+                                     &island_cycles_[static_cast<std::size_t>(reader_island)]);
 }
 
-CreditChannel& Network::new_credit_channel(int latency, int island) {
-  credit_channels_.emplace_back(latency);
-  islands_[static_cast<std::size_t>(island)].credit_lines.push_back(&credit_channels_.back());
-  return credit_channels_.back();
+CreditChannel& Network::new_credit_channel(int latency, int reader_island) {
+  return credit_channels_.emplace_back(latency,
+                                       &island_cycles_[static_cast<std::size_t>(reader_island)]);
 }
 
 FlitCdcFifo& Network::new_cdc_flit_channel(int ready_delay, int reader_island) {
-  cdc_flit_channels_.emplace_back(ready_delay,
-                                  cfg_.num_vcs * cfg_.vc_buffer_depth + 2);
-  islands_[static_cast<std::size_t>(reader_island)].cdc_flit_in.push_back(
-      &cdc_flit_channels_.back());
-  return cdc_flit_channels_.back();
+  FlitCdcFifo& ch = cdc_flit_channels_.emplace_back(
+      ready_delay, cfg_.num_vcs * cfg_.vc_buffer_depth + 2,
+      &island_cycles_[static_cast<std::size_t>(reader_island)]);
+  islands_[static_cast<std::size_t>(reader_island)].cdc_flit_in.push_back(&ch);
+  return ch;
 }
 
 CreditCdcFifo& Network::new_cdc_credit_channel(int ready_delay, int reader_island) {
-  cdc_credit_channels_.emplace_back(ready_delay,
-                                    cfg_.num_vcs * cfg_.vc_buffer_depth + 2);
-  islands_[static_cast<std::size_t>(reader_island)].cdc_credit_in.push_back(
-      &cdc_credit_channels_.back());
-  return cdc_credit_channels_.back();
+  return cdc_credit_channels_.emplace_back(
+      ready_delay, cfg_.num_vcs * cfg_.vc_buffer_depth + 2,
+      &island_cycles_[static_cast<std::size_t>(reader_island)]);
 }
 
 void Network::set_injection_observer(InjectionObserver observer) {
@@ -240,25 +227,16 @@ void Network::step_island(int island, common::Picoseconds now) {
 
 void Network::tick_island(int island) {
   Island& isl = islands_.at(static_cast<std::size_t>(island));
+  // Every channel this island reads keys its delivery on this counter, so
+  // advancing it is the whole clock edge for the links.
   ++island_cycles_[static_cast<std::size_t>(island)];
-  if (!skip_idle_) {
-    // Always-step discipline: advance every channel this island clocks.
-    for (FlitChannel* ch : isl.flit_lines) ch->tick();
-    for (FlitCdcFifo* ch : isl.cdc_flit_in) ch->tick();
-    for (CreditChannel* ch : isl.credit_lines) ch->tick();
-    for (CreditCdcFifo* ch : isl.cdc_credit_in) ch->tick();
-    return;
-  }
-  // Skip-idle: admit tiles woken since the previous edge, then advance only
-  // the channels awake tiles read. A parked tile's channels are all empty
-  // (that is the parking condition), and empty channels measure delay in
-  // reader ticks since the push, so not ticking them is unobservable.
+  if (!skip_idle_) return;
+  // Skip-idle: admit tiles woken since the previous edge. Doing it here,
+  // before any fired island's phases, keeps the tick-all-then-phase-all
+  // order at coincident edges.
   if (!isl.newly_awake.empty()) admit_woken(isl);
   isl.idle_steps_skipped +=
       static_cast<std::uint64_t>(isl.tiles.size() - isl.active.size());
-  for (const NodeId id : isl.active) {
-    for (ChannelBase* ch : node_read_[static_cast<std::size_t>(id)]) ch->tick();
-  }
 }
 
 void Network::run_island_phases(int island, common::Picoseconds now) {
@@ -317,16 +295,16 @@ void Network::park_quiescent(Island& isl) {
 }
 
 bool Network::tile_quiescent(NodeId tile) const {
-  const auto i = static_cast<std::size_t>(tile);
-  if (routers_[i]->buffered_now() != 0) return false;
-  for (const NodeId nd : tile_nis_[i]) {
-    if (!nis_[static_cast<std::size_t>(nd)]->idle()) return false;
-  }
-  // Covers arriving flits, returning credits and the local inject/eject
-  // loops. A router waiting only on downstream credits is parked safely:
-  // the credit push at the downstream traversal wakes it (see traverse).
-  for (const ChannelBase* ch : node_read_[i]) {
-    if (ch->in_flight() != 0) return false;
+  // Buffered flits, an NI with work, or anything in flight on a channel the
+  // tile reads (the pending-input masks: arriving flits, returning credits,
+  // the local inject/eject loops). A router waiting only on downstream
+  // credits is parked safely: the credit push at the downstream traversal
+  // wakes it (see traverse).
+  const Router& router = *routers_[static_cast<std::size_t>(tile)];
+  if (router.buffered_now() != 0 || router.inputs_pending().any()) return false;
+  for (const NodeId nd : tile_nis_[static_cast<std::size_t>(tile)]) {
+    const NetworkInterface& ni = *nis_[static_cast<std::size_t>(nd)];
+    if (!ni.idle() || ni.inputs_pending() != 0) return false;
   }
   return true;
 }

@@ -20,12 +20,15 @@
 /// configuration) that is `step_island(0, now)`.
 ///
 /// With a voltage–frequency-island partition (`NetworkConfig::island_of`)
-/// each island is stepped independently whenever *its* clock fires. Links whose endpoints live in different islands become
-/// clock-domain crossings: an asynchronous FIFO (`CdcFifo`) ticked by the
-/// receiving domain, charging `cdc_sync_cycles` receiver cycles of
-/// synchronizer latency on top of the link pipeline — in both the flit
-/// direction and the reverse credit direction. All NIs of a tile must
-/// share their router's island (the partition may not split a tile).
+/// each island is stepped independently whenever *its* clock fires. Links
+/// whose endpoints live in different islands become clock-domain
+/// crossings: an asynchronous FIFO (`CdcFifo`) clocked by the receiving
+/// domain, charging `cdc_sync_cycles` receiver cycles of synchronizer
+/// latency on top of the link pipeline — in both the flit direction and
+/// the reverse credit direction. A push into such a fifo also sets the
+/// receiving tile's pending-input bit from the sending island, just as
+/// `wake()` writes the receiving island's wake list. All NIs of a tile
+/// must share their router's island (the partition may not split a tile).
 ///
 /// A `FaultModel` (NetworkConfig::faults) injects link/router failures at
 /// construction or mid-run, keyed to island 0's clock. When an epoch
@@ -78,8 +81,8 @@ struct NetworkConfig {
   /// cycles (applies to flits and returning credits alike).
   int cdc_sync_cycles = 2;
 
-  /// Skip router/NI phases and channel ticks for quiescent tiles (empty
-  /// buffers, idle NIs, nothing in flight on any channel the tile reads).
+  /// Skip router/NI phases for quiescent tiles (empty buffers, idle NIs,
+  /// nothing in flight on any channel the tile reads).
   /// Bit-identical to always-stepping — the golden-metrics suite gates
   /// that — but far cheaper at low load. `false` restores the
   /// step-everything discipline (the in-tree comparison path).
@@ -100,18 +103,21 @@ class Network : public WakeSink {
   Network& operator=(const Network&) = delete;
 
   /// Advance island `island` by one cycle of its own clock at master time
-  /// `now`: tick its channels (including CDC fifos it reads from), then
-  /// run the router/NI phases of its member tiles. When several islands
-  /// fire at the same instant, use the split form below instead.
+  /// `now`: tick it (below), then run the router/NI phases of its awake
+  /// tiles. When several islands fire at the same instant, use the split
+  /// form below instead.
   void step_island(int island, common::Picoseconds now);
 
   /// Split form for coincident edges: tick *every* fired island first,
-  /// then run every fired island's phases. Ticking before any phases
-  /// guarantees a CDC fifo's reader-side tick at instant t never counts
-  /// towards the synchronizer delay of an item pushed at that same
-  /// instant — otherwise a crossing from an island stepped earlier in the
-  /// same instant would deliver one receiver cycle early (zero link
-  /// latency at cdc_sync_cycles=0).
+  /// then run every fired island's phases. A tick advances the island's
+  /// cycle counter — the clock every channel it reads (CDC fifos included)
+  /// delivers by — and admits tiles woken since its previous edge; it
+  /// touches no channel. Ticking before any phases guarantees a CDC
+  /// fifo's reader-side edge at instant t never counts towards the
+  /// synchronizer delay of an item pushed at that same instant — otherwise
+  /// a crossing from an island stepped earlier in the same instant would
+  /// deliver one receiver cycle early (zero link latency at
+  /// cdc_sync_cycles=0).
   void tick_island(int island);
   void run_island_phases(int island, common::Picoseconds now);
 
@@ -258,10 +264,7 @@ class Network : public WakeSink {
   struct Island {
     std::vector<NodeId> members;             ///< ascending node (NI) ids
     std::vector<NodeId> tiles;               ///< ascending tile (router) ids
-    std::vector<FlitChannel*> flit_lines;    ///< intra-island flit delay lines
-    std::vector<CreditChannel*> credit_lines;
-    std::vector<FlitCdcFifo*> cdc_flit_in;     ///< boundary flit fifos this island reads
-    std::vector<CreditCdcFifo*> cdc_credit_in; ///< boundary credit fifos this island reads
+    std::vector<FlitCdcFifo*> cdc_flit_in;   ///< boundary flit fifos this island reads
     int links_sourced = 0;  ///< directed inter-router links driven by this island
 
     // Skip-idle state, in tile ids. `active` is kept sorted ascending so
@@ -277,8 +280,9 @@ class Network : public WakeSink {
     std::uint64_t idle_steps_skipped = 0;
   };
 
-  FlitChannel& new_flit_channel(int latency, int island);
-  CreditChannel& new_credit_channel(int latency, int island);
+  // Channel factories: each channel is bound to its reader island's clock.
+  FlitChannel& new_flit_channel(int latency, int reader_island);
+  CreditChannel& new_credit_channel(int latency, int reader_island);
   FlitCdcFifo& new_cdc_flit_channel(int ready_delay, int reader_island);
   CreditCdcFifo& new_cdc_credit_channel(int ready_delay, int reader_island);
 
@@ -314,6 +318,8 @@ class Network : public WakeSink {
   std::vector<int> router_island_;  ///< tile→island (size num_routers)
   std::vector<std::vector<NodeId>> tile_nis_;  ///< tile → ascending node ids
   std::vector<Island> islands_;
+  /// Per island: its cycle counter, which is also the clock every channel
+  /// that island reads is bound to (sized once, so the addresses are stable).
   std::vector<std::uint64_t> island_cycles_;
   int num_boundary_links_ = 0;
   std::vector<obs::LinkInfo> net_links_;  ///< directed links in wiring order
@@ -321,12 +327,6 @@ class Network : public WakeSink {
 
   bool skip_idle_ = true;
   std::vector<std::uint8_t> node_awake_;  ///< per tile: on an active/newly_awake list
-  /// Per tile: every channel popped in that tile's clock domain (its
-  /// router's flit/credit inputs plus its NIs' eject/credit inputs). The
-  /// skip-idle tick advances exactly these for awake tiles — eliding the
-  /// tick of a parked tile's empty channels is unobservable because both
-  /// channel kinds delay in reader ticks *since the push* (see ChannelBase).
-  std::vector<std::vector<ChannelBase*>> node_read_;
 };
 
 }  // namespace nocdvfs::noc

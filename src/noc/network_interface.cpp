@@ -28,6 +28,8 @@ void NetworkInterface::connect(FlitPort* inject_out, CreditPort* inject_credit_i
   inject_credit_in_ = inject_credit_in;
   eject_in_ = eject_in;
   eject_credit_out_ = eject_credit_out;
+  inject_credit_in->set_reader_bit(&pending_, kCreditInBit);
+  eject_in->set_reader_bit(&pending_, kEjectInBit);
 }
 
 void NetworkInterface::enqueue_packet(NodeId dst, int size_flits,
@@ -74,11 +76,14 @@ void NetworkInterface::enqueue_packet(NodeId dst, int size_flits,
 }
 
 void NetworkInterface::receive_phase(common::Picoseconds now, std::uint64_t noc_cycle) {
-  if (auto credit = inject_credit_in_->pop()) {
-    auto& c = credits_[credit->vc];
-    ++c;
-    NOCDVFS_ASSERT(c <= cfg_.vc_buffer_depth, "NI credit counter overflow");
+  if (((pending_ >> kCreditInBit) & 1) != 0) {
+    if (auto credit = inject_credit_in_->pop()) {
+      auto& c = credits_[credit->vc];
+      ++c;
+      NOCDVFS_ASSERT(c <= cfg_.vc_buffer_depth, "NI credit counter overflow");
+    }
   }
+  if (((pending_ >> kEjectInBit) & 1) == 0) return;
   if (auto flit = eject_in_->pop()) {
     ++flits_ejected_;
     auto& asm_state = assembly_[flit->vc];

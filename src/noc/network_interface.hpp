@@ -114,6 +114,9 @@ class NetworkInterface {
   /// NoC-domain work (reassembly in progress keeps the node awake through
   /// the flits still buffered upstream, not through this predicate).
   bool idle() const noexcept { return !sending_ && source_queue_.empty(); }
+  /// Pending-input mask over the two channels this NI reads (see
+  /// channel.hpp): bit 0 the injection credits, bit 1 the ejected flits.
+  std::uint64_t inputs_pending() const noexcept { return pending_; }
 
   // --- measurement accessors (monotone counters) ---
   std::uint64_t packets_generated() const noexcept { return packets_generated_; }
@@ -134,6 +137,10 @@ class NetworkInterface {
   const power::ActivityCounters& activity() const noexcept { return activity_; }
 
  private:
+  // Pending-input bit indices.
+  static constexpr int kCreditInBit = 0;  ///< inject_credit_in_ holds an item
+  static constexpr int kEjectInBit = 1;   ///< eject_in_ holds an item
+
   struct PendingPacket {
     PacketId id = 0;
     NodeId dst = -1;
@@ -162,6 +169,7 @@ class NetworkInterface {
   CreditPort* inject_credit_in_ = nullptr;
   FlitPort* eject_in_ = nullptr;
   CreditPort* eject_credit_out_ = nullptr;
+  std::uint64_t pending_ = 0;  ///< bits kCreditInBit, kEjectInBit
 
   std::deque<PendingPacket> source_queue_;
   std::vector<int> credits_;          ///< per-VC credits towards the router

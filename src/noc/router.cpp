@@ -59,6 +59,7 @@ void Router::connect_input(int port, FlitPort* flit_in, CreditPort* credit_out) 
   }
   ip.flit_in = flit_in;
   ip.credit_out = credit_out;
+  flit_in->set_reader_bit(&pending_.flits, static_cast<int>(wired_in_.size()));
   wired_in_.push_back(port);
 }
 
@@ -70,13 +71,19 @@ void Router::connect_output(int port, FlitPort* flit_out, CreditPort* credit_in)
   }
   op.flit_out = flit_out;
   op.credit_in = credit_in;
+  credit_in->set_reader_bit(&pending_.credits, static_cast<int>(wired_out_.size()));
   wired_out_.push_back(port);
   // Credits mirror the downstream input buffer, one counter per VC.
   for (auto& ovc : op.vcs) ovc.credits = cfg_.vc_buffer_depth;
 }
 
 void Router::receive_phase() {
-  for (const int q : wired_out_) {
+  // Set bits ascend in wiring order, so the pops happen in the order a
+  // scan of every wired port would make them; an empty channel's pop is a
+  // no-op, which is why skipping clear bits changes nothing. The loops
+  // walk snapshots: a pop that empties a channel clears its live bit.
+  for (std::uint64_t m = pending_.credits; m != 0; m &= m - 1) {
+    const int q = wired_out_[static_cast<std::size_t>(std::countr_zero(m))];
     auto& op = out_[static_cast<std::size_t>(q)];
     if (auto credit = op.credit_in->pop()) {
       auto& ovc = op.vcs[credit->vc];
@@ -84,7 +91,8 @@ void Router::receive_phase() {
       NOCDVFS_ASSERT(ovc.credits <= cfg_.vc_buffer_depth, "credit counter overflow");
     }
   }
-  for (const int p : wired_in_) {
+  for (std::uint64_t m = pending_.flits; m != 0; m &= m - 1) {
+    const int p = wired_in_[static_cast<std::size_t>(std::countr_zero(m))];
     auto& ip = in_[static_cast<std::size_t>(p)];
     if (auto flit = ip.flit_in->pop()) {
       auto& ivc = ip.vcs[flit->vc];

@@ -137,10 +137,23 @@ class Router : public topo::RouterView {
     flight_recorder_ = recorder;
   }
 
-  /// Phase 1 of a network cycle: latch arriving credits and flits.
+  /// Phase 1 of a network cycle: latch arriving credits and flits. Only
+  /// the inputs whose pending bit is set are polled.
   void receive_phase();
   /// Phase 2: SA+ST, drop drain, then VA, then RC (reverse pipeline order).
   void compute_phase();
+
+  /// Pending-input masks. Bit i of `flits` is set while the flit channel
+  /// of the i-th wired input port (wiring order) holds an item; bit i of
+  /// `credits` likewise for the credit channel of the i-th wired output
+  /// port. The channels maintain them: a push sets the bit, the pop that
+  /// empties the channel clears it.
+  struct PendingInputs {
+    std::uint64_t flits = 0;
+    std::uint64_t credits = 0;
+    bool any() const noexcept { return (flits | credits) != 0; }
+  };
+  const PendingInputs& inputs_pending() const noexcept { return pending_; }
 
   int radix() const noexcept { return radix_; }
   const RouterConfig& config() const noexcept { return cfg_; }
@@ -247,6 +260,7 @@ class Router : public topo::RouterView {
 
   std::vector<int> wired_in_;   ///< indices of connected input ports
   std::vector<int> wired_out_;  ///< indices of connected output ports
+  PendingInputs pending_;       ///< bit i ~ wired_in_[i] / wired_out_[i]
 
   bool adaptive_escape_ = false;  ///< engine wants VA-starvation re-routes
   bool traverse_hook_ = false;    ///< report traversals to the engine

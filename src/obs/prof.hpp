@@ -7,9 +7,9 @@
 /// time to a node in a per-thread phase tree; nesting scopes builds the
 /// tree, so every phase gets inclusive time (scope entry to exit) and
 /// exclusive time (inclusive minus time spent in child scopes) plus a
-/// call count. `PROF_SCOPE_ID("island_tick", d)` attributes the scope to
+/// call count. `PROF_SCOPE_ID("island_step", d)` attributes the scope to
 /// one island — the id becomes a distinct tree node rendered as
-/// "island_tick#3".
+/// "island_step#3".
 ///
 /// The profiler is *host-side only*: it reads the monotonic clock and
 /// never feeds anything back into the simulation, so simulated metrics

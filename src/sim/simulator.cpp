@@ -454,7 +454,7 @@ RunResult Simulator::run(const RunPhases& phases) {
         // Tick every fired island before any island's phases run, so a CDC
         // push at this instant never sees the reader's same-instant tick.
         {
-          PROF_SCOPE("channel_tick");
+          PROF_SCOPE("island_tick");
           for (const int d : clock_.fired()) net_.tick_island(d);
         }
         for (const int d : clock_.fired()) {

@@ -24,22 +24,22 @@ SyntheticTraffic::SyntheticTraffic(const noc::MeshTopology& topo,
         "SyntheticTraffic: lambda/packet_size exceeds one packet per cycle");
   }
   pattern_ = TrafficPattern::create(params.pattern, topo, params.seed, params.hotspot_fraction);
+  const InjectionProcess process = InjectionProcess::create(params.process, packet_rate);
   const int n = topo.num_nodes();
-  processes_.reserve(static_cast<std::size_t>(n));
-  rngs_.reserve(static_cast<std::size_t>(n));
+  sources_.reserve(static_cast<std::size_t>(n));
   for (NodeId node = 0; node < n; ++node) {
-    processes_.push_back(InjectionProcess::create(params.process, packet_rate));
-    rngs_.push_back(common::Rng::for_stream(params.seed, static_cast<std::uint64_t>(node)));
+    sources_.push_back(
+        Source{common::Rng::for_stream(params.seed, static_cast<std::uint64_t>(node)), process});
   }
 }
 
 void SyntheticTraffic::node_tick(common::Picoseconds now, std::uint64_t noc_cycle,
                                  noc::Network& net) {
-  const int n = static_cast<int>(processes_.size());
+  const int n = static_cast<int>(sources_.size());
   for (NodeId node = 0; node < n; ++node) {
-    auto& rng = rngs_[static_cast<std::size_t>(node)];
-    if (processes_[static_cast<std::size_t>(node)]->fire(rng)) {
-      const NodeId dst = pattern_->pick(node, rng);
+    Source& src = sources_[static_cast<std::size_t>(node)];
+    if (src.process.fire(src.rng)) {
+      const NodeId dst = pattern_->pick(node, src.rng);
       net.ni(node).enqueue_packet(dst, params_.packet_size, now, noc_cycle);
     }
   }

@@ -68,10 +68,16 @@ class SyntheticTraffic final : public TrafficModel {
   const SyntheticTrafficParams& params() const noexcept { return params_; }
 
  private:
+  /// One per node: its private stream and its arrival process, side by
+  /// side so the per-node-cycle loop walks one array.
+  struct Source {
+    common::Rng rng;
+    InjectionProcess process;
+  };
+
   SyntheticTrafficParams params_;
   std::unique_ptr<TrafficPattern> pattern_;
-  std::vector<std::unique_ptr<InjectionProcess>> processes_;  ///< one per node
-  std::vector<common::Rng> rngs_;                             ///< one per node
+  std::vector<Source> sources_;  ///< by node id
 };
 
 /// Packet-rate matrix traffic: rates_pps[src][dst] in packets per second.

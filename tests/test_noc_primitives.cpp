@@ -235,24 +235,29 @@ TEST(Routing, StringConversions) {
 }
 
 // ------------------------------------------------------------ channel ----
+//
+// A channel has no clock edge of its own: it reads its reader's cycle
+// counter. Each test owns that counter and advances it by hand.
 
 TEST(DelayLine, DeliversAfterLatency) {
-  DelayLine<int> ch(2);
+  std::uint64_t clock = 0;
+  DelayLine<int> ch(2, &clock);
   ch.push(42);
-  ch.tick();
+  ++clock;
   EXPECT_FALSE(ch.pop().has_value());
-  ch.tick();
+  ++clock;
   const auto v = ch.pop();
   ASSERT_TRUE(v.has_value());
   EXPECT_EQ(*v, 42);
 }
 
 TEST(DelayLine, PipelinedBackToBack) {
-  DelayLine<int> ch(3);
-  // One push per cycle; each arrives exactly 3 ticks later.
+  std::uint64_t clock = 0;
+  DelayLine<int> ch(3, &clock);
+  // One push per cycle; each arrives exactly 3 cycles later.
   std::vector<int> received;
   for (int i = 0; i < 10; ++i) {
-    ch.tick();
+    ++clock;
     if (auto v = ch.pop()) received.push_back(*v);
     if (i < 6) ch.push(i);
   }
@@ -260,24 +265,58 @@ TEST(DelayLine, PipelinedBackToBack) {
 }
 
 TEST(DelayLine, DoublePushSameCycleViolatesInvariant) {
-  DelayLine<int> ch(1);
+  std::uint64_t clock = 0;
+  DelayLine<int> ch(1, &clock);
   ch.push(1);
   EXPECT_THROW(ch.push(2), common::InvariantViolation);
 }
 
+TEST(DelayLine, OverwritingUndeliveredItemViolatesInvariant) {
+  // A reader that misses a due item leaves it in its slot; the push that
+  // lands on that slot again must trip the invariant, not lose the item.
+  // Latency 3 fills all four slots, so the fifth push reuses the first.
+  std::uint64_t clock = 0;
+  DelayLine<int> ch(3, &clock);
+  for (int i = 0; i < 4; ++i) {
+    ch.push(i);
+    ++clock;
+  }
+  EXPECT_THROW(ch.push(4), common::InvariantViolation);
+}
+
 TEST(DelayLine, InFlightCount) {
-  DelayLine<int> ch(2);
+  std::uint64_t clock = 0;
+  DelayLine<int> ch(2, &clock);
   EXPECT_EQ(ch.in_flight(), 0u);
   ch.push(5);
   EXPECT_EQ(ch.in_flight(), 1u);
-  ch.tick();
-  ch.tick();
+  clock += 2;
   (void)ch.pop();
   EXPECT_EQ(ch.in_flight(), 0u);
 }
 
+TEST(DelayLine, PendingBitFollowsOccupancy) {
+  // The bit the reader bound is set by a push and cleared only by the pop
+  // that empties the channel; the reader's other bits are never touched.
+  std::uint64_t clock = 0;
+  std::uint64_t mask = 0b1000;
+  DelayLine<int> ch(1, &clock);
+  ch.set_reader_bit(&mask, 1);
+  ch.push(1);
+  EXPECT_EQ(mask, 0b1010u);
+  ++clock;
+  ch.push(2);
+  ASSERT_EQ(ch.pop().value_or(-1), 1);
+  EXPECT_EQ(mask, 0b1010u) << "one item still in flight";
+  ++clock;
+  ASSERT_EQ(ch.pop().value_or(-1), 2);
+  EXPECT_EQ(mask, 0b1000u);
+}
+
 TEST(DelayLine, LatencyMustBePositive) {
-  EXPECT_THROW(DelayLine<int>(0), std::invalid_argument);
+  std::uint64_t clock = 0;
+  EXPECT_THROW(DelayLine<int>(0, &clock), std::invalid_argument);
+  EXPECT_THROW(DelayLine<int>(1, nullptr), std::invalid_argument);
 }
 
 }  // namespace

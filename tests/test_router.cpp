@@ -38,14 +38,10 @@ class RouterHarness {
     router_.connect_output(PortDir::East, &out_east, &credit_from_east_sink);
   }
 
-  /// One NoC cycle: channels advance, router receives and computes.
+  /// One NoC cycle: the clock every channel reads advances, router
+  /// receives and computes.
   void cycle() {
-    for (FlitChannel* ch : {&in_local, &in_east, &out_local, &out_east}) ch->tick();
-    for (CreditChannel* ch :
-         {&credit_to_local_src, &credit_to_east_src, &credit_from_local_sink,
-          &credit_from_east_sink}) {
-      ch->tick();
-    }
+    ++clock;
     router_.receive_phase();
     router_.compute_phase();
   }
@@ -60,9 +56,11 @@ class RouterHarness {
 
   Router& router() { return router_; }
 
-  FlitChannel in_local{1}, in_east{1}, out_local{1}, out_east{1};
-  CreditChannel credit_to_local_src{1}, credit_to_east_src{1};
-  CreditChannel credit_from_local_sink{1}, credit_from_east_sink{1};
+  std::uint64_t clock = 0;  ///< the reader clock of every channel below
+  FlitChannel in_local{1, &clock}, in_east{1, &clock}, out_local{1, &clock},
+      out_east{1, &clock};
+  CreditChannel credit_to_local_src{1, &clock}, credit_to_east_src{1, &clock};
+  CreditChannel credit_from_local_sink{1, &clock}, credit_from_east_sink{1, &clock};
 
  private:
   MeshRouter mesh_;
@@ -281,6 +279,34 @@ TEST(Router, BufferOverflowFromCreditViolationIsCaught) {
       common::InvariantViolation);
 }
 
+TEST(Router, PushSetsExactlyTheReadersPendingBit) {
+  // Wiring order: inputs Local (bit 0), East (bit 1); outputs Local (bit
+  // 0), East (bit 1). Channels the router writes never touch its masks.
+  RouterHarness h;
+  const Router& r = h.router();
+  EXPECT_FALSE(r.inputs_pending().any());
+  h.in_east.push(make_flit(1, 0, 0, 1, 0));
+  EXPECT_EQ(r.inputs_pending().flits, 0b10u);
+  EXPECT_EQ(r.inputs_pending().credits, 0u);
+  h.credit_from_local_sink.push(Credit{0});
+  EXPECT_EQ(r.inputs_pending().flits, 0b10u);
+  EXPECT_EQ(r.inputs_pending().credits, 0b01u);
+  h.credit_to_east_src.push(Credit{0});  // read by the upstream, not this router
+  h.out_east.push(make_flit(0, 1, 0, 1, 0));
+  EXPECT_EQ(r.inputs_pending().flits, 0b10u);
+  EXPECT_EQ(r.inputs_pending().credits, 0b01u);
+
+  // A pop that empties its channel clears exactly its bit. (The credit is
+  // popped by hand: the router's credit counters are already full.)
+  ++h.clock;
+  ASSERT_TRUE(h.credit_from_local_sink.pop().has_value());
+  EXPECT_EQ(r.inputs_pending().flits, 0b10u);
+  EXPECT_EQ(r.inputs_pending().credits, 0u);
+  h.router().receive_phase();
+  EXPECT_FALSE(r.inputs_pending().any());
+  EXPECT_EQ(r.buffered_now(), 1);
+}
+
 TEST(Router, ConfigValidation) {
   RouterConfig bad;
   bad.num_vcs = 0;
@@ -297,8 +323,9 @@ TEST(Router, ConfigValidation) {
 TEST(Router, WiringValidation) {
   MeshRouter mesh(2, 1, 0, RouterConfig{});
   Router& r = mesh.router();
-  FlitChannel f(1);
-  CreditChannel c(1);
+  std::uint64_t clock = 0;
+  FlitChannel f(1, &clock);
+  CreditChannel c(1, &clock);
   EXPECT_THROW(r.connect_input(PortDir::Local, nullptr, &c), std::invalid_argument);
   EXPECT_THROW(r.connect_output(PortDir::East, &f, nullptr), std::invalid_argument);
   r.connect_input(PortDir::Local, &f, &c);

@@ -39,8 +39,11 @@ TEST_P(RouterFuzz, CreditLoopConservesAndDeliversInOrder) {
   MeshRouter mesh(2, 1, 0, cfg);
   Router& router = mesh.router();
 
-  FlitChannel in_local(1), out_east(1), in_east(1), out_local(1);
-  CreditChannel credit_src(1), credit_sink(1), credit_src_e(1), credit_sink_l(1);
+  std::uint64_t clock = 0;  // the reader clock of every channel below
+  FlitChannel in_local(1, &clock), out_east(1, &clock), in_east(1, &clock),
+      out_local(1, &clock);
+  CreditChannel credit_src(1, &clock), credit_sink(1, &clock), credit_src_e(1, &clock),
+      credit_sink_l(1, &clock);
   router.connect_input(PortDir::Local, &in_local, &credit_src);
   router.connect_output(PortDir::East, &out_east, &credit_sink);
   router.connect_input(PortDir::East, &in_east, &credit_src_e);
@@ -67,8 +70,7 @@ TEST_P(RouterFuzz, CreditLoopConservesAndDeliversInOrder) {
   std::uint64_t packets_done = 0;
 
   for (int cyc = 0; cyc < 20000 && packets_done < kPackets; ++cyc) {
-    for (auto* ch : {&in_local, &out_east, &in_east, &out_local}) ch->tick();
-    for (auto* ch : {&credit_src, &credit_sink, &credit_src_e, &credit_sink_l}) ch->tick();
+    ++clock;
 
     // Upstream: receive returned credits.
     if (auto c = credit_src.pop()) {
@@ -152,9 +154,15 @@ TEST_P(RouterFuzz, CreditLoopConservesAndDeliversInOrder) {
 // always-step discipline. The on/off envelope repeatedly drives nodes
 // into quiescence and drags them back out — including routers that parked
 // while credit-starved and can only re-activate through the credit push of
-// a downstream traversal. Properties checked:
+// a downstream traversal. Instances vary the link pipeline depth and add a
+// quadrant partition whose islands step at two rates (fast islands every
+// second master tick, slow ones every third), so clock-domain crossings
+// carry flits and credits between tiles that park and wake on different
+// clocks, and coincident edges run tick-all-then-phase-all. Properties
+// checked:
 //
-//   * conservation every cycle: generated == ejected + in-network + backlog;
+//   * conservation every master tick: generated == ejected + in-network
+//     (links and CDC fifos included) + backlog;
 //   * no stuck router: everything injected is eventually delivered;
 //   * bit-identity: the skip-idle net's delivery stream matches always-step.
 
@@ -163,24 +171,47 @@ struct ActivityFuzzParams {
   int height;
   int packet_size;  ///< > vc_buffer_depth forces multi-router credit stalls
   std::uint64_t seed;
+  int link_latency = 1;
+  bool quadrants = false;  ///< four islands at two clock rates (else one island)
+  int cdc_sync_cycles = 2;
 };
 
 class ActivityFuzz : public ::testing::TestWithParam<ActivityFuzzParams> {};
 
 TEST_P(ActivityFuzz, BurstyOnOffConservesAndMatchesAlwaysStep) {
-  const auto [width, height, packet_size, seed] = GetParam();
+  const ActivityFuzzParams& param = GetParam();
+  const int width = param.width;
+  const int height = param.height;
+  const int packet_size = param.packet_size;
   NetworkConfig cfg;
   cfg.width = width;
   cfg.height = height;
   cfg.num_vcs = 2;
   cfg.vc_buffer_depth = 2;  // shallow: credit backpressure everywhere
+  cfg.link_latency = param.link_latency;
+  cfg.cdc_sync_cycles = param.cdc_sync_cycles;
+  if (param.quadrants) {
+    for (int y = 0; y < height; ++y) {
+      for (int x = 0; x < width; ++x) {
+        cfg.island_of.push_back((y >= height / 2 ? 2 : 0) + (x >= width / 2 ? 1 : 0));
+      }
+    }
+  }
   cfg.skip_idle = true;
   NetworkConfig cfg_off = cfg;
   cfg_off.skip_idle = false;
   Network on(cfg);
   Network off(cfg_off);
 
-  common::Rng rng(seed);
+  // Island i fires on master ticks divisible by its period: one island
+  // steps every tick; with quadrants, islands 0 and 3 every second tick
+  // and islands 1 and 2 every third (coincident every sixth).
+  const int islands = on.num_islands();
+  std::vector<std::uint64_t> period(static_cast<std::size_t>(islands), 1);
+  if (param.quadrants) period = {2, 3, 3, 2};
+  std::vector<int> fired;
+
+  common::Rng rng(param.seed);
   const int n = cfg.num_nodes();
   bool burst = false;
   int phase_left = 0;
@@ -207,8 +238,15 @@ TEST_P(ActivityFuzz, BurstyOnOffConservesAndMatchesAlwaysStep) {
         ++generated_packets;
       }
     }
-    on.step_island(0, static_cast<common::Picoseconds>(c) * 1000);
-    off.step_island(0, static_cast<common::Picoseconds>(c) * 1000);
+    fired.clear();
+    for (int i = 0; i < islands; ++i) {
+      if (c % period[static_cast<std::size_t>(i)] == 0) fired.push_back(i);
+    }
+    const auto now = static_cast<common::Picoseconds>(c) * 1000;
+    for (Network* net : {&on, &off}) {
+      for (const int d : fired) net->tick_island(d);
+      for (const int d : fired) net->run_island_phases(d, now);
+    }
 
     // Conservation on the skip-idle network, every cycle: no flit may be
     // lost in a parked corner of the mesh.
@@ -221,7 +259,7 @@ TEST_P(ActivityFuzz, BurstyOnOffConservesAndMatchesAlwaysStep) {
   // No stuck router: the silence tail drains everything.
   EXPECT_EQ(on.total_packets_ejected(), generated_packets);
   EXPECT_EQ(on.flits_in_network(), 0u);
-  EXPECT_EQ(on.island_active_nodes(0), 0);
+  for (int i = 0; i < islands; ++i) EXPECT_EQ(on.island_active_nodes(i), 0) << "island " << i;
 
   // Bit-identity against the always-step discipline, packet by packet.
   ASSERT_EQ(on.delivered().size(), off.delivered().size());
@@ -234,16 +272,21 @@ TEST_P(ActivityFuzz, BurstyOnOffConservesAndMatchesAlwaysStep) {
   }
 }
 
-INSTANTIATE_TEST_SUITE_P(Meshes, ActivityFuzz,
-                         ::testing::Values(ActivityFuzzParams{4, 4, 5, 21},
-                                           ActivityFuzzParams{6, 6, 9, 22},
-                                           ActivityFuzzParams{5, 3, 13, 23}),
-                         [](const ::testing::TestParamInfo<ActivityFuzzParams>& info) {
-                           return std::to_string(info.param.width) + "x" +
-                                  std::to_string(info.param.height) + "_p" +
-                                  std::to_string(info.param.packet_size) + "_s" +
-                                  std::to_string(info.param.seed);
-                         });
+INSTANTIATE_TEST_SUITE_P(
+    Meshes, ActivityFuzz,
+    ::testing::Values(ActivityFuzzParams{4, 4, 5, 21}, ActivityFuzzParams{6, 6, 9, 22},
+                      ActivityFuzzParams{5, 3, 13, 23}, ActivityFuzzParams{6, 6, 9, 24, 3},
+                      ActivityFuzzParams{4, 4, 5, 25, 1, true, 0},
+                      ActivityFuzzParams{4, 4, 5, 26, 1, true, 2},
+                      ActivityFuzzParams{4, 4, 9, 27, 3, true, 2}),
+    [](const ::testing::TestParamInfo<ActivityFuzzParams>& info) {
+      const ActivityFuzzParams& p = info.param;
+      std::string name = std::to_string(p.width) + "x" + std::to_string(p.height) + "_p" +
+                         std::to_string(p.packet_size) + "_s" + std::to_string(p.seed);
+      if (p.link_latency != 1) name += "_lat" + std::to_string(p.link_latency);
+      if (p.quadrants) name += "_quad_cdc" + std::to_string(p.cdc_sync_cycles);
+      return name;
+    });
 
 // --- topology / fault-reroute fuzz ----------------------------------------
 //

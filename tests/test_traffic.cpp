@@ -189,7 +189,7 @@ INSTANTIATE_TEST_SUITE_P(AllPatterns, PatternValidity,
 // ---------------------------------------------------------- injection ----
 
 TEST(Injection, BernoulliRateAccuracy) {
-  BernoulliInjection inj(0.15);
+  InjectionProcess inj = InjectionProcess::bernoulli(0.15);
   common::Rng rng(4);
   constexpr int kN = 200000;
   int fires = 0;
@@ -198,12 +198,12 @@ TEST(Injection, BernoulliRateAccuracy) {
 }
 
 TEST(Injection, BernoulliRejectsBadRate) {
-  EXPECT_THROW(BernoulliInjection(-0.1), std::invalid_argument);
-  EXPECT_THROW(BernoulliInjection(1.1), std::invalid_argument);
+  EXPECT_THROW(InjectionProcess::bernoulli(-0.1), std::invalid_argument);
+  EXPECT_THROW(InjectionProcess::bernoulli(1.1), std::invalid_argument);
 }
 
 TEST(Injection, OnOffLongRunRateMatches) {
-  OnOffInjection inj(0.1);
+  InjectionProcess inj = InjectionProcess::onoff(0.1);
   common::Rng rng(5);
   constexpr int kN = 400000;
   int fires = 0;
@@ -229,25 +229,25 @@ TEST(Injection, OnOffIsBurstierThanBernoulli) {
     return sum2 / kWindows - mean * mean;
   };
   common::Rng rng1(6), rng2(6);
-  BernoulliInjection bern(kRate);
-  OnOffInjection onoff(kRate);
+  InjectionProcess bern = InjectionProcess::bernoulli(kRate);
+  InjectionProcess onoff = InjectionProcess::onoff(kRate);
   EXPECT_GT(window_variance(onoff, rng2), 1.5 * window_variance(bern, rng1));
 }
 
 TEST(Injection, OnOffRejectsInfeasibleDuty) {
   // duty = alpha/(alpha+beta) = 0.2; on_rate = rate/duty > 1 must throw.
-  EXPECT_THROW(OnOffInjection(0.5, 0.0125, 0.05), std::invalid_argument);
+  EXPECT_THROW(InjectionProcess::onoff(0.5, 0.0125, 0.05), std::invalid_argument);
 }
 
 TEST(Injection, FactoryByName) {
-  EXPECT_NE(InjectionProcess::create("bernoulli", 0.1), nullptr);
-  EXPECT_NE(InjectionProcess::create("onoff", 0.1), nullptr);
+  EXPECT_EQ(InjectionProcess::create("bernoulli", 0.1).kind(), InjectionProcess::Kind::Bernoulli);
+  EXPECT_EQ(InjectionProcess::create("onoff", 0.1).kind(), InjectionProcess::Kind::OnOff);
   EXPECT_THROW(InjectionProcess::create("poisson", 0.1), std::invalid_argument);
 }
 
 TEST(Injection, UnknownKindErrorListsEveryProcess) {
   try {
-    InjectionProcess::create("poisson", 0.1);
+    (void)InjectionProcess::create("poisson", 0.1);
     FAIL() << "process=poisson was accepted";
   } catch (const std::invalid_argument& e) {
     const std::string what = e.what();

@@ -79,14 +79,18 @@ TEST(IslandMap, CustomMapParsesAndValidates) {
 // CdcFifo
 // ---------------------------------------------------------------------------
 
+// The fifo reads its reader's cycle counter; each test owns that counter
+// and advances it by hand.
+
 TEST(CdcFifo, DeliversAfterReadyDelayReaderTicks) {
-  noc::CdcFifo<int> fifo(/*ready_delay=*/3, /*capacity=*/8);
+  std::uint64_t reader_clock = 0;
+  noc::CdcFifo<int> fifo(/*ready_delay=*/3, /*capacity=*/8, &reader_clock);
   fifo.push(42);
   for (int tick = 1; tick <= 2; ++tick) {
-    fifo.tick();
+    ++reader_clock;
     EXPECT_FALSE(fifo.pop().has_value()) << "tick " << tick;
   }
-  fifo.tick();  // third reader tick: the synchronizer has settled
+  ++reader_clock;  // third reader tick: the synchronizer has settled
   const auto out = fifo.pop();
   ASSERT_TRUE(out.has_value());
   EXPECT_EQ(*out, 42);
@@ -94,14 +98,15 @@ TEST(CdcFifo, DeliversAfterReadyDelayReaderTicks) {
 }
 
 TEST(CdcFifo, MultiplePushesBetweenTicksKeepFifoOrderOnePopPerTick) {
-  noc::CdcFifo<int> fifo(1, 8);
+  std::uint64_t reader_clock = 0;
+  noc::CdcFifo<int> fifo(1, 8, &reader_clock);
   // A fast writer lands three items between two reader ticks.
   fifo.push(1);
   fifo.push(2);
   fifo.push(3);
   std::vector<int> got;
   for (int tick = 0; tick < 5; ++tick) {
-    fifo.tick();
+    ++reader_clock;
     auto v = fifo.pop();
     if (v) got.push_back(*v);
     // Single-flit link bandwidth: a second pop in the same tick is empty.
@@ -110,9 +115,27 @@ TEST(CdcFifo, MultiplePushesBetweenTicksKeepFifoOrderOnePopPerTick) {
   EXPECT_EQ(got, (std::vector<int>{1, 2, 3}));
 }
 
+TEST(CdcFifo, PendingBitClearsOnlyWhenEmpty) {
+  std::uint64_t reader_clock = 0;
+  std::uint64_t mask = 0;
+  noc::CdcFifo<int> fifo(1, 8, &reader_clock);
+  fifo.set_reader_bit(&mask, 2);
+  fifo.push(1);
+  fifo.push(2);
+  EXPECT_EQ(mask, 0b100u);
+  ++reader_clock;
+  ASSERT_EQ(fifo.pop().value_or(-1), 1);
+  EXPECT_EQ(mask, 0b100u) << "one item still queued";
+  ++reader_clock;
+  ASSERT_EQ(fifo.pop().value_or(-1), 2);
+  EXPECT_EQ(mask, 0u);
+}
+
 TEST(CdcFifo, Validation) {
-  EXPECT_THROW(noc::CdcFifo<int>(0, 8), std::invalid_argument);
-  EXPECT_THROW(noc::CdcFifo<int>(1, 0), std::invalid_argument);
+  std::uint64_t reader_clock = 0;
+  EXPECT_THROW(noc::CdcFifo<int>(0, 8, &reader_clock), std::invalid_argument);
+  EXPECT_THROW(noc::CdcFifo<int>(1, 0, &reader_clock), std::invalid_argument);
+  EXPECT_THROW(noc::CdcFifo<int>(1, 8, nullptr), std::invalid_argument);
 }
 
 // ---------------------------------------------------------------------------
