@@ -137,7 +137,8 @@ BENCHMARK(BM_NetworkStep)
     ->Args({5, 20})
     ->Args({5, 35})
     ->Args({8, 20})
-    ->Args({4, 20});
+    ->Args({4, 20})
+    ->Args({32, 1});  // 32×32: router and channel state well beyond L2
 
 /// Skip-idle vs always-step on an idle mesh — the cost of a quiescent
 /// cycle under each discipline (the activity-list win in isolation).

@@ -99,6 +99,17 @@ std::int64_t Config::get_int(const std::string& key) const {
   return out;
 }
 
+std::int64_t Config::get_int_in(const std::string& key, std::int64_t lo,
+                                std::int64_t hi) const {
+  const std::int64_t v = get_int(key);
+  if (v < lo || v > hi) {
+    throw std::invalid_argument("Config: key '" + key + "' value " + std::to_string(v) +
+                                " is outside [" + std::to_string(lo) + ", " +
+                                std::to_string(hi) + "]");
+  }
+  return v;
+}
+
 double Config::get_double(const std::string& key) const {
   const std::string& v = entry(key).value;
   try {

@@ -42,6 +42,10 @@ class Config {
 
   std::string get_string(const std::string& key) const;
   std::int64_t get_int(const std::string& key) const;
+  /// get_int checked against [lo, hi]; throws std::invalid_argument naming
+  /// the key and the range otherwise. Use it wherever the value is stored
+  /// in a narrower type or must respect a component limit.
+  std::int64_t get_int_in(const std::string& key, std::int64_t lo, std::int64_t hi) const;
   double get_double(const std::string& key) const;
   bool get_bool(const std::string& key) const;
 

@@ -11,7 +11,7 @@ SeparableAllocator::SeparableAllocator(int num_agents, int num_resources)
   if (num_agents <= 0 || num_resources <= 0) {
     throw std::invalid_argument("SeparableAllocator: sizes must be positive");
   }
-  requests_.resize(static_cast<std::size_t>(num_agents));
+  agent_choice_.assign(static_cast<std::size_t>(num_agents), -1);
   agent_ptr_.assign(static_cast<std::size_t>(num_agents), 0);
   resource_ptr_.assign(static_cast<std::size_t>(num_resources), 0);
   resource_winner_.assign(static_cast<std::size_t>(num_resources), -1);
@@ -22,30 +22,29 @@ SeparableAllocator::SeparableAllocator(int num_agents, int num_resources)
 void SeparableAllocator::add_request(int agent, int resource) {
   NOCDVFS_ASSERT(agent >= 0 && agent < num_agents_, "allocator agent out of range");
   NOCDVFS_ASSERT(resource >= 0 && resource < num_resources_, "allocator resource out of range");
-  if (requests_[static_cast<std::size_t>(agent)].empty()) active_agents_.push_back(agent);
-  requests_[static_cast<std::size_t>(agent)].push_back(resource);
+  // Stage 1 (input arbitration), incrementally: the agent keeps the
+  // requested resource closest at-or-after its rotating pointer; on a tie
+  // (a repeated request) the earlier one stays.
+  int& choice = agent_choice_[static_cast<std::size_t>(agent)];
+  if (choice < 0) {
+    active_agents_.push_back(agent);
+    choice = resource;
+    return;
+  }
+  const int ptr = agent_ptr_[static_cast<std::size_t>(agent)];
+  const int d_new = (resource - ptr + num_resources_) % num_resources_;
+  const int d_old = (choice - ptr + num_resources_) % num_resources_;
+  if (d_new < d_old) choice = resource;
 }
 
 const std::vector<std::pair<int, int>>& SeparableAllocator::allocate() {
   grants_.clear();
 
-  // Stage 1 (input arbitration): each agent picks the requested resource
-  // closest at-or-after its rotating pointer.
   // Stage 2 (output arbitration): each contended resource picks the agent
   // closest at-or-after its rotating pointer among stage-1 claimants.
   for (int agent : active_agents_) {
-    const auto& reqs = requests_[static_cast<std::size_t>(agent)];
-    NOCDVFS_ASSERT(!reqs.empty(), "active agent without requests");
-    const int ptr = agent_ptr_[static_cast<std::size_t>(agent)];
-    int best = -1;
-    int best_dist = num_resources_;
-    for (int r : reqs) {
-      const int dist = (r - ptr + num_resources_) % num_resources_;
-      if (dist < best_dist) {
-        best_dist = dist;
-        best = r;
-      }
-    }
+    const int best = agent_choice_[static_cast<std::size_t>(agent)];
+    NOCDVFS_ASSERT(best >= 0, "active agent without requests");
     // Record the claim on the chosen resource.
     const auto rbest = static_cast<std::size_t>(best);
     if (resource_winner_[rbest] == -1) {
@@ -72,13 +71,13 @@ const std::vector<std::pair<int, int>>& SeparableAllocator::allocate() {
   }
   resource_claimants_.clear();
 
-  for (int agent : active_agents_) requests_[static_cast<std::size_t>(agent)].clear();
+  for (int agent : active_agents_) agent_choice_[static_cast<std::size_t>(agent)] = -1;
   active_agents_.clear();
   return grants_;
 }
 
 void SeparableAllocator::clear_requests() {
-  for (int agent : active_agents_) requests_[static_cast<std::size_t>(agent)].clear();
+  for (int agent : active_agents_) agent_choice_[static_cast<std::size_t>(agent)] = -1;
   active_agents_.clear();
   for (int resource : resource_claimants_) {
     resource_winner_[static_cast<std::size_t>(resource)] = -1;

@@ -7,6 +7,10 @@
 /// private rotating pointer, then per-resource round-robin arbiters resolve
 /// conflicts. Pointers advance only on a final grant, preserving the
 /// starvation-freedom argument of iSLIP.
+///
+/// Stage 1 runs as the requests arrive: each agent keeps only its best
+/// request so far (the one nearest at/after its pointer), so the allocator
+/// stores one int per agent and allocates nothing per request.
 
 #include <utility>
 #include <vector>
@@ -30,8 +34,8 @@ class SeparableAllocator {
  private:
   int num_agents_;
   int num_resources_;
-  std::vector<std::vector<int>> requests_;     ///< per-agent requested resources
-  std::vector<int> active_agents_;             ///< agents with requests this cycle
+  std::vector<int> agent_choice_;    ///< per agent: stage-1 pick this round (-1 = none)
+  std::vector<int> active_agents_;   ///< agents with requests, in first-request order
   std::vector<int> agent_ptr_;                 ///< per-agent rotating resource pointer
   std::vector<int> resource_ptr_;              ///< per-resource rotating agent pointer
   std::vector<int> resource_winner_;           ///< scratch: chosen agent per resource

@@ -3,30 +3,35 @@
 /// \file channel.hpp
 /// Point-to-point channels between routers and network interfaces.
 ///
-/// `Channel<T>` is the port-facing interface (push / pop / in_flight);
-/// routers and NIs hold `Channel<T>*` so a link can be either of two
-/// concrete kinds. Neither kind has a clock edge of its own: each reads
-/// its *reader's* cycle counter (the island counter of the tile that pops
-/// it, bound at construction), so time passes on every channel of an
-/// island the moment the island's counter advances, and an empty channel
-/// costs nothing at all.
+/// `Channel<T>` is one concrete class with no virtual functions, so a push
+/// or pop inlines into the router or NI that makes it. It is a
+/// power-of-two ring of (item, ready cycle) entries in FIFO order, and it
+/// has no clock edge of its own: it reads its *reader's* cycle counter (the
+/// island counter of the tile that pops it, bound at construction). A push
+/// at reader cycle c stamps the item ready at c + delay; a pop at cycle c
+/// returns the front item if it is ready, and at most one item per reader
+/// cycle (every link has single-flit bandwidth). So time passes on every
+/// channel of an island the moment the island's counter advances, and an
+/// empty channel costs nothing at all.
 ///
-///  * `DelayLine<T>` — a synchronous pipelined link inside one clock
-///    domain. It carries at most one item per cycle and delivers it
-///    `latency` cycles after it was pushed, modeling a registered link
-///    (flits) or the reverse credit wire. Slots are indexed by the reader
-///    clock: a push at cycle c lands in slot c + latency, a pop at cycle c
-///    takes slot c. Pushing twice in a cycle, or failing to pop a due flit
-///    (credits guarantee buffer space), violates an invariant.
+/// The two kinds of link differ only in their constructor and in which
+/// protocol invariants they check:
 ///
-///  * `CdcFifo<T>` — a clock-domain-crossing link on an island-boundary
-///    edge (see src/vfi/). The writer pushes in its own clock domain at
-///    any rate the credit loop allows; each push is stamped with the
-///    *reader's* clock and the item becomes poppable `ready_delay` reader
-///    cycles later — the brute-force synchronizer penalty plus the link
-///    pipeline. At most one item is delivered per reader cycle (the link
-///    still has single-flit bandwidth); occupancy is bounded by the credit
-///    loop and enforced with an invariant check.
+///  * `delay_line(latency, clock)` — a synchronous pipelined link inside
+///    one clock domain (writer and reader share the clock). It carries at
+///    most one item per cycle and delivers it exactly `latency` cycles
+///    after the push, modeling a registered link (flits) or the reverse
+///    credit wire. Pushing twice in one cycle, or popping a due item late
+///    (the reader must take each item in the cycle it arrives — credits
+///    guarantee it has room), violates an invariant.
+///
+///  * `cdc_fifo(ready_delay, capacity, clock)` — a clock-domain-crossing
+///    link on an island-boundary edge (see src/vfi/). The writer pushes in
+///    its own clock domain at any rate the credit loop allows; each item
+///    becomes poppable `ready_delay` reader cycles after its push — the
+///    brute-force synchronizer penalty plus the link pipeline — and may
+///    wait longer behind earlier items. Occupancy is bounded by the credit
+///    loop (`capacity`) and enforced with an invariant check.
 ///
 /// Pending-input masks. The reader that wires a channel as one of its
 /// inputs hands it a bit in a mask word it owns (`set_reader_bit`). A push
@@ -37,7 +42,6 @@
 
 #include <bit>
 #include <cstdint>
-#include <deque>
 #include <memory>
 #include <optional>
 #include <stdexcept>
@@ -50,11 +54,53 @@ namespace nocdvfs::noc {
 template <typename T>
 class Channel {
  public:
-  virtual ~Channel() = default;
+  /// Same-clock link: one push per cycle, each item due exactly `latency`
+  /// reader cycles later. `reader_clock` must outlive the channel.
+  static Channel delay_line(int latency, const std::uint64_t* reader_clock) {
+    if (latency < 1) throw std::invalid_argument("DelayLine: latency must be >= 1");
+    // A due item is popped in its arrival cycle, so at most latency + 1
+    // items are in flight (a push may precede the pop within one cycle).
+    return Channel(latency, latency + 1, true, reader_clock);
+  }
 
-  virtual void push(T item) = 0;
-  virtual std::optional<T> pop() = 0;
-  virtual std::size_t in_flight() const noexcept = 0;
+  /// Clock-domain crossing: any number of pushes per reader cycle, each
+  /// item poppable `ready_delay` reader cycles after its push; `capacity`
+  /// is the occupancy the credit loop guarantees (a violation is an
+  /// invariant failure, not backpressure).
+  static Channel cdc_fifo(int ready_delay, int capacity, const std::uint64_t* reader_clock) {
+    if (ready_delay < 1) throw std::invalid_argument("CdcFifo: ready_delay must be >= 1");
+    if (capacity < 1) throw std::invalid_argument("CdcFifo: capacity must be >= 1");
+    return Channel(ready_delay, capacity, false, reader_clock);
+  }
+
+  void push(T item) {
+    const std::uint64_t now = *clock_;
+    if (same_clock_) {
+      NOCDVFS_ASSERT(last_push_ != now, "DelayLine: two pushes in one cycle");
+      last_push_ = now;
+    }
+    NOCDVFS_ASSERT(count_ < capacity_, "Channel: occupancy exceeds its bound");
+    Entry& e = ring_[(head_ + count_) & ring_mask_];
+    e.item = std::move(item);
+    e.ready = now + delay_;
+    ++count_;
+    if (pending_mask_ != nullptr) *pending_mask_ |= pending_bit_;
+  }
+
+  std::optional<T> pop() {
+    if (count_ == 0) return std::nullopt;
+    const std::uint64_t now = *clock_;
+    Entry& e = ring_[head_];
+    if (e.ready > now || last_pop_ == now) return std::nullopt;
+    NOCDVFS_ASSERT(!same_clock_ || e.ready == now, "DelayLine: a due item was not popped");
+    last_pop_ = now;
+    head_ = (head_ + 1) & ring_mask_;
+    if (--count_ == 0 && pending_mask_ != nullptr) *pending_mask_ &= ~pending_bit_;
+    return std::optional<T>(std::move(e.item));
+  }
+
+  /// Items pushed and not yet popped.
+  std::size_t in_flight() const noexcept { return count_; }
 
   /// Bind the reader's pending-input bit: `*mask` bit `bit` is set while
   /// this channel holds an item. Called by the reader when it is wired; a
@@ -64,130 +110,41 @@ class Channel {
     pending_bit_ = std::uint64_t{1} << bit;
   }
 
- protected:
-  /// `reader_clock` — the cycle counter of the domain that pops this
-  /// channel; it must outlive the channel.
-  explicit Channel(const std::uint64_t* reader_clock) : clock_(reader_clock) {
-    if (reader_clock == nullptr) throw std::invalid_argument("Channel: null reader clock");
-  }
-
-  std::uint64_t now() const noexcept { return *clock_; }
-  void mark_pending() noexcept {
-    if (pending_mask_ != nullptr) *pending_mask_ |= pending_bit_;
-  }
-  void clear_pending() noexcept {
-    if (pending_mask_ != nullptr) *pending_mask_ &= ~pending_bit_;
-  }
+ private:
+  struct Entry {
+    T item{};
+    std::uint64_t ready = 0;  ///< reader cycle from which the item may be popped
+  };
 
   /// "Never": the initial value of the last-push/last-pop clock stamps.
   static constexpr std::uint64_t kNever = ~std::uint64_t{0};
 
- private:
+  Channel(int delay, int capacity, bool same_clock, const std::uint64_t* reader_clock)
+      : clock_(reader_clock),
+        delay_(static_cast<std::uint64_t>(delay)),
+        capacity_(static_cast<std::uint32_t>(capacity)),
+        same_clock_(same_clock) {
+    if (reader_clock == nullptr) throw std::invalid_argument("Channel: null reader clock");
+    const std::size_t slots = std::bit_ceil(static_cast<std::size_t>(capacity));
+    ring_ = std::make_unique<Entry[]>(slots);
+    ring_mask_ = static_cast<std::uint32_t>(slots - 1);
+  }
+
+  std::unique_ptr<Entry[]> ring_;
   const std::uint64_t* clock_;
   std::uint64_t* pending_mask_ = nullptr;
   std::uint64_t pending_bit_ = 0;
+  std::uint64_t delay_;
+  std::uint64_t last_push_ = kNever;  ///< reader cycle of the last push (same-clock only)
+  std::uint64_t last_pop_ = kNever;   ///< reader cycle of the last pop
+  std::uint32_t capacity_;
+  std::uint32_t ring_mask_ = 0;
+  std::uint32_t head_ = 0;
+  std::uint32_t count_ = 0;
+  bool same_clock_;
 };
 
-template <typename T>
-class DelayLine final : public Channel<T> {
- public:
-  DelayLine(int latency, const std::uint64_t* reader_clock)
-      : Channel<T>(reader_clock), latency_(latency) {
-    if (latency < 1) throw std::invalid_argument("DelayLine: latency must be >= 1");
-    // latency + 1 slots suffice; a power of two makes the index a mask.
-    const std::size_t slots = std::bit_ceil(static_cast<std::size_t>(latency) + 1);
-    slots_ = std::make_unique<std::optional<T>[]>(slots);
-    slot_mask_ = slots - 1;
-  }
-
-  void push(T item) override {
-    const std::uint64_t now = this->now();
-    NOCDVFS_ASSERT(last_push_ != now, "DelayLine: two pushes in one cycle");
-    std::optional<T>& slot =
-        slots_[(now + static_cast<std::uint64_t>(latency_)) & slot_mask_];
-    NOCDVFS_ASSERT(!slot.has_value(), "DelayLine: overwriting undelivered item");
-    slot = std::move(item);
-    last_push_ = now;
-    ++occupancy_;
-    this->mark_pending();
-  }
-
-  std::optional<T> pop() noexcept override {
-    std::optional<T> out;
-    slots_[this->now() & slot_mask_].swap(out);
-    if (out.has_value() && --occupancy_ == 0) this->clear_pending();
-    return out;
-  }
-
-  /// O(1): maintained at push/pop, not a slot scan.
-  std::size_t in_flight() const noexcept override { return occupancy_; }
-
- private:
-  std::unique_ptr<std::optional<T>[]> slots_;
-  std::uint64_t slot_mask_ = 0;
-  int latency_;
-  std::uint32_t occupancy_ = 0;
-  std::uint64_t last_push_ = Channel<T>::kNever;  ///< reader cycle of the last push
-};
-
-template <typename T>
-class CdcFifo final : public Channel<T> {
- public:
-  /// `ready_delay` — reader cycles between push and the item becoming
-  /// poppable (link pipeline + synchronizer). `capacity` — occupancy bound
-  /// the credit loop guarantees (violations are invariant failures, not
-  /// backpressure: the NoC's credits must already prevent them).
-  CdcFifo(int ready_delay, int capacity, const std::uint64_t* reader_clock)
-      : Channel<T>(reader_clock), ready_delay_(ready_delay), capacity_(capacity) {
-    if (ready_delay < 1) throw std::invalid_argument("CdcFifo: ready_delay must be >= 1");
-    if (capacity < 1) throw std::invalid_argument("CdcFifo: capacity must be >= 1");
-  }
-
-  /// Writer-domain side: any number of pushes may land between two reader
-  /// cycles (the domains are asynchronous); FIFO order is preserved.
-  void push(T item) override {
-    NOCDVFS_ASSERT(queue_.size() < static_cast<std::size_t>(capacity_),
-                   "CdcFifo: occupancy exceeds the credit bound");
-    queue_.push_back(
-        Slot{std::move(item), this->now() + static_cast<std::uint64_t>(ready_delay_)});
-    this->mark_pending();
-  }
-
-  std::optional<T> pop() override {
-    const std::uint64_t now = this->now();
-    if (last_pop_ == now || queue_.empty() || now < queue_.front().ready_tick) {
-      return std::nullopt;
-    }
-    last_pop_ = now;
-    std::optional<T> out(std::move(queue_.front().item));
-    queue_.pop_front();
-    if (queue_.empty()) this->clear_pending();
-    return out;
-  }
-
-  std::size_t in_flight() const noexcept override { return queue_.size(); }
-
- private:
-  struct Slot {
-    T item;
-    std::uint64_t ready_tick = 0;  ///< reader cycle at which the item is stable
-  };
-
-  int ready_delay_;
-  int capacity_;
-  std::deque<Slot> queue_;
-  std::uint64_t last_pop_ = Channel<T>::kNever;  ///< reader cycle of the last pop
-};
-
-// Concrete intra-domain links (the common case, and what unit tests build).
-using FlitChannel = DelayLine<Flit>;
-using CreditChannel = DelayLine<Credit>;
-
-// Port-facing interface types routers and NIs are wired with.
-using FlitPort = Channel<Flit>;
-using CreditPort = Channel<Credit>;
-
-using FlitCdcFifo = CdcFifo<Flit>;
-using CreditCdcFifo = CdcFifo<Credit>;
+using FlitChannel = Channel<Flit>;
+using CreditChannel = Channel<Credit>;
 
 }  // namespace nocdvfs::noc

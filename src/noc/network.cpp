@@ -115,8 +115,8 @@ Network::Network(const NetworkConfig& cfg) : cfg_(cfg) {
       const int dst_island = router_island_[static_cast<std::size_t>(far.router)];
       islands_[static_cast<std::size_t>(src_island)].links_sourced += 1;
       net_links_.push_back(obs::LinkInfo{r, p, far.router});
-      FlitPort* flit_ch = nullptr;
-      CreditPort* credit_ch = nullptr;
+      FlitChannel* flit_ch = nullptr;
+      CreditChannel* credit_ch = nullptr;
       if (src_island == dst_island) {
         flit_ch = &new_flit_channel(cfg.link_latency, src_island);
         credit_ch = &new_credit_channel(1, src_island);
@@ -183,27 +183,27 @@ void Network::apply_due_faults(std::uint64_t cycle, common::Picoseconds now) {
 }
 
 FlitChannel& Network::new_flit_channel(int latency, int reader_island) {
-  return flit_channels_.emplace_back(latency,
-                                     &island_cycles_[static_cast<std::size_t>(reader_island)]);
+  return flit_channels_.emplace_back(FlitChannel::delay_line(
+      latency, &island_cycles_[static_cast<std::size_t>(reader_island)]));
 }
 
 CreditChannel& Network::new_credit_channel(int latency, int reader_island) {
-  return credit_channels_.emplace_back(latency,
-                                       &island_cycles_[static_cast<std::size_t>(reader_island)]);
+  return credit_channels_.emplace_back(CreditChannel::delay_line(
+      latency, &island_cycles_[static_cast<std::size_t>(reader_island)]));
 }
 
-FlitCdcFifo& Network::new_cdc_flit_channel(int ready_delay, int reader_island) {
-  FlitCdcFifo& ch = cdc_flit_channels_.emplace_back(
+FlitChannel& Network::new_cdc_flit_channel(int ready_delay, int reader_island) {
+  FlitChannel& ch = flit_channels_.emplace_back(FlitChannel::cdc_fifo(
       ready_delay, cfg_.num_vcs * cfg_.vc_buffer_depth + 2,
-      &island_cycles_[static_cast<std::size_t>(reader_island)]);
+      &island_cycles_[static_cast<std::size_t>(reader_island)]));
   islands_[static_cast<std::size_t>(reader_island)].cdc_flit_in.push_back(&ch);
   return ch;
 }
 
-CreditCdcFifo& Network::new_cdc_credit_channel(int ready_delay, int reader_island) {
-  return cdc_credit_channels_.emplace_back(
+CreditChannel& Network::new_cdc_credit_channel(int ready_delay, int reader_island) {
+  return credit_channels_.emplace_back(CreditChannel::cdc_fifo(
       ready_delay, cfg_.num_vcs * cfg_.vc_buffer_depth + 2,
-      &island_cycles_[static_cast<std::size_t>(reader_island)]);
+      &island_cycles_[static_cast<std::size_t>(reader_island)]));
 }
 
 void Network::set_injection_observer(InjectionObserver observer) {
@@ -285,28 +285,35 @@ void Network::admit_woken(Island& isl) {
 void Network::park_quiescent(Island& isl) {
   std::size_t kept = 0;
   for (const NodeId id : isl.active) {
-    if (tile_quiescent(id)) {
-      node_awake_[static_cast<std::size_t>(id)] = 0;
-    } else {
+    if (const auto why = awake_reason(id)) {
+      ++(awake_tile_steps_.*why);
       isl.active[kept++] = id;
+    } else {
+      node_awake_[static_cast<std::size_t>(id)] = 0;
     }
   }
   isl.active.resize(kept);
 }
 
-bool Network::tile_quiescent(NodeId tile) const {
+std::uint64_t AwakeTileSteps::*Network::awake_reason(NodeId tile) const {
   // Buffered flits, an NI with work, or anything in flight on a channel the
   // tile reads (the pending-input masks: arriving flits, returning credits,
   // the local inject/eject loops). A router waiting only on downstream
   // credits is parked safely: the credit push at the downstream traversal
   // wakes it (see traverse).
   const Router& router = *routers_[static_cast<std::size_t>(tile)];
-  if (router.buffered_now() != 0 || router.inputs_pending().any()) return false;
-  for (const NodeId nd : tile_nis_[static_cast<std::size_t>(tile)]) {
-    const NetworkInterface& ni = *nis_[static_cast<std::size_t>(nd)];
-    if (!ni.idle() || ni.inputs_pending() != 0) return false;
+  if (router.buffered_now() != 0) return &AwakeTileSteps::buffered_flits;
+  if (router.inputs_pending().any()) return &AwakeTileSteps::router_input;
+  const std::vector<NodeId>& nis = tile_nis_[static_cast<std::size_t>(tile)];
+  for (const NodeId nd : nis) {
+    if (!nis_[static_cast<std::size_t>(nd)]->idle()) return &AwakeTileSteps::ni_busy;
   }
-  return true;
+  for (const NodeId nd : nis) {
+    if (nis_[static_cast<std::size_t>(nd)]->inputs_pending() != 0) {
+      return &AwakeTileSteps::ni_input;
+    }
+  }
+  return nullptr;
 }
 
 int Network::island_active_nodes(int island) const {
@@ -469,7 +476,6 @@ std::uint64_t Network::flits_in_network() const {
   std::uint64_t n = 0;
   for (const auto& r : routers_) n += static_cast<std::uint64_t>(r->buffered_flits());
   for (const auto& ch : flit_channels_) n += ch.in_flight();
-  for (const auto& ch : cdc_flit_channels_) n += ch.in_flight();
   return n;
 }
 
@@ -480,7 +486,7 @@ void Network::set_stall_tracking(bool on) {
 std::uint64_t Network::island_cdc_flit_occupancy(int island) const {
   const Island& isl = islands_.at(static_cast<std::size_t>(island));
   std::uint64_t n = 0;
-  for (const FlitCdcFifo* ch : isl.cdc_flit_in) n += ch->in_flight();
+  for (const FlitChannel* ch : isl.cdc_flit_in) n += ch->in_flight();
   return n;
 }
 

@@ -22,8 +22,8 @@
 /// With a voltage–frequency-island partition (`NetworkConfig::island_of`)
 /// each island is stepped independently whenever *its* clock fires. Links
 /// whose endpoints live in different islands become clock-domain
-/// crossings: an asynchronous FIFO (`CdcFifo`) clocked by the receiving
-/// domain, charging `cdc_sync_cycles` receiver cycles of synchronizer
+/// crossings: an asynchronous FIFO (`Channel::cdc_fifo`) clocked by the
+/// receiving domain, charging `cdc_sync_cycles` receiver cycles of synchronizer
 /// latency on top of the link pipeline — in both the flit direction and
 /// the reverse credit direction. A push into such a fifo also sets the
 /// receiving tile's pending-input bit from the sending island, just as
@@ -92,6 +92,18 @@ struct NetworkConfig {
   int num_islands() const noexcept;
 };
 
+/// Kept tile-steps by the reason the tile stayed awake, in the order the
+/// quiescence test checks them (Network::awake_tile_steps).
+struct AwakeTileSteps {
+  std::uint64_t buffered_flits = 0;  ///< the router buffers flits
+  std::uint64_t router_input = 0;    ///< a flit or credit is in flight to the router
+  std::uint64_t ni_busy = 0;         ///< an NI is sending or has packets queued
+  std::uint64_t ni_input = 0;        ///< a flit or credit is in flight to an NI
+  std::uint64_t total() const noexcept {
+    return buffered_flits + router_input + ni_busy + ni_input;
+  }
+};
+
 /// Implements WakeSink: routers and NIs report every push towards another
 /// tile's inputs, which is what keeps the per-island activity lists exact
 /// without any per-cycle scan. Wake targets are *tile* (router) ids.
@@ -153,6 +165,11 @@ class Network : public WakeSink {
   /// the quiescence property tests key on this being large and exact.
   std::uint64_t island_idle_steps_skipped(int island) const;
   std::uint64_t idle_steps_skipped() const;
+  /// Why tiles stayed awake: every tile kept on an activity list after a
+  /// cycle's phases counts one step, under the first reason that holds.
+  /// The four sum to the kept tile-steps since construction (all 0 with
+  /// skip_idle off).
+  const AwakeTileSteps& awake_tile_steps() const noexcept { return awake_tile_steps_; }
 
   /// WakeSink: put tile `tile` on its island's activity list at that
   /// island's next clock edge (no-op while the tile is already awake).
@@ -264,7 +281,7 @@ class Network : public WakeSink {
   struct Island {
     std::vector<NodeId> members;             ///< ascending node (NI) ids
     std::vector<NodeId> tiles;               ///< ascending tile (router) ids
-    std::vector<FlitCdcFifo*> cdc_flit_in;   ///< boundary flit fifos this island reads
+    std::vector<const FlitChannel*> cdc_flit_in;  ///< boundary flit fifos this island reads
     int links_sourced = 0;  ///< directed inter-router links driven by this island
 
     // Skip-idle state, in tile ids. `active` is kept sorted ascending so
@@ -283,15 +300,17 @@ class Network : public WakeSink {
   // Channel factories: each channel is bound to its reader island's clock.
   FlitChannel& new_flit_channel(int latency, int reader_island);
   CreditChannel& new_credit_channel(int latency, int reader_island);
-  FlitCdcFifo& new_cdc_flit_channel(int ready_delay, int reader_island);
-  CreditCdcFifo& new_cdc_credit_channel(int ready_delay, int reader_island);
+  FlitChannel& new_cdc_flit_channel(int ready_delay, int reader_island);
+  CreditChannel& new_cdc_credit_channel(int ready_delay, int reader_island);
 
   /// Sorted-merge `newly_awake` into `active` (amortized O(new·log new)).
   void admit_woken(Island& isl);
   /// Drop tiles that ended the cycle with no work anywhere: empty router
   /// buffers, idle NIs, nothing in flight on any channel the tile reads.
   void park_quiescent(Island& isl);
-  bool tile_quiescent(NodeId tile) const;
+  /// The AwakeTileSteps counter naming the first reason `tile` must stay
+  /// awake, or nullptr when it is quiescent.
+  std::uint64_t AwakeTileSteps::*awake_reason(NodeId tile) const;
   /// Fire every fault event due at island-0 cycle `cycle` (master time
   /// `now`) and rebuild the reroute tables.
   void apply_due_faults(std::uint64_t cycle, common::Picoseconds now);
@@ -306,10 +325,8 @@ class Network : public WakeSink {
   std::vector<std::unique_ptr<Router>> routers_;  ///< by router id
   std::vector<std::unique_ptr<NetworkInterface>> nis_;  ///< by node id
   // deques: stable element addresses across push_back during wiring
-  std::deque<FlitChannel> flit_channels_;
+  std::deque<FlitChannel> flit_channels_;  ///< same-clock links and CDC fifos
   std::deque<CreditChannel> credit_channels_;
-  std::deque<FlitCdcFifo> cdc_flit_channels_;
-  std::deque<CreditCdcFifo> cdc_credit_channels_;
   std::vector<PacketRecord> delivered_;
   InjectionObserver injection_observer_;
   obs::FlightRecorder* flight_recorder_ = nullptr;
@@ -327,6 +344,7 @@ class Network : public WakeSink {
 
   bool skip_idle_ = true;
   std::vector<std::uint8_t> node_awake_;  ///< per tile: on an active/newly_awake list
+  AwakeTileSteps awake_tile_steps_;
 };
 
 }  // namespace nocdvfs::noc

@@ -19,8 +19,8 @@ NetworkInterface::NetworkInterface(NodeId node, const NiConfig& cfg,
   assembly_.assign(static_cast<std::size_t>(cfg.num_vcs), Reassembly{});
 }
 
-void NetworkInterface::connect(FlitPort* inject_out, CreditPort* inject_credit_in,
-                               FlitPort* eject_in, CreditPort* eject_credit_out) {
+void NetworkInterface::connect(FlitChannel* inject_out, CreditChannel* inject_credit_in,
+                               FlitChannel* eject_in, CreditChannel* eject_credit_out) {
   if (!inject_out || !inject_credit_in || !eject_in || !eject_credit_out) {
     throw std::invalid_argument("NetworkInterface::connect: null channel");
   }

@@ -59,8 +59,8 @@ class NetworkInterface {
   NetworkInterface(NetworkInterface&&) = delete;
   NetworkInterface& operator=(NetworkInterface&&) = delete;
 
-  void connect(FlitPort* inject_out, CreditPort* inject_credit_in, FlitPort* eject_in,
-               CreditPort* eject_credit_out);
+  void connect(FlitChannel* inject_out, CreditChannel* inject_credit_in, FlitChannel* eject_in,
+               CreditChannel* eject_credit_out);
 
   /// Node-domain entry point: queue a packet of `size_flits` flits to `dst`.
   /// `create_time_ps`/`create_noc_cycle` stamp the packet's birth — for a
@@ -165,10 +165,10 @@ class NetworkInterface {
   WakeSink* wake_ = nullptr;
   NodeId wake_id_;  ///< tile id announced on wake (== node_ on a mesh)
 
-  FlitPort* inject_out_ = nullptr;
-  CreditPort* inject_credit_in_ = nullptr;
-  FlitPort* eject_in_ = nullptr;
-  CreditPort* eject_credit_out_ = nullptr;
+  FlitChannel* inject_out_ = nullptr;
+  CreditChannel* inject_credit_in_ = nullptr;
+  FlitChannel* eject_in_ = nullptr;
+  CreditChannel* eject_credit_out_ = nullptr;
   std::uint64_t pending_ = 0;  ///< bits kCreditInBit, kEjectInBit
 
   std::deque<PendingPacket> source_queue_;

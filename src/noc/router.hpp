@@ -22,18 +22,24 @@
 /// the reverse credit channel.
 ///
 /// The radix is dynamic (up to kMaxPorts) so one implementation serves
-/// mesh, torus, concentrated-mesh and dragonfly routers; the storage stays
-/// in fixed arrays and the mesh instantiation (radix 5) executes the exact
-/// historical sequence of operations. Under an active FaultModel a VC can
-/// enter the Drop state: its packet has no surviving route, and the flits
-/// drain out of the buffer (one per port per cycle, credits returned
-/// upstream) into the dropped-flit counters instead of the crossbar.
+/// mesh, torus, concentrated-mesh and dragonfly routers; per-port state
+/// lives in fixed kMaxPorts arrays, and the mesh instantiation (radix 5)
+/// executes the exact historical sequence of operations. Under an active
+/// FaultModel a VC can enter the Drop state: its packet has no surviving
+/// route, and the flits drain out of the buffer (one per port per cycle,
+/// credits returned upstream) into the dropped-flit counters instead of
+/// the crossbar.
+///
+/// Storage is flat: one `radix × num_vcs` array of input-VC control
+/// structs, one `radix × num_vcs × depth` array of flit slots (each VC's
+/// FIFO is a ring inside it), and one `radix × num_vcs` array of output-VC
+/// credit counters. Each stage visits only live VCs through bit masks
+/// kept next to that storage (see "Per-stage work masks" below).
 
 #include <array>
 #include <cstdint>
 #include <vector>
 
-#include "common/ring_buffer.hpp"
 #include "noc/allocator.hpp"
 #include "noc/channel.hpp"
 #include "noc/routing.hpp"
@@ -47,9 +53,15 @@ class FlightRecorder;
 
 namespace nocdvfs::noc {
 
+/// VCs per port: every per-port VC set is one 64-bit mask.
+inline constexpr int kMaxVcs = 64;
+/// Flits per VC FIFO: the ring head/count of an input VC and the credit
+/// counter of an output VC are 8-bit.
+inline constexpr int kMaxVcBufferDepth = 255;
+
 struct RouterConfig {
-  int num_vcs = 8;
-  int vc_buffer_depth = 4;  ///< flits per VC FIFO
+  int num_vcs = 8;          ///< in [1, kMaxVcs]
+  int vc_buffer_depth = 4;  ///< flits per VC FIFO, in [1, kMaxVcBufferDepth]
   RoutingAlgo routing = RoutingAlgo::XY;
 };
 
@@ -96,13 +108,13 @@ class Router : public topo::RouterView {
   Router& operator=(Router&&) = delete;
 
   /// Wire one input port: incoming flits and the reverse credit channel.
-  void connect_input(int port, FlitPort* flit_in, CreditPort* credit_out);
-  void connect_input(PortDir port, FlitPort* flit_in, CreditPort* credit_out) {
+  void connect_input(int port, FlitChannel* flit_in, CreditChannel* credit_out);
+  void connect_input(PortDir port, FlitChannel* flit_in, CreditChannel* credit_out) {
     connect_input(port_index(port), flit_in, credit_out);
   }
   /// Wire one output port: outgoing flits and the incoming credit channel.
-  void connect_output(int port, FlitPort* flit_out, CreditPort* credit_in);
-  void connect_output(PortDir port, FlitPort* flit_out, CreditPort* credit_in) {
+  void connect_output(int port, FlitChannel* flit_out, CreditChannel* credit_in);
+  void connect_output(PortDir port, FlitChannel* flit_out, CreditChannel* credit_in) {
     connect_output(port_index(port), flit_out, credit_in);
   }
 
@@ -166,8 +178,8 @@ class Router : public topo::RouterView {
 
   // --- introspection for tests and invariant checks ---
   int buffered_flits() const noexcept;
-  /// O(1) occupancy snapshot (the maintained counter behind the scan
-  /// early-outs); sampled every cycle by the occupancy-based controller.
+  /// O(1) occupancy snapshot (the maintained counter that gates SA);
+  /// sampled every cycle by the occupancy-based controller.
   int buffered_now() const noexcept { return buffered_total_; }
   /// Flit slots across the wired input ports (occupancy denominator).
   int buffer_capacity() const noexcept {
@@ -191,32 +203,35 @@ class Router : public topo::RouterView {
   }
 
  private:
+  /// Control state of one input VC (16 bytes; indexed port * num_vcs + vc).
   struct InputVc {
-    explicit InputVc(int depth) : buffer(static_cast<std::size_t>(depth)) {}
-    common::RingBuffer<Flit> buffer;
-    VcStateKind state = VcStateKind::Idle;
-    int out_port = -1;
-    int out_vc = -1;
     std::uint64_t vc_mask = ~std::uint64_t{0};  ///< VCs VA may claim (RC decision)
-    int wait_cycles = 0;  ///< VA starvation counter (adaptive escape re-route)
+    VcStateKind state = VcStateKind::Idle;
+    std::uint8_t head = 0;         ///< ring index of the front flit
+    std::uint8_t count = 0;        ///< flits buffered
+    std::int8_t out_port = -1;     ///< RC decision (Waiting, Active)
+    std::int8_t out_vc = -1;       ///< held output VC (Active)
+    std::uint8_t wait_cycles = 0;  ///< VA starvation counter (adaptive escape re-route)
   };
-  struct InputPort {
-    std::vector<InputVc> vcs;
-    FlitPort* flit_in = nullptr;
-    CreditPort* credit_out = nullptr;
-  };
-  struct OutputVc {
-    int credits = 0;
-    bool allocated = false;
-    int owner_port = -1;
-    int owner_vc = -1;
-  };
-  struct OutputPort {
-    std::vector<OutputVc> vcs;
-    FlitPort* flit_out = nullptr;
-    CreditPort* credit_in = nullptr;
-    bool connected() const noexcept { return flit_out != nullptr; }
-  };
+  static_assert(sizeof(InputVc) == 16, "InputVc should stay 16 bytes");
+
+  std::size_t vc_index(int port, int vc) const noexcept {
+    return static_cast<std::size_t>(port * cfg_.num_vcs + vc);
+  }
+  /// Bounds-checked vc_index for the introspection accessors.
+  std::size_t checked_vc_index(PortDir port, int vc) const;
+  Flit& front(std::size_t k) noexcept {
+    return slots_[k * static_cast<std::size_t>(cfg_.vc_buffer_depth) + vcs_[k].head];
+  }
+  /// Drop the front flit of a VC's ring (its slot is overwritten only by
+  /// a later arrival, so a reference taken by `front` stays valid until
+  /// the next receive_phase).
+  void advance_head(InputVc& ivc) noexcept;
+  /// Idle VC `vc` of input port `port` now has a buffered head: RC work.
+  void mark_routable(int port, int vc) noexcept {
+    rc_mask_[static_cast<std::size_t>(port)] |= std::uint64_t{1} << vc;
+    rc_ports_ |= 1u << in_slot_[static_cast<std::size_t>(port)];
+  }
 
   void switch_allocation_and_traversal();
   void drain_drops();
@@ -232,27 +247,44 @@ class Router : public topo::RouterView {
   const topo::RoutingEngine* engine_ = nullptr;
   RouterConfig cfg_;
   int radix_;
-  std::vector<InputPort> in_;
-  std::vector<OutputPort> out_;
+  std::uint64_t all_vcs_;  ///< bits 0 .. num_vcs-1
+
+  std::vector<InputVc> vcs_;           ///< [port * num_vcs + vc]
+  std::vector<Flit> slots_;            ///< [(port * num_vcs + vc) * depth + ring index]
+  std::vector<std::uint8_t> credits_;  ///< output VC credits, [port * num_vcs + vc]
+  std::array<FlitChannel*, kMaxPorts> flit_in_{};      ///< per input port
+  std::array<CreditChannel*, kMaxPorts> credit_out_{};  ///< per input port
+  std::array<FlitChannel*, kMaxPorts> flit_out_{};     ///< per output port
+  std::array<CreditChannel*, kMaxPorts> credit_in_{};   ///< per output port
+
   SeparableAllocator va_alloc_;
-  std::vector<int> sa_input_ptr_;   ///< per input port: round-robin over VCs
-  std::vector<int> sa_output_ptr_;  ///< per output port: round-robin over input ports
+  /// SA round-robin pointers: per input port over VCs, per output port
+  /// over input ports.
+  std::array<std::uint8_t, kMaxPorts> sa_input_ptr_{};
+  std::array<std::uint8_t, kMaxPorts> sa_output_ptr_{};
   power::ActivityCounters activity_;
 
-  // Scan early-outs: pipeline stages iterate ports×VCs, and most of those
-  // slots are dead most of the time. These counters — maintained on every
-  // state transition — let each stage skip entirely when it has no work,
-  // which is the difference between O(active) and O(ports·VCs) per cycle.
-  int buffered_total_ = 0;  ///< flits in all input FIFOs (gates SA)
-  int waiting_count_ = 0;   ///< VCs in Waiting state (gates VA)
-  int rc_pending_ = 0;      ///< Idle VCs with a buffered head (gates RC)
-  int drop_pending_ = 0;    ///< VCs in Drop state (gates the drain stage)
-
-  /// Per input port: bit v set iff VC v is Active with a buffered flit —
-  /// the SA stage-1 candidate set (credit availability checked at scan
-  /// time). Lets the hot path visit only populated VCs. num_vcs <= 64 is
-  /// enforced at construction.
+  // Per-stage work masks: each stage visits the set bits of its mask, so
+  // it costs O(live VCs), not O(ports·VCs); an empty mask skips the stage.
+  // Input-port masks have bit v for VC v. Every state transition updates
+  // them, and each work set has only this one representation.
+  /// Per input port: Idle VCs with a buffered head (RC work).
+  std::array<std::uint64_t, kMaxPorts> rc_mask_{};
+  /// Per input port: Waiting VCs (VA work; a Waiting VC buffers its head).
+  std::array<std::uint64_t, kMaxPorts> va_mask_{};
+  /// Per input port: Active VCs with a buffered flit — the SA stage-1
+  /// candidates (credit availability checked at scan time).
   std::array<std::uint64_t, kMaxPorts> sa_candidates_{};
+  /// Per output port: output VCs held by a packet (VA grant to tail).
+  std::array<std::uint64_t, kMaxPorts> allocated_{};
+  /// Bit i set iff rc_mask_ / va_mask_ of input port wired_in_[i] is
+  /// non-zero, so RC and VA walk ports in wiring order, then ascending VC.
+  std::uint32_t rc_ports_ = 0;
+  std::uint32_t va_ports_ = 0;
+  std::array<std::uint8_t, kMaxPorts> in_slot_{};  ///< input port -> index in wired_in_
+
+  int buffered_total_ = 0;  ///< flits in all input FIFOs (gates SA)
+  int drop_pending_ = 0;    ///< VCs in Drop state (gates the drain stage)
   /// Per input port: a credit was pushed upstream this cycle (SA traversal
   /// or drop drain) — the drain stage respects the 1-credit/cycle channel
   /// budget. Only maintained while drop_pending_ > 0.

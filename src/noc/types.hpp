@@ -57,26 +57,28 @@ class WakeSink {
 /// One flow-control unit. Flits carry enough context (src/dst/timestamps)
 /// to be self-describing at the ejection side; this mirrors the paper's
 /// note that delay measurement only needs a timestamp in the head flit.
+/// Fields are ordered by size so the struct packs into 48 bytes.
 struct Flit {
   PacketId packet_id = 0;
-  NodeId src = -1;
-  NodeId dst = -1;
-  std::uint16_t flit_index = 0;     ///< position within the packet
-  std::uint16_t packet_size = 0;    ///< total flits in the packet
-  bool head = false;
-  bool tail = false;
   common::Picoseconds create_time_ps = 0;  ///< generation instant (node domain)
   std::uint64_t create_noc_cycle = 0;      ///< NoC cycle count at generation
-  std::uint8_t vc = 0;                     ///< VC on the link being traversed
-  std::uint16_t hops = 0;                  ///< routers traversed so far
+  NodeId src = -1;
+  NodeId dst = -1;
   /// Valiant intermediate *router* for UGAL non-minimal routing; -1 when
   /// the packet routes minimally. Set once at the source router.
   NodeId intm = -1;
+  std::uint16_t flit_index = 0;   ///< position within the packet
+  std::uint16_t packet_size = 0;  ///< total flits in the packet
+  std::uint16_t hops = 0;         ///< routers traversed so far
+  bool head = false;
+  bool tail = false;
+  std::uint8_t vc = 0;           ///< VC on the link being traversed
   std::uint8_t route_flags = 0;  ///< kRouteFlag* bits (routing-engine state)
   /// Workload-defined label carried end to end (e.g. 0 = request, 1 =
   /// reply); the metrics layer splits delay statistics per class.
   std::uint8_t traffic_class = 0;
 };
+static_assert(sizeof(Flit) == 48, "Flit fields should pack into 48 bytes");
 
 /// Credit returned upstream when a buffer slot frees.
 struct Credit {

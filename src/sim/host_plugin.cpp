@@ -1,4 +1,5 @@
-// Host-observability plug-in: wall clock, peak RSS and manifest (always),
+// Host-observability plug-in: wall clock, peak RSS, why tiles stayed awake
+// and manifest (always),
 // phase profiler (`prof=on`) and memory breakdown (`mem=on`). Host facts
 // only; nothing feeds back into the simulated metrics.
 
@@ -40,6 +41,13 @@ class HostPlugin final : public RunPlugin {
     if (ctx.cfg.prof) mf.set_double("host.calib_mops", obs::host_calib_mops());
     mf.set_double("host.wall_s", result.host.wall_s);
     mf.set("host.peak_rss_bytes", result.host.peak_rss_bytes);
+    // Why skip-idle kept tiles awake, in kept tile-steps over the whole run
+    // (all zero with skip-idle off).
+    const noc::AwakeTileSteps awake = ctx.net.awake_tile_steps();
+    mf.set("noc.awake.buffered_flits", awake.buffered_flits);
+    mf.set("noc.awake.router_input", awake.router_input);
+    mf.set("noc.awake.ni_busy", awake.ni_busy);
+    mf.set("noc.awake.ni_input", awake.ni_input);
     if (!ctx.cfg.mem) return;
     const obs::MemBreakdown mem = memory(ctx, result);
     for (const obs::MemOwner& o : mem.owners) {

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cctype>
+#include <limits>
 #include <sstream>
 #include <stdexcept>
 
@@ -10,6 +11,7 @@
 #include "dvfs/dmsd.hpp"
 #include "dvfs/qbsd.hpp"
 #include "dvfs/rmsd.hpp"
+#include "noc/router.hpp"
 #include "noc/routing.hpp"
 #include "topo/fault_model.hpp"
 #include "topo/routing_engine.hpp"
@@ -442,10 +444,10 @@ void Scenario::declare_keys(common::Config& c, const Scenario& d) {
             "fault injection: links:K[@CYCLE]+routers:K[@CYCLE], or off");
   c.declare_int("fault_seed", static_cast<std::int64_t>(d.network.fault_seed),
                 "RNG seed for fault site selection");
-  c.declare_int("vcs", d.network.num_vcs, "virtual channels per port");
-  c.declare_int("bufs", d.network.vc_buffer_depth, "flit buffers per VC");
+  c.declare_int("vcs", d.network.num_vcs, "virtual channels per port (1..64)");
+  c.declare_int("bufs", d.network.vc_buffer_depth, "flit buffers per VC (1..255)");
   c.declare_int("link_latency", d.network.link_latency, "inter-router link cycles");
-  c.declare_int("packet", d.packet_size, "flits per packet");
+  c.declare_int("packet", d.packet_size, "flits per packet (1..65535)");
 
   c.declare("policy", to_string(d.policy.policy), "nodvfs|rmsd|rmsd-closed|dmsd|qbsd");
   c.declare_double("lambda_max", d.policy.lambda_max,
@@ -475,6 +477,21 @@ void Scenario::declare_keys(common::Config& c, const Scenario& d) {
                 "adaptive warmup bound in node cycles");
 }
 
+namespace {
+constexpr std::int64_t kIntMax = std::numeric_limits<int>::max();
+
+/// Integer keys are range-checked before they are narrowed, so an
+/// out-of-range value is an error naming the key, never a wrapped one.
+int int_in(const common::Config& c, const std::string& key, std::int64_t lo, std::int64_t hi) {
+  return static_cast<int>(c.get_int_in(key, lo, hi));
+}
+/// Non-negative counts and seeds (a negative one would wrap to ~2^64).
+std::uint64_t non_negative(const common::Config& c, const std::string& key) {
+  return static_cast<std::uint64_t>(
+      c.get_int_in(key, 0, std::numeric_limits<std::int64_t>::max()));
+}
+}  // namespace
+
 Scenario Scenario::from_config(const common::Config& c) {
   Scenario s;
   s.workload = workload_from_string(c.get_string("workload"));
@@ -497,7 +514,7 @@ Scenario Scenario::from_config(const common::Config& c) {
   s.telemetry_out = c.get_string("telemetry_out");
   s.hist = c.get_string("hist");
   s.pkt_trace = c.get_string("pkt_trace");
-  s.pkt_trace_rate = static_cast<std::uint64_t>(c.get_int("pkt_trace_rate"));
+  s.pkt_trace_rate = non_negative(c, "pkt_trace_rate");
   s.prof = c.get_string("prof");
   s.mem = c.get_string("mem");
 
@@ -512,20 +529,21 @@ Scenario Scenario::from_config(const common::Config& c) {
 
   s.islands = c.get_string("islands");
   s.island_map = c.get_string("island_map");
-  s.network.cdc_sync_cycles = static_cast<int>(c.get_int("cdc_sync_cycles"));
+  s.network.cdc_sync_cycles = int_in(c, "cdc_sync_cycles", 0, kIntMax);
   s.island_policies = c.get_string("island_policies");
 
-  s.network.width = static_cast<int>(c.get_int("width"));
-  s.network.height = static_cast<int>(c.get_int("height"));
+  s.network.width = int_in(c, "width", 1, kIntMax);
+  s.network.height = int_in(c, "height", 1, kIntMax);
   s.network.topology = topo::topology_kind_from_string(c.get_string("topology"));
   s.network.routing = noc::routing_algo_from_string(c.get_string("routing"));
-  s.network.concentration = static_cast<int>(c.get_int("concentration"));
+  s.network.concentration = int_in(c, "concentration", 1, kIntMax);
   s.network.faults = c.get_string("faults");
-  s.network.fault_seed = static_cast<std::uint64_t>(c.get_int("fault_seed"));
-  s.network.num_vcs = static_cast<int>(c.get_int("vcs"));
-  s.network.vc_buffer_depth = static_cast<int>(c.get_int("bufs"));
-  s.network.link_latency = static_cast<int>(c.get_int("link_latency"));
-  s.packet_size = static_cast<int>(c.get_int("packet"));
+  s.network.fault_seed = non_negative(c, "fault_seed");
+  s.network.num_vcs = int_in(c, "vcs", 1, noc::kMaxVcs);
+  s.network.vc_buffer_depth = int_in(c, "bufs", 1, noc::kMaxVcBufferDepth);
+  s.network.link_latency = int_in(c, "link_latency", 1, kIntMax);
+  // Flit::packet_size and the NI queue hold the size in 16 bits.
+  s.packet_size = int_in(c, "packet", 1, std::numeric_limits<std::uint16_t>::max());
 
   s.policy.policy = policy_from_string(c.get_string("policy"));
   s.policy.lambda_max = c.get_double("lambda_max");
@@ -534,17 +552,17 @@ Scenario Scenario::from_config(const common::Config& c) {
   s.policy.kp = c.get_double("kp");
   s.policy.occupancy_setpoint = c.get_double("occupancy_setpoint");
 
-  s.control_period = static_cast<std::uint64_t>(c.get_int("control_period"));
+  s.control_period = non_negative(c, "control_period");
   s.f_node = c.get_double("f_node");
-  s.vf_levels = static_cast<int>(c.get_int("vf_levels"));
-  s.flit_bits = static_cast<int>(c.get_int("flit_bits"));
-  s.seed = static_cast<std::uint64_t>(c.get_int("seed"));
-  s.vf_trace_max = static_cast<std::uint64_t>(c.get_int("vf_trace_max"));
+  s.vf_levels = int_in(c, "vf_levels", 0, kIntMax);
+  s.flit_bits = int_in(c, "flit_bits", 1, kIntMax);
+  s.seed = non_negative(c, "seed");
+  s.vf_trace_max = non_negative(c, "vf_trace_max");
 
-  s.phases.warmup_node_cycles = static_cast<std::uint64_t>(c.get_int("warmup"));
-  s.phases.measure_node_cycles = static_cast<std::uint64_t>(c.get_int("measure"));
+  s.phases.warmup_node_cycles = non_negative(c, "warmup");
+  s.phases.measure_node_cycles = non_negative(c, "measure");
   s.phases.adaptive_warmup = c.get_bool("adaptive_warmup");
-  s.phases.max_warmup_node_cycles = static_cast<std::uint64_t>(c.get_int("max_warmup"));
+  s.phases.max_warmup_node_cycles = non_negative(c, "max_warmup");
   return s;
 }
 

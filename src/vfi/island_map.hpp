@@ -10,7 +10,7 @@
 /// `per_router` — or by an explicit `custom` node→island assignment in
 /// row-major node order. Island ids must be contiguous 0..K-1 and every
 /// island non-empty; links whose endpoints live in different islands are
-/// clock-domain crossings (see noc::CdcFifo).
+/// clock-domain crossings (see noc::Channel::cdc_fifo).
 
 #include <string>
 #include <vector>

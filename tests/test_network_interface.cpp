@@ -29,8 +29,10 @@ class NiHarness {
   NiConfig cfg_;
   std::vector<PacketRecord> delivered_;
   std::uint64_t clock = 0;  ///< the reader clock of all four channels
-  FlitChannel inject_flit{1, &clock}, eject_flit{1, &clock};
-  CreditChannel inject_credit{1, &clock}, eject_credit{1, &clock};
+  FlitChannel inject_flit = FlitChannel::delay_line(1, &clock);
+  FlitChannel eject_flit = FlitChannel::delay_line(1, &clock);
+  CreditChannel inject_credit = CreditChannel::delay_line(1, &clock);
+  CreditChannel eject_credit = CreditChannel::delay_line(1, &clock);
   NetworkInterface ni_;
 };
 
@@ -193,8 +195,8 @@ TEST(NetworkInterface, ConstructionValidation) {
   EXPECT_THROW(NetworkInterface(0, NiConfig{4, 4}, nullptr), std::invalid_argument);
   NetworkInterface ni(0, NiConfig{4, 4}, &sink);
   std::uint64_t clock = 0;
-  FlitChannel f(1, &clock);
-  CreditChannel c(1, &clock);
+  FlitChannel f = FlitChannel::delay_line(1, &clock);
+  CreditChannel c = CreditChannel::delay_line(1, &clock);
   EXPECT_THROW(ni.connect(nullptr, &c, &f, &c), std::invalid_argument);
 }
 
@@ -203,8 +205,14 @@ TEST(NetworkInterface, PacketIdsAreNodeUnique) {
   NetworkInterface a(1, NiConfig{2, 2}, &sink);
   NetworkInterface b(2, NiConfig{2, 2}, &sink);
   std::uint64_t clock = 0;
-  FlitChannel fa(1, &clock), fb(1, &clock), ea(1, &clock), eb(1, &clock);
-  CreditChannel ca(1, &clock), cb(1, &clock), ka(1, &clock), kb(1, &clock);
+  FlitChannel fa = FlitChannel::delay_line(1, &clock);
+  FlitChannel fb = FlitChannel::delay_line(1, &clock);
+  FlitChannel ea = FlitChannel::delay_line(1, &clock);
+  FlitChannel eb = FlitChannel::delay_line(1, &clock);
+  CreditChannel ca = CreditChannel::delay_line(1, &clock);
+  CreditChannel cb = CreditChannel::delay_line(1, &clock);
+  CreditChannel ka = CreditChannel::delay_line(1, &clock);
+  CreditChannel kb = CreditChannel::delay_line(1, &clock);
   a.connect(&fa, &ca, &ea, &ka);
   b.connect(&fb, &cb, &eb, &kb);
   a.enqueue_packet(0, 1, 0, 0);

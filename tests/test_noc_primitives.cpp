@@ -241,7 +241,7 @@ TEST(Routing, StringConversions) {
 
 TEST(DelayLine, DeliversAfterLatency) {
   std::uint64_t clock = 0;
-  DelayLine<int> ch(2, &clock);
+  auto ch = Channel<int>::delay_line(2, &clock);
   ch.push(42);
   ++clock;
   EXPECT_FALSE(ch.pop().has_value());
@@ -253,7 +253,7 @@ TEST(DelayLine, DeliversAfterLatency) {
 
 TEST(DelayLine, PipelinedBackToBack) {
   std::uint64_t clock = 0;
-  DelayLine<int> ch(3, &clock);
+  auto ch = Channel<int>::delay_line(3, &clock);
   // One push per cycle; each arrives exactly 3 cycles later.
   std::vector<int> received;
   for (int i = 0; i < 10; ++i) {
@@ -266,17 +266,17 @@ TEST(DelayLine, PipelinedBackToBack) {
 
 TEST(DelayLine, DoublePushSameCycleViolatesInvariant) {
   std::uint64_t clock = 0;
-  DelayLine<int> ch(1, &clock);
+  auto ch = Channel<int>::delay_line(1, &clock);
   ch.push(1);
   EXPECT_THROW(ch.push(2), common::InvariantViolation);
 }
 
 TEST(DelayLine, OverwritingUndeliveredItemViolatesInvariant) {
-  // A reader that misses a due item leaves it in its slot; the push that
-  // lands on that slot again must trip the invariant, not lose the item.
-  // Latency 3 fills all four slots, so the fifth push reuses the first.
+  // A reader that misses due items leaves them queued; once the link holds
+  // more than latency + 1 items the next push must trip the invariant, not
+  // lose an item. Latency 3 allows four, so the fifth push is refused.
   std::uint64_t clock = 0;
-  DelayLine<int> ch(3, &clock);
+  auto ch = Channel<int>::delay_line(3, &clock);
   for (int i = 0; i < 4; ++i) {
     ch.push(i);
     ++clock;
@@ -286,7 +286,7 @@ TEST(DelayLine, OverwritingUndeliveredItemViolatesInvariant) {
 
 TEST(DelayLine, InFlightCount) {
   std::uint64_t clock = 0;
-  DelayLine<int> ch(2, &clock);
+  auto ch = Channel<int>::delay_line(2, &clock);
   EXPECT_EQ(ch.in_flight(), 0u);
   ch.push(5);
   EXPECT_EQ(ch.in_flight(), 1u);
@@ -300,7 +300,7 @@ TEST(DelayLine, PendingBitFollowsOccupancy) {
   // that empties the channel; the reader's other bits are never touched.
   std::uint64_t clock = 0;
   std::uint64_t mask = 0b1000;
-  DelayLine<int> ch(1, &clock);
+  auto ch = Channel<int>::delay_line(1, &clock);
   ch.set_reader_bit(&mask, 1);
   ch.push(1);
   EXPECT_EQ(mask, 0b1010u);
@@ -313,10 +313,20 @@ TEST(DelayLine, PendingBitFollowsOccupancy) {
   EXPECT_EQ(mask, 0b1000u);
 }
 
+TEST(DelayLine, MissedDueItemViolatesInvariant) {
+  // A same-clock reader must take each item in the cycle it arrives;
+  // popping it a cycle late is a protocol bug, not a delayed delivery.
+  std::uint64_t clock = 0;
+  auto ch = Channel<int>::delay_line(1, &clock);
+  ch.push(7);
+  clock += 2;
+  EXPECT_THROW((void)ch.pop(), common::InvariantViolation);
+}
+
 TEST(DelayLine, LatencyMustBePositive) {
   std::uint64_t clock = 0;
-  EXPECT_THROW(DelayLine<int>(0, &clock), std::invalid_argument);
-  EXPECT_THROW(DelayLine<int>(1, nullptr), std::invalid_argument);
+  EXPECT_THROW(Channel<int>::delay_line(0, &clock), std::invalid_argument);
+  EXPECT_THROW(Channel<int>::delay_line(1, nullptr), std::invalid_argument);
 }
 
 }  // namespace

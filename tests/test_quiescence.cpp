@@ -146,6 +146,50 @@ TEST(Quiescence, BurstThenSilenceDrainsToFreeStepsBitIdentically) {
   EXPECT_EQ(on.delivered().size(), off.delivered().size());  // nothing new
 }
 
+/// Every tile kept awake after a cycle's phases is counted exactly once,
+/// under the first reason that holds (buffered flits, pending router
+/// input, busy NI, pending NI input); a parked idle mesh counts nothing.
+TEST(Quiescence, AwakeReasonsSumToKeptTileSteps) {
+  NetworkConfig cfg;
+  cfg.width = 4;
+  cfg.height = 4;
+  Network idle(cfg);
+  for (std::uint64_t c = 1; c <= 50; ++c) idle.step_island(0, ps_of(c));
+  EXPECT_EQ(idle.island_active_nodes(0), 0);
+  const noc::AwakeTileSteps none = idle.awake_tile_steps();
+  EXPECT_EQ(none.buffered_flits, 0u);
+  EXPECT_EQ(none.router_input, 0u);
+  EXPECT_EQ(none.ni_busy, 0u);
+  EXPECT_EQ(none.ni_input, 0u);
+
+  cfg.width = 8;
+  cfg.height = 8;
+  Network net(cfg);
+  const int n = cfg.num_nodes();
+  std::uint64_t kept = 0;  // tiles left on the activity list after each step
+  for (std::uint64_t c = 1; c <= 2000; ++c) {
+    if (c == 5 || c == 600) {
+      for (NodeId src = 0; src < n; src += 3) {
+        net.ni(src).enqueue_packet(static_cast<NodeId>(n - 1 - src), 11, ps_of(c), c);
+      }
+    }
+    net.step_island(0, ps_of(c));
+    kept += static_cast<std::uint64_t>(net.island_active_nodes(0));
+  }
+  ASSERT_EQ(net.total_flits_ejected(), net.total_flits_generated());
+  const noc::AwakeTileSteps why = net.awake_tile_steps();
+  EXPECT_EQ(why.total(), kept);
+  EXPECT_GT(why.buffered_flits, 0u);
+  EXPECT_GT(why.router_input, 0u);
+
+  // The always-step oracle parks nothing, so it counts nothing either.
+  cfg.skip_idle = false;
+  Network always(cfg);
+  always.ni(0).enqueue_packet(5, 4, ps_of(1), 1);
+  for (std::uint64_t c = 1; c <= 100; ++c) always.step_island(0, ps_of(c));
+  EXPECT_EQ(always.awake_tile_steps().total(), 0u);
+}
+
 /// Parking must be exact across clock-domain boundaries too: a quadrant
 /// partition with a burst confined to one island leaves the other islands'
 /// skip counters running at full speed.

@@ -57,10 +57,14 @@ class RouterHarness {
   Router& router() { return router_; }
 
   std::uint64_t clock = 0;  ///< the reader clock of every channel below
-  FlitChannel in_local{1, &clock}, in_east{1, &clock}, out_local{1, &clock},
-      out_east{1, &clock};
-  CreditChannel credit_to_local_src{1, &clock}, credit_to_east_src{1, &clock};
-  CreditChannel credit_from_local_sink{1, &clock}, credit_from_east_sink{1, &clock};
+  FlitChannel in_local = FlitChannel::delay_line(1, &clock);
+  FlitChannel in_east = FlitChannel::delay_line(1, &clock);
+  FlitChannel out_local = FlitChannel::delay_line(1, &clock);
+  FlitChannel out_east = FlitChannel::delay_line(1, &clock);
+  CreditChannel credit_to_local_src = CreditChannel::delay_line(1, &clock);
+  CreditChannel credit_to_east_src = CreditChannel::delay_line(1, &clock);
+  CreditChannel credit_from_local_sink = CreditChannel::delay_line(1, &clock);
+  CreditChannel credit_from_east_sink = CreditChannel::delay_line(1, &clock);
 
  private:
   MeshRouter mesh_;
@@ -324,8 +328,8 @@ TEST(Router, WiringValidation) {
   MeshRouter mesh(2, 1, 0, RouterConfig{});
   Router& r = mesh.router();
   std::uint64_t clock = 0;
-  FlitChannel f(1, &clock);
-  CreditChannel c(1, &clock);
+  FlitChannel f = FlitChannel::delay_line(1, &clock);
+  CreditChannel c = CreditChannel::delay_line(1, &clock);
   EXPECT_THROW(r.connect_input(PortDir::Local, nullptr, &c), std::invalid_argument);
   EXPECT_THROW(r.connect_output(PortDir::East, &f, nullptr), std::invalid_argument);
   r.connect_input(PortDir::Local, &f, &c);

@@ -40,10 +40,14 @@ TEST_P(RouterFuzz, CreditLoopConservesAndDeliversInOrder) {
   Router& router = mesh.router();
 
   std::uint64_t clock = 0;  // the reader clock of every channel below
-  FlitChannel in_local(1, &clock), out_east(1, &clock), in_east(1, &clock),
-      out_local(1, &clock);
-  CreditChannel credit_src(1, &clock), credit_sink(1, &clock), credit_src_e(1, &clock),
-      credit_sink_l(1, &clock);
+  FlitChannel in_local = FlitChannel::delay_line(1, &clock);
+  FlitChannel out_east = FlitChannel::delay_line(1, &clock);
+  FlitChannel in_east = FlitChannel::delay_line(1, &clock);
+  FlitChannel out_local = FlitChannel::delay_line(1, &clock);
+  CreditChannel credit_src = CreditChannel::delay_line(1, &clock);
+  CreditChannel credit_sink = CreditChannel::delay_line(1, &clock);
+  CreditChannel credit_src_e = CreditChannel::delay_line(1, &clock);
+  CreditChannel credit_sink_l = CreditChannel::delay_line(1, &clock);
   router.connect_input(PortDir::Local, &in_local, &credit_src);
   router.connect_output(PortDir::East, &out_east, &credit_sink);
   router.connect_input(PortDir::East, &in_east, &credit_src_e);

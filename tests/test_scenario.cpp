@@ -4,6 +4,8 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <limits>
 #include <string>
 
 #include "sim/scenario.hpp"
@@ -86,6 +88,55 @@ TEST(ScenarioConfig, UnknownWorkloadRejected) {
   Scenario::declare_keys(c);
   c.set("workload", "magic");
   EXPECT_THROW(Scenario::from_config(c), std::invalid_argument);
+}
+
+TEST(ScenarioConfig, OutOfRangeIntegerKeysAreRejectedNotWrapped) {
+  // Every integer key is range-checked before it is narrowed: 2^32 + k
+  // must not wrap to k, and -1 must not wrap to a huge count. The error
+  // names the key and its range.
+  constexpr std::int64_t kWrap = std::int64_t{1} << 32;
+  constexpr std::int64_t kInt = std::numeric_limits<int>::max();
+  constexpr std::int64_t kI64 = std::numeric_limits<std::int64_t>::max();
+  struct Range {
+    const char* key;
+    std::int64_t lo;
+    std::int64_t hi;
+  };
+  const Range ranges[] = {
+      {"vcs", 1, 64},          {"bufs", 1, 255},         {"packet", 1, 65535},
+      {"width", 1, kInt},      {"height", 1, kInt},      {"concentration", 1, kInt},
+      {"link_latency", 1, kInt}, {"cdc_sync_cycles", 0, kInt}, {"vf_levels", 0, kInt},
+      {"flit_bits", 1, kInt},  {"pkt_trace_rate", 0, kI64}, {"fault_seed", 0, kI64},
+      {"control_period", 0, kI64}, {"seed", 0, kI64},   {"vf_trace_max", 0, kI64},
+      {"warmup", 0, kI64},     {"measure", 0, kI64},     {"max_warmup", 0, kI64},
+  };
+  for (const Range& r : ranges) {
+    std::string range = "[";
+    range += std::to_string(r.lo) + ", " + std::to_string(r.hi) + "]";
+    for (const std::int64_t v : {kWrap + 4, kWrap + 8, std::int64_t{-1}, r.lo, r.hi}) {
+      common::Config c;
+      Scenario::declare_keys(c);
+      c.set(r.key, std::to_string(v));
+      if (v >= r.lo && v <= r.hi) {
+        EXPECT_NO_THROW((void)Scenario::from_config(c)) << r.key << "=" << v;
+        continue;
+      }
+      try {
+        (void)Scenario::from_config(c);
+        ADD_FAILURE() << r.key << "=" << v << " was accepted";
+      } catch (const std::invalid_argument& e) {
+        const std::string msg = e.what();
+        EXPECT_NE(msg.find(std::string("'") + r.key + "'"), std::string::npos) << msg;
+        EXPECT_NE(msg.find(range), std::string::npos) << msg;
+      }
+    }
+  }
+  // In range, a 64-bit count is read exactly (no 32-bit truncation).
+  common::Config c;
+  Scenario::declare_keys(c);
+  c.set("warmup", std::to_string(kWrap + 5));
+  EXPECT_EQ(Scenario::from_config(c).phases.warmup_node_cycles,
+            static_cast<std::uint64_t>(kWrap + 5));
 }
 
 TEST(ScenarioRun, RerunIsBitIdentical) {

@@ -76,7 +76,7 @@ TEST(IslandMap, CustomMapParsesAndValidates) {
 }
 
 // ---------------------------------------------------------------------------
-// CdcFifo
+// CDC fifo (noc::Channel::cdc_fifo)
 // ---------------------------------------------------------------------------
 
 // The fifo reads its reader's cycle counter; each test owns that counter
@@ -84,7 +84,7 @@ TEST(IslandMap, CustomMapParsesAndValidates) {
 
 TEST(CdcFifo, DeliversAfterReadyDelayReaderTicks) {
   std::uint64_t reader_clock = 0;
-  noc::CdcFifo<int> fifo(/*ready_delay=*/3, /*capacity=*/8, &reader_clock);
+  auto fifo = noc::Channel<int>::cdc_fifo(/*ready_delay=*/3, /*capacity=*/8, &reader_clock);
   fifo.push(42);
   for (int tick = 1; tick <= 2; ++tick) {
     ++reader_clock;
@@ -99,7 +99,7 @@ TEST(CdcFifo, DeliversAfterReadyDelayReaderTicks) {
 
 TEST(CdcFifo, MultiplePushesBetweenTicksKeepFifoOrderOnePopPerTick) {
   std::uint64_t reader_clock = 0;
-  noc::CdcFifo<int> fifo(1, 8, &reader_clock);
+  auto fifo = noc::Channel<int>::cdc_fifo(1, 8, &reader_clock);
   // A fast writer lands three items between two reader ticks.
   fifo.push(1);
   fifo.push(2);
@@ -118,7 +118,7 @@ TEST(CdcFifo, MultiplePushesBetweenTicksKeepFifoOrderOnePopPerTick) {
 TEST(CdcFifo, PendingBitClearsOnlyWhenEmpty) {
   std::uint64_t reader_clock = 0;
   std::uint64_t mask = 0;
-  noc::CdcFifo<int> fifo(1, 8, &reader_clock);
+  auto fifo = noc::Channel<int>::cdc_fifo(1, 8, &reader_clock);
   fifo.set_reader_bit(&mask, 2);
   fifo.push(1);
   fifo.push(2);
@@ -133,9 +133,9 @@ TEST(CdcFifo, PendingBitClearsOnlyWhenEmpty) {
 
 TEST(CdcFifo, Validation) {
   std::uint64_t reader_clock = 0;
-  EXPECT_THROW(noc::CdcFifo<int>(0, 8, &reader_clock), std::invalid_argument);
-  EXPECT_THROW(noc::CdcFifo<int>(1, 0, &reader_clock), std::invalid_argument);
-  EXPECT_THROW(noc::CdcFifo<int>(1, 8, nullptr), std::invalid_argument);
+  EXPECT_THROW(noc::Channel<int>::cdc_fifo(0, 8, &reader_clock), std::invalid_argument);
+  EXPECT_THROW(noc::Channel<int>::cdc_fifo(1, 0, &reader_clock), std::invalid_argument);
+  EXPECT_THROW(noc::Channel<int>::cdc_fifo(1, 8, nullptr), std::invalid_argument);
 }
 
 // ---------------------------------------------------------------------------

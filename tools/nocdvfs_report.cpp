@@ -14,7 +14,8 @@
 ///                                                   tables (hist=on runs)
 ///   nocdvfs_report profile <file.nocobs>            host phase profile, top
 ///                                                   exclusive costs, worker
-///                                                   utilization, manifest
+///                                                   utilization, awake
+///                                                   reasons, manifest
 ///                                                   (prof=on runs / sweep
 ///                                                   host timelines)
 ///   nocdvfs_report diff <a.csv> <b.csv> [group_a [group_b]] [skip=col,...]
@@ -26,6 +27,7 @@
 /// — so reports work on artifacts copied off CI.
 
 #include <algorithm>
+#include <charconv>
 #include <cstdint>
 #include <iomanip>
 #include <iostream>
@@ -59,7 +61,8 @@ int usage() {
          "  percentiles latency-distribution tables: p50..p99.9 per scope "
          "(hist=on runs)\n"
          "  profile     host phase profile + top exclusive costs, sweep-worker\n"
-         "              utilization, and the run-provenance manifest (prof=on runs)\n"
+         "              utilization, why skip-idle kept tiles awake, and the\n"
+         "              run-provenance manifest (prof=on runs)\n"
          "  diff        compare two sweep CSVs row by row (paired by index) on every\n"
          "              config and metric column, by name and exactly; names each\n"
          "              mismatch; exit 0 equal, 1 mismatch, 2 bad input\n";
@@ -350,6 +353,33 @@ int cmd_profile(const Timeline& tl, const std::string& path) {
                 << std::setw(12) << static_cast<double>(w.busy_ns) * 1e-9
                 << std::setprecision(1) << std::setw(7) << util << "%"
                 << std::defaultfloat << "\n";
+    }
+  }
+
+  // Skip-idle: why awake tiles were kept, as shares of the kept tile-steps
+  // (the four noc.awake.* manifest counts, in the order they are tested).
+  static constexpr const char* kAwakeReasons[] = {"buffered_flits", "router_input", "ni_busy",
+                                                  "ni_input"};
+  std::vector<std::pair<const char*, std::uint64_t>> awake;
+  std::uint64_t kept = 0;
+  for (const char* reason : kAwakeReasons) {
+    const std::string key = std::string("noc.awake.") + reason;
+    for (const auto& [k, value] : tl.manifest) {
+      std::uint64_t steps = 0;
+      const auto [end, ec] = std::from_chars(value.data(), value.data() + value.size(), steps);
+      if (k != key || ec != std::errc{} || end != value.data() + value.size()) continue;
+      awake.emplace_back(reason, steps);
+      kept += steps;
+    }
+  }
+  if (!awake.empty()) {
+    std::cout << "\nwhy tiles stayed awake (" << kept << " kept tile-steps):\n";
+    for (const auto& [reason, steps] : awake) {
+      const double pct =
+          kept > 0 ? 100.0 * static_cast<double>(steps) / static_cast<double>(kept) : 0.0;
+      std::cout << "  " << std::left << std::setw(26) << reason << std::right
+                << std::setw(14) << steps << std::fixed << std::setprecision(1)
+                << std::setw(8) << pct << "%" << std::defaultfloat << "\n";
     }
   }
 
