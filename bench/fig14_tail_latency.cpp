@@ -2,7 +2,7 @@
 /// Extension figure: what do the control policies do to the *tail* of the
 /// delay distribution? The paper compares RMSD and DMSD on mean delay
 /// (Fig. 4/5); this bench re-asks the question at p50/p95/p99/p99.9 using
-/// the streaming latency histograms (`hist=on`). Rate sensing clocks for
+/// the streaming latency histograms every run records. Rate sensing clocks for
 /// the average flit — it tolerates a long tail as long as injected flits
 /// keep fitting the λ_max budget — while delay sensing reacts to the same
 /// congestion transients that stretch the tail, so the interesting number
@@ -11,14 +11,13 @@
 ///
 /// Accepts `key=value` overrides and `help=1`; `topologies=` slices the
 /// matrix; `csv=`/`json=` write machine-readable rows with the appended
-/// hist/dist_* columns. The matrix is hist × topology × policy with the
-/// hist=off mesh rows first, and a `baseline` sweep group repeats the
-/// policy sweep through a scenario that never touches the hist or topology
-/// keys — its rows must match the hist=off topology=mesh rows bit-for-bit
-/// (CI asserts this: the histogram layer off IS the seed simulator).
+/// min/max and dist_* columns. The matrix is topology × policy with the
+/// mesh rows first, and a `baseline` sweep group repeats the policy sweep
+/// through a scenario that never touches a topology key — its rows must
+/// match the topology=mesh rows bit-for-bit (CI asserts this).
 ///
 /// With `telemetry=windows|full telemetry_out=<base>` a dedicated export
-/// run re-runs the mesh/RMSD cell with `hist=on pkt_trace=on` and writes
+/// run re-runs the mesh/RMSD cell with `pkt_trace=on` and writes
 /// the timeline (histograms + sampled packet flights) that
 /// `nocdvfs_report percentiles` and the Perfetto exporter render.
 
@@ -37,8 +36,8 @@ sim::SweepAxis topology_axis(const std::vector<std::string>& names) {
   std::vector<sim::SweepAxis::Point> points;
   for (const std::string& name : names) {
     if (name == "mesh") {
-      // Deliberately a no-op so the hist=off mesh rows stay bit-identical
-      // to the `baseline` group.
+      // Deliberately a no-op so the mesh rows stay bit-identical to the
+      // `baseline` group.
       points.push_back({"mesh", [](sim::Scenario&) {}});
     } else if (name == "torus") {
       points.push_back({"torus", [](sim::Scenario& s) {
@@ -56,15 +55,6 @@ sim::SweepAxis topology_axis(const std::vector<std::string>& names) {
     }
   }
   return sim::SweepAxis::custom("topology", std::move(points));
-}
-
-sim::SweepAxis hist_axis() {
-  std::vector<sim::SweepAxis::Point> points;
-  // The off point must not touch the key at all: its rows are the
-  // CI bit-identity reference against the `baseline` group.
-  points.push_back({"off", [](sim::Scenario&) {}});
-  points.push_back({"on", [](sim::Scenario& s) { s.hist = "on"; }});
-  return sim::SweepAxis::custom("hist", std::move(points));
 }
 
 std::string ratio_fmt(double num, double den) {
@@ -99,45 +89,38 @@ int main(int argc, char** argv) {
             << "   DMSD target = " << common::Table::fmt(anchors.target_delay_ns, 1)
             << " ns\n";
 
-  // --- hist x topology x policy matrix ------------------------------------
-  // hist is the outer axis: rows 0..(T*P-1) are hist=off and the first P of
-  // them are the mesh rows the baseline group must reproduce bit-for-bit.
-  const auto recs = h.sweep(
-      anchored_base(),
-      {hist_axis(), topology_axis(topologies), sim::SweepAxis::policies(policies)},
-      "fig14-tail");
+  // --- topology x policy matrix -------------------------------------------
+  // The first P rows are the mesh rows the baseline group must reproduce
+  // bit-for-bit.
+  const auto recs = h.sweep(anchored_base(),
+                            {topology_axis(topologies), sim::SweepAxis::policies(policies)},
+                            "fig14-tail");
 
   common::Table table({"topology", "policy", "mean ns", "p50 ns", "p95 ns", "p99 ns",
                        "p99.9 ns", "max ns", "p99/p50", "sat"});
-  const std::size_t on_base = topologies.size() * policies.size();
-  for (std::size_t t = 0; t < topologies.size(); ++t) {
-    for (std::size_t p = 0; p < policies.size(); ++p) {
-      const std::size_t i = on_base + t * policies.size() + p;
-      if (i >= recs.size()) continue;
-      const sim::RunResult& r = recs[i].result;
-      const sim::DelayDistResult::Slice& d = r.delay_dist.delay_ns;
-      table.add_row({topologies[t], sim::to_string(policies[p]),
-                     common::Table::fmt(r.avg_delay_ns, 1), common::Table::fmt(d.p50, 1),
-                     common::Table::fmt(d.p95, 1), common::Table::fmt(d.p99, 1),
-                     common::Table::fmt(d.p999, 1), common::Table::fmt(d.max, 1),
-                     ratio_fmt(d.p99, d.p50), r.saturated ? "y" : "n"});
-    }
+  for (const sim::SweepRecord& rec : recs) {
+    const sim::RunResult& r = rec.result;
+    const sim::DelayDistResult::Slice& d = r.delay_dist.delay_ns;
+    table.add_row({rec.point.coordinates[0], rec.point.coordinates[1],
+                   common::Table::fmt(r.avg_delay_ns, 1), common::Table::fmt(d.p50, 1),
+                   common::Table::fmt(d.p95, 1), common::Table::fmt(d.p99, 1),
+                   common::Table::fmt(d.p999, 1), common::Table::fmt(d.max, 1),
+                   ratio_fmt(d.p99, d.p50), r.saturated ? "y" : "n"});
   }
-  std::cout << "\n--- tail latency (hist=on rows; quantiles exact to one log2 "
-               "sub-bucket) ---\n";
+  std::cout << "\n--- tail latency (quantiles lie in the 1/8-octave bucket of the "
+               "exact order statistic) ---\n";
   table.print(std::cout);
 
   // --- dedicated export run: histograms + sampled packet flights ----------
   if (h.scenario().telemetry != "off" && !h.scenario().telemetry_out.empty()) {
     sim::Scenario s = anchored_base();
     s.policy.policy = sim::Policy::Rmsd;
-    s.hist = "on";
     s.pkt_trace = "on";
     s.pkt_trace_rate = h.scenario().pkt_trace_rate;
     s.telemetry = h.scenario().telemetry;
     s.telemetry_out = h.scenario().telemetry_out;
     const sim::RunResult r = sim::run(s);
-    std::cout << "\ntelemetry export (mesh rmsd hist=on pkt_trace=on): "
+    std::cout << "\ntelemetry export (mesh rmsd pkt_trace=on): "
               << s.telemetry_out << ".nocobs + .json   windows="
               << r.telemetry.windows << "   p99=" << common::Table::fmt(
                      r.delay_dist.delay_ns.p99, 1)
@@ -145,8 +128,8 @@ int main(int argc, char** argv) {
   }
 
   // Baseline rows for the CI identity check: the same policy sweep built
-  // from a Scenario that never touches hist or the topology keys. Bit-equal
-  // to the hist=off topology=mesh rows above, or the off path regressed.
+  // from a Scenario that never touches the topology keys. Bit-equal to the
+  // topology=mesh rows above, or the sweep plumbing perturbed the run.
   h.sweep(anchored_base(), {sim::SweepAxis::policies(policies)}, "baseline");
 
   std::cout << "\nConclusion check: both policies are tuned on *mean* delay, so their\n"

@@ -2,14 +2,11 @@
 
 /// \file stats.hpp
 /// Streaming statistics used throughout the simulator: Welford running
-/// moments, fixed-bin histograms, exponentially weighted moving averages and
-/// time-weighted averages (for quantities like "frequency over the
-/// measurement interval" that change at irregular instants).
+/// moments and time-weighted averages (for quantities like "frequency over
+/// the measurement interval" that change at irregular instants).
 
-#include <cstddef>
 #include <cstdint>
 #include <limits>
-#include <vector>
 
 namespace nocdvfs::common {
 
@@ -35,31 +32,6 @@ class RunningStats {
   double m2_ = 0.0;
   double min_ = std::numeric_limits<double>::infinity();
   double max_ = -std::numeric_limits<double>::infinity();
-};
-
-/// Fixed-bin histogram over [lo, hi); samples outside the range land in
-/// saturating under/overflow bins. Supports quantile queries, which the
-/// metrics layer uses for p95/p99 packet delay.
-class Histogram {
- public:
-  Histogram(double lo, double hi, std::size_t bins);
-
-  void add(double x) noexcept;
-  void reset() noexcept;
-
-  std::uint64_t count() const noexcept { return total_; }
-  std::uint64_t underflow() const noexcept { return underflow_; }
-  std::uint64_t overflow() const noexcept { return overflow_; }
-  double bin_lo(std::size_t i) const noexcept;
-
-  /// Approximate quantile q in [0,1]; linear interpolation inside the bin.
-  /// Returns lo/hi bounds when the mass sits in the under/overflow bins.
-  double quantile(double q) const noexcept;
-
- private:
-  double lo_, hi_, width_;
-  std::vector<std::uint64_t> counts_;
-  std::uint64_t underflow_ = 0, overflow_ = 0, total_ = 0;
 };
 
 /// Time-weighted average of a piecewise-constant signal: call `set(t, v)` at

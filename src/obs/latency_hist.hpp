@@ -2,19 +2,20 @@
 
 /// \file latency_hist.hpp
 /// Fixed-memory streaming latency histogram (HDR-style): log2 buckets with
-/// two sub-buckets per octave, over unsigned integer values (picoseconds
+/// eight sub-buckets per octave, over unsigned integer values (picoseconds
 /// for delays — exact, since packet timestamps are integer ps — or raw
-/// cycle counts for latencies).
+/// cycle counts for latencies). It is the simulator's only delay
+/// histogram: every run records every measured packet into it, and the
+/// headline p50/p95/p99 are read from it.
 ///
-/// Bucket scheme: value 0 and value 1 get exact buckets; every other value
-/// v with k = floor(log2 v) >= 1 lands in [2^k, 1.5*2^k) or
-/// [1.5*2^k, 2^(k+1)) — index 2k or 2k+1. 128 buckets cover the full
-/// uint64 range in ~1 KiB, and a bucket is never wider than 50% of its
-/// lower bound, so a quantile read from the histogram is within one
-/// bucket width (<= 50% relative error) of the exact order statistic.
-/// Counts themselves are exact: the quantile walk uses the same
-/// rank = ceil(q*n) the sorted-array oracle uses, so the walk lands in
-/// precisely the bucket that contains the oracle's value.
+/// Bucket scheme: values 0..7 get exact buckets; every other value v with
+/// k = floor(log2 v) >= 3 lands in one of the eight equal sub-buckets
+/// [(8+s)*2^(k-3), (9+s)*2^(k-3)), s = 0..7 — index 8(k-2) + s. 496
+/// buckets cover the full uint64 range in ~4 KiB, and a bucket is never
+/// wider than 1/8 of its lower bound. Counts themselves are exact: the
+/// quantile walk uses the same rank = ceil(q*n) the sorted-array oracle
+/// uses, so it lands in precisely the bucket that holds the oracle's
+/// value, and then interpolates linearly by rank inside that bucket.
 
 #include <cstddef>
 #include <cstdint>
@@ -24,10 +25,10 @@
 namespace nocdvfs::obs {
 
 /// Serializable view of a LatencyHistogram (sparse: only non-empty
-/// buckets), embedded in the `.nocobs` timeline so `nocdvfs_report
-/// percentiles` can re-derive quantiles offline.
+/// buckets, ascending), embedded in the `.nocobs` timeline so
+/// `nocdvfs_report percentiles` can re-derive quantiles offline.
 struct HistogramSnapshot {
-  std::string label;           ///< e.g. "delay_ns", "island3", "hops5"
+  std::string label;           ///< e.g. "delay_ps", "island3_delay_ps", "hops5_delay_ps"
   std::uint64_t count = 0;
   std::uint64_t min = 0;       ///< exact observed extremes (raw units)
   std::uint64_t max = 0;
@@ -37,13 +38,15 @@ struct HistogramSnapshot {
 
 class LatencyHistogram {
  public:
-  static constexpr std::size_t kNumBuckets = 128;
+  static constexpr std::size_t kSubBuckets = 8;  ///< per octave
+  static constexpr std::size_t kNumBuckets = 496;
 
-  /// 0 -> 0, 1 -> 1, else 2k + (v >= 1.5*2^k) for k = floor(log2 v).
+  /// v < 8 -> v, else 8(k-2) + s for k = floor(log2 v), s = the three bits
+  /// below the leading one.
   static std::size_t bucket_index(std::uint64_t v) noexcept;
-  /// Inclusive lower bound of bucket i.
+  /// Inclusive lower bound of bucket i (i < kNumBuckets).
   static std::uint64_t bucket_lo(std::size_t i) noexcept;
-  /// Inclusive upper bound of bucket i (saturates at UINT64_MAX).
+  /// Inclusive upper bound of bucket i (i < kNumBuckets).
   static std::uint64_t bucket_hi(std::size_t i) noexcept;
 
   void record(std::uint64_t v) noexcept;
@@ -54,11 +57,11 @@ class LatencyHistogram {
   std::uint64_t min() const noexcept { return count_ ? min_ : 0; }
   std::uint64_t max() const noexcept { return count_ ? max_ : 0; }
 
-  /// Quantile q in [0, 1] by exact-count rank walk (rank = ceil(q*n),
-  /// at least 1): returns the inclusive upper bound of the bucket holding
-  /// the rank-th smallest sample, clamped to the observed [min, max] — so
-  /// quantile(1.0) is the exact maximum and every quantile is within one
-  /// bucket width of the exact order statistic.
+  /// Quantile q in [0, 1] by exact-count rank walk (rank = ceil(q*n), at
+  /// least 1) to the bucket holding the rank-th smallest sample, linear
+  /// interpolation by rank inside it, clamped to the observed [min, max]:
+  /// quantile(1.0) is the exact maximum and every quantile lies in the
+  /// bucket of the exact order statistic.
   std::uint64_t quantile(double q) const noexcept;
 
   HistogramSnapshot snapshot(std::string label) const;
@@ -70,8 +73,11 @@ class LatencyHistogram {
   std::uint64_t max_ = 0;
 };
 
-/// Quantile over a serialized snapshot, same semantics as
-/// LatencyHistogram::quantile (used by `nocdvfs_report percentiles`).
+/// Quantile over a serialized snapshot, same routine as
+/// LatencyHistogram::quantile (used by `nocdvfs_report percentiles`). The
+/// snapshot must be well formed: indices strictly ascending and below
+/// kNumBuckets, counts summing to `count`, min <= max (the `.nocobs`
+/// reader rejects any other).
 std::uint64_t snapshot_quantile(const HistogramSnapshot& s, double q) noexcept;
 
 }  // namespace nocdvfs::obs

@@ -180,7 +180,7 @@ struct HostWorkerStats {
 /// metric series, per-island control rows and the event timeline. This is
 /// what the binary format serializes and `nocdvfs_report` renders.
 struct Timeline {
-  static constexpr std::uint32_t kVersion = 3;
+  static constexpr std::uint32_t kVersion = 4;
 
   /// Format version of the file this timeline was read from (writers
   /// always emit kVersion; an older file reads back with the newer-only
@@ -205,7 +205,9 @@ struct Timeline {
   std::vector<TimelineEvent> events;
   // --- v2 sections (empty when reading a v1 file) ---
   std::vector<FlightRecord> flights;         ///< sampled packet journeys
-  std::vector<HistogramSnapshot> histograms; ///< latency distributions
+  /// Latency distributions. Bucket indices are the v4 scheme; a v2/v3
+  /// file's (older-scheme) histograms are read and dropped.
+  std::vector<HistogramSnapshot> histograms;
   // --- v3 sections (empty when reading a v1/v2 file) ---
   /// Run-provenance manifest entries (scenario.*, build.*, host.*, mem.*).
   std::vector<std::pair<std::string, std::string>> manifest;

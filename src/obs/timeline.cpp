@@ -14,6 +14,9 @@ namespace nocdvfs::obs {
 namespace {
 
 constexpr std::uint32_t kMagic = 0x4F434F4E;  // 'N' 'O' 'C' 'O' little-endian
+/// Bucket count of the histograms in v2/v3 files (read only to be checked
+/// and dropped).
+constexpr std::size_t kBucketsBeforeV4 = 128;
 
 // ---- binary primitives ----------------------------------------------------
 
@@ -44,6 +47,50 @@ std::string get_str(std::istream& is) {
   is.read(s.data(), static_cast<std::streamsize>(n));
   if (!is) throw std::runtime_error("timeline: truncated file");
   return s;
+}
+
+/// One histogram section, rejected unless snapshot_quantile can walk it:
+/// at most `num_buckets` buckets (checked before anything is sized from
+/// the count), indices strictly ascending and below `num_buckets`, counts
+/// summing to `count`, and min <= max.
+HistogramSnapshot get_histogram(std::istream& is, const std::string& path,
+                                std::size_t num_buckets) {
+  HistogramSnapshot snap;
+  snap.label = get_str(is);
+  const auto bad = [&](const std::string& why) {
+    return std::runtime_error("timeline: '" + path + "' histogram '" + snap.label + "': " + why);
+  };
+  snap.count = get<std::uint64_t>(is);
+  snap.min = get<std::uint64_t>(is);
+  snap.max = get<std::uint64_t>(is);
+  const auto buckets = get<std::uint32_t>(is);
+  if (buckets > num_buckets) {
+    throw bad(std::to_string(buckets) + " buckets (at most " + std::to_string(num_buckets) +
+              ")");
+  }
+  snap.bucket_index.reserve(buckets);
+  snap.bucket_count.reserve(buckets);
+  std::uint64_t total = 0;
+  for (std::uint32_t b = 0; b < buckets; ++b) {
+    const auto index = get<std::uint32_t>(is);
+    const auto count = get<std::uint64_t>(is);
+    if (index >= num_buckets) {
+      throw bad("bucket index " + std::to_string(index) + " out of range");
+    }
+    if (b > 0 && index <= snap.bucket_index.back()) {
+      throw bad("bucket indices not strictly ascending at " + std::to_string(index));
+    }
+    if (count > ~total) throw bad("bucket counts overflow");
+    total += count;
+    snap.bucket_index.push_back(index);
+    snap.bucket_count.push_back(count);
+  }
+  if (total != snap.count) {
+    throw bad("bucket counts sum to " + std::to_string(total) + ", not count " +
+              std::to_string(snap.count));
+  }
+  if (snap.min > snap.max) throw bad("min exceeds max");
+  return snap;
 }
 
 // ---- JSON helpers ---------------------------------------------------------
@@ -350,21 +397,12 @@ Timeline read_timeline_binary(const std::string& path) {
     }
 
     const auto num_hists = get<std::uint32_t>(is);
-    tl.histograms.reserve(num_hists);
+    const std::size_t num_buckets =
+        version >= 4 ? LatencyHistogram::kNumBuckets : kBucketsBeforeV4;
     for (std::uint32_t h = 0; h < num_hists; ++h) {
-      HistogramSnapshot snap;
-      snap.label = get_str(is);
-      snap.count = get<std::uint64_t>(is);
-      snap.min = get<std::uint64_t>(is);
-      snap.max = get<std::uint64_t>(is);
-      const auto buckets = get<std::uint32_t>(is);
-      snap.bucket_index.reserve(buckets);
-      snap.bucket_count.reserve(buckets);
-      for (std::uint32_t b = 0; b < buckets; ++b) {
-        snap.bucket_index.push_back(get<std::uint32_t>(is));
-        snap.bucket_count.push_back(get<std::uint64_t>(is));
-      }
-      tl.histograms.push_back(std::move(snap));
+      HistogramSnapshot snap = get_histogram(is, path, num_buckets);
+      // Before v4 the buckets had another meaning; no reader of them is kept.
+      if (version >= 4) tl.histograms.push_back(std::move(snap));
     }
   }
 

@@ -5,7 +5,7 @@
 /// (`.nocobs`) for large runs and a Chrome trace-event / Perfetto JSON
 /// export for interactive inspection.
 ///
-/// ## Binary format (`.nocobs`, version 3)
+/// ## Binary format (`.nocobs`, version 4)
 ///
 /// All integers little-endian, strings length-prefixed (u32 + bytes):
 ///
@@ -30,6 +30,10 @@
 ///     u32 num_histograms; per histogram: str label, u64 count, min, max,
 ///         u32 num_buckets; per bucket: u32 index, u64 count
 ///
+///     The reader rejects a histogram whose buckets are more than
+///     LatencyHistogram::kNumBuckets, not strictly ascending, out of range
+///     or not summing to count, or whose min exceeds max.
+///
 /// Version 3 appends the host-observability sections (empty when reading
 /// a v1/v2 file):
 ///
@@ -38,6 +42,10 @@
 ///         u64 calls, inclusive_ns, exclusive_ns
 ///     u32 num_host_spans; per span: i32 worker, u64 point, t0_ns, t1_ns
 ///     u32 num_host_workers; per worker: i32 worker, u64 points, busy_ns
+///
+/// Version 4 changes no layout: it marks the eight-sub-bucket histogram
+/// indices (obs/latency_hist.hpp). A v2/v3 file's histograms used another
+/// bucket scheme; the reader checks and then drops them.
 ///
 /// ## Perfetto JSON
 ///

@@ -78,8 +78,7 @@ class HostPlugin final : public RunPlugin {
     mem.add("timeline", tl.series.size(), tl_bytes);
     mem.add("flight_recorder", tl.flights.size(), flight_bytes);
     const DelayDistResult& dd = result.delay_dist;
-    const std::uint64_t hists =
-        dd.enabled ? 2 + dd.island_delay_ns.size() + dd.hop_delay_ns.size() : 0;
+    const std::uint64_t hists = 2 + dd.island_delay_ns.size() + dd.hop_delay_ns.size();
     mem.add("histogram_pool", hists, hists * sizeof(obs::LatencyHistogram));
     std::uint64_t trace_points = result.vf_trace.size();
     for (const IslandResult& isl : result.islands) trace_points += isl.vf_trace.size();

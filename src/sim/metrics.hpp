@@ -117,12 +117,11 @@ struct TelemetryResult {
   std::vector<HotLink> top_links;  ///< by link flits, descending
 };
 
-/// Streaming latency-distribution slice of a run — empty/zero when `hist=`
-/// is off (the default), so the off-path result is bit-identical to a
-/// build without the subsystem. Filled from the fixed-memory log2-bucket
-/// histograms (obs::LatencyHistogram): counts and min/max are exact,
-/// quantiles are within one sub-bucket (≤ 50% relative error) of the true
-/// order statistic of the delivered-packet population.
+/// Latency-distribution slice of a run, recorded on every run from the
+/// measured packets. Filled from the fixed-memory log2-bucket histograms
+/// (obs::LatencyHistogram) the headline p50/p95/p99 also come from:
+/// counts and min/max are exact, quantiles lie in the sub-bucket of the
+/// true order statistic (at most 1/8 of its lower bound wide).
 struct DelayDistResult {
   /// Percentile summary of one histogram. The unit is whatever the
   /// histogram recorded (ns for delay slices, NoC cycles for latency).
@@ -137,7 +136,6 @@ struct DelayDistResult {
     double p999 = 0.0;
   };
 
-  bool enabled = false;
   Slice delay_ns;         ///< end-to-end packet delay, all delivered packets
   Slice latency_cycles;   ///< network latency in NoC clock cycles
   /// Per destination island (index = island id) — the receiving side's
@@ -215,7 +213,7 @@ struct RunResult {
   // --- telemetry (telemetry= runs only; see TelemetryResult) ---
   TelemetryResult telemetry;
 
-  // --- latency distributions (hist= runs only; see DelayDistResult) ---
+  // --- latency distributions (see DelayDistResult) ---
   DelayDistResult delay_dist;
 
   // --- host observability (see HostResult) ---

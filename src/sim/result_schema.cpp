@@ -190,20 +190,11 @@ const std::vector<ResultField> kSchema = {
     // --- latency distribution ---
     {"min_delay_ns", "ns", kMetric, [](R x) -> FieldValue { return x.result.min_delay_ns; }},
     {"max_delay_ns", "ns", kMetric, [](R x) -> FieldValue { return x.result.max_delay_ns; }},
-    {"hist", "", kConfig,
-     [](R x) -> FieldValue { return text(x.result.delay_dist.enabled ? "on" : "off"); }},
-    {"dist_p50_ns", "ns", kMetric,
-     [](R x) -> FieldValue { return x.result.delay_dist.delay_ns.p50; }},
+    // p50/p95/p99 and max are the headline columns above: one histogram.
     {"dist_p90_ns", "ns", kMetric,
      [](R x) -> FieldValue { return x.result.delay_dist.delay_ns.p90; }},
-    {"dist_p95_ns", "ns", kMetric,
-     [](R x) -> FieldValue { return x.result.delay_dist.delay_ns.p95; }},
-    {"dist_p99_ns", "ns", kMetric,
-     [](R x) -> FieldValue { return x.result.delay_dist.delay_ns.p99; }},
     {"dist_p999_ns", "ns", kMetric,
      [](R x) -> FieldValue { return x.result.delay_dist.delay_ns.p999; }},
-    {"dist_max_ns", "ns", kMetric,
-     [](R x) -> FieldValue { return x.result.delay_dist.delay_ns.max; }},
     // --- host provenance ---
     {"host_wall_s", "s", kHost, [](R x) -> FieldValue { return x.result.host.wall_s; }},
     {"peak_rss_mb", "MiB", kHost,

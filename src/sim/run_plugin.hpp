@@ -71,8 +71,8 @@ struct RunContext {
 
 /// Hooks in call order: `before_control` at every control boundary, then
 /// `after_control` once the updates ran; `on_measure_begin` when settling
-/// ends; `on_delivery` per measured packet (subscribers only); `finalize`
-/// after the core's headline fields; `post_run` after the root scope.
+/// ends; `finalize` after the core's headline fields and latency
+/// distributions; `post_run` after the root scope.
 class RunPlugin {
  public:
   RunPlugin() = default;
@@ -82,8 +82,6 @@ class RunPlugin {
   virtual void before_control(RunContext&) {}
   virtual void after_control(RunContext&) {}
   virtual void on_measure_begin(RunContext&) {}
-  /// Subscribers only; `island` is the destination's island.
-  virtual void on_delivery(const noc::PacketRecord&, int /*island*/) {}
   virtual void finalize(RunContext&, RunResult&) {}
   virtual void post_run(RunContext&, RunResult&) {}
 };
@@ -100,6 +98,5 @@ class EnergySlot : public RunPlugin {
 std::unique_ptr<RunPlugin> make_host_plugin(const RunContext& ctx);
 std::unique_ptr<RunPlugin> make_telemetry_plugin(RunContext& ctx);
 std::unique_ptr<EnergySlot> make_thermal_plugin(const RunContext& ctx);
-std::unique_ptr<RunPlugin> make_hist_plugin(const RunContext& ctx);
 
 }  // namespace nocdvfs::sim

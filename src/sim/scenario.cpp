@@ -312,9 +312,6 @@ std::string telemetry_config_problem(const Scenario& s) {
   } catch (const std::exception& e) {
     return e.what();
   }
-  if (s.hist != "on" && s.hist != "off") {
-    return "hist= must be on or off (got hist=" + s.hist + ")";
-  }
   if (s.pkt_trace != "on" && s.pkt_trace != "off") {
     return "pkt_trace= must be on or off (got pkt_trace=" + s.pkt_trace + ")";
   }
@@ -398,8 +395,6 @@ void Scenario::declare_keys(common::Config& c, const Scenario& d) {
             "observability: off|windows|full (full adds per-link columns)");
   c.declare("telemetry_out", d.telemetry_out,
             "timeline output basename (writes <base>.json + <base>.nocobs)");
-  c.declare("hist", d.hist,
-            "streaming latency histograms: on|off (p50..p99.9 per island & hop)");
   c.declare("pkt_trace", d.pkt_trace,
             "packet flight recorder: on|off (needs telemetry != off)");
   c.declare_int("pkt_trace_rate", static_cast<std::int64_t>(d.pkt_trace_rate),
@@ -512,7 +507,6 @@ Scenario Scenario::from_config(const common::Config& c) {
 
   s.telemetry = c.get_string("telemetry");
   s.telemetry_out = c.get_string("telemetry_out");
-  s.hist = c.get_string("hist");
   s.pkt_trace = c.get_string("pkt_trace");
   s.pkt_trace_rate = non_negative(c, "pkt_trace_rate");
   s.prof = c.get_string("prof");
@@ -589,7 +583,6 @@ std::unique_ptr<Simulator> make_simulator(const Scenario& s) {
   sim_cfg.telemetry.mode = obs::telemetry_mode_from_string(s.telemetry);
   // telemetry_out= is inert with telemetry=off (the thermal-key pattern).
   if (sim_cfg.telemetry.enabled()) sim_cfg.telemetry.out_base = s.telemetry_out;
-  sim_cfg.hist = s.hist == "on";
   sim_cfg.pkt_trace = s.pkt_trace == "on" && sim_cfg.telemetry.enabled();
   sim_cfg.pkt_trace_rate = s.pkt_trace_rate;
   sim_cfg.prof = s.prof == "on";

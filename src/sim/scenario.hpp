@@ -110,11 +110,6 @@ struct Scenario {
   /// Empty keeps the timeline in memory (RunResult::telemetry only).
   /// Inert when telemetry=off.
   std::string telemetry_out;
-  /// `on` enables the streaming latency histograms (global, per
-  /// destination island, per hop count) surfaced in
-  /// RunResult::delay_dist; `off` (default) is bit-identical to a build
-  /// without them. Independent of `telemetry=`.
-  std::string hist = "off";
   /// `on` samples whole packet journeys into the flight recorder and
   /// exports them with the telemetry timeline — requires `telemetry=` to
   /// be non-off (the flights ride in the `.nocobs`/Perfetto files).

@@ -4,6 +4,7 @@
 #include <stdexcept>
 
 #include "common/stats.hpp"
+#include "obs/latency_hist.hpp"
 #include "obs/prof.hpp"
 #include "sim/run_plugin.hpp"
 
@@ -109,7 +110,8 @@ class RunState {
             std::vector<RunContext::Island>(static_cast<std::size_t>(bank.num_islands()))},
         bank_(bank),
         clock_(clock),
-        traffic_(traffic) {
+        traffic_(traffic),
+        island_delay_ps_(static_cast<std::size_t>(ctx.n_islands)) {
     for (int i = 0; i < ctx.n_islands; ++i) {
       ctx.island(i).nodes = static_cast<int>(net.island_members(i).size());
       ctx.island(i).buffer_capacity = static_cast<double>(net.island_buffer_capacity_flits(i));
@@ -124,10 +126,6 @@ class RunState {
         cfg.thermal.enabled ? make_thermal_plugin(ctx) : std::make_unique<IslandEnergy>(ctx);
     energy_ = energy_slot.get();
     plugins.push_back(std::move(energy_slot));
-    if (cfg.hist) {
-      plugins.push_back(make_hist_plugin(ctx));
-      delivery_subscribers_.push_back(plugins.back().get());
-    }
   }
 
   RunContext ctx;
@@ -199,7 +197,9 @@ class RunState {
   void account_deliveries() {
     std::vector<noc::PacketRecord>& delivered = ctx.net.delivered();
     for (const noc::PacketRecord& rec : delivered) {
-      const double d_ns = rec.delay_ns();
+      // The histograms take the exact integer-ps delay d_ns is scaled from.
+      const Picoseconds d_ps = rec.eject_time_ps - rec.create_time_ps;
+      const double d_ns = common::ns_from_ps(d_ps);
       // The receiving nodes report delay (the paper's DMSD measurement
       // path), so a packet belongs to its destination's island.
       const int i = ctx.net.island_of(rec.dst);
@@ -210,10 +210,15 @@ class RunState {
         delay_.add(d_ns);
         latency_.add(static_cast<double>(rec.latency_cycles()));
         hops_.add(static_cast<double>(rec.hops));
-        delay_hist_.add(d_ns);
         class_delay_[rec.traffic_class == 0 ? 0 : 1].add(d_ns);
         isl.delay_stats.add(d_ns);
-        for (RunPlugin* p : delivery_subscribers_) p->on_delivery(rec, i);
+        delay_ps_.record(d_ps);
+        latency_cycles_.record(rec.latency_cycles());
+        island_delay_ps_[static_cast<std::size_t>(i)].record(d_ps);
+        // One slice per hop count actually seen: `hops` is 16-bit, so the
+        // slice vector is bounded without folding long paths together.
+        if (rec.hops >= hop_delay_ps_.size()) hop_delay_ps_.resize(std::size_t{rec.hops} + 1);
+        hop_delay_ps_[rec.hops].record(d_ps);
       }
       // Closed-loop workloads (request–reply) react to deliveries.
       traffic_.on_packet_delivered(rec, clock_.now());
@@ -232,13 +237,15 @@ class RunState {
     r.measure_noc_cycles = clock_.noc_cycles(0) - start_noc_;
     r.measure_duration_ps = now - ctx.measure_start_ps;
 
-    r.packets_delivered = delay_.count();
+    distributions(r.delay_dist);
+    const DelayDistResult::Slice& delay = r.delay_dist.delay_ns;
+    r.packets_delivered = delay.count;
     r.avg_delay_ns = delay_.mean();
-    r.min_delay_ns = delay_.min();
-    r.max_delay_ns = delay_.max();
-    r.p50_delay_ns = delay_hist_.quantile(0.50);
-    r.p95_delay_ns = delay_hist_.quantile(0.95);
-    r.p99_delay_ns = delay_hist_.quantile(0.99);
+    r.min_delay_ns = delay.min;
+    r.max_delay_ns = delay.max;
+    r.p50_delay_ns = delay.p50;
+    r.p95_delay_ns = delay.p95;
+    r.p99_delay_ns = delay.p99;
     r.avg_latency_cycles = latency_.mean();
     r.avg_hops = hops_.mean();
     r.max_hops = hops_.count() > 0 ? static_cast<std::uint64_t>(hops_.max()) : 0;
@@ -334,10 +341,46 @@ class RunState {
   }
 
  private:
+  /// The measured latency distributions, and with telemetry on their
+  /// snapshots in the timeline (`nocdvfs_report percentiles` reads them).
+  void distributions(DelayDistResult& dd) const {
+    dd.delay_ns = slice(delay_ps_, 1e-3);
+    dd.latency_cycles = slice(latency_cycles_, 1.0);
+    for (const auto& h : island_delay_ps_) dd.island_delay_ns.push_back(slice(h, 1e-3));
+    for (const auto& h : hop_delay_ps_) dd.hop_delay_ns.push_back(slice(h, 1e-3));
+    if (ctx.timeline == nullptr) return;
+    std::vector<obs::HistogramSnapshot>& out = ctx.timeline->histograms;
+    out.push_back(delay_ps_.snapshot("delay_ps"));
+    out.push_back(latency_cycles_.snapshot("latency_cycles"));
+    for (std::size_t i = 0; i < island_delay_ps_.size(); ++i) {
+      out.push_back(island_delay_ps_[i].snapshot("island" + std::to_string(i) + "_delay_ps"));
+    }
+    for (std::size_t h = 0; h < hop_delay_ps_.size(); ++h) {
+      if (hop_delay_ps_[h].empty()) continue;
+      out.push_back(hop_delay_ps_[h].snapshot("hops" + std::to_string(h) + "_delay_ps"));
+    }
+  }
+
+  /// Integer-valued histogram `h` scaled to the slice's unit (ps -> ns is
+  /// the same `x 1e-3` as common::ns_from_ps).
+  static DelayDistResult::Slice slice(const obs::LatencyHistogram& h, double scale) {
+    DelayDistResult::Slice s;
+    s.count = h.count();
+    if (h.empty()) return s;
+    const auto at = [&](double q) { return static_cast<double>(h.quantile(q)) * scale; };
+    s.min = static_cast<double>(h.min()) * scale;
+    s.max = static_cast<double>(h.max()) * scale;
+    s.p50 = at(0.50);
+    s.p90 = at(0.90);
+    s.p95 = at(0.95);
+    s.p99 = at(0.99);
+    s.p999 = at(0.999);
+    return s;
+  }
+
   vfi::IslandControlBank& bank_;
   MultiClock& clock_;
   traffic::TrafficModel& traffic_;
-  std::vector<RunPlugin*> delivery_subscribers_;
   EnergySlot* energy_ = nullptr;
 
   std::uint64_t start_node_ = 0;
@@ -350,7 +393,10 @@ class RunState {
   common::RunningStats latency_;
   common::RunningStats hops_;
   common::RunningStats class_delay_[2];
-  common::Histogram delay_hist_{0.0, 8000.0, 2000};
+  obs::LatencyHistogram delay_ps_;
+  obs::LatencyHistogram latency_cycles_;
+  std::vector<obs::LatencyHistogram> island_delay_ps_;  ///< by destination island
+  std::vector<obs::LatencyHistogram> hop_delay_ps_;     ///< by hop count
 };
 
 }  // namespace

@@ -72,10 +72,6 @@ struct SimulatorConfig {
   /// Observability wiring: off by default, in which case the run (and its
   /// numerical results) are bit-identical to a build without src/obs/.
   obs::TelemetryConfig telemetry{};
-  /// Streaming latency histograms (RunResult::delay_dist); off = the
-  /// result slice stays zero and the run is bit-identical to a build
-  /// without them.
-  bool hist = false;
   /// Packet flight recorder: sample whole packet journeys into the
   /// telemetry timeline. Only honoured when telemetry is enabled (the
   /// flights ride in the exported .nocobs/Perfetto files).

@@ -176,8 +176,8 @@ TEST(GoldenMetrics, MatrixMatchesCheckedInGolden) {
 // histograms). Host-side sections (wall time, profile, manifest) vary run
 // to run and are left out.
 
-/// Four 5x5 scenarios with thermal, full telemetry, histograms and the
-/// flight recorder on: two policies x {global, quadrants}, one of them with
+/// Four 5x5 scenarios with thermal, full telemetry and the flight recorder
+/// on: two policies x {global, quadrants}, one of them with
 /// a mid-run link fault so the fault-epoch events are exercised too.
 std::vector<Scenario> subsystems_matrix() {
   std::vector<Scenario> out;
@@ -193,7 +193,6 @@ std::vector<Scenario> subsystems_matrix() {
       s.islands = islands;
       s.thermal = true;
       s.telemetry = "full";
-      s.hist = "on";
       s.pkt_trace = "on";
       // A cap just above the warm die temperature, so the thermal guard
       // engages and releases inside the run.
@@ -354,8 +353,6 @@ void dump_result(Dump& d, const std::string& name, const RunResult& r) {
   for (const double t : th.tile_peak_temp_c) d.field("t", t);
 
   const DelayDistResult& dd = r.delay_dist;
-  d.line(name + " dist");
-  d.field("enabled", dd.enabled ? 1 : 0);
   dump_slice(d, name + " dist delay", dd.delay_ns);
   dump_slice(d, name + " dist latency", dd.latency_cycles);
   for (std::size_t i = 0; i < dd.island_delay_ns.size(); ++i) {
@@ -498,6 +495,24 @@ std::vector<std::string> compute_subsystem_lines() {
 
 TEST(GoldenMetrics, SubsystemsMatchCheckedInGolden) {
   check_against_golden(kSubsystemsGoldenPath, compute_subsystem_lines());
+}
+
+/// The headline percentiles must not clip: on the saturated RMSD hotspot
+/// row most packets wait longer than 8 us (the old fixed-range histogram's
+/// ceiling, which it returned for all three), so p50 lies above it and the
+/// percentiles are ordered up to the exact maximum.
+TEST(GoldenMetrics, SaturatedPercentilesDoNotClip) {
+  for (const Scenario& s : golden_matrix()) {
+    if (scenario_name(s) != "rmsd-hotspot-global-cold") continue;
+    const RunResult r = run(s);
+    ASSERT_TRUE(r.saturated);
+    EXPECT_GT(r.p50_delay_ns, 8000.0);
+    EXPECT_LE(r.p50_delay_ns, r.p95_delay_ns);
+    EXPECT_LE(r.p95_delay_ns, r.p99_delay_ns);
+    EXPECT_LE(r.p99_delay_ns, r.max_delay_ns);
+    return;
+  }
+  FAIL() << "rmsd-hotspot-global-cold is not in the golden matrix";
 }
 
 /// The always-step escape hatch must be metrically invisible: a

@@ -12,6 +12,7 @@
 #include <fstream>
 #include <sstream>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "obs/telemetry.hpp"
@@ -149,7 +150,7 @@ obs::Timeline synthetic_timeline() {
   hs.count = 3;
   hs.min = 100;
   hs.max = 4000;
-  hs.bucket_index = {13, 23};
+  hs.bucket_index = {36, 79};  // 100 and 4000 in the v4 scheme
   hs.bucket_count = {2, 1};
   tl.histograms.push_back(hs);
   return tl;
@@ -227,6 +228,75 @@ TEST(TimelineBinary, RejectsTruncatedAndForeignFiles) {
   EXPECT_THROW(obs::read_timeline_binary(path), std::runtime_error);
   EXPECT_THROW(obs::read_timeline_binary(temp_base("missing") + ".nocobs"),
                std::runtime_error);
+  fs::remove(path);
+}
+
+/// Overwrites the u32 version field of a written .nocobs file.
+void set_version(const std::string& path, std::uint32_t version) {
+  std::fstream f(path, std::ios::binary | std::ios::in | std::ios::out);
+  f.seekp(4);
+  f.write(reinterpret_cast<const char*>(&version), sizeof version);
+}
+
+/// A histogram section is checked before anything trusts it: a bucket
+/// index past the scheme's last bucket (the quantile walk would shift by
+/// 64+ bits), an index out of order, or counts that do not add up to the
+/// histogram's count all reject the file, naming it and the histogram.
+TEST(TimelineBinary, RejectsMalformedHistograms) {
+  const std::string path = temp_base("bad_hist") + ".nocobs";
+  const auto rejected = [&](const obs::HistogramSnapshot& hs, std::uint32_t version) {
+    obs::Timeline tl = synthetic_timeline();
+    tl.histograms = {hs};
+    obs::write_timeline_binary(tl, path);
+    set_version(path, version);
+    try {
+      (void)obs::read_timeline_binary(path);
+    } catch (const std::runtime_error& e) {
+      const std::string what = e.what();
+      return what.find(path) != std::string::npos && what.find("'delay_ps'") != std::string::npos;
+    }
+    return false;
+  };
+  obs::HistogramSnapshot hs = synthetic_timeline().histograms[0];
+  ASSERT_FALSE(rejected(hs, obs::Timeline::kVersion));
+
+  obs::HistogramSnapshot index200 = hs;  // past a v3 file's 128 buckets
+  index200.bucket_index = {36, 200};
+  EXPECT_TRUE(rejected(index200, 3));
+  EXPECT_FALSE(rejected(index200, obs::Timeline::kVersion));
+  obs::HistogramSnapshot past_end = hs;
+  past_end.bucket_index = {36, obs::LatencyHistogram::kNumBuckets};
+  EXPECT_TRUE(rejected(past_end, obs::Timeline::kVersion));
+  obs::HistogramSnapshot descending = hs;
+  descending.bucket_index = {79, 36};
+  EXPECT_TRUE(rejected(descending, obs::Timeline::kVersion));
+  obs::HistogramSnapshot short_count = hs;
+  short_count.count = 4;  // buckets hold 3
+  EXPECT_TRUE(rejected(short_count, obs::Timeline::kVersion));
+  obs::HistogramSnapshot inverted = hs;
+  std::swap(inverted.min, inverted.max);
+  EXPECT_TRUE(rejected(inverted, obs::Timeline::kVersion));
+  obs::HistogramSnapshot too_many = hs;  // more buckets than the scheme has
+  too_many.bucket_index.clear();
+  too_many.bucket_count.assign(obs::LatencyHistogram::kNumBuckets + 1, 1);
+  for (std::uint32_t i = 0; i < too_many.bucket_count.size(); ++i) {
+    too_many.bucket_index.push_back(i);
+  }
+  too_many.count = too_many.bucket_count.size();
+  EXPECT_TRUE(rejected(too_many, obs::Timeline::kVersion));
+  fs::remove(path);
+}
+
+/// A pre-v4 file still reads; its histograms, bucketed by the older
+/// scheme, are checked and dropped.
+TEST(TimelineBinary, DropsPreV4Histograms) {
+  const std::string path = temp_base("v3") + ".nocobs";
+  obs::write_timeline_binary(synthetic_timeline(), path);
+  set_version(path, 3);
+  const obs::Timeline rt = obs::read_timeline_binary(path);
+  EXPECT_EQ(rt.version, 3u);
+  EXPECT_EQ(rt.flights.size(), 1u);
+  EXPECT_TRUE(rt.histograms.empty());
   fs::remove(path);
 }
 

@@ -10,7 +10,6 @@
 #include <algorithm>
 #include <cmath>
 #include <cstdint>
-#include <cstring>
 #include <filesystem>
 #include <memory>
 #include <string>
@@ -37,24 +36,29 @@ std::string temp_base(const std::string& name) {
 
 TEST(LatencyHistogramBuckets, SmallValuesAreExact) {
   using H = obs::LatencyHistogram;
-  EXPECT_EQ(H::bucket_index(0), 0u);
-  EXPECT_EQ(H::bucket_index(1), 1u);
-  EXPECT_EQ(H::bucket_lo(0), 0u);
-  EXPECT_EQ(H::bucket_hi(0), 0u);
-  EXPECT_EQ(H::bucket_lo(1), 1u);
-  EXPECT_EQ(H::bucket_hi(1), 1u);
+  for (std::uint64_t v = 0; v < 8; ++v) {
+    EXPECT_EQ(H::bucket_index(v), v);
+    EXPECT_EQ(H::bucket_lo(v), v);
+    EXPECT_EQ(H::bucket_hi(v), v);
+  }
+  EXPECT_EQ(H::bucket_index(8), 8u);
+  EXPECT_EQ(H::bucket_index(15), 15u);  // 8..15 are still one value each
+  EXPECT_EQ(H::bucket_index(~0ULL), H::kNumBuckets - 1);
+  EXPECT_EQ(H::bucket_hi(H::kNumBuckets - 1), ~0ULL);
 }
 
 TEST(LatencyHistogramBuckets, IndexLoHiRoundTrip) {
   using H = obs::LatencyHistogram;
-  // Octave boundaries and both sub-bucket edges across the whole range.
-  std::vector<std::uint64_t> probes = {2, 3, 4, 5, 6, 7, 8, 100, 1000, 12345};
-  for (int k = 1; k < 64; ++k) {
+  // Octave boundaries and every sub-bucket edge across the whole range.
+  std::vector<std::uint64_t> probes = {0, 1, 7, 8, 9, 100, 1000, 12345};
+  for (int k = 3; k < 64; ++k) {
     const std::uint64_t p = 1ULL << k;
-    probes.push_back(p);
-    probes.push_back(p + (p >> 1) - 1);  // last value of the low sub-bucket
-    probes.push_back(p + (p >> 1));      // first value of the high sub-bucket
-    probes.push_back(p - 1);             // last value of the previous octave
+    const std::uint64_t step = p >> 3;  // sub-bucket width in this octave
+    probes.push_back(p - 1);            // last value of the previous octave
+    for (std::uint64_t s = 0; s < 8; ++s) {
+      probes.push_back(p + s * step);             // first value of sub-bucket s
+      probes.push_back(p + (s + 1) * step - 1);   // last value of sub-bucket s
+    }
   }
   probes.push_back(~0ULL);
   for (const std::uint64_t v : probes) {
@@ -62,11 +66,14 @@ TEST(LatencyHistogramBuckets, IndexLoHiRoundTrip) {
     ASSERT_LT(i, H::kNumBuckets) << v;
     EXPECT_GE(v, H::bucket_lo(i)) << v;
     EXPECT_LE(v, H::bucket_hi(i)) << v;
-    // A bucket is never wider than 50% of its lower bound (the error bound
+    // A bucket is never wider than 1/8 of its lower bound (the error bound
     // every percentile claim rests on).
-    if (v >= 2) {
-      EXPECT_LE(H::bucket_hi(i) - H::bucket_lo(i), H::bucket_lo(i) / 2) << v;
-    }
+    const std::uint64_t width = H::bucket_hi(i) - H::bucket_lo(i) + 1;
+    EXPECT_LE(width, std::max<std::uint64_t>(1, H::bucket_lo(i) / 8)) << v;
+  }
+  // Buckets tile the range: each one starts right after the previous ends.
+  for (std::size_t i = 1; i < H::kNumBuckets; ++i) {
+    EXPECT_EQ(H::bucket_lo(i), H::bucket_hi(i - 1) + 1) << i;
   }
 }
 
@@ -281,18 +288,17 @@ sim::Scenario small_base() {
 }
 
 TEST(DelayDist, MatchesHeadlineStatsAndNestsSlices) {
-  sim::Scenario s = small_base();
-  s.hist = "on";
-  const sim::RunResult r = sim::run(s);
-  ASSERT_TRUE(r.delay_dist.enabled);
+  const sim::RunResult r = sim::run(small_base());
   const sim::DelayDistResult::Slice& d = r.delay_dist.delay_ns;
   ASSERT_GT(d.count, 0u);
   EXPECT_EQ(d.count, r.packets_delivered);
 
-  // The histogram's exact extremes agree with the running-stats extremes
-  // (both are the same integer-ps difference scaled to ns).
-  EXPECT_NEAR(d.min, r.min_delay_ns, 1e-9 * std::max(1.0, r.min_delay_ns));
-  EXPECT_NEAR(d.max, r.max_delay_ns, 1e-9 * std::max(1.0, r.max_delay_ns));
+  // One histogram: the headline percentiles and extremes are the slice's.
+  EXPECT_EQ(d.min, r.min_delay_ns);
+  EXPECT_EQ(d.max, r.max_delay_ns);
+  EXPECT_EQ(d.p50, r.p50_delay_ns);
+  EXPECT_EQ(d.p95, r.p95_delay_ns);
+  EXPECT_EQ(d.p99, r.p99_delay_ns);
 
   // Quantiles are ordered and bracketed by the extremes.
   EXPECT_LE(d.min, d.p50);
@@ -301,10 +307,6 @@ TEST(DelayDist, MatchesHeadlineStatsAndNestsSlices) {
   EXPECT_LE(d.p95, d.p99);
   EXPECT_LE(d.p99, d.p999);
   EXPECT_LE(d.p999, d.max);
-  // p50 within one bucket (<= 50% relative) of the exact median the
-  // delivered-packet stats computed.
-  EXPECT_GT(d.p50, 0.5 * r.p50_delay_ns);
-  EXPECT_LT(d.p50, 1.5 * r.p50_delay_ns + 1e-9);
 
   // Island and hop slices partition the global count.
   std::uint64_t island_sum = 0;
@@ -318,29 +320,6 @@ TEST(DelayDist, MatchesHeadlineStatsAndNestsSlices) {
   EXPECT_GT(r.delay_dist.latency_cycles.max, 0.0);
 }
 
-/// hist=on must not perturb the simulation: every headline metric is
-/// bitwise identical to the hist=off run.
-TEST(DelayDist, HistOnIsMetricsInvisible) {
-  const sim::Scenario off = small_base();
-  sim::Scenario on = small_base();
-  on.hist = "on";
-  const sim::RunResult a = sim::run(off);
-  const sim::RunResult b = sim::run(on);
-  const auto bits = [](double v) {
-    std::uint64_t u;
-    std::memcpy(&u, &v, sizeof u);
-    return u;
-  };
-  EXPECT_EQ(bits(a.avg_delay_ns), bits(b.avg_delay_ns));
-  EXPECT_EQ(bits(a.p99_delay_ns), bits(b.p99_delay_ns));
-  EXPECT_EQ(bits(a.avg_frequency_hz), bits(b.avg_frequency_hz));
-  EXPECT_EQ(bits(a.power.total_j()), bits(b.power.total_j()));
-  EXPECT_EQ(a.packets_delivered, b.packets_delivered);
-  EXPECT_EQ(a.measure_noc_cycles, b.measure_noc_cycles);
-  EXPECT_FALSE(a.delay_dist.enabled);
-  EXPECT_TRUE(b.delay_dist.enabled);
-}
-
 /// Long paths get their own hop slices: on a 40x40 transpose the longest
 /// route is 79 hops, and every hop count up to the longest one seen has a
 /// slice (nothing is folded into a last bucket).
@@ -350,13 +329,11 @@ TEST(DelayDist, HopSlicesCoverLongPaths) {
   s.network.width = 40;
   s.network.height = 40;
   s.lambda = 0.01;
-  s.hist = "on";
   s.control_period = 1000;
   s.phases.adaptive_warmup = false;
   s.phases.warmup_node_cycles = 1000;
   s.phases.measure_node_cycles = 3000;
   const sim::RunResult r = sim::run(s);
-  ASSERT_TRUE(r.delay_dist.enabled);
   EXPECT_GT(r.max_hops, 63u);
   EXPECT_EQ(r.delay_dist.hop_delay_ns.size(), r.max_hops + 1);
   std::uint64_t hop_sum = 0;
@@ -488,10 +465,6 @@ TEST(FlightRecorderEndToEnd, FlightsReconstructContiguousPaths) {
 
 TEST(DelayDistScenario, ValidatesKeys) {
   sim::Scenario s = small_base();
-  EXPECT_TRUE(sim::telemetry_config_problem(s).empty());
-  s.hist = "bogus";
-  EXPECT_FALSE(sim::telemetry_config_problem(s).empty());
-  s.hist = "on";
   EXPECT_TRUE(sim::telemetry_config_problem(s).empty());
 
   // pkt_trace needs the telemetry pipeline (that's where flights go).

@@ -463,12 +463,10 @@ TEST(SweepHost, JsonlSinkCarriesHostFieldsAndManifestObject) {
 // nocdvfs_report diff: result CSVs compared by column name
 // ---------------------------------------------------------------------------
 
-/// Two seeds under groups "a" and "b" (identical scenarios), with the
-/// latency histograms on so dist_max_ns is populated.
+/// Two seeds under groups "a" and "b" (identical scenarios).
 const std::string& diff_csv() {
   static const std::string text = [] {
-    sim::Scenario s = small_scenario();
-    s.hist = "on";
+    const sim::Scenario s = small_scenario();
     std::ostringstream csv;
     sim::CsvResultSink sink(csv);
     sim::SweepRunner runner(sim::SweepRunner::Options{.threads = 2});
@@ -553,9 +551,9 @@ TEST(ResultDiff, IdenticalGroupsMatchOnEveryConfigAndMetricColumn) {
   std::filesystem::remove(path);
 }
 
-TEST(ResultDiff, OneUlpInDistMaxIsNamed) {
+TEST(ResultDiff, OneUlpInMaxDelayIsNamed) {
   sim::ResultCsv csv = parse(diff_csv());
-  const std::size_t col = column(csv, "dist_max_ns");
+  const std::size_t col = column(csv, "max_delay_ns");
   std::string& cell = csv.rows[3][col];  // group b, index 1
   const double v = std::stod(cell);
   ASSERT_GT(v, 0.0);
@@ -566,7 +564,7 @@ TEST(ResultDiff, OneUlpInDistMaxIsNamed) {
   const std::string path = write_file("nocdvfs_diff_ulp.csv", to_csv_text(csv));
   const DiffRun r = run_diff({path, path, "a", "b"});
   EXPECT_EQ(r.code, 1) << r.out;
-  EXPECT_NE(r.out.find("mismatch: group=a|b index=1 column=dist_max_ns: " + original +
+  EXPECT_NE(r.out.find("mismatch: group=a|b index=1 column=max_delay_ns: " + original +
                        " != " + bumped),
             std::string::npos)
       << r.out;

@@ -256,5 +256,19 @@ TEST(ScenarioNetwork, CdcKeyReadsIntoNetworkAndSkipIdleKeyIsGone) {
   }
 }
 
+/// Every run records its latency histograms, so there is no switch left.
+TEST(ScenarioConfig, HistKeyIsGone) {
+  common::Config c;
+  Scenario::declare_keys(c);
+  const char* hist[] = {"prog", "hist=on"};
+  try {
+    c.parse_args(2, hist);
+    FAIL() << "hist= was accepted";
+  } catch (const std::invalid_argument& e) {
+    EXPECT_NE(std::string(e.what()).find("Config: unknown key 'hist'"), std::string::npos)
+        << e.what();
+  }
+}
+
 }  // namespace
 }  // namespace nocdvfs::sim

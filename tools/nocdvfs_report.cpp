@@ -11,7 +11,7 @@
 ///   nocdvfs_report islands <file.nocobs>            per-island actuation
 ///   nocdvfs_report events  <file.nocobs> [n]        the event timeline
 ///   nocdvfs_report percentiles <file.nocobs>        latency-distribution
-///                                                   tables (hist=on runs)
+///                                                   tables
 ///   nocdvfs_report profile <file.nocobs>            host phase profile, top
 ///                                                   exclusive costs, worker
 ///                                                   utilization, awake
@@ -59,7 +59,7 @@ int usage() {
          "  islands     per-island actuation summary (policy, f stats, events)\n"
          "  events      the run's event timeline (first [count] events; default all)\n"
          "  percentiles latency-distribution tables: p50..p99.9 per scope "
-         "(hist=on runs)\n"
+         "(.nocobs v4+)\n"
          "  profile     host phase profile + top exclusive costs, sweep-worker\n"
          "              utilization, why skip-idle kept tiles awake, and the\n"
          "              run-provenance manifest (prof=on runs)\n"
@@ -230,14 +230,22 @@ int cmd_islands(const Timeline& tl) {
   return 0;
 }
 
-int cmd_percentiles(const Timeline& tl) {
-  if (tl.histograms.empty()) {
-    std::cerr << "error: no latency histograms in this timeline (record them with "
-                 "hist=on telemetry=windows|full telemetry_out=<base>)\n";
+int cmd_percentiles(const Timeline& tl, const std::string& path) {
+  if (tl.version < 4) {
+    std::cerr << "error: '" << path << "' is a .nocobs v" << tl.version
+              << " file, which predates v4: its latency histograms use an older "
+                 "bucket scheme and are not read (re-run to export v4)\n";
     return 1;
   }
-  std::cout << "latency percentiles (streaming log2 sub-bucket histograms; each "
-               "quantile is exact\nto within one bucket width):\n"
+  if (tl.histograms.empty()) {
+    std::cerr << "error: no latency histograms in this timeline (a run exports "
+                 "them with telemetry=windows|full telemetry_out=<base>; sweep "
+                 "host timelines carry none)\n";
+    return 1;
+  }
+  std::cout << "latency percentiles (streaming histograms, 8 sub-buckets per "
+               "octave; each quantile\nlies in the bucket of the exact order "
+               "statistic, at most 1/8 of it wide):\n"
             << std::left << std::setw(22) << "scope" << std::setw(8) << "unit"
             << std::right << std::setw(10) << "count" << std::setw(11) << "min"
             << std::setw(11) << "p50" << std::setw(11) << "p90" << std::setw(11)
@@ -452,7 +460,7 @@ int cmd_summary(const Timeline& tl, const std::string& path) {
   cmd_islands(tl);
   if (!tl.histograms.empty()) {
     std::cout << "\n";
-    cmd_percentiles(tl);
+    cmd_percentiles(tl, path);
   }
   std::cout << "\nevents: " << tl.events.size() << " (nocdvfs_report events " << path
             << " to list)\n";
@@ -481,7 +489,7 @@ int main(int argc, char** argv) {
       return cmd_links(tl, count);
     }
     if (cmd == "islands") return cmd_islands(tl);
-    if (cmd == "percentiles") return cmd_percentiles(tl);
+    if (cmd == "percentiles") return cmd_percentiles(tl, path);
     if (cmd == "profile") return cmd_profile(tl, path);
     if (cmd == "events") {
       const int count = argc > 3 ? std::stoi(argv[3]) : 0;
