@@ -103,8 +103,9 @@ inline sim::Scenario paper_default_scenario() {
 
 /// The per-configuration anchors the paper's methodology derives before
 /// running a sweep: measured saturation, λ_max = 0.9·λ_sat, and the DMSD
-/// target = the No-DVFS delay at λ_node = λ_max (which equals RMSD's
-/// plateau delay, per Fig. 4).
+/// target = the No-DVFS delay at λ_node = λ_max (RMSD's delay there, where
+/// it runs at F_max). RMSD holds delay constant in NoC cycles, not in ns:
+/// below λ_max its clock slows and its ns delay grows (Fig. 4).
 struct Anchors {
   double lambda_sat = 0.0;
   double lambda_max = 0.0;

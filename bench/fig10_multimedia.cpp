@@ -47,7 +47,8 @@ void run_app(bench::Harness& h, const std::string& app) {
   base.speed = 1.0;
   const double lambda_max = sim::mean_lambda(base);  // offered λ at speed 1.0
 
-  // Step 4: DMSD target = No-DVFS delay at speed 1.0 (the RMSD plateau).
+  // Step 4: DMSD target = No-DVFS delay at speed 1.0 (RMSD's delay there,
+  // at F_max; RMSD holds delay in NoC cycles, so below it its ns delay grows).
   sim::Scenario probe = base;
   probe.policy.policy = sim::Policy::NoDvfs;
   const double target_ns = sim::run(probe).avg_delay_ns;

@@ -79,7 +79,8 @@ void BM_EnergyEventBatch(benchmark::State& state) {
   a.buffer_reads = 1000;
   a.crossbar_traversals = 1000;
   a.link_flit_hops = 1200;
-  for (auto _ : state) benchmark::DoNotOptimize(model.event_energy_j(a, 0.75));
+  const power::VoltageScale s = model.voltage_scale(0.75);
+  for (auto _ : state) benchmark::DoNotOptimize(model.event_energy_j(a, s));
 }
 BENCHMARK(BM_EnergyEventBatch);
 

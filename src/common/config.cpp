@@ -4,6 +4,8 @@
 #include <sstream>
 #include <stdexcept>
 
+#include "common/strings.hpp"
+
 namespace nocdvfs::common {
 
 namespace {
@@ -35,9 +37,7 @@ void Config::declare_int(const std::string& key, std::int64_t default_value,
 
 void Config::declare_double(const std::string& key, double default_value,
                             const std::string& help) {
-  std::ostringstream os;
-  os << default_value;
-  declare(key, os.str(), help);
+  declare(key, format_double(default_value), help);
 }
 
 void Config::declare_bool(const std::string& key, bool default_value, const std::string& help) {

@@ -339,14 +339,6 @@ power::ActivityCounters Network::total_activity() const {
   return total;
 }
 
-power::NetworkInventory Network::inventory() const {
-  power::NetworkInventory inv;
-  inv.num_routers = static_cast<int>(routers_.size());
-  inv.num_links = topol_->num_directed_links();
-  inv.num_local_links = 2 * topol_->num_nodes();
-  return inv;
-}
-
 power::ActivityCounters Network::island_activity(int island) const {
   power::ActivityCounters total;
   const Island& isl = islands_.at(static_cast<std::size_t>(island));
@@ -355,18 +347,27 @@ power::ActivityCounters Network::island_activity(int island) const {
   return total;
 }
 
-power::ActivityCounters Network::node_activity(NodeId node) const {
-  const auto r = static_cast<std::size_t>(topol_->router_of(node));
-  power::ActivityCounters total = routers_.at(r)->activity();
-  total += nis_.at(static_cast<std::size_t>(node))->activity();
+power::ActivityCounters Network::tile_activity(NodeId tile) const {
+  const auto t = static_cast<std::size_t>(tile);
+  power::ActivityCounters total = routers_.at(t)->activity();
+  for (const NodeId id : tile_nis_[t]) total += nis_[static_cast<std::size_t>(id)]->activity();
   return total;
 }
 
-power::TileInventory Network::node_inventory(NodeId node) const {
+power::TileInventory Network::tile_inventory(NodeId tile) const {
   power::TileInventory inv;
-  inv.links_sourced = topol_->router_net_degree(topol_->router_of(node));
-  inv.local_links = 2;
+  inv.num_routers = 1;
+  inv.num_links = topol_->router_net_degree(tile);
+  inv.num_local_links = 2 * static_cast<int>(tile_nis_.at(static_cast<std::size_t>(tile)).size());
   return inv;
+}
+
+power::ActivityCounters Network::node_activity(NodeId node) const {
+  return tile_activity(topol_->router_of(node));
+}
+
+power::TileInventory Network::node_inventory(NodeId node) const {
+  return tile_inventory(topol_->router_of(node));
 }
 
 power::NetworkInventory Network::island_inventory(int island) const {

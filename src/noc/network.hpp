@@ -243,7 +243,6 @@ class Network : public WakeSink {
 
   // --- aggregate measurement (whole network) ---
   power::ActivityCounters total_activity() const;
-  power::NetworkInventory inventory() const;
   std::uint64_t total_flits_generated() const;
   std::uint64_t total_flits_injected() const;
   std::uint64_t total_flits_ejected() const;
@@ -256,21 +255,23 @@ class Network : public WakeSink {
   /// pipelines); cheap enough to sample every NoC cycle.
   std::uint64_t buffered_flits_now() const;
 
-  // --- per-tile measurement (the thermal subsystem's attribution scope) ---
-  /// Activity of node `node`'s tile: its router plus its own NI. Only
-  /// meaningful at concentration 1 (thermal's validated scope), where
-  /// tiles and nodes coincide.
-  power::ActivityCounters node_activity(NodeId node) const;
+  // --- per-tile measurement (the energy ledger's attribution scope) ---
+  /// Activity of tile (router) `tile`: the router plus every NI attached
+  /// to it, so each router is counted once at any concentration.
+  power::ActivityCounters tile_activity(NodeId tile) const;
   /// Structures attributed to one tile: the router, the directed
-  /// inter-router links it drives, and the node's two local channels.
-  /// Summed over an island's members this equals `island_inventory` at
-  /// concentration 1.
+  /// inter-router links it drives, and its NIs' local channels. Summed
+  /// over an island's tiles this equals `island_inventory`.
+  power::TileInventory tile_inventory(NodeId tile) const;
+  /// The same for the tile of node `node`'s router: per node only at
+  /// concentration 1, where tiles and nodes coincide.
+  power::ActivityCounters node_activity(NodeId node) const;
   power::TileInventory node_inventory(NodeId node) const;
 
   // --- per-island measurement (same definitions, island scope) ---
   power::ActivityCounters island_activity(int island) const;
   /// Inventory attributed to one island: its routers/NIs plus the directed
-  /// links *sourced* in it (so island inventories sum to `inventory()`).
+  /// links *sourced* in it (so island inventories sum to the network's).
   power::NetworkInventory island_inventory(int island) const;
   std::uint64_t island_flits_generated(int island) const;
   std::uint64_t island_flits_injected(int island) const;

@@ -34,6 +34,8 @@ struct ActivityCounters {
     return *this;
   }
 
+  bool operator==(const ActivityCounters&) const = default;
+
   friend ActivityCounters operator+(ActivityCounters a, const ActivityCounters& b) noexcept {
     a += b;
     return a;

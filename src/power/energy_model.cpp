@@ -63,7 +63,8 @@ double EnergyModel::leakage_scale(double vdd, double temp_k) const noexcept {
          bounded_arrhenius(params_.leak_temp_coeff_per_k, temp_c - params_.temp_ref_c);
 }
 
-double EnergyModel::event_energy_j(const ActivityCounters& ev, double vdd) const noexcept {
+double EnergyModel::event_energy_j(const ActivityCounters& ev,
+                                   const VoltageScale& s) const noexcept {
   const double nominal =
       static_cast<double>(ev.buffer_writes) * e_buf_wr_ +
       static_cast<double>(ev.buffer_reads) * e_buf_rd_ +
@@ -72,19 +73,7 @@ double EnergyModel::event_energy_j(const ActivityCounters& ev, double vdd) const
       static_cast<double>(ev.local_flit_hops) * e_local_ +
       static_cast<double>(ev.vc_alloc_grants + ev.sw_alloc_grants) * e_grant_ +
       static_cast<double>(ev.alloc_requests) * e_request_;
-  return nominal * dynamic_scale(vdd);
-}
-
-double EnergyModel::clock_energy_j(std::uint64_t cycles, double vdd) const noexcept {
-  return static_cast<double>(cycles) * e_clock_ * dynamic_scale(vdd);
-}
-
-double EnergyModel::router_leakage_w(double vdd) const noexcept {
-  return p_leak_router_w_ * leakage_scale(vdd);
-}
-
-double EnergyModel::link_leakage_w(double vdd) const noexcept {
-  return p_leak_link_w_ * leakage_scale(vdd);
+  return nominal * s.dynamic;
 }
 
 }  // namespace nocdvfs::power

@@ -60,6 +60,14 @@ struct RouterGeometry {
   }
 };
 
+/// The voltage scale factors (V/V0)^dyn and (V/V0)^leak of one supply
+/// voltage: two `std::pow`s, which the energy ledger evaluates once per
+/// island and interval, not once per tile.
+struct VoltageScale {
+  double dynamic = 1.0;
+  double leakage = 1.0;
+};
+
 /// Nominal-voltage energy constants. All *_pj values are picojoules per
 /// event for the *reference* geometry; `EnergyModel` scales them to the
 /// actual geometry. Exposed so ablations can perturb the calibration.
@@ -106,18 +114,23 @@ class EnergyModel {
   /// (identically bounded) factor inside its integration, so energies
   /// agree between the two paths.
   double leakage_scale(double vdd, double temp_k) const noexcept;
+  /// Both voltage scale factors of `vdd`; the energies below take them.
+  VoltageScale voltage_scale(double vdd) const noexcept {
+    return {dynamic_scale(vdd), leakage_scale(vdd)};
+  }
 
-  /// Data-path energy [J] for a batch of events at voltage vdd.
-  double event_energy_j(const ActivityCounters& events, double vdd) const noexcept;
-
-  /// Clock-tree energy [J] of ONE router for `cycles` clocked cycles at vdd.
-  double clock_energy_j(std::uint64_t cycles, double vdd) const noexcept;
-
-  /// Leakage power [W] of one router at vdd.
-  double router_leakage_w(double vdd) const noexcept;
-
-  /// Leakage power [W] of one unidirectional inter-router link at vdd.
-  double link_leakage_w(double vdd) const noexcept;
+  /// Data-path energy [J] for a batch of events.
+  double event_energy_j(const ActivityCounters& events, const VoltageScale& s) const noexcept;
+  /// Clock-tree energy [J] of ONE router for `cycles` clocked cycles.
+  double clock_energy_j(std::uint64_t cycles, const VoltageScale& s) const noexcept {
+    return static_cast<double>(cycles) * e_clock_ * s.dynamic;
+  }
+  /// Leakage power [W] of one router.
+  double router_leakage_w(const VoltageScale& s) const noexcept {
+    return p_leak_router_w_ * s.leakage;
+  }
+  /// Leakage power [W] of one unidirectional inter-router link.
+  double link_leakage_w(const VoltageScale& s) const noexcept { return p_leak_link_w_ * s.leakage; }
 
   // Geometry-scaled per-event energies at nominal voltage [J]; exposed for
   // tests and for the microbench that validates scaling monotonicity.

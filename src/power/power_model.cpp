@@ -8,6 +8,17 @@ namespace nocdvfs::power {
 
 using common::Picoseconds;
 
+SegmentEnergy segment_energy(const EnergyModel& model, const NetworkInventory& inventory,
+                             const ActivityCounters& activity, std::uint64_t cycles,
+                             const VoltageScale& s) {
+  SegmentEnergy e;
+  e.datapath_j = model.event_energy_j(activity, s);
+  e.clock_j = model.clock_energy_j(cycles, s) * static_cast<double>(inventory.num_routers);
+  e.leakage_w = model.router_leakage_w(s) * inventory.num_routers +
+                model.link_leakage_w(s) * (inventory.num_links + 0.5 * inventory.num_local_links);
+  return e;
+}
+
 PowerAccumulator::PowerAccumulator(const EnergyModel& model, NetworkInventory inventory)
     : model_(&model), inventory_(inventory) {
   if (inventory.num_routers <= 0) {
@@ -19,44 +30,37 @@ PowerAccumulator::PowerAccumulator(const EnergyModel& model, NetworkInventory in
 }
 
 void PowerAccumulator::start(Picoseconds now, const ActivityCounters& activity,
-                             std::uint64_t noc_cycles, double vdd, common::Hertz f) {
+                             std::uint64_t noc_cycles, double vdd, common::Hertz /*f*/) {
   NOCDVFS_ASSERT(!running_, "PowerAccumulator::start while running");
   running_ = true;
   seg_start_ps_ = now;
   seg_activity_ = activity;
   seg_cycles_ = noc_cycles;
-  vdd_ = vdd;
-  f_ = f;
+  scale_ = model_->voltage_scale(vdd);
 }
 
 void PowerAccumulator::close_segment(Picoseconds now, const ActivityCounters& activity,
                                      std::uint64_t noc_cycles) {
   NOCDVFS_ASSERT(now >= seg_start_ps_, "PowerAccumulator: time went backwards");
   NOCDVFS_ASSERT(noc_cycles >= seg_cycles_, "PowerAccumulator: cycle count went backwards");
-  const ActivityCounters delta = activity.diff_since(seg_activity_);
-  const std::uint64_t cycles = noc_cycles - seg_cycles_;
   const Picoseconds dur = now - seg_start_ps_;
-
-  breakdown_.datapath_j += model_->event_energy_j(delta, vdd_);
-  breakdown_.clock_j += model_->clock_energy_j(cycles, vdd_) *
-                        static_cast<double>(inventory_.num_routers);
-  const double leak_w = model_->router_leakage_w(vdd_) * inventory_.num_routers +
-                        model_->link_leakage_w(vdd_) *
-                            (inventory_.num_links + 0.5 * inventory_.num_local_links);
-  breakdown_.leakage_j += leak_w * common::seconds_from_ps(dur);
+  const SegmentEnergy e = segment_energy(*model_, inventory_, activity.diff_since(seg_activity_),
+                                         noc_cycles - seg_cycles_, scale_);
+  breakdown_.datapath_j += e.datapath_j;
+  breakdown_.clock_j += e.clock_j;
+  breakdown_.leakage_j += e.leakage_w * common::seconds_from_ps(dur);
   breakdown_.elapsed_ps += dur;
 }
 
 void PowerAccumulator::change_operating_point(Picoseconds now, const ActivityCounters& activity,
                                               std::uint64_t noc_cycles, double vdd,
-                                              common::Hertz f) {
+                                              common::Hertz /*f*/) {
   NOCDVFS_ASSERT(running_, "PowerAccumulator::change_operating_point while stopped");
   close_segment(now, activity, noc_cycles);
   seg_start_ps_ = now;
   seg_activity_ = activity;
   seg_cycles_ = noc_cycles;
-  vdd_ = vdd;
-  f_ = f;
+  scale_ = model_->voltage_scale(vdd);
 }
 
 void PowerAccumulator::stop(Picoseconds now, const ActivityCounters& activity,
@@ -78,7 +82,10 @@ TilePowerAccumulator::TilePowerAccumulator(const EnergyModel& model,
     throw std::invalid_argument("TilePowerAccumulator: need at least one tile");
   }
   for (const TileInventory& t : tiles_) {
-    if (t.links_sourced < 0 || t.local_links < 0) {
+    if (t.num_routers != 1) {
+      throw std::invalid_argument("TilePowerAccumulator: a tile has exactly one router");
+    }
+    if (t.num_links < 0 || t.num_local_links < 0) {
       throw std::invalid_argument("TilePowerAccumulator: negative link counts");
     }
   }
@@ -101,33 +108,45 @@ void TilePowerAccumulator::start(Picoseconds now, const std::vector<ActivityCoun
 
 void TilePowerAccumulator::sample(Picoseconds now, const std::vector<ActivityCounters>& activity,
                                   const std::vector<std::uint64_t>& cycles,
-                                  const std::vector<double>& vdd, bool accumulate) {
+                                  const std::vector<VoltageScale>& scale, bool accumulate) {
   NOCDVFS_ASSERT(running_, "TilePowerAccumulator::sample while stopped");
   NOCDVFS_ASSERT(now >= last_ps_, "TilePowerAccumulator: time went backwards");
   NOCDVFS_ASSERT(activity.size() == tiles_.size() && cycles.size() == tiles_.size() &&
-                     vdd.size() == tiles_.size(),
+                     scale.size() == tiles_.size(),
                  "TilePowerAccumulator: snapshot size mismatch");
   const Picoseconds dur = now - last_ps_;
   const double dur_s = common::seconds_from_ps(dur);
   for (std::size_t i = 0; i < tiles_.size(); ++i) {
-    const ActivityCounters delta = activity[i].diff_since(last_activity_[i]);
-    const std::uint64_t cyc = cycles[i] - last_cycles_[i];
-    const double datapath_j = model_->event_energy_j(delta, vdd[i]);
-    const double clock_j = model_->clock_energy_j(cyc, vdd[i]);
-    dynamic_w_[i] = dur_s > 0.0 ? (datapath_j + clock_j) / dur_s : 0.0;
-    leakage_nominal_w_[i] =
-        model_->router_leakage_w(vdd[i]) +
-        model_->link_leakage_w(vdd[i]) *
-            (tiles_[i].links_sourced + 0.5 * tiles_[i].local_links);
+    const SegmentEnergy e =
+        segment_energy(*model_, tiles_[i], activity[i].diff_since(last_activity_[i]),
+                       cycles[i] - last_cycles_[i], scale[i]);
+    dynamic_w_[i] = dur_s > 0.0 ? (e.datapath_j + e.clock_j) / dur_s : 0.0;
+    leakage_nominal_w_[i] = e.leakage_w;
     if (accumulate) {
-      breakdowns_[i].datapath_j += datapath_j;
-      breakdowns_[i].clock_j += clock_j;
+      breakdowns_[i].datapath_j += e.datapath_j;
+      breakdowns_[i].clock_j += e.clock_j;
       breakdowns_[i].elapsed_ps += dur;
     }
   }
   last_ps_ = now;
+  last_dur_s_ = dur_s;
   last_activity_ = activity;
   last_cycles_ = cycles;
+}
+
+void TilePowerAccumulator::sample(Picoseconds now, const std::vector<ActivityCounters>& activity,
+                                  const std::vector<std::uint64_t>& cycles,
+                                  const std::vector<double>& vdd, bool accumulate) {
+  std::vector<VoltageScale> scale;
+  scale.reserve(vdd.size());
+  for (const double v : vdd) scale.push_back(model_->voltage_scale(v));
+  sample(now, activity, cycles, scale, accumulate);
+}
+
+void TilePowerAccumulator::charge_nominal_leakage() {
+  for (std::size_t i = 0; i < tiles_.size(); ++i) {
+    breakdowns_[i].leakage_j += leakage_nominal_w_[i] * last_dur_s_;
+  }
 }
 
 void TilePowerAccumulator::add_leakage_j(const std::vector<double>& leak_j) {
@@ -138,20 +157,6 @@ void TilePowerAccumulator::add_leakage_j(const std::vector<double>& leak_j) {
 
 void TilePowerAccumulator::reset_energy() {
   for (PowerBreakdown& b : breakdowns_) b = PowerBreakdown{};
-}
-
-PowerBreakdown integrate_constant_vf(const EnergyModel& model, const NetworkInventory& inventory,
-                                     const ActivityCounters& activity_delta,
-                                     std::uint64_t noc_cycles, Picoseconds duration, double vdd) {
-  PowerBreakdown b;
-  b.datapath_j = model.event_energy_j(activity_delta, vdd);
-  b.clock_j = model.clock_energy_j(noc_cycles, vdd) * inventory.num_routers;
-  const double leak_w = model.router_leakage_w(vdd) * inventory.num_routers +
-                        model.link_leakage_w(vdd) *
-                            (inventory.num_links + 0.5 * inventory.num_local_links);
-  b.leakage_j = leak_w * common::seconds_from_ps(duration);
-  b.elapsed_ps = duration;
-  return b;
 }
 
 }  // namespace nocdvfs::power

@@ -1,16 +1,15 @@
 #pragma once
 
 /// \file power_model.hpp
-/// Integrates switching activity over (V, F) segments into energy and
-/// average power — the measurement-side counterpart of the DVFS loop.
-///
-/// DVFS changes voltage/frequency at control updates, so a measurement
-/// interval is a sequence of segments each at constant (V, F). The
-/// accumulator closes a segment whenever the operating point changes and on
-/// `stop()`, charging:
-///   * data-path event energy for the activity delta at the segment voltage,
-///   * clock-tree energy for the NoC cycles elapsed in the segment,
-///   * leakage for the wall-clock duration of the segment.
+/// Integrates switching activity into energy and average power — the
+/// measurement-side counterpart of the DVFS loop. DVFS changes (V, F) at
+/// control updates, so a measurement is a sequence of constant-(V, F)
+/// intervals, and `segment_energy` is the one formula for an interval:
+///   * data-path event energy for the activity delta at the voltage,
+///   * clock-tree energy for the NoC cycles elapsed, per router,
+///   * leakage power, charged for the interval's duration (or rescaled by
+///     temperature first, by the thermal model).
+/// `TilePowerAccumulator` is the kernel's energy ledger for every run.
 
 #include <cstdint>
 #include <vector>
@@ -35,19 +34,39 @@ struct PowerBreakdown {
     leakage_j += o.leakage_j;
   }
   double elapsed_s() const noexcept { return common::seconds_from_ps(elapsed_ps); }
-  double average_power_w() const noexcept {
-    return elapsed_ps ? total_j() / elapsed_s() : 0.0;
+  double average_power_mw() const noexcept {
+    return elapsed_ps ? total_j() / elapsed_s() * 1e3 : 0.0;
   }
-  double average_power_mw() const noexcept { return average_power_w() * 1e3; }
 };
 
-/// Counts of the power-consuming structures in the network.
+/// Counts of the power-consuming structures of a network or an island.
 struct NetworkInventory {
   int num_routers = 0;
   int num_links = 0;        ///< unidirectional inter-router links
   int num_local_links = 0;  ///< injection + ejection channels
 };
 
+/// A tile is the inventory with one router: the router, the directed links
+/// it drives and its NIs' local channels. An island's tiles sum to its
+/// inventory, so tile energies add up to island energies.
+using TileInventory = NetworkInventory;
+
+/// What one inventory spends over one constant-(V, F) interval.
+struct SegmentEnergy {
+  double datapath_j = 0.0;
+  double clock_j = 0.0;
+  double leakage_w = 0.0;  ///< at the reference temperature
+};
+
+/// THE interval formula: `activity` events and `cycles` clocked cycles of
+/// every router in `inventory`, at voltage scale `s`.
+SegmentEnergy segment_energy(const EnergyModel& model, const NetworkInventory& inventory,
+                             const ActivityCounters& activity, std::uint64_t cycles,
+                             const VoltageScale& s);
+
+/// Island-wide integration over (V, F) segments. Not used by the kernel: it
+/// is the tests' reference oracle, and the benchmark program compiles
+/// against it.
 class PowerAccumulator {
  public:
   PowerAccumulator(const EnergyModel& model, NetworkInventory inventory);
@@ -83,48 +102,22 @@ class PowerAccumulator {
   common::Picoseconds seg_start_ps_ = 0;
   ActivityCounters seg_activity_{};
   std::uint64_t seg_cycles_ = 0;
-  double vdd_ = 0.0;
-  common::Hertz f_ = 0.0;
+  VoltageScale scale_{};
 };
 
-/// One-shot helper for constant-(V,F) intervals (No-DVFS runs, tests).
-PowerBreakdown integrate_constant_vf(const EnergyModel& model, const NetworkInventory& inventory,
-                                     const ActivityCounters& activity_delta,
-                                     std::uint64_t noc_cycles, common::Picoseconds duration,
-                                     double vdd);
-
-/// Power-consuming structures attributed to ONE router tile: the router,
-/// the directed inter-router links it drives, and its injection/ejection
-/// channels. Summed over an island's members this reproduces the island's
-/// `NetworkInventory`, so tile energies add up to the island energies.
-struct TileInventory {
-  int links_sourced = 0;  ///< directed inter-router links driven by this tile
-  int local_links = 2;    ///< injection + ejection channels
-};
-
-/// Per-tile attribution mode of the power plane — the thermal subsystem's
-/// measurement source. Where `PowerAccumulator` integrates one island-wide
-/// activity stream over (V, F) segments, this resolves the same energies
-/// to individual tiles: at every sampling boundary (a control-window edge,
-/// where the per-tile operating point is constant over the elapsed
-/// interval) it diffs per-tile activity/cycle snapshots and produces
-///
-///   * the tile's average *dynamic* power over the interval (datapath +
-///     clock) — the heat drive the RC thermal network integrates, and
-///   * the tile's *nominal leakage* power at the interval's voltage and
-///     the reference temperature — which the thermal model rescales by
-///     exp(k·(T − T_ref)) per integration step.
-///
-/// Datapath/clock energy accumulates here per tile; the temperature-
-/// resolved leakage energy is integrated by the thermal model (which knows
-/// the per-step temperatures) and injected back via `add_leakage_j`, so
-/// each tile's `PowerBreakdown` satisfies datapath+clock+leakage == total
-/// exactly, with leakage charged at the actual temperature.
+/// The energy ledger: every run's energy, resolved to tiles. At every
+/// sampling boundary (a control-window edge, where each tile's operating
+/// point is constant over the elapsed interval) it diffs per-tile
+/// activity/cycle snapshots through `segment_energy` and produces each
+/// tile's average *dynamic* power (datapath + clock; the heat drive of the
+/// RC thermal network) and its *nominal leakage* power at the reference
+/// temperature. Datapath/clock energy accumulates per tile. Leakage is
+/// charged once per tile: at the reference temperature by
+/// `charge_nominal_leakage` (thermal off), or as the thermal model's
+/// temperature-resolved integral via `add_leakage_j` (thermal on).
 class TilePowerAccumulator {
  public:
   TilePowerAccumulator(const EnergyModel& model, std::vector<TileInventory> tiles);
-
-  int num_tiles() const noexcept { return static_cast<int>(tiles_.size()); }
 
   /// Open sampling at `now`. `activity[i]` / `cycles[i]` are tile i's
   /// running activity totals and its clock-domain cycle count.
@@ -132,13 +125,21 @@ class TilePowerAccumulator {
              const std::vector<std::uint64_t>& cycles);
 
   /// Close the interval [last boundary, now] — constant per-tile (V, F)
-  /// over it — and refresh the drive vectors. When `accumulate` is set the
-  /// interval's datapath/clock energies are charged to the per-tile
-  /// breakdowns (the measurement window); warmup intervals only produce
-  /// drives.
+  /// over it, at voltage scale `scale[i]` — and refresh the drive vectors.
+  /// When `accumulate` is set the interval's datapath/clock energies are
+  /// charged to the per-tile breakdowns (the measurement window); warmup
+  /// intervals only produce drives.
+  void sample(common::Picoseconds now, const std::vector<ActivityCounters>& activity,
+              const std::vector<std::uint64_t>& cycles, const std::vector<VoltageScale>& scale,
+              bool accumulate);
+  /// The same at supply voltage `vdd[i]` (two `std::pow`s per tile).
   void sample(common::Picoseconds now, const std::vector<ActivityCounters>& activity,
               const std::vector<std::uint64_t>& cycles, const std::vector<double>& vdd,
               bool accumulate);
+
+  /// Charge the last interval's nominal leakage for its duration: the
+  /// leakage of a run without a thermal model.
+  void charge_nominal_leakage();
 
   /// Drives of the most recently closed interval, one entry per tile.
   const std::vector<double>& dynamic_w() const noexcept { return dynamic_w_; }
@@ -161,6 +162,7 @@ class TilePowerAccumulator {
   std::vector<ActivityCounters> last_activity_;
   std::vector<std::uint64_t> last_cycles_;
   common::Picoseconds last_ps_ = 0;
+  double last_dur_s_ = 0.0;  ///< duration of the last closed interval
   bool running_ = false;
 };
 

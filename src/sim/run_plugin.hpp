@@ -1,12 +1,12 @@
 #pragma once
 
 /// \file run_plugin.hpp
-/// The seam between `Simulator::run`'s settle→measure core loop and the
-/// optional subsystems attached to it. Each subsystem is one `RunPlugin`
-/// in its own file, built only when its configuration turns it on (see
-/// docs/ARCHITECTURE.md, "Simulation kernel", for the list and the hook
-/// order). An off subsystem is absent: it costs nothing and cannot
-/// perturb the run.
+/// The seam between `Simulator::run`'s settle→measure core loop, which
+/// owns the run's energy ledger, and the optional subsystems attached to
+/// it. Each subsystem is one `RunPlugin` in its own file, built only when
+/// its configuration turns it on (see docs/ARCHITECTURE.md, "Simulation
+/// kernel", for the list and the hook order). An off subsystem is absent:
+/// it costs nothing and cannot perturb the run.
 
 #include <cstdint>
 #include <deque>
@@ -14,14 +14,16 @@
 #include <vector>
 
 #include "common/stats.hpp"
+#include "power/power_model.hpp"
 #include "sim/metrics.hpp"
 #include "sim/simulator.hpp"
 
 namespace nocdvfs::sim {
 
 /// Run state the core loop owns and the plug-ins read. Plug-ins write only
-/// the per-island `cap` (the thermal guard) and `timeline` (set by the
-/// telemetry plug-in; the others append their events and sections to it).
+/// the per-island `cap` (the thermal guard), the ledger's leakage (the
+/// thermal plug-in's `add_leakage_j`) and `timeline` (set by the telemetry
+/// plug-in; the others append their events and sections to it).
 struct RunContext {
   const SimulatorConfig& cfg;
   const RunPhases& phases;
@@ -32,6 +34,7 @@ struct RunContext {
   const int n_islands;
   const int n_nodes;
   const std::uint64_t period;  ///< control period, node cycles
+  power::TilePowerAccumulator ledger;  ///< the run's energy, by tile (router id)
 
   struct Island {
     int nodes = 0;
@@ -69,10 +72,11 @@ struct RunContext {
   bool settled() const;
 };
 
-/// Hooks in call order: `before_control` at every control boundary, then
-/// `after_control` once the updates ran; `on_measure_begin` when settling
-/// ends; `finalize` after the core's headline fields and latency
-/// distributions; `post_run` after the root scope.
+/// Hooks in call order: `before_control` at every control boundary, once
+/// the core sampled the ledger, then `after_control` once the updates ran;
+/// `on_measure_begin` when settling ends; `finalize` after the core's
+/// headline fields and latency distributions, before the core sums the
+/// ledger into `RunResult::power`; `post_run` after the root scope.
 class RunPlugin {
  public:
   RunPlugin() = default;
@@ -86,17 +90,8 @@ class RunPlugin {
   virtual void post_run(RunContext&, RunResult&) {}
 };
 
-/// The energy slot owns the run's energy accounting and fills
-/// `RunResult::power` and every `IslandResult::power` at finalize.
-class EnergySlot : public RunPlugin {
- public:
-  /// `island` was retuned to a new (V, F) while measuring. A slot that
-  /// samples every tile at each boundary needs no action here.
-  virtual void on_retune(RunContext&, int /*island*/) {}
-};
-
 std::unique_ptr<RunPlugin> make_host_plugin(const RunContext& ctx);
 std::unique_ptr<RunPlugin> make_telemetry_plugin(RunContext& ctx);
-std::unique_ptr<EnergySlot> make_thermal_plugin(const RunContext& ctx);
+std::unique_ptr<RunPlugin> make_thermal_plugin(const RunContext& ctx);
 
 }  // namespace nocdvfs::sim

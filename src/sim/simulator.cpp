@@ -57,45 +57,13 @@ double node_mean(const RunContext& ctx, ValueOf value_of) {
   return sum / static_cast<double>(ctx.n_nodes);
 }
 
-/// The default energy slot: one PowerAccumulator per island, charging each
-/// island's activity at its own (V, F), segment by segment.
-class IslandEnergy final : public EnergySlot {
- public:
-  explicit IslandEnergy(const RunContext& ctx) {
-    for (int i = 0; i < ctx.n_islands; ++i) {
-      accs_.emplace_back(ctx.energy, ctx.net.island_inventory(i));
-    }
-  }
-
-  void on_measure_begin(RunContext& ctx) override {
-    for (int i = 0; i < ctx.n_islands; ++i) {
-      const dvfs::DvfsManager& m = ctx.bank.manager(i);
-      accs_[static_cast<std::size_t>(i)].start(ctx.clock.now(), ctx.net.island_activity(i),
-                                              ctx.clock.noc_cycles(i), m.current_voltage(),
-                                              m.current_frequency());
-    }
-  }
-
-  void on_retune(RunContext& ctx, int i) override {
-    const dvfs::DvfsManager& m = ctx.bank.manager(i);
-    accs_[static_cast<std::size_t>(i)].change_operating_point(
-        ctx.clock.now(), ctx.net.island_activity(i), ctx.clock.noc_cycles(i),
-        m.current_voltage(), m.current_frequency());
-  }
-
-  void finalize(RunContext& ctx, RunResult& result) override {
-    for (int i = 0; i < ctx.n_islands; ++i) {
-      power::PowerAccumulator& acc = accs_[static_cast<std::size_t>(i)];
-      acc.stop(ctx.clock.now(), ctx.net.island_activity(i), ctx.clock.noc_cycles(i));
-      result.power.add_energy(acc.breakdown());
-      result.islands[static_cast<std::size_t>(i)].power = acc.breakdown();
-    }
-    result.power.elapsed_ps = accs_.front().breakdown().elapsed_ps;
-  }
-
- private:
-  std::vector<power::PowerAccumulator> accs_;
-};
+/// One inventory per tile (router id): the ledger's attribution.
+std::vector<power::TileInventory> tile_inventories(const noc::Network& net) {
+  std::vector<power::TileInventory> tiles;
+  tiles.reserve(static_cast<std::size_t>(net.num_routers()));
+  for (noc::NodeId t = 0; t < net.num_routers(); ++t) tiles.push_back(net.tile_inventory(t));
+  return tiles;
+}
 
 /// What one `Simulator::run` owns besides the loop: the context, the
 /// plug-ins, the global measurement and the result; the methods are the
@@ -107,11 +75,17 @@ class RunState {
            traffic::TrafficModel& traffic)
       : ctx{cfg, phases, net, bank, energy, clock, bank.num_islands(), net.num_nodes(),
             bank.control_period_node_cycles(),
+            power::TilePowerAccumulator(energy, tile_inventories(net)),
             std::vector<RunContext::Island>(static_cast<std::size_t>(bank.num_islands()))},
         bank_(bank),
         clock_(clock),
         traffic_(traffic),
+        tile_activity_(static_cast<std::size_t>(net.num_routers())),
+        tile_cycles_(tile_activity_.size()),
+        tile_scale_(tile_activity_.size()),
         island_delay_ps_(static_cast<std::size_t>(ctx.n_islands)) {
+    snapshot_tiles();
+    ctx.ledger.start(clock.now(), tile_activity_, tile_cycles_);
     for (int i = 0; i < ctx.n_islands; ++i) {
       ctx.island(i).nodes = static_cast<int>(net.island_members(i).size());
       ctx.island(i).buffer_capacity = static_cast<double>(net.island_buffer_capacity_flits(i));
@@ -122,15 +96,23 @@ class RunState {
     // throttle events at the same boundary.
     plugins.push_back(make_host_plugin(ctx));
     if (cfg.telemetry.enabled()) plugins.push_back(make_telemetry_plugin(ctx));
-    std::unique_ptr<EnergySlot> energy_slot =
-        cfg.thermal.enabled ? make_thermal_plugin(ctx) : std::make_unique<IslandEnergy>(ctx);
-    energy_ = energy_slot.get();
-    plugins.push_back(std::move(energy_slot));
+    if (cfg.thermal.enabled) plugins.push_back(make_thermal_plugin(ctx));
   }
 
   RunContext ctx;
   RunResult result;
   std::vector<std::unique_ptr<RunPlugin>> plugins;  ///< in hook order
+
+  /// Close the ledger's interval at a control boundary. The updates run
+  /// after this, so every island's voltage was constant over the interval.
+  /// Without a thermal model the interval's leakage is charged at the
+  /// reference temperature; with one, the thermal plug-in charges it.
+  void sample_ledger() {
+    PROF_SCOPE("energy_ledger");
+    snapshot_tiles();
+    ctx.ledger.sample(clock_.now(), tile_activity_, tile_cycles_, tile_scale_, ctx.measuring);
+    if (ctx.measuring && !ctx.cfg.thermal.enabled) ctx.ledger.charge_nominal_leakage();
+  }
 
   /// Run every island's controller on its own window, in island order,
   /// and open the next window.
@@ -149,7 +131,6 @@ class RunState {
       if (applied != isl.f_before_update) {
         clock_.set_noc_frequency(i, applied);
         if (ctx.measuring) {
-          energy_->on_retune(ctx, i);
           isl.freq_avg.set(common::seconds_from_ps(now), applied);
           isl.volt_avg.set(common::seconds_from_ps(now), bank_.manager(i).current_voltage());
           isl.residency.on_change(now, applied);
@@ -191,6 +172,7 @@ class RunState {
     }
     result.warmup_node_cycles_used = clock_.node_cycles();
     result.controller_settled = ctx.settled() || !ctx.phases.adaptive_warmup;
+    ctx.ledger.reset_energy();
     for (const auto& p : plugins) p->on_measure_begin(ctx);
   }
 
@@ -332,6 +314,7 @@ class RunState {
     r.saturated = backlog_saturated || delivery_saturated;
 
     for (const auto& p : plugins) p->finalize(ctx, r);
+    sum_energy(r);
 
     const double delivered_bits =
         static_cast<double>(ej_delta) * static_cast<double>(ctx.cfg.flit_bits);
@@ -341,6 +324,38 @@ class RunState {
   }
 
  private:
+  /// Every tile's activity, its island's cycle count and voltage scale
+  /// (two `std::pow`s per island, not per tile).
+  void snapshot_tiles() {
+    for (int i = 0; i < ctx.n_islands; ++i) {
+      const std::uint64_t cycles = clock_.noc_cycles(i);
+      const power::VoltageScale scale =
+          ctx.energy.voltage_scale(bank_.manager(i).current_voltage());
+      for (const noc::NodeId t : ctx.net.island_tiles(i)) {
+        const auto k = static_cast<std::size_t>(t);
+        tile_activity_[k] = ctx.net.tile_activity(t);
+        tile_cycles_[k] = cycles;
+        tile_scale_[k] = scale;
+      }
+    }
+  }
+
+  /// The ledger's tiles summed, in tile order, into the run total and into
+  /// each island. The total is not regrouped by island: that would move it
+  /// in the last bit on multi-island runs.
+  void sum_energy(RunResult& r) const {
+    const std::vector<power::PowerBreakdown>& tiles = ctx.ledger.tiles();
+    for (const power::PowerBreakdown& tile : tiles) r.power.add_energy(tile);
+    r.power.elapsed_ps = r.measure_duration_ps;
+    for (int i = 0; i < ctx.n_islands; ++i) {
+      power::PowerBreakdown& island = r.islands[static_cast<std::size_t>(i)].power;
+      for (const noc::NodeId t : ctx.net.island_tiles(i)) {
+        island.add_energy(tiles[static_cast<std::size_t>(t)]);
+      }
+      island.elapsed_ps = r.measure_duration_ps;
+    }
+  }
+
   /// The measured latency distributions, and with telemetry on their
   /// snapshots in the timeline (`nocdvfs_report percentiles` reads them).
   void distributions(DelayDistResult& dd) const {
@@ -381,7 +396,10 @@ class RunState {
   vfi::IslandControlBank& bank_;
   MultiClock& clock_;
   traffic::TrafficModel& traffic_;
-  EnergySlot* energy_ = nullptr;
+  // The ledger's per-tile snapshot buffers, by tile (router) id.
+  std::vector<power::ActivityCounters> tile_activity_;
+  std::vector<std::uint64_t> tile_cycles_;
+  std::vector<power::VoltageScale> tile_scale_;
 
   std::uint64_t start_node_ = 0;
   std::uint64_t start_noc_ = 0;
@@ -474,6 +492,7 @@ RunResult Simulator::run(const RunPhases& phases) {
           traffic_->node_tick(clock_.now(), clock_.noc_cycles(0), net_);
         }
         if (clock_.node_cycles() % period == 0) {
+          st.sample_ledger();
           for (const auto& p : st.plugins) p->before_control(ctx);
           if (ctx.measuring && clock_.node_cycles() >= measure_end_node) {
             PROF_SCOPE("finalize");

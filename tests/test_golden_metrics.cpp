@@ -166,6 +166,36 @@ TEST(GoldenMetrics, MatrixMatchesCheckedInGolden) {
   check_against_golden(kGoldenPath, compute_lines());
 }
 
+/// The value of `key=` on a golden line, or "" when absent.
+std::string field(const std::string& line, const std::string& key) {
+  const std::size_t at = line.find(" " + key + "=");
+  if (at == std::string::npos) return "";
+  const std::size_t begin = at + key.size() + 2;
+  return line.substr(begin, line.find(' ', begin) - begin);
+}
+
+/// Thermal only resolves leakage by temperature, and no golden scenario
+/// throttles, so every cold/thermal pair ran the same activity and must
+/// charge byte-equal data-path and clock energy.
+TEST(GoldenMetrics, ColdAndThermalPairsChargeTheSameDynamicEnergy) {
+  const std::vector<std::string> golden = read_lines(kGoldenPath);
+  std::size_t pairs = 0;
+  for (std::size_t i = 0; i + 1 < golden.size(); i += 2) {
+    const std::string& cold = golden[i];
+    const std::string& hot = golden[i + 1];
+    const std::string name = cold.substr(0, cold.find(' '));
+    ASSERT_EQ(name.substr(name.size() - 5), "-cold") << name;
+    ASSERT_EQ(hot.substr(0, hot.find(' ')), name.substr(0, name.size() - 5) + "-thermal");
+    ASSERT_EQ(field(hot, "throttle_res"), "0x0p+0") << name;
+    for (const char* key : {"datapath_j", "clock_j"}) {
+      EXPECT_FALSE(field(cold, key).empty()) << name << " " << key;
+      EXPECT_EQ(field(cold, key), field(hot, key)) << name << " " << key;
+    }
+    ++pairs;
+  }
+  EXPECT_EQ(pairs, 16u);
+}
+
 // --- every-subsystem golden ------------------------------------------------
 //
 // The headline golden above pins 26 scalar fields. This second golden pins

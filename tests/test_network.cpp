@@ -141,14 +141,26 @@ TEST(Network, ZeroLoadLatencyScalesWithDistance) {
 }
 
 TEST(Network, InventoryMatchesTopology) {
+  // Four uneven islands on a 5x5 mesh: their inventories partition the
+  // network's 25 routers, 80 directed links and 50 local channels.
   NetworkConfig cfg;
   cfg.width = 5;
   cfg.height = 5;
+  for (int y = 0; y < 5; ++y) {
+    for (int x = 0; x < 5; ++x) cfg.island_of.push_back((x >= 3 ? 1 : 0) + (y >= 3 ? 2 : 0));
+  }
   Network net(cfg);
-  const auto inv = net.inventory();
-  EXPECT_EQ(inv.num_routers, 25);
-  EXPECT_EQ(inv.num_links, 80);
-  EXPECT_EQ(inv.num_local_links, 50);
+  ASSERT_EQ(net.num_islands(), 4);
+  power::NetworkInventory sum;
+  for (int i = 0; i < net.num_islands(); ++i) {
+    const power::NetworkInventory inv = net.island_inventory(i);
+    sum.num_routers += inv.num_routers;
+    sum.num_links += inv.num_links;
+    sum.num_local_links += inv.num_local_links;
+  }
+  EXPECT_EQ(sum.num_routers, 25);
+  EXPECT_EQ(sum.num_links, 80);
+  EXPECT_EQ(sum.num_local_links, 50);
 }
 
 TEST(Network, ActivityAggregationGrowsWithTraffic) {

@@ -98,9 +98,10 @@ TEST(EnergyModel, EventEnergyAdditive) {
   a.buffer_writes = 100;
   ActivityCounters b;
   b.crossbar_traversals = 50;
-  const double sep = m.event_energy_j(a, 0.9) + m.event_energy_j(b, 0.9);
+  const VoltageScale v = m.voltage_scale(0.9);
+  const double sep = m.event_energy_j(a, v) + m.event_energy_j(b, v);
   ActivityCounters both = a + b;
-  EXPECT_NEAR(m.event_energy_j(both, 0.9), sep, 1e-18);
+  EXPECT_NEAR(m.event_energy_j(both, v), sep, 1e-18);
 }
 
 TEST(EnergyModel, ReferenceEventEnergiesAreCalibrated) {
@@ -118,7 +119,8 @@ TEST(EnergyModel, GeometryScalingMonotone) {
   const EnergyModel ref(EnergyModel::reference_geometry());
   const EnergyModel scaled(big);
   EXPECT_GT(scaled.clock_per_cycle_j(), ref.clock_per_cycle_j());
-  EXPECT_GT(scaled.router_leakage_w(0.9), ref.router_leakage_w(0.9));
+  EXPECT_GT(scaled.router_leakage_w(scaled.voltage_scale(0.9)),
+            ref.router_leakage_w(ref.voltage_scale(0.9)));
 
   RouterGeometry wide = EnergyModel::reference_geometry();
   wide.flit_bits *= 2;
@@ -134,7 +136,8 @@ TEST(EnergyModel, IdlePowerMatchesFig6Intercept) {
   const int routers = 25, links = 80, locals = 50;
   const double clock_w = m.clock_per_cycle_j() * 1e9 * routers;
   const double leak_w =
-      m.router_leakage_w(0.9) * routers + m.link_leakage_w(0.9) * (links + 0.5 * locals);
+      m.router_leakage_w(m.voltage_scale(0.9)) * routers +
+      m.link_leakage_w(m.voltage_scale(0.9)) * (links + 0.5 * locals);
   const double idle_mw = (clock_w + leak_w) * 1e3;
   EXPECT_GT(idle_mw, 75.0);
   EXPECT_LT(idle_mw, 115.0);
@@ -154,13 +157,13 @@ TEST(EnergyModel, LeakageScalingAtCurveVoltageExtremes) {
   EXPECT_NEAR(m.leakage_scale(c.v_min()), std::pow(0.56 / 0.90, 3.0), 1e-12);
   EXPECT_NEAR(m.dynamic_scale(c.v_min()), std::pow(0.56 / 0.90, 2.0), 1e-12);
   // Leakage power at the endpoints brackets every interior voltage.
-  const double bottom_w = m.router_leakage_w(c.v_min());
-  const double top_w = m.router_leakage_w(c.v_max());
+  const double bottom_w = m.router_leakage_w(m.voltage_scale(c.v_min()));
+  const double top_w = m.router_leakage_w(m.voltage_scale(c.v_max()));
   EXPECT_LT(bottom_w, top_w);
   for (int step = 0; step <= 17; ++step) {
     const double v = c.v_min() + (c.v_max() - c.v_min()) * step / 17.0;
-    EXPECT_GE(m.router_leakage_w(v), bottom_w) << "v = " << v;
-    EXPECT_LE(m.router_leakage_w(v), top_w) << "v = " << v;
+    EXPECT_GE(m.router_leakage_w(m.voltage_scale(v)), bottom_w) << "v = " << v;
+    EXPECT_LE(m.router_leakage_w(m.voltage_scale(v)), top_w) << "v = " << v;
   }
   // The full voltage swing cuts leakage ~4x — the mechanism behind the
   // paper's Fig. 6 power gap.
@@ -184,16 +187,26 @@ TEST(PowerAccumulator, ConstantSegmentMatchesDirectIntegration) {
   const EnergyModel m(EnergyModel::reference_geometry());
   PowerAccumulator acc(m, small_inventory());
   ActivityCounters start;
-  acc.start(0, start, 0, 0.9, 1e9);
+  acc.start(0, start, 0, 0.8, 1e9);
   ActivityCounters end;
   end.buffer_writes = 1000;
   end.link_flit_hops = 500;
   acc.stop(1'000'000, end, 1000);
 
-  const auto direct =
-      integrate_constant_vf(m, small_inventory(), end, 1000, 1'000'000, 0.9);
-  EXPECT_NEAR(acc.breakdown().total_j(), direct.total_j(), 1e-18);
-  EXPECT_NEAR(acc.breakdown().average_power_w(), direct.average_power_w(), 1e-9);
+  // One segment is exactly one application of the interval formula.
+  const SegmentEnergy direct =
+      segment_energy(m, small_inventory(), end, 1000, m.voltage_scale(0.8));
+  EXPECT_EQ(acc.breakdown().datapath_j, direct.datapath_j);
+  EXPECT_EQ(acc.breakdown().clock_j, direct.clock_j);
+  EXPECT_EQ(acc.breakdown().leakage_j, direct.leakage_w * common::seconds_from_ps(1'000'000));
+  EXPECT_EQ(acc.breakdown().elapsed_ps, 1'000'000u);
+  // And the formula is the sum of its parts at that voltage.
+  const NetworkInventory inv = small_inventory();
+  const VoltageScale v = m.voltage_scale(0.8);
+  EXPECT_EQ(direct.datapath_j, m.event_energy_j(end, v));
+  EXPECT_EQ(direct.clock_j, m.clock_energy_j(1000, v) * inv.num_routers);
+  EXPECT_EQ(direct.leakage_w, m.router_leakage_w(v) * inv.num_routers +
+                                  m.link_leakage_w(v) * (inv.num_links + 0.5 * inv.num_local_links));
 }
 
 TEST(PowerAccumulator, SegmentedEqualsSingleWhenVfConstant) {

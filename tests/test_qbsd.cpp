@@ -92,7 +92,7 @@ TEST(Qbsd, ValidationErrors) {
 
 TEST(Qbsd, EndToEndRegulatesBetweenRmsdAndNoDvfs) {
   // At a mid load, QBSD with a moderate setpoint must land between the
-  // extremes: slower than No-DVFS, delay far below RMSD's plateau.
+  // extremes: slower than No-DVFS, delay far below RMSD's at the same load.
   sim::Scenario cfg;
   cfg.network.width = 4;
   cfg.network.height = 4;

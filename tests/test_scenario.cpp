@@ -67,6 +67,21 @@ TEST(ScenarioConfig, DeclareAndFromConfigRoundTrip) {
   EXPECT_FALSE(round.phases.adaptive_warmup);
 }
 
+TEST(ScenarioConfig, DoublesSurviveTheConfigTextExactly) {
+  // A sweep point that six significant digits would round to 0.0698398: the
+  // Config text (and with it every manifest) must name the same run.
+  Scenario defaults = small_synthetic();
+  defaults.lambda = 0.06983984375;
+  defaults.policy.target_delay_ns = 102.93750000000001;
+
+  common::Config c;
+  Scenario::declare_keys(c, defaults);
+  EXPECT_EQ(c.get_string("lambda"), "0.06983984375");
+  const Scenario round = Scenario::from_config(c);
+  EXPECT_EQ(round.lambda, defaults.lambda);
+  EXPECT_EQ(round.policy.target_delay_ns, defaults.policy.target_delay_ns);
+}
+
 TEST(ScenarioConfig, KeyValueOverridesReachTheScenario) {
   common::Config c;
   Scenario::declare_keys(c);

@@ -42,7 +42,8 @@ Scenario base_config() {
   return cfg;
 }
 
-/// DMSD target: the RMSD plateau delay, i.e. the No-DVFS delay at λ_max —
+/// DMSD target: the No-DVFS delay at λ_max, which is RMSD's delay there
+/// (RMSD holds delay in NoC cycles, so below λ_max its ns delay grows) —
 /// measured once (the paper's procedure for its Fig. 4).
 double dmsd_target_ns() {
   static const double target = [] {

@@ -200,7 +200,7 @@ TEST(EnergyModelThermal, TemperatureScaleAnchorsAndDoubling) {
 TEST(TilePowerAccumulator, TileEnergiesSumToAggregateAccumulator) {
   const power::EnergyModel m(power::EnergyModel::reference_geometry());
   // Two tiles that together form the inventory {2 routers, 3 links, 4 locals}.
-  std::vector<power::TileInventory> tiles{{1, 2}, {2, 2}};
+  std::vector<power::TileInventory> tiles{{1, 1, 2}, {1, 2, 2}};
   power::TilePowerAccumulator tile_acc(m, tiles);
   power::PowerAccumulator agg(m, power::NetworkInventory{2, 3, 4});
 
@@ -365,6 +365,44 @@ TEST(ThermalIntegration, ClosedLoopHeatsBoundsAndSplitsEnergy) {
   ASSERT_EQ(r.islands.size(), 1u);
   EXPECT_DOUBLE_EQ(r.islands[0].peak_temp_c, r.thermal.peak_temp_c);
   EXPECT_NEAR(r.islands[0].power.total_j(), r.power.total_j(), 1e-15);
+}
+
+TEST(ThermalIntegration, ColdAndThermalChargeTheSameDynamicEnergy) {
+  // Same activity, same energy: with a cap the die never reaches, thermal
+  // only changes how leakage is resolved, so the data-path and clock
+  // energies of the run and of every island are bit-equal to thermal=off.
+  sim::Scenario s;
+  s.network.width = 5;
+  s.network.height = 5;
+  s.pattern = "hotspot";
+  s.lambda = 0.15;
+  s.packet_size = 20;
+  s.policy.policy = sim::Policy::Dmsd;
+  s.islands = "quadrants";
+  s.temp_cap_c = 500.0;
+  s.control_period = 5000;
+  s.phases.adaptive_warmup = false;
+  s.phases.warmup_node_cycles = 20000;
+  s.phases.measure_node_cycles = 20000;
+  const sim::RunResult cold = sim::run(s);
+  s.thermal = true;
+  const sim::RunResult hot = sim::run(s);
+
+  ASSERT_TRUE(hot.thermal.enabled);
+  EXPECT_EQ(hot.thermal.throttle_events, 0u);
+  EXPECT_EQ(cold.packets_delivered, hot.packets_delivered);
+  EXPECT_EQ(cold.avg_delay_ns, hot.avg_delay_ns);
+  EXPECT_EQ(cold.avg_frequency_hz, hot.avg_frequency_hz);
+  EXPECT_EQ(cold.power.datapath_j, hot.power.datapath_j);
+  EXPECT_EQ(cold.power.clock_j, hot.power.clock_j);
+  ASSERT_EQ(cold.islands.size(), 4u);
+  ASSERT_EQ(hot.islands.size(), 4u);
+  for (std::size_t i = 0; i < cold.islands.size(); ++i) {
+    EXPECT_EQ(cold.islands[i].power.datapath_j, hot.islands[i].power.datapath_j) << "island " << i;
+    EXPECT_EQ(cold.islands[i].power.clock_j, hot.islands[i].power.clock_j) << "island " << i;
+  }
+  // Leakage differs only by temperature: a warm die leaks more.
+  EXPECT_GT(hot.power.leakage_j, cold.power.leakage_j);
 }
 
 TEST(ThermalIntegration, LowCapThrottlesAndStaysInBand) {

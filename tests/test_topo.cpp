@@ -496,5 +496,73 @@ TEST(TopoEndToEnd, DeadRouterDropsAreAccounted) {
   EXPECT_EQ(r.unreachable_pairs, 2 * (16 - 1));
 }
 
+
+// The energy ledger charges tiles (a router plus every NI behind it), and
+// islands are sums of tiles. On every topology and island layout, tile
+// inventories and activities summed over an island's tiles equal the
+// island's own, the islands partition the network, and a run's island
+// energies add up to its total (summed over tiles in tile order, so equal
+// up to the rounding of the regrouping).
+TEST(TopologyEnergy, TilesSumToIslandsAndIslandsToTheRun) {
+  for (const Shape shape : {Shape{TopologyKind::Mesh, 6, 6, 1}, Shape{TopologyKind::Torus, 6, 6, 1},
+                            Shape{TopologyKind::Cmesh, 8, 8, 4},
+                            Shape{TopologyKind::Dragonfly, 8, 8, 2}}) {
+    for (const char* islands : {"global", "quadrants"}) {
+      sim::Scenario s;
+      s.network.topology = shape.kind;
+      s.network.width = shape.width;
+      s.network.height = shape.height;
+      s.network.concentration = shape.concentration;
+      s.islands = islands;
+      s.lambda = 0.05;
+      s.control_period = 1000;
+      s.phases.adaptive_warmup = false;
+      s.phases.warmup_node_cycles = 2000;
+      s.phases.measure_node_cycles = 4000;
+      const std::string what = std::string(topo::to_string(shape.kind)) + " islands=" + islands;
+      const std::unique_ptr<sim::Simulator> simulator = sim::make_simulator(s);
+      const sim::RunResult r = simulator->run(s.phases);
+      const noc::Network& net = simulator->network();
+
+      power::NetworkInventory network;
+      std::uint64_t events = 0;
+      for (int i = 0; i < net.num_islands(); ++i) {
+        power::NetworkInventory inv;
+        power::ActivityCounters activity;
+        for (const noc::NodeId t : net.island_tiles(i)) {
+          const power::TileInventory tile = net.tile_inventory(t);
+          EXPECT_EQ(tile.num_routers, 1) << what;
+          inv.num_routers += tile.num_routers;
+          inv.num_links += tile.num_links;
+          inv.num_local_links += tile.num_local_links;
+          activity += net.tile_activity(t);
+        }
+        const power::NetworkInventory want = net.island_inventory(i);
+        EXPECT_EQ(inv.num_routers, want.num_routers) << what << " island " << i;
+        EXPECT_EQ(inv.num_links, want.num_links) << what << " island " << i;
+        EXPECT_EQ(inv.num_local_links, want.num_local_links) << what << " island " << i;
+        EXPECT_TRUE(activity == net.island_activity(i)) << what << " island " << i;
+        network.num_routers += inv.num_routers;
+        network.num_links += inv.num_links;
+        network.num_local_links += inv.num_local_links;
+        events += activity.total_events();
+      }
+      const Topology& topo = net.topology_model();
+      EXPECT_EQ(network.num_routers, topo.num_routers()) << what;
+      EXPECT_EQ(network.num_links, topo.num_directed_links()) << what;
+      EXPECT_EQ(network.num_local_links, 2 * topo.num_nodes()) << what;
+      EXPECT_GT(events, 0u) << what;
+
+      ASSERT_EQ(r.islands.size(), static_cast<std::size_t>(net.num_islands())) << what;
+      power::PowerBreakdown sum;
+      for (const sim::IslandResult& isl : r.islands) sum.add_energy(isl.power);
+      EXPECT_GT(sum.total_j(), 0.0) << what;
+      EXPECT_NEAR(sum.datapath_j, r.power.datapath_j, 1e-12 * r.power.datapath_j) << what;
+      EXPECT_NEAR(sum.clock_j, r.power.clock_j, 1e-12 * r.power.clock_j) << what;
+      EXPECT_NEAR(sum.leakage_j, r.power.leakage_j, 1e-12 * r.power.leakage_j) << what;
+    }
+  }
+}
+
 }  // namespace
 }  // namespace nocdvfs
