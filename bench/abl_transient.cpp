@@ -68,7 +68,7 @@ int main(int argc, char** argv) {
 
     std::cout << "--- " << sim::to_string(policy) << " window trace around the step ---\n";
     common::Table table({"t[us]", "window delay[ns]", "freq[GHz]", "packets"});
-    int settle_windows = -1;
+    int reacquire_windows = -1;
     int windows_after_step = 0;
     for (const auto& w : r.window_trace) {
       const double t_us = common::us_from_ps(w.t);
@@ -84,11 +84,12 @@ int main(int argc, char** argv) {
                 ? std::abs(w.avg_delay_ns - anchors.target_delay_ns) <
                       0.15 * anchors.target_delay_ns
                 : std::abs(w.f_applied / 1e9 - lambda_hi / anchors.lambda_max) < 0.05;
-        if (on_target && settle_windows < 0) settle_windows = windows_after_step;
+        if (on_target && reacquire_windows < 0) reacquire_windows = windows_after_step;
       }
     }
     table.print(std::cout);
-    std::cout << "re-acquired operating point " << (settle_windows < 0 ? 999 : settle_windows)
+    std::cout << "re-acquired operating point "
+              << (reacquire_windows < 0 ? 999 : reacquire_windows)
               << " control windows after the step\n\n";
   }
   std::cout << "Reading: the open-loop rate law is one-window reactive by construction;\n"

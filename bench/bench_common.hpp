@@ -9,11 +9,11 @@
 /// output (`csv=…` / `json=…`, e.g. under `bench/out/`), and uniform
 /// banner output.
 ///
-/// Fast mode: pass `fast=1` (or set the legacy NOCDVFS_BENCH_FAST=1
-/// environment variable) to shrink sweeps and phases (~4× faster, coarser
-/// curves).
+/// Fast mode: pass `fast=1` to shrink sweeps and phases (~4× faster,
+/// coarser curves). Every Scenario key, with its default and help text,
+/// comes from `sim::Scenario::declare_keys`; fast mode only changes the
+/// defaults the harness hands it.
 
-#include <cstdlib>
 #include <filesystem>
 #include <fstream>
 #include <functional>
@@ -31,27 +31,10 @@
 namespace nocdvfs::bench {
 
 namespace detail {
-/// Tri-state fast-mode override: unset → fall back to the environment.
-inline int& fast_override() {
-  static int value = -1;
-  return value;
-}
+inline bool fast = false;  ///< the `fast` key, set by Harness::parse
 }  // namespace detail
 
-inline bool env_fast_mode() {
-  const char* v = std::getenv("NOCDVFS_BENCH_FAST");
-  return v != nullptr && std::string(v) != "0";
-}
-
-/// Effective fast mode: the declared `fast` config key once a Harness has
-/// parsed (so it shows up in `--help` and run logs), the environment
-/// variable before that.
-inline bool fast_mode() {
-  const int o = detail::fast_override();
-  return o < 0 ? env_fast_mode() : o != 0;
-}
-
-inline void set_fast_mode(bool fast) { detail::fast_override() = fast ? 1 : 0; }
+inline bool fast_mode() { return detail::fast; }
 
 /// Paper-faithful run phases (control period stays the config's 10 000
 /// node cycles); FAST mode shortens everything.
@@ -179,18 +162,10 @@ inline void banner(const std::string& figure, const std::string& what) {
 ///                              sim::SweepAxis::policies(...)}, "group");
 class Harness {
  public:
-  Harness(std::string figure, std::string what,
-          sim::Scenario defaults = paper_default_scenario())
+  Harness(std::string figure, std::string what)
       : figure_(std::move(figure)), what_(std::move(what)) {
-    const sim::Scenario paper = paper_default_scenario();
-    custom_phase_defaults_ =
-        defaults.phases.warmup_node_cycles != paper.phases.warmup_node_cycles ||
-        defaults.phases.measure_node_cycles != paper.phases.measure_node_cycles ||
-        defaults.phases.max_warmup_node_cycles != paper.phases.max_warmup_node_cycles ||
-        defaults.control_period != paper.control_period;
-    sim::Scenario::declare_keys(config_, defaults);
-    config_.declare_bool("fast", env_fast_mode(),
-                         "shrink sweeps and phases (~4x faster, coarser curves)");
+    sim::Scenario::declare_keys(config_, paper_default_scenario());
+    config_.declare_bool("fast", false, "shrink sweeps and phases (~4x faster, coarser curves)");
     config_.declare_int("threads", 0, "sweep worker threads (0 = all cores)");
     config_.declare("csv", "", "write headline-metric CSV rows to this path");
     config_.declare("json", "", "write JSONL results + trajectories to this path");
@@ -215,24 +190,10 @@ class Harness {
       exit_code_ = 1;
       return false;
     }
-    set_fast_mode(config_.get_bool("fast"));
-    // Fast mode rescales the *defaults* of the phase/period keys; explicit
-    // key=value assignments always win (Config::declare keeps them), and a
-    // bench that passed its own phase defaults to the constructor keeps
-    // those untouched.
-    if (!custom_phase_defaults_) {
-      const sim::RunPhases phases = bench_phases();
-      config_.declare_int("warmup", static_cast<std::int64_t>(phases.warmup_node_cycles),
-                          "warmup node cycles");
-      config_.declare_int("measure", static_cast<std::int64_t>(phases.measure_node_cycles),
-                          "measurement node cycles");
-      config_.declare_int("max_warmup",
-                          static_cast<std::int64_t>(phases.max_warmup_node_cycles),
-                          "adaptive warmup bound in node cycles");
-      config_.declare_int("control_period",
-                          static_cast<std::int64_t>(bench_control_period()),
-                          "control update period in node cycles");
-    }
+    detail::fast = config_.get_bool("fast");
+    // Fast mode rescales the defaults of the phase/period keys; explicit
+    // key=value assignments always win (Config::declare keeps them).
+    sim::Scenario::declare_keys(config_, paper_default_scenario());
     if (config_.get_bool("help")) {
       for (const auto& line : config_.summary_lines()) std::cout << line << '\n';
       exit_code_ = 0;
@@ -303,7 +264,6 @@ class Harness {
   std::string figure_;
   std::string what_;
   common::Config config_;
-  bool custom_phase_defaults_ = false;
   int exit_code_ = 0;
   std::unique_ptr<sim::SweepRunner> runner_;
   std::ofstream csv_out_;

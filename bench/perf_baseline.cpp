@@ -24,7 +24,6 @@
 
 #include <chrono>
 #include <cstdint>
-#include <cstdlib>
 #include <fstream>
 #include <iomanip>
 #include <iostream>
@@ -41,11 +40,6 @@
 namespace {
 
 using namespace nocdvfs;
-
-bool fast_mode_env() {
-  const char* v = std::getenv("NOCDVFS_BENCH_FAST");
-  return v != nullptr && std::string(v) != "0";
-}
 
 double seconds_since(std::chrono::steady_clock::time_point t0) {
   return std::chrono::duration<double>(std::chrono::steady_clock::now() - t0).count();
@@ -295,7 +289,7 @@ int main(int argc, char** argv) {
   cfg.declare_double("tolerance", 0.15,
                      "allowed relative throughput loss before the compare gate fails");
   cfg.declare_int("repeats", 3, "timed repetitions per scenario (best-of)");
-  cfg.declare_bool("fast", fast_mode_env(), "CI-sized phases (~4x faster)");
+  cfg.declare_bool("fast", false, "CI-sized phases (~4x faster)");
   cfg.declare_bool("help", false, "print declared keys and exit");
   try {
     cfg.parse_args(argc, argv);

@@ -265,8 +265,30 @@ void write_timeline_binary(const Timeline& tl, const std::string& path) {
 }
 
 Timeline read_timeline_binary(const std::string& path) {
-  std::ifstream is(path, std::ios::binary);
+  std::ifstream is(path, std::ios::binary | std::ios::ate);
   if (!is) throw std::runtime_error("timeline: cannot open '" + path + "'");
+  const auto file_size = static_cast<std::uint64_t>(is.tellg());
+  is.seekg(0);
+  const auto bad = [&](const char* field, const std::string& why) {
+    return std::runtime_error("timeline: '" + path + "' " + field + ": " + why);
+  };
+  // Length fields are checked before anything is sized from them: a count
+  // stored as int must fit one, and `n` entries of at least `min_bytes`
+  // each must fit in the bytes left in the file.
+  const auto as_int = [&](std::uint32_t v, const char* field) {
+    if (v > static_cast<std::uint32_t>(std::numeric_limits<int>::max())) {
+      throw bad(field, std::to_string(v) + " exceeds INT_MAX");
+    }
+    return static_cast<int>(v);
+  };
+  const auto count = [&](std::uint64_t n, std::uint64_t min_bytes, const char* field) {
+    const std::uint64_t left = file_size - static_cast<std::uint64_t>(is.tellg());
+    if (n > left / min_bytes) {
+      throw bad(field, std::to_string(n) + " entries of at least " + std::to_string(min_bytes) +
+                           " bytes each, but " + std::to_string(left) + " bytes are left");
+    }
+    return static_cast<std::size_t>(n);
+  };
 
   char magic_bytes[4] = {};
   is.read(magic_bytes, sizeof magic_bytes);
@@ -300,24 +322,26 @@ Timeline read_timeline_binary(const std::string& path) {
 
   Timeline tl;
   tl.version = version;
-  tl.width = static_cast<int>(get<std::uint32_t>(is));
-  tl.height = static_cast<int>(get<std::uint32_t>(is));
-  tl.num_routers = static_cast<int>(get<std::uint32_t>(is));
-  tl.num_islands = static_cast<int>(get<std::uint32_t>(is));
-  tl.concentration = static_cast<int>(get<std::uint32_t>(is));
+  tl.width = as_int(get<std::uint32_t>(is), "width");
+  tl.height = as_int(get<std::uint32_t>(is), "height");
+  tl.num_routers = as_int(get<std::uint32_t>(is), "num_routers");
+  tl.num_islands = as_int(get<std::uint32_t>(is), "num_islands");
+  tl.concentration = as_int(get<std::uint32_t>(is), "concentration");
   tl.f_node_hz = get<double>(is);
   tl.control_period_node_cycles = get<std::uint64_t>(is);
 
+  count(static_cast<std::uint64_t>(tl.num_islands), 8, "num_islands");
   for (int i = 0; i < tl.num_islands; ++i) {
     tl.island_policy.push_back(get_str(is));
-    tl.island_nodes.push_back(static_cast<int>(get<std::uint32_t>(is)));
+    tl.island_nodes.push_back(as_int(get<std::uint32_t>(is), "island_nodes"));
   }
 
-  const auto windows = get<std::uint32_t>(is);
-  tl.window_t_ps.reserve(windows);
+  const std::uint32_t windows = get<std::uint32_t>(is);
+  tl.window_t_ps.reserve(count(windows, 8, "num_windows"));
   for (std::uint32_t w = 0; w < windows; ++w) tl.window_t_ps.push_back(get<std::uint64_t>(is));
 
-  const std::size_t rows = static_cast<std::size_t>(windows) * static_cast<std::size_t>(tl.num_islands);
+  const std::size_t rows = count(
+      std::uint64_t{windows} * static_cast<std::uint64_t>(tl.num_islands), 49, "island_rows");
   tl.island_rows.reserve(rows);
   for (std::size_t r = 0; r < rows; ++r) {
     IslandWindowRow row;
@@ -332,24 +356,25 @@ Timeline read_timeline_binary(const std::string& path) {
   }
 
   const auto num_links = get<std::uint32_t>(is);
-  tl.links.reserve(num_links);
+  tl.links.reserve(count(num_links, 12, "num_links"));
   for (std::uint32_t l = 0; l < num_links; ++l) {
     LinkInfo link;
-    link.src_router = static_cast<int>(get<std::uint32_t>(is));
-    link.src_port = static_cast<int>(get<std::uint32_t>(is));
-    link.dst_router = static_cast<int>(get<std::uint32_t>(is));
+    link.src_router = as_int(get<std::uint32_t>(is), "link src_router");
+    link.src_port = as_int(get<std::uint32_t>(is), "link src_port");
+    link.dst_router = as_int(get<std::uint32_t>(is), "link dst_router");
     tl.links.push_back(link);
   }
 
   const auto num_series = get<std::uint32_t>(is);
-  tl.series.reserve(num_series);
+  tl.series.reserve(count(num_series, 10, "num_series"));
   for (std::uint32_t si = 0; si < num_series; ++si) {
     MetricSeries s;
     s.name = get_str(is);
     s.scope = static_cast<MetricScope>(get<std::uint8_t>(is));
     s.kind = static_cast<MetricKind>(get<std::uint8_t>(is));
-    s.entities = static_cast<int>(get<std::uint32_t>(is));
-    const std::size_t n = static_cast<std::size_t>(windows) * static_cast<std::size_t>(s.entities);
+    s.entities = as_int(get<std::uint32_t>(is), "series entities");
+    const std::size_t n =
+        count(std::uint64_t{windows} * static_cast<std::uint64_t>(s.entities), 8, "series values");
     if (s.kind == MetricKind::Counter) {
       s.counts.reserve(n);
       for (std::size_t i = 0; i < n; ++i) s.counts.push_back(get<std::uint64_t>(is));
@@ -361,7 +386,7 @@ Timeline read_timeline_binary(const std::string& path) {
   }
 
   const auto num_events = get<std::uint32_t>(is);
-  tl.events.reserve(num_events);
+  tl.events.reserve(count(num_events, 29, "num_events"));
   for (std::uint32_t e = 0; e < num_events; ++e) {
     TimelineEvent ev;
     ev.kind = static_cast<EventKind>(get<std::uint8_t>(is));
@@ -374,7 +399,7 @@ Timeline read_timeline_binary(const std::string& path) {
 
   if (version >= 2) {
     const auto num_flights = get<std::uint32_t>(is);
-    tl.flights.reserve(num_flights);
+    tl.flights.reserve(count(num_flights, 33, "num_flights"));
     for (std::uint32_t f = 0; f < num_flights; ++f) {
       FlightRecord rec;
       rec.packet_id = get<std::uint64_t>(is);
@@ -384,7 +409,7 @@ Timeline read_timeline_binary(const std::string& path) {
       rec.traffic_class = get<std::uint8_t>(is);
       rec.create_t_ps = get<std::uint64_t>(is);
       const auto num_fe = get<std::uint32_t>(is);
-      rec.events.reserve(num_fe);
+      rec.events.reserve(count(num_fe, 17, "flight events"));
       for (std::uint32_t e = 0; e < num_fe; ++e) {
         FlightEvent ev;
         ev.t_ps = get<std::uint64_t>(is);
@@ -399,6 +424,7 @@ Timeline read_timeline_binary(const std::string& path) {
     const auto num_hists = get<std::uint32_t>(is);
     const std::size_t num_buckets =
         version >= 4 ? LatencyHistogram::kNumBuckets : kBucketsBeforeV4;
+    count(num_hists, 32, "num_histograms");
     for (std::uint32_t h = 0; h < num_hists; ++h) {
       HistogramSnapshot snap = get_histogram(is, path, num_buckets);
       // Before v4 the buckets had another meaning; no reader of them is kept.
@@ -408,7 +434,7 @@ Timeline read_timeline_binary(const std::string& path) {
 
   if (version >= 3) {
     const auto num_manifest = get<std::uint32_t>(is);
-    tl.manifest.reserve(num_manifest);
+    tl.manifest.reserve(count(num_manifest, 8, "num_manifest"));
     for (std::uint32_t m = 0; m < num_manifest; ++m) {
       std::string key = get_str(is);
       std::string value = get_str(is);
@@ -416,11 +442,11 @@ Timeline read_timeline_binary(const std::string& path) {
     }
 
     const auto num_phases = get<std::uint32_t>(is);
-    tl.host_phases.reserve(num_phases);
+    tl.host_phases.reserve(count(num_phases, 32, "num_phases"));
     for (std::uint32_t p = 0; p < num_phases; ++p) {
       PhaseStats ps;
       ps.name = get_str(is);
-      ps.depth = static_cast<int>(get<std::uint32_t>(is));
+      ps.depth = as_int(get<std::uint32_t>(is), "phase depth");
       ps.calls = get<std::uint64_t>(is);
       ps.inclusive_ns = get<std::uint64_t>(is);
       ps.exclusive_ns = get<std::uint64_t>(is);
@@ -428,7 +454,7 @@ Timeline read_timeline_binary(const std::string& path) {
     }
 
     const auto num_spans = get<std::uint32_t>(is);
-    tl.host_spans.reserve(num_spans);
+    tl.host_spans.reserve(count(num_spans, 28, "num_spans"));
     for (std::uint32_t sp = 0; sp < num_spans; ++sp) {
       HostWorkerSpan span;
       span.worker = get<std::int32_t>(is);
@@ -439,7 +465,7 @@ Timeline read_timeline_binary(const std::string& path) {
     }
 
     const auto num_workers = get<std::uint32_t>(is);
-    tl.host_workers.reserve(num_workers);
+    tl.host_workers.reserve(count(num_workers, 20, "num_workers"));
     for (std::uint32_t w = 0; w < num_workers; ++w) {
       HostWorkerStats stats;
       stats.worker = get<std::int32_t>(is);

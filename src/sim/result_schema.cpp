@@ -1,7 +1,6 @@
 #include "sim/result_schema.hpp"
 
-#include <sstream>
-
+#include "common/strings.hpp"
 #include "sim/sweep.hpp"
 #include "vfi/residency.hpp"
 
@@ -29,7 +28,7 @@ std::string point_label(R x) {
   return out;
 }
 
-/// "i0=600MHz:0.250|1000MHz:0.750;i1=..." — one entry per island.
+/// "i0=600MHz:0.25|1000MHz:0.75;i1=..." — one entry per island.
 std::string residency_cell(const RunResult& r) {
   std::string out;
   for (const IslandResult& isl : r.islands) {
@@ -40,15 +39,16 @@ std::string residency_cell(const RunResult& r) {
   return out;
 }
 
-/// "i0=12.4;i1=..." — per-island average power in mW, a readable recap at
-/// six significant digits (the JSONL `island_results` carry full precision).
+/// "i0=12.4;i1=..." — per-island average power in mW, each in shortest
+/// round-trip form so a diff of the cell sees every bit.
 std::string island_power_cell(const RunResult& r) {
-  std::ostringstream os;
-  for (std::size_t i = 0; i < r.islands.size(); ++i) {
-    if (i > 0) os << ';';
-    os << 'i' << r.islands[i].island << '=' << r.islands[i].power.average_power_mw();
+  std::string out;
+  for (const IslandResult& isl : r.islands) {
+    if (!out.empty()) out += ';';
+    out += 'i' + std::to_string(isl.island) + '=' +
+           common::format_double(isl.power.average_power_mw());
   }
-  return os.str();
+  return out;
 }
 
 std::string hot_link(const TelemetryResult& tel) {

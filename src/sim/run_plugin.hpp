@@ -48,7 +48,7 @@ struct RunContext {
     std::uint64_t occupancy_sum = 0;  ///< Σ buffered flits, one sample per island cycle
     dvfs::WindowMeasurements last_update;  ///< what the controller saw at the last update
     common::Hertz f_before_update = 0.0;   ///< frequency in force before the last update
-    std::deque<double> recent_freqs;       ///< applied f of the last `settle_windows` updates
+    std::deque<double> recent_freqs;       ///< applied f of the last kSettleWindows updates
     common::Hertz cap = 0.0;               ///< cap for the next update; 0 = none
     // The measurement, opened when the settle phase ends.
     std::uint64_t measure_start_noc = 0;
@@ -67,7 +67,10 @@ struct RunContext {
   const Island& island(int i) const { return islands[static_cast<std::size_t>(i)]; }
   /// The controller inputs of island `i`'s current (still open) window.
   dvfs::WindowMeasurements measure_window(int i) const;
-  /// Applied frequency within `settle_tol` over the last `settle_windows`.
+  /// An island is settled once its applied frequency spread over the last
+  /// kSettleWindows control updates is at most kSettleTol of the highest.
+  static constexpr int kSettleWindows = 4;
+  static constexpr double kSettleTol = 0.02;
   bool island_settled(int i) const;
   bool settled() const;
 };

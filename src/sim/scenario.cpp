@@ -2,9 +2,12 @@
 
 #include <algorithm>
 #include <cctype>
+#include <functional>
 #include <limits>
 #include <sstream>
 #include <stdexcept>
+#include <utility>
+#include <vector>
 
 #include "apps/app_graphs.hpp"
 #include "common/strings.hpp"
@@ -151,10 +154,6 @@ std::unique_ptr<traffic::TrafficModel> make_traffic(const Scenario& s,
                                                       s.f_node, s.seed);
     }
     case Scenario::Workload::Trace: {
-      if (s.trace_path.empty()) {
-        throw std::invalid_argument(
-            "Scenario: workload=trace requires trace=<path.noctrace>");
-      }
       trace::TraceReplayOptions opt;
       opt.scale = s.trace_scale;
       opt.loop = s.trace_loop;
@@ -164,29 +163,10 @@ std::unique_ptr<traffic::TrafficModel> make_traffic(const Scenario& s,
       opt.mesh_height = s.network.height;
       return std::make_unique<trace::TraceTraffic>(s.trace_path, opt);
     }
-    case Scenario::Workload::Custom: {
-      if (!s.traffic_factory) {
-        throw std::invalid_argument(
-            "Scenario: workload=custom requires a traffic_factory (assign "
-            "Scenario::traffic_factory before running)");
-      }
+    case Scenario::Workload::Custom:
       return s.traffic_factory(s);
-    }
   }
   throw std::invalid_argument("Scenario: unhandled workload variant");
-}
-
-}  // namespace
-
-namespace {
-
-/// "" when the per-island policy list fits the partition, else the error
-/// both the validator and the controller factory report.
-std::string island_policy_list_problem(const std::vector<std::string>& names,
-                                       const std::string& islands_name, int num_islands) {
-  if (names.empty() || static_cast<int>(names.size()) == num_islands) return "";
-  return "island_policies lists " + std::to_string(names.size()) + " policies but the '" +
-         islands_name + "' partition has " + std::to_string(num_islands) + " islands";
 }
 
 /// Mesh the run will actually use: an app workload pins its own dimensions.
@@ -198,18 +178,9 @@ std::pair<int, int> effective_mesh_dims(const Scenario& s) {
   return {s.network.width, s.network.height};
 }
 
-vfi::IslandMap build_island_map(const Scenario& s, int width, int height) {
-  return vfi::IslandMap::build(vfi::preset_from_string(s.islands), width, height,
-                               s.island_map);
-}
-
 std::vector<std::unique_ptr<dvfs::DvfsController>> make_island_controllers(
     const Scenario& s, int num_islands) {
   const std::vector<std::string> names = common::split_csv(s.island_policies);
-  if (const std::string problem = island_policy_list_problem(names, s.islands, num_islands);
-      !problem.empty()) {
-    throw std::invalid_argument(problem);
-  }
   std::vector<std::unique_ptr<dvfs::DvfsController>> out;
   out.reserve(static_cast<std::size_t>(num_islands));
   for (int i = 0; i < num_islands; ++i) {
@@ -233,33 +204,266 @@ common::Picoseconds thermal_step_ps_from(const Scenario& s) {
   return static_cast<common::Picoseconds>(s.thermal_step_ns * 1000.0 + 0.5);
 }
 
-}  // namespace
+// ---- the key table ----------------------------------------------------------
 
-std::string island_config_problem(const Scenario& s) {
+/// Where a key's value lives in a Scenario.
+template <typename T>
+using Field = T& (*)(Scenario&);
+
+/// Reads a field of a const Scenario through its accessor.
+template <typename T>
+const T& value_of(Field<T> field, const Scenario& s) {
+  return field(const_cast<Scenario&>(s));
+}
+
+/// One scenario key: its name and help text, its value as Config text, how
+/// Config text is read back into a Scenario, and the check a Scenario's own
+/// value gets (empty when every value of the field's type is legal).
+struct Key {
+  const char* name;
+  const char* help;
+  std::function<std::string(const Scenario&)> text;
+  std::function<void(Scenario&, const common::Config&)> read;
+  std::function<std::string(const Scenario&)> problem;
+};
+
+Key text_key(const char* name, Field<std::string> f, const char* help) {
+  return {name, help, [f](const Scenario& s) { return value_of(f, s); },
+          [=](Scenario& s, const common::Config& c) { f(s) = c.get_string(name); }, {}};
+}
+
+/// A string field that must read "on" or "off".
+Key on_off_key(const char* name, Field<std::string> f, const char* help) {
+  Key k = text_key(name, f, help);
+  k.problem = [=](const Scenario& s) -> std::string {
+    const std::string& v = value_of(f, s);
+    if (v == "on" || v == "off") return "";
+    return std::string(name) + "= must be on or off (got " + name + "=" + v + ")";
+  };
+  return k;
+}
+
+Key double_key(const char* name, Field<double> f, const char* help) {
+  return {name, help, [f](const Scenario& s) { return common::format_double(value_of(f, s)); },
+          [=](Scenario& s, const common::Config& c) { f(s) = c.get_double(name); }, {}};
+}
+
+Key bool_key(const char* name, Field<bool> f, const char* help) {
+  return {name, help, [f](const Scenario& s) { return value_of(f, s) ? "true" : "false"; },
+          [=](Scenario& s, const common::Config& c) { f(s) = c.get_bool(name); }, {}};
+}
+
+/// An enum field written by name.
+template <typename E>
+Key named_key(const char* name, Field<E> f, const char* (*to_text)(E),
+              E (*parse)(const std::string&), const char* help) {
+  return {name, help, [=](const Scenario& s) { return std::string(to_text(value_of(f, s))); },
+          [=](Scenario& s, const common::Config& c) { f(s) = parse(c.get_string(name)); }, {}};
+}
+
+/// An integer field narrowed on read. A value outside [lo, hi] is an error
+/// naming the key and the range, never a wrapped one, whether it arrives as
+/// Config text or was set on the Scenario in code.
+template <typename T>
+Key ranged_key(const char* name, Field<T> f, std::int64_t lo, std::int64_t hi,
+               const char* help) {
+  return {name, help, [f](const Scenario& s) { return std::to_string(value_of(f, s)); },
+          [=](Scenario& s, const common::Config& c) {
+            f(s) = static_cast<T>(c.get_int_in(name, lo, hi));
+          },
+          [=](const Scenario& s) -> std::string {
+            const T v = value_of(f, s);
+            if (std::cmp_greater_equal(v, lo) && std::cmp_less_equal(v, hi)) return "";
+            return "key '" + std::string(name) + "' value " + std::to_string(v) +
+                   " is outside [" + std::to_string(lo) + ", " + std::to_string(hi) + "]";
+          }};
+}
+
+constexpr std::int64_t kIntMax = std::numeric_limits<int>::max();
+
+Key int_key(const char* name, Field<int> f, std::int64_t lo, std::int64_t hi,
+            const char* help) {
+  return ranged_key<int>(name, f, lo, hi, help);
+}
+
+/// Non-negative counts and seeds (a negative one would wrap to ~2^64).
+Key count_key(const char* name, Field<std::uint64_t> f, const char* help) {
+  return ranged_key<std::uint64_t>(name, f, 0, std::numeric_limits<std::int64_t>::max(), help);
+}
+
+#define FIELD(member) [](Scenario& s) -> auto& { return s.member; }
+
+/// Every scenario key, in the order they are read and checked.
+const std::vector<Key>& keys() {
+  static const std::vector<Key> table = {
+      named_key<Scenario::Workload>("workload", FIELD(workload), to_string,
+                                    workload_from_string, "synthetic|app|trace|custom"),
+
+      text_key("pattern", FIELD(pattern), "synthetic traffic pattern"),
+      text_key("process", FIELD(process), "injection process (bernoulli|onoff)"),
+      double_key("lambda", FIELD(lambda), "offered flits per node cycle per node"),
+      double_key("hotspot_fraction", FIELD(hotspot_fraction),
+                 "traffic share of the hotspot (pattern=hotspot)"),
+
+      text_key("app", FIELD(app), "task-graph app: h264 (4x4) or vce (5x5)"),
+      double_key("speed", FIELD(speed), "app speed relative to 75 fps"),
+      double_key("traffic_scale", FIELD(traffic_scale), "rate-matrix calibration multiplier"),
+
+      text_key("trace", FIELD(trace_path), ".noctrace file to replay (workload=trace)"),
+      double_key("trace_scale", FIELD(trace_scale),
+                 "replay time-warp factor (>1 = higher offered load)"),
+      bool_key("trace_loop", FIELD(trace_loop), "loop the trace when it ends"),
+      text_key("record", FIELD(record_path),
+               "capture this run's injected packets to a .noctrace file"),
+
+      text_key("telemetry", FIELD(telemetry),
+               "observability: off|windows|full (full adds per-link columns)"),
+      text_key("telemetry_out", FIELD(telemetry_out),
+               "timeline output basename (writes <base>.json + <base>.nocobs)"),
+      on_off_key("pkt_trace", FIELD(pkt_trace),
+                 "packet flight recorder: on|off (needs telemetry != off)"),
+      count_key("pkt_trace_rate", FIELD(pkt_trace_rate),
+                "sample 1 in N packets (deterministic in the packet id)"),
+      on_off_key("prof", FIELD(prof),
+                 "host phase profiler: on|off (host-side only; metrics-invisible)"),
+      on_off_key("mem", FIELD(mem), "host memory breakdown in the run manifest: on|off"),
+
+      bool_key("thermal", FIELD(thermal),
+               "enable the RC thermal model, T-dependent leakage and throttling"),
+      double_key("thermal_step_ns", FIELD(thermal_step_ns),
+                 "RC integration step in ns (explicit Euler)"),
+      double_key("temp_ambient_c", FIELD(temp_ambient_c), "ambient sink temperature"),
+      double_key("temp_cap_c", FIELD(temp_cap_c),
+                 "throttle engages at this peak tile temperature"),
+      double_key("temp_hysteresis_c", FIELD(temp_hysteresis_c),
+                 "throttle releases at temp_cap_c - hysteresis"),
+      double_key("rc_vertical", FIELD(rc_vertical), "tile->spreader resistance in K/W"),
+      double_key("rc_lateral", FIELD(rc_lateral), "tile<->neighbor-tile resistance in K/W"),
+      double_key("leak_temp_coeff", FIELD(leak_temp_coeff),
+                 "leakage-temperature coefficient in 1/K (exp(k*(T-Tref)))"),
+
+      text_key("islands", FIELD(islands),
+               "VF-island partition: global|rows|cols|quadrants|per_router|custom"),
+      text_key("island_map", FIELD(island_map),
+               "node->island ids, comma-separated row-major (islands=custom)"),
+      int_key("cdc_sync_cycles", FIELD(network.cdc_sync_cycles), 0, kIntMax,
+              "synchronizer cycles on island-boundary links"),
+      text_key("island_policies", FIELD(island_policies),
+               "per-island policy overrides, comma-separated (one per island)"),
+
+      int_key("width", FIELD(network.width), 1, kIntMax, "mesh width"),
+      int_key("height", FIELD(network.height), 1, kIntMax, "mesh height"),
+      named_key<topo::TopologyKind>("topology", FIELD(network.topology), topo::to_string,
+                                    topo::topology_kind_from_string,
+                                    "physical topology: mesh|torus|cmesh|dragonfly"),
+      named_key<noc::RoutingAlgo>("routing", FIELD(network.routing), noc::to_string,
+                                  noc::routing_algo_from_string,
+                                  "routing algorithm: xy|yx|adaptive|ugal"),
+      int_key("concentration", FIELD(network.concentration), 1, kIntMax,
+              "NIs per router (cmesh: 2 or 4; dragonfly: >= 1; else 1)"),
+      text_key("faults", FIELD(network.faults),
+               "fault injection: links:K[@CYCLE]+routers:K[@CYCLE], or off"),
+      count_key("fault_seed", FIELD(network.fault_seed), "RNG seed for fault site selection"),
+      int_key("vcs", FIELD(network.num_vcs), 1, noc::kMaxVcs,
+              "virtual channels per port (1..64)"),
+      int_key("bufs", FIELD(network.vc_buffer_depth), 1, noc::kMaxVcBufferDepth,
+              "flit buffers per VC (1..255)"),
+      int_key("link_latency", FIELD(network.link_latency), 1, kIntMax,
+              "inter-router link cycles"),
+      // Flit::packet_size and the NI queue hold the size in 16 bits.
+      int_key("packet", FIELD(packet_size), 1, std::numeric_limits<std::uint16_t>::max(),
+              "flits per packet (1..65535)"),
+
+      named_key<Policy>("policy", FIELD(policy.policy), to_string, policy_from_string,
+                        "nodvfs|rmsd|rmsd-closed|dmsd|qbsd"),
+      double_key("lambda_max", FIELD(policy.lambda_max),
+                 "RMSD target load (flits/noc-cycle/node)"),
+      double_key("target_delay_ns", FIELD(policy.target_delay_ns), "DMSD delay target"),
+      double_key("ki", FIELD(policy.ki), "DMSD integral gain"),
+      double_key("kp", FIELD(policy.kp), "DMSD proportional gain"),
+      double_key("occupancy_setpoint", FIELD(policy.occupancy_setpoint),
+                 "QBSD buffer-occupancy target (fraction)"),
+
+      count_key("control_period", FIELD(control_period),
+                "control update period in node cycles"),
+      double_key("f_node", FIELD(f_node), "node clock in Hz"),
+      int_key("vf_levels", FIELD(vf_levels), 0, kIntMax, "discrete V/F levels (0 = continuous)"),
+      int_key("flit_bits", FIELD(flit_bits), 1, kIntMax, "flit width in bits"),
+      count_key("seed", FIELD(seed), "random seed"),
+      count_key("vf_trace_max", FIELD(vf_trace_max),
+                "keep only the most recent N actuation-trace points (0 = unbounded)"),
+
+      count_key("warmup", FIELD(phases.warmup_node_cycles), "warmup node cycles"),
+      count_key("measure", FIELD(phases.measure_node_cycles), "measurement node cycles"),
+      bool_key("adaptive_warmup", FIELD(phases.adaptive_warmup),
+               "extend warmup until the controller settles"),
+      count_key("max_warmup", FIELD(phases.max_warmup_node_cycles),
+                "adaptive warmup bound in node cycles"),
+  };
+  return table;
+}
+
+#undef FIELD
+
+/// The checks behind scenario_problem. The island map they resolve is left
+/// in `map`, so make_simulator builds it only once.
+std::string problem_of(const Scenario& s, vfi::IslandMap& map) {
+  for (const Key& key : keys()) {
+    if (!key.problem) continue;
+    if (std::string problem = key.problem(s); !problem.empty()) return problem;
+  }
+  std::ostringstream os;
   try {
-    if (s.network.cdc_sync_cycles < 0) return "cdc_sync_cycles must be >= 0";
+    const auto [width, height] = effective_mesh_dims(s);
+
+    // VF islands: preset, custom map and per-island policies, resolved
+    // against the mesh the run will actually use.
     const vfi::Preset preset = vfi::preset_from_string(s.islands);
     if (preset != vfi::Preset::Custom && !s.island_map.empty()) {
       return "island_map= is only read with islands=custom (got islands=" + s.islands + ")";
     }
-    const auto [width, height] = effective_mesh_dims(s);
-    const vfi::IslandMap map = vfi::IslandMap::build(preset, width, height, s.island_map);
+    map = vfi::IslandMap::build(preset, width, height, s.island_map);
     const std::vector<std::string> names = common::split_csv(s.island_policies);
-    if (const std::string problem =
-            island_policy_list_problem(names, s.islands, map.num_islands());
-        !problem.empty()) {
-      return problem;
+    if (!names.empty() && static_cast<int>(names.size()) != map.num_islands()) {
+      return "island_policies lists " + std::to_string(names.size()) + " policies but the '" +
+             s.islands + "' partition has " + std::to_string(map.num_islands()) + " islands";
     }
     for (const std::string& name : names) policy_from_string(name);
-  } catch (const std::exception& e) {
-    return e.what();
-  }
-  return "";
-}
 
-std::string topo_config_problem(const Scenario& s) {
-  try {
-    const auto [width, height] = effective_mesh_dims(s);
+    // Thermal: the keys are inert with thermal=off and never rejected then.
+    if (s.thermal) {
+      if (!(s.thermal_step_ns > 0.0)) return "thermal_step_ns must be > 0";
+      if (!(s.rc_vertical > 0.0)) return "rc_vertical must be > 0 (K/W)";
+      if (!(s.rc_lateral > 0.0)) return "rc_lateral must be > 0 (K/W)";
+      if (s.leak_temp_coeff < 0.0) return "leak_temp_coeff must be >= 0 (1/K)";
+      if (s.temp_hysteresis_c < 0.0) return "temp_hysteresis_c must be >= 0";
+      if (!(s.temp_cap_c > s.temp_ambient_c)) {
+        os << "temp_cap_c (" << s.temp_cap_c << ") must exceed temp_ambient_c ("
+           << s.temp_ambient_c << ")";
+        return os.str();
+      }
+      if (!(s.temp_cap_c - s.temp_hysteresis_c > s.temp_ambient_c)) {
+        // Tiles can never cool below ambient, so a release point at or below
+        // it would latch the throttle on permanently after one engagement.
+        os << "temp_cap_c - temp_hysteresis_c (" << s.temp_cap_c - s.temp_hysteresis_c
+           << ") must exceed temp_ambient_c (" << s.temp_ambient_c
+           << "): the release point is unreachable and the throttle would latch on";
+        return os.str();
+      }
+      const double bound_s =
+          thermal::ThermalModel::stability_bound_s(width, height, thermal_params_from(s));
+      const double step_s =
+          static_cast<double>(thermal_step_ps_from(s)) / common::kPicosPerSecond;
+      if (step_s > bound_s) {
+        os << "thermal_step_ns=" << s.thermal_step_ns
+           << " exceeds the explicit-Euler stability bound of " << bound_s * 1e9
+           << " ns for the " << width << "x" << height
+           << " mesh (lower the step or raise the RC constants)";
+        return os.str();
+      }
+    }
+
+    // Topology, routing and faults.
     const std::unique_ptr<topo::Topology> topo =
         topo::Topology::make(s.network.topology, width, height, s.network.concentration);
     const int need = topo::RoutingEngine::required_vcs(*topo, s.network.routing);
@@ -279,299 +483,71 @@ std::string topo_config_problem(const Scenario& s) {
              topo::to_string(s.network.topology) +
              " concentration=" + std::to_string(s.network.concentration) + ")";
     }
-    if (topo->concentration() > 1) {
+    if (topo->concentration() > 1 && map.num_islands() > 1) {
       // A clock island must hold whole tiles: the router and every NI
       // behind it share one domain (Network enforces this too; catching it
       // here names the offending tile before construction).
-      const vfi::IslandMap map = build_island_map(s, width, height);
-      if (map.num_islands() > 1) {
-        const std::vector<int>& assign = map.assignment();
-        std::vector<int> tile_island(static_cast<std::size_t>(topo->num_routers()), -1);
-        for (noc::NodeId id = 0; id < topo->num_nodes(); ++id) {
-          const auto r = static_cast<std::size_t>(topo->router_of(id));
-          const int isl = assign[static_cast<std::size_t>(id)];
-          if (tile_island[r] == -1) {
-            tile_island[r] = isl;
-          } else if (tile_island[r] != isl) {
-            return "islands=" + s.islands + " splits tile " + std::to_string(topo->router_of(id)) +
-                   " (concentration=" + std::to_string(topo->concentration()) +
-                   "): a router and all its NIs must share one island";
-          }
+      const std::vector<int>& assign = map.assignment();
+      std::vector<int> tile_island(static_cast<std::size_t>(topo->num_routers()), -1);
+      for (noc::NodeId id = 0; id < topo->num_nodes(); ++id) {
+        const auto r = static_cast<std::size_t>(topo->router_of(id));
+        const int isl = assign[static_cast<std::size_t>(id)];
+        if (tile_island[r] == -1) {
+          tile_island[r] = isl;
+        } else if (tile_island[r] != isl) {
+          return "islands=" + s.islands + " splits tile " + std::to_string(topo->router_of(id)) +
+                 " (concentration=" + std::to_string(topo->concentration()) +
+                 "): a router and all its NIs must share one island";
         }
       }
     }
-  } catch (const std::exception& e) {
-    return e.what();
-  }
-  return "";
-}
 
-std::string telemetry_config_problem(const Scenario& s) {
-  try {
+    // Telemetry.
     obs::telemetry_mode_from_string(s.telemetry);
-  } catch (const std::exception& e) {
-    return e.what();
-  }
-  if (s.pkt_trace != "on" && s.pkt_trace != "off") {
-    return "pkt_trace= must be on or off (got pkt_trace=" + s.pkt_trace + ")";
-  }
-  if (s.pkt_trace == "on" && s.telemetry == "off") {
-    return "pkt_trace=on needs telemetry=windows or telemetry=full (the sampled "
-           "flights are exported with the telemetry timeline)";
-  }
-  if (s.pkt_trace_rate < 1) return "pkt_trace_rate must be >= 1";
-  if (s.prof != "on" && s.prof != "off") {
-    return "prof= must be on or off (got prof=" + s.prof + ")";
-  }
-  if (s.mem != "on" && s.mem != "off") {
-    return "mem= must be on or off (got mem=" + s.mem + ")";
-  }
-  return "";
-}
+    if (s.pkt_trace == "on" && s.telemetry == "off") {
+      return "pkt_trace=on needs telemetry=windows or telemetry=full (the sampled "
+             "flights are exported with the telemetry timeline)";
+    }
+    if (s.pkt_trace_rate < 1) return "pkt_trace_rate must be >= 1";
 
-std::string thermal_config_problem(const Scenario& s) {
-  if (!s.thermal) return "";  // keys are inert with thermal=off
-  std::ostringstream os;
-  if (!(s.thermal_step_ns > 0.0)) return "thermal_step_ns must be > 0";
-  if (!(s.rc_vertical > 0.0)) return "rc_vertical must be > 0 (K/W)";
-  if (!(s.rc_lateral > 0.0)) return "rc_lateral must be > 0 (K/W)";
-  if (s.leak_temp_coeff < 0.0) return "leak_temp_coeff must be >= 0 (1/K)";
-  if (s.temp_hysteresis_c < 0.0) return "temp_hysteresis_c must be >= 0";
-  if (!(s.temp_cap_c > s.temp_ambient_c)) {
-    os << "temp_cap_c (" << s.temp_cap_c << ") must exceed temp_ambient_c ("
-       << s.temp_ambient_c << ")";
-    return os.str();
-  }
-  if (!(s.temp_cap_c - s.temp_hysteresis_c > s.temp_ambient_c)) {
-    // Tiles can never cool below ambient, so a release point at or below
-    // it would latch the throttle on permanently after one engagement.
-    os << "temp_cap_c - temp_hysteresis_c (" << s.temp_cap_c - s.temp_hysteresis_c
-       << ") must exceed temp_ambient_c (" << s.temp_ambient_c
-       << "): the release point is unreachable and the throttle would latch on";
-    return os.str();
-  }
-  try {
-    const auto [width, height] = effective_mesh_dims(s);
-    const double bound_s =
-        thermal::ThermalModel::stability_bound_s(width, height, thermal_params_from(s));
-    const double step_s =
-        static_cast<double>(thermal_step_ps_from(s)) / common::kPicosPerSecond;
-    if (step_s > bound_s) {
-      os << "thermal_step_ns=" << s.thermal_step_ns
-         << " exceeds the explicit-Euler stability bound of " << bound_s * 1e9
-         << " ns for the " << width << "x" << height
-         << " mesh (lower the step or raise the RC constants)";
-      return os.str();
+    // Workloads whose traffic comes from outside the key surface.
+    if (s.workload == Scenario::Workload::Trace && s.trace_path.empty()) {
+      return "workload=trace but no trace file is set (assign trace=<path.noctrace> or "
+             "Scenario::trace_path)";
+    }
+    if (s.workload == Scenario::Workload::Custom && !s.traffic_factory) {
+      return "workload=custom but no traffic_factory is set (assign "
+             "Scenario::traffic_factory, or install one per point via SweepAxis::custom)";
     }
   } catch (const std::exception& e) {
     return e.what();
   }
   return "";
+}
+
+}  // namespace
+
+std::string scenario_problem(const Scenario& s) {
+  vfi::IslandMap map;
+  return problem_of(s, map);
 }
 
 void Scenario::declare_keys(common::Config& c) { declare_keys(c, Scenario{}); }
 
 void Scenario::declare_keys(common::Config& c, const Scenario& d) {
-  c.declare("workload", to_string(d.workload), "synthetic|app|trace|custom");
-
-  c.declare("pattern", d.pattern, "synthetic traffic pattern");
-  c.declare("process", d.process, "injection process (bernoulli|onoff)");
-  c.declare_double("lambda", d.lambda, "offered flits per node cycle per node");
-  c.declare_double("hotspot_fraction", d.hotspot_fraction,
-                   "traffic share of the hotspot (pattern=hotspot)");
-
-  c.declare("app", d.app, "task-graph app: h264 (4x4) or vce (5x5)");
-  c.declare_double("speed", d.speed, "app speed relative to 75 fps");
-  c.declare_double("traffic_scale", d.traffic_scale, "rate-matrix calibration multiplier");
-
-  c.declare("trace", d.trace_path, ".noctrace file to replay (workload=trace)");
-  c.declare_double("trace_scale", d.trace_scale,
-                   "replay time-warp factor (>1 = higher offered load)");
-  c.declare_bool("trace_loop", d.trace_loop, "loop the trace when it ends");
-  c.declare("record", d.record_path,
-            "capture this run's injected packets to a .noctrace file");
-
-  c.declare("telemetry", d.telemetry,
-            "observability: off|windows|full (full adds per-link columns)");
-  c.declare("telemetry_out", d.telemetry_out,
-            "timeline output basename (writes <base>.json + <base>.nocobs)");
-  c.declare("pkt_trace", d.pkt_trace,
-            "packet flight recorder: on|off (needs telemetry != off)");
-  c.declare_int("pkt_trace_rate", static_cast<std::int64_t>(d.pkt_trace_rate),
-                "sample 1 in N packets (deterministic in the packet id)");
-  c.declare("prof", d.prof,
-            "host phase profiler: on|off (host-side only; metrics-invisible)");
-  c.declare("mem", d.mem,
-            "host memory breakdown in the run manifest: on|off");
-
-  c.declare_bool("thermal", d.thermal,
-                 "enable the RC thermal model, T-dependent leakage and throttling");
-  c.declare_double("thermal_step_ns", d.thermal_step_ns,
-                   "RC integration step in ns (explicit Euler)");
-  c.declare_double("temp_ambient_c", d.temp_ambient_c, "ambient sink temperature");
-  c.declare_double("temp_cap_c", d.temp_cap_c,
-                   "throttle engages at this peak tile temperature");
-  c.declare_double("temp_hysteresis_c", d.temp_hysteresis_c,
-                   "throttle releases at temp_cap_c - hysteresis");
-  c.declare_double("rc_vertical", d.rc_vertical, "tile->spreader resistance in K/W");
-  c.declare_double("rc_lateral", d.rc_lateral, "tile<->neighbor-tile resistance in K/W");
-  c.declare_double("leak_temp_coeff", d.leak_temp_coeff,
-                   "leakage-temperature coefficient in 1/K (exp(k*(T-Tref)))");
-
-  c.declare("islands", d.islands,
-            "VF-island partition: global|rows|cols|quadrants|per_router|custom");
-  c.declare("island_map", d.island_map,
-            "node->island ids, comma-separated row-major (islands=custom)");
-  c.declare_int("cdc_sync_cycles", d.network.cdc_sync_cycles,
-                "synchronizer cycles on island-boundary links");
-  c.declare("island_policies", d.island_policies,
-            "per-island policy overrides, comma-separated (one per island)");
-
-  c.declare_int("width", d.network.width, "mesh width");
-  c.declare_int("height", d.network.height, "mesh height");
-  c.declare("topology", topo::to_string(d.network.topology),
-            "physical topology: mesh|torus|cmesh|dragonfly");
-  c.declare("routing", noc::to_string(d.network.routing),
-            "routing algorithm: xy|yx|adaptive|ugal");
-  c.declare_int("concentration", d.network.concentration,
-                "NIs per router (cmesh: 2 or 4; dragonfly: >= 1; else 1)");
-  c.declare("faults", d.network.faults,
-            "fault injection: links:K[@CYCLE]+routers:K[@CYCLE], or off");
-  c.declare_int("fault_seed", static_cast<std::int64_t>(d.network.fault_seed),
-                "RNG seed for fault site selection");
-  c.declare_int("vcs", d.network.num_vcs, "virtual channels per port (1..64)");
-  c.declare_int("bufs", d.network.vc_buffer_depth, "flit buffers per VC (1..255)");
-  c.declare_int("link_latency", d.network.link_latency, "inter-router link cycles");
-  c.declare_int("packet", d.packet_size, "flits per packet (1..65535)");
-
-  c.declare("policy", to_string(d.policy.policy), "nodvfs|rmsd|rmsd-closed|dmsd|qbsd");
-  c.declare_double("lambda_max", d.policy.lambda_max,
-                   "RMSD target load (flits/noc-cycle/node)");
-  c.declare_double("target_delay_ns", d.policy.target_delay_ns, "DMSD delay target");
-  c.declare_double("ki", d.policy.ki, "DMSD integral gain");
-  c.declare_double("kp", d.policy.kp, "DMSD proportional gain");
-  c.declare_double("occupancy_setpoint", d.policy.occupancy_setpoint,
-                   "QBSD buffer-occupancy target (fraction)");
-
-  c.declare_int("control_period", static_cast<std::int64_t>(d.control_period),
-                "control update period in node cycles");
-  c.declare_double("f_node", d.f_node, "node clock in Hz");
-  c.declare_int("vf_levels", d.vf_levels, "discrete V/F levels (0 = continuous)");
-  c.declare_int("flit_bits", d.flit_bits, "flit width in bits");
-  c.declare_int("seed", static_cast<std::int64_t>(d.seed), "random seed");
-  c.declare_int("vf_trace_max", static_cast<std::int64_t>(d.vf_trace_max),
-                "keep only the most recent N actuation-trace points (0 = unbounded)");
-
-  c.declare_int("warmup", static_cast<std::int64_t>(d.phases.warmup_node_cycles),
-                "warmup node cycles");
-  c.declare_int("measure", static_cast<std::int64_t>(d.phases.measure_node_cycles),
-                "measurement node cycles");
-  c.declare_bool("adaptive_warmup", d.phases.adaptive_warmup,
-                 "extend warmup until the controller settles");
-  c.declare_int("max_warmup", static_cast<std::int64_t>(d.phases.max_warmup_node_cycles),
-                "adaptive warmup bound in node cycles");
+  for (const Key& key : keys()) c.declare(key.name, key.text(d), key.help);
 }
-
-namespace {
-constexpr std::int64_t kIntMax = std::numeric_limits<int>::max();
-
-/// Integer keys are range-checked before they are narrowed, so an
-/// out-of-range value is an error naming the key, never a wrapped one.
-int int_in(const common::Config& c, const std::string& key, std::int64_t lo, std::int64_t hi) {
-  return static_cast<int>(c.get_int_in(key, lo, hi));
-}
-/// Non-negative counts and seeds (a negative one would wrap to ~2^64).
-std::uint64_t non_negative(const common::Config& c, const std::string& key) {
-  return static_cast<std::uint64_t>(
-      c.get_int_in(key, 0, std::numeric_limits<std::int64_t>::max()));
-}
-}  // namespace
 
 Scenario Scenario::from_config(const common::Config& c) {
   Scenario s;
-  s.workload = workload_from_string(c.get_string("workload"));
-
-  s.pattern = c.get_string("pattern");
-  s.process = c.get_string("process");
-  s.lambda = c.get_double("lambda");
-  s.hotspot_fraction = c.get_double("hotspot_fraction");
-
-  s.app = c.get_string("app");
-  s.speed = c.get_double("speed");
-  s.traffic_scale = c.get_double("traffic_scale");
-
-  s.trace_path = c.get_string("trace");
-  s.trace_scale = c.get_double("trace_scale");
-  s.trace_loop = c.get_bool("trace_loop");
-  s.record_path = c.get_string("record");
-
-  s.telemetry = c.get_string("telemetry");
-  s.telemetry_out = c.get_string("telemetry_out");
-  s.pkt_trace = c.get_string("pkt_trace");
-  s.pkt_trace_rate = non_negative(c, "pkt_trace_rate");
-  s.prof = c.get_string("prof");
-  s.mem = c.get_string("mem");
-
-  s.thermal = c.get_bool("thermal");
-  s.thermal_step_ns = c.get_double("thermal_step_ns");
-  s.temp_ambient_c = c.get_double("temp_ambient_c");
-  s.temp_cap_c = c.get_double("temp_cap_c");
-  s.temp_hysteresis_c = c.get_double("temp_hysteresis_c");
-  s.rc_vertical = c.get_double("rc_vertical");
-  s.rc_lateral = c.get_double("rc_lateral");
-  s.leak_temp_coeff = c.get_double("leak_temp_coeff");
-
-  s.islands = c.get_string("islands");
-  s.island_map = c.get_string("island_map");
-  s.network.cdc_sync_cycles = int_in(c, "cdc_sync_cycles", 0, kIntMax);
-  s.island_policies = c.get_string("island_policies");
-
-  s.network.width = int_in(c, "width", 1, kIntMax);
-  s.network.height = int_in(c, "height", 1, kIntMax);
-  s.network.topology = topo::topology_kind_from_string(c.get_string("topology"));
-  s.network.routing = noc::routing_algo_from_string(c.get_string("routing"));
-  s.network.concentration = int_in(c, "concentration", 1, kIntMax);
-  s.network.faults = c.get_string("faults");
-  s.network.fault_seed = non_negative(c, "fault_seed");
-  s.network.num_vcs = int_in(c, "vcs", 1, noc::kMaxVcs);
-  s.network.vc_buffer_depth = int_in(c, "bufs", 1, noc::kMaxVcBufferDepth);
-  s.network.link_latency = int_in(c, "link_latency", 1, kIntMax);
-  // Flit::packet_size and the NI queue hold the size in 16 bits.
-  s.packet_size = int_in(c, "packet", 1, std::numeric_limits<std::uint16_t>::max());
-
-  s.policy.policy = policy_from_string(c.get_string("policy"));
-  s.policy.lambda_max = c.get_double("lambda_max");
-  s.policy.target_delay_ns = c.get_double("target_delay_ns");
-  s.policy.ki = c.get_double("ki");
-  s.policy.kp = c.get_double("kp");
-  s.policy.occupancy_setpoint = c.get_double("occupancy_setpoint");
-
-  s.control_period = non_negative(c, "control_period");
-  s.f_node = c.get_double("f_node");
-  s.vf_levels = int_in(c, "vf_levels", 0, kIntMax);
-  s.flit_bits = int_in(c, "flit_bits", 1, kIntMax);
-  s.seed = non_negative(c, "seed");
-  s.vf_trace_max = non_negative(c, "vf_trace_max");
-
-  s.phases.warmup_node_cycles = non_negative(c, "warmup");
-  s.phases.measure_node_cycles = non_negative(c, "measure");
-  s.phases.adaptive_warmup = c.get_bool("adaptive_warmup");
-  s.phases.max_warmup_node_cycles = non_negative(c, "max_warmup");
+  for (const Key& key : keys()) key.read(s, c);
   return s;
 }
 
 std::unique_ptr<Simulator> make_simulator(const Scenario& s) {
-  const std::string problem = island_config_problem(s);
-  if (!problem.empty()) throw std::invalid_argument("Scenario: " + problem);
-  const std::string thermal_problem = thermal_config_problem(s);
-  if (!thermal_problem.empty()) {
-    throw std::invalid_argument("Scenario: " + thermal_problem);
-  }
-  const std::string topo_problem = topo_config_problem(s);
-  if (!topo_problem.empty()) throw std::invalid_argument("Scenario: " + topo_problem);
-  const std::string telemetry_problem = telemetry_config_problem(s);
-  if (!telemetry_problem.empty()) {
-    throw std::invalid_argument("Scenario: " + telemetry_problem);
+  vfi::IslandMap map;
+  if (const std::string problem = problem_of(s, map); !problem.empty()) {
+    throw std::invalid_argument("Scenario: " + problem);
   }
 
   SimulatorConfig sim_cfg;
@@ -619,11 +595,9 @@ std::unique_ptr<Simulator> make_simulator(const Scenario& s) {
         std::make_unique<trace::TraceWriter>(s.record_path, header));
   }
 
-  // Resolve the island partition against the mesh the run actually uses
-  // (an app workload re-pins sim_cfg.network above). A single-island
-  // partition keeps the empty assignment — the pre-VFI fast path.
-  const vfi::IslandMap map =
-      build_island_map(s, sim_cfg.network.width, sim_cfg.network.height);
+  // The validator resolved the island partition against the mesh the run
+  // actually uses. A single-island partition keeps the empty assignment —
+  // the pre-VFI fast path.
   if (map.num_islands() > 1) sim_cfg.network.island_of = map.assignment();
 
   return std::make_unique<Simulator>(sim_cfg, std::move(traffic_model),

@@ -7,7 +7,10 @@
 /// and `run(scenario)` executes it. Every bench and example builds on
 /// this type; `declare_keys` / `from_config` bind the whole surface to
 /// `common::Config` so any scenario is expressible as `key=value`
-/// overrides on the command line.
+/// overrides on the command line. One private table in scenario.cpp
+/// declares, reads and range-checks every key, so `from_config` is the
+/// inverse of `declare_keys` by construction, and `scenario_problem` is
+/// the one validator every run passes through.
 ///
 /// The paper's methodology is "each figure is a sweep over these
 /// scenarios"; `sim/sweep.hpp` provides the cross-product sweep engine
@@ -160,8 +163,10 @@ struct Scenario {
   static void declare_keys(common::Config& c);
 
   /// Read every declared key back into a Scenario (the inverse of
-  /// declare_keys; `workload=custom` additionally needs a traffic_factory
-  /// assigned by the caller before the scenario can run).
+  /// declare_keys; an integer outside its key's range throws
+  /// std::invalid_argument naming the key and the range. `workload=custom`
+  /// additionally needs a traffic_factory assigned by the caller before
+  /// the scenario can run).
   static Scenario from_config(const common::Config& c);
 };
 
@@ -175,39 +180,24 @@ RunResult run(const Scenario& scenario);
 /// need to poke at the network or clock between phases.
 std::unique_ptr<Simulator> make_simulator(const Scenario& scenario);
 
-/// Validate the island-related scenario keys (preset name, custom map
-/// size/contiguity vs the *effective* mesh — an app workload pins its own
-/// dimensions — per-island policy list length, cdc_sync_cycles range).
-/// Returns an empty string when the configuration is runnable, else a
-/// human-readable description of the first problem. `make_simulator`
-/// throws it; `SweepRunner` prefixes it with the offending point/axis.
-std::string island_config_problem(const Scenario& scenario);
-
-/// Validate the topology/routing/fault scenario keys against each other:
-/// dimensions and concentration legal for the topology kind, the VC budget
-/// sufficient for the (topology, routing) deadlock-avoidance classes, the
-/// fault spec well-formed, thermal restricted to the plain mesh, and a
-/// VF-island partition that never splits a concentrated tile. Returns an
-/// empty string when runnable, else a human-readable description of the
-/// first problem. `make_simulator` throws it; `SweepRunner` prefixes it
-/// with the offending point/axis.
-std::string topo_config_problem(const Scenario& scenario);
-
-/// Validate the thermal scenario keys when `thermal=` is on (step vs the
-/// explicit-Euler stability bound for the effective mesh, cap vs ambient,
-/// RC/coefficient ranges). Returns an empty string when runnable, else a
-/// human-readable description of the first problem. With `thermal=off`
-/// the keys are inert and never rejected. `make_simulator` throws it;
-/// `SweepRunner` prefixes it with the offending point/axis.
-std::string thermal_config_problem(const Scenario& scenario);
-
-/// Validate the telemetry scenario keys (`telemetry=` mode name, and a
-/// `telemetry_out=` that needs a non-off mode to have any effect is
-/// allowed but the inverse — a bad mode string — is not). Returns an empty
-/// string when runnable, else a human-readable description of the first
-/// problem. `make_simulator` throws it; `SweepRunner` prefixes it with the
+/// Check a scenario, whether it was read from `key=value` text or built in
+/// code. First every key's own range (an integer outside the range its
+/// field is narrowed to, or an on/off key holding anything else), then the
+/// cross-key rules: VF islands (preset, custom map and per-island policy
+/// list against the *effective* mesh — an app workload pins its own
+/// dimensions), thermal (with `thermal=on` only: step vs the explicit-Euler
+/// stability bound, cap vs ambient, RC/coefficient ranges), topology
+/// (dimensions and concentration legal for the kind, enough VCs for the
+/// routing's deadlock-avoidance classes, a well-formed fault spec, thermal
+/// only on the plain mesh, no island splitting a concentrated tile),
+/// telemetry (mode name, `pkt_trace=on` needing a non-off mode, a rate of
+/// at least 1), and the workloads fed from outside the keys
+/// (`workload=trace` needs a trace path, `workload=custom` a
+/// traffic_factory). Returns an empty string when the scenario is
+/// runnable, else a human-readable description of the first problem.
+/// `make_simulator` throws it; `SweepRunner` prefixes it with the
 /// offending point/axis.
-std::string telemetry_config_problem(const Scenario& scenario);
+std::string scenario_problem(const Scenario& scenario);
 
 /// Nominal mean offered load (flits/node-cycle/node). For app workloads
 /// this derives from the task-graph rate matrix at the scenario's speed

@@ -137,7 +137,7 @@ class RunState {
         }
       }
       isl.recent_freqs.push_back(applied);
-      while (static_cast<int>(isl.recent_freqs.size()) > ctx.phases.settle_windows) {
+      while (static_cast<int>(isl.recent_freqs.size()) > RunContext::kSettleWindows) {
         isl.recent_freqs.pop_front();
       }
       isl.start_gen = ctx.net.island_flits_generated(i);
@@ -444,9 +444,9 @@ dvfs::WindowMeasurements RunContext::measure_window(int i) const {
 
 bool RunContext::island_settled(int i) const {
   const std::deque<double>& freqs = island(i).recent_freqs;
-  if (static_cast<int>(freqs.size()) < phases.settle_windows) return false;
+  if (static_cast<int>(freqs.size()) < kSettleWindows) return false;
   const auto [lo, hi] = std::minmax_element(freqs.begin(), freqs.end());
-  return (*hi - *lo) <= phases.settle_tol * (*hi);
+  return (*hi - *lo) <= kSettleTol * (*hi);
 }
 
 bool RunContext::settled() const {

@@ -95,10 +95,6 @@ struct RunPhases {
   std::uint64_t measure_node_cycles = 100000;
   bool adaptive_warmup = true;
   std::uint64_t max_warmup_node_cycles = 800000;
-  /// Relative spread of applied frequency across `settle_windows`
-  /// consecutive control windows below which a controller is "settled".
-  double settle_tol = 0.02;
-  int settle_windows = 4;
 };
 
 class Simulator {

@@ -174,51 +174,28 @@ void validate_points(const std::vector<SweepPoint>& points,
   std::set<std::string> record_paths;
   std::set<std::string> telemetry_paths;
   for (const SweepPoint& p : points) {
-    std::string problem;
-    std::string record;
-    if (!p.scenario.record_path.empty()) record = normalized_path(p.scenario.record_path);
-    // telemetry_out= is inert with telemetry=off, so only an exporting
-    // point can collide (the record_path rule, same rationale).
-    std::string telemetry_out;
-    if (!p.scenario.telemetry_out.empty() &&
-        telemetry_config_problem(p.scenario).empty() &&
-        obs::telemetry_mode_from_string(p.scenario.telemetry) != obs::TelemetryMode::Off) {
-      telemetry_out = normalized_path(p.scenario.telemetry_out);
-    }
-    if (std::string island_problem = island_config_problem(p.scenario);
-        !island_problem.empty()) {
-      problem = std::move(island_problem);
-    } else if (std::string thermal_problem = thermal_config_problem(p.scenario);
-               !thermal_problem.empty()) {
-      problem = std::move(thermal_problem);
-    } else if (std::string topo_problem = topo_config_problem(p.scenario);
-               !topo_problem.empty()) {
-      problem = std::move(topo_problem);
-    } else if (std::string telemetry_problem = telemetry_config_problem(p.scenario);
-               !telemetry_problem.empty()) {
-      problem = std::move(telemetry_problem);
-    } else if (!telemetry_out.empty() &&
-               !telemetry_paths.insert(telemetry_out).second) {
-      problem =
-          "two sweep points export telemetry to the same basename (parallel workers "
-          "would clobber the .json/.nocobs pair); vary telemetry_out per point or "
-          "export a single run";
-    } else if (p.scenario.workload == Scenario::Workload::Custom &&
-               !p.scenario.traffic_factory) {
-      problem =
-          "workload=custom but no traffic_factory is set (assign "
-          "Scenario::traffic_factory, or install one per point via SweepAxis::custom)";
-    } else if (p.scenario.workload == Scenario::Workload::Trace &&
-               p.scenario.trace_path.empty()) {
-      problem = "workload=trace but no trace file is set (assign Scenario::trace_path)";
-    } else if (!record.empty() && !record_paths.insert(record).second) {
-      problem =
-          "two sweep points record to the same .noctrace path (parallel workers "
-          "would clobber it); vary record_path per point or record a single run";
-    } else if (!record.empty() && points.size() > 1 && trace_paths.count(record) > 0) {
-      problem =
-          "a sweep point records to a .noctrace another point replays (the writer "
-          "would truncate the file mid-sweep); use distinct paths";
+    std::string problem = scenario_problem(p.scenario);
+    if (problem.empty()) {
+      const Scenario& s = p.scenario;
+      // telemetry_out= is inert with telemetry=off, so only an exporting
+      // point can collide (the record_path rule, same rationale).
+      const bool exports = !s.telemetry_out.empty() &&
+                           obs::telemetry_mode_from_string(s.telemetry) != obs::TelemetryMode::Off;
+      const std::string record = s.record_path.empty() ? "" : normalized_path(s.record_path);
+      if (exports && !telemetry_paths.insert(normalized_path(s.telemetry_out)).second) {
+        problem =
+            "two sweep points export telemetry to the same basename (parallel workers "
+            "would clobber the .json/.nocobs pair); vary telemetry_out per point or "
+            "export a single run";
+      } else if (!record.empty() && !record_paths.insert(record).second) {
+        problem =
+            "two sweep points record to the same .noctrace path (parallel workers "
+            "would clobber it); vary record_path per point or record a single run";
+      } else if (!record.empty() && points.size() > 1 && trace_paths.count(record) > 0) {
+        problem =
+            "a sweep point records to a .noctrace another point replays (the writer "
+            "would truncate the file mid-sweep); use distinct paths";
+      }
     }
     if (problem.empty()) continue;
     std::ostringstream os;

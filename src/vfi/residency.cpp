@@ -2,9 +2,9 @@
 
 #include <algorithm>
 #include <cmath>
-#include <cstdio>
 
 #include "common/assert.hpp"
+#include "common/strings.hpp"
 
 namespace nocdvfs::vfi {
 
@@ -53,10 +53,8 @@ std::string residency_to_string(const std::vector<FreqDwell>& levels,
   for (const FreqDwell& level : levels) {
     const double frac =
         total > 0 ? static_cast<double>(level.dwell_ps) / static_cast<double>(total) : 0.0;
-    char buf[48];
-    std::snprintf(buf, sizeof buf, "%.0fMHz:%.3f", level.f_hz * 1e-6, frac);
     if (!out.empty()) out += '|';
-    out += buf;
+    out += common::format_double(level.f_hz * 1e-6) + "MHz:" + common::format_double(frac);
   }
   return out;
 }

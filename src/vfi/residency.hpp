@@ -46,9 +46,9 @@ class FreqResidency {
   common::Hertz current_f_ = 0.0;
 };
 
-/// Compact serialized form for CSV cells: "600MHz:0.250|1000MHz:0.750"
-/// (dwell fractions of `total`; frequencies rounded to MHz). Empty input
-/// serializes to an empty string.
+/// Serialized form for CSV cells: "600MHz:0.25|1000MHz:0.75" (frequencies
+/// in MHz and dwell fractions of `total`, each in shortest round-trip
+/// form). Empty input serializes to an empty string.
 std::string residency_to_string(const std::vector<FreqDwell>& levels,
                                 common::Picoseconds total);
 

@@ -10,6 +10,7 @@
 #include <cstring>
 #include <filesystem>
 #include <fstream>
+#include <iterator>
 #include <sstream>
 #include <string>
 #include <utility>
@@ -228,6 +229,84 @@ TEST(TimelineBinary, RejectsTruncatedAndForeignFiles) {
   EXPECT_THROW(obs::read_timeline_binary(path), std::runtime_error);
   EXPECT_THROW(obs::read_timeline_binary(temp_base("missing") + ".nocobs"),
                std::runtime_error);
+  fs::remove(path);
+}
+
+void write_bytes(const std::string& path, const std::string& bytes) {
+  std::ofstream os(path, std::ios::binary | std::ios::trunc);
+  os.write(bytes.data(), static_cast<std::streamsize>(bytes.size()));
+}
+
+/// Writes `bytes` as a .nocobs file and reads it: the reader must return a
+/// timeline or throw std::runtime_error — no other exception, no crash.
+void expect_read_or_runtime_error(const std::string& path, const std::string& bytes,
+                                  const std::string& what) {
+  write_bytes(path, bytes);
+  try {
+    (void)obs::read_timeline_binary(path);
+  } catch (const std::runtime_error&) {
+  } catch (const std::exception& e) {
+    ADD_FAILURE() << what << ": escaped as a non-runtime_error: " << e.what();
+  }
+}
+
+/// Length fields are checked against INT_MAX and against the bytes left
+/// before anything is sized from them.
+TEST(TimelineBinary, RejectsHostileLengthFields) {
+  const std::string path = temp_base("hostile") + ".nocobs";
+  obs::write_timeline_binary(synthetic_timeline(), path);
+  std::string valid;
+  {
+    std::ifstream is(path, std::ios::binary);
+    valid.assign(std::istreambuf_iterator<char>(is), std::istreambuf_iterator<char>());
+  }
+  // magic, version, width, height, num_routers, num_islands, concentration
+  // (u32 each), f_node (f64), control period (u64).
+  constexpr std::size_t kHeaderBytes = 44;
+  constexpr std::size_t kNumIslandsAt = 20;
+  ASSERT_GT(valid.size(), kHeaderBytes);
+  const auto u32 = [](std::uint32_t v) { return std::string(reinterpret_cast<char*>(&v), 4); };
+  const auto rejected_naming = [&](const std::string& bytes, const std::string& field) {
+    write_bytes(path, bytes);
+    try {
+      (void)obs::read_timeline_binary(path);
+    } catch (const std::runtime_error& e) {
+      const std::string msg = e.what();
+      EXPECT_NE(msg.find(path), std::string::npos) << msg;
+      EXPECT_NE(msg.find(field), std::string::npos) << msg;
+      return;
+    }
+    ADD_FAILURE() << field << " was accepted";
+  };
+
+  // 56 bytes: num_islands = 0xFFFFFFFF and one window.
+  std::string islands = valid.substr(0, kHeaderBytes);
+  islands.replace(kNumIslandsAt, 4, u32(0xFFFFFFFFu));
+  islands += u32(1) + std::string(8, '\0');
+  ASSERT_EQ(islands.size(), 56u);
+  rejected_naming(islands, "num_islands");
+
+  // 59 bytes: no islands and num_windows = 0xFFFFFFFF.
+  std::string windows = valid.substr(0, kHeaderBytes);
+  windows.replace(kNumIslandsAt, 4, u32(0));
+  windows += u32(0xFFFFFFFFu) + std::string(11, '\0');
+  ASSERT_EQ(windows.size(), 59u);
+  rejected_naming(windows, "num_windows");
+
+  for (std::size_t n = 0; n < valid.size(); ++n) {
+    expect_read_or_runtime_error(path, valid.substr(0, n), "prefix " + std::to_string(n));
+  }
+  for (std::size_t at = 0; at < kHeaderBytes; ++at) {
+    for (int bit = 0; bit < 8; ++bit) {
+      std::string flipped = valid;
+      flipped[at] = static_cast<char>(flipped[at] ^ (1 << bit));
+      expect_read_or_runtime_error(
+          path, flipped, "byte " + std::to_string(at) + " bit " + std::to_string(bit));
+    }
+    std::string flipped = valid;
+    flipped[at] = static_cast<char>(~flipped[at]);
+    expect_read_or_runtime_error(path, flipped, "byte " + std::to_string(at) + " inverted");
+  }
   fs::remove(path);
 }
 
@@ -569,11 +648,11 @@ TEST(TelemetryOffPath, WindowsModeIsMetricsInvisible) {
 TEST(TelemetryScenario, ValidatesModeAndDefaultsOff) {
   sim::Scenario s = small_base();
   s.telemetry = "bogus";
-  EXPECT_FALSE(sim::telemetry_config_problem(s).empty());
+  EXPECT_FALSE(sim::scenario_problem(s).empty());
   EXPECT_THROW(sim::make_simulator(s), std::invalid_argument);
   sim::Scenario d;
   EXPECT_EQ(d.telemetry, "off");
-  EXPECT_TRUE(sim::telemetry_config_problem(d).empty());
+  EXPECT_TRUE(sim::scenario_problem(d).empty());
 }
 
 }  // namespace

@@ -465,19 +465,19 @@ TEST(FlightRecorderEndToEnd, FlightsReconstructContiguousPaths) {
 
 TEST(DelayDistScenario, ValidatesKeys) {
   sim::Scenario s = small_base();
-  EXPECT_TRUE(sim::telemetry_config_problem(s).empty());
+  EXPECT_TRUE(sim::scenario_problem(s).empty());
 
   // pkt_trace needs the telemetry pipeline (that's where flights go).
   s.pkt_trace = "on";
-  EXPECT_FALSE(sim::telemetry_config_problem(s).empty());
+  EXPECT_FALSE(sim::scenario_problem(s).empty());
   s.telemetry = "windows";
-  EXPECT_TRUE(sim::telemetry_config_problem(s).empty());
+  EXPECT_TRUE(sim::scenario_problem(s).empty());
   s.pkt_trace_rate = 0;
-  EXPECT_FALSE(sim::telemetry_config_problem(s).empty());
+  EXPECT_FALSE(sim::scenario_problem(s).empty());
   s.pkt_trace_rate = 16;
-  EXPECT_TRUE(sim::telemetry_config_problem(s).empty());
+  EXPECT_TRUE(sim::scenario_problem(s).empty());
   s.pkt_trace = "maybe";
-  EXPECT_FALSE(sim::telemetry_config_problem(s).empty());
+  EXPECT_FALSE(sim::scenario_problem(s).empty());
 }
 
 }  // namespace

@@ -6,9 +6,15 @@
 
 #include <cstdint>
 #include <limits>
+#include <map>
 #include <string>
+#include <type_traits>
+#include <utility>
+#include <variant>
+#include <vector>
 
 #include "sim/scenario.hpp"
+#include "sim/sweep.hpp"
 #include "traffic/request_reply.hpp"
 
 namespace nocdvfs::sim {
@@ -65,6 +71,86 @@ TEST(ScenarioConfig, DeclareAndFromConfigRoundTrip) {
   EXPECT_EQ(round.phases.warmup_node_cycles, 8000u);
   EXPECT_EQ(round.phases.measure_node_cycles, 12000u);
   EXPECT_FALSE(round.phases.adaptive_warmup);
+
+  // Every key, one at a time: a legal non-default value read back by
+  // from_config and declared again comes out as the same text.
+  const std::map<std::string, std::string> non_default = {
+      {"adaptive_warmup", "false"},
+      {"app", "vce"},
+      {"bufs", "7"},
+      {"cdc_sync_cycles", "5"},
+      {"concentration", "4"},
+      {"control_period", "4096"},
+      {"f_node", "1.25e+09"},
+      {"fault_seed", "18446744073"},
+      {"faults", "links:2@100+routers:1"},
+      {"flit_bits", "64"},
+      {"height", "7"},
+      {"hotspot_fraction", "0.30000000000000004"},
+      {"island_map", "0,0,1,1"},
+      {"island_policies", "rmsd,dmsd"},
+      {"islands", "custom"},
+      {"ki", "0.0123456789"},
+      {"kp", "1e-05"},
+      {"lambda", "0.06983984375"},
+      {"lambda_max", "0.3402"},
+      {"leak_temp_coeff", "0.035"},
+      {"link_latency", "3"},
+      {"max_warmup", "4294967301"},
+      {"measure", "12345"},
+      {"mem", "on"},
+      {"occupancy_setpoint", "0.2"},
+      {"packet", "65535"},
+      {"pattern", "tornado"},
+      {"pkt_trace", "on"},
+      {"pkt_trace_rate", "16"},
+      {"policy", "rmsd-closed"},
+      {"process", "onoff"},
+      {"prof", "on"},
+      {"rc_lateral", "6500.5"},
+      {"rc_vertical", "2999.75"},
+      {"record", "out.noctrace"},
+      {"routing", "ugal"},
+      {"seed", "9223372036854775807"},
+      {"speed", "1.25"},
+      {"target_delay_ns", "102.93750000000001"},
+      {"telemetry", "full"},
+      {"telemetry_out", "run/base"},
+      {"temp_ambient_c", "40.5"},
+      {"temp_cap_c", "90"},
+      {"temp_hysteresis_c", "2.5"},
+      {"thermal", "true"},
+      {"thermal_step_ns", "250"},
+      {"topology", "dragonfly"},
+      {"trace", "in.noctrace"},
+      {"trace_loop", "true"},
+      {"trace_scale", "1.5"},
+      {"traffic_scale", "0.7"},
+      {"vcs", "64"},
+      {"vf_levels", "6"},
+      {"vf_trace_max", "1000"},
+      {"warmup", "0"},
+      {"width", "9"},
+      {"workload", "trace"},
+  };
+  common::Config all;
+  Scenario::declare_keys(all);
+  ASSERT_EQ(all.kv_pairs().size(), non_default.size());
+  for (const auto& [key, default_text] : all.kv_pairs()) {
+    const auto it = non_default.find(key);
+    ASSERT_NE(it, non_default.end()) << key;
+    ASSERT_NE(it->second, default_text) << key;
+    common::Config in;
+    Scenario::declare_keys(in);
+    in.set(key, it->second);
+    common::Config out;
+    Scenario::declare_keys(out, Scenario::from_config(in));
+    EXPECT_EQ(out.kv_pairs(), in.kv_pairs()) << key;
+    all.set(key, it->second);
+  }
+  common::Config out;
+  Scenario::declare_keys(out, Scenario::from_config(all));
+  EXPECT_EQ(out.kv_pairs(), all.kv_pairs());
 }
 
 TEST(ScenarioConfig, DoublesSurviveTheConfigTextExactly) {
@@ -105,6 +191,15 @@ TEST(ScenarioConfig, UnknownWorkloadRejected) {
   EXPECT_THROW(Scenario::from_config(c), std::invalid_argument);
 }
 
+/// Values of T just outside [lo, hi], where T can hold them.
+template <typename T>
+std::vector<T> just_outside(std::int64_t lo, std::int64_t hi) {
+  std::vector<T> out;
+  if (std::cmp_greater(lo, std::numeric_limits<T>::min())) out.push_back(static_cast<T>(lo - 1));
+  if (std::cmp_less(hi, std::numeric_limits<T>::max())) out.push_back(static_cast<T>(hi) + 1);
+  return out;
+}
+
 TEST(ScenarioConfig, OutOfRangeIntegerKeysAreRejectedNotWrapped) {
   // Every integer key is range-checked before it is narrowed: 2^32 + k
   // must not wrap to k, and -1 must not wrap to a huge count. The error
@@ -112,22 +207,46 @@ TEST(ScenarioConfig, OutOfRangeIntegerKeysAreRejectedNotWrapped) {
   constexpr std::int64_t kWrap = std::int64_t{1} << 32;
   constexpr std::int64_t kInt = std::numeric_limits<int>::max();
   constexpr std::int64_t kI64 = std::numeric_limits<std::int64_t>::max();
+  using IntField = int& (*)(Scenario&);
+  using CountField = std::uint64_t& (*)(Scenario&);
   struct Range {
     const char* key;
     std::int64_t lo;
     std::int64_t hi;
+    std::variant<IntField, CountField> field;
   };
   const Range ranges[] = {
-      {"vcs", 1, 64},          {"bufs", 1, 255},         {"packet", 1, 65535},
-      {"width", 1, kInt},      {"height", 1, kInt},      {"concentration", 1, kInt},
-      {"link_latency", 1, kInt}, {"cdc_sync_cycles", 0, kInt}, {"vf_levels", 0, kInt},
-      {"flit_bits", 1, kInt},  {"pkt_trace_rate", 0, kI64}, {"fault_seed", 0, kI64},
-      {"control_period", 0, kI64}, {"seed", 0, kI64},   {"vf_trace_max", 0, kI64},
-      {"warmup", 0, kI64},     {"measure", 0, kI64},     {"max_warmup", 0, kI64},
+      {"vcs", 1, 64, +[](Scenario& s) -> int& { return s.network.num_vcs; }},
+      {"bufs", 1, 255, +[](Scenario& s) -> int& { return s.network.vc_buffer_depth; }},
+      {"packet", 1, 65535, +[](Scenario& s) -> int& { return s.packet_size; }},
+      {"width", 1, kInt, +[](Scenario& s) -> int& { return s.network.width; }},
+      {"height", 1, kInt, +[](Scenario& s) -> int& { return s.network.height; }},
+      {"concentration", 1, kInt, +[](Scenario& s) -> int& { return s.network.concentration; }},
+      {"link_latency", 1, kInt, +[](Scenario& s) -> int& { return s.network.link_latency; }},
+      {"cdc_sync_cycles", 0, kInt,
+       +[](Scenario& s) -> int& { return s.network.cdc_sync_cycles; }},
+      {"vf_levels", 0, kInt, +[](Scenario& s) -> int& { return s.vf_levels; }},
+      {"flit_bits", 1, kInt, +[](Scenario& s) -> int& { return s.flit_bits; }},
+      {"pkt_trace_rate", 0, kI64, +[](Scenario& s) -> std::uint64_t& { return s.pkt_trace_rate; }},
+      {"fault_seed", 0, kI64,
+       +[](Scenario& s) -> std::uint64_t& { return s.network.fault_seed; }},
+      {"control_period", 0, kI64, +[](Scenario& s) -> std::uint64_t& { return s.control_period; }},
+      {"seed", 0, kI64, +[](Scenario& s) -> std::uint64_t& { return s.seed; }},
+      {"vf_trace_max", 0, kI64, +[](Scenario& s) -> std::uint64_t& { return s.vf_trace_max; }},
+      {"warmup", 0, kI64,
+       +[](Scenario& s) -> std::uint64_t& { return s.phases.warmup_node_cycles; }},
+      {"measure", 0, kI64,
+       +[](Scenario& s) -> std::uint64_t& { return s.phases.measure_node_cycles; }},
+      {"max_warmup", 0, kI64,
+       +[](Scenario& s) -> std::uint64_t& { return s.phases.max_warmup_node_cycles; }},
   };
   for (const Range& r : ranges) {
     std::string range = "[";
     range += std::to_string(r.lo) + ", " + std::to_string(r.hi) + "]";
+    const auto expect_names_key_and_range = [&](const std::string& msg) {
+      EXPECT_NE(msg.find(std::string("'") + r.key + "'"), std::string::npos) << msg;
+      EXPECT_NE(msg.find(range), std::string::npos) << msg;
+    };
     for (const std::int64_t v : {kWrap + 4, kWrap + 8, std::int64_t{-1}, r.lo, r.hi}) {
       common::Config c;
       Scenario::declare_keys(c);
@@ -140,11 +259,32 @@ TEST(ScenarioConfig, OutOfRangeIntegerKeysAreRejectedNotWrapped) {
         (void)Scenario::from_config(c);
         ADD_FAILURE() << r.key << "=" << v << " was accepted";
       } catch (const std::invalid_argument& e) {
-        const std::string msg = e.what();
-        EXPECT_NE(msg.find(std::string("'") + r.key + "'"), std::string::npos) << msg;
-        EXPECT_NE(msg.find(range), std::string::npos) << msg;
+        expect_names_key_and_range(e.what());
       }
     }
+    // The same range holds on a Scenario built in code: make_simulator and
+    // SweepRunner::run both reject it instead of narrowing it on the way.
+    std::visit(
+        [&](auto field) {
+          using T = std::remove_reference_t<decltype(field(std::declval<Scenario&>()))>;
+          for (const T v : just_outside<T>(r.lo, r.hi)) {
+            Scenario s = small_synthetic();
+            field(s) = v;
+            try {
+              (void)make_simulator(s);
+              ADD_FAILURE() << r.key << "=" << v << " was built";
+            } catch (const std::invalid_argument& e) {
+              expect_names_key_and_range(e.what());
+            }
+            try {
+              (void)SweepRunner().run(s, {});
+              ADD_FAILURE() << r.key << "=" << v << " was swept";
+            } catch (const std::invalid_argument& e) {
+              expect_names_key_and_range(e.what());
+            }
+          }
+        },
+        r.field);
   }
   // In range, a 64-bit count is read exactly (no 32-bit truncation).
   common::Config c;

@@ -14,6 +14,7 @@
 #include <stdexcept>
 #include <variant>
 
+#include "common/strings.hpp"
 #include "sim/result_diff.hpp"
 #include "sim/result_schema.hpp"
 #include "sim/sweep.hpp"
@@ -462,6 +463,41 @@ TEST(ResultSchema, NumericCellsRoundTripExactly) {
     EXPECT_EQ(cell("lambda"), rec.point.scenario.lambda);
     EXPECT_GT(res.thermal.peak_temp_c, 0.0);
     EXPECT_GT(res.delay_dist.delay_ns.max, 0.0);
+
+    // The compound per-island cells: "i<k>=<mW>;..." and
+    // "i<k>=<MHz>MHz:<fraction>|...;...", every number exact.
+    auto text_cell = [&](const char* name) {
+      return csv.rows[r][static_cast<std::size_t>(
+          std::find(csv.header.begin(), csv.header.end(), name) - csv.header.begin())];
+    };
+    const std::vector<std::string> powers = common::split_csv(text_cell("island_power_mw"), ';');
+    const std::vector<std::string> residencies =
+        common::split_csv(text_cell("freq_residency"), ';');
+    ASSERT_EQ(powers.size(), res.islands.size());
+    ASSERT_EQ(residencies.size(), res.islands.size());
+    for (std::size_t i = 0; i < res.islands.size(); ++i) {
+      const IslandResult& isl = res.islands[i];
+      const std::string prefix = "i" + std::to_string(isl.island) + "=";
+      ASSERT_EQ(powers[i].rfind(prefix, 0), 0u) << powers[i];
+      EXPECT_EQ(parse_number<double>(powers[i].substr(prefix.size())),
+                isl.power.average_power_mw())
+          << powers[i];
+      ASSERT_EQ(residencies[i].rfind(prefix, 0), 0u) << residencies[i];
+      const std::vector<std::string> levels =
+          common::split_csv(residencies[i].substr(prefix.size()), '|');
+      ASSERT_EQ(levels.size(), isl.freq_residency.size()) << residencies[i];
+      for (std::size_t l = 0; l < levels.size(); ++l) {
+        const std::size_t mhz = levels[l].find("MHz:");
+        ASSERT_NE(mhz, std::string::npos) << levels[l];
+        const vfi::FreqDwell& level = isl.freq_residency[l];
+        EXPECT_EQ(parse_number<double>(levels[l].substr(0, mhz)), level.f_hz * 1e-6)
+            << levels[l];
+        EXPECT_EQ(parse_number<double>(levels[l].substr(mhz + 4)),
+                  static_cast<double>(level.dwell_ps) /
+                      static_cast<double>(res.measure_duration_ps))
+            << levels[l];
+      }
+    }
   }
   EXPECT_GE(doubles, 27u * run.records.size());
   EXPECT_NE(lines_of(run.csv)[1].find(",0.08,"), std::string::npos)

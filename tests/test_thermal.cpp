@@ -505,32 +505,32 @@ TEST(ThermalScenario, KeysRoundTripThroughConfig) {
 TEST(ThermalScenario, ValidationNamesTheProblem) {
   sim::Scenario s = thermal_scenario();
   s.thermal = true;
-  EXPECT_EQ(sim::thermal_config_problem(s), "");
+  EXPECT_EQ(sim::scenario_problem(s), "");
 
   sim::Scenario bad = s;
   bad.temp_cap_c = bad.temp_ambient_c - 5.0;
-  EXPECT_NE(sim::thermal_config_problem(bad).find("temp_cap_c"), std::string::npos);
+  EXPECT_NE(sim::scenario_problem(bad).find("temp_cap_c"), std::string::npos);
 
   bad = s;
   bad.thermal_step_ns = 1e9;  // one second: far above the stability bound
-  EXPECT_NE(sim::thermal_config_problem(bad).find("stability bound"), std::string::npos);
+  EXPECT_NE(sim::scenario_problem(bad).find("stability bound"), std::string::npos);
 
   bad = s;
   bad.rc_lateral = 0.0;
-  EXPECT_NE(sim::thermal_config_problem(bad).find("rc_lateral"), std::string::npos);
+  EXPECT_NE(sim::scenario_problem(bad).find("rc_lateral"), std::string::npos);
 
   // A release point at or below ambient would latch the throttle on
   // permanently (tiles never cool below ambient), so it is rejected.
   bad = s;
   bad.temp_cap_c = 60.0;
   bad.temp_hysteresis_c = 15.1;  // release at 44.9 < ambient 45
-  EXPECT_NE(sim::thermal_config_problem(bad).find("latch"), std::string::npos);
+  EXPECT_NE(sim::scenario_problem(bad).find("latch"), std::string::npos);
   bad.temp_hysteresis_c = 14.0;  // release at 46 > ambient: fine
-  EXPECT_EQ(sim::thermal_config_problem(bad), "");
+  EXPECT_EQ(sim::scenario_problem(bad), "");
 
   // Off scenarios are never rejected, however odd the inert keys look.
   bad.thermal = false;
-  EXPECT_EQ(sim::thermal_config_problem(bad), "");
+  EXPECT_EQ(sim::scenario_problem(bad), "");
 
   // make_simulator surfaces the same message.
   sim::Scenario throwing = s;

@@ -364,11 +364,11 @@ TEST(TopoConfig, VcBudgetCheckedAgainstClassDiscipline) {
   s.network.topology = TopologyKind::Torus;
   s.network.routing = noc::RoutingAlgo::Ugal;
   s.network.num_vcs = 2;  // UGAL on a torus needs 4
-  const std::string problem = sim::topo_config_problem(s);
+  const std::string problem = sim::scenario_problem(s);
   EXPECT_NE(problem, "");
   EXPECT_NE(problem.find("virtual channels"), std::string::npos) << problem;
   s.network.num_vcs = 4;
-  EXPECT_EQ(sim::topo_config_problem(s), "");
+  EXPECT_EQ(sim::scenario_problem(s), "");
 }
 
 TEST(TopoConfig, ThermalRequiresPlainMesh) {
@@ -376,9 +376,9 @@ TEST(TopoConfig, ThermalRequiresPlainMesh) {
   s.network.width = 4;
   s.network.height = 4;
   s.thermal = true;
-  EXPECT_EQ(sim::topo_config_problem(s), "");
+  EXPECT_EQ(sim::scenario_problem(s), "");
   s.network.topology = TopologyKind::Torus;
-  EXPECT_NE(sim::topo_config_problem(s), "");
+  EXPECT_NE(sim::scenario_problem(s), "");
 }
 
 TEST(TopoConfig, IslandPartitionMayNotSplitTiles) {
@@ -389,9 +389,9 @@ TEST(TopoConfig, IslandPartitionMayNotSplitTiles) {
   s.network.concentration = 4;
   s.network.routing = noc::RoutingAlgo::XY;
   s.islands = "quadrants";  // each 2x2 NI quadrant is exactly one cmesh tile
-  EXPECT_EQ(sim::topo_config_problem(s), "");
+  EXPECT_EQ(sim::scenario_problem(s), "");
   s.islands = "rows";  // a row slices every 2x2 tile in half
-  const std::string problem = sim::topo_config_problem(s);
+  const std::string problem = sim::scenario_problem(s);
   EXPECT_NE(problem, "");
   EXPECT_NE(problem.find("tile"), std::string::npos) << problem;
 }
@@ -401,9 +401,9 @@ TEST(TopoConfig, FaultSpecValidatedUpFront) {
   s.network.width = 4;
   s.network.height = 4;
   s.network.faults = "links:nope";
-  EXPECT_NE(sim::topo_config_problem(s), "");
+  EXPECT_NE(sim::scenario_problem(s), "");
   s.network.faults = "links:1@2000";
-  EXPECT_EQ(sim::topo_config_problem(s), "");
+  EXPECT_EQ(sim::scenario_problem(s), "");
 }
 
 // --- end-to-end delivery on every topology x algorithm ------------------

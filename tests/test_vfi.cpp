@@ -338,7 +338,7 @@ TEST(VfiRun, ScenarioValidationNamesTheProblem) {
   sim::Scenario ok = tiny_vfi();
   ok.islands = "rows";
   ok.island_policies = "";
-  EXPECT_TRUE(sim::island_config_problem(ok).empty());
+  EXPECT_TRUE(sim::scenario_problem(ok).empty());
 }
 
 // ---------------------------------------------------------------------------
