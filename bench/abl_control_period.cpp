@@ -21,12 +21,12 @@ int main(int argc, char** argv) {
   if (!h.parse(argc, argv)) return h.exit_code();
 
   const sim::Scenario base = h.scenario();
-  const bench::Anchors anchors = bench::compute_anchors(base);
+  const auto anchors = sim::find_anchors(base, bench::bench_saturation_options());
   const double lambda = 0.45 * anchors.lambda_sat;
   std::cout << "operating point lambda = " << common::Table::fmt(lambda, 3)
             << ", target = " << common::Table::fmt(anchors.target_delay_ns, 1) << " ns\n\n";
 
-  sim::Scenario op = bench::anchored(base, anchors);
+  sim::Scenario op = sim::anchored(base, anchors);
   op.lambda = lambda;
   op.policy.policy = sim::Policy::Dmsd;
 
@@ -58,8 +58,8 @@ int main(int argc, char** argv) {
   sim::Scenario big = base;
   big.network.width = 8;
   big.network.height = 8;
-  const bench::Anchors big_anchors = bench::compute_anchors(big);
-  big = bench::anchored(big, big_anchors);
+  const auto big_anchors = sim::find_anchors(big, bench::bench_saturation_options());
+  big = sim::anchored(big, big_anchors);
   big.lambda = 0.45 * big_anchors.lambda_sat;
   big.policy.policy = sim::Policy::Dmsd;
   const sim::RunResult r = sim::run(big);

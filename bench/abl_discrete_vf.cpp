@@ -21,11 +21,11 @@ int main(int argc, char** argv) {
   if (!h.parse(argc, argv)) return h.exit_code();
 
   const sim::Scenario base = h.scenario();
-  const bench::Anchors anchors = bench::compute_anchors(base);
+  const auto anchors = sim::find_anchors(base, bench::bench_saturation_options());
   const double lambda = 0.45 * anchors.lambda_sat;
   std::cout << "operating point lambda = " << common::Table::fmt(lambda, 3) << "\n\n";
 
-  sim::Scenario op = bench::anchored(base, anchors);
+  sim::Scenario op = sim::anchored(base, anchors);
   op.lambda = lambda;
 
   const std::vector<sim::Policy> policies = {sim::Policy::Rmsd, sim::Policy::Dmsd};

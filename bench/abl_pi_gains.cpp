@@ -22,7 +22,7 @@ int main(int argc, char** argv) {
   if (!h.parse(argc, argv)) return h.exit_code();
 
   const sim::Scenario base = h.scenario();
-  const bench::Anchors anchors = bench::compute_anchors(base);
+  const auto anchors = sim::find_anchors(base, bench::bench_saturation_options());
   const double lambda = 0.45 * anchors.lambda_sat;
   std::cout << "operating point lambda = " << common::Table::fmt(lambda, 3)
             << ", target = " << common::Table::fmt(anchors.target_delay_ns, 1) << " ns\n\n";
@@ -41,7 +41,7 @@ int main(int argc, char** argv) {
       {0.025, 0.0, "I-only"},
   };
 
-  sim::Scenario op = bench::anchored(base, anchors);
+  sim::Scenario op = sim::anchored(base, anchors);
   op.lambda = lambda;
   op.policy.policy = sim::Policy::Dmsd;
 

@@ -25,13 +25,13 @@ int main(int argc, char** argv) {
   if (!h.parse(argc, argv)) return h.exit_code();
 
   const sim::Scenario base = h.scenario();
-  const bench::Anchors anchors = bench::compute_anchors(base);
+  const auto anchors = sim::find_anchors(base, bench::bench_saturation_options());
 
   // Calibrate the occupancy setpoint the same way the paper calibrates the
   // DMSD target: measure occupancy when the network delivers the target
   // delay (No-DVFS at lambda_max would be ~saturated occupancy; instead
   // use the occupancy of the DMSD operating point at mid load).
-  sim::Scenario probe = bench::anchored(base, anchors);
+  sim::Scenario probe = sim::anchored(base, anchors);
   probe.lambda = 0.45 * anchors.lambda_sat;
   probe.policy.policy = sim::Policy::Dmsd;
   const sim::RunResult dmsd_ref = sim::run(probe);
@@ -45,7 +45,7 @@ int main(int argc, char** argv) {
             << " ns   QBSD setpoint = " << common::Table::fmt(est_occupancy, 3)
             << " (occupancy measured at the DMSD operating point)\n\n";
 
-  sim::Scenario op = bench::anchored(base, anchors);
+  sim::Scenario op = sim::anchored(base, anchors);
   op.policy.occupancy_setpoint = est_occupancy;
 
   const auto lambdas = bench::lambda_sweep(anchors.lambda_sat, bench::sweep_points(6, 4));

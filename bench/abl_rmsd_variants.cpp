@@ -25,13 +25,13 @@ int main(int argc, char** argv) {
   if (!h.parse(argc, argv)) return h.exit_code();
 
   const sim::Scenario base = h.scenario();
-  const bench::Anchors anchors = bench::compute_anchors(base);
+  const auto anchors = sim::find_anchors(base, bench::bench_saturation_options());
   std::cout << "lambda_max = " << common::Table::fmt(anchors.lambda_max, 3) << "\n\n";
 
   const auto lambdas = bench::lambda_sweep(anchors.lambda_sat, bench::sweep_points(5, 3));
   const std::vector<sim::Policy> policies = {sim::Policy::Rmsd, sim::Policy::RmsdClosed};
   const auto recs =
-      h.sweep(bench::anchored(base, anchors),
+      h.sweep(sim::anchored(base, anchors),
               {sim::SweepAxis::lambda(lambdas), sim::SweepAxis::policies(policies)});
 
   common::Table table({"lambda", "variant", "delay[ns]", "freq[GHz]", "power[mW]",

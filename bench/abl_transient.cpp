@@ -30,7 +30,7 @@ int main(int argc, char** argv) {
   if (!h.parse(argc, argv)) return h.exit_code();
 
   const sim::Scenario base = h.scenario();
-  const bench::Anchors anchors = bench::compute_anchors(base);
+  const auto anchors = sim::find_anchors(base, bench::bench_saturation_options());
   const double lambda_lo = 0.3 * anchors.lambda_max;
   const double lambda_hi = 0.8 * anchors.lambda_max;
 
@@ -42,7 +42,7 @@ int main(int argc, char** argv) {
             << common::Table::fmt(lambda_hi, 3) << " flits/cycle/node at t = 300 us\n"
             << "DMSD target = " << common::Table::fmt(anchors.target_delay_ns, 1) << " ns\n\n";
 
-  sim::Scenario op = bench::anchored(base, anchors);
+  sim::Scenario op = sim::anchored(base, anchors);
   op.workload = sim::Scenario::Workload::Custom;
   op.phases.adaptive_warmup = false;
   op.phases.warmup_node_cycles = 200000;

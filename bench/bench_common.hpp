@@ -3,11 +3,11 @@
 /// \file bench_common.hpp
 /// Shared scaffolding for the figure-reproduction benches, built on the
 /// declarative `sim::Scenario` + `sim::SweepRunner` API: paper-faithful
-/// default phases, the λ_max / DMSD-target anchoring procedure, a
-/// `Harness` that gives every bench `key=value` overrides, `--help`
-/// (`help=1`), parallel sweep execution (`threads=N`) and machine-readable
-/// output (`csv=…` / `json=…`, e.g. under `bench/out/`), and uniform
-/// banner output.
+/// default phases, the saturation-search options every bench anchors with
+/// (`sim::find_anchors`), a `Harness` that gives every bench `key=value`
+/// overrides, `--help` (`help=1`), parallel sweep execution (`threads=N`)
+/// and machine-readable output (`csv=…` / `json=…`, e.g. under
+/// `bench/out/`), and uniform banner output.
 ///
 /// Fast mode: pass `fast=1` to shrink sweeps and phases (~4× faster,
 /// coarser curves). Every Scenario key, with its default and help text,
@@ -81,50 +81,6 @@ inline sim::Scenario paper_default_scenario() {
   s.pattern = "uniform";
   s.control_period = bench_control_period();
   s.phases = bench_phases();
-  return s;
-}
-
-/// The per-configuration anchors the paper's methodology derives before
-/// running a sweep: measured saturation, λ_max = 0.9·λ_sat, and the DMSD
-/// target = the No-DVFS delay at λ_node = λ_max (RMSD's delay there, where
-/// it runs at F_max). RMSD holds delay constant in NoC cycles, not in ns:
-/// below λ_max its clock slows and its ns delay grows (Fig. 4).
-struct Anchors {
-  double lambda_sat = 0.0;
-  double lambda_max = 0.0;
-  double target_delay_ns = 0.0;
-};
-
-inline Anchors compute_anchors(sim::Scenario base) {
-  Anchors a;
-  const double axis_sat = sim::find_saturation(base, bench_saturation_options());
-
-  sim::Scenario probe = base;
-  probe.policy.policy = sim::Policy::NoDvfs;
-  probe.phases = bench_phases();
-  if (base.workload == sim::Scenario::Workload::Trace) {
-    // The trace axis is the time-warp: convert the saturating warp into
-    // the offered load lambda_max expects, and warp the target probe to
-    // run at 0.9 of it.
-    sim::Scenario at_sat = base;
-    at_sat.trace_scale = axis_sat;
-    a.lambda_sat = sim::mean_lambda(at_sat);
-    probe.trace_scale = 0.9 * axis_sat;
-    probe.trace_loop = true;
-  } else {
-    a.lambda_sat = axis_sat;
-    probe.lambda = 0.9 * axis_sat;
-  }
-  a.lambda_max = 0.9 * a.lambda_sat;
-  a.target_delay_ns = sim::run(probe).avg_delay_ns;
-  return a;
-}
-
-/// A copy of `s` with the anchor-derived policy parameters applied (every
-/// policy point of a sweep shares them).
-inline sim::Scenario anchored(sim::Scenario s, const Anchors& anchors) {
-  s.policy.lambda_max = anchors.lambda_max;
-  s.policy.target_delay_ns = anchors.target_delay_ns;
   return s;
 }
 

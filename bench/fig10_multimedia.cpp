@@ -4,13 +4,13 @@
 /// and the Video Conference Encoder on a 5×5 mesh. Speed is normalized so
 /// 1.0 corresponds to the paper's 75 frames/s reference.
 ///
-/// Calibration (documented in DESIGN.md): the figure's per-frame packet
-/// counts fix the *relative* traffic matrix; the absolute scale (packet
-/// payloads, flit width) is not recoverable from the scan, so the matrix
-/// is scaled such that speed 1.0 sits at 0.9× the measured saturation of
-/// the mapped workload — matching the paper's plots, where delay curves
-/// rise steeply as speed approaches 1.0. λ_max and the DMSD target are
-/// then re-derived per app exactly as in the synthetic experiments.
+/// Calibration (ARCHITECTURE.md, "Workloads"): the figure's per-frame
+/// packet counts fix the *relative* traffic matrix; the absolute scale
+/// (packet payloads, flit width) is not recoverable from the scan, so
+/// `sim::find_anchors` scales the matrix such that speed 1.0 sits at 0.9×
+/// the measured saturation of the mapped workload — matching the paper's
+/// plots, where delay curves rise steeply as speed approaches 1.0. λ_max
+/// and the DMSD target are derived there by the same call.
 ///
 /// Accepts `key=value` overrides and `help=1` (e.g. `apps=h264`);
 /// `csv=`/`json=` write machine-readable rows (see bench_common.hpp).
@@ -32,34 +32,14 @@ void run_app(bench::Harness& h, const std::string& app) {
   base.workload = sim::Scenario::Workload::App;
   base.app = app;
 
-  // Step 1: provisional scale so the search window is sensible.
-  base.traffic_scale = 1.0;
-  const double lambda_at_speed1 = sim::mean_lambda(base);
-  base.traffic_scale = 0.35 / lambda_at_speed1;
-
-  // Step 2: measure the saturation speed of the mapped workload.
-  sim::SaturationSearchOptions opt = bench::bench_saturation_options();
-  opt.hi = 2.0;
-  const double sat_speed = sim::find_saturation(base, opt);
-
-  // Step 3: re-scale so speed 1.0 = 0.9 × saturation.
-  base.traffic_scale *= 0.9 * sat_speed;
-  base.speed = 1.0;
-  const double lambda_max = sim::mean_lambda(base);  // offered λ at speed 1.0
-
-  // Step 4: DMSD target = No-DVFS delay at speed 1.0 (RMSD's delay there,
-  // at F_max; RMSD holds delay in NoC cycles, so below it its ns delay grows).
-  sim::Scenario probe = base;
-  probe.policy.policy = sim::Policy::NoDvfs;
-  const double target_ns = sim::run(probe).avg_delay_ns;
-
-  std::cout << "calibration: saturation at speed " << common::Table::fmt(sat_speed, 2)
+  // Calibrate the rate matrix (speed 1.0 = 0.9 × saturation) and derive
+  // λ_max and the DMSD target at speed 1.0.
+  const auto anchors = sim::find_anchors(base, bench::bench_saturation_options());
+  std::cout << "calibration: saturation at speed " << common::Table::fmt(anchors.saturation, 2)
             << " (pre-scale) -> speed 1.0 = 0.9x saturation;  lambda_max = "
-            << common::Table::fmt(lambda_max, 3) << ";  DMSD target = "
-            << common::Table::fmt(target_ns, 1) << " ns\n";
-
-  base.policy.lambda_max = lambda_max;
-  base.policy.target_delay_ns = target_ns;
+            << common::Table::fmt(anchors.lambda_max, 3) << ";  DMSD target = "
+            << common::Table::fmt(anchors.target_delay_ns, 1) << " ns\n";
+  base = sim::anchored(base, anchors);
 
   const int points = bench::sweep_points(9, 5);
   std::vector<double> speeds;

@@ -60,30 +60,30 @@ int main(int argc, char** argv) {
   // Anchors are derived once per synthetic pattern on the paper's global
   // configuration — every layout of a workload shares the same policy
   // parameters, so differences are attributable to the partition alone.
-  bench::Anchors hotspot_anchors{};
+  sim::Anchors hotspot_anchors{};
   bool have_hotspot_anchors = false;
   auto hotspot_anchored = [&](sim::Scenario s) {
     s.pattern = "hotspot";
     if (!have_hotspot_anchors) {
-      hotspot_anchors = bench::compute_anchors(s);
+      hotspot_anchors = sim::find_anchors(s, bench::bench_saturation_options());
       have_hotspot_anchors = true;
     }
     s.lambda = 0.6 * hotspot_anchors.lambda_sat;
-    return bench::anchored(s, hotspot_anchors);
+    return sim::anchored(s, hotspot_anchors);
   };
 
   for (const std::string& workload : common::split_csv(h.config().get_string("workloads"))) {
     sim::Scenario base = h.scenario();
     std::cout << "\n--- workload: " << workload << " ---\n";
-    bench::Anchors anchors{};
+    sim::Anchors anchors{};
     if (workload == "hotspot") {
       base = hotspot_anchored(base);
       anchors = hotspot_anchors;
     } else if (workload == "transpose") {
       base.pattern = "transpose";
-      anchors = bench::compute_anchors(base);
+      anchors = sim::find_anchors(base, bench::bench_saturation_options());
       base.lambda = 0.6 * anchors.lambda_sat;
-      base = bench::anchored(base, anchors);
+      base = sim::anchored(base, anchors);
     } else if (workload == "trace") {
       // Record the anchored hotspot stream once (No-DVFS, so the captured
       // injection sequence is policy-independent), then replay the

@@ -62,16 +62,16 @@ int main(int argc, char** argv) {
   const std::vector<sim::Policy> policies = {sim::Policy::Rmsd, sim::Policy::Dmsd,
                                              sim::Policy::Qbsd};
 
-  bench::Anchors hotspot_anchors{};
+  sim::Anchors hotspot_anchors{};
   bool have_hotspot_anchors = false;
   auto hotspot_anchored = [&](sim::Scenario s) {
     s.pattern = "hotspot";
     if (!have_hotspot_anchors) {
-      hotspot_anchors = bench::compute_anchors(s);
+      hotspot_anchors = sim::find_anchors(s, bench::bench_saturation_options());
       have_hotspot_anchors = true;
     }
     s.lambda = 0.6 * hotspot_anchors.lambda_sat;
-    return bench::anchored(s, hotspot_anchors);
+    return sim::anchored(s, hotspot_anchors);
   };
 
   for (const std::string& workload : common::split_csv(h.config().get_string("workloads"))) {
@@ -81,9 +81,9 @@ int main(int argc, char** argv) {
       base = hotspot_anchored(base);
     } else if (workload == "transpose") {
       base.pattern = "transpose";
-      const bench::Anchors anchors = bench::compute_anchors(base);
+      const auto anchors = sim::find_anchors(base, bench::bench_saturation_options());
       base.lambda = 0.6 * anchors.lambda_sat;
-      base = bench::anchored(base, anchors);
+      base = sim::anchored(base, anchors);
     } else if (workload == "trace") {
       // Record the anchored hotspot stream once (No-DVFS, policy-free
       // capture), then replay the identical packets under every cell.

@@ -91,7 +91,7 @@ int main(int argc, char** argv) {
   // same offered load and policy parameters, so row differences are
   // attributable to the shape and the routing alone. (Re-anchoring per
   // topology would also break the mesh-row identity with `baseline`.)
-  const bench::Anchors anchors = bench::compute_anchors(h.scenario());
+  const auto anchors = sim::find_anchors(h.scenario(), bench::bench_saturation_options());
   auto anchored_base = [&] {
     sim::Scenario s = h.scenario();
     s.lambda = 0.6 * anchors.lambda_sat;
@@ -99,7 +99,7 @@ int main(int argc, char** argv) {
     // across points (the sweep rejects duplicate export basenames). The
     // dedicated export run below honours it instead.
     s.telemetry_out.clear();
-    return bench::anchored(s, anchors);
+    return sim::anchored(s, anchors);
   };
   std::cout << "lambda_sat(mesh) = " << common::Table::fmt(anchors.lambda_sat, 3)
             << "   lambda_max = " << common::Table::fmt(anchors.lambda_max, 3)

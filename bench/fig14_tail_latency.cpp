@@ -75,14 +75,14 @@ int main(int argc, char** argv) {
 
   // One anchor set, derived on the paper's mesh, shared by every cell so
   // tail differences are attributable to the policy and the shape alone.
-  const bench::Anchors anchors = bench::compute_anchors(h.scenario());
+  const auto anchors = sim::find_anchors(h.scenario(), bench::bench_saturation_options());
   auto anchored_base = [&] {
     sim::Scenario s = h.scenario();
     s.lambda = 0.6 * anchors.lambda_sat;
     // Sweeps share one base scenario; a telemetry_out here would collide
     // across points. The dedicated export run below honours it instead.
     s.telemetry_out.clear();
-    return bench::anchored(s, anchors);
+    return sim::anchored(s, anchors);
   };
   std::cout << "lambda_sat(mesh) = " << common::Table::fmt(anchors.lambda_sat, 3)
             << "   lambda_max = " << common::Table::fmt(anchors.lambda_max, 3)

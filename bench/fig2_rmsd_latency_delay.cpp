@@ -26,7 +26,7 @@ int main(int argc, char** argv) {
 
   const sim::Scenario base = h.scenario();
   std::cout << "Measuring saturation rate...\n";
-  const bench::Anchors anchors = bench::compute_anchors(base);
+  const auto anchors = sim::find_anchors(base, bench::bench_saturation_options());
   const double lambda_min = anchors.lambda_max / 3.0;  // F_min/F_max = 1/3
   std::cout << "lambda_sat = " << anchors.lambda_sat << "   lambda_max = " << anchors.lambda_max
             << "   lambda_min = " << lambda_min << "  (paper: sat 0.42, lambda_max 0.378)\n\n";
@@ -39,7 +39,7 @@ int main(int argc, char** argv) {
 
   const std::vector<sim::Policy> policies = {sim::Policy::NoDvfs, sim::Policy::Rmsd};
   const auto recs =
-      h.sweep(bench::anchored(base, anchors),
+      h.sweep(sim::anchored(base, anchors),
               {sim::SweepAxis::lambda(lambdas), sim::SweepAxis::policies(policies)});
 
   common::Table table({"lambda", "region", "NoDVFS lat[cyc]", "RMSD lat[cyc]",

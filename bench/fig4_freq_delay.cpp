@@ -25,7 +25,7 @@ int main(int argc, char** argv) {
 
   const sim::Scenario base = h.scenario();
   std::cout << "Measuring saturation rate...\n";
-  const bench::Anchors anchors = bench::compute_anchors(base);
+  const auto anchors = sim::find_anchors(base, bench::bench_saturation_options());
   std::cout << "lambda_max = " << anchors.lambda_max << "   DMSD target delay = "
             << common::Table::fmt(anchors.target_delay_ns, 1)
             << " ns (RMSD delay at lambda_max; paper: 150 ns)\n\n";
@@ -34,7 +34,7 @@ int main(int argc, char** argv) {
   const std::vector<sim::Policy> policies = {sim::Policy::NoDvfs, sim::Policy::Rmsd,
                                              sim::Policy::Dmsd};
   const auto recs =
-      h.sweep(bench::anchored(base, anchors),
+      h.sweep(sim::anchored(base, anchors),
               {sim::SweepAxis::lambda(lambdas), sim::SweepAxis::policies(policies)});
 
   common::Table table({"lambda", "F none", "F rmsd", "F dmsd", "delay none[ns]",

@@ -21,7 +21,7 @@ int main(int argc, char** argv) {
 
   const sim::Scenario base = h.scenario();
   std::cout << "Measuring saturation rate...\n";
-  const bench::Anchors anchors = bench::compute_anchors(base);
+  const auto anchors = sim::find_anchors(base, bench::bench_saturation_options());
   std::cout << "lambda_max = " << anchors.lambda_max << "   DMSD target = "
             << common::Table::fmt(anchors.target_delay_ns, 1) << " ns\n\n";
 
@@ -29,7 +29,7 @@ int main(int argc, char** argv) {
   const std::vector<sim::Policy> policies = {sim::Policy::NoDvfs, sim::Policy::Rmsd,
                                              sim::Policy::Dmsd};
   const auto recs =
-      h.sweep(bench::anchored(base, anchors),
+      h.sweep(sim::anchored(base, anchors),
               {sim::SweepAxis::lambda(lambdas), sim::SweepAxis::policies(policies)});
 
   common::Table table({"lambda", "P none[mW]", "P rmsd[mW]", "P dmsd[mW]", "none/dmsd",

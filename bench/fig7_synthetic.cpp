@@ -30,7 +30,7 @@ int main(int argc, char** argv) {
     sim::Scenario base = h.scenario();
     base.pattern = pattern;
     std::cout << "\n--- pattern: " << pattern << " ---\n";
-    const bench::Anchors anchors = bench::compute_anchors(base);
+    const auto anchors = sim::find_anchors(base, bench::bench_saturation_options());
     std::cout << "lambda_sat = " << common::Table::fmt(anchors.lambda_sat, 3)
               << "   lambda_max = " << common::Table::fmt(anchors.lambda_max, 3)
               << "   DMSD target = " << common::Table::fmt(anchors.target_delay_ns, 1)
@@ -40,7 +40,7 @@ int main(int argc, char** argv) {
     const std::vector<sim::Policy> policies = {sim::Policy::NoDvfs, sim::Policy::Rmsd,
                                                sim::Policy::Dmsd};
     const auto recs =
-        h.sweep(bench::anchored(base, anchors),
+        h.sweep(sim::anchored(base, anchors),
                 {sim::SweepAxis::lambda(lambdas), sim::SweepAxis::policies(policies)},
                 "pattern=" + pattern);
 

@@ -74,12 +74,12 @@ int main(int argc, char** argv) {
 
   for (const Variant& v : build_variants(h.scenario())) {
     std::cout << "anchoring " << v.family << " / " << v.label << "...\n";
-    const bench::Anchors anchors = bench::compute_anchors(v.scenario);
+    const auto anchors = sim::find_anchors(v.scenario, bench::bench_saturation_options());
     // Two operating points: mid load and high load (fractions of λ_sat).
     std::vector<double> lambdas;
     for (const double frac : fracs) lambdas.push_back(frac * anchors.lambda_sat);
     const auto recs =
-        h.sweep(bench::anchored(v.scenario, anchors),
+        h.sweep(sim::anchored(v.scenario, anchors),
                 {sim::SweepAxis::lambda(lambdas), sim::SweepAxis::policies(policies)},
                 v.family + "/" + v.label);
 

@@ -77,7 +77,7 @@ int main(int argc, char** argv) {
                "Figure 9 — H.264 and VCE communication graphs and NoC mapping\n"
                "=================================================================\n"
                "Edge connectivity reconstructed from the figure's vertex names and\n"
-               "weight multiset (see DESIGN.md, substitution table).\n";
+               "weight multiset (see docs/ARCHITECTURE.md, \"Workloads\").\n";
   std::stringstream apps_list(c.get_string("apps"));
   std::string app;
   while (std::getline(apps_list, app, ',')) {

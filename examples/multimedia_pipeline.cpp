@@ -8,7 +8,8 @@
 ///   $ ./multimedia_pipeline app=vce policies=dmsd speeds=0.25,0.5,0.75,1.0
 ///
 /// The rate matrix is calibrated so that speed 1.0 sits at 0.9× the
-/// measured saturation of the mapped workload (see DESIGN.md).
+/// measured saturation of the mapped workload (`sim::find_anchors`; see
+/// ARCHITECTURE.md, "Workloads").
 
 #include <iostream>
 
@@ -54,24 +55,14 @@ int main(int argc, char** argv) {
             << common::Table::fmt(graph.mean_hops(), 2) << "\n";
 
   // Calibrate: speed 1.0 = 0.9 × measured saturation of this workload.
-  base.speed = 1.0;
-  base.traffic_scale = 0.35 / sim::mean_lambda(base);
   sim::SaturationSearchOptions opt;
-  opt.hi = 2.0;
   opt.warmup_node_cycles = 25000;
   opt.measure_node_cycles = 25000;
-  const double sat_speed = sim::find_saturation(base, opt);
-  base.traffic_scale *= 0.9 * sat_speed;
-  const double lambda_max = sim::mean_lambda(base);
-
-  sim::Scenario probe = base;
-  probe.policy.policy = sim::Policy::NoDvfs;
-  const double target = sim::run(probe).avg_delay_ns;
-  std::cout << "calibrated: lambda_max = " << common::Table::fmt(lambda_max, 3)
-            << ", DMSD target = " << common::Table::fmt(target, 1) << " ns\n\n";
-
-  base.policy.lambda_max = lambda_max;
-  base.policy.target_delay_ns = target;
+  const sim::Anchors anchors = sim::find_anchors(base, opt);
+  std::cout << "calibrated: lambda_max = " << common::Table::fmt(anchors.lambda_max, 3)
+            << ", DMSD target = " << common::Table::fmt(anchors.target_delay_ns, 1)
+            << " ns\n\n";
+  base = sim::anchored(base, anchors);
 
   std::vector<sim::Policy> policies;
   if (c.get_string("policies") == "all") {

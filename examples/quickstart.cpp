@@ -33,21 +33,14 @@ int main() {
   // 2. Anchor the policies: λ_max = 0.9 × measured saturation rate; the
   //    DMSD target is RMSD's delay at λ_node = λ_max (both per the paper).
   std::cout << "Measuring saturation rate (short probe runs)...\n";
-  const double lambda_sat = sim::find_saturation(cfg);
-  const double lambda_max = 0.9 * lambda_sat;
-
-  sim::Scenario at_max = cfg;
-  at_max.lambda = lambda_max;
-  at_max.policy.policy = sim::Policy::NoDvfs;
-  const double target_delay_ns = sim::run(at_max).avg_delay_ns;
-
-  std::cout << "lambda_sat = " << lambda_sat << " flits/cycle/node, lambda_max = " << lambda_max
-            << ", DMSD target delay = " << target_delay_ns << " ns\n\n";
+  const sim::Anchors anchors = sim::find_anchors(cfg);
+  std::cout << "lambda_sat = " << anchors.lambda_sat
+            << " flits/cycle/node, lambda_max = " << anchors.lambda_max
+            << ", DMSD target delay = " << anchors.target_delay_ns << " ns\n\n";
 
   // 3. Sweep the policy axis at the same offered load — the runs execute
   //    in parallel on the worker pool, results come back in axis order.
-  cfg.policy.lambda_max = lambda_max;
-  cfg.policy.target_delay_ns = target_delay_ns;
+  cfg = sim::anchored(cfg, anchors);
   const std::vector<sim::Policy> policies = {sim::Policy::NoDvfs, sim::Policy::Rmsd,
                                              sim::Policy::Dmsd};
   sim::SweepRunner runner;

@@ -48,14 +48,7 @@ int main(int argc, char** argv) {
   // Anchor the policies on the default 5×5 router, the paper's procedure.
   sim::Scenario base = sim::Scenario::from_config(c);
   std::cout << "Anchoring (saturation probe)...\n";
-  const double sat = sim::find_saturation(base);
-  const double lambda_max = 0.9 * sat;
-  sim::Scenario target_probe = base;
-  target_probe.lambda = lambda_max;
-  target_probe.policy.policy = sim::Policy::NoDvfs;  // the anchor is the No-DVFS delay
-  const double target_ns = sim::run(target_probe).avg_delay_ns;
-  base.policy.lambda_max = lambda_max;
-  base.policy.target_delay_ns = target_ns;
+  base = sim::anchored(base, sim::find_anchors(base));
 
   // Part 1: RTT per policy under the request-reply workload — a one-axis
   // sweep over the custom-workload scenario.

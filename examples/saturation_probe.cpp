@@ -61,7 +61,7 @@ int main(int argc, char** argv) {
                                std::to_string(static_cast<int>(mesh)),
                            pattern, common::Table::fmt(vcs, 0), common::Table::fmt(bufs, 0),
                            common::Table::fmt(pkt, 0), common::Table::fmt(sat, 3),
-                           common::Table::fmt(0.9 * sat, 3)});
+                           common::Table::fmt(sim::kLambdaMaxFraction * sat, 3)});
           }
         }
       }

@@ -22,7 +22,7 @@ using namespace nocdvfs;
 int main(int argc, char** argv) {
   sim::Scenario defaults;
   defaults.policy.lambda_max = 0.0;       // 0 = derive from measured saturation
-  defaults.policy.target_delay_ns = 0.0;  // 0 = RMSD delay at lambda_max
+  defaults.policy.target_delay_ns = 0.0;  // 0 = No-DVFS delay at the derived lambda_max
 
   common::Config c;
   sim::Scenario::declare_keys(c, defaults);
@@ -43,34 +43,25 @@ int main(int argc, char** argv) {
 
   sim::Scenario base = sim::Scenario::from_config(c);
 
-  const bool is_trace = base.workload == sim::Scenario::Workload::Trace;
-  if (base.policy.lambda_max <= 0.0) {
-    const double sat = sim::find_saturation(base);
-    // For a trace workload the finder bisects the time-warp; convert the
-    // saturating warp into the offered load RMSD's lambda_max expects.
-    double lambda_sat = sat;
-    if (is_trace) {
-      sim::Scenario at_sat = base;
-      at_sat.trace_scale = sat;
-      lambda_sat = sim::mean_lambda(at_sat);
+  const sim::PolicyConfig given = base.policy;
+  if (given.lambda_max <= 0.0 || given.target_delay_ns <= 0.0) {
+    const sim::Anchors anchors = sim::find_anchors(base);
+    base = sim::anchored(base, anchors);
+    if (given.lambda_max > 0.0) {
+      base.policy.lambda_max = given.lambda_max;
+    } else {
+      std::cout << "# measured lambda_sat=" << anchors.lambda_sat;
+      if (base.workload == sim::Scenario::Workload::Trace) {
+        std::cout << " (saturating time-warp " << std::to_string(anchors.saturation) << ")";
+      }
+      std::cout << "  lambda_max=" << anchors.lambda_max << "\n";
     }
-    base.policy.lambda_max = 0.9 * lambda_sat;
-    std::cout << "# measured lambda_sat=" << lambda_sat
-              << (is_trace ? " (saturating time-warp " + std::to_string(sat) + ")" : "")
-              << "  lambda_max=" << base.policy.lambda_max << "\n";
-  }
-  if (base.policy.target_delay_ns <= 0.0) {
-    sim::Scenario probe = base;
-    probe.lambda = base.policy.lambda_max;
-    if (is_trace && sim::mean_lambda(base) > 0.0) {
-      // Warp the replay so the probe actually runs at lambda_max.
-      probe.trace_scale = base.trace_scale * base.policy.lambda_max / sim::mean_lambda(base);
-      probe.trace_loop = true;
+    if (given.target_delay_ns > 0.0) {
+      base.policy.target_delay_ns = given.target_delay_ns;
+    } else {
+      std::cout << "# DMSD target delay = " << anchors.target_delay_ns
+                << " ns (No-DVFS delay at the derived lambda_max)\n";
     }
-    probe.policy.policy = sim::Policy::NoDvfs;
-    base.policy.target_delay_ns = sim::run(probe).avg_delay_ns;
-    std::cout << "# DMSD target delay = " << base.policy.target_delay_ns
-              << " ns (RMSD delay at lambda_max)\n";
   }
 
   std::vector<sim::Policy> policies;

@@ -59,13 +59,9 @@ int main() {
   cfg.seed = 7;
 
   std::cout << "Measuring saturation rate (short probe runs)...\n";
-  const double lambda_sat = sim::find_saturation(cfg);
-  cfg.lambda = 0.7 * lambda_sat;
-  cfg.policy.lambda_max = 0.9 * lambda_sat;
-  sim::Scenario probe = cfg;
-  probe.lambda = cfg.policy.lambda_max;
-  probe.policy.policy = sim::Policy::NoDvfs;
-  cfg.policy.target_delay_ns = sim::run(probe).avg_delay_ns;
+  const sim::Anchors anchors = sim::find_anchors(cfg);
+  cfg = sim::anchored(cfg, anchors);
+  cfg.lambda = 0.7 * anchors.lambda_sat;
 
   // 2. Free-running thermal runs: how hot does each control family drive
   //    the die? The cap is set genuinely out of reach (not just the 85 C

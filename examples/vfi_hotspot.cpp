@@ -30,17 +30,12 @@ int main() {
   cfg.hotspot_fraction = 0.2;
   cfg.seed = 7;
 
-  std::cout << "Measuring saturation rate (short probe runs)...\n";
-  const double lambda_sat = sim::find_saturation(cfg);
-  cfg.lambda = 0.6 * lambda_sat;
-  cfg.policy.lambda_max = 0.9 * lambda_sat;
-
   // The paper's anchoring: the DMSD target is the No-DVFS delay at
   // λ_node = λ_max, leaving headroom to slow lightly loaded domains.
-  sim::Scenario probe = cfg;
-  probe.lambda = cfg.policy.lambda_max;
-  probe.policy.policy = sim::Policy::NoDvfs;
-  cfg.policy.target_delay_ns = sim::run(probe).avg_delay_ns;
+  std::cout << "Measuring saturation rate (short probe runs)...\n";
+  const sim::Anchors anchors = sim::find_anchors(cfg);
+  cfg = sim::anchored(cfg, anchors);
+  cfg.lambda = 0.6 * anchors.lambda_sat;
   cfg.policy.policy = sim::Policy::Dmsd;
 
   // 2. The same scenario under the global domain and under quadrant

@@ -8,7 +8,7 @@
 ///  * Video Conference Encoder (VCE) — 25 blocks (video pipeline + audio
 ///    chain + OFDM transmission chain) mapped on a 5×5 mesh.
 ///
-/// Reconstruction note (documented in DESIGN.md): the scanned figure lists
+/// Reconstruction note (ARCHITECTURE.md, "Workloads"): the scanned figure lists
 /// vertex names and edge weights but parts of the connectivity are
 /// illegible. The edges below use the figure's weight multiset attached to
 /// the canonical encoder dataflow; only the resulting rate matrix (who

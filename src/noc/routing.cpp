@@ -1,10 +1,6 @@
 #include "noc/routing.hpp"
 
-#include <algorithm>
-#include <cctype>
-#include <sstream>
-#include <stdexcept>
-#include <string>
+#include "common/strings.hpp"
 
 namespace nocdvfs::noc {
 
@@ -14,17 +10,7 @@ constexpr RoutingAlgo kAllAlgos[] = {RoutingAlgo::XY, RoutingAlgo::YX, RoutingAl
 }  // namespace
 
 RoutingAlgo routing_algo_from_string(const std::string& name) {
-  std::string lower = name;
-  std::transform(lower.begin(), lower.end(), lower.begin(),
-                 [](unsigned char c) { return static_cast<char>(std::tolower(c)); });
-  for (const RoutingAlgo algo : kAllAlgos) {
-    if (lower == to_string(algo)) return algo;
-  }
-  std::ostringstream msg;
-  msg << "routing_algo_from_string: unknown algorithm '" << name << "' (valid:";
-  for (const RoutingAlgo algo : kAllAlgos) msg << ' ' << to_string(algo);
-  msg << ")";
-  throw std::invalid_argument(msg.str());
+  return common::from_name(name, kAllAlgos, "routing_algo_from_string: unknown algorithm");
 }
 
 const char* to_string(RoutingAlgo algo) noexcept {

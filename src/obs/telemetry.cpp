@@ -1,9 +1,7 @@
 #include "obs/telemetry.hpp"
 
-#include <algorithm>
-#include <cctype>
-
 #include "common/assert.hpp"
+#include "common/strings.hpp"
 
 namespace nocdvfs::obs {
 
@@ -17,14 +15,9 @@ const char* to_string(TelemetryMode mode) noexcept {
 }
 
 TelemetryMode telemetry_mode_from_string(const std::string& name) {
-  std::string lower = name;
-  std::transform(lower.begin(), lower.end(), lower.begin(),
-                 [](unsigned char c) { return static_cast<char>(std::tolower(c)); });
-  if (lower == "off") return TelemetryMode::Off;
-  if (lower == "windows") return TelemetryMode::Windows;
-  if (lower == "full") return TelemetryMode::Full;
-  throw std::invalid_argument("unknown telemetry mode '" + name +
-                              "' (expected off, windows or full)");
+  constexpr TelemetryMode kAll[] = {TelemetryMode::Off, TelemetryMode::Windows,
+                                    TelemetryMode::Full};
+  return common::from_name(name, kAll, "unknown telemetry mode");
 }
 
 const char* to_string(MetricScope scope) noexcept {

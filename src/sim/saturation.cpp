@@ -1,5 +1,6 @@
 #include "sim/saturation.hpp"
 
+#include <algorithm>
 #include <stdexcept>
 
 namespace nocdvfs::sim {
@@ -130,6 +131,63 @@ double find_saturation(Scenario base, const SaturationSearchOptions& opt) {
   }
   throw std::invalid_argument(
       "find_saturation: custom workloads have no declarative load axis to bisect");
+}
+
+Anchors find_anchors(const Scenario& base, const SaturationSearchOptions& opt) {
+  Anchors a;
+  Scenario op = base;  // the operating point the target probe runs at
+  switch (base.workload) {
+    case Scenario::Workload::Synthetic:
+      a.saturation = find_saturation(base, opt);
+      a.lambda_sat = a.saturation;
+      a.lambda_max = kLambdaMaxFraction * a.lambda_sat;
+      op.lambda = a.lambda_max;
+      break;
+    case Scenario::Workload::Trace: {
+      a.saturation = find_saturation(base, opt);
+      Scenario at_sat = base;
+      at_sat.trace_scale = a.saturation;
+      a.lambda_sat = mean_lambda(at_sat);
+      a.lambda_max = kLambdaMaxFraction * a.lambda_sat;
+      op.trace_scale = kLambdaMaxFraction * a.saturation;
+      op.trace_loop = true;
+      break;
+    }
+    case Scenario::Workload::App: {
+      // The task graphs fix only the relative rate matrix; a provisional
+      // scale putting speed 1.0 at λ = 0.35 keeps the speed search window
+      // [lo, max(hi, 2)] around any mapped workload's saturation.
+      op.speed = 1.0;
+      op.traffic_scale = 1.0;
+      op.traffic_scale = 0.35 / mean_lambda(op);
+      SaturationSearchOptions speed_opt = opt;
+      speed_opt.hi = std::max(opt.hi, 2.0);
+      a.saturation = find_saturation(op, speed_opt);
+      Scenario at_sat = op;
+      at_sat.speed = a.saturation;
+      a.lambda_sat = mean_lambda(at_sat);
+      op.traffic_scale *= kLambdaMaxFraction * a.saturation;
+      a.traffic_scale = op.traffic_scale;
+      a.lambda_max = mean_lambda(op);
+      break;
+    }
+    case Scenario::Workload::Custom:
+      throw std::invalid_argument(
+          "find_anchors: custom workloads have no declarative load axis to bisect");
+  }
+  op.policy.policy = Policy::NoDvfs;
+  a.target_delay_ns = run(op).avg_delay_ns;
+  return a;
+}
+
+Scenario anchored(Scenario s, const Anchors& anchors) {
+  s.policy.lambda_max = anchors.lambda_max;
+  s.policy.target_delay_ns = anchors.target_delay_ns;
+  if (anchors.traffic_scale > 0.0) {
+    s.traffic_scale = anchors.traffic_scale;
+    s.speed = 1.0;
+  }
+  return s;
 }
 
 }  // namespace nocdvfs::sim

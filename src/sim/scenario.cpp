@@ -1,7 +1,5 @@
 #include "sim/scenario.hpp"
 
-#include <algorithm>
-#include <cctype>
 #include <functional>
 #include <limits>
 #include <sstream>
@@ -41,25 +39,10 @@ namespace {
 constexpr Policy kAllPolicies[] = {Policy::NoDvfs, Policy::Rmsd, Policy::RmsdClosed,
                                    Policy::Dmsd, Policy::Qbsd};
 
-std::string to_lower(const std::string& s) {
-  std::string out = s;
-  std::transform(out.begin(), out.end(), out.begin(),
-                 [](unsigned char ch) { return static_cast<char>(std::tolower(ch)); });
-  return out;
-}
-
 }  // namespace
 
 Policy policy_from_string(const std::string& name) {
-  const std::string lowered = to_lower(name);
-  for (const Policy p : kAllPolicies) {
-    if (lowered == to_string(p)) return p;
-  }
-  std::ostringstream os;
-  os << "policy_from_string: unknown policy '" << name << "' (valid:";
-  for (const Policy p : kAllPolicies) os << ' ' << to_string(p);
-  os << ')';
-  throw std::invalid_argument(os.str());
+  return common::from_name(name, kAllPolicies, "policy_from_string: unknown policy");
 }
 
 std::unique_ptr<dvfs::DvfsController> make_controller(const PolicyConfig& cfg) {

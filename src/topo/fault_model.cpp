@@ -1,8 +1,6 @@
 #include "topo/fault_model.hpp"
 
 #include <algorithm>
-#include <cctype>
-#include <sstream>
 #include <stdexcept>
 
 #include "common/strings.hpp"
@@ -11,20 +9,13 @@ namespace nocdvfs::topo {
 
 namespace {
 
-std::string lowercase(const std::string& s) {
-  std::string out = s;
-  std::transform(out.begin(), out.end(), out.begin(),
-                 [](unsigned char c) { return static_cast<char>(std::tolower(c)); });
-  return out;
-}
-
 /// Parse one "name:K[@CYCLE]" token into `ev`; returns "" or the problem.
 std::string parse_event(const std::string& token, FaultEvent& ev) {
   const auto colon = token.find(':');
   if (colon == std::string::npos) {
     return "fault event '" + token + "' is missing ':' (expected links:K[@CYCLE] or routers:K[@CYCLE])";
   }
-  const std::string name = lowercase(token.substr(0, colon));
+  const std::string name = common::to_lower(token.substr(0, colon));
   std::string rest = token.substr(colon + 1);
   const auto at = rest.find('@');
   std::string count_str = rest.substr(0, at);
@@ -76,7 +67,7 @@ std::string parse_spec(const std::string& spec, std::vector<FaultEvent>& events)
 }  // namespace
 
 bool FaultModel::spec_is_off(const std::string& spec) {
-  const std::string lower = lowercase(spec);
+  const std::string lower = common::to_lower(spec);
   return lower.empty() || lower == "off" || lower == "none";
 }
 

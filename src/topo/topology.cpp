@@ -1,10 +1,11 @@
 #include "topo/topology.hpp"
 
 #include <algorithm>
-#include <cctype>
 #include <cstdlib>
 #include <sstream>
 #include <stdexcept>
+
+#include "common/strings.hpp"
 
 namespace nocdvfs::topo {
 
@@ -29,17 +30,7 @@ constexpr TopologyKind kAllKinds[] = {TopologyKind::Mesh, TopologyKind::Torus,
 }  // namespace
 
 TopologyKind topology_kind_from_string(const std::string& name) {
-  std::string lower = name;
-  std::transform(lower.begin(), lower.end(), lower.begin(),
-                 [](unsigned char c) { return static_cast<char>(std::tolower(c)); });
-  for (const TopologyKind kind : kAllKinds) {
-    if (lower == to_string(kind)) return kind;
-  }
-  std::ostringstream msg;
-  msg << "topology_kind_from_string: unknown topology '" << name << "' (valid:";
-  for (const TopologyKind kind : kAllKinds) msg << ' ' << to_string(kind);
-  msg << ")";
-  throw std::invalid_argument(msg.str());
+  return common::from_name(name, kAllKinds, "topology_kind_from_string: unknown topology");
 }
 
 Topology::Topology(TopologyKind kind, int width, int height, int concentration,

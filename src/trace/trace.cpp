@@ -171,12 +171,16 @@ TraceReader::TraceReader(const std::string& path) : path_(path) {
   if (header_.width < 1 || header_.height < 1) corrupt(path, "degenerate mesh dimensions");
 
   // Exact-size check: catches truncation, trailing garbage, and a writer
-  // that died before backpatching the count.
+  // that died before backpatching the count. The count is compared against
+  // the records the file can hold, never multiplied: a hostile count would
+  // wrap the product and slip past the check.
   std::error_code ec;
   const auto size = std::filesystem::file_size(path, ec);
-  const std::uint64_t expect =
-      header_bytes + header_.packet_count * static_cast<std::uint64_t>(kTraceRecordBytes);
-  if (ec || size != expect) corrupt(path, "truncated or corrupt (size/record-count mismatch)");
+  if (ec || size < header_bytes || (size - header_bytes) % kTraceRecordBytes != 0 ||
+      header_.packet_count != (size - header_bytes) / kTraceRecordBytes) {
+    corrupt(path, "truncated or corrupt (packet_count " + std::to_string(header_.packet_count) +
+                      " does not match the file size)");
+  }
   in_.seekg(header_bytes);
 }
 

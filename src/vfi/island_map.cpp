@@ -1,9 +1,9 @@
 #include "vfi/island_map.hpp"
 
 #include <algorithm>
-#include <cctype>
-#include <sstream>
 #include <stdexcept>
+
+#include "common/strings.hpp"
 
 namespace nocdvfs::vfi {
 
@@ -20,19 +20,9 @@ const char* to_string(Preset preset) noexcept {
 }
 
 Preset preset_from_string(const std::string& name) {
-  std::string lowered = name;
-  std::transform(lowered.begin(), lowered.end(), lowered.begin(),
-                 [](unsigned char c) { return static_cast<char>(std::tolower(c)); });
   constexpr Preset kAll[] = {Preset::Global,    Preset::Rows,   Preset::Cols,
                              Preset::Quadrants, Preset::PerRouter, Preset::Custom};
-  for (const Preset p : kAll) {
-    if (lowered == to_string(p)) return p;
-  }
-  std::ostringstream os;
-  os << "islands: unknown preset '" << name << "' (valid:";
-  for (const Preset p : kAll) os << ' ' << to_string(p);
-  os << ')';
-  throw std::invalid_argument(os.str());
+  return common::from_name(name, kAll, "islands: unknown preset");
 }
 
 std::vector<int> parse_island_list(const std::string& text) {

@@ -1,11 +1,12 @@
 // Experiment-layer tests: policy plumbing, controller factory, the
-// saturation finder, and the multimedia scenario path — all on the
-// declarative Scenario API.
+// saturation finder and the anchoring procedure built on it, and the
+// multimedia scenario path — all on the declarative Scenario API.
 
 #include <gtest/gtest.h>
 
 #include <cctype>
 #include <cstring>
+#include <filesystem>
 #include <string>
 
 #include "sim/saturation.hpp"
@@ -216,6 +217,112 @@ TEST(Saturation, OptionValidation) {
   opt = SaturationSearchOptions{};
   opt.latency_knee_factor = -1.0;
   EXPECT_THROW(find_saturation(cfg, opt), std::invalid_argument);
+}
+
+/// Short probes shared by the anchoring tests: they check the procedure's
+/// arithmetic, not where saturation lies.
+SaturationSearchOptions short_search() {
+  SaturationSearchOptions opt;
+  opt.warmup_node_cycles = 8000;
+  opt.measure_node_cycles = 8000;
+  opt.resolution = 0.05;
+  return opt;
+}
+
+RunPhases short_run_phases() {
+  RunPhases phases;
+  phases.warmup_node_cycles = 8000;
+  phases.measure_node_cycles = 12000;
+  phases.adaptive_warmup = false;
+  return phases;
+}
+
+TEST(Anchors, SyntheticTargetIsTheNoDvfsDelayAtLambdaMax) {
+  Scenario cfg;
+  cfg.network.width = 4;
+  cfg.network.height = 4;
+  cfg.network.num_vcs = 4;
+  cfg.packet_size = 8;
+  cfg.control_period = 2000;
+  cfg.phases = short_run_phases();
+  const Anchors a = find_anchors(cfg, short_search());
+  EXPECT_EQ(a.lambda_sat, a.saturation);
+  EXPECT_EQ(a.lambda_max, 0.9 * a.lambda_sat);
+  EXPECT_EQ(a.traffic_scale, 0.0);
+
+  // The target is one No-DVFS run at λ_max with the base scenario's phases.
+  Scenario probe = cfg;
+  probe.lambda = a.lambda_max;
+  probe.policy.policy = Policy::NoDvfs;
+  EXPECT_EQ(a.target_delay_ns, run(probe).avg_delay_ns);
+
+  const Scenario s = anchored(cfg, a);
+  EXPECT_EQ(s.policy.lambda_max, a.lambda_max);
+  EXPECT_EQ(s.policy.target_delay_ns, a.target_delay_ns);
+  EXPECT_EQ(s.traffic_scale, cfg.traffic_scale);
+}
+
+TEST(Anchors, AppLambdaMaxIsALoadAtSpeedOne) {
+  Scenario cfg = app_scenario();
+  cfg.packet_size = 8;
+  cfg.control_period = 2000;
+  cfg.phases = short_run_phases();
+  const Anchors a = find_anchors(cfg, short_search());
+  const Scenario s = anchored(cfg, a);
+  EXPECT_EQ(s.speed, 1.0);
+  EXPECT_EQ(s.traffic_scale, a.traffic_scale);
+  // λ_max is the calibrated scenario's offered load at speed 1.0 — a load
+  // in flits/node-cycle, not the saturating speed.
+  EXPECT_EQ(a.lambda_max, mean_lambda(s));
+  EXPECT_GT(a.lambda_max, 0.0);
+  EXPECT_LT(a.lambda_max, 1.0);
+  EXPECT_NEAR(a.lambda_max, 0.9 * a.lambda_sat, 1e-12);
+
+  Scenario probe = s;
+  probe.policy.policy = Policy::NoDvfs;
+  EXPECT_EQ(a.target_delay_ns, run(probe).avg_delay_ns);
+}
+
+TEST(Anchors, TraceLambdaMaxIsNineTenthsOfTheSaturatingWarpLoad) {
+  const std::string path = (std::filesystem::temp_directory_path() /
+                            "nocdvfs_test_anchors.noctrace")
+                               .string();
+  Scenario rec;
+  rec.network.width = 3;
+  rec.network.height = 3;
+  rec.packet_size = 4;
+  rec.lambda = 0.12;
+  rec.control_period = 2000;
+  rec.phases = short_run_phases();
+  rec.policy.policy = Policy::NoDvfs;
+  rec.record_path = path;
+  run(rec);
+
+  Scenario replay = rec;
+  replay.record_path.clear();
+  replay.workload = Scenario::Workload::Trace;
+  replay.trace_path = path;
+  SaturationSearchOptions opt = short_search();
+  opt.resolution = 0.25;
+  const Anchors a = find_anchors(replay, opt);
+  Scenario at_sat = replay;
+  at_sat.trace_scale = a.saturation;
+  EXPECT_EQ(a.lambda_sat, mean_lambda(at_sat));
+  EXPECT_EQ(a.lambda_max, 0.9 * mean_lambda(at_sat));
+
+  // The target probe loops the replay at 0.9 of the saturating warp.
+  Scenario probe = replay;
+  probe.trace_scale = 0.9 * a.saturation;
+  probe.trace_loop = true;
+  probe.policy.policy = Policy::NoDvfs;
+  EXPECT_EQ(a.target_delay_ns, run(probe).avg_delay_ns);
+  std::filesystem::remove(path);
+}
+
+TEST(Anchors, CustomWorkloadThrows) {
+  Scenario cfg;
+  cfg.workload = Scenario::Workload::Custom;
+  EXPECT_THROW(find_anchors(cfg, short_search()), std::invalid_argument);
 }
 
 }  // namespace

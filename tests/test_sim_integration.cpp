@@ -3,7 +3,8 @@
 // period). Results for each (policy, λ) point are computed once and cached
 // across tests.
 //
-// The behaviours under test are exactly the shape criteria of DESIGN.md §4:
+// The behaviours under test are the paper's shape criteria (its Figs. 2,
+// 4 and 6):
 //   * No-DVFS latency grows monotonically with load;
 //   * RMSD holds the NoC at λ_max: constant latency-in-cycles inside
 //     [λ_min, λ_max], frequency follows Eq. (2), and the real-time delay is

@@ -11,6 +11,7 @@
 #include <filesystem>
 #include <fstream>
 #include <memory>
+#include <string>
 #include <vector>
 
 #include "sim/saturation.hpp"
@@ -183,6 +184,73 @@ TEST(TraceFormat, RejectsCorruptAndTruncatedFiles) {
         }
       },
       std::runtime_error);
+  fs::remove(path);
+}
+
+/// Length fields are checked before anything is sized from them: every
+/// prefix of a valid trace, every single-bit flip of its 40-byte header,
+/// and a packet_count whose record bytes wrap to the file's real size must
+/// read back or throw std::runtime_error — never std::length_error from
+/// sizing the packet vector.
+TEST(TraceFormat, RejectsHostileLengthFields) {
+  const std::string path = temp_trace("hostile");
+  {
+    trace::TraceWriter writer(path, small_header());
+    writer.append({0, 0, 1, 4, 0});
+    writer.append({3, 1, 0, 4, 0});
+    writer.append({7, 2, 3, 2, 1});
+    writer.close();
+  }
+  const std::vector<unsigned char> valid = file_bytes(path);
+  constexpr std::size_t kHeaderBytes = 40;
+  constexpr std::size_t kPacketCountAt = 32;
+  ASSERT_EQ(valid.size(), kHeaderBytes + 3 * trace::kTraceRecordBytes);
+
+  auto write_bytes = [&](const std::vector<unsigned char>& bytes) {
+    std::ofstream out(path, std::ios::binary | std::ios::trunc);
+    out.write(reinterpret_cast<const char*>(bytes.data()),
+              static_cast<std::streamsize>(bytes.size()));
+  };
+  auto expect_load_or_runtime_error = [&](const std::vector<unsigned char>& bytes,
+                                          const std::string& what) {
+    write_bytes(bytes);
+    try {
+      (void)trace::Trace::load(path);
+    } catch (const std::runtime_error&) {
+    } catch (const std::exception& e) {
+      ADD_FAILURE() << what << ": escaped as a non-runtime_error: " << e.what();
+    }
+  };
+
+  // 40 bytes, packet_count = 2^62: 12 · 2^62 wraps to 0, the exact record
+  // bytes of a header-only file.
+  std::vector<unsigned char> wrap(valid.begin(), valid.begin() + kHeaderBytes);
+  const std::uint64_t lie = std::uint64_t{1} << 62;
+  for (std::size_t i = 0; i < 8; ++i) {
+    wrap[kPacketCountAt + i] = static_cast<unsigned char>(lie >> (8 * i));
+  }
+  write_bytes(wrap);
+  try {
+    (void)trace::Trace::load(path);
+    ADD_FAILURE() << "packet_count 2^62 was accepted";
+  } catch (const std::runtime_error& e) {
+    const std::string msg = e.what();
+    EXPECT_NE(msg.find(path), std::string::npos) << msg;
+    EXPECT_NE(msg.find("packet_count"), std::string::npos) << msg;
+  }
+
+  for (std::size_t n = 0; n < valid.size(); ++n) {
+    expect_load_or_runtime_error({valid.begin(), valid.begin() + static_cast<long>(n)},
+                                 "prefix " + std::to_string(n));
+  }
+  for (std::size_t at = 0; at < kHeaderBytes; ++at) {
+    for (int bit = 0; bit < 8; ++bit) {
+      std::vector<unsigned char> flipped = valid;
+      flipped[at] = static_cast<unsigned char>(flipped[at] ^ (1u << bit));
+      expect_load_or_runtime_error(
+          flipped, "byte " + std::to_string(at) + " bit " + std::to_string(bit));
+    }
+  }
   fs::remove(path);
 }
 
