@@ -84,10 +84,11 @@ void BM_EnergyEventBatch(benchmark::State& state) {
 }
 BENCHMARK(BM_EnergyEventBatch);
 
-/// The traffic loop alone: one `SyntheticTraffic::node_tick` over a 64×64
+/// The traffic layer alone: one `SyntheticTraffic::node_tick` over a 64×64
 /// node grid at λ = 0.0005 (the sparse64 perfbench load), with the network
-/// never stepped, so the number is the per-node arrival-process cost and
-/// does not depend on the NoC. `items_processed` counts node ticks.
+/// never stepped, so the number is the arrival calendar's cost (one check
+/// per tick, one gap draw and enqueue per packet) and does not depend on
+/// the NoC. `items_processed` counts node ticks.
 void BM_SyntheticTrafficNodeTick(benchmark::State& state) {
   noc::NetworkConfig cfg;
   cfg.width = 64;

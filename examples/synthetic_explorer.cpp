@@ -19,29 +19,24 @@
 
 using namespace nocdvfs;
 
-int main(int argc, char** argv) {
-  sim::Scenario defaults;
-  defaults.policy.lambda_max = 0.0;       // 0 = derive from measured saturation
-  defaults.policy.target_delay_ns = 0.0;  // 0 = No-DVFS delay at the derived lambda_max
+namespace {
 
-  common::Config c;
-  sim::Scenario::declare_keys(c, defaults);
-  c.declare("lambdas", "0.05,0.1,0.15,0.2,0.25,0.3,0.35", "offered loads to sweep");
-  c.declare("policies", "all", "nodvfs|rmsd|rmsd-closed|dmsd|qbsd|all (overrides policy)");
-  c.declare_int("threads", 0, "sweep worker threads (0 = all cores)");
-  c.declare_bool("help", false, "print declared keys and exit");
-  try {
-    c.parse_args(argc, argv);
-  } catch (const std::exception& e) {
-    std::cerr << e.what() << "\n";
-    return 1;
-  }
-  if (c.get_bool("help")) {
-    for (const auto& line : c.summary_lines()) std::cout << line << '\n';
-    return 0;
-  }
-
+/// Anchor, sweep and print one table; returns the exit code.
+int explore(const common::Config& c) {
   sim::Scenario base = sim::Scenario::from_config(c);
+  // lambda drives synthetic traffic only: app and trace workloads run at
+  // their own calibrated or recorded load, so a lambda axis would label
+  // identical runs with loads they did not run at.
+  std::vector<double> lambdas = c.get_double_list("lambdas");
+  if (base.workload != sim::Scenario::Workload::Synthetic && lambdas.size() > 1) {
+    if (c.was_set("lambdas")) {
+      std::cerr << "synthetic_explorer: lambdas= takes one value with workload="
+                << sim::to_string(base.workload)
+                << " (lambda does not drive it; each row prints the load it ran at)\n";
+      return 1;
+    }
+    lambdas.resize(1);
+  }
 
   const sim::PolicyConfig given = base.policy;
   if (given.lambda_max <= 0.0 || given.target_delay_ns <= 0.0) {
@@ -71,7 +66,6 @@ int main(int argc, char** argv) {
   } else {
     policies = {sim::policy_from_string(policy_str)};
   }
-  const std::vector<double> lambdas = c.get_double_list("lambdas");
 
   sim::SweepRunner::Options ropt;
   ropt.threads = static_cast<int>(c.get_int("threads"));
@@ -84,8 +78,10 @@ int main(int argc, char** argv) {
                        "Vdd[V]", "power[mW]", "delivered", "sat?"});
   for (std::size_t i = 0; i < lambdas.size(); ++i) {
     for (std::size_t p = 0; p < policies.size(); ++p) {
-      const sim::RunResult& r = recs[i * policies.size() + p].result;
-      table.add_row({common::Table::fmt(lambdas[i], 3), sim::to_string(policies[p]),
+      const sim::SweepRecord& rec = recs[i * policies.size() + p];
+      const sim::RunResult& r = rec.result;
+      table.add_row({common::Table::fmt(sim::mean_lambda(rec.point.scenario), 3),
+                     sim::to_string(policies[p]),
                      common::Table::fmt(r.avg_delay_ns, 1), common::Table::fmt(r.p99_delay_ns, 1),
                      common::Table::fmt(r.avg_latency_cycles, 1),
                      common::Table::fmt(r.avg_frequency_ghz(), 3),
@@ -96,4 +92,36 @@ int main(int argc, char** argv) {
   }
   table.print(std::cout);
   return 0;
+}
+
+}  // namespace
+
+int main(int argc, char** argv) {
+  sim::Scenario defaults;
+  defaults.policy.lambda_max = 0.0;       // 0 = derive from measured saturation
+  defaults.policy.target_delay_ns = 0.0;  // 0 = No-DVFS delay at the derived lambda_max
+
+  common::Config c;
+  sim::Scenario::declare_keys(c, defaults);
+  c.declare("lambdas", "0.05,0.1,0.15,0.2,0.25,0.3,0.35", "offered loads to sweep");
+  c.declare("policies", "all", "nodvfs|rmsd|rmsd-closed|dmsd|qbsd|all (overrides policy)");
+  c.declare_int("threads", 0, "sweep worker threads (0 = all cores)");
+  c.declare_bool("help", false, "print declared keys and exit");
+  try {
+    c.parse_args(argc, argv);
+  } catch (const std::exception& e) {
+    std::cerr << e.what() << "\n";
+    return 1;
+  }
+  if (c.get_bool("help")) {
+    for (const auto& line : c.summary_lines()) std::cout << line << '\n';
+    return 0;
+  }
+
+  try {
+    return explore(c);
+  } catch (const std::exception& e) {
+    std::cerr << "synthetic_explorer: " << e.what() << "\n";
+    return 1;
+  }
 }

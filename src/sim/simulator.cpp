@@ -1,6 +1,7 @@
 #include "sim/simulator.hpp"
 
 #include <algorithm>
+#include <sstream>
 #include <stdexcept>
 
 #include "common/stats.hpp"
@@ -238,6 +239,20 @@ class RunState {
 
     const std::uint64_t gen_delta = net.total_flits_generated() - start_gen_;
     const std::uint64_t ej_delta = net.total_flits_ejected() - start_ej_;
+    // An empty window has no delay to report: its 0 ns would read as a
+    // perfect run. Only an idle workload (offered load 0) may measure one.
+    if (gen_delta == 0 && r.packets_delivered == 0 &&
+        traffic_.offered_flits_per_node_cycle() > 0.0) {
+      std::ostringstream msg;
+      msg << "Simulator: the measurement window (" << r.measure_node_cycles
+          << " node cycles after " << r.warmup_node_cycles_used
+          << " of warmup) generated and delivered no packets, but workload '"
+          << traffic_.name() << "' offers " << traffic_.offered_flits_per_node_cycle()
+          << " flits/node-cycle: its traffic stopped before the window (an unlooped trace "
+             "shorter than the warmup? loop it or shorten the warmup) or is too sparse for a "
+             "window this short";
+      throw std::runtime_error(msg.str());
+    }
     const double nodes = static_cast<double>(ctx.n_nodes);
     r.measured_offered_lambda =
         static_cast<double>(gen_delta) / (nodes * static_cast<double>(r.measure_node_cycles));

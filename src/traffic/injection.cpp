@@ -1,5 +1,6 @@
 #include "traffic/injection.hpp"
 
+#include <cmath>
 #include <sstream>
 #include <stdexcept>
 
@@ -18,7 +19,44 @@ constexpr NamedProcess kProcesses[] = {
     {"onoff", [](double rate) { return InjectionProcess::onoff(rate); }},
 };
 
+/// Trials up to and including the first success, each with probability
+/// p ∈ (0, 1]: floor(log(u)/log1p(-p)) + 1 with u = 1 - uniform01() in
+/// (0, 1]. A count past 2^62 is `kNever`.
+std::uint64_t geometric(common::Rng& rng, double p) noexcept {
+  if (p >= 1.0) return 1;
+  const double u = 1.0 - rng.uniform01();
+  const double failures = std::floor(std::log(u) / std::log1p(-p));
+  return failures < 0x1p62 ? static_cast<std::uint64_t>(failures) + 1 : kNever;
+}
+
 }  // namespace
+
+std::uint64_t InjectionProcess::next_gap(common::Rng& rng) noexcept {
+  if (!(p_ > 0.0)) return kNever;
+  if (kind_ == Kind::Bernoulli) return geometric(rng, p_);
+  // OnOff. `gap` is the cycle under consideration, relative to the current
+  // one. Each pass crosses one OFF sojourn (if OFF) and one ON sojourn.
+  std::uint64_t gap = 0;
+  while (true) {
+    if (!on_) {
+      // OFF at `gap`: the next ON cycle is Geom(alpha) cycles later, and
+      // the ON sojourn lasts Geom(beta) cycles counting that one.
+      const std::uint64_t off = geometric(rng, alpha_);
+      if (off == kNever) return kNever;
+      gap += off - 1;
+      on_left_ = geometric(rng, beta_);  // ON cycles gap+1 .. gap+on_left_
+      on_ = true;
+    }
+    const std::uint64_t k = geometric(rng, p_);
+    if (k <= on_left_) {
+      on_left_ -= k;
+      return gap + k;
+    }
+    if (k == kNever) return kNever;
+    gap += on_left_ + 1;  // the sojourn ends empty; this cycle is OFF
+    on_ = false;
+  }
+}
 
 InjectionProcess InjectionProcess::create(const std::string& kind, double packet_rate) {
   for (const NamedProcess& p : kProcesses) {

@@ -1,27 +1,34 @@
 #pragma once
 
 /// \file injection.hpp
-/// Packet-arrival processes in the node clock domain. `fire()` is sampled
-/// once per node cycle; a true return generates one packet. Rates are in
-/// packets per node cycle (the flit rate divided by the packet size, as in
-/// BookSim's packet-based injection).
+/// Packet-arrival processes in the node clock domain. A process is a
+/// discrete-time process — at most one packet per node cycle — but it is
+/// sampled per packet: `next_gap()` draws the number of node cycles to the
+/// next arrival, and an `ArrivalCalendar` holds it until it falls due.
+/// Rates are in packets per node cycle (the flit rate divided by the packet
+/// size, as in BookSim's packet-based injection).
 ///
-/// One concrete value type covers every process, so a traffic source holds
-/// it by value and `fire()` inlines into the per-node loop:
+///  * Bernoulli — memoryless arrivals with probability `rate` each cycle.
+///    The gap between arrivals is geometric: floor(log(u)/log1p(-rate)) + 1
+///    with u uniform in (0, 1].
+///  * OnOff — a two-state Markov-modulated process (bursty traffic). It
+///    starts OFF; each cycle it first switches state (OFF->ON with alpha,
+///    ON->OFF with beta), then an ON cycle emits with probability
+///    `on_rate`. The duty cycle d = alpha/(alpha+beta) and on_rate =
+///    rate/d keep the long-run mean at `rate`. Defaults give mean burst
+///    length 1/beta = 20 cycles. Sampled as geometric OFF and ON sojourns
+///    with geometric gaps inside an ON sojourn, so one `next_gap` costs one
+///    draw per sojourn it crosses.
 ///
-///  * Bernoulli — memoryless arrivals: fire with probability `rate` each
-///    cycle.
-///  * OnOff — a two-state Markov-modulated process (bursty traffic). In the
-///    ON state packets fire with probability `on_rate`; OFF emits nothing.
-///    Transition probabilities alpha (OFF->ON) and beta (ON->OFF) set the
-///    duty cycle d = alpha/(alpha+beta); on_rate = rate/d keeps the
-///    long-run mean at `rate`. Defaults give mean burst length 1/beta = 20
-///    cycles.
+/// The draws differ from a cycle-by-cycle sampler of the same process (one
+/// draw per node per cycle); the process, and so every statistic of it, is
+/// the same.
 
 #include <cstdint>
 #include <string>
 
 #include "common/rng.hpp"
+#include "traffic/arrival_calendar.hpp"
 
 namespace nocdvfs::traffic {
 
@@ -38,16 +45,9 @@ class InjectionProcess {
   /// outside (0, 1], or a duty cycle that would need on_rate > 1.
   static InjectionProcess onoff(double rate, double alpha = 0.0125, double beta = 0.05);
 
-  bool fire(common::Rng& rng) noexcept {
-    if (kind_ == Kind::Bernoulli) return rng.bernoulli(p_);
-    // State transition first, then emission — a standard discrete MMPP.
-    if (on_) {
-      if (rng.bernoulli(beta_)) on_ = false;
-    } else {
-      if (rng.bernoulli(alpha_)) on_ = true;
-    }
-    return on_ && rng.bernoulli(p_);
-  }
+  /// Node cycles from the current cycle to the next arrival: 1 is the next
+  /// cycle. `kNever` for a process that never fires (rate 0).
+  std::uint64_t next_gap(common::Rng& rng) noexcept;
 
   Kind kind() const noexcept { return kind_; }
 
@@ -55,10 +55,11 @@ class InjectionProcess {
   InjectionProcess(Kind kind, double p) noexcept : kind_(kind), p_(p) {}
 
   Kind kind_;
-  bool on_ = false;     ///< OnOff state
-  double p_;            ///< emission probability: Bernoulli `rate`, OnOff `on_rate`
-  double alpha_ = 0.0;  ///< OnOff: P(OFF -> ON) per cycle
-  double beta_ = 0.0;   ///< OnOff: P(ON -> OFF) per cycle
+  bool on_ = false;            ///< OnOff: ON at the current cycle (else OFF)
+  std::uint64_t on_left_ = 0;  ///< OnOff, when ON: ON cycles left after the current one
+  double p_;                   ///< emission probability: Bernoulli `rate`, OnOff `on_rate`
+  double alpha_ = 0.0;         ///< OnOff: P(OFF -> ON) per cycle
+  double beta_ = 0.0;          ///< OnOff: P(ON -> OFF) per cycle
 };
 
 }  // namespace nocdvfs::traffic

@@ -22,25 +22,30 @@ RequestReplyTraffic::RequestReplyTraffic(const noc::MeshTopology& topo,
   }
   pattern_ = TrafficPattern::create(params.pattern, topo, params.seed,
                                     params.hotspot_fraction);
+  request_process_ = InjectionProcess::bernoulli(params.request_rate);
   const int n = topo.num_nodes();
   rngs_.reserve(static_cast<std::size_t>(n));
   for (NodeId node = 0; node < n; ++node) {
-    rngs_.push_back(common::Rng::for_stream(params.seed, static_cast<std::uint64_t>(node)));
+    common::Rng& rng =
+        rngs_.emplace_back(common::Rng::for_stream(params.seed, static_cast<std::uint64_t>(node)));
+    calendar_.schedule(node, request_process_.next_gap(rng));
   }
   server_queues_.resize(static_cast<std::size_t>(n));
 }
 
 void RequestReplyTraffic::node_tick(common::Picoseconds now, std::uint64_t noc_cycle,
                                     noc::Network& net) {
-  const int n = static_cast<int>(rngs_.size());
+  for (const NodeId node : calendar_.pop_due()) {
+    common::Rng& rng = rngs_[static_cast<std::size_t>(node)];
+    const NodeId dst = pattern_->pick(node, rng);
+    net.ni(node).enqueue_packet(dst, params_.request_size, now, noc_cycle, kRequestClass);
+    ++requests_issued_;
+    calendar_.schedule(node, request_process_.next_gap(rng));
+  }
+  // Serve completed requests: replies whose service interval elapsed. A
+  // node's request goes out before its replies of the same cycle.
+  const int n = static_cast<int>(server_queues_.size());
   for (NodeId node = 0; node < n; ++node) {
-    auto& rng = rngs_[static_cast<std::size_t>(node)];
-    if (rng.bernoulli(params_.request_rate)) {
-      const NodeId dst = pattern_->pick(node, rng);
-      net.ni(node).enqueue_packet(dst, params_.request_size, now, noc_cycle, kRequestClass);
-      ++requests_issued_;
-    }
-    // Serve completed requests: replies whose service interval elapsed.
     auto& queue = server_queues_[static_cast<std::size_t>(node)];
     while (!queue.empty() && queue.front().ready_ps <= now) {
       const PendingReply& r = queue.front();

@@ -6,13 +6,14 @@
 /// (Sec. III): every network traversal sits on an application's critical
 /// path twice.
 ///
-/// Each node issues requests (Bernoulli arrivals, destination pattern,
-/// traffic class 0). When a request is delivered, the destination "serves"
-/// it for a fixed number of node cycles and then issues a reply (traffic
-/// class 1) back to the requester. The reply is stamped with the
-/// *request's* creation time, so the reply's measured delay at the
-/// original node is the full round-trip time (request queueing + both
-/// network traversals + service) — the number an application would feel.
+/// Each node issues requests (Bernoulli arrivals kept in an
+/// `ArrivalCalendar`, destination pattern, traffic class 0). When a request
+/// is delivered, the destination "serves" it for a fixed number of node
+/// cycles and then issues a reply (traffic class 1) back to the requester.
+/// The reply is stamped with the *request's* creation time, so the reply's
+/// measured delay at the original node is the full round-trip time (request
+/// queueing + both network traversals + service) — the number an
+/// application would feel.
 
 #include <deque>
 #include <memory>
@@ -64,7 +65,10 @@ class RequestReplyTraffic final : public TrafficModel {
 
   RequestReplyParams params_;
   std::unique_ptr<TrafficPattern> pattern_;
-  std::vector<common::Rng> rngs_;
+  /// Request arrivals: Bernoulli, so one value serves every node.
+  InjectionProcess request_process_ = InjectionProcess::bernoulli(0.0);
+  std::vector<common::Rng> rngs_;  ///< by node id
+  ArrivalCalendar calendar_;       ///< each node's next request
   std::vector<std::deque<PendingReply>> server_queues_;  ///< per destination node
   std::uint64_t requests_issued_ = 0;
   std::uint64_t replies_issued_ = 0;

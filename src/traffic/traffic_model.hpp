@@ -9,6 +9,11 @@
 ///    (the paper's Sec. V experiments);
 ///  * MatrixTraffic — arbitrary (src, dst) packet-rate matrix in packets
 ///    per second, used for the multimedia task-graph workloads (Sec. VI).
+///
+/// Both keep each node's next arrival in an `ArrivalCalendar`, so a node
+/// tick costs per packet, not per node. Each node draws from its own
+/// stream in a fixed order: its first gap at construction, then at every
+/// arrival the destination and the next gap.
 
 #include <memory>
 #include <string>
@@ -17,6 +22,7 @@
 #include "common/rng.hpp"
 #include "common/units.hpp"
 #include "noc/network.hpp"
+#include "traffic/arrival_calendar.hpp"
 #include "traffic/injection.hpp"
 #include "traffic/pattern.hpp"
 
@@ -68,8 +74,7 @@ class SyntheticTraffic final : public TrafficModel {
   const SyntheticTrafficParams& params() const noexcept { return params_; }
 
  private:
-  /// One per node: its private stream and its arrival process, side by
-  /// side so the per-node-cycle loop walks one array.
+  /// One per node: its private stream and its arrival process.
   struct Source {
     common::Rng rng;
     InjectionProcess process;
@@ -78,10 +83,11 @@ class SyntheticTraffic final : public TrafficModel {
   SyntheticTrafficParams params_;
   std::unique_ptr<TrafficPattern> pattern_;
   std::vector<Source> sources_;  ///< by node id
+  ArrivalCalendar calendar_;
 };
 
 /// Packet-rate matrix traffic: rates_pps[src][dst] in packets per second.
-/// Arrivals are Bernoulli per node tick with per-source total probability
+/// Each source's arrivals are Bernoulli with per-node-cycle probability
 /// rate_total(src) / f_node; the destination is drawn from the per-source
 /// discrete distribution.
 class MatrixTraffic final : public TrafficModel {
@@ -96,16 +102,18 @@ class MatrixTraffic final : public TrafficModel {
   int packet_size() const noexcept { return packet_size_; }
 
  private:
-  struct SourceDist {
-    double fire_probability = 0.0;           ///< packets per node cycle
-    std::vector<double> cumulative;          ///< cumulative dst probabilities
+  struct Source {
+    explicit Source(common::Rng stream) noexcept : rng(stream) {}
+    common::Rng rng;
+    InjectionProcess process = InjectionProcess::bernoulli(0.0);
+    std::vector<double> cumulative;  ///< cumulative dst probabilities
     std::vector<noc::NodeId> destinations;
   };
 
   int packet_size_;
   double mean_lambda_ = 0.0;
-  std::vector<SourceDist> sources_;
-  std::vector<common::Rng> rngs_;
+  std::vector<Source> sources_;  ///< by node id
+  ArrivalCalendar calendar_;
 };
 
 }  // namespace nocdvfs::traffic

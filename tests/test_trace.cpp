@@ -470,6 +470,42 @@ TEST(RecordReplay, RequestReplyRoundTripIsDeterministic) {
   fs::remove(path);
 }
 
+TEST(RecordReplay, TraceThatEndsBeforeTheWindowFailsTheRun) {
+  // A 4 000-cycle capture replayed unlooped under an 8 000-cycle warmup:
+  // the measurement window sees no traffic at all. Reporting its 0 ns
+  // delay as a result would be wrong, so the run fails and says why.
+  const std::string path = temp_trace("ends_early");
+  sim::Scenario rec = base_scenario();
+  rec.phases.warmup_node_cycles = 2000;
+  rec.phases.measure_node_cycles = 2000;
+  rec.record_path = path;
+  (void)sim::run(rec);
+
+  rec.record_path.clear();
+  sim::Scenario replay = replay_of(rec, path);
+  replay.phases = short_phases();
+  try {
+    (void)sim::run(replay);
+    FAIL() << "an empty measurement window was reported as a result";
+  } catch (const std::runtime_error& e) {
+    const std::string what = e.what();
+    EXPECT_NE(what.find("generated and delivered no packets"), std::string::npos) << what;
+    EXPECT_NE(what.find("'trace'"), std::string::npos) << what;
+    EXPECT_NE(what.find("unlooped trace"), std::string::npos) << what;
+  }
+  // Looped, the same capture feeds the window.
+  replay.trace_loop = true;
+  EXPECT_GT(sim::run(replay).packets_delivered, 0u);
+  fs::remove(path);
+
+  // An idle workload (offered load 0) may still measure an empty window.
+  sim::Scenario idle = base_scenario();
+  idle.lambda = 0.0;
+  const sim::RunResult r = sim::run(idle);
+  EXPECT_EQ(r.packets_delivered, 0u);
+  EXPECT_FALSE(r.saturated);
+}
+
 TEST(RecordReplay, RmsdAndDmsdSeeTheIdenticalPacketSequence) {
   const std::string path = temp_trace("rt_policies");
   sim::Scenario rec = base_scenario();

@@ -5,13 +5,20 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cmath>
+#include <iterator>
 #include <map>
+#include <numeric>
 #include <set>
 #include <string>
+#include <vector>
 
+#include "common/assert.hpp"
 #include "common/rng.hpp"
 #include "noc/network.hpp"
 #include "sim/scenario.hpp"
+#include "traffic/arrival_calendar.hpp"
 #include "traffic/injection.hpp"
 #include "traffic/pattern.hpp"
 #include "traffic/traffic_model.hpp"
@@ -188,13 +195,109 @@ INSTANTIATE_TEST_SUITE_P(AllPatterns, PatternValidity,
 
 // ---------------------------------------------------------- injection ----
 
+/// Arrivals per window of `window` node cycles over `windows` windows,
+/// walked gap by gap from the process's first arrival.
+std::vector<int> window_counts(InjectionProcess& inj, common::Rng& rng, int windows,
+                               int window) {
+  std::vector<int> counts(static_cast<std::size_t>(windows), 0);
+  const std::uint64_t span = static_cast<std::uint64_t>(windows) * window;
+  // The first gap lands in cycle gap-1 (gap 1 is the first cycle).
+  for (std::uint64_t t = inj.next_gap(rng) - 1; t < span; t += inj.next_gap(rng)) {
+    ++counts[t / static_cast<std::uint64_t>(window)];
+  }
+  return counts;
+}
+
+/// Variance over mean of per-window counts (1 - p for a Bernoulli process).
+double index_of_dispersion(const std::vector<int>& counts) {
+  double sum = 0.0, sum2 = 0.0;
+  for (const int c : counts) {
+    sum += c;
+    sum2 += static_cast<double>(c) * c;
+  }
+  const double n = static_cast<double>(counts.size());
+  const double mean = sum / n;
+  return (sum2 / n - mean * mean) / mean;
+}
+
+/// Upper 0.1% point of the chi-square law with `df` degrees of freedom
+/// (Wilson–Hilferty; within 1% for df >= 5).
+double chi2_critical_999(int df) {
+  const double k = static_cast<double>(df);
+  const double a = 2.0 / (9.0 * k);
+  return k * std::pow(1.0 - a + 3.0902 * std::sqrt(a), 3.0);
+}
+
+/// Bins of consecutive gap values [lo, hi], each expected to hold at least
+/// `min_share` of a Geom(p) sample; the last bin is open-ended.
+struct GapBin {
+  std::uint64_t lo, hi;
+  double prob;
+};
+std::vector<GapBin> geometric_bins(double p, double min_share) {
+  std::vector<GapBin> bins;
+  const double q = 1.0 - p;
+  std::uint64_t lo = 1;
+  double tail = 1.0;  // P(G >= lo) = q^(lo-1)
+  while (tail > 2.0 * min_share) {
+    // Smallest hi with P(lo <= G <= hi) = tail - q^hi >= min_share.
+    const double target = tail - min_share;  // need q^hi <= target
+    auto hi = static_cast<std::uint64_t>(std::ceil(std::log(target) / std::log(q)));
+    hi = std::max(hi, lo);
+    const double next_tail = std::pow(q, static_cast<double>(hi));
+    bins.push_back({lo, hi, tail - next_tail});
+    lo = hi + 1;
+    tail = next_tail;
+  }
+  bins.push_back({lo, kNever, tail});
+  return bins;
+}
+
+class BernoulliGapLaw : public ::testing::TestWithParam<double> {};
+
+TEST_P(BernoulliGapLaw, GapsFollowTheGeometricLaw) {
+  // Pearson's chi-square of the sampled gaps against Geom(p), p = lambda:
+  // P(gap = k) = (1-p)^(k-1) p. The old per-cycle sampler's gaps follow
+  // the same law, so this is the check that the realization changed and
+  // the process did not.
+  const double p = GetParam();
+  InjectionProcess inj = InjectionProcess::bernoulli(p);
+  common::Rng rng(17);
+  constexpr int kSamples = 40000;
+  const std::vector<GapBin> bins = geometric_bins(p, 0.04);
+  ASSERT_GE(bins.size(), 8u);
+  std::vector<double> observed(bins.size(), 0.0);
+  double gap_sum = 0.0;
+  for (int i = 0; i < kSamples; ++i) {
+    const std::uint64_t g = inj.next_gap(rng);
+    ASSERT_GE(g, 1u);
+    gap_sum += static_cast<double>(g);
+    for (std::size_t b = 0; b < bins.size(); ++b) {
+      if (g <= bins[b].hi) {
+        observed[b] += 1.0;
+        break;
+      }
+    }
+  }
+  double chi2 = 0.0;
+  for (std::size_t b = 0; b < bins.size(); ++b) {
+    const double expected = kSamples * bins[b].prob;
+    chi2 += (observed[b] - expected) * (observed[b] - expected) / expected;
+  }
+  const int df = static_cast<int>(bins.size()) - 1;
+  EXPECT_LT(chi2, chi2_critical_999(df)) << "p=" << p << " bins=" << bins.size();
+  // Mean gap 1/p (standard error sqrt(1-p)/p/sqrt(N), < 0.5%).
+  EXPECT_NEAR(gap_sum / kSamples * p, 1.0, 0.02);
+}
+
+INSTANTIATE_TEST_SUITE_P(Lambdas, BernoulliGapLaw, ::testing::Values(0.0005, 0.01, 0.1));
+
 TEST(Injection, BernoulliRateAccuracy) {
   InjectionProcess inj = InjectionProcess::bernoulli(0.15);
   common::Rng rng(4);
-  constexpr int kN = 200000;
-  int fires = 0;
-  for (int i = 0; i < kN; ++i) fires += inj.fire(rng) ? 1 : 0;
-  EXPECT_NEAR(static_cast<double>(fires) / kN, 0.15, 0.005);
+  const std::vector<int> counts = window_counts(inj, rng, 2000, 100);
+  const double fires = std::accumulate(counts.begin(), counts.end(), 0.0);
+  EXPECT_NEAR(fires / 200000.0, 0.15, 0.005);
 }
 
 TEST(Injection, BernoulliRejectsBadRate) {
@@ -202,36 +305,109 @@ TEST(Injection, BernoulliRejectsBadRate) {
   EXPECT_THROW(InjectionProcess::bernoulli(1.1), std::invalid_argument);
 }
 
+TEST(Injection, EdgeRatesNeverFireOrFireEveryCycle) {
+  common::Rng rng(3);
+  InjectionProcess never = InjectionProcess::bernoulli(0.0);
+  InjectionProcess always = InjectionProcess::bernoulli(1.0);
+  for (int i = 0; i < 1000; ++i) {
+    EXPECT_EQ(never.next_gap(rng), kNever);
+    EXPECT_EQ(always.next_gap(rng), 1u);
+  }
+  InjectionProcess silent = InjectionProcess::onoff(0.0);
+  EXPECT_EQ(silent.next_gap(rng), kNever);
+  // alpha = beta = 1 alternates OFF/ON every cycle from OFF; with
+  // on_rate = 1 every ON cycle fires: cycles 0, 2, 4, ...
+  InjectionProcess blink = InjectionProcess::onoff(0.5, 1.0, 1.0);
+  EXPECT_EQ(blink.next_gap(rng), 1u);
+  for (int i = 0; i < 100; ++i) EXPECT_EQ(blink.next_gap(rng), 2u);
+}
+
 TEST(Injection, OnOffLongRunRateMatches) {
   InjectionProcess inj = InjectionProcess::onoff(0.1);
   common::Rng rng(5);
-  constexpr int kN = 400000;
-  int fires = 0;
-  for (int i = 0; i < kN; ++i) fires += inj.fire(rng) ? 1 : 0;
-  EXPECT_NEAR(static_cast<double>(fires) / kN, 0.1, 0.01);
+  const std::vector<int> counts = window_counts(inj, rng, 4000, 100);
+  const double fires = std::accumulate(counts.begin(), counts.end(), 0.0);
+  EXPECT_NEAR(fires / 400000.0, 0.1, 0.01);
 }
 
 TEST(Injection, OnOffIsBurstierThanBernoulli) {
-  // Compare the variance of per-window counts: the MMPP must exceed the
+  // Compare the dispersion of per-window counts: the MMPP must exceed the
   // memoryless process at equal mean rate.
   constexpr double kRate = 0.1;
-  constexpr int kWindows = 2000;
-  constexpr int kWindow = 100;
-  auto window_variance = [&](InjectionProcess& inj, common::Rng& rng) {
-    double sum = 0.0, sum2 = 0.0;
-    for (int w = 0; w < kWindows; ++w) {
-      int c = 0;
-      for (int i = 0; i < kWindow; ++i) c += inj.fire(rng) ? 1 : 0;
-      sum += c;
-      sum2 += static_cast<double>(c) * c;
-    }
-    const double mean = sum / kWindows;
-    return sum2 / kWindows - mean * mean;
-  };
   common::Rng rng1(6), rng2(6);
   InjectionProcess bern = InjectionProcess::bernoulli(kRate);
   InjectionProcess onoff = InjectionProcess::onoff(kRate);
-  EXPECT_GT(window_variance(onoff, rng2), 1.5 * window_variance(bern, rng1));
+  EXPECT_GT(index_of_dispersion(window_counts(onoff, rng2, 2000, 100)),
+            1.5 * index_of_dispersion(window_counts(bern, rng1, 2000, 100)));
+}
+
+/// The discrete MMPP cycle by cycle, as a per-cycle sampler would draw it
+/// (one transition draw and one emission draw per cycle): the oracle the
+/// sojourn sampler is checked against.
+class PerCycleOnOff {
+ public:
+  PerCycleOnOff(double rate, double alpha, double beta)
+      : on_rate_(rate * (alpha + beta) / alpha), alpha_(alpha), beta_(beta) {}
+  bool fire(common::Rng& rng) {
+    on_ = on_ ? !rng.bernoulli(beta_) : rng.bernoulli(alpha_);
+    return on_ && rng.bernoulli(on_rate_);
+  }
+
+ private:
+  bool on_ = false;
+  double on_rate_, alpha_, beta_;
+};
+
+TEST(Injection, OnOffMatchesThePerCycleProcess) {
+  // Two-sample chi-square over gap bins, plus the first arrival from the
+  // OFF start, for sojourns short enough to cross several per gap.
+  constexpr double kRate = 0.05, kAlpha = 0.05, kBeta = 0.2;
+  constexpr int kSamples = 30000;
+  constexpr std::uint64_t kEdges[] = {1, 2, 3, 4, 6, 8, 11, 15, 20, 30, 45, 70, 110};
+  constexpr std::size_t kBins = std::size(kEdges) + 1;
+  const auto bin_of = [&](std::uint64_t g) {
+    std::size_t b = 0;
+    while (b < std::size(kEdges) && g > kEdges[b]) ++b;
+    return b;
+  };
+  std::vector<double> sojourn(kBins, 0.0), per_cycle(kBins, 0.0);
+  InjectionProcess inj = InjectionProcess::onoff(kRate, kAlpha, kBeta);
+  common::Rng rng_a(21);
+  for (int i = 0; i < kSamples; ++i) sojourn[bin_of(inj.next_gap(rng_a))] += 1.0;
+  PerCycleOnOff ref(kRate, kAlpha, kBeta);
+  common::Rng rng_b(22);
+  std::uint64_t since = 0;
+  for (int n = 0; n < kSamples;) {
+    ++since;
+    if (ref.fire(rng_b)) {
+      per_cycle[bin_of(since)] += 1.0;
+      since = 0;
+      ++n;
+    }
+  }
+  double chi2 = 0.0;
+  int used = 0;
+  for (std::size_t b = 0; b < kBins; ++b) {
+    const double sum = sojourn[b] + per_cycle[b];
+    if (sum == 0.0) continue;
+    chi2 += (sojourn[b] - per_cycle[b]) * (sojourn[b] - per_cycle[b]) / sum;
+    ++used;
+  }
+  EXPECT_LT(chi2, chi2_critical_999(used - 1));
+
+  // From the OFF start the first arrival waits for the first ON cycle:
+  // its mean exceeds the stationary mean gap. Compare the two samplers.
+  constexpr int kStarts = 20000;
+  double first_sojourn = 0.0, first_per_cycle = 0.0;
+  for (int i = 0; i < kStarts; ++i) {
+    InjectionProcess fresh = InjectionProcess::onoff(kRate, kAlpha, kBeta);
+    first_sojourn += static_cast<double>(fresh.next_gap(rng_a));
+    PerCycleOnOff fresh_ref(kRate, kAlpha, kBeta);
+    std::uint64_t t = 1;
+    while (!fresh_ref.fire(rng_b)) ++t;
+    first_per_cycle += static_cast<double>(t);
+  }
+  EXPECT_NEAR(first_sojourn / first_per_cycle, 1.0, 0.03);
 }
 
 TEST(Injection, OnOffRejectsInfeasibleDuty) {
@@ -277,6 +453,85 @@ TEST(SyntheticTraffic, OfferedRateMatchesLambda) {
   EXPECT_DOUBLE_EQ(model.offered_flits_per_node_cycle(), 0.2);
 }
 
+/// Per-node packet counts of a SyntheticTraffic run on a 4×4 mesh, one
+/// vector entry per (window, node). The network is never stepped.
+std::vector<int> synthetic_window_counts(const SyntheticTrafficParams& params, int windows,
+                                         int window) {
+  noc::NetworkConfig ncfg;
+  ncfg.width = 4;
+  ncfg.height = 4;
+  noc::Network net(ncfg);
+  SyntheticTraffic model(MeshTopology(4, 4), params);
+  std::vector<int> counts;
+  std::vector<std::uint64_t> before(16, 0);
+  for (int w = 0, t = 0; w < windows; ++w) {
+    for (int i = 0; i < window; ++i, ++t) model.node_tick(t * 1000, 0, net);
+    for (NodeId node = 0; node < 16; ++node) {
+      const std::uint64_t now = net.ni(node).packets_generated();
+      counts.push_back(static_cast<int>(now - before[static_cast<std::size_t>(node)]));
+      before[static_cast<std::size_t>(node)] = now;
+    }
+  }
+  return counts;
+}
+
+TEST(SyntheticTraffic, HonoursProcessOnOff) {
+  // process=onoff through the model, not only through InjectionProcess:
+  // the long-run rate is lambda and the window counts are overdispersed.
+  SyntheticTrafficParams params;
+  params.lambda = 0.2;
+  params.packet_size = 4;  // 0.05 packets per node cycle
+  params.process = "onoff";
+  const std::vector<int> onoff = synthetic_window_counts(params, 400, 100);
+  params.process = "bernoulli";
+  const std::vector<int> bern = synthetic_window_counts(params, 400, 100);
+  const double onoff_packets = std::accumulate(onoff.begin(), onoff.end(), 0.0);
+  EXPECT_NEAR(onoff_packets * params.packet_size / (16.0 * 400 * 100), 0.2, 0.01);
+  EXPECT_NEAR(index_of_dispersion(bern), 0.95, 0.05);
+  EXPECT_GT(index_of_dispersion(onoff), 2.0 * index_of_dispersion(bern));
+}
+
+TEST(SyntheticTraffic, SameCycleArrivalsEnqueueInAscendingNodeId) {
+  noc::NetworkConfig ncfg;
+  ncfg.width = 4;
+  ncfg.height = 4;
+  noc::Network net(ncfg);
+  std::vector<NodeId> sources;
+  net.set_injection_observer([&](noc::PacketId, NodeId src, NodeId, int, std::uint8_t) {
+    sources.push_back(src);
+  });
+  SyntheticTrafficParams params;
+  params.lambda = 2.0;
+  params.packet_size = 4;  // half the nodes fire in a typical cycle
+  SyntheticTraffic model(MeshTopology(4, 4), params);
+  int multi = 0;
+  for (int t = 0; t < 500; ++t) {
+    sources.clear();
+    model.node_tick(t * 1000, 0, net);
+    EXPECT_TRUE(std::is_sorted(sources.begin(), sources.end())) << "tick " << t;
+    EXPECT_EQ(std::adjacent_find(sources.begin(), sources.end()), sources.end());
+    multi += sources.size() > 1 ? 1 : 0;
+  }
+  EXPECT_GT(multi, 400);
+}
+
+TEST(SyntheticTraffic, ZeroAndFullLoad) {
+  noc::NetworkConfig ncfg;
+  ncfg.width = 2;
+  ncfg.height = 2;
+  noc::Network net(ncfg);
+  SyntheticTrafficParams params;
+  params.packet_size = 2;
+  params.lambda = 0.0;
+  SyntheticTraffic idle(MeshTopology(2, 2), params);
+  params.lambda = 2.0;  // one packet per node cycle
+  SyntheticTraffic full(MeshTopology(2, 2), params);
+  for (int t = 0; t < 100; ++t) idle.node_tick(t * 1000, 0, net);
+  EXPECT_EQ(net.total_flits_generated(), 0u);
+  for (int t = 0; t < 100; ++t) full.node_tick(t * 1000, 0, net);
+  for (NodeId node = 0; node < 4; ++node) EXPECT_EQ(net.ni(node).packets_generated(), 100u);
+}
+
 TEST(SyntheticTraffic, RejectsInfeasibleLambda) {
   MeshTopology topo(4, 4);
   SyntheticTrafficParams params;
@@ -308,6 +563,35 @@ TEST(MatrixTraffic, RatesAndDestinationsFollowMatrix) {
   EXPECT_NEAR(model.offered_flits_per_node_cycle(), 0.02, 1e-12);
 }
 
+TEST(MatrixTraffic, PerSourceRatesFollowTheMatrix) {
+  noc::NetworkConfig ncfg;
+  ncfg.width = 2;
+  ncfg.height = 2;
+  noc::Network net(ncfg);
+  // Packets per node cycle at a 1 GHz node clock: node 0 0.2, node 1
+  // 0.01, node 2 silent, node 3 0.05 (split 1:4 over nodes 0 and 1).
+  std::vector<std::vector<double>> rates(4, std::vector<double>(4, 0.0));
+  rates[0][3] = 200e6;
+  rates[1][2] = 10e6;
+  rates[3][0] = 10e6;
+  rates[3][1] = 40e6;
+  MatrixTraffic model(rates, 1, 1e9, 7);
+  std::vector<int> to_node(4, 0);
+  net.set_injection_observer([&](noc::PacketId, NodeId src, NodeId dst, int, std::uint8_t) {
+    if (src == 3) ++to_node[static_cast<std::size_t>(dst)];
+  });
+  constexpr int kTicks = 200000;
+  for (int t = 0; t < kTicks; ++t) model.node_tick(t * 1000, 0, net);
+  const auto rate = [&](NodeId n) {
+    return static_cast<double>(net.ni(n).packets_generated()) / kTicks;
+  };
+  EXPECT_NEAR(rate(0), 0.2, 0.004);
+  EXPECT_NEAR(rate(1), 0.01, 0.001);
+  EXPECT_EQ(net.ni(2).packets_generated(), 0u);
+  EXPECT_NEAR(rate(3), 0.05, 0.002);
+  EXPECT_NEAR(static_cast<double>(to_node[1]) / (to_node[0] + to_node[1]), 0.8, 0.02);
+}
+
 TEST(MatrixTraffic, ValidationErrors) {
   EXPECT_THROW(MatrixTraffic({}, 2, 1e9, 1), std::invalid_argument);
   std::vector<std::vector<double>> ragged = {{0.0, 1.0}, {0.0}};
@@ -318,6 +602,27 @@ TEST(MatrixTraffic, ValidationErrors) {
   std::vector<std::vector<double>> too_fast(2, std::vector<double>(2, 0.0));
   too_fast[0][1] = 2e9;  // 2 packets per node cycle
   EXPECT_THROW(MatrixTraffic(too_fast, 2, 1e9, 1), std::invalid_argument);
+}
+
+// --------------------------------------------------- arrival calendar ----
+
+TEST(ArrivalCalendar, PopsDueNodesInAscendingIdOnItsOwnTicks) {
+  ArrivalCalendar cal;
+  // Scheduled out of order; node 9 twice as far out.
+  cal.schedule(7, 2);
+  cal.schedule(3, 2);
+  cal.schedule(9, 4);
+  cal.schedule(5, 2);
+  cal.schedule(1, kNever);  // rate 0: never enters the calendar
+  EXPECT_TRUE(cal.pop_due().empty());  // tick 1
+  EXPECT_EQ(cal.pop_due(), (std::vector<NodeId>{3, 5, 7}));  // tick 2
+  EXPECT_EQ(cal.tick(), 2u);
+  cal.schedule(3, 1);  // relative to tick 2: due at tick 3
+  cal.schedule(0, 2);  // due at tick 4, with node 9
+  EXPECT_EQ(cal.pop_due(), (std::vector<NodeId>{3}));
+  EXPECT_EQ(cal.pop_due(), (std::vector<NodeId>{0, 9}));
+  for (int t = 0; t < 1000; ++t) EXPECT_TRUE(cal.pop_due().empty());
+  EXPECT_THROW(cal.schedule(2, 0), common::InvariantViolation);
 }
 
 }  // namespace
