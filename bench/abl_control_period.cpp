@@ -21,13 +21,12 @@ int main(int argc, char** argv) {
   if (!h.parse(argc, argv)) return h.exit_code();
 
   const sim::Scenario base = h.scenario();
-  const auto anchors = sim::find_anchors(base, bench::bench_saturation_options());
+  const auto anchors = h.anchor(base);
   const double lambda = 0.45 * anchors.lambda_sat;
-  std::cout << "operating point lambda = " << common::Table::fmt(lambda, 3)
-            << ", target = " << common::Table::fmt(anchors.target_delay_ns, 1) << " ns\n\n";
+  std::cout << "operating point lambda = " << common::Table::fmt(lambda, 3) << "\n\n";
 
   sim::Scenario op = sim::anchored(base, anchors);
-  op.lambda = lambda;
+  sim::set_offered_lambda(op, lambda);
   op.policy.policy = sim::Policy::Dmsd;
 
   const std::vector<std::uint64_t> periods = {2500, 5000, 10000, 20000, 40000};
@@ -58,9 +57,9 @@ int main(int argc, char** argv) {
   sim::Scenario big = base;
   big.network.width = 8;
   big.network.height = 8;
-  const auto big_anchors = sim::find_anchors(big, bench::bench_saturation_options());
+  const auto big_anchors = h.anchor(big);
   big = sim::anchored(big, big_anchors);
-  big.lambda = 0.45 * big_anchors.lambda_sat;
+  sim::set_offered_lambda(big, 0.45 * big_anchors.lambda_sat);
   big.policy.policy = sim::Policy::Dmsd;
   const sim::RunResult r = sim::run(big);
   std::cout << "  8x8 DMSD: delay " << common::Table::fmt(r.avg_delay_ns, 1) << " ns vs target "

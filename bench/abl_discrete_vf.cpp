@@ -21,12 +21,12 @@ int main(int argc, char** argv) {
   if (!h.parse(argc, argv)) return h.exit_code();
 
   const sim::Scenario base = h.scenario();
-  const auto anchors = sim::find_anchors(base, bench::bench_saturation_options());
+  const auto anchors = h.anchor(base);
   const double lambda = 0.45 * anchors.lambda_sat;
   std::cout << "operating point lambda = " << common::Table::fmt(lambda, 3) << "\n\n";
 
   sim::Scenario op = sim::anchored(base, anchors);
-  op.lambda = lambda;
+  sim::set_offered_lambda(op, lambda);
 
   const std::vector<sim::Policy> policies = {sim::Policy::Rmsd, sim::Policy::Dmsd};
   const std::vector<int> levels = {0, 16, 8, 4};

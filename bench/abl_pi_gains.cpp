@@ -22,10 +22,9 @@ int main(int argc, char** argv) {
   if (!h.parse(argc, argv)) return h.exit_code();
 
   const sim::Scenario base = h.scenario();
-  const auto anchors = sim::find_anchors(base, bench::bench_saturation_options());
+  const auto anchors = h.anchor(base);
   const double lambda = 0.45 * anchors.lambda_sat;
-  std::cout << "operating point lambda = " << common::Table::fmt(lambda, 3)
-            << ", target = " << common::Table::fmt(anchors.target_delay_ns, 1) << " ns\n\n";
+  std::cout << "operating point lambda = " << common::Table::fmt(lambda, 3) << "\n\n";
 
   struct GainPair {
     double ki, kp;
@@ -42,7 +41,7 @@ int main(int argc, char** argv) {
   };
 
   sim::Scenario op = sim::anchored(base, anchors);
-  op.lambda = lambda;
+  sim::set_offered_lambda(op, lambda);
   op.policy.policy = sim::Policy::Dmsd;
 
   sim::SweepAxis gain_axis = sim::SweepAxis::custom("gains", {});

@@ -25,14 +25,14 @@ int main(int argc, char** argv) {
   if (!h.parse(argc, argv)) return h.exit_code();
 
   const sim::Scenario base = h.scenario();
-  const auto anchors = sim::find_anchors(base, bench::bench_saturation_options());
+  const auto anchors = h.anchor(base);
 
   // Calibrate the occupancy setpoint the same way the paper calibrates the
   // DMSD target: measure occupancy when the network delivers the target
   // delay (No-DVFS at lambda_max would be ~saturated occupancy; instead
   // use the occupancy of the DMSD operating point at mid load).
   sim::Scenario probe = sim::anchored(base, anchors);
-  probe.lambda = 0.45 * anchors.lambda_sat;
+  sim::set_offered_lambda(probe, 0.45 * anchors.lambda_sat);
   probe.policy.policy = sim::Policy::Dmsd;
   const sim::RunResult dmsd_ref = sim::run(probe);
   // Calibrate the proxy on the target: the occupancy the network actually
@@ -40,9 +40,7 @@ int main(int argc, char** argv) {
   // this setpoint should replicate DMSD there and reveal where the proxy
   // breaks elsewhere.
   const double est_occupancy = std::clamp(dmsd_ref.avg_buffer_occupancy, 0.01, 0.6);
-  std::cout << "lambda_max = " << common::Table::fmt(anchors.lambda_max, 3)
-            << "   DMSD target = " << common::Table::fmt(anchors.target_delay_ns, 1)
-            << " ns   QBSD setpoint = " << common::Table::fmt(est_occupancy, 3)
+  std::cout << "QBSD setpoint = " << common::Table::fmt(est_occupancy, 3)
             << " (occupancy measured at the DMSD operating point)\n\n";
 
   sim::Scenario op = sim::anchored(base, anchors);

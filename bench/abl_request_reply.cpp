@@ -45,12 +45,8 @@ int main(int argc, char** argv) {
 
   const sim::Scenario base = h.scenario();
   std::cout << "Anchoring on uniform traffic (same router, same lambda_max law)...\n";
-  const auto anchors = sim::find_anchors(base, bench::bench_saturation_options());
-  std::cout << "lambda_max = " << common::Table::fmt(anchors.lambda_max, 3)
-            << "   DMSD target = " << common::Table::fmt(anchors.target_delay_ns, 1)
-            << " ns (one-way; RTT adds the return path and service)\n\n";
-
-  sim::Scenario op = sim::anchored(base, anchors);
+  sim::Scenario op = sim::anchored(base, h.anchor(base));
+  std::cout << "(the DMSD target is one-way; RTT adds the return path and service)\n\n";
   op.workload = sim::Scenario::Workload::Custom;
 
   const std::vector<double> rates = {0.002, 0.005, 0.010, 0.015};

@@ -25,8 +25,7 @@ int main(int argc, char** argv) {
   if (!h.parse(argc, argv)) return h.exit_code();
 
   const sim::Scenario base = h.scenario();
-  const auto anchors = sim::find_anchors(base, bench::bench_saturation_options());
-  std::cout << "lambda_max = " << common::Table::fmt(anchors.lambda_max, 3) << "\n\n";
+  const auto anchors = h.anchor(base);
 
   const auto lambdas = bench::lambda_sweep(anchors.lambda_sat, bench::sweep_points(5, 3));
   const std::vector<sim::Policy> policies = {sim::Policy::Rmsd, sim::Policy::RmsdClosed};

@@ -30,7 +30,7 @@ int main(int argc, char** argv) {
   if (!h.parse(argc, argv)) return h.exit_code();
 
   const sim::Scenario base = h.scenario();
-  const auto anchors = sim::find_anchors(base, bench::bench_saturation_options());
+  const auto anchors = h.anchor(base);
   const double lambda_lo = 0.3 * anchors.lambda_max;
   const double lambda_hi = 0.8 * anchors.lambda_max;
 
@@ -39,8 +39,7 @@ int main(int argc, char** argv) {
   const common::Picoseconds step_ps = 300000ull * 1000ull;  // node cycle 300k
 
   std::cout << "load step: " << common::Table::fmt(lambda_lo, 3) << " -> "
-            << common::Table::fmt(lambda_hi, 3) << " flits/cycle/node at t = 300 us\n"
-            << "DMSD target = " << common::Table::fmt(anchors.target_delay_ns, 1) << " ns\n\n";
+            << common::Table::fmt(lambda_hi, 3) << " flits/cycle/node at t = 300 us\n\n";
 
   sim::Scenario op = sim::anchored(base, anchors);
   op.workload = sim::Scenario::Workload::Custom;

@@ -3,11 +3,17 @@
 /// \file bench_common.hpp
 /// Shared scaffolding for the figure-reproduction benches, built on the
 /// declarative `sim::Scenario` + `sim::SweepRunner` API: paper-faithful
-/// default phases, the saturation-search options every bench anchors with
-/// (`sim::find_anchors`), a `Harness` that gives every bench `key=value`
-/// overrides, `--help` (`help=1`), parallel sweep execution (`threads=N`)
+/// default phases, a `Harness` that gives every bench `key=value`
+/// overrides, `--help` (`help=1`), the one anchoring call
+/// (`Harness::anchor`: `sim::find_anchors` with the bench saturation
+/// options, printed as one line), parallel sweep execution (`threads=N`)
 /// and machine-readable output (`csv=…` / `json=…`, e.g. under
 /// `bench/out/`), and uniform banner output.
+///
+/// λ is the load of every workload. Benches set it only through
+/// `sim::set_offered_lambda` and `sim::SweepAxis::lambda`, which write the
+/// workload's own load field (synthetic λ, app speed, trace time-warp), so
+/// a bench run with `workload=app|trace` runs each row at its λ label.
 ///
 /// Fast mode: pass `fast=1` to shrink sweeps and phases (~4× faster,
 /// coarser curves). Every Scenario key, with its default and help text,
@@ -24,6 +30,7 @@
 #include <vector>
 
 #include "common/config.hpp"
+#include "common/table.hpp"
 #include "sim/saturation.hpp"
 #include "sim/scenario.hpp"
 #include "sim/sweep.hpp"
@@ -163,6 +170,22 @@ class Harness {
 
   /// The base scenario described by the (possibly overridden) config.
   sim::Scenario scenario() const { return sim::Scenario::from_config(config_); }
+
+  /// The paper's anchors for `base` (sim::find_anchors with
+  /// bench_saturation_options()), printed as one line. Apply them with
+  /// sim::anchored *before* setting a load: an app's calibration rescales
+  /// the field its load is read from.
+  static sim::Anchors anchor(const sim::Scenario& base) {
+    const sim::Anchors a = sim::find_anchors(base, bench_saturation_options());
+    std::cout << "lambda_sat = " << common::Table::fmt(a.lambda_sat, 3)
+              << "   lambda_max = " << common::Table::fmt(a.lambda_max, 3)
+              << "   DMSD target = " << common::Table::fmt(a.target_delay_ns, 1) << " ns";
+    if (a.traffic_scale > 0.0) {
+      std::cout << "   (app: traffic_scale " << a.traffic_scale << " puts lambda_max at speed 1.0)";
+    }
+    std::cout << "\n";
+    return a;
+  }
 
   /// Run the cross product of `axes` over `base` on the worker pool,
   /// streaming results to any configured CSV/JSONL sinks. Records come

@@ -34,12 +34,7 @@ void run_app(bench::Harness& h, const std::string& app) {
 
   // Calibrate the rate matrix (speed 1.0 = 0.9 × saturation) and derive
   // λ_max and the DMSD target at speed 1.0.
-  const auto anchors = sim::find_anchors(base, bench::bench_saturation_options());
-  std::cout << "calibration: saturation at speed " << common::Table::fmt(anchors.saturation, 2)
-            << " (pre-scale) -> speed 1.0 = 0.9x saturation;  lambda_max = "
-            << common::Table::fmt(anchors.lambda_max, 3) << ";  DMSD target = "
-            << common::Table::fmt(anchors.target_delay_ns, 1) << " ns\n";
-  base = sim::anchored(base, anchors);
+  base = sim::anchored(base, h.anchor(base));
 
   const int points = bench::sweep_points(9, 5);
   std::vector<double> speeds;

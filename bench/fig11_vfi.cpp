@@ -65,25 +65,24 @@ int main(int argc, char** argv) {
   auto hotspot_anchored = [&](sim::Scenario s) {
     s.pattern = "hotspot";
     if (!have_hotspot_anchors) {
-      hotspot_anchors = sim::find_anchors(s, bench::bench_saturation_options());
+      hotspot_anchors = h.anchor(s);
       have_hotspot_anchors = true;
     }
-    s.lambda = 0.6 * hotspot_anchors.lambda_sat;
-    return sim::anchored(s, hotspot_anchors);
+    s = sim::anchored(s, hotspot_anchors);
+    sim::set_offered_lambda(s, 0.6 * hotspot_anchors.lambda_sat);
+    return s;
   };
 
   for (const std::string& workload : common::split_csv(h.config().get_string("workloads"))) {
     sim::Scenario base = h.scenario();
     std::cout << "\n--- workload: " << workload << " ---\n";
-    sim::Anchors anchors{};
     if (workload == "hotspot") {
       base = hotspot_anchored(base);
-      anchors = hotspot_anchors;
     } else if (workload == "transpose") {
       base.pattern = "transpose";
-      anchors = sim::find_anchors(base, bench::bench_saturation_options());
-      base.lambda = 0.6 * anchors.lambda_sat;
+      const auto anchors = h.anchor(base);
       base = sim::anchored(base, anchors);
+      sim::set_offered_lambda(base, 0.6 * anchors.lambda_sat);
     } else if (workload == "trace") {
       // Record the anchored hotspot stream once (No-DVFS, so the captured
       // injection sequence is policy-independent), then replay the
@@ -99,7 +98,6 @@ int main(int argc, char** argv) {
       rec.record_path = trace_file;
       sim::run(rec);
       base = hotspot_anchored(h.scenario());
-      anchors = hotspot_anchors;
       base.workload = sim::Scenario::Workload::Trace;
       base.trace_path = trace_file;
       base.trace_loop = true;
@@ -108,11 +106,6 @@ int main(int argc, char** argv) {
       std::cerr << "unknown workload '" << workload << "' (skipping)\n";
       continue;
     }
-    std::cout << "lambda_sat = " << common::Table::fmt(anchors.lambda_sat, 3)
-              << "   lambda_max = " << common::Table::fmt(anchors.lambda_max, 3)
-              << "   DMSD target = " << common::Table::fmt(anchors.target_delay_ns, 1)
-              << " ns\n";
-
     const auto recs =
         h.sweep(base, {sim::SweepAxis::islands(layouts), sim::SweepAxis::policies(policies)},
                 "fig11-" + workload);

@@ -67,11 +67,12 @@ int main(int argc, char** argv) {
   auto hotspot_anchored = [&](sim::Scenario s) {
     s.pattern = "hotspot";
     if (!have_hotspot_anchors) {
-      hotspot_anchors = sim::find_anchors(s, bench::bench_saturation_options());
+      hotspot_anchors = h.anchor(s);
       have_hotspot_anchors = true;
     }
-    s.lambda = 0.6 * hotspot_anchors.lambda_sat;
-    return sim::anchored(s, hotspot_anchors);
+    s = sim::anchored(s, hotspot_anchors);
+    sim::set_offered_lambda(s, 0.6 * hotspot_anchors.lambda_sat);
+    return s;
   };
 
   for (const std::string& workload : common::split_csv(h.config().get_string("workloads"))) {
@@ -81,9 +82,9 @@ int main(int argc, char** argv) {
       base = hotspot_anchored(base);
     } else if (workload == "transpose") {
       base.pattern = "transpose";
-      const auto anchors = sim::find_anchors(base, bench::bench_saturation_options());
-      base.lambda = 0.6 * anchors.lambda_sat;
+      const auto anchors = h.anchor(base);
       base = sim::anchored(base, anchors);
+      sim::set_offered_lambda(base, 0.6 * anchors.lambda_sat);
     } else if (workload == "trace") {
       // Record the anchored hotspot stream once (No-DVFS, policy-free
       // capture), then replay the identical packets under every cell.

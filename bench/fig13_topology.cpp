@@ -91,20 +91,16 @@ int main(int argc, char** argv) {
   // same offered load and policy parameters, so row differences are
   // attributable to the shape and the routing alone. (Re-anchoring per
   // topology would also break the mesh-row identity with `baseline`.)
-  const auto anchors = sim::find_anchors(h.scenario(), bench::bench_saturation_options());
+  const auto anchors = h.anchor(h.scenario());
   auto anchored_base = [&] {
-    sim::Scenario s = h.scenario();
-    s.lambda = 0.6 * anchors.lambda_sat;
+    sim::Scenario s = sim::anchored(h.scenario(), anchors);
+    sim::set_offered_lambda(s, 0.6 * anchors.lambda_sat);
     // Sweeps share one base scenario; a telemetry_out here would collide
     // across points (the sweep rejects duplicate export basenames). The
     // dedicated export run below honours it instead.
     s.telemetry_out.clear();
-    return sim::anchored(s, anchors);
+    return s;
   };
-  std::cout << "lambda_sat(mesh) = " << common::Table::fmt(anchors.lambda_sat, 3)
-            << "   lambda_max = " << common::Table::fmt(anchors.lambda_max, 3)
-            << "   DMSD target = " << common::Table::fmt(anchors.target_delay_ns, 1)
-            << " ns\n";
 
   // --- topology x routing x policy matrix ---------------------------------
   const auto recs = h.sweep(

@@ -75,19 +75,15 @@ int main(int argc, char** argv) {
 
   // One anchor set, derived on the paper's mesh, shared by every cell so
   // tail differences are attributable to the policy and the shape alone.
-  const auto anchors = sim::find_anchors(h.scenario(), bench::bench_saturation_options());
+  const auto anchors = h.anchor(h.scenario());
   auto anchored_base = [&] {
-    sim::Scenario s = h.scenario();
-    s.lambda = 0.6 * anchors.lambda_sat;
+    sim::Scenario s = sim::anchored(h.scenario(), anchors);
+    sim::set_offered_lambda(s, 0.6 * anchors.lambda_sat);
     // Sweeps share one base scenario; a telemetry_out here would collide
     // across points. The dedicated export run below honours it instead.
     s.telemetry_out.clear();
-    return sim::anchored(s, anchors);
+    return s;
   };
-  std::cout << "lambda_sat(mesh) = " << common::Table::fmt(anchors.lambda_sat, 3)
-            << "   lambda_max = " << common::Table::fmt(anchors.lambda_max, 3)
-            << "   DMSD target = " << common::Table::fmt(anchors.target_delay_ns, 1)
-            << " ns\n";
 
   // --- topology x policy matrix -------------------------------------------
   // The first P rows are the mesh rows the baseline group must reproduce

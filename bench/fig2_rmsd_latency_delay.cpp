@@ -26,10 +26,10 @@ int main(int argc, char** argv) {
 
   const sim::Scenario base = h.scenario();
   std::cout << "Measuring saturation rate...\n";
-  const auto anchors = sim::find_anchors(base, bench::bench_saturation_options());
+  const auto anchors = h.anchor(base);
   const double lambda_min = anchors.lambda_max / 3.0;  // F_min/F_max = 1/3
-  std::cout << "lambda_sat = " << anchors.lambda_sat << "   lambda_max = " << anchors.lambda_max
-            << "   lambda_min = " << lambda_min << "  (paper: sat 0.42, lambda_max 0.378)\n\n";
+  std::cout << "lambda_min = " << common::Table::fmt(lambda_min, 3)
+            << "  (paper: sat 0.42, lambda_max 0.378)\n\n";
 
   auto lambdas = bench::lambda_sweep(anchors.lambda_sat, bench::sweep_points(12, 7));
   // Make sure the λ_min knee itself is sampled: that is where the delay

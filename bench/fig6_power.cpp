@@ -21,9 +21,8 @@ int main(int argc, char** argv) {
 
   const sim::Scenario base = h.scenario();
   std::cout << "Measuring saturation rate...\n";
-  const auto anchors = sim::find_anchors(base, bench::bench_saturation_options());
-  std::cout << "lambda_max = " << anchors.lambda_max << "   DMSD target = "
-            << common::Table::fmt(anchors.target_delay_ns, 1) << " ns\n\n";
+  const auto anchors = h.anchor(base);
+  std::cout << "\n";
 
   const auto lambdas = bench::lambda_sweep(anchors.lambda_sat, bench::sweep_points(10, 6));
   const std::vector<sim::Policy> policies = {sim::Policy::NoDvfs, sim::Policy::Rmsd,

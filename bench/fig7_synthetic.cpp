@@ -30,11 +30,7 @@ int main(int argc, char** argv) {
     sim::Scenario base = h.scenario();
     base.pattern = pattern;
     std::cout << "\n--- pattern: " << pattern << " ---\n";
-    const auto anchors = sim::find_anchors(base, bench::bench_saturation_options());
-    std::cout << "lambda_sat = " << common::Table::fmt(anchors.lambda_sat, 3)
-              << "   lambda_max = " << common::Table::fmt(anchors.lambda_max, 3)
-              << "   DMSD target = " << common::Table::fmt(anchors.target_delay_ns, 1)
-              << " ns\n";
+    const auto anchors = h.anchor(base);
 
     const auto lambdas = bench::lambda_sweep(anchors.lambda_sat, bench::sweep_points(8, 5));
     const std::vector<sim::Policy> policies = {sim::Policy::NoDvfs, sim::Policy::Rmsd,

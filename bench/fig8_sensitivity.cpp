@@ -74,7 +74,7 @@ int main(int argc, char** argv) {
 
   for (const Variant& v : build_variants(h.scenario())) {
     std::cout << "anchoring " << v.family << " / " << v.label << "...\n";
-    const auto anchors = sim::find_anchors(v.scenario, bench::bench_saturation_options());
+    const auto anchors = h.anchor(v.scenario);
     // Two operating points: mid load and high load (fractions of λ_sat).
     std::vector<double> lambdas;
     for (const double frac : fracs) lambdas.push_back(frac * anchors.lambda_sat);

@@ -9,6 +9,7 @@
 
 #include <benchmark/benchmark.h>
 
+#include <memory>
 #include <string>
 
 #include "common/rng.hpp"
@@ -93,15 +94,24 @@ void BM_SyntheticTrafficNodeTick(benchmark::State& state) {
   noc::NetworkConfig cfg;
   cfg.width = 64;
   cfg.height = 64;
-  noc::Network net(cfg);
+  auto net = std::make_unique<noc::Network>(cfg);
   traffic::SyntheticTrafficParams params;
   params.lambda = 0.0005;
   traffic::SyntheticTraffic gen(noc::MeshTopology(cfg.width, cfg.height), params);
+  // Nothing steps the network, so generated packets queue in the NIs; a
+  // fresh network every kTicksPerClear ticks (untimed) keeps the queues,
+  // and the bench's memory, bounded whatever the iteration count.
+  constexpr std::uint64_t kTicksPerClear = 1u << 16;
   std::uint64_t cycle = 0;
   for (auto _ : state) {
-    gen.node_tick(static_cast<common::Picoseconds>(cycle) * 1000, cycle, net);
+    gen.node_tick(static_cast<common::Picoseconds>(cycle) * 1000, cycle, *net);
     benchmark::ClobberMemory();
-    ++cycle;
+    if (++cycle % kTicksPerClear == 0) {
+      state.PauseTiming();
+      net.reset();  // free the old network first: one 64x64 network at a time
+      net = std::make_unique<noc::Network>(cfg);
+      state.ResumeTiming();
+    }
   }
   state.SetItemsProcessed(state.iterations() * cfg.num_nodes());
 }

@@ -95,7 +95,7 @@ int main(int argc, char** argv) {
   common::Table rep_table({"policy", "power mean[mW]", "stddev", "95% CI half-width"});
   for (const sim::Policy policy : {sim::Policy::Rmsd, sim::Policy::Dmsd}) {
     sim::Scenario cfg = base;
-    cfg.lambda = 0.2;
+    sim::set_offered_lambda(cfg, 0.2);
     cfg.policy.policy = policy;
     const auto rep =
         sim::replicate(cfg, static_cast<int>(c.get_int("seeds")), 42, threads);

@@ -1,12 +1,14 @@
 /// \file synthetic_explorer.cpp
-/// Command-line sweep tool over the synthetic-traffic experiment space.
-/// Every knob of the paper's Secs. III–V is exposed as key=value via
+/// Command-line sweep tool over the experiment space. Every knob of the
+/// paper's Secs. III–V is exposed as key=value via
 /// `Scenario::declare_keys`, e.g.:
 ///
 ///   $ ./synthetic_explorer pattern=tornado policies=dmsd width=8 height=8
 ///
 /// Pass policies=all to compare nodvfs/rmsd/dmsd side by side; the
-/// lambda × policy grid executes in parallel through `SweepRunner`.
+/// lambda × policy grid executes in parallel through `SweepRunner`. λ is
+/// the load of every workload: under `workload=app|trace` each point sets
+/// the app speed or replay time-warp that offers it.
 
 #include <iostream>
 #include <vector>
@@ -24,19 +26,7 @@ namespace {
 /// Anchor, sweep and print one table; returns the exit code.
 int explore(const common::Config& c) {
   sim::Scenario base = sim::Scenario::from_config(c);
-  // lambda drives synthetic traffic only: app and trace workloads run at
-  // their own calibrated or recorded load, so a lambda axis would label
-  // identical runs with loads they did not run at.
-  std::vector<double> lambdas = c.get_double_list("lambdas");
-  if (base.workload != sim::Scenario::Workload::Synthetic && lambdas.size() > 1) {
-    if (c.was_set("lambdas")) {
-      std::cerr << "synthetic_explorer: lambdas= takes one value with workload="
-                << sim::to_string(base.workload)
-                << " (lambda does not drive it; each row prints the load it ran at)\n";
-      return 1;
-    }
-    lambdas.resize(1);
-  }
+  const std::vector<double> lambdas = c.get_double_list("lambdas");
 
   const sim::PolicyConfig given = base.policy;
   if (given.lambda_max <= 0.0 || given.target_delay_ns <= 0.0) {
@@ -45,11 +35,8 @@ int explore(const common::Config& c) {
     if (given.lambda_max > 0.0) {
       base.policy.lambda_max = given.lambda_max;
     } else {
-      std::cout << "# measured lambda_sat=" << anchors.lambda_sat;
-      if (base.workload == sim::Scenario::Workload::Trace) {
-        std::cout << " (saturating time-warp " << std::to_string(anchors.saturation) << ")";
-      }
-      std::cout << "  lambda_max=" << anchors.lambda_max << "\n";
+      std::cout << "# measured lambda_sat=" << anchors.lambda_sat
+                << "  lambda_max=" << anchors.lambda_max << "\n";
     }
     if (given.target_delay_ns > 0.0) {
       base.policy.target_delay_ns = given.target_delay_ns;

@@ -61,7 +61,7 @@ int main() {
   std::cout << "Measuring saturation rate (short probe runs)...\n";
   const sim::Anchors anchors = sim::find_anchors(cfg);
   cfg = sim::anchored(cfg, anchors);
-  cfg.lambda = 0.7 * anchors.lambda_sat;
+  sim::set_offered_lambda(cfg, 0.7 * anchors.lambda_sat);
 
   // 2. Free-running thermal runs: how hot does each control family drive
   //    the die? The cap is set genuinely out of reach (not just the 85 C

@@ -35,7 +35,7 @@ int main() {
   std::cout << "Measuring saturation rate (short probe runs)...\n";
   const sim::Anchors anchors = sim::find_anchors(cfg);
   cfg = sim::anchored(cfg, anchors);
-  cfg.lambda = 0.6 * anchors.lambda_sat;
+  sim::set_offered_lambda(cfg, 0.6 * anchors.lambda_sat);
   cfg.policy.policy = sim::Policy::Dmsd;
 
   // 2. The same scenario under the global domain and under quadrant

@@ -32,16 +32,14 @@ struct SaturationSearchOptions {
 };
 
 /// Saturation point of `base`'s workload, probed with No-DVFS runs
-/// (policy/phases fields of `base` are ignored). The bisected quantity —
-/// and hence the returned value — depends on the workload variant:
-/// offered λ (flits/node-cycle/node) for Synthetic, relative application
-/// speed for App at the scenario's traffic_scale, and the replay
-/// time-warp (`trace_scale`) for Trace. Trace probes force
-/// `trace_loop` so a finite capture acts as a steady-state source, and —
-/// because scale 1.0 only means "as recorded" — `hi` grows geometrically
-/// (up to 256×`opt.hi`) until the replay saturates; if it never does,
-/// the expanded `hi` is returned. Custom workloads throw
-/// std::invalid_argument (their load axis is not expressible here).
+/// (policy/phases fields of `base` are ignored). The search bisects the
+/// offered load λ (flits/node-cycle/node) over [opt.lo, opt.hi] for every
+/// workload, writing each probe's load through `load_axis` (see
+/// scenario.hpp), and returns the saturating value of the workload's load
+/// field: λ for Synthetic, app speed at the scenario's traffic_scale, and
+/// the replay time-warp (`trace_scale`) for Trace. Trace probes force
+/// `trace_loop` so a finite capture acts as a steady-state source. Custom
+/// workloads throw std::invalid_argument naming the workload.
 double find_saturation(Scenario base, const SaturationSearchOptions& opt = {});
 
 /// The paper's operating point: λ_max sits this fraction of the saturating
@@ -52,8 +50,8 @@ inline constexpr double kLambdaMaxFraction = 0.9;
 /// holds delay constant in NoC cycles, not in ns: below λ_max its clock
 /// slows and its ns delay grows (Fig. 4).
 struct Anchors {
-  /// The saturating value on the workload's own load axis (see
-  /// find_saturation): λ, app speed at the provisional scale, or warp.
+  /// The saturating value of the workload's load field (find_saturation):
+  /// λ, app speed at the base traffic_scale, or the time-warp.
   double saturation = 0.0;
   double lambda_sat = 0.0;       ///< saturating offered load, flits/node-cycle/node
   double lambda_max = 0.0;       ///< RMSD's load target, at 0.9 of the saturating axis value
@@ -63,19 +61,16 @@ struct Anchors {
   double traffic_scale = 0.0;
 };
 
-/// Anchors of `base`'s workload: bisects its load axis (find_saturation
-/// with `opt`), places the operating point at kLambdaMaxFraction × the
-/// saturating axis value, reads λ_sat and λ_max through `mean_lambda`, and
-/// takes the DMSD target from one No-DVFS run there with `base`'s own
+/// Anchors of `base`'s workload: finds the saturating field value
+/// (find_saturation with `opt`), reads λ_sat through the load axis, places
+/// the operating point at kLambdaMaxFraction × the saturating field value,
+/// and takes the DMSD target from one No-DVFS run there with `base`'s own
 /// phases.
-///  - Synthetic: λ_max = 0.9·λ_sat; the probe runs at λ = λ_max.
-///  - Trace: λ_sat = mean_lambda at the saturating warp, λ_max = 0.9·λ_sat;
-///    the probe loops the replay at warp 0.9·saturation.
-///  - App: the rate matrix is calibrated first (Fig. 10): a provisional
-///    traffic_scale puts speed 1.0 at λ = 0.35, the speed axis is bisected
-///    over [opt.lo, max(opt.hi, 2)], and traffic_scale is rescaled by
-///    0.9·saturation so speed 1.0 is the operating point; λ_max is
-///    mean_lambda there.
+///  - Synthetic and Trace: λ_max = 0.9·λ_sat; the probe runs with the load
+///    field at 0.9 × saturation (a trace loops its replay).
+///  - App: the rate matrix is calibrated instead (Fig. 10): traffic_scale
+///    is multiplied by 0.9 × the saturating speed, so speed 1.0 is the
+///    operating point; λ_max is mean_lambda there.
 ///  - Custom: throws std::invalid_argument, as find_saturation does.
 Anchors find_anchors(const Scenario& base, const SaturationSearchOptions& opt = {});
 

@@ -592,29 +592,52 @@ RunResult run(const Scenario& scenario) {
   return make_simulator(scenario)->run(scenario.phases);
 }
 
-double mean_lambda(const Scenario& scenario) {
+void LoadAxis::set(Scenario& scenario, double lambda) const {
+  if (!(lambda_per_unit > 0.0)) {
+    throw std::invalid_argument(std::string("set_offered_lambda: no value of ") + name +
+                                " offers any load");
+  }
+  scenario.*field = value_at(lambda);
+}
+
+LoadAxis load_axis(const Scenario& scenario) {
+  LoadAxis axis;
   switch (scenario.workload) {
     case Scenario::Workload::Synthetic:
-      return scenario.lambda;
+      return axis;
     case Scenario::Workload::App: {
       const apps::TaskGraph graph = app_graph(scenario.app);
-      return scenario.traffic_scale *
-             graph.mean_lambda(apps::kReferenceFps * scenario.speed, scenario.packet_size,
-                               scenario.f_node);
+      axis.name = "speed";
+      axis.field = &Scenario::speed;
+      axis.lambda_per_unit =
+          scenario.traffic_scale *
+          graph.mean_lambda(apps::kReferenceFps, scenario.packet_size, scenario.f_node);
+      return axis;
     }
     case Scenario::Workload::Trace: {
       if (scenario.trace_path.empty()) {
-        throw std::invalid_argument("mean_lambda: workload=trace requires trace=<path>");
+        throw std::invalid_argument("workload=trace requires trace=<path>");
       }
-      const trace::Trace t = trace::Trace::load(scenario.trace_path);
-      return scenario.trace_scale *
-             t.mean_lambda(scenario.network.width * scenario.network.height);
+      axis.name = "trace_scale";
+      axis.field = &Scenario::trace_scale;
+      axis.lambda_per_unit = trace::Trace::load(scenario.trace_path)
+                                 .mean_lambda(scenario.network.width * scenario.network.height);
+      return axis;
     }
     case Scenario::Workload::Custom:
-      throw std::invalid_argument(
-          "mean_lambda: not defined for custom workloads (ask the traffic model)");
+      break;
   }
-  throw std::invalid_argument("mean_lambda: unhandled workload variant");
+  throw std::invalid_argument(std::string("workload=") + to_string(scenario.workload) +
+                              " has no declarative load axis (its traffic factory sets the load)");
+}
+
+double mean_lambda(const Scenario& scenario) {
+  const LoadAxis axis = load_axis(scenario);
+  return axis.lambda_at(scenario.*axis.field);
+}
+
+void set_offered_lambda(Scenario& scenario, double lambda) {
+  load_axis(scenario).set(scenario, lambda);
 }
 
 }  // namespace nocdvfs::sim

@@ -199,13 +199,44 @@ std::unique_ptr<Simulator> make_simulator(const Scenario& scenario);
 /// offending point/axis.
 std::string scenario_problem(const Scenario& scenario);
 
-/// Nominal mean offered load (flits/node-cycle/node). For app workloads
-/// this derives from the task-graph rate matrix at the scenario's speed
-/// and traffic_scale — the quantity the multimedia benches report
-/// alongside the speed axis. For trace workloads it reads the trace file
-/// (total flits over the scaled span, per target-mesh node). Custom
-/// workloads must instantiate their traffic model to answer, so this
-/// throws for them.
+/// A workload's load axis: the one scenario field that carries its
+/// offered load (`lambda` for synthetic traffic, `speed` for app task
+/// graphs, the replay time-warp `trace_scale` for traces) and the λ
+/// (flits/node-cycle/node) one unit of that field offers. Every axis is
+/// linear in its field, so the inverse is one division.
+struct LoadAxis {
+  const char* name = "lambda";                  ///< the field's key
+  double Scenario::*field = &Scenario::lambda;  ///< the field itself
+  double lambda_per_unit = 1.0;                 ///< λ offered at field value 1.0
+
+  double lambda_at(double value) const noexcept { return value * lambda_per_unit; }
+  double value_at(double lambda) const noexcept { return lambda / lambda_per_unit; }
+  /// Write the field value that offers `lambda`; throws
+  /// std::invalid_argument when no value offers load (an empty capture,
+  /// traffic_scale 0).
+  void set(Scenario& scenario, double lambda) const;
+};
+
+/// The load axis of `scenario`'s workload, read at its other fields (app:
+/// task graph, traffic_scale, packet_size, f_node; trace: the capture and
+/// the scenario's mesh). Throws std::invalid_argument naming the workload
+/// for custom workloads (only their traffic factory knows their load) and
+/// for a trace workload without a path.
+LoadAxis load_axis(const Scenario& scenario);
+
+/// Nominal mean offered load (flits/node-cycle/node): the load field read
+/// through `load_axis`. For app workloads this derives from the task-graph
+/// rate matrix at the scenario's speed and traffic_scale; for trace
+/// workloads it reads the trace file (total flits over the scaled span,
+/// per target-mesh node).
 double mean_lambda(const Scenario& scenario);
+
+/// Make `scenario` offer `lambda` flits/node-cycle/node, whatever its
+/// workload: the one place a load is written. Synthetic traffic gets
+/// `lambda = lambda` bit for bit; app and trace workloads get the speed or
+/// time-warp whose `mean_lambda` is `lambda`. Call it after any change to
+/// the fields the axis reads (`anchored` rescales an app's traffic_scale).
+/// Throws as `load_axis` and `LoadAxis::set` do.
+void set_offered_lambda(Scenario& scenario, double lambda);
 
 }  // namespace nocdvfs::sim

@@ -20,21 +20,12 @@
 
 namespace nocdvfs::sim {
 
-namespace {
-
-std::string fmt_double(double v) {
-  std::ostringstream os;
-  os << v;
-  return os.str();
-}
-
-}  // namespace
-
 SweepAxis SweepAxis::lambda(const std::vector<double>& values) {
   SweepAxis axis;
   axis.name = "lambda";
   for (const double v : values) {
-    axis.points.push_back({fmt_double(v), [v](Scenario& s) { s.lambda = v; }});
+    axis.points.push_back(
+        {common::format_double(v), [v](Scenario& s) { set_offered_lambda(s, v); }});
   }
   return axis;
 }
@@ -52,7 +43,7 @@ SweepAxis SweepAxis::speed(const std::vector<double>& values) {
   SweepAxis axis;
   axis.name = "speed";
   for (const double v : values) {
-    axis.points.push_back({fmt_double(v), [v](Scenario& s) { s.speed = v; }});
+    axis.points.push_back({common::format_double(v), [v](Scenario& s) { s.speed = v; }});
   }
   return axis;
 }

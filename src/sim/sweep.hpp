@@ -41,6 +41,10 @@ struct SweepAxis {
   std::size_t size() const noexcept { return points.size(); }
 
   // --- factories for the common paper axes ---
+  /// Offered load of any workload, set through `set_offered_lambda`
+  /// (synthetic λ, app speed or trace time-warp); put it after any axis
+  /// that changes the fields the load axis reads. Labels print each value
+  /// in shortest round-trip form.
   static SweepAxis lambda(const std::vector<double>& values);
   static SweepAxis policies(const std::vector<Policy>& values);
   static SweepAxis speed(const std::vector<double>& values);

@@ -5,6 +5,7 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <filesystem>
 #include <limits>
 #include <map>
 #include <string>
@@ -360,6 +361,91 @@ TEST(ScenarioMeanLambda, PerWorkloadSemantics) {
 
   s.workload = Scenario::Workload::Custom;
   EXPECT_THROW(mean_lambda(s), std::invalid_argument);
+}
+
+/// A small 3×3 capture for the trace load axis, recorded at λ = 0.1.
+std::string record_small_capture(const std::string& name) {
+  const std::string path = (std::filesystem::temp_directory_path() / name).string();
+  Scenario rec = small_synthetic();
+  rec.record_path = path;
+  run(rec);
+  return path;
+}
+
+Scenario replay_of(const std::string& path) {
+  Scenario s = small_synthetic();
+  s.workload = Scenario::Workload::Trace;
+  s.trace_path = path;
+  s.trace_loop = true;
+  return s;
+}
+
+Scenario small_app() {
+  Scenario s = small_synthetic();
+  s.workload = Scenario::Workload::App;
+  s.app = "h264";
+  return s;
+}
+
+TEST(LoadAxis, SyntheticSetterWritesLambdaBitForBit) {
+  for (const double v : {0.06862760416666666, 0.1, 0.3, 1e-300}) {
+    Scenario s = small_synthetic();
+    set_offered_lambda(s, v);
+    EXPECT_EQ(s.lambda, v);
+    EXPECT_EQ(mean_lambda(s), v);
+  }
+  EXPECT_STREQ(load_axis(small_synthetic()).name, "lambda");
+}
+
+TEST(LoadAxis, SetterThenMeanLambdaRoundTripsOnEveryDeclarativeWorkload) {
+  const std::string path = record_small_capture("nocdvfs_test_load_axis.noctrace");
+  const std::vector<std::pair<Scenario, const char*>> workloads = {
+      {small_synthetic(), "lambda"}, {small_app(), "speed"}, {replay_of(path), "trace_scale"}};
+  for (const auto& [base, field] : workloads) {
+    EXPECT_STREQ(load_axis(base).name, field);
+    for (const double lambda : {0.01, 0.06862760416666666, 0.3}) {
+      Scenario s = base;
+      set_offered_lambda(s, lambda);
+      EXPECT_NEAR(mean_lambda(s), lambda, 1e-12 * lambda) << field << " at " << lambda;
+    }
+  }
+  std::filesystem::remove(path);
+}
+
+TEST(LoadAxis, AppSetterReadsTheCalibratedScale) {
+  // The axis reads traffic_scale: set the load after anchored() rescales it.
+  Scenario s = small_app();
+  s.traffic_scale = 3.0;
+  set_offered_lambda(s, 0.2);
+  EXPECT_NEAR(mean_lambda(s), 0.2, 1e-12 * 0.2);
+  s.traffic_scale = 0.0;
+  EXPECT_THROW(set_offered_lambda(s, 0.2), std::invalid_argument);
+}
+
+TEST(LoadAxis, CustomWorkloadThrowsNamingTheWorkload) {
+  Scenario s = small_synthetic();
+  s.workload = Scenario::Workload::Custom;
+  try {
+    set_offered_lambda(s, 0.1);
+    FAIL() << "custom workloads have no declarative load axis";
+  } catch (const std::invalid_argument& e) {
+    EXPECT_NE(std::string(e.what()).find("workload=custom"), std::string::npos) << e.what();
+  }
+  EXPECT_THROW(SweepRunner::expand(s, {SweepAxis::lambda({0.1})}), std::invalid_argument);
+}
+
+TEST(LoadAxis, LambdaSweepRunsAppAndTracePointsAtTheirLabels) {
+  const std::string path = record_small_capture("nocdvfs_test_load_sweep.noctrace");
+  for (const Scenario& base : {small_app(), replay_of(path)}) {
+    const auto points = SweepRunner::expand(base, {SweepAxis::lambda({0.05, 0.15})});
+    ASSERT_EQ(points.size(), 2u);
+    EXPECT_NE(mean_lambda(points[0].scenario), mean_lambda(points[1].scenario));
+    for (const SweepPoint& p : points) {
+      const double label = std::stod(p.coordinates[0]);
+      EXPECT_NEAR(mean_lambda(p.scenario), label, 1e-12 * label) << to_string(base.workload);
+    }
+  }
+  std::filesystem::remove(path);
 }
 
 TEST(ScenarioSimulator, MakeSimulatorExposesComposition) {

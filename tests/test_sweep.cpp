@@ -147,6 +147,31 @@ TEST(SweepExpand, RowMajorCrossProduct) {
   EXPECT_EQ(points[5].index, 5u);
 }
 
+TEST(SweepExpand, LoadLabelsParseBackToTheExactValue) {
+  // 6-significant-digit labels would read "0.0686276" here.
+  const std::vector<double> values = {0.06862760416666666, 0.1, 1.0 / 3.0};
+  for (const SweepAxis& axis : {SweepAxis::lambda(values), SweepAxis::speed(values)}) {
+    for (std::size_t i = 0; i < values.size(); ++i) {
+      const std::string& label = axis.points[i].label;
+      double parsed = 0.0;
+      std::from_chars(label.data(), label.data() + label.size(), parsed);
+      EXPECT_EQ(parsed, values[i]) << axis.name << " label " << label;
+    }
+  }
+  EXPECT_EQ(SweepAxis::lambda(values).points[0].label, "0.06862760416666666");
+}
+
+TEST(SweepExpand, SyntheticLambdaPointsAreBitIdenticalToAFieldWrite) {
+  const std::vector<double> values = {0.06862760416666666, 0.05, 1e-300};
+  const auto points = SweepRunner::expand(tiny(), {SweepAxis::lambda(values)});
+  ASSERT_EQ(points.size(), values.size());
+  for (std::size_t i = 0; i < values.size(); ++i) {
+    Scenario direct = tiny();
+    direct.lambda = values[i];
+    EXPECT_EQ(std::memcmp(&points[i].scenario.lambda, &direct.lambda, sizeof(double)), 0);
+  }
+}
+
 TEST(SweepExpand, SeedAxisAndEmptyAxisRejection) {
   const auto points = SweepRunner::expand(tiny(), {SweepAxis::seeds(3, 10)});
   ASSERT_EQ(points.size(), 3u);
