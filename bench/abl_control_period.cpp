@@ -5,9 +5,6 @@
 /// meshes. This bench sweeps the period and reports delay-target tracking
 /// and actuation count; it also runs the paper's scalability claim on an
 /// 8×8 mesh at the default period.
-///
-/// Accepts `key=value` overrides and `help=1`; `csv=`/`json=` write
-/// machine-readable rows (see bench_common.hpp).
 
 #include <iostream>
 
@@ -18,57 +15,57 @@ using namespace nocdvfs;
 
 int main(int argc, char** argv) {
   bench::Harness h("Ablation D", "DMSD control period sweep + 8x8 scalability check");
-  if (!h.parse(argc, argv)) return h.exit_code();
+  return h.run(argc, argv, [&] {
+    const sim::Scenario base = h.scenario();
+    const auto anchors = h.anchor(base);
+    const double lambda = 0.45 * anchors.lambda_sat;
+    std::cout << "operating point lambda = " << common::Table::fmt(lambda, 3) << "\n\n";
 
-  const sim::Scenario base = h.scenario();
-  const auto anchors = h.anchor(base);
-  const double lambda = 0.45 * anchors.lambda_sat;
-  std::cout << "operating point lambda = " << common::Table::fmt(lambda, 3) << "\n\n";
+    sim::Scenario op = sim::anchored(base, anchors);
+    sim::set_offered_lambda(op, lambda);
+    op.policy.policy = sim::Policy::Dmsd;
 
-  sim::Scenario op = sim::anchored(base, anchors);
-  sim::set_offered_lambda(op, lambda);
-  op.policy.policy = sim::Policy::Dmsd;
+    const std::vector<std::uint64_t> periods = {2500, 5000, 10000, 20000, 40000};
+    sim::SweepAxis period_axis = sim::SweepAxis::custom("period", {});
+    for (const std::uint64_t period : periods) {
+      period_axis.points.push_back({std::to_string(period), [period](sim::Scenario& s) {
+        s.control_period = period;
+        // Longer periods need a longer settle budget: same number of control
+        // updates, more cycles each.
+        s.phases.max_warmup_node_cycles *= (period > 10000 ? period / 10000 : 1);
+      }});
+    }
+    const auto recs = h.sweep(op, {period_axis}, "period-sweep");
 
-  const std::vector<std::uint64_t> periods = {2500, 5000, 10000, 20000, 40000};
-  sim::SweepAxis period_axis = sim::SweepAxis::custom("period", {});
-  for (const std::uint64_t period : periods) {
-    period_axis.points.push_back({std::to_string(period), [period](sim::Scenario& s) {
-      s.control_period = period;
-      // Longer periods need a longer settle budget: same number of control
-      // updates, more cycles each.
-      s.phases.max_warmup_node_cycles *= (period > 10000 ? period / 10000 : 1);
-    }});
-  }
-  const auto recs = h.sweep(op, {period_axis}, "period-sweep");
+    common::Table table({"period[node cyc]", "delay[ns]", "err vs target", "actuations",
+                         "settle[cyc]"});
+    for (std::size_t i = 0; i < periods.size(); ++i) {
+      const sim::RunResult& r = recs[i].result;
+      const double err = (r.avg_delay_ns - anchors.target_delay_ns) / anchors.target_delay_ns;
+      table.add_row({std::to_string(periods[i]), common::Table::fmt(r.avg_delay_ns, 1),
+                     common::Table::fmt(100.0 * err, 1) + "%",
+                     std::to_string(r.vf_trace.size()),
+                     std::to_string(r.warmup_node_cycles_used)});
+    }
+    table.print(std::cout);
 
-  common::Table table({"period[node cyc]", "delay[ns]", "err vs target", "actuations",
-                       "settle[cyc]"});
-  for (std::size_t i = 0; i < periods.size(); ++i) {
-    const sim::RunResult& r = recs[i].result;
-    const double err = (r.avg_delay_ns - anchors.target_delay_ns) / anchors.target_delay_ns;
-    table.add_row({std::to_string(periods[i]), common::Table::fmt(r.avg_delay_ns, 1),
-                   common::Table::fmt(100.0 * err, 1) + "%",
-                   std::to_string(r.vf_trace.size()),
-                   std::to_string(r.warmup_node_cycles_used)});
-  }
-  table.print(std::cout);
-
-  std::cout << "\n8x8 scalability check at the paper's 10,000-cycle period:\n";
-  sim::Scenario big = base;
-  big.network.width = 8;
-  big.network.height = 8;
-  const auto big_anchors = h.anchor(big);
-  big = sim::anchored(big, big_anchors);
-  sim::set_offered_lambda(big, 0.45 * big_anchors.lambda_sat);
-  big.policy.policy = sim::Policy::Dmsd;
-  const sim::RunResult r = sim::run(big);
-  std::cout << "  8x8 DMSD: delay " << common::Table::fmt(r.avg_delay_ns, 1) << " ns vs target "
-            << common::Table::fmt(big_anchors.target_delay_ns, 1) << " ns ("
-            << common::Table::fmt(
-                   100.0 * (r.avg_delay_ns / big_anchors.target_delay_ns - 1.0), 1)
-            << "% error), settled = " << (r.controller_settled ? "yes" : "no") << "\n"
-            << "\nReading: tracking quality is insensitive to the period over 2.5k-40k\n"
-               "cycles (slower loops just actuate less often), supporting the paper's\n"
-               "choice of 10,000 cycles and its scalability argument.\n";
-  return 0;
+    std::cout << "\n8x8 scalability check at the paper's 10,000-cycle period:\n";
+    sim::Scenario big = base;
+    big.network.width = 8;
+    big.network.height = 8;
+    const auto big_anchors = h.anchor(big);
+    big = sim::anchored(big, big_anchors);
+    sim::set_offered_lambda(big, 0.45 * big_anchors.lambda_sat);
+    big.policy.policy = sim::Policy::Dmsd;
+    const sim::RunResult r = sim::run(big);
+    std::cout << "  8x8 DMSD: delay " << common::Table::fmt(r.avg_delay_ns, 1) << " ns vs target "
+              << common::Table::fmt(big_anchors.target_delay_ns, 1) << " ns ("
+              << common::Table::fmt(
+                     100.0 * (r.avg_delay_ns / big_anchors.target_delay_ns - 1.0), 1)
+              << "% error), settled = " << (r.controller_settled ? "yes" : "no") << "\n"
+              << "\nReading: tracking quality is insensitive to the period over 2.5k-40k\n"
+                 "cycles (slower loops just actuate less often), supporting the paper's\n"
+                 "choice of 10,000 cycles and its scalability argument.\n";
+    return 0;
+  });
 }

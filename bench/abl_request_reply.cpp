@@ -10,9 +10,6 @@
 /// The request–reply workload rides the Scenario API's custom-workload
 /// escape hatch: a traffic factory builds the closed-loop model per run,
 /// and the request rate is a custom sweep axis.
-///
-/// Accepts `key=value` overrides and `help=1`; `csv=`/`json=` write
-/// machine-readable rows (see bench_common.hpp).
 
 #include <iostream>
 
@@ -41,44 +38,44 @@ sim::Scenario::TrafficFactory rr_factory(double rate) {
 
 int main(int argc, char** argv) {
   bench::Harness h("Ablation E", "Request-reply round-trip time under the three policies");
-  if (!h.parse(argc, argv)) return h.exit_code();
+  return h.run(argc, argv, [&] {
+    const sim::Scenario base = h.scenario();
+    std::cout << "Anchoring on uniform traffic (same router, same lambda_max law)...\n";
+    sim::Scenario op = sim::anchored(base, h.anchor(base));
+    std::cout << "(the DMSD target is one-way; RTT adds the return path and service)\n\n";
+    op.workload = sim::Scenario::Workload::Custom;
 
-  const sim::Scenario base = h.scenario();
-  std::cout << "Anchoring on uniform traffic (same router, same lambda_max law)...\n";
-  sim::Scenario op = sim::anchored(base, h.anchor(base));
-  std::cout << "(the DMSD target is one-way; RTT adds the return path and service)\n\n";
-  op.workload = sim::Scenario::Workload::Custom;
-
-  const std::vector<double> rates = {0.002, 0.005, 0.010, 0.015};
-  sim::SweepAxis rate_axis = sim::SweepAxis::custom("req_rate", {});
-  for (const double rate : rates) {
-    rate_axis.points.push_back({common::Table::fmt(rate, 3), [rate](sim::Scenario& s) {
-      s.traffic_factory = rr_factory(rate);
-    }});
-  }
-  const std::vector<sim::Policy> policies = {sim::Policy::NoDvfs, sim::Policy::Rmsd,
-                                             sim::Policy::Dmsd};
-  const auto recs = h.sweep(op, {rate_axis, sim::SweepAxis::policies(policies)});
-
-  common::Table table({"req rate", "lambda", "policy", "RTT[ns]", "1-way req[ns]",
-                       "freq[GHz]", "power[mW]"});
-  for (std::size_t i = 0; i < rates.size(); ++i) {
-    // Nominal offered load of this rate point, from a throwaway model.
-    const double lambda =
-        rr_factory(rates[i])(op)->offered_flits_per_node_cycle();
-    for (std::size_t p = 0; p < policies.size(); ++p) {
-      const sim::RunResult& r = recs[i * policies.size() + p].result;
-      table.add_row({common::Table::fmt(rates[i], 3), common::Table::fmt(lambda, 3),
-                     sim::to_string(policies[p]), common::Table::fmt(r.avg_class1_delay_ns, 1),
-                     common::Table::fmt(r.avg_class0_delay_ns, 1),
-                     common::Table::fmt(r.avg_frequency_ghz(), 3),
-                     common::Table::fmt(r.power_mw(), 1)});
+    const std::vector<double> rates = {0.002, 0.005, 0.010, 0.015};
+    sim::SweepAxis rate_axis = sim::SweepAxis::custom("req_rate", {});
+    for (const double rate : rates) {
+      rate_axis.points.push_back({common::Table::fmt(rate, 3), [rate](sim::Scenario& s) {
+        s.traffic_factory = rr_factory(rate);
+      }});
     }
-  }
-  table.print(std::cout);
-  std::cout << "\nReading: the RMSD round trip pays the non-monotonic delay twice per\n"
-               "transaction (request + reply both cross the slowed NoC); DMSD bounds the\n"
-               "RTT near 2x its one-way target plus service — quantifying the paper's\n"
-               "'RMSD would be an inefficient choice' for request-reply traffic.\n";
-  return 0;
+    const std::vector<sim::Policy> policies = {sim::Policy::NoDvfs, sim::Policy::Rmsd,
+                                               sim::Policy::Dmsd};
+    const auto recs = h.sweep(op, {rate_axis, sim::SweepAxis::policies(policies)});
+
+    common::Table table({"req rate", "lambda", "policy", "RTT[ns]", "1-way req[ns]",
+                         "freq[GHz]", "power[mW]"});
+    for (std::size_t i = 0; i < rates.size(); ++i) {
+      // Nominal offered load of this rate point, from a throwaway model.
+      const double lambda =
+          rr_factory(rates[i])(op)->offered_flits_per_node_cycle();
+      for (std::size_t p = 0; p < policies.size(); ++p) {
+        const sim::RunResult& r = recs[i * policies.size() + p].result;
+        table.add_row({common::Table::fmt(rates[i], 3), common::Table::fmt(lambda, 3),
+                       sim::to_string(policies[p]), common::Table::fmt(r.avg_class1_delay_ns, 1),
+                       common::Table::fmt(r.avg_class0_delay_ns, 1),
+                       common::Table::fmt(r.avg_frequency_ghz(), 3),
+                       common::Table::fmt(r.power_mw(), 1)});
+      }
+    }
+    table.print(std::cout);
+    std::cout << "\nReading: the RMSD round trip pays the non-monotonic delay twice per\n"
+                 "transaction (request + reply both cross the slowed NoC); DMSD bounds the\n"
+                 "RTT near 2x its one-way target plus service — quantifying the paper's\n"
+                 "'RMSD would be an inefficient choice' for request-reply traffic.\n";
+    return 0;
+  });
 }

@@ -9,9 +9,6 @@
 /// Expectation: identical steady state (same frequency/power/delay), but
 /// the closed loop settles more slowly (multiplicative updates) — visible
 /// in the adaptive-warmup cycles consumed before the controller is stable.
-///
-/// Accepts `key=value` overrides and `help=1`; `csv=`/`json=` write
-/// machine-readable rows (see bench_common.hpp).
 
 #include <iostream>
 
@@ -22,33 +19,33 @@ using namespace nocdvfs;
 
 int main(int argc, char** argv) {
   bench::Harness h("Ablation A", "RMSD open-loop (Eq. 2) vs closed-loop load tracking");
-  if (!h.parse(argc, argv)) return h.exit_code();
+  return h.run(argc, argv, [&] {
+    const sim::Scenario base = h.scenario();
+    const auto anchors = h.anchor(base);
 
-  const sim::Scenario base = h.scenario();
-  const auto anchors = h.anchor(base);
+    const auto lambdas = bench::lambda_sweep(anchors.lambda_sat, bench::sweep_points(5, 3));
+    const std::vector<sim::Policy> policies = {sim::Policy::Rmsd, sim::Policy::RmsdClosed};
+    const auto recs =
+        h.sweep(sim::anchored(base, anchors),
+                {sim::SweepAxis::lambda(lambdas), sim::SweepAxis::policies(policies)});
 
-  const auto lambdas = bench::lambda_sweep(anchors.lambda_sat, bench::sweep_points(5, 3));
-  const std::vector<sim::Policy> policies = {sim::Policy::Rmsd, sim::Policy::RmsdClosed};
-  const auto recs =
-      h.sweep(sim::anchored(base, anchors),
-              {sim::SweepAxis::lambda(lambdas), sim::SweepAxis::policies(policies)});
-
-  common::Table table({"lambda", "variant", "delay[ns]", "freq[GHz]", "power[mW]",
-                       "settle[node cycles]", "lambda_noc"});
-  for (std::size_t i = 0; i < lambdas.size(); ++i) {
-    for (std::size_t p = 0; p < policies.size(); ++p) {
-      const sim::RunResult& r = recs[i * policies.size() + p].result;
-      table.add_row({common::Table::fmt(lambdas[i], 3), sim::to_string(policies[p]),
-                     common::Table::fmt(r.avg_delay_ns, 1),
-                     common::Table::fmt(r.avg_frequency_ghz(), 3),
-                     common::Table::fmt(r.power_mw(), 1),
-                     std::to_string(r.warmup_node_cycles_used),
-                     common::Table::fmt(r.delivered_flits_per_noc_cycle, 3)});
+    common::Table table({"lambda", "variant", "delay[ns]", "freq[GHz]", "power[mW]",
+                         "settle[node cycles]", "lambda_noc"});
+    for (std::size_t i = 0; i < lambdas.size(); ++i) {
+      for (std::size_t p = 0; p < policies.size(); ++p) {
+        const sim::RunResult& r = recs[i * policies.size() + p].result;
+        table.add_row({common::Table::fmt(lambdas[i], 3), sim::to_string(policies[p]),
+                       common::Table::fmt(r.avg_delay_ns, 1),
+                       common::Table::fmt(r.avg_frequency_ghz(), 3),
+                       common::Table::fmt(r.power_mw(), 1),
+                       std::to_string(r.warmup_node_cycles_used),
+                       common::Table::fmt(r.delivered_flits_per_noc_cycle, 3)});
+      }
     }
-  }
-  table.print(std::cout);
-  std::cout << "\nReading: both variants converge to the Eq. 2 operating point (same\n"
-               "frequency, delay and power columns); the closed loop needs more settle\n"
-               "cycles. The open-loop law additionally needs no in-network measurement.\n";
-  return 0;
+    table.print(std::cout);
+    std::cout << "\nReading: both variants converge to the Eq. 2 operating point (same\n"
+                 "frequency, delay and power columns); the closed loop needs more settle\n"
+                 "cycles. The open-loop law additionally needs no in-network measurement.\n";
+    return 0;
+  });
 }

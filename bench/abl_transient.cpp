@@ -12,9 +12,8 @@
 /// hatch (a traffic factory builds the two-phase model per run); the two
 /// policies sweep in one SweepRunner call.
 ///
-/// Accepts `key=value` overrides and `help=1`; `csv=`/`json=` write
-/// machine-readable rows — with `json=`, the per-window trajectory of both
-/// policies lands in the JSONL (see bench_common.hpp).
+/// With `json=`, the per-window trajectory of both policies lands in the
+/// JSONL.
 
 #include <cmath>
 #include <iostream>
@@ -27,73 +26,73 @@ using namespace nocdvfs;
 
 int main(int argc, char** argv) {
   bench::Harness h("Ablation F", "Load-step transient: RMSD vs DMSD control traces");
-  if (!h.parse(argc, argv)) return h.exit_code();
+  return h.run(argc, argv, [&] {
+    const sim::Scenario base = h.scenario();
+    const auto anchors = h.anchor(base);
+    const double lambda_lo = 0.3 * anchors.lambda_max;
+    const double lambda_hi = 0.8 * anchors.lambda_max;
 
-  const sim::Scenario base = h.scenario();
-  const auto anchors = h.anchor(base);
-  const double lambda_lo = 0.3 * anchors.lambda_max;
-  const double lambda_hi = 0.8 * anchors.lambda_max;
+    // The step fires after the (non-adaptive) warmup, inside the measured
+    // region, so the whole transient lands in the window trace.
+    const common::Picoseconds step_ps = 300000ull * 1000ull;  // node cycle 300k
 
-  // The step fires after the (non-adaptive) warmup, inside the measured
-  // region, so the whole transient lands in the window trace.
-  const common::Picoseconds step_ps = 300000ull * 1000ull;  // node cycle 300k
+    std::cout << "load step: " << common::Table::fmt(lambda_lo, 3) << " -> "
+              << common::Table::fmt(lambda_hi, 3) << " flits/cycle/node at t = 300 us\n\n";
 
-  std::cout << "load step: " << common::Table::fmt(lambda_lo, 3) << " -> "
-            << common::Table::fmt(lambda_hi, 3) << " flits/cycle/node at t = 300 us\n\n";
+    sim::Scenario op = sim::anchored(base, anchors);
+    op.workload = sim::Scenario::Workload::Custom;
+    op.phases.adaptive_warmup = false;
+    op.phases.warmup_node_cycles = 200000;
+    op.phases.measure_node_cycles = 300000;
+    op.traffic_factory = [lambda_lo, lambda_hi, step_ps](
+                             const sim::Scenario& s) -> std::unique_ptr<traffic::TrafficModel> {
+      noc::MeshTopology topo(s.network.width, s.network.height);
+      traffic::SyntheticTrafficParams before, after;
+      before.lambda = lambda_lo;
+      before.packet_size = s.packet_size;
+      after = before;
+      after.lambda = lambda_hi;
+      after.seed = 2;
+      return std::make_unique<traffic::StepLoadTraffic>(topo, before, after, step_ps);
+    };
 
-  sim::Scenario op = sim::anchored(base, anchors);
-  op.workload = sim::Scenario::Workload::Custom;
-  op.phases.adaptive_warmup = false;
-  op.phases.warmup_node_cycles = 200000;
-  op.phases.measure_node_cycles = 300000;
-  op.traffic_factory = [lambda_lo, lambda_hi,
-                        step_ps](const sim::Scenario& s) -> std::unique_ptr<traffic::TrafficModel> {
-    noc::MeshTopology topo(s.network.width, s.network.height);
-    traffic::SyntheticTrafficParams before, after;
-    before.lambda = lambda_lo;
-    before.packet_size = s.packet_size;
-    after = before;
-    after.lambda = lambda_hi;
-    after.seed = 2;
-    return std::make_unique<traffic::StepLoadTraffic>(topo, before, after, step_ps);
-  };
+    const std::vector<sim::Policy> policies = {sim::Policy::Rmsd, sim::Policy::Dmsd};
+    const auto recs = h.sweep(op, {sim::SweepAxis::policies(policies)});
 
-  const std::vector<sim::Policy> policies = {sim::Policy::Rmsd, sim::Policy::Dmsd};
-  const auto recs = h.sweep(op, {sim::SweepAxis::policies(policies)});
+    for (std::size_t p = 0; p < policies.size(); ++p) {
+      const sim::Policy policy = policies[p];
+      const sim::RunResult& r = recs[p].result;
 
-  for (std::size_t p = 0; p < policies.size(); ++p) {
-    const sim::Policy policy = policies[p];
-    const sim::RunResult& r = recs[p].result;
-
-    std::cout << "--- " << sim::to_string(policy) << " window trace around the step ---\n";
-    common::Table table({"t[us]", "window delay[ns]", "freq[GHz]", "packets"});
-    int reacquire_windows = -1;
-    int windows_after_step = 0;
-    for (const auto& w : r.window_trace) {
-      const double t_us = common::us_from_ps(w.t);
-      // Print a band around the step; count windows to re-settle.
-      if (t_us >= 280.0 && t_us <= 420.0) {
-        table.add_row({common::Table::fmt(t_us, 0), common::Table::fmt(w.avg_delay_ns, 1),
-                       common::Table::fmt(w.f_applied / 1e9, 3), std::to_string(w.packets)});
+      std::cout << "--- " << sim::to_string(policy) << " window trace around the step ---\n";
+      common::Table table({"t[us]", "window delay[ns]", "freq[GHz]", "packets"});
+      int reacquire_windows = -1;
+      int windows_after_step = 0;
+      for (const auto& w : r.window_trace) {
+        const double t_us = common::us_from_ps(w.t);
+        // Print a band around the step; count windows to re-settle.
+        if (t_us >= 280.0 && t_us <= 420.0) {
+          table.add_row({common::Table::fmt(t_us, 0), common::Table::fmt(w.avg_delay_ns, 1),
+                         common::Table::fmt(w.f_applied / 1e9, 3), std::to_string(w.packets)});
+        }
+        if (w.t > step_ps) {
+          ++windows_after_step;
+          const bool on_target =
+              policy == sim::Policy::Dmsd
+                  ? std::abs(w.avg_delay_ns - anchors.target_delay_ns) <
+                        0.15 * anchors.target_delay_ns
+                  : std::abs(w.f_applied / 1e9 - lambda_hi / anchors.lambda_max) < 0.05;
+          if (on_target && reacquire_windows < 0) reacquire_windows = windows_after_step;
+        }
       }
-      if (w.t > step_ps) {
-        ++windows_after_step;
-        const bool on_target =
-            policy == sim::Policy::Dmsd
-                ? std::abs(w.avg_delay_ns - anchors.target_delay_ns) <
-                      0.15 * anchors.target_delay_ns
-                : std::abs(w.f_applied / 1e9 - lambda_hi / anchors.lambda_max) < 0.05;
-        if (on_target && reacquire_windows < 0) reacquire_windows = windows_after_step;
-      }
+      table.print(std::cout);
+      std::cout << "re-acquired operating point "
+                << (reacquire_windows < 0 ? 999 : reacquire_windows)
+                << " control windows after the step\n\n";
     }
-    table.print(std::cout);
-    std::cout << "re-acquired operating point "
-              << (reacquire_windows < 0 ? 999 : reacquire_windows)
-              << " control windows after the step\n\n";
-  }
-  std::cout << "Reading: the open-loop rate law is one-window reactive by construction;\n"
-               "the PI loop trades windows of transient delay for its steady-state\n"
-               "guarantee — increasing K_I/K_P (ablation B) buys back reaction time at\n"
-               "the cost of ripple.\n";
-  return 0;
+    std::cout << "Reading: the open-loop rate law is one-window reactive by construction;\n"
+                 "the PI loop trades windows of transient delay for its steady-state\n"
+                 "guarantee — increasing K_I/K_P (ablation B) buys back reaction time at\n"
+                 "the cost of ripple.\n";
+    return 0;
+  });
 }

@@ -10,6 +10,13 @@
 /// and machine-readable output (`csv=…` / `json=…`, e.g. under
 /// `bench/out/`), and uniform banner output.
 ///
+/// Command-line contract (shared with the examples through
+/// `common::run_main`): arguments are `key=value` tokens; `help=1` prints
+/// every key with its default and exits 0; a run exits 0 on success and 1
+/// on any error, printing one `<program>: <reason>` line on stderr. An
+/// unknown key, an invalid Scenario or an output path that cannot be
+/// opened is rejected before the banner, so no simulation starts.
+///
 /// λ is the load of every workload. Benches set it only through
 /// `sim::set_offered_lambda` and `sim::SweepAxis::lambda`, which write the
 /// workload's own load field (synthetic λ, app speed, trace time-warp), so
@@ -20,7 +27,6 @@
 /// comes from `sim::Scenario::declare_keys`; fast mode only changes the
 /// defaults the harness hands it.
 
-#include <filesystem>
 #include <fstream>
 #include <functional>
 #include <iostream>
@@ -38,7 +44,7 @@
 namespace nocdvfs::bench {
 
 namespace detail {
-inline bool fast = false;  ///< the `fast` key, set by Harness::parse
+inline bool fast = false;  ///< the `fast` key, set by Harness::run
 }  // namespace detail
 
 inline bool fast_mode() { return detail::fast; }
@@ -114,15 +120,16 @@ inline void banner(const std::string& figure, const std::string& what) {
 }
 
 /// Per-bench front end: declares the full Scenario key set plus the
-/// harness keys, parses `key=value` argv overrides, answers `help=1`, and
+/// harness keys, runs the bench body through `common::run_main`, and
 /// executes sweeps through a SweepRunner wired to the optional CSV/JSONL
 /// sinks. Typical use:
 ///
 ///   bench::Harness h("Figure 7", "Synthetic patterns …");
-///   if (!h.parse(argc, argv)) return h.exit_code();
-///   sim::Scenario base = h.scenario();
-///   auto recs = h.sweep(base, {sim::SweepAxis::lambda(...),
-///                              sim::SweepAxis::policies(...)}, "group");
+///   return h.run(argc, argv, [&] {
+///     auto recs = h.sweep(h.scenario(), {sim::SweepAxis::lambda(...),
+///                                         sim::SweepAxis::policies(...)}, "group");
+///     return 0;
+///   });
 class Harness {
  public:
   Harness(std::string figure, std::string what)
@@ -136,40 +143,34 @@ class Harness {
                     "write the sweep's host timeline (worker spans + merged prof=on "
                     "phase profile) to <prof_out>.nocobs/.json; reflects the most "
                     "recently executed sweep");
-    config_.declare_bool("help", false, "print declared keys and exit");
   }
 
   common::Config& config() noexcept { return config_; }
   const common::Config& config() const noexcept { return config_; }
 
-  /// Parse argv overrides. Returns false when the bench should exit
-  /// immediately (help printed, or a parse error; see exit_code()).
-  /// On success prints the bench banner and the effective fast mode.
-  bool parse(int argc, const char* const* argv) {
-    try {
-      config_.parse_args(argc, argv);
-    } catch (const std::exception& e) {
-      std::cerr << e.what() << "\n";
-      exit_code_ = 1;
-      return false;
-    }
-    detail::fast = config_.get_bool("fast");
-    // Fast mode rescales the defaults of the phase/period keys; explicit
-    // key=value assignments always win (Config::declare keeps them).
-    sim::Scenario::declare_keys(config_, paper_default_scenario());
-    if (config_.get_bool("help")) {
-      for (const auto& line : config_.summary_lines()) std::cout << line << '\n';
-      exit_code_ = 0;
-      return false;
-    }
-    banner(figure_, what_);
-    return true;
+  /// The bench's `main`: common::run_main over argv. After the parse,
+  /// `fast=1` rescales the phase/period defaults (explicit assignments win;
+  /// Config::declare keeps them), so `help=1 fast=1` lists the fast
+  /// defaults. Before `body` runs, the Scenario is built and validated and
+  /// the csv/json/prof_out outputs are opened; any failure there exits 1
+  /// before the banner.
+  int run(int argc, const char* const* argv, const std::function<int()>& body) {
+    return common::run_main(
+        config_, argc, argv,
+        [&] {
+          scenario_ = sim::Scenario::from_config(config_);
+          open_outputs();
+          banner(figure_, what_);
+          return body();
+        },
+        [this] {
+          detail::fast = config_.get_bool("fast");
+          sim::Scenario::declare_keys(config_, paper_default_scenario());
+        });
   }
 
-  int exit_code() const noexcept { return exit_code_; }
-
   /// The base scenario described by the (possibly overridden) config.
-  sim::Scenario scenario() const { return sim::Scenario::from_config(config_); }
+  const sim::Scenario& scenario() const noexcept { return scenario_; }
 
   /// The paper's anchors for `base` (sim::find_anchors with
   /// bench_saturation_options()), printed as one line. Apply them with
@@ -193,15 +194,9 @@ class Harness {
   std::vector<sim::SweepRecord> sweep(const sim::Scenario& base,
                                       const std::vector<sim::SweepAxis>& axes,
                                       const std::string& group = "") {
-    ensure_runner();
     auto records = runner_->run(base, axes, group.empty() ? figure_ : group);
     const std::string prof_out = config_.get_string("prof_out");
     if (!prof_out.empty()) {
-      const std::filesystem::path p(prof_out);
-      if (p.has_parent_path()) {
-        std::error_code ec;
-        std::filesystem::create_directories(p.parent_path(), ec);
-      }
       sim::write_sweep_host_timeline(runner_->host_report(), prof_out);
       std::cout << "wrote host timeline " << prof_out << ".nocobs / .json\n";
     }
@@ -209,41 +204,30 @@ class Harness {
   }
 
  private:
-  void ensure_runner() {
-    if (runner_) return;
+  void open_outputs() {
     sim::SweepRunner::Options opt;
     opt.threads = static_cast<int>(config_.get_int("threads"));
     runner_ = std::make_unique<sim::SweepRunner>(opt);
-    open_sink(config_.get_string("csv"), csv_out_, [this] {
+    if (const std::string path = config_.get_string("csv"); !path.empty()) {
+      csv_out_ = common::open_output(path);
       csv_sink_ = std::make_unique<sim::CsvResultSink>(csv_out_);
       runner_->add_sink(*csv_sink_);
-    });
-    open_sink(config_.get_string("json"), json_out_, [this] {
+    }
+    if (const std::string path = config_.get_string("json"); !path.empty()) {
+      json_out_ = common::open_output(path);
       json_sink_ = std::make_unique<sim::JsonlResultSink>(json_out_);
       runner_->add_sink(*json_sink_);
-    });
-  }
-
-  void open_sink(const std::string& path, std::ofstream& stream,
-                 const std::function<void()>& attach) {
-    if (path.empty()) return;
-    const std::filesystem::path p(path);
-    if (p.has_parent_path()) {
-      std::error_code ec;
-      std::filesystem::create_directories(p.parent_path(), ec);
     }
-    stream.open(p);
-    if (!stream) {
-      std::cerr << "warning: cannot open sink file '" << path << "', skipping\n";
-      return;
+    // The timeline is written after each sweep; check its path up front.
+    if (const std::string path = config_.get_string("prof_out"); !path.empty()) {
+      common::open_output(path + ".nocobs");
     }
-    attach();
   }
 
   std::string figure_;
   std::string what_;
   common::Config config_;
-  int exit_code_ = 0;
+  sim::Scenario scenario_;
   std::unique_ptr<sim::SweepRunner> runner_;
   std::ofstream csv_out_;
   std::ofstream json_out_;

@@ -12,8 +12,7 @@
 /// plots, where delay curves rise steeply as speed approaches 1.0. λ_max
 /// and the DMSD target are derived there by the same call.
 ///
-/// Accepts `key=value` overrides and `help=1` (e.g. `apps=h264`);
-/// `csv=`/`json=` write machine-readable rows (see bench_common.hpp).
+/// `apps=h264` runs one of the two apps.
 
 #include <cmath>
 #include <iostream>
@@ -83,14 +82,14 @@ void run_app(bench::Harness& h, const std::string& app) {
 int main(int argc, char** argv) {
   bench::Harness h("Figure 10", "Multimedia workloads: delay and power vs app speed");
   h.config().declare("apps", "h264,vce", "comma list of apps to sweep");
-  if (!h.parse(argc, argv)) return h.exit_code();
+  return h.run(argc, argv, [&] {
+    std::stringstream apps(h.config().get_string("apps"));
+    std::string app;
+    while (std::getline(apps, app, ',')) run_app(h, app);
 
-  std::stringstream apps(h.config().get_string("apps"));
-  std::string app;
-  while (std::getline(apps, app, ',')) run_app(h, app);
-
-  std::cout << "\nConclusion check: under realistic multimedia traffic the RMSD power\n"
-               "saving still costs disproportionate application delay — the delay-based\n"
-               "policy remains the better trade-off (paper Sec. VI).\n";
-  return 0;
+    std::cout << "\nConclusion check: under realistic multimedia traffic the RMSD power\n"
+                 "saving still costs disproportionate application delay — the delay-based\n"
+                 "policy remains the better trade-off (paper Sec. VI).\n";
+    return 0;
+  });
 }

@@ -51,94 +51,94 @@ int main(int argc, char** argv) {
                      "comma list of workloads (hotspot,transpose,trace)");
   h.config().declare("trace_file", "bench/out/fig11_vfi.noctrace",
                      "scratch .noctrace recorded for the trace workload");
-  if (!h.parse(argc, argv)) return h.exit_code();
+  return h.run(argc, argv, [&] {
+    const std::vector<std::string> layouts = common::split_csv(h.config().get_string("layouts"));
+    const std::vector<sim::Policy> policies = {sim::Policy::Rmsd, sim::Policy::Dmsd,
+                                               sim::Policy::Qbsd};
 
-  const std::vector<std::string> layouts = common::split_csv(h.config().get_string("layouts"));
-  const std::vector<sim::Policy> policies = {sim::Policy::Rmsd, sim::Policy::Dmsd,
-                                             sim::Policy::Qbsd};
-
-  // Anchors are derived once per synthetic pattern on the paper's global
-  // configuration — every layout of a workload shares the same policy
-  // parameters, so differences are attributable to the partition alone.
-  sim::Anchors hotspot_anchors{};
-  bool have_hotspot_anchors = false;
-  auto hotspot_anchored = [&](sim::Scenario s) {
-    s.pattern = "hotspot";
-    if (!have_hotspot_anchors) {
-      hotspot_anchors = h.anchor(s);
-      have_hotspot_anchors = true;
-    }
-    s = sim::anchored(s, hotspot_anchors);
-    sim::set_offered_lambda(s, 0.6 * hotspot_anchors.lambda_sat);
-    return s;
-  };
-
-  for (const std::string& workload : common::split_csv(h.config().get_string("workloads"))) {
-    sim::Scenario base = h.scenario();
-    std::cout << "\n--- workload: " << workload << " ---\n";
-    if (workload == "hotspot") {
-      base = hotspot_anchored(base);
-    } else if (workload == "transpose") {
-      base.pattern = "transpose";
-      const auto anchors = h.anchor(base);
-      base = sim::anchored(base, anchors);
-      sim::set_offered_lambda(base, 0.6 * anchors.lambda_sat);
-    } else if (workload == "trace") {
-      // Record the anchored hotspot stream once (No-DVFS, so the captured
-      // injection sequence is policy-independent), then replay the
-      // identical packets under every layout/policy.
-      const std::string trace_file = h.config().get_string("trace_file");
-      const std::filesystem::path p(trace_file);
-      if (p.has_parent_path()) {
-        std::error_code ec;
-        std::filesystem::create_directories(p.parent_path(), ec);
+    // Anchors are derived once per synthetic pattern on the paper's global
+    // configuration — every layout of a workload shares the same policy
+    // parameters, so differences are attributable to the partition alone.
+    sim::Anchors hotspot_anchors{};
+    bool have_hotspot_anchors = false;
+    auto hotspot_anchored = [&](sim::Scenario s) {
+      s.pattern = "hotspot";
+      if (!have_hotspot_anchors) {
+        hotspot_anchors = h.anchor(s);
+        have_hotspot_anchors = true;
       }
-      sim::Scenario rec = hotspot_anchored(h.scenario());
-      rec.policy.policy = sim::Policy::NoDvfs;
-      rec.record_path = trace_file;
-      sim::run(rec);
-      base = hotspot_anchored(h.scenario());
-      base.workload = sim::Scenario::Workload::Trace;
-      base.trace_path = trace_file;
-      base.trace_loop = true;
-      base.trace_scale = 1.0;
-    } else {
-      std::cerr << "unknown workload '" << workload << "' (skipping)\n";
-      continue;
-    }
-    const auto recs =
-        h.sweep(base, {sim::SweepAxis::islands(layouts), sim::SweepAxis::policies(policies)},
-                "fig11-" + workload);
+      s = sim::anchored(s, hotspot_anchors);
+      sim::set_offered_lambda(s, 0.6 * hotspot_anchors.lambda_sat);
+      return s;
+    };
 
-    common::Table table({"layout", "policy", "islands", "delay ns", "p99 ns", "P mW",
-                         "pJ/bit", "dF GHz", "sat"});
-    for (std::size_t l = 0; l < layouts.size(); ++l) {
-      for (std::size_t pi = 0; pi < policies.size(); ++pi) {
-        const sim::RunResult& r = recs[l * policies.size() + pi].result;
-        table.add_row({layouts[l], sim::to_string(policies[pi]),
-                       std::to_string(r.islands.size()),
-                       common::Table::fmt(r.avg_delay_ns, 1),
-                       common::Table::fmt(r.p99_delay_ns, 1),
-                       common::Table::fmt(r.power_mw(), 1),
-                       common::Table::fmt(r.energy_per_bit_pj, 2),
-                       common::Table::fmt(island_freq_spread_ghz(r), 3),
-                       r.saturated ? "y" : "n"});
+    for (const std::string& workload : common::split_csv(h.config().get_string("workloads"))) {
+      sim::Scenario base = h.scenario();
+      std::cout << "\n--- workload: " << workload << " ---\n";
+      if (workload == "hotspot") {
+        base = hotspot_anchored(base);
+      } else if (workload == "transpose") {
+        base.pattern = "transpose";
+        const auto anchors = h.anchor(base);
+        base = sim::anchored(base, anchors);
+        sim::set_offered_lambda(base, 0.6 * anchors.lambda_sat);
+      } else if (workload == "trace") {
+        // Record the anchored hotspot stream once (No-DVFS, so the captured
+        // injection sequence is policy-independent), then replay the
+        // identical packets under every layout/policy.
+        const std::string trace_file = h.config().get_string("trace_file");
+        const std::filesystem::path p(trace_file);
+        if (p.has_parent_path()) {
+          std::error_code ec;
+          std::filesystem::create_directories(p.parent_path(), ec);
+        }
+        sim::Scenario rec = hotspot_anchored(h.scenario());
+        rec.policy.policy = sim::Policy::NoDvfs;
+        rec.record_path = trace_file;
+        sim::run(rec);
+        base = hotspot_anchored(h.scenario());
+        base.workload = sim::Scenario::Workload::Trace;
+        base.trace_path = trace_file;
+        base.trace_loop = true;
+        base.trace_scale = 1.0;
+      } else {
+        std::cerr << "unknown workload '" << workload << "' (skipping)\n";
+        continue;
       }
+      const auto recs =
+          h.sweep(base, {sim::SweepAxis::islands(layouts), sim::SweepAxis::policies(policies)},
+                  "fig11-" + workload);
+
+      common::Table table({"layout", "policy", "islands", "delay ns", "p99 ns", "P mW",
+                           "pJ/bit", "dF GHz", "sat"});
+      for (std::size_t l = 0; l < layouts.size(); ++l) {
+        for (std::size_t pi = 0; pi < policies.size(); ++pi) {
+          const sim::RunResult& r = recs[l * policies.size() + pi].result;
+          table.add_row({layouts[l], sim::to_string(policies[pi]),
+                         std::to_string(r.islands.size()),
+                         common::Table::fmt(r.avg_delay_ns, 1),
+                         common::Table::fmt(r.p99_delay_ns, 1),
+                         common::Table::fmt(r.power_mw(), 1),
+                         common::Table::fmt(r.energy_per_bit_pj, 2),
+                         common::Table::fmt(island_freq_spread_ghz(r), 3),
+                         r.saturated ? "y" : "n"});
+        }
+      }
+      table.print(std::cout);
     }
-    table.print(std::cout);
-  }
 
-  // Baseline rows for the CI identity check: the same hotspot scenarios
-  // built from a Scenario whose island keys are never touched. Bit-equal
-  // to the islands=global rows above, or the default path regressed.
-  {
-    const sim::Scenario base = hotspot_anchored(h.scenario());
-    h.sweep(base, {sim::SweepAxis::policies(policies)}, "baseline");
-  }
+    // Baseline rows for the CI identity check: the same hotspot scenarios
+    // built from a Scenario whose island keys are never touched. Bit-equal
+    // to the islands=global rows above, or the default path regressed.
+    {
+      const sim::Scenario base = hotspot_anchored(h.scenario());
+      h.sweep(base, {sim::SweepAxis::policies(policies)}, "baseline");
+    }
 
-  std::cout << "\nConclusion check: with islands the rate signal stays local — RMSD islands\n"
-               "feeding a remote hotspot underclock and saturate sooner — while the delay\n"
-               "signal still reflects the whole path, so distributed DMSD degrades\n"
-               "gracefully at the cost of the synchronizer latency per crossing.\n";
-  return 0;
+    std::cout << "\nConclusion check: with islands the rate signal stays local — RMSD islands\n"
+                 "feeding a remote hotspot underclock and saturate sooner — while the delay\n"
+                 "signal still reflects the whole path, so distributed DMSD degrades\n"
+                 "gracefully at the cost of the synchronizer latency per crossing.\n";
+    return 0;
+  });
 }

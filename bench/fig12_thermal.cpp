@@ -55,132 +55,132 @@ int main(int argc, char** argv) {
                      "scratch .noctrace recorded for the trace workload");
   h.config().declare_double("cap_fraction", 0.75,
                             "throttle cap as a fraction of the probed peak rise above ambient");
-  if (!h.parse(argc, argv)) return h.exit_code();
+  return h.run(argc, argv, [&] {
+    const std::vector<std::string> layouts = common::split_csv(h.config().get_string("layouts"));
+    const double cap_fraction = h.config().get_double("cap_fraction");
+    const std::vector<sim::Policy> policies = {sim::Policy::Rmsd, sim::Policy::Dmsd,
+                                               sim::Policy::Qbsd};
 
-  const std::vector<std::string> layouts = common::split_csv(h.config().get_string("layouts"));
-  const double cap_fraction = h.config().get_double("cap_fraction");
-  const std::vector<sim::Policy> policies = {sim::Policy::Rmsd, sim::Policy::Dmsd,
-                                             sim::Policy::Qbsd};
-
-  sim::Anchors hotspot_anchors{};
-  bool have_hotspot_anchors = false;
-  auto hotspot_anchored = [&](sim::Scenario s) {
-    s.pattern = "hotspot";
-    if (!have_hotspot_anchors) {
-      hotspot_anchors = h.anchor(s);
-      have_hotspot_anchors = true;
-    }
-    s = sim::anchored(s, hotspot_anchors);
-    sim::set_offered_lambda(s, 0.6 * hotspot_anchors.lambda_sat);
-    return s;
-  };
-
-  for (const std::string& workload : common::split_csv(h.config().get_string("workloads"))) {
-    sim::Scenario base = h.scenario();
-    std::cout << "\n--- workload: " << workload << " ---\n";
-    if (workload == "hotspot") {
-      base = hotspot_anchored(base);
-    } else if (workload == "transpose") {
-      base.pattern = "transpose";
-      const auto anchors = h.anchor(base);
-      base = sim::anchored(base, anchors);
-      sim::set_offered_lambda(base, 0.6 * anchors.lambda_sat);
-    } else if (workload == "trace") {
-      // Record the anchored hotspot stream once (No-DVFS, policy-free
-      // capture), then replay the identical packets under every cell.
-      const std::string trace_file = h.config().get_string("trace_file");
-      const std::filesystem::path p(trace_file);
-      if (p.has_parent_path()) {
-        std::error_code ec;
-        std::filesystem::create_directories(p.parent_path(), ec);
+    sim::Anchors hotspot_anchors{};
+    bool have_hotspot_anchors = false;
+    auto hotspot_anchored = [&](sim::Scenario s) {
+      s.pattern = "hotspot";
+      if (!have_hotspot_anchors) {
+        hotspot_anchors = h.anchor(s);
+        have_hotspot_anchors = true;
       }
-      sim::Scenario rec = hotspot_anchored(h.scenario());
-      rec.policy.policy = sim::Policy::NoDvfs;
-      rec.record_path = trace_file;
-      sim::run(rec);
-      base = hotspot_anchored(h.scenario());
-      base.workload = sim::Scenario::Workload::Trace;
-      base.trace_path = trace_file;
-      base.trace_loop = true;
-      base.trace_scale = 1.0;
-    } else {
-      std::cerr << "unknown workload '" << workload << "' (skipping)\n";
-      continue;
-    }
+      s = sim::anchored(s, hotspot_anchors);
+      sim::set_offered_lambda(s, 0.6 * hotspot_anchors.lambda_sat);
+      return s;
+    };
 
-    // An unreachable cap for the probe and the `free` cells: the Scenario
-    // default (85 C) is above every *default-calibration* peak, but an
-    // override (hotter ambient, lower RC constants, higher load) could
-    // reach it and silently throttle runs reported as free-running.
-    constexpr double kCapOutOfReach = 10000.0;
+    for (const std::string& workload : common::split_csv(h.config().get_string("workloads"))) {
+      sim::Scenario base = h.scenario();
+      std::cout << "\n--- workload: " << workload << " ---\n";
+      if (workload == "hotspot") {
+        base = hotspot_anchored(base);
+      } else if (workload == "transpose") {
+        base.pattern = "transpose";
+        const auto anchors = h.anchor(base);
+        base = sim::anchored(base, anchors);
+        sim::set_offered_lambda(base, 0.6 * anchors.lambda_sat);
+      } else if (workload == "trace") {
+        // Record the anchored hotspot stream once (No-DVFS, policy-free
+        // capture), then replay the identical packets under every cell.
+        const std::string trace_file = h.config().get_string("trace_file");
+        const std::filesystem::path p(trace_file);
+        if (p.has_parent_path()) {
+          std::error_code ec;
+          std::filesystem::create_directories(p.parent_path(), ec);
+        }
+        sim::Scenario rec = hotspot_anchored(h.scenario());
+        rec.policy.policy = sim::Policy::NoDvfs;
+        rec.record_path = trace_file;
+        sim::run(rec);
+        base = hotspot_anchored(h.scenario());
+        base.workload = sim::Scenario::Workload::Trace;
+        base.trace_path = trace_file;
+        base.trace_loop = true;
+        base.trace_scale = 1.0;
+      } else {
+        std::cerr << "unknown workload '" << workload << "' (skipping)\n";
+        continue;
+      }
 
-    // Thermal probe: the free-running RMSD peak sets the throttle cap for
-    // every thermal-on cell of this workload.
-    sim::Scenario probe = base;
-    probe.thermal = true;
-    probe.temp_cap_c = kCapOutOfReach;
-    probe.policy.policy = sim::Policy::Rmsd;
-    const sim::RunResult probed = sim::run(probe);
-    const double cap_c = probe.temp_ambient_c +
-                         cap_fraction * (probed.thermal.peak_temp_c - probe.temp_ambient_c);
-    std::cout << "free-running RMSD peak = " << common::Table::fmt(probed.thermal.peak_temp_c, 1)
-              << " C  ->  throttle cap = " << common::Table::fmt(cap_c, 1) << " C\n";
+      // An unreachable cap for the probe and the `free` cells: the Scenario
+      // default (85 C) is above every *default-calibration* peak, but an
+      // override (hotter ambient, lower RC constants, higher load) could
+      // reach it and silently throttle runs reported as free-running.
+      constexpr double kCapOutOfReach = 10000.0;
 
-    auto thermal_axis = sim::SweepAxis::custom(
-        "thermal", {{"off", [](sim::Scenario&) {}},
-                    {"free", [](sim::Scenario& s) {
-                       s.thermal = true;
-                       s.temp_cap_c = kCapOutOfReach;
-                     }},
-                    {"cap", [cap_c](sim::Scenario& s) {
-                       s.thermal = true;
-                       s.temp_cap_c = cap_c;
-                     }}});
-    const char* thermal_labels[] = {"off", "free", "cap"};
-    const auto recs = h.sweep(
-        base,
-        {sim::SweepAxis::islands(layouts), thermal_axis, sim::SweepAxis::policies(policies)},
-        "fig12-" + workload);
+      // Thermal probe: the free-running RMSD peak sets the throttle cap for
+      // every thermal-on cell of this workload.
+      sim::Scenario probe = base;
+      probe.thermal = true;
+      probe.temp_cap_c = kCapOutOfReach;
+      probe.policy.policy = sim::Policy::Rmsd;
+      const sim::RunResult probed = sim::run(probe);
+      const double cap_c = probe.temp_ambient_c +
+                           cap_fraction * (probed.thermal.peak_temp_c - probe.temp_ambient_c);
+      std::cout << "free-running RMSD peak = " << common::Table::fmt(probed.thermal.peak_temp_c, 1)
+                << " C  ->  throttle cap = " << common::Table::fmt(cap_c, 1) << " C\n";
 
-    common::Table table({"layout", "thermal", "policy", "delay ns", "P mW", "peak C",
-                         "mean C", "thr %", "leak+%", "sat"});
-    const std::size_t cells_per_layout = 3 * policies.size();
-    for (std::size_t l = 0; l < layouts.size(); ++l) {
-      for (std::size_t t = 0; t < 3; ++t) {
-        for (std::size_t pi = 0; pi < policies.size(); ++pi) {
-          const sim::RunResult& r =
-              recs[l * cells_per_layout + t * policies.size() + pi].result;
-          table.add_row({layouts[l], thermal_labels[t], sim::to_string(policies[pi]),
-                         common::Table::fmt(r.avg_delay_ns, 1),
-                         common::Table::fmt(r.power_mw(), 1),
-                         r.thermal.enabled ? common::Table::fmt(r.thermal.peak_temp_c, 1) : "-",
-                         r.thermal.enabled ? common::Table::fmt(r.thermal.mean_temp_c, 1) : "-",
-                         r.thermal.enabled
-                             ? common::Table::fmt(100.0 * r.thermal.throttle_residency, 1)
-                             : "-",
-                         r.thermal.enabled ? common::Table::fmt(leak_excess_pct(r), 1) : "-",
-                         r.saturated ? "y" : "n"});
+      auto thermal_axis = sim::SweepAxis::custom(
+          "thermal", {{"off", [](sim::Scenario&) {}},
+                      {"free", [](sim::Scenario& s) {
+                         s.thermal = true;
+                         s.temp_cap_c = kCapOutOfReach;
+                       }},
+                      {"cap", [cap_c](sim::Scenario& s) {
+                         s.thermal = true;
+                         s.temp_cap_c = cap_c;
+                       }}});
+      const char* thermal_labels[] = {"off", "free", "cap"};
+      const auto recs = h.sweep(
+          base,
+          {sim::SweepAxis::islands(layouts), thermal_axis, sim::SweepAxis::policies(policies)},
+          "fig12-" + workload);
+
+      common::Table table({"layout", "thermal", "policy", "delay ns", "P mW", "peak C",
+                           "mean C", "thr %", "leak+%", "sat"});
+      const std::size_t cells_per_layout = 3 * policies.size();
+      for (std::size_t l = 0; l < layouts.size(); ++l) {
+        for (std::size_t t = 0; t < 3; ++t) {
+          for (std::size_t pi = 0; pi < policies.size(); ++pi) {
+            const sim::RunResult& r =
+                recs[l * cells_per_layout + t * policies.size() + pi].result;
+            table.add_row({layouts[l], thermal_labels[t], sim::to_string(policies[pi]),
+                           common::Table::fmt(r.avg_delay_ns, 1),
+                           common::Table::fmt(r.power_mw(), 1),
+                           r.thermal.enabled ? common::Table::fmt(r.thermal.peak_temp_c, 1) : "-",
+                           r.thermal.enabled ? common::Table::fmt(r.thermal.mean_temp_c, 1) : "-",
+                           r.thermal.enabled
+                               ? common::Table::fmt(100.0 * r.thermal.throttle_residency, 1)
+                               : "-",
+                           r.thermal.enabled ? common::Table::fmt(leak_excess_pct(r), 1) : "-",
+                           r.saturated ? "y" : "n"});
+          }
         }
       }
+      table.print(std::cout);
     }
-    table.print(std::cout);
-  }
 
-  // Baseline rows for the CI identity check: the same hotspot scenarios
-  // built from a Scenario whose thermal keys are never touched. Bit-equal
-  // to the thermal=off islands=global rows above, or the default path
-  // regressed.
-  {
-    const sim::Scenario base = hotspot_anchored(h.scenario());
-    h.sweep(base, {sim::SweepAxis::policies(policies)}, "baseline");
-  }
+    // Baseline rows for the CI identity check: the same hotspot scenarios
+    // built from a Scenario whose thermal keys are never touched. Bit-equal
+    // to the thermal=off islands=global rows above, or the default path
+    // regressed.
+    {
+      const sim::Scenario base = hotspot_anchored(h.scenario());
+      h.sweep(base, {sim::SweepAxis::policies(policies)}, "baseline");
+    }
 
-  std::cout << "\nConclusion check: the two sensing channels heat the die differently —\n"
-               "whichever loop holds the higher clock (here the delay-based one defending\n"
-               "a tight target against hotspot congestion) pays a temperature-resolved\n"
-               "leakage excess the temperature-blind model never charges, and throttles\n"
-               "hardest once the cap bites. Closing the temperature-leakage loop therefore\n"
-               "shifts the RMSD-vs-DMSD energy verdict, and per-quadrant islands confine\n"
-               "the throttle to the domains that actually overheat.\n";
-  return 0;
+    std::cout << "\nConclusion check: the two sensing channels heat the die differently —\n"
+                 "whichever loop holds the higher clock (here the delay-based one defending\n"
+                 "a tight target against hotspot congestion) pays a temperature-resolved\n"
+                 "leakage excess the temperature-blind model never charges, and throttles\n"
+                 "hardest once the cap bites. Closing the temperature-leakage loop therefore\n"
+                 "shifts the RMSD-vs-DMSD energy verdict, and per-quadrant islands confine\n"
+                 "the throttle to the domains that actually overheat.\n";
+    return 0;
+  });
 }

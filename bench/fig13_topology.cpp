@@ -81,110 +81,110 @@ int main(int argc, char** argv) {
                      "comma list of routing algorithms (xy,yx,adaptive,ugal)");
   h.config().declare("fault_specs", "off,links:2@0,links:1@40000+routers:1@120000",
                      "comma list of fault specs for the faulted-torus group");
-  if (!h.parse(argc, argv)) return h.exit_code();
+  return h.run(argc, argv, [&] {
+    const auto topologies = common::split_csv(h.config().get_string("topologies"));
+    const auto routings = common::split_csv(h.config().get_string("routings"));
+    const std::vector<sim::Policy> policies = {sim::Policy::Rmsd, sim::Policy::Dmsd};
 
-  const auto topologies = common::split_csv(h.config().get_string("topologies"));
-  const auto routings = common::split_csv(h.config().get_string("routings"));
-  const std::vector<sim::Policy> policies = {sim::Policy::Rmsd, sim::Policy::Dmsd};
+    // One anchor set, derived on the paper's mesh: every topology runs the
+    // same offered load and policy parameters, so row differences are
+    // attributable to the shape and the routing alone. (Re-anchoring per
+    // topology would also break the mesh-row identity with `baseline`.)
+    const auto anchors = h.anchor(h.scenario());
+    auto anchored_base = [&] {
+      sim::Scenario s = sim::anchored(h.scenario(), anchors);
+      sim::set_offered_lambda(s, 0.6 * anchors.lambda_sat);
+      // Sweeps share one base scenario; a telemetry_out here would collide
+      // across points (the sweep rejects duplicate export basenames). The
+      // dedicated export run below honours it instead.
+      s.telemetry_out.clear();
+      return s;
+    };
 
-  // One anchor set, derived on the paper's mesh: every topology runs the
-  // same offered load and policy parameters, so row differences are
-  // attributable to the shape and the routing alone. (Re-anchoring per
-  // topology would also break the mesh-row identity with `baseline`.)
-  const auto anchors = h.anchor(h.scenario());
-  auto anchored_base = [&] {
-    sim::Scenario s = sim::anchored(h.scenario(), anchors);
-    sim::set_offered_lambda(s, 0.6 * anchors.lambda_sat);
-    // Sweeps share one base scenario; a telemetry_out here would collide
-    // across points (the sweep rejects duplicate export basenames). The
-    // dedicated export run below honours it instead.
-    s.telemetry_out.clear();
-    return s;
-  };
+    // --- topology x routing x policy matrix ---------------------------------
+    const auto recs = h.sweep(
+        anchored_base(),
+        {topology_axis(topologies), routing_axis(routings), sim::SweepAxis::policies(policies)},
+        "fig13-topology");
 
-  // --- topology x routing x policy matrix ---------------------------------
-  const auto recs = h.sweep(
-      anchored_base(),
-      {topology_axis(topologies), routing_axis(routings), sim::SweepAxis::policies(policies)},
-      "fig13-topology");
-
-  common::Table table({"topology", "routing", "policy", "delay ns", "p99 ns", "hops",
-                       "max", "P mW", "pJ/bit", "sat"});
-  for (std::size_t t = 0; t < topologies.size(); ++t) {
-    for (std::size_t a = 0; a < routings.size(); ++a) {
-      for (std::size_t p = 0; p < policies.size(); ++p) {
-        const std::size_t i = (t * routings.size() + a) * policies.size() + p;
-        if (i >= recs.size()) continue;
-        const sim::RunResult& r = recs[i].result;
-        table.add_row({topologies[t], routings[a], sim::to_string(policies[p]),
-                       common::Table::fmt(r.avg_delay_ns, 1),
-                       common::Table::fmt(r.p99_delay_ns, 1),
-                       common::Table::fmt(r.avg_hops, 2), std::to_string(r.max_hops),
-                       common::Table::fmt(r.power_mw(), 1),
-                       common::Table::fmt(r.energy_per_bit_pj, 2), r.saturated ? "y" : "n"});
+    common::Table table({"topology", "routing", "policy", "delay ns", "p99 ns", "hops",
+                         "max", "P mW", "pJ/bit", "sat"});
+    for (std::size_t t = 0; t < topologies.size(); ++t) {
+      for (std::size_t a = 0; a < routings.size(); ++a) {
+        for (std::size_t p = 0; p < policies.size(); ++p) {
+          const std::size_t i = (t * routings.size() + a) * policies.size() + p;
+          if (i >= recs.size()) continue;
+          const sim::RunResult& r = recs[i].result;
+          table.add_row({topologies[t], routings[a], sim::to_string(policies[p]),
+                         common::Table::fmt(r.avg_delay_ns, 1),
+                         common::Table::fmt(r.p99_delay_ns, 1),
+                         common::Table::fmt(r.avg_hops, 2), std::to_string(r.max_hops),
+                         common::Table::fmt(r.power_mw(), 1),
+                         common::Table::fmt(r.energy_per_bit_pj, 2), r.saturated ? "y" : "n"});
+        }
       }
     }
-  }
-  table.print(std::cout);
+    table.print(std::cout);
 
-  // --- faulted torus: reroute under each control policy -------------------
-  const auto fault_specs = common::split_csv(h.config().get_string("fault_specs"));
-  std::vector<sim::SweepAxis::Point> fault_points;
-  for (const std::string& spec : fault_specs) {
-    fault_points.push_back({spec, [spec](sim::Scenario& s) {
-                              s.network.topology = topo::TopologyKind::Torus;
-                              s.network.faults = spec == "off" ? std::string() : spec;
-                            }});
-  }
-  const auto frecs = h.sweep(
-      anchored_base(),
-      {sim::SweepAxis::custom("faults", std::move(fault_points)),
-       sim::SweepAxis::policies(policies)},
-      "fig13-faults");
-
-  std::cout << "\n--- faulted torus (xy + up*/down* reroute) ---\n";
-  common::Table ftable({"faults", "policy", "delay ns", "hops", "max", "rerouted",
-                        "unreach", "dropped", "sat"});
-  for (std::size_t f = 0; f < fault_specs.size(); ++f) {
-    for (std::size_t p = 0; p < policies.size(); ++p) {
-      const std::size_t i = f * policies.size() + p;
-      if (i >= frecs.size()) continue;
-      const sim::RunResult& r = frecs[i].result;
-      ftable.add_row({fault_specs[f], sim::to_string(policies[p]),
-                      common::Table::fmt(r.avg_delay_ns, 1),
-                      common::Table::fmt(r.avg_hops, 2), std::to_string(r.max_hops),
-                      std::to_string(r.rerouted_pairs), std::to_string(r.unreachable_pairs),
-                      std::to_string(r.dropped_packets), r.saturated ? "y" : "n"});
+    // --- faulted torus: reroute under each control policy -------------------
+    const auto fault_specs = common::split_csv(h.config().get_string("fault_specs"));
+    std::vector<sim::SweepAxis::Point> fault_points;
+    for (const std::string& spec : fault_specs) {
+      fault_points.push_back({spec, [spec](sim::Scenario& s) {
+                                s.network.topology = topo::TopologyKind::Torus;
+                                s.network.faults = spec == "off" ? std::string() : spec;
+                              }});
     }
-  }
-  ftable.print(std::cout);
+    const auto frecs = h.sweep(
+        anchored_base(),
+        {sim::SweepAxis::custom("faults", std::move(fault_points)),
+         sim::SweepAxis::policies(policies)},
+        "fig13-faults");
 
-  // --- dedicated telemetry export run -------------------------------------
-  // With telemetry= and telemetry_out= set, re-run the most eventful cell
-  // of the matrix (faulted torus under RMSD) once and export its timeline
-  // — the artifact CI uploads and `nocdvfs_report` renders.
-  if (h.scenario().telemetry != "off" && !h.scenario().telemetry_out.empty()) {
-    sim::Scenario s = anchored_base();
-    s.network.topology = topo::TopologyKind::Torus;
-    s.network.faults = "links:2@0";
-    s.policy.policy = sim::Policy::Rmsd;
-    s.telemetry = h.scenario().telemetry;
-    s.telemetry_out = h.scenario().telemetry_out;
-    const sim::RunResult r = sim::run(s);
-    std::cout << "\ntelemetry export (torus links:2@0 rmsd): " << s.telemetry_out
-              << ".nocobs + .json   windows=" << r.telemetry.windows
-              << "   busy_vc_cycles=" << r.telemetry.busy_vc_cycles << "\n";
-  }
+    std::cout << "\n--- faulted torus (xy + up*/down* reroute) ---\n";
+    common::Table ftable({"faults", "policy", "delay ns", "hops", "max", "rerouted",
+                          "unreach", "dropped", "sat"});
+    for (std::size_t f = 0; f < fault_specs.size(); ++f) {
+      for (std::size_t p = 0; p < policies.size(); ++p) {
+        const std::size_t i = f * policies.size() + p;
+        if (i >= frecs.size()) continue;
+        const sim::RunResult& r = frecs[i].result;
+        ftable.add_row({fault_specs[f], sim::to_string(policies[p]),
+                        common::Table::fmt(r.avg_delay_ns, 1),
+                        common::Table::fmt(r.avg_hops, 2), std::to_string(r.max_hops),
+                        std::to_string(r.rerouted_pairs), std::to_string(r.unreachable_pairs),
+                        std::to_string(r.dropped_packets), r.saturated ? "y" : "n"});
+      }
+    }
+    ftable.print(std::cout);
 
-  // Baseline rows for the CI identity check: the same policy sweep built
-  // from a Scenario whose topology keys are never touched. Bit-equal to
-  // the topology=mesh routing=xy rows above, or the default path regressed.
-  h.sweep(anchored_base(), {sim::SweepAxis::policies(policies)}, "baseline");
+    // --- dedicated telemetry export run -------------------------------------
+    // With telemetry= and telemetry_out= set, re-run the most eventful cell
+    // of the matrix (faulted torus under RMSD) once and export its timeline
+    // — the artifact CI uploads and `nocdvfs_report` renders.
+    if (h.scenario().telemetry != "off" && !h.scenario().telemetry_out.empty()) {
+      sim::Scenario s = anchored_base();
+      s.network.topology = topo::TopologyKind::Torus;
+      s.network.faults = "links:2@0";
+      s.policy.policy = sim::Policy::Rmsd;
+      s.telemetry = h.scenario().telemetry;
+      s.telemetry_out = h.scenario().telemetry_out;
+      const sim::RunResult r = sim::run(s);
+      std::cout << "\ntelemetry export (torus links:2@0 rmsd): " << s.telemetry_out
+                << ".nocobs + .json   windows=" << r.telemetry.windows
+                << "   busy_vc_cycles=" << r.telemetry.busy_vc_cycles << "\n";
+    }
 
-  std::cout << "\nConclusion check: RMSD's λ_max anchor was measured on the mesh — on\n"
-               "shapes with different bisection it over- or under-clocks at the same\n"
-               "offered load, and a reroute that lengthens paths is invisible to it.\n"
-               "DMSD keeps regulating the quantity the user sees (delay), absorbing\n"
-               "topology and fault effects at the cost of tracking a moving target.\n";
-  return 0;
+    // Baseline rows for the CI identity check: the same policy sweep built
+    // from a Scenario whose topology keys are never touched. Bit-equal to
+    // the topology=mesh routing=xy rows above, or the default path regressed.
+    h.sweep(anchored_base(), {sim::SweepAxis::policies(policies)}, "baseline");
+
+    std::cout << "\nConclusion check: RMSD's λ_max anchor was measured on the mesh — on\n"
+                 "shapes with different bisection it over- or under-clocks at the same\n"
+                 "offered load, and a reroute that lengthens paths is invisible to it.\n"
+                 "DMSD keeps regulating the quantity the user sees (delay), absorbing\n"
+                 "topology and fault effects at the cost of tracking a moving target.\n";
+    return 0;
+  });
 }

@@ -68,78 +68,78 @@ int main(int argc, char** argv) {
                    "tail latency (p50/p95/p99/p99.9) under RMSD vs DMSD");
   h.config().declare("topologies", "mesh,torus",
                      "comma list of topologies (mesh,torus,cmesh)");
-  if (!h.parse(argc, argv)) return h.exit_code();
+  return h.run(argc, argv, [&] {
+    const auto topologies = common::split_csv(h.config().get_string("topologies"));
+    const std::vector<sim::Policy> policies = {sim::Policy::Rmsd, sim::Policy::Dmsd};
 
-  const auto topologies = common::split_csv(h.config().get_string("topologies"));
-  const std::vector<sim::Policy> policies = {sim::Policy::Rmsd, sim::Policy::Dmsd};
+    // One anchor set, derived on the paper's mesh, shared by every cell so
+    // tail differences are attributable to the policy and the shape alone.
+    const auto anchors = h.anchor(h.scenario());
+    auto anchored_base = [&] {
+      sim::Scenario s = sim::anchored(h.scenario(), anchors);
+      sim::set_offered_lambda(s, 0.6 * anchors.lambda_sat);
+      // Sweeps share one base scenario; a telemetry_out here would collide
+      // across points. The dedicated export run below honours it instead.
+      s.telemetry_out.clear();
+      return s;
+    };
 
-  // One anchor set, derived on the paper's mesh, shared by every cell so
-  // tail differences are attributable to the policy and the shape alone.
-  const auto anchors = h.anchor(h.scenario());
-  auto anchored_base = [&] {
-    sim::Scenario s = sim::anchored(h.scenario(), anchors);
-    sim::set_offered_lambda(s, 0.6 * anchors.lambda_sat);
-    // Sweeps share one base scenario; a telemetry_out here would collide
-    // across points. The dedicated export run below honours it instead.
-    s.telemetry_out.clear();
-    return s;
-  };
+    // --- topology x policy matrix -------------------------------------------
+    // The first P rows are the mesh rows the baseline group must reproduce
+    // bit-for-bit.
+    const auto recs = h.sweep(anchored_base(),
+                              {topology_axis(topologies), sim::SweepAxis::policies(policies)},
+                              "fig14-tail");
 
-  // --- topology x policy matrix -------------------------------------------
-  // The first P rows are the mesh rows the baseline group must reproduce
-  // bit-for-bit.
-  const auto recs = h.sweep(anchored_base(),
-                            {topology_axis(topologies), sim::SweepAxis::policies(policies)},
-                            "fig14-tail");
+    common::Table table({"topology", "policy", "mean ns", "p50 ns", "p95 ns", "p99 ns",
+                         "p99.9 ns", "max ns", "p99/p50", "sat"});
+    for (const sim::SweepRecord& rec : recs) {
+      const sim::RunResult& r = rec.result;
+      const sim::DelayDistResult::Slice& d = r.delay_dist.delay_ns;
+      table.add_row({rec.point.coordinates[0], rec.point.coordinates[1],
+                     common::Table::fmt(r.avg_delay_ns, 1), common::Table::fmt(d.p50, 1),
+                     common::Table::fmt(d.p95, 1), common::Table::fmt(d.p99, 1),
+                     common::Table::fmt(d.p999, 1), common::Table::fmt(d.max, 1),
+                     ratio_fmt(d.p99, d.p50), r.saturated ? "y" : "n"});
+    }
+    std::cout << "\n--- tail latency (quantiles lie in the 1/8-octave bucket of the "
+                 "exact order statistic) ---\n";
+    table.print(std::cout);
 
-  common::Table table({"topology", "policy", "mean ns", "p50 ns", "p95 ns", "p99 ns",
-                       "p99.9 ns", "max ns", "p99/p50", "sat"});
-  for (const sim::SweepRecord& rec : recs) {
-    const sim::RunResult& r = rec.result;
-    const sim::DelayDistResult::Slice& d = r.delay_dist.delay_ns;
-    table.add_row({rec.point.coordinates[0], rec.point.coordinates[1],
-                   common::Table::fmt(r.avg_delay_ns, 1), common::Table::fmt(d.p50, 1),
-                   common::Table::fmt(d.p95, 1), common::Table::fmt(d.p99, 1),
-                   common::Table::fmt(d.p999, 1), common::Table::fmt(d.max, 1),
-                   ratio_fmt(d.p99, d.p50), r.saturated ? "y" : "n"});
-  }
-  std::cout << "\n--- tail latency (quantiles lie in the 1/8-octave bucket of the "
-               "exact order statistic) ---\n";
-  table.print(std::cout);
+    // --- dedicated export run: histograms + sampled packet flights ----------
+    if (h.scenario().telemetry != "off" && !h.scenario().telemetry_out.empty()) {
+      sim::Scenario s = anchored_base();
+      s.policy.policy = sim::Policy::Rmsd;
+      s.pkt_trace = "on";
+      s.pkt_trace_rate = h.scenario().pkt_trace_rate;
+      s.telemetry = h.scenario().telemetry;
+      s.telemetry_out = h.scenario().telemetry_out;
+      const sim::RunResult r = sim::run(s);
+      std::cout << "\ntelemetry export (mesh rmsd pkt_trace=on): "
+                << s.telemetry_out << ".nocobs + .json   windows="
+                << r.telemetry.windows << "   p99=" << common::Table::fmt(
+                       r.delay_dist.delay_ns.p99, 1)
+                << " ns\n";
+    }
 
-  // --- dedicated export run: histograms + sampled packet flights ----------
-  if (h.scenario().telemetry != "off" && !h.scenario().telemetry_out.empty()) {
-    sim::Scenario s = anchored_base();
-    s.policy.policy = sim::Policy::Rmsd;
-    s.pkt_trace = "on";
-    s.pkt_trace_rate = h.scenario().pkt_trace_rate;
-    s.telemetry = h.scenario().telemetry;
-    s.telemetry_out = h.scenario().telemetry_out;
-    const sim::RunResult r = sim::run(s);
-    std::cout << "\ntelemetry export (mesh rmsd pkt_trace=on): "
-              << s.telemetry_out << ".nocobs + .json   windows="
-              << r.telemetry.windows << "   p99=" << common::Table::fmt(
-                     r.delay_dist.delay_ns.p99, 1)
-              << " ns\n";
-  }
+    // Baseline rows for the CI identity check: the same policy sweep built
+    // from a Scenario that never touches the topology keys. Bit-equal to the
+    // topology=mesh rows above, or the sweep plumbing perturbed the run.
+    h.sweep(anchored_base(), {sim::SweepAxis::policies(policies)}, "baseline");
 
-  // Baseline rows for the CI identity check: the same policy sweep built
-  // from a Scenario that never touches the topology keys. Bit-equal to the
-  // topology=mesh rows above, or the sweep plumbing perturbed the run.
-  h.sweep(anchored_base(), {sim::SweepAxis::policies(policies)}, "baseline");
-
-  // The claim, computed from the rows above. RMSD holds delay constant in
-  // NoC cycles, not in ns, so its mean need not match DMSD's; the p99/p50
-  // ratio is the tail signature.
-  std::cout << "\nMeasured, RMSD vs DMSD per topology:\n";
-  for (std::size_t i = 0; i + 1 < recs.size(); i += policies.size()) {
-    const sim::RunResult& rmsd = recs[i].result;
-    const sim::RunResult& dmsd = recs[i + 1].result;
-    const sim::DelayDistResult::Slice& a = rmsd.delay_dist.delay_ns;
-    const sim::DelayDistResult::Slice& b = dmsd.delay_dist.delay_ns;
-    std::cout << "  " << recs[i].point.coordinates[0] << ": mean delay RMSD/DMSD "
-              << ratio_fmt(rmsd.avg_delay_ns, dmsd.avg_delay_ns) << "x   p99/p50 RMSD "
-              << ratio_fmt(a.p99, a.p50) << " vs DMSD " << ratio_fmt(b.p99, b.p50) << "\n";
-  }
-  return 0;
+    // The claim, computed from the rows above. RMSD holds delay constant in
+    // NoC cycles, not in ns, so its mean need not match DMSD's; the p99/p50
+    // ratio is the tail signature.
+    std::cout << "\nMeasured, RMSD vs DMSD per topology:\n";
+    for (std::size_t i = 0; i + 1 < recs.size(); i += policies.size()) {
+      const sim::RunResult& rmsd = recs[i].result;
+      const sim::RunResult& dmsd = recs[i + 1].result;
+      const sim::DelayDistResult::Slice& a = rmsd.delay_dist.delay_ns;
+      const sim::DelayDistResult::Slice& b = dmsd.delay_dist.delay_ns;
+      std::cout << "  " << recs[i].point.coordinates[0] << ": mean delay RMSD/DMSD "
+                << ratio_fmt(rmsd.avg_delay_ns, dmsd.avg_delay_ns) << "x   p99/p50 RMSD "
+                << ratio_fmt(a.p99, a.p50) << " vs DMSD " << ratio_fmt(b.p99, b.p50) << "\n";
+    }
+    return 0;
+  });
 }

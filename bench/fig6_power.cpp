@@ -3,9 +3,6 @@
 /// for the three policies under the Fig. 2 scenario, with the paper's two
 /// annotated ratios at λ = 0.2: No-DVFS / DMSD ≈ 2.2× and
 /// DMSD / RMSD ≈ 1.3× — against a ≈90% delay penalty for RMSD (Fig. 4).
-///
-/// Accepts `key=value` overrides and `help=1`; `csv=`/`json=` write
-/// machine-readable rows (see bench_common.hpp).
 
 #include <cmath>
 #include <iostream>
@@ -17,53 +14,53 @@ using namespace nocdvfs;
 
 int main(int argc, char** argv) {
   bench::Harness h("Figure 6", "Total NoC power vs injection rate");
-  if (!h.parse(argc, argv)) return h.exit_code();
+  return h.run(argc, argv, [&] {
+    const sim::Scenario base = h.scenario();
+    std::cout << "Measuring saturation rate...\n";
+    const auto anchors = h.anchor(base);
+    std::cout << "\n";
 
-  const sim::Scenario base = h.scenario();
-  std::cout << "Measuring saturation rate...\n";
-  const auto anchors = h.anchor(base);
-  std::cout << "\n";
+    const auto lambdas = bench::lambda_sweep(anchors.lambda_sat, bench::sweep_points(10, 6));
+    const std::vector<sim::Policy> policies = {sim::Policy::NoDvfs, sim::Policy::Rmsd,
+                                               sim::Policy::Dmsd};
+    const auto recs =
+        h.sweep(sim::anchored(base, anchors),
+                {sim::SweepAxis::lambda(lambdas), sim::SweepAxis::policies(policies)});
 
-  const auto lambdas = bench::lambda_sweep(anchors.lambda_sat, bench::sweep_points(10, 6));
-  const std::vector<sim::Policy> policies = {sim::Policy::NoDvfs, sim::Policy::Rmsd,
-                                             sim::Policy::Dmsd};
-  const auto recs =
-      h.sweep(sim::anchored(base, anchors),
-              {sim::SweepAxis::lambda(lambdas), sim::SweepAxis::policies(policies)});
-
-  common::Table table({"lambda", "P none[mW]", "P rmsd[mW]", "P dmsd[mW]", "none/dmsd",
-                       "dmsd/rmsd"});
-  double best_02[3] = {0, 0, 0};
-  double best_02_delay[2] = {0, 0};  // rmsd, dmsd delay at the 0.2 point
-  double dist02 = 1e9;
-  for (std::size_t i = 0; i < lambdas.size(); ++i) {
-    const double lambda = lambdas[i];
-    const sim::RunResult& none = recs[i * policies.size() + 0].result;
-    const sim::RunResult& rmsd = recs[i * policies.size() + 1].result;
-    const sim::RunResult& dmsd = recs[i * policies.size() + 2].result;
-    table.add_row({common::Table::fmt(lambda, 3), common::Table::fmt(none.power_mw(), 1),
-                   common::Table::fmt(rmsd.power_mw(), 1),
-                   common::Table::fmt(dmsd.power_mw(), 1),
-                   common::Table::fmt(none.power_mw() / dmsd.power_mw(), 2),
-                   common::Table::fmt(dmsd.power_mw() / rmsd.power_mw(), 2)});
-    if (std::abs(lambda - 0.2) < dist02) {
-      dist02 = std::abs(lambda - 0.2);
-      best_02[0] = none.power_mw();
-      best_02[1] = rmsd.power_mw();
-      best_02[2] = dmsd.power_mw();
-      best_02_delay[0] = rmsd.avg_delay_ns;
-      best_02_delay[1] = dmsd.avg_delay_ns;
+    common::Table table({"lambda", "P none[mW]", "P rmsd[mW]", "P dmsd[mW]", "none/dmsd",
+                         "dmsd/rmsd"});
+    double best_02[3] = {0, 0, 0};
+    double best_02_delay[2] = {0, 0};  // rmsd, dmsd delay at the 0.2 point
+    double dist02 = 1e9;
+    for (std::size_t i = 0; i < lambdas.size(); ++i) {
+      const double lambda = lambdas[i];
+      const sim::RunResult& none = recs[i * policies.size() + 0].result;
+      const sim::RunResult& rmsd = recs[i * policies.size() + 1].result;
+      const sim::RunResult& dmsd = recs[i * policies.size() + 2].result;
+      table.add_row({common::Table::fmt(lambda, 3), common::Table::fmt(none.power_mw(), 1),
+                     common::Table::fmt(rmsd.power_mw(), 1),
+                     common::Table::fmt(dmsd.power_mw(), 1),
+                     common::Table::fmt(none.power_mw() / dmsd.power_mw(), 2),
+                     common::Table::fmt(dmsd.power_mw() / rmsd.power_mw(), 2)});
+      if (std::abs(lambda - 0.2) < dist02) {
+        dist02 = std::abs(lambda - 0.2);
+        best_02[0] = none.power_mw();
+        best_02[1] = rmsd.power_mw();
+        best_02[2] = dmsd.power_mw();
+        best_02_delay[0] = rmsd.avg_delay_ns;
+        best_02_delay[1] = dmsd.avg_delay_ns;
+      }
     }
-  }
-  table.print(std::cout);
+    table.print(std::cout);
 
-  std::cout << "\nShape checks at the point nearest lambda = 0.2 (paper's annotations):\n"
-            << "  No-DVFS / DMSD power: " << common::Table::fmt(best_02[0] / best_02[2], 2)
-            << "x   (paper: ~2.2x)\n"
-            << "  DMSD / RMSD power:    " << common::Table::fmt(best_02[2] / best_02[1], 2)
-            << "x   (paper: ~1.3x, 'DMSD consumes 30% more')\n"
-            << "  ...while RMSD delay is " << common::Table::fmt(best_02_delay[0], 0)
-            << " ns vs DMSD " << common::Table::fmt(best_02_delay[1], 0)
-            << " ns — the delay gap dwarfs the power gap (the paper's conclusion).\n";
-  return 0;
+    std::cout << "\nShape checks at the point nearest lambda = 0.2 (paper's annotations):\n"
+              << "  No-DVFS / DMSD power: " << common::Table::fmt(best_02[0] / best_02[2], 2)
+              << "x   (paper: ~2.2x)\n"
+              << "  DMSD / RMSD power:    " << common::Table::fmt(best_02[2] / best_02[1], 2)
+              << "x   (paper: ~1.3x, 'DMSD consumes 30% more')\n"
+              << "  ...while RMSD delay is " << common::Table::fmt(best_02_delay[0], 0)
+              << " ns vs DMSD " << common::Table::fmt(best_02_delay[1], 0)
+              << " ns — the delay gap dwarfs the power gap (the paper's conclusion).\n";
+    return 0;
+  });
 }

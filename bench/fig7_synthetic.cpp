@@ -5,9 +5,7 @@
 /// default 5×5 router. The paper's annotations: RMSD/DMSD delay gaps of
 /// 2–2.5× and No-DVFS/DMSD power gaps of 1.2–1.4× (all at mid load).
 ///
-/// Accepts `key=value` overrides and `help=1` (e.g. `patterns=tornado`
-/// `threads=8`); `csv=`/`json=` write machine-readable rows (see
-/// bench_common.hpp).
+/// `patterns=tornado` runs one of the four patterns.
 
 #include <cmath>
 #include <iostream>
@@ -22,58 +20,58 @@ int main(int argc, char** argv) {
   bench::Harness h("Figure 7", "Synthetic patterns: delay and power, three policies");
   h.config().declare("patterns", "tornado,bitcomp,transpose,neighbor",
                      "comma list of patterns to sweep");
-  if (!h.parse(argc, argv)) return h.exit_code();
+  return h.run(argc, argv, [&] {
+    std::stringstream patterns(h.config().get_string("patterns"));
+    std::string pattern;
+    while (std::getline(patterns, pattern, ',')) {
+      sim::Scenario base = h.scenario();
+      base.pattern = pattern;
+      std::cout << "\n--- pattern: " << pattern << " ---\n";
+      const auto anchors = h.anchor(base);
 
-  std::stringstream patterns(h.config().get_string("patterns"));
-  std::string pattern;
-  while (std::getline(patterns, pattern, ',')) {
-    sim::Scenario base = h.scenario();
-    base.pattern = pattern;
-    std::cout << "\n--- pattern: " << pattern << " ---\n";
-    const auto anchors = h.anchor(base);
+      const auto lambdas = bench::lambda_sweep(anchors.lambda_sat, bench::sweep_points(8, 5));
+      const std::vector<sim::Policy> policies = {sim::Policy::NoDvfs, sim::Policy::Rmsd,
+                                                 sim::Policy::Dmsd};
+      const auto recs =
+          h.sweep(sim::anchored(base, anchors),
+                  {sim::SweepAxis::lambda(lambdas), sim::SweepAxis::policies(policies)},
+                  "pattern=" + pattern);
 
-    const auto lambdas = bench::lambda_sweep(anchors.lambda_sat, bench::sweep_points(8, 5));
-    const std::vector<sim::Policy> policies = {sim::Policy::NoDvfs, sim::Policy::Rmsd,
-                                               sim::Policy::Dmsd};
-    const auto recs =
-        h.sweep(sim::anchored(base, anchors),
-                {sim::SweepAxis::lambda(lambdas), sim::SweepAxis::policies(policies)},
-                "pattern=" + pattern);
-
-    common::Table table({"lambda", "delay none", "delay rmsd", "delay dmsd", "P none",
-                         "P rmsd", "P dmsd", "d rmsd/dmsd", "P none/dmsd"});
-    double mid_delay_ratio = 0.0, mid_power_ratio = 0.0, mid_lambda = 0.0;
-    double dist = 1e9;
-    for (std::size_t i = 0; i < lambdas.size(); ++i) {
-      const double lambda = lambdas[i];
-      const sim::RunResult& none = recs[i * policies.size() + 0].result;
-      const sim::RunResult& rmsd = recs[i * policies.size() + 1].result;
-      const sim::RunResult& dmsd = recs[i * policies.size() + 2].result;
-      const double d_ratio = rmsd.avg_delay_ns / dmsd.avg_delay_ns;
-      const double p_ratio = none.power_mw() / dmsd.power_mw();
-      table.add_row({common::Table::fmt(lambda, 3), common::Table::fmt(none.avg_delay_ns, 1),
-                     common::Table::fmt(rmsd.avg_delay_ns, 1),
-                     common::Table::fmt(dmsd.avg_delay_ns, 1),
-                     common::Table::fmt(none.power_mw(), 1),
-                     common::Table::fmt(rmsd.power_mw(), 1),
-                     common::Table::fmt(dmsd.power_mw(), 1), common::Table::fmt(d_ratio, 2),
-                     common::Table::fmt(p_ratio, 2)});
-      // The paper annotates its ratios around λ = 0.2.
-      if (std::abs(lambda - 0.2) < dist) {
-        dist = std::abs(lambda - 0.2);
-        mid_delay_ratio = d_ratio;
-        mid_power_ratio = dmsd.power_mw() / rmsd.power_mw();
-        mid_lambda = lambda;
+      common::Table table({"lambda", "delay none", "delay rmsd", "delay dmsd", "P none",
+                           "P rmsd", "P dmsd", "d rmsd/dmsd", "P none/dmsd"});
+      double mid_delay_ratio = 0.0, mid_power_ratio = 0.0, mid_lambda = 0.0;
+      double dist = 1e9;
+      for (std::size_t i = 0; i < lambdas.size(); ++i) {
+        const double lambda = lambdas[i];
+        const sim::RunResult& none = recs[i * policies.size() + 0].result;
+        const sim::RunResult& rmsd = recs[i * policies.size() + 1].result;
+        const sim::RunResult& dmsd = recs[i * policies.size() + 2].result;
+        const double d_ratio = rmsd.avg_delay_ns / dmsd.avg_delay_ns;
+        const double p_ratio = none.power_mw() / dmsd.power_mw();
+        table.add_row({common::Table::fmt(lambda, 3), common::Table::fmt(none.avg_delay_ns, 1),
+                       common::Table::fmt(rmsd.avg_delay_ns, 1),
+                       common::Table::fmt(dmsd.avg_delay_ns, 1),
+                       common::Table::fmt(none.power_mw(), 1),
+                       common::Table::fmt(rmsd.power_mw(), 1),
+                       common::Table::fmt(dmsd.power_mw(), 1), common::Table::fmt(d_ratio, 2),
+                       common::Table::fmt(p_ratio, 2)});
+        // The paper annotates its ratios around λ = 0.2.
+        if (std::abs(lambda - 0.2) < dist) {
+          dist = std::abs(lambda - 0.2);
+          mid_delay_ratio = d_ratio;
+          mid_power_ratio = dmsd.power_mw() / rmsd.power_mw();
+          mid_lambda = lambda;
+        }
       }
+      table.print(std::cout);
+      std::cout << "At lambda ~ " << common::Table::fmt(mid_lambda, 2)
+                << ": RMSD/DMSD delay = " << common::Table::fmt(mid_delay_ratio, 2)
+                << "x (paper: 2-2.5x), DMSD/RMSD power = "
+                << common::Table::fmt(mid_power_ratio, 2) << "x (paper: 1.2-1.4x)\n";
     }
-    table.print(std::cout);
-    std::cout << "At lambda ~ " << common::Table::fmt(mid_lambda, 2)
-              << ": RMSD/DMSD delay = " << common::Table::fmt(mid_delay_ratio, 2)
-              << "x (paper: 2-2.5x), DMSD/RMSD power = "
-              << common::Table::fmt(mid_power_ratio, 2) << "x (paper: 1.2-1.4x)\n";
-  }
 
-  std::cout << "\nConclusion check: for every pattern the RMSD delay penalty exceeds its\n"
-               "power advantage — the trade-off verdict is pattern-independent.\n";
-  return 0;
+    std::cout << "\nConclusion check: for every pattern the RMSD delay penalty exceeds its\n"
+                 "power advantage — the trade-off verdict is pattern-independent.\n";
+    return 0;
+  });
 }

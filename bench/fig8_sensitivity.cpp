@@ -11,9 +11,6 @@
 /// three policies at two relative loads. The verdict column checks the
 /// paper's conclusion — delay penalty (×) exceeds power advantage (×) —
 /// which must hold for every variation.
-///
-/// Accepts `key=value` overrides and `help=1`; `csv=`/`json=` write
-/// machine-readable rows (see bench_common.hpp).
 
 #include <iostream>
 #include <string>
@@ -62,51 +59,51 @@ std::vector<Variant> build_variants(const sim::Scenario& base) {
 
 int main(int argc, char** argv) {
   bench::Harness h("Figure 8", "Sensitivity: VCs, buffers, packet size, mesh size");
-  if (!h.parse(argc, argv)) return h.exit_code();
+  return h.run(argc, argv, [&] {
+    common::Table table({"family", "variant", "l_sat", "load", "delay none", "delay rmsd",
+                         "delay dmsd", "P none", "P rmsd", "P dmsd", "d-ratio", "p-ratio",
+                         "verdict"});
+    int verdicts_ok = 0, verdicts_total = 0;
+    const std::vector<double> fracs = {0.45, 0.75};
+    const std::vector<sim::Policy> policies = {sim::Policy::NoDvfs, sim::Policy::Rmsd,
+                                               sim::Policy::Dmsd};
 
-  common::Table table({"family", "variant", "l_sat", "load", "delay none", "delay rmsd",
-                       "delay dmsd", "P none", "P rmsd", "P dmsd", "d-ratio", "p-ratio",
-                       "verdict"});
-  int verdicts_ok = 0, verdicts_total = 0;
-  const std::vector<double> fracs = {0.45, 0.75};
-  const std::vector<sim::Policy> policies = {sim::Policy::NoDvfs, sim::Policy::Rmsd,
-                                             sim::Policy::Dmsd};
+    for (const Variant& v : build_variants(h.scenario())) {
+      std::cout << "anchoring " << v.family << " / " << v.label << "...\n";
+      const auto anchors = h.anchor(v.scenario);
+      // Two operating points: mid load and high load (fractions of λ_sat).
+      std::vector<double> lambdas;
+      for (const double frac : fracs) lambdas.push_back(frac * anchors.lambda_sat);
+      const auto recs =
+          h.sweep(sim::anchored(v.scenario, anchors),
+                  {sim::SweepAxis::lambda(lambdas), sim::SweepAxis::policies(policies)},
+                  v.family + "/" + v.label);
 
-  for (const Variant& v : build_variants(h.scenario())) {
-    std::cout << "anchoring " << v.family << " / " << v.label << "...\n";
-    const auto anchors = h.anchor(v.scenario);
-    // Two operating points: mid load and high load (fractions of λ_sat).
-    std::vector<double> lambdas;
-    for (const double frac : fracs) lambdas.push_back(frac * anchors.lambda_sat);
-    const auto recs =
-        h.sweep(sim::anchored(v.scenario, anchors),
-                {sim::SweepAxis::lambda(lambdas), sim::SweepAxis::policies(policies)},
-                v.family + "/" + v.label);
-
-    for (std::size_t i = 0; i < lambdas.size(); ++i) {
-      const sim::RunResult& none = recs[i * policies.size() + 0].result;
-      const sim::RunResult& rmsd = recs[i * policies.size() + 1].result;
-      const sim::RunResult& dmsd = recs[i * policies.size() + 2].result;
-      const double d_ratio = rmsd.avg_delay_ns / dmsd.avg_delay_ns;
-      const double p_ratio = dmsd.power_mw() / rmsd.power_mw();
-      // The paper's conclusion: the delay-based policy wins the trade-off,
-      // i.e. what RMSD costs in delay exceeds what it saves in power.
-      const bool ok = d_ratio >= p_ratio;
-      verdicts_ok += ok ? 1 : 0;
-      ++verdicts_total;
-      table.add_row({v.family, v.label, common::Table::fmt(anchors.lambda_sat, 3),
-                     common::Table::fmt(lambdas[i], 3),
-                     common::Table::fmt(none.avg_delay_ns, 1),
-                     common::Table::fmt(rmsd.avg_delay_ns, 1),
-                     common::Table::fmt(dmsd.avg_delay_ns, 1),
-                     common::Table::fmt(none.power_mw(), 1),
-                     common::Table::fmt(rmsd.power_mw(), 1),
-                     common::Table::fmt(dmsd.power_mw(), 1), common::Table::fmt(d_ratio, 2),
-                     common::Table::fmt(p_ratio, 2), ok ? "DMSD" : "RMSD"});
+      for (std::size_t i = 0; i < lambdas.size(); ++i) {
+        const sim::RunResult& none = recs[i * policies.size() + 0].result;
+        const sim::RunResult& rmsd = recs[i * policies.size() + 1].result;
+        const sim::RunResult& dmsd = recs[i * policies.size() + 2].result;
+        const double d_ratio = rmsd.avg_delay_ns / dmsd.avg_delay_ns;
+        const double p_ratio = dmsd.power_mw() / rmsd.power_mw();
+        // The paper's conclusion: the delay-based policy wins the trade-off,
+        // i.e. what RMSD costs in delay exceeds what it saves in power.
+        const bool ok = d_ratio >= p_ratio;
+        verdicts_ok += ok ? 1 : 0;
+        ++verdicts_total;
+        table.add_row({v.family, v.label, common::Table::fmt(anchors.lambda_sat, 3),
+                       common::Table::fmt(lambdas[i], 3),
+                       common::Table::fmt(none.avg_delay_ns, 1),
+                       common::Table::fmt(rmsd.avg_delay_ns, 1),
+                       common::Table::fmt(dmsd.avg_delay_ns, 1),
+                       common::Table::fmt(none.power_mw(), 1),
+                       common::Table::fmt(rmsd.power_mw(), 1),
+                       common::Table::fmt(dmsd.power_mw(), 1), common::Table::fmt(d_ratio, 2),
+                       common::Table::fmt(p_ratio, 2), ok ? "DMSD" : "RMSD"});
+      }
     }
-  }
-  table.print(std::cout);
-  std::cout << "\nTrade-off verdict: DMSD preferred in " << verdicts_ok << "/" << verdicts_total
-            << " operating points (paper: the conclusion holds under ALL variations).\n";
-  return 0;
+    table.print(std::cout);
+    std::cout << "\nTrade-off verdict: DMSD preferred in " << verdicts_ok << "/" << verdicts_total
+              << " operating points (paper: the conclusion holds under ALL variations).\n";
+    return 0;
+  });
 }

@@ -6,12 +6,14 @@
 /// mapping (the quantity that actually enters the simulation).
 
 #include <iostream>
-#include <sstream>
 #include <string>
+#include <vector>
 
 #include "apps/app_graphs.hpp"
 #include "common/config.hpp"
+#include "common/strings.hpp"
 #include "common/table.hpp"
+#include "sim/scenario.hpp"
 
 using namespace nocdvfs;
 
@@ -58,31 +60,20 @@ void dump(const apps::TaskGraph& g) {
 
 int main(int argc, char** argv) {
   // No simulation runs here — the graphs are static data — so this bench
-  // uses a bare `common::Config` for `key=value` overrides and `help=1`.
+  // declares its one key rather than the Scenario harness.
   common::Config c;
   c.declare("apps", "h264,vce", "comma list of graphs to dump");
-  c.declare_bool("help", false, "print declared keys and exit");
-  try {
-    c.parse_args(argc, argv);
-  } catch (const std::exception& e) {
-    std::cerr << e.what() << "\n";
-    return 1;
-  }
-  if (c.get_bool("help")) {
-    for (const auto& line : c.summary_lines()) std::cout << line << '\n';
+  return common::run_main(c, argc, argv, [&] {
+    std::vector<apps::TaskGraph> graphs;  // an unknown name throws, naming h264 and vce
+    for (const std::string& app : common::split_csv(c.get_string("apps"))) {
+      graphs.push_back(sim::app_graph(app));
+    }
+    std::cout << "=================================================================\n"
+                 "Figure 9 — H.264 and VCE communication graphs and NoC mapping\n"
+                 "=================================================================\n"
+                 "Edge connectivity reconstructed from the figure's vertex names and\n"
+                 "weight multiset (see docs/ARCHITECTURE.md, \"Workloads\").\n";
+    for (const apps::TaskGraph& g : graphs) dump(g);
     return 0;
-  }
-
-  std::cout << "=================================================================\n"
-               "Figure 9 — H.264 and VCE communication graphs and NoC mapping\n"
-               "=================================================================\n"
-               "Edge connectivity reconstructed from the figure's vertex names and\n"
-               "weight multiset (see docs/ARCHITECTURE.md, \"Workloads\").\n";
-  std::stringstream apps_list(c.get_string("apps"));
-  std::string app;
-  while (std::getline(apps_list, app, ',')) {
-    if (app == "h264") dump(apps::h264_encoder());
-    if (app == "vce") dump(apps::video_conference_encoder());
-  }
-  return 0;
+  });
 }

@@ -290,100 +290,90 @@ int main(int argc, char** argv) {
                      "allowed relative throughput loss before the compare gate fails");
   cfg.declare_int("repeats", 3, "timed repetitions per scenario (best-of)");
   cfg.declare_bool("fast", false, "CI-sized phases (~4x faster)");
-  cfg.declare_bool("help", false, "print declared keys and exit");
-  try {
-    cfg.parse_args(argc, argv);
-  } catch (const std::exception& e) {
-    std::cerr << e.what() << "\n";
-    return 1;
-  }
-  if (cfg.get_bool("help")) {
-    for (const auto& line : cfg.summary_lines()) std::cout << line << '\n';
-    return 0;
-  }
+  return common::run_main(cfg, argc, argv, [&] {
+    const bool fast = cfg.get_bool("fast");
+    const int repeats = static_cast<int>(cfg.get_int("repeats"));
+    std::cout << "perf_baseline: " << (fast ? "fast" : "full") << " sweep, best of "
+              << repeats << "\n";
+    const double calib = calibrate_mops();
+    std::cout << "host calibration: " << std::fixed << std::setprecision(1) << calib
+              << " Mops (xorshift64)\n\n";
 
-  const bool fast = cfg.get_bool("fast");
-  const int repeats = static_cast<int>(cfg.get_int("repeats"));
-  std::cout << "perf_baseline: " << (fast ? "fast" : "full") << " sweep, best of "
-            << repeats << "\n";
-  const double calib = calibrate_mops();
-  std::cout << "host calibration: " << std::fixed << std::setprecision(1) << calib
-            << " Mops (xorshift64)\n\n";
-
-  std::vector<Measurement> rows;
-  for (const PerfScenario& p : perf_sweep(fast)) {
-    rows.push_back(measure_scenario(p, repeats));
-  }
-  print_table(rows);
-
-  const std::string out_path = cfg.get_string("out");
-  if (!out_path.empty()) {
-    // One extra profiled pass per scenario (prof=on, 1 rep) feeds the v2
-    // phase-breakdown block. Kept out of the timed repeats so the profiler
-    // can never contaminate the gated numbers.
-    std::vector<ProfileRow> profiles;
+    std::vector<Measurement> rows;
     for (const PerfScenario& p : perf_sweep(fast)) {
-      sim::Scenario s = p.s;
-      s.prof = "on";
-      const sim::RunResult r = sim::run(s);
-      profiles.push_back({p.name, r.host.profile});
+      rows.push_back(measure_scenario(p, repeats));
     }
-    std::ofstream out(out_path);
-    if (!out) {
-      std::cerr << "error: cannot write " << out_path << "\n";
+    print_table(rows);
+
+    const std::string out_path = cfg.get_string("out");
+    if (!out_path.empty()) {
+      // One extra profiled pass per scenario (prof=on, 1 rep) feeds the v2
+      // phase-breakdown block. Kept out of the timed repeats so the profiler
+      // can never contaminate the gated numbers.
+      std::vector<ProfileRow> profiles;
+      for (const PerfScenario& p : perf_sweep(fast)) {
+        sim::Scenario s = p.s;
+        s.prof = "on";
+        const sim::RunResult r = sim::run(s);
+        profiles.push_back({p.name, r.host.profile});
+      }
+      std::ofstream out(out_path);
+      if (!out) {
+        std::cerr << "error: cannot write " << out_path << "\n";
+        return 1;
+      }
+      write_json(out, rows, fast, calib, profiles);
+      std::cout << "\nwrote " << out_path << "\n";
+    }
+
+    const std::string compare_path = cfg.get_string("compare");
+    if (compare_path.empty()) return 0;
+
+    Baseline base;
+    if (!load_baseline(compare_path, base)) {
+      std::cerr << "error: cannot parse baseline " << compare_path
+                << " (regenerate with out=" << compare_path << ")\n";
       return 1;
     }
-    write_json(out, rows, fast, calib, profiles);
-    std::cout << "\nwrote " << out_path << "\n";
-  }
-
-  const std::string compare_path = cfg.get_string("compare");
-  if (compare_path.empty()) return 0;
-
-  Baseline base;
-  if (!load_baseline(compare_path, base)) {
-    std::cerr << "error: cannot parse baseline " << compare_path
-              << " (regenerate with out=" << compare_path << ")\n";
-    return 1;
-  }
-  const double tolerance = cfg.get_double("tolerance");
-  std::cout << "\ncompare vs " << compare_path << " (baseline host " << std::fixed
-            << std::setprecision(1) << base.calib_mops << " Mops, tolerance "
-            << static_cast<int>(tolerance * 100) << "%)\n";
-  // Full normalized-ratio table, printed on success and failure alike:
-  // base/fresh are calibration-relative throughputs (cycles/sec per Mop),
-  // ratio > 1 means faster than baseline, headroom is the distance to the
-  // gate (negative = regression).
-  std::cout << "  " << std::left << std::setw(28) << "scenario" << std::right
-            << std::setw(13) << "base(c/Mop)" << std::setw(14) << "fresh(c/Mop)"
-            << std::setw(9) << "ratio" << std::setw(11) << "headroom" << "\n";
-  bool regressed = false;
-  for (const Measurement& m : rows) {
-    const auto it = base.cycles_per_sec.find(m.name);
-    if (it == base.cycles_per_sec.end()) {
-      std::cerr << "  " << m.name << ": MISSING from baseline — regenerate it\n";
-      regressed = true;
-      continue;
+    const double tolerance = cfg.get_double("tolerance");
+    std::cout << "\ncompare vs " << compare_path << " (baseline host " << std::fixed
+              << std::setprecision(1) << base.calib_mops << " Mops, tolerance "
+              << static_cast<int>(tolerance * 100) << "%)\n";
+    // Full normalized-ratio table, printed on success and failure alike:
+    // base/fresh are calibration-relative throughputs (cycles/sec per Mop),
+    // ratio > 1 means faster than baseline, headroom is the distance to the
+    // gate (negative = regression).
+    std::cout << "  " << std::left << std::setw(28) << "scenario" << std::right
+              << std::setw(13) << "base(c/Mop)" << std::setw(14) << "fresh(c/Mop)"
+              << std::setw(9) << "ratio" << std::setw(11) << "headroom" << "\n";
+    bool regressed = false;
+    for (const Measurement& m : rows) {
+      const auto it = base.cycles_per_sec.find(m.name);
+      if (it == base.cycles_per_sec.end()) {
+        std::cerr << "  " << m.name << ": MISSING from baseline — regenerate it\n";
+        regressed = true;
+        continue;
+      }
+      // Calibration-relative throughput ratio: >1 = faster than baseline.
+      const double base_norm = it->second / base.calib_mops;
+      const double fresh_norm = m.cycles_per_sec() / calib;
+      const double ratio = fresh_norm / base_norm;
+      const double headroom = ratio - (1.0 - tolerance);
+      const bool fail = headroom < 0.0;
+      std::cout << "  " << std::left << std::setw(28) << m.name << std::right << std::fixed
+                << std::setprecision(0) << std::setw(13) << base_norm << std::setw(14)
+                << fresh_norm << std::setprecision(2) << std::setw(8) << ratio << "x"
+                << std::showpos << std::setw(10) << headroom << std::noshowpos
+                << (fail ? "  REGRESSION" : "") << "\n";
+      regressed = regressed || fail;
     }
-    // Calibration-relative throughput ratio: >1 = faster than baseline.
-    const double base_norm = it->second / base.calib_mops;
-    const double fresh_norm = m.cycles_per_sec() / calib;
-    const double ratio = fresh_norm / base_norm;
-    const double headroom = ratio - (1.0 - tolerance);
-    const bool fail = headroom < 0.0;
-    std::cout << "  " << std::left << std::setw(28) << m.name << std::right << std::fixed
-              << std::setprecision(0) << std::setw(13) << base_norm << std::setw(14)
-              << fresh_norm << std::setprecision(2) << std::setw(8) << ratio << "x"
-              << std::showpos << std::setw(10) << headroom << std::noshowpos
-              << (fail ? "  REGRESSION" : "") << "\n";
-    regressed = regressed || fail;
-  }
-  if (regressed) {
-    std::cerr << "\nFAIL: throughput regression beyond " << static_cast<int>(tolerance * 100)
-              << "% — if intentional, regenerate BENCH_core.json\n";
-    return 1;
-  }
-  std::cout << "\nOK: no scenario regressed beyond the tolerance (max allowed loss "
-            << static_cast<int>(tolerance * 100) << "%)\n";
-  return 0;
+    if (regressed) {
+      std::cerr << "\nFAIL: throughput regression beyond " << static_cast<int>(tolerance * 100)
+                << "% — if intentional, regenerate BENCH_core.json\n";
+      return 1;
+    }
+    std::cout << "\nOK: no scenario regressed beyond the tolerance (max allowed loss "
+              << static_cast<int>(tolerance * 100) << "%)\n";
+    return 0;
+  });
 }

@@ -21,68 +21,6 @@
 
 using namespace nocdvfs;
 
-namespace {
-
-/// Anchor, sweep and print one table; returns the exit code.
-int explore(const common::Config& c) {
-  sim::Scenario base = sim::Scenario::from_config(c);
-  const std::vector<double> lambdas = c.get_double_list("lambdas");
-
-  const sim::PolicyConfig given = base.policy;
-  if (given.lambda_max <= 0.0 || given.target_delay_ns <= 0.0) {
-    const sim::Anchors anchors = sim::find_anchors(base);
-    base = sim::anchored(base, anchors);
-    if (given.lambda_max > 0.0) {
-      base.policy.lambda_max = given.lambda_max;
-    } else {
-      std::cout << "# measured lambda_sat=" << anchors.lambda_sat
-                << "  lambda_max=" << anchors.lambda_max << "\n";
-    }
-    if (given.target_delay_ns > 0.0) {
-      base.policy.target_delay_ns = given.target_delay_ns;
-    } else {
-      std::cout << "# DMSD target delay = " << anchors.target_delay_ns
-                << " ns (No-DVFS delay at the derived lambda_max)\n";
-    }
-  }
-
-  std::vector<sim::Policy> policies;
-  const std::string policy_str = c.get_string("policies");
-  if (policy_str == "all") {
-    policies = {sim::Policy::NoDvfs, sim::Policy::Rmsd, sim::Policy::Dmsd};
-  } else {
-    policies = {sim::policy_from_string(policy_str)};
-  }
-
-  sim::SweepRunner::Options ropt;
-  ropt.threads = static_cast<int>(c.get_int("threads"));
-  sim::SweepRunner runner(ropt);
-  const auto recs = runner.run(
-      base, {sim::SweepAxis::lambda(lambdas), sim::SweepAxis::policies(policies)},
-      "synthetic_explorer");
-
-  common::Table table({"lambda", "policy", "delay[ns]", "p99[ns]", "lat[cyc]", "freq[GHz]",
-                       "Vdd[V]", "power[mW]", "delivered", "sat?"});
-  for (std::size_t i = 0; i < lambdas.size(); ++i) {
-    for (std::size_t p = 0; p < policies.size(); ++p) {
-      const sim::SweepRecord& rec = recs[i * policies.size() + p];
-      const sim::RunResult& r = rec.result;
-      table.add_row({common::Table::fmt(sim::mean_lambda(rec.point.scenario), 3),
-                     sim::to_string(policies[p]),
-                     common::Table::fmt(r.avg_delay_ns, 1), common::Table::fmt(r.p99_delay_ns, 1),
-                     common::Table::fmt(r.avg_latency_cycles, 1),
-                     common::Table::fmt(r.avg_frequency_ghz(), 3),
-                     common::Table::fmt(r.avg_voltage, 3), common::Table::fmt(r.power_mw(), 1),
-                     common::Table::fmt(r.delivered_flits_per_node_cycle, 3),
-                     r.saturated ? "yes" : "no"});
-    }
-  }
-  table.print(std::cout);
-  return 0;
-}
-
-}  // namespace
-
 int main(int argc, char** argv) {
   sim::Scenario defaults;
   defaults.policy.lambda_max = 0.0;       // 0 = derive from measured saturation
@@ -93,22 +31,60 @@ int main(int argc, char** argv) {
   c.declare("lambdas", "0.05,0.1,0.15,0.2,0.25,0.3,0.35", "offered loads to sweep");
   c.declare("policies", "all", "nodvfs|rmsd|rmsd-closed|dmsd|qbsd|all (overrides policy)");
   c.declare_int("threads", 0, "sweep worker threads (0 = all cores)");
-  c.declare_bool("help", false, "print declared keys and exit");
-  try {
-    c.parse_args(argc, argv);
-  } catch (const std::exception& e) {
-    std::cerr << e.what() << "\n";
-    return 1;
-  }
-  if (c.get_bool("help")) {
-    for (const auto& line : c.summary_lines()) std::cout << line << '\n';
-    return 0;
-  }
+  return common::run_main(c, argc, argv, [&] {
+    sim::Scenario base = sim::Scenario::from_config(c);
+    const std::vector<double> lambdas = c.get_double_list("lambdas");
 
-  try {
-    return explore(c);
-  } catch (const std::exception& e) {
-    std::cerr << "synthetic_explorer: " << e.what() << "\n";
-    return 1;
-  }
+    std::vector<sim::Policy> policies;
+    const std::string policy_str = c.get_string("policies");
+    if (policy_str == "all") {
+      policies = {sim::Policy::NoDvfs, sim::Policy::Rmsd, sim::Policy::Dmsd};
+    } else {
+      policies = {sim::policy_from_string(policy_str)};
+    }
+
+    const sim::PolicyConfig given = base.policy;
+    if (given.lambda_max <= 0.0 || given.target_delay_ns <= 0.0) {
+      const sim::Anchors anchors = sim::find_anchors(base);
+      base = sim::anchored(base, anchors);
+      if (given.lambda_max > 0.0) {
+        base.policy.lambda_max = given.lambda_max;
+      } else {
+        std::cout << "# measured lambda_sat=" << anchors.lambda_sat
+                  << "  lambda_max=" << anchors.lambda_max << "\n";
+      }
+      if (given.target_delay_ns > 0.0) {
+        base.policy.target_delay_ns = given.target_delay_ns;
+      } else {
+        std::cout << "# DMSD target delay = " << anchors.target_delay_ns
+                  << " ns (No-DVFS delay at the derived lambda_max)\n";
+      }
+    }
+
+    sim::SweepRunner::Options ropt;
+    ropt.threads = static_cast<int>(c.get_int("threads"));
+    sim::SweepRunner runner(ropt);
+    const auto recs = runner.run(
+        base, {sim::SweepAxis::lambda(lambdas), sim::SweepAxis::policies(policies)},
+        "synthetic_explorer");
+
+    common::Table table({"lambda", "policy", "delay[ns]", "p99[ns]", "lat[cyc]", "freq[GHz]",
+                         "Vdd[V]", "power[mW]", "delivered", "sat?"});
+    for (std::size_t i = 0; i < lambdas.size(); ++i) {
+      for (std::size_t p = 0; p < policies.size(); ++p) {
+        const sim::SweepRecord& rec = recs[i * policies.size() + p];
+        const sim::RunResult& r = rec.result;
+        table.add_row({common::Table::fmt(sim::mean_lambda(rec.point.scenario), 3),
+                       sim::to_string(policies[p]),
+                       common::Table::fmt(r.avg_delay_ns, 1), common::Table::fmt(r.p99_delay_ns, 1),
+                       common::Table::fmt(r.avg_latency_cycles, 1),
+                       common::Table::fmt(r.avg_frequency_ghz(), 3),
+                       common::Table::fmt(r.avg_voltage, 3), common::Table::fmt(r.power_mw(), 1),
+                       common::Table::fmt(r.delivered_flits_per_node_cycle, 3),
+                       r.saturated ? "yes" : "no"});
+      }
+    }
+    table.print(std::cout);
+    return 0;
+  });
 }

@@ -16,7 +16,6 @@
 /// Exits non-zero if the replay does not reproduce the recorded run.
 
 #include <cmath>
-#include <filesystem>
 #include <fstream>
 #include <iostream>
 
@@ -50,90 +49,74 @@ int main(int argc, char** argv) {
   common::Config config;
   sim::Scenario::declare_keys(config, defaults);
   config.declare("csv", "", "append headline CSV rows (groups: record, replay, policies)");
-  config.declare_bool("help", false, "print declared keys and exit");
-  try {
-    config.parse_args(argc, argv);
-  } catch (const std::exception& e) {
-    std::cerr << e.what() << "\n";
-    return 2;
-  }
-  if (config.get_bool("help")) {
-    for (const auto& line : config.summary_lines()) std::cout << line << '\n';
-    return 0;
-  }
+  return common::run_main(config, argc, argv, [&] {
+    sim::Scenario base = sim::Scenario::from_config(config);
+    std::string trace_path = base.trace_path;
+    if (trace_path.empty()) trace_path = "trace_record_replay.noctrace";
+    base.trace_path.clear();
 
-  sim::Scenario base = sim::Scenario::from_config(config);
-  std::string trace_path = base.trace_path;
-  if (trace_path.empty()) trace_path = "trace_record_replay.noctrace";
-  base.trace_path.clear();
-
-  std::ofstream csv_out;
-  sim::SweepRunner runner;
-  sim::CsvResultSink csv_sink(csv_out);
-  const std::string csv_path = config.get_string("csv");
-  if (!csv_path.empty()) {
-    const std::filesystem::path p(csv_path);
-    if (p.has_parent_path()) {
-      std::error_code ec;
-      std::filesystem::create_directories(p.parent_path(), ec);
+    std::ofstream csv_out;
+    sim::SweepRunner runner;
+    sim::CsvResultSink csv_sink(csv_out);
+    if (const std::string csv_path = config.get_string("csv"); !csv_path.empty()) {
+      csv_out = common::open_output(csv_path);
+      runner.add_sink(csv_sink);
     }
-    csv_out.open(p);
-    if (csv_out) runner.add_sink(csv_sink);
-  }
 
-  // --- 1. record ---------------------------------------------------------
-  sim::Scenario recording = base;
-  recording.record_path = trace_path;
-  std::cout << "Recording '" << sim::to_string(base.workload) << "' workload to "
-            << trace_path << " ...\n";
-  const sim::RunResult original = runner.run(recording, {}, "record").front().result;
+    // --- 1. record ---------------------------------------------------------
+    sim::Scenario recording = base;
+    recording.record_path = trace_path;
+    std::cout << "Recording '" << sim::to_string(base.workload) << "' workload to "
+              << trace_path << " ...\n";
+    const sim::RunResult original = runner.run(recording, {}, "record").front().result;
 
-  // --- 2. replay under the same policy -----------------------------------
-  sim::Scenario replay = base;
-  replay.workload = sim::Scenario::Workload::Trace;
-  replay.trace_path = trace_path;
-  const sim::RunResult replayed = runner.run(replay, {}, "replay").front().result;
+    // --- 2. replay under the same policy -----------------------------------
+    sim::Scenario replay = base;
+    replay.workload = sim::Scenario::Workload::Trace;
+    replay.trace_path = trace_path;
+    const sim::RunResult replayed = runner.run(replay, {}, "replay").front().result;
 
-  const bool reproduced =
-      identical(original.measured_offered_lambda, replayed.measured_offered_lambda) &&
-      original.packets_delivered == replayed.packets_delivered &&
-      identical(original.avg_delay_ns, replayed.avg_delay_ns) &&
-      identical(original.power.total_j(), replayed.power.total_j()) &&
-      identical(original.avg_frequency_hz, replayed.avg_frequency_hz);
+    const bool reproduced =
+        identical(original.measured_offered_lambda, replayed.measured_offered_lambda) &&
+        original.packets_delivered == replayed.packets_delivered &&
+        identical(original.avg_delay_ns, replayed.avg_delay_ns) &&
+        identical(original.power.total_j(), replayed.power.total_j()) &&
+        identical(original.avg_frequency_hz, replayed.avg_frequency_hz);
 
-  common::Table round_trip({"run", "offered λ", "delay [ns]", "freq [GHz]", "power [mW]",
-                            "packets"});
-  for (const auto* r : {&original, &replayed}) {
-    round_trip.add_row({r == &original ? "recorded" : "replayed",
-                        common::Table::fmt(r->measured_offered_lambda, 4),
-                        common::Table::fmt(r->avg_delay_ns, 2),
-                        common::Table::fmt(r->avg_frequency_ghz(), 3),
-                        common::Table::fmt(r->power_mw(), 2),
-                        std::to_string(r->packets_delivered)});
-  }
-  round_trip.print(std::cout);
-  std::cout << (reproduced ? "round trip: bit-identical ✓"
-                           : "round trip: MISMATCH — replay diverged from the recording")
-            << "\n\n";
+    common::Table round_trip({"run", "offered λ", "delay [ns]", "freq [GHz]", "power [mW]",
+                              "packets"});
+    for (const auto* r : {&original, &replayed}) {
+      round_trip.add_row({r == &original ? "recorded" : "replayed",
+                          common::Table::fmt(r->measured_offered_lambda, 4),
+                          common::Table::fmt(r->avg_delay_ns, 2),
+                          common::Table::fmt(r->avg_frequency_ghz(), 3),
+                          common::Table::fmt(r->power_mw(), 2),
+                          std::to_string(r->packets_delivered)});
+    }
+    round_trip.print(std::cout);
+    std::cout << (reproduced ? "round trip: bit-identical ✓"
+                             : "round trip: MISMATCH — replay diverged from the recording")
+              << "\n\n";
 
-  // --- 3. one trace, every policy ----------------------------------------
-  const std::vector<sim::Policy> policies = {sim::Policy::NoDvfs, sim::Policy::Rmsd,
-                                             sim::Policy::Dmsd};
-  const auto records = runner.run(replay, {sim::SweepAxis::policies(policies)}, "policies");
-  common::Table table({"policy", "offered λ", "delay [ns]", "freq [GHz]", "power [mW]",
-                       "energy/bit [pJ]"});
-  for (std::size_t i = 0; i < records.size(); ++i) {
-    const sim::RunResult& r = records[i].result;
-    table.add_row({sim::to_string(policies[i]),
-                   common::Table::fmt(r.measured_offered_lambda, 4),
-                   common::Table::fmt(r.avg_delay_ns, 2),
-                   common::Table::fmt(r.avg_frequency_ghz(), 3),
-                   common::Table::fmt(r.power_mw(), 2),
-                   common::Table::fmt(r.energy_per_bit_pj, 3)});
-  }
-  table.print(std::cout);
-  std::cout << "every policy replayed the identical packet sequence (same offered λ "
-               "column)\n";
+    // --- 3. one trace, every policy ----------------------------------------
+    const std::vector<sim::Policy> policies = {sim::Policy::NoDvfs, sim::Policy::Rmsd,
+                                               sim::Policy::Dmsd};
+    const auto records = runner.run(replay, {sim::SweepAxis::policies(policies)}, "policies");
+    common::Table table({"policy", "offered λ", "delay [ns]", "freq [GHz]", "power [mW]",
+                         "energy/bit [pJ]"});
+    for (std::size_t i = 0; i < records.size(); ++i) {
+      const sim::RunResult& r = records[i].result;
+      table.add_row({sim::to_string(policies[i]),
+                     common::Table::fmt(r.measured_offered_lambda, 4),
+                     common::Table::fmt(r.avg_delay_ns, 2),
+                     common::Table::fmt(r.avg_frequency_ghz(), 3),
+                     common::Table::fmt(r.power_mw(), 2),
+                     common::Table::fmt(r.energy_per_bit_pj, 3)});
+    }
+    table.print(std::cout);
+    std::cout << "every policy replayed the identical packet sequence (same offered λ "
+                 "column)\n";
 
-  return reproduced ? 0 : 1;
+    return reproduced ? 0 : 1;
+  });
 }

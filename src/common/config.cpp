@@ -1,6 +1,8 @@
 #include "common/config.hpp"
 
 #include <charconv>
+#include <filesystem>
+#include <iostream>
 #include <sstream>
 #include <stdexcept>
 
@@ -163,6 +165,34 @@ std::vector<std::pair<std::string, std::string>> Config::kv_pairs() const {
   std::vector<std::pair<std::string, std::string>> out;
   out.reserve(entries_.size());
   for (const auto& [key, e] : entries_) out.emplace_back(key, e.value);
+  return out;
+}
+
+int run_main(Config& config, int argc, const char* const* argv, const std::function<int()>& body,
+             const std::function<void()>& after_parse) {
+  const std::string program =
+      argc > 0 ? std::filesystem::path(argv[0]).filename().string() : "nocdvfs";
+  try {
+    config.declare_bool("help", false, "print declared keys and exit");
+    config.parse_args(argc, argv);
+    if (after_parse) after_parse();
+    if (config.get_bool("help")) {
+      for (const auto& line : config.summary_lines()) std::cout << line << '\n';
+      return 0;
+    }
+    return body();
+  } catch (const std::exception& e) {
+    std::cerr << program << ": " << e.what() << '\n';
+    return 1;
+  }
+}
+
+std::ofstream open_output(const std::string& path) {
+  const std::filesystem::path p(path);
+  std::error_code ec;  // a directory that cannot be made fails the open below
+  if (p.has_parent_path()) std::filesystem::create_directories(p.parent_path(), ec);
+  std::ofstream out(p);
+  if (!out) throw std::runtime_error("cannot open output file '" + path + "' for writing");
   return out;
 }
 

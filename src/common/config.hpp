@@ -6,8 +6,11 @@
 /// Benches and examples accept `key=value` command-line overrides; modules
 /// register defaults and read typed values. Unknown keys are rejected at
 /// parse time so typos fail loudly instead of silently running the default.
+/// `run_main` is the one program front end built on it.
 
 #include <cstdint>
+#include <fstream>
+#include <functional>
 #include <map>
 #include <optional>
 #include <string>
@@ -70,5 +73,21 @@ class Config {
   const Entry& entry(const std::string& key) const;
   std::map<std::string, Entry> entries_;
 };
+
+/// The front end of every bench and example `main`. Declares `help`,
+/// parses argv's `key=value` tokens into `config`, runs `after_parse` (if
+/// set; e.g. to re-declare defaults that depend on a parsed key), answers
+/// `help=1` by printing summary_lines() to stdout, and otherwise returns
+/// `body()`. A std::exception from any of these steps is printed as one
+/// stderr line, `<program>: <what>` (<program> is argv[0]'s file name),
+/// and returns 1. So a program exits 0 on success or help, 1 on any error,
+/// or whatever its body returns.
+int run_main(Config& config, int argc, const char* const* argv, const std::function<int()>& body,
+             const std::function<void()>& after_parse = {});
+
+/// Create `path`'s parent directories and open it for writing. Throws
+/// std::runtime_error naming the path if that fails, so a program can
+/// reject an unwritable output before it runs anything.
+std::ofstream open_output(const std::string& path);
 
 }  // namespace nocdvfs::common

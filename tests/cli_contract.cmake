@@ -1,0 +1,99 @@
+# The command-line contract every bench and example keeps through
+# common::run_main, checked on the built binaries:
+#
+#   cmake -P cli_contract.cmake -- <program> [<program> ...]
+#
+# For each program:
+#   1. `help=1` exits 0, prints the key list on stdout and nothing on stderr;
+#   2. an unknown key exits 1;
+#   3. a value that only fails after the parse exits 1 (`width=0` for every
+#      Scenario-driven program, a per-program key for the others below);
+# and every failing run prints exactly one `<program>: <reason>` line on
+# stderr, no "terminate called", and nothing on stdout, so no banner is
+# printed and no simulation starts before the input is rejected.
+
+set(programs "")
+set(after_dashdash FALSE)
+math(EXPR last "${CMAKE_ARGC} - 1")
+foreach(i RANGE ${last})
+  if(after_dashdash)
+    list(APPEND programs "${CMAKE_ARGV${i}}")
+  elseif("${CMAKE_ARGV${i}}" STREQUAL "--")
+    set(after_dashdash TRUE)
+  endif()
+endforeach()
+if(NOT programs)
+  message(FATAL_ERROR "usage: cmake -P cli_contract.cmake -- <program>...")
+endif()
+
+# The post-parse error per program; programs without keys of their own
+# have none. Every other program is Scenario-driven.
+set(post_parse_fig5_vf_curve "vstep=0")
+set(post_parse_fig9_appgraphs "apps=nosuch")
+set(post_parse_perf_baseline "repeats=abc")
+set(post_parse_saturation_probe "knee=abc")
+set(post_parse_quickstart "")
+set(post_parse_thermal_throttle "")
+set(post_parse_vfi_hotspot "")
+
+set(failures 0)
+macro(fail msg)
+  message(SEND_ERROR "${name} ${arg}: ${msg}")
+  math(EXPR failures "${failures} + 1")
+endmacro()
+
+# Runs `<program> <arg>`, leaving its exit code, stdout and stderr in rc,
+# out and err.
+macro(run arg)
+  execute_process(COMMAND "${program}" ${arg} RESULT_VARIABLE rc OUTPUT_VARIABLE out
+                  ERROR_VARIABLE err TIMEOUT 60)
+endmacro()
+
+# A rejected input: exit 1, one `<program>: <reason>` line on stderr,
+# nothing on stdout.
+macro(expect_error arg)
+  run("${arg}")
+  if(NOT rc EQUAL 1)
+    fail("exit ${rc}, expected 1 (stderr: ${err})")
+  elseif(err MATCHES "terminate called")
+    fail("an exception escaped main: ${err}")
+  elseif(NOT err MATCHES "^${name}: [^\n]+\n$")
+    fail("stderr is not one '${name}: <reason>' line: ${err}")
+  elseif(NOT out STREQUAL "")
+    fail("printed to stdout before rejecting its input: ${out}")
+  endif()
+endmacro()
+
+foreach(program IN LISTS programs)
+  get_filename_component(name "${program}" NAME_WE)
+
+  set(arg "help=1")
+  run("${arg}")
+  if(NOT rc EQUAL 0 OR NOT out MATCHES "help = 1" OR NOT err STREQUAL "")
+    fail("exit ${rc}, expected 0 with the key list on stdout (stderr: ${err})")
+  endif()
+
+  set(arg "nosuchkey=1")
+  expect_error("${arg}")
+  if(NOT err MATCHES "unknown key 'nosuchkey'")
+    fail("the reason does not name the unknown key: ${err}")
+  endif()
+
+  if(DEFINED post_parse_${name})
+    set(arg "${post_parse_${name}}")
+  else()
+    set(arg "width=0")
+  endif()
+  if(NOT arg STREQUAL "")
+    expect_error("${arg}")
+    if(err MATCHES "unknown key")
+      fail("rejected as an unknown key, not after the parse: ${err}")
+    endif()
+  endif()
+endforeach()
+
+list(LENGTH programs count)
+if(failures GREATER 0)
+  message(FATAL_ERROR "${failures} contract violation(s) over ${count} programs")
+endif()
+message(STATUS "command-line contract holds for ${count} programs")

@@ -1,11 +1,15 @@
 // Unit tests for the common utilities: RNG determinism and distribution
-// quality, streaming statistics, configuration parsing, table formatting,
-// time units and the ring buffer.
+// quality, streaming statistics, configuration parsing, the program front
+// end (run_main, open_output), table formatting, time units and the ring
+// buffer.
 
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <filesystem>
+#include <fstream>
 #include <sstream>
+#include <stdexcept>
 
 #include "common/config.hpp"
 #include "common/rng.hpp"
@@ -287,6 +291,85 @@ TEST(Config, ParseArgsSkipsProgramName) {
   c.parse_args(3, argv);
   EXPECT_EQ(c.get_int("a"), 10);
   EXPECT_EQ(c.get_int("b"), 20);
+}
+
+// ------------------------------------------------------- program front end ----
+
+TEST(RunMain, ThrowingBodyPrintsOneLineAndReturnsOne) {
+  Config c;
+  c.declare_int("a", 1);
+  const char* argv[] = {"/some/dir/prog", "a=5"};
+  testing::internal::CaptureStdout();
+  testing::internal::CaptureStderr();
+  const int rc = run_main(c, 2, argv, [&]() -> int {
+    EXPECT_EQ(c.get_int("a"), 5);
+    throw std::runtime_error("boom");
+  });
+  const std::string err = testing::internal::GetCapturedStderr();
+  EXPECT_EQ(testing::internal::GetCapturedStdout(), "");
+  EXPECT_EQ(rc, 1);
+  EXPECT_EQ(err, "prog: boom\n");
+}
+
+TEST(RunMain, ParseErrorSkipsHookAndBody) {
+  Config c;
+  bool ran = false;
+  const char* argv[] = {"prog", "nope=1"};
+  testing::internal::CaptureStderr();
+  const int rc = run_main(
+      c, 2, argv, [&] { ran = true; return 0; }, [&] { ran = true; });
+  EXPECT_EQ(testing::internal::GetCapturedStderr(), "prog: Config: unknown key 'nope'\n");
+  EXPECT_EQ(rc, 1);
+  EXPECT_FALSE(ran);
+}
+
+TEST(RunMain, HelpPrintsKeysAfterTheHookAndSkipsBody) {
+  Config c;
+  c.declare_bool("fast", false);
+  c.declare_int("n", 100, "a size");
+  bool ran = false;
+  const char* argv[] = {"prog", "fast=1", "help=1"};
+  testing::internal::CaptureStdout();
+  testing::internal::CaptureStderr();
+  const int rc = run_main(
+      c, 3, argv, [&] { ran = true; return 0; },
+      [&] { c.declare_int("n", c.get_bool("fast") ? 25 : 100, "a size"); });
+  const std::string out = testing::internal::GetCapturedStdout();
+  EXPECT_EQ(testing::internal::GetCapturedStderr(), "");
+  EXPECT_EQ(rc, 0);
+  EXPECT_FALSE(ran);
+  EXPECT_EQ(out,
+            "fast = 1\n"
+            "help = 1    # print declared keys and exit\n"
+            "n = 25    # a size\n");
+}
+
+TEST(RunMain, BodyReturnCodePassesThrough) {
+  Config c;
+  const char* argv[] = {"prog"};
+  EXPECT_EQ(run_main(c, 1, argv, [] { return 0; }), 0);
+  EXPECT_EQ(run_main(c, 1, argv, [] { return 1; }), 1);
+  EXPECT_EQ(run_main(c, 1, argv, [] { return 3; }), 3);
+}
+
+TEST(OpenOutput, CreatesParentDirectoriesOrNamesThePath) {
+  const std::filesystem::path dir = std::filesystem::temp_directory_path() / "nocdvfs_open_output";
+  std::filesystem::remove_all(dir);
+  const std::string path = (dir / "a" / "b.csv").string();
+  {
+    std::ofstream out = open_output(path);
+    out << "x\n";
+  }
+  EXPECT_TRUE(std::filesystem::exists(path));
+  // A path under a regular file can be neither created nor opened.
+  const std::string bad = path + "/c.csv";
+  try {
+    open_output(bad);
+    ADD_FAILURE() << "open_output('" << bad << "') did not throw";
+  } catch (const std::runtime_error& e) {
+    EXPECT_NE(std::string(e.what()).find(bad), std::string::npos) << e.what();
+  }
+  std::filesystem::remove_all(dir);
 }
 
 // -------------------------------------------------------------- table ----
