@@ -159,6 +159,7 @@ class Harness {
         config_, argc, argv,
         [&] {
           scenario_ = sim::Scenario::from_config(config_);
+          sim::check_scenario(scenario_);
           open_outputs();
           banner(figure_, what_);
           return body();

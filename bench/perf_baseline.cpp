@@ -29,11 +29,13 @@
 #include <iostream>
 #include <map>
 #include <sstream>
+#include <stdexcept>
 #include <string>
 #include <thread>
 #include <vector>
 
 #include "common/config.hpp"
+#include "common/strings.hpp"
 #include "obs/manifest.hpp"
 #include "sim/scenario.hpp"
 
@@ -137,15 +139,6 @@ Measurement measure_scenario(const PerfScenario& p, int repeats) {
   return m;
 }
 
-std::string json_escape(const std::string& s) {
-  std::string out;
-  for (const char c : s) {
-    if (c == '"' || c == '\\') out.push_back('\\');
-    out.push_back(c);
-  }
-  return out;
-}
-
 /// One scenario's host phase profile for the v2 "profile" block.
 struct ProfileRow {
   std::string name;
@@ -180,7 +173,7 @@ void write_json(std::ostream& os, const std::vector<Measurement>& rows, bool fas
   os << "  \"scenarios\": [\n";
   for (std::size_t i = 0; i < rows.size(); ++i) {
     const Measurement& m = rows[i];
-    os << "    { \"name\": \"" << json_escape(m.name) << "\", \"node_cycles\": "
+    os << "    { \"name\": " << common::json_quote(m.name) << ", \"node_cycles\": "
        << m.node_cycles << ", \"packets\": " << m.packets << ", \"wall_s\": "
        << std::setprecision(4) << m.wall_s << ", \"cycles_per_sec\": " << std::setprecision(1)
        << m.cycles_per_sec() << ", \"packets_per_sec\": " << m.packets_per_sec()
@@ -192,11 +185,11 @@ void write_json(std::ostream& os, const std::vector<Measurement>& rows, bool fas
     os << ",\n  \"profile\": [\n";
     for (std::size_t i = 0; i < profiles.size(); ++i) {
       const ProfileRow& pr = profiles[i];
-      os << "    { \"scenario\": \"" << json_escape(pr.name) << "\", \"phases\": [\n";
+      os << "    { \"scenario\": " << common::json_quote(pr.name) << ", \"phases\": [\n";
       const auto& phases = pr.profile.phases;
       for (std::size_t p = 0; p < phases.size(); ++p) {
-        os << "      { \"phase\": \"" << json_escape(phases[p].name)
-           << "\", \"depth\": " << phases[p].depth << ", \"calls\": " << phases[p].calls
+        os << "      { \"phase\": " << common::json_quote(phases[p].name)
+           << ", \"depth\": " << phases[p].depth << ", \"calls\": " << phases[p].calls
            << ", \"incl_ms\": " << std::setprecision(3)
            << static_cast<double>(phases[p].inclusive_ns) * 1e-6
            << ", \"excl_ms\": " << static_cast<double>(phases[p].exclusive_ns) * 1e-6
@@ -293,6 +286,12 @@ int main(int argc, char** argv) {
   return common::run_main(cfg, argc, argv, [&] {
     const bool fast = cfg.get_bool("fast");
     const int repeats = static_cast<int>(cfg.get_int("repeats"));
+    // Reject an unwritable out= before the sweep. Append mode leaves the
+    // file as it is, so out= may name the compare= baseline.
+    const std::string out_path = cfg.get_string("out");
+    if (!out_path.empty() && !std::ofstream(out_path, std::ios::app)) {
+      throw std::runtime_error("cannot open output file '" + out_path + "' for writing");
+    }
     std::cout << "perf_baseline: " << (fast ? "fast" : "full") << " sweep, best of "
               << repeats << "\n";
     const double calib = calibrate_mops();
@@ -305,7 +304,6 @@ int main(int argc, char** argv) {
     }
     print_table(rows);
 
-    const std::string out_path = cfg.get_string("out");
     if (!out_path.empty()) {
       // One extra profiled pass per scenario (prof=on, 1 rep) feeds the v2
       // phase-breakdown block. Kept out of the timed repeats so the profiler
@@ -318,10 +316,7 @@ int main(int argc, char** argv) {
         profiles.push_back({p.name, r.host.profile});
       }
       std::ofstream out(out_path);
-      if (!out) {
-        std::cerr << "error: cannot write " << out_path << "\n";
-        return 1;
-      }
+      if (!out) throw std::runtime_error("cannot open output file '" + out_path + "' for writing");
       write_json(out, rows, fast, calib, profiles);
       std::cout << "\nwrote " << out_path << "\n";
     }
@@ -331,9 +326,8 @@ int main(int argc, char** argv) {
 
     Baseline base;
     if (!load_baseline(compare_path, base)) {
-      std::cerr << "error: cannot parse baseline " << compare_path
-                << " (regenerate with out=" << compare_path << ")\n";
-      return 1;
+      throw std::runtime_error("cannot parse baseline " + compare_path +
+                               " (regenerate with out=" + compare_path + ")");
     }
     const double tolerance = cfg.get_double("tolerance");
     std::cout << "\ncompare vs " << compare_path << " (baseline host " << std::fixed

@@ -34,6 +34,7 @@ int main(int argc, char** argv) {
   c.declare_int("threads", 0, "sweep worker threads (0 = all cores)");
   return common::run_main(c, argc, argv, [&] {
     sim::Scenario base = sim::Scenario::from_config(c);
+    sim::check_scenario(base);
     base.workload = sim::Scenario::Workload::App;
 
     std::vector<sim::Policy> policies;

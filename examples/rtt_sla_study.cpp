@@ -37,6 +37,7 @@ int main(int argc, char** argv) {
 
     // Anchor the policies on the default 5×5 router, the paper's procedure.
     sim::Scenario base = sim::Scenario::from_config(c);
+    sim::check_scenario(base);
     std::cout << "Anchoring (saturation probe)...\n";
     base = sim::anchored(base, sim::find_anchors(base));
 

@@ -33,6 +33,7 @@ int main(int argc, char** argv) {
   c.declare_int("threads", 0, "sweep worker threads (0 = all cores)");
   return common::run_main(c, argc, argv, [&] {
     sim::Scenario base = sim::Scenario::from_config(c);
+    sim::check_scenario(base);
     const std::vector<double> lambdas = c.get_double_list("lambdas");
 
     std::vector<sim::Policy> policies;

@@ -51,6 +51,7 @@ int main(int argc, char** argv) {
   config.declare("csv", "", "append headline CSV rows (groups: record, replay, policies)");
   return common::run_main(config, argc, argv, [&] {
     sim::Scenario base = sim::Scenario::from_config(config);
+    sim::check_scenario(base);
     std::string trace_path = base.trace_path;
     if (trace_path.empty()) trace_path = "trace_record_replay.noctrace";
     base.trace_path.clear();

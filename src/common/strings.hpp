@@ -8,6 +8,7 @@
 #include <cstddef>
 #include <stdexcept>
 #include <string>
+#include <string_view>
 #include <vector>
 
 namespace nocdvfs::common {
@@ -32,6 +33,34 @@ inline std::vector<std::string> split_csv(const std::string& text, char sep = ',
 inline std::string format_double(double v) {
   char buf[32];
   return std::string(buf, std::to_chars(buf, buf + sizeof buf, v).ptr);
+}
+
+/// `s` as a JSON string literal, quotes included: `"` and `\` escaped,
+/// C0 control bytes as \b \f \n \r \t or \u00XX. Bytes >= 0x80 pass
+/// through verbatim (JSON strings are UTF-8).
+inline std::string json_quote(std::string_view s) {
+  std::string out = "\"";
+  for (const char ch : s) {
+    switch (ch) {
+      case '"': out += "\\\""; break;
+      case '\\': out += "\\\\"; break;
+      case '\b': out += "\\b"; break;
+      case '\f': out += "\\f"; break;
+      case '\n': out += "\\n"; break;
+      case '\r': out += "\\r"; break;
+      case '\t': out += "\\t"; break;
+      default:
+        if (static_cast<unsigned char>(ch) < 0x20) {
+          constexpr char kHex[] = "0123456789abcdef";
+          out += "\\u00";
+          out += kHex[ch >> 4];
+          out += kHex[ch & 0xF];
+        } else {
+          out += ch;
+        }
+    }
+  }
+  return out + '"';
 }
 
 /// ASCII lower-case copy of `s`.

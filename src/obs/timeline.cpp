@@ -1,5 +1,6 @@
 #include "obs/timeline.hpp"
 
+#include <algorithm>
 #include <cstdio>
 #include <cstring>
 #include <fstream>
@@ -7,7 +8,12 @@
 #include <limits>
 #include <ostream>
 #include <stdexcept>
+#include <tuple>
+#include <type_traits>
 #include <vector>
+
+#include "common/binary_io.hpp"
+#include "common/strings.hpp"
 
 namespace nocdvfs::obs {
 
@@ -17,105 +23,341 @@ constexpr std::uint32_t kMagic = 0x4F434F4E;  // 'N' 'O' 'C' 'O' little-endian
 /// Bucket count of the histograms in v2/v3 files (read only to be checked
 /// and dropped).
 constexpr std::size_t kBucketsBeforeV4 = 128;
+/// Longest string the reader accepts.
+constexpr std::uint32_t kMaxStringBytes = 1u << 20;
 
-// ---- binary primitives ----------------------------------------------------
+static_assert(sizeof(int) == 4, ".nocobs stores int fields in 4 bytes");
 
-template <typename T>
-void put(std::ostream& os, T value) {
-  static_assert(std::is_trivially_copyable_v<T>);
-  os.write(reinterpret_cast<const char*>(&value), sizeof(T));
+// ---- the .nocobs codec ------------------------------------------------------
+//
+// `walk` is the format: it names every field once, in file order. Three Io
+// types run it. Writer encodes a Timeline. Reader decodes one and checks
+// every length before anything is sized from it. Sizer counts the bytes of
+// one entry at its smallest (every string and nested list empty), which is
+// how many bytes the reader requires per entry when it bounds a count by
+// the bytes left in the file.
+
+/// A field's wire type: an enum travels as its underlying integer.
+template <class T>
+struct Wire {
+  using type = T;
+};
+template <class T>
+  requires std::is_enum_v<T>
+struct Wire<T> {
+  using type = std::underlying_type_t<T>;
+};
+template <class T>
+using wire_t = typename Wire<T>::type;
+
+class Writer {
+ public:
+  static constexpr bool kReading = false;
+
+  explicit Writer(std::ostream& os) : os_(os) {}
+
+  std::uint32_t preamble() {
+    (*this)(kMagic, Timeline::kVersion);
+    return Timeline::kVersion;
+  }
+  template <class... Ts>
+  void operator()(const Ts&... values) {
+    (put(values), ...);
+  }
+  void as_u32(int value, const char*) { put(static_cast<std::uint32_t>(value)); }
+  void str(const std::string& s) {
+    put(static_cast<std::uint32_t>(s.size()));
+    os_.write(s.data(), static_cast<std::streamsize>(s.size()));
+  }
+  std::size_t count(std::uint64_t n, std::uint64_t, const char*) {
+    return static_cast<std::size_t>(n);
+  }
+
+ private:
+  template <class T>
+  void put(const T& value) {
+    unsigned char bytes[sizeof(wire_t<T>)];
+    common::put_le(bytes, static_cast<wire_t<T>>(value));
+    os_.write(reinterpret_cast<const char*>(bytes), sizeof bytes);
+  }
+
+  std::ostream& os_;
+};
+
+class Reader {
+ public:
+  static constexpr bool kReading = true;
+
+  Reader(std::istream& is, std::uint64_t size, const std::string& path)
+      : is_(is), size_(size), path_(path) {}
+
+  /// The magic (naming the right tool for a .noctrace) and a version this
+  /// reader knows.
+  std::uint32_t preamble() {
+    unsigned char magic[4];
+    read(magic, sizeof magic);
+    if (common::get_le<std::uint32_t>(magic) != kMagic) {
+      if (std::memcmp(magic, "NOCT", 4) == 0) {
+        throw std::runtime_error(
+            "timeline: '" + path_ +
+            "' starts with magic \"NOCT\" — this is a .noctrace packet trace, not a "
+            ".nocobs telemetry timeline (expected magic \"NOCO\"); inspect it with "
+            "nocdvfs_trace instead");
+      }
+      std::string found(reinterpret_cast<const char*>(magic), 4);
+      for (char& ch : found) {
+        if (static_cast<unsigned char>(ch) < 0x20 || static_cast<unsigned char>(ch) > 0x7E) {
+          ch = '.';
+        }
+      }
+      throw std::runtime_error("timeline: '" + path_ +
+                               "' is not a .nocobs file (found magic bytes \"" + found +
+                               "\", expected \"NOCO\")");
+    }
+    std::uint32_t version = 0;
+    get(version);
+    if (version < 1 || version > Timeline::kVersion) {
+      throw bad("version", "unsupported version " + std::to_string(version));
+    }
+    return version;
+  }
+  template <class... Ts>
+  void operator()(Ts&... values) {
+    (get(values), ...);
+  }
+  /// A count or size stored as int must fit one.
+  void as_u32(int& value, const char* field) {
+    std::uint32_t raw = 0;
+    get(raw);
+    if (raw > static_cast<std::uint32_t>(std::numeric_limits<int>::max())) {
+      throw bad(field, std::to_string(raw) + " exceeds INT_MAX");
+    }
+    value = static_cast<int>(raw);
+  }
+  void str(std::string& s) {
+    std::uint32_t n = 0;
+    get(n);
+    if (n > kMaxStringBytes) throw bad("string", "implausible length " + std::to_string(n));
+    need(n);
+    s.resize(n);
+    read(s.data(), n);
+  }
+  /// `n` entries of at least `min_bytes` each must fit in the bytes left.
+  std::size_t count(std::uint64_t n, std::uint64_t min_bytes, const char* field) {
+    const std::uint64_t left = size_ - pos_;
+    if (n > left / min_bytes) {
+      throw bad(field, std::to_string(n) + " entries of at least " + std::to_string(min_bytes) +
+                           " bytes each, but " + std::to_string(left) + " bytes are left");
+    }
+    return static_cast<std::size_t>(n);
+  }
+  /// The last section must end the file.
+  void finish() const {
+    if (pos_ != size_) {
+      throw bad("file", std::to_string(size_ - pos_) + " trailing bytes after the last section");
+    }
+  }
+  std::runtime_error bad(const std::string& field, const std::string& why) const {
+    return std::runtime_error("timeline: '" + path_ + "' " + field + ": " + why);
+  }
+
+ private:
+  template <class T>
+  void get(T& value) {
+    unsigned char bytes[sizeof(wire_t<T>)];
+    read(bytes, sizeof bytes);
+    value = static_cast<T>(common::get_le<wire_t<T>>(bytes));
+  }
+  void need(std::uint64_t n) const {
+    if (n > size_ - pos_) {
+      throw bad("file", "truncated: " + std::to_string(n) + " bytes needed at byte " +
+                            std::to_string(pos_) + " of " + std::to_string(size_));
+    }
+  }
+  void read(void* dst, std::uint64_t n) {
+    need(n);
+    is_.read(static_cast<char*>(dst), static_cast<std::streamsize>(n));
+    if (!is_) throw bad("file", "read failed at byte " + std::to_string(pos_));
+    pos_ += n;
+  }
+
+  std::istream& is_;
+  std::uint64_t size_;
+  std::uint64_t pos_ = 0;
+  std::string path_;
+};
+
+class Sizer {
+ public:
+  static constexpr bool kReading = false;
+
+  template <class... Ts>
+  void operator()(const Ts&...) {
+    bytes += (sizeof(wire_t<Ts>) + ... + 0);
+  }
+  void as_u32(int, const char*) { bytes += sizeof(std::uint32_t); }
+  void str(const std::string&) { bytes += sizeof(std::uint32_t); }
+  std::size_t count(std::uint64_t, std::uint64_t, const char*) { return 0; }
+
+  std::uint64_t bytes = 0;
+};
+
+/// Entry `i` of `v`. The reader has sized `v` already. The writer takes a
+/// missing entry as a default one, so it writes exactly the entries the
+/// reader will read.
+template <class T>
+T& at(std::vector<T>& v, std::size_t i) {
+  return v[i];
+}
+template <class T>
+const T& at(const std::vector<T>& v, std::size_t i) {
+  static const T blank{};
+  return i < v.size() ? v[i] : blank;
 }
 
-void put_str(std::ostream& os, const std::string& s) {
-  put<std::uint32_t>(os, static_cast<std::uint32_t>(s.size()));
-  os.write(s.data(), static_cast<std::streamsize>(s.size()));
+/// The smallest encoding of one `entry`: its bytes over default values.
+template <class... Ts, class Entry>
+std::uint64_t min_bytes(const Entry& entry) {
+  Sizer sizer;
+  std::tuple<Ts...> blank;
+  std::apply([&](Ts&... values) { entry(sizer, values...); }, blank);
+  return sizer.bytes;
 }
 
-template <typename T>
-T get(std::istream& is) {
-  static_assert(std::is_trivially_copyable_v<T>);
-  T value{};
-  is.read(reinterpret_cast<char*>(&value), sizeof(T));
-  if (!is) throw std::runtime_error("timeline: truncated file");
-  return value;
+/// `n` entries; entry i is `entry` over element i of each of the parallel
+/// vectors `vs`.
+template <class Io, class... Vs, class Entry>
+void entries(Io& io, std::uint64_t n, const char* field, std::tuple<Vs&...> vs,
+             const Entry& entry) {
+  const std::size_t size = io.count(n, min_bytes<typename Vs::value_type...>(entry), field);
+  std::apply(
+      [&](Vs&... v) {
+        if constexpr (Io::kReading) (v.resize(size), ...);
+        for (std::size_t i = 0; i < size; ++i) entry(io, at(v, i)...);
+      },
+      vs);
 }
 
-std::string get_str(std::istream& is) {
-  const auto n = get<std::uint32_t>(is);
-  if (n > (1u << 20)) throw std::runtime_error("timeline: implausible string length");
-  std::string s(n, '\0');
-  is.read(s.data(), static_cast<std::streamsize>(n));
-  if (!is) throw std::runtime_error("timeline: truncated file");
-  return s;
+/// A u32 count, then that many entries.
+template <class Io, class... Vs, class Entry>
+void list(Io& io, const char* field, std::tuple<Vs&...> vs, const Entry& entry) {
+  auto n = static_cast<std::uint32_t>(std::get<0>(vs).size());
+  io(n);
+  entries(io, n, field, vs, entry);
 }
 
-/// One histogram section, rejected unless snapshot_quantile can walk it:
-/// at most `num_buckets` buckets (checked before anything is sized from
-/// the count), indices strictly ascending and below `num_buckets`, counts
-/// summing to `count`, and min <= max.
-HistogramSnapshot get_histogram(std::istream& is, const std::string& path,
-                                std::size_t num_buckets) {
-  HistogramSnapshot snap;
-  snap.label = get_str(is);
-  const auto bad = [&](const std::string& why) {
-    return std::runtime_error("timeline: '" + path + "' histogram '" + snap.label + "': " + why);
-  };
-  snap.count = get<std::uint64_t>(is);
-  snap.min = get<std::uint64_t>(is);
-  snap.max = get<std::uint64_t>(is);
-  const auto buckets = get<std::uint32_t>(is);
+/// A histogram is rejected unless snapshot_quantile can walk it: at most
+/// `num_buckets` buckets, indices strictly ascending and below
+/// `num_buckets`, counts summing to `count`, and min <= max.
+void check_histogram(const HistogramSnapshot& h, const Reader& io, std::size_t num_buckets) {
+  const std::string field = "histogram '" + h.label + "'";
+  const std::size_t buckets = h.bucket_index.size();
   if (buckets > num_buckets) {
-    throw bad(std::to_string(buckets) + " buckets (at most " + std::to_string(num_buckets) +
-              ")");
+    throw io.bad(field, std::to_string(buckets) + " buckets (at most " +
+                            std::to_string(num_buckets) + ")");
   }
-  snap.bucket_index.reserve(buckets);
-  snap.bucket_count.reserve(buckets);
   std::uint64_t total = 0;
-  for (std::uint32_t b = 0; b < buckets; ++b) {
-    const auto index = get<std::uint32_t>(is);
-    const auto count = get<std::uint64_t>(is);
+  for (std::size_t b = 0; b < buckets; ++b) {
+    const std::uint32_t index = h.bucket_index[b];
     if (index >= num_buckets) {
-      throw bad("bucket index " + std::to_string(index) + " out of range");
+      throw io.bad(field, "bucket index " + std::to_string(index) + " out of range");
     }
-    if (b > 0 && index <= snap.bucket_index.back()) {
-      throw bad("bucket indices not strictly ascending at " + std::to_string(index));
+    if (b > 0 && index <= h.bucket_index[b - 1]) {
+      throw io.bad(field, "bucket indices not strictly ascending at " + std::to_string(index));
     }
-    if (count > ~total) throw bad("bucket counts overflow");
-    total += count;
-    snap.bucket_index.push_back(index);
-    snap.bucket_count.push_back(count);
+    if (h.bucket_count[b] > ~total) throw io.bad(field, "bucket counts overflow");
+    total += h.bucket_count[b];
   }
-  if (total != snap.count) {
-    throw bad("bucket counts sum to " + std::to_string(total) + ", not count " +
-              std::to_string(snap.count));
+  if (total != h.count) {
+    throw io.bad(field, "bucket counts sum to " + std::to_string(total) + ", not count " +
+                            std::to_string(h.count));
   }
-  if (snap.min > snap.max) throw bad("min exceeds max");
-  return snap;
+  if (h.min > h.max) throw io.bad(field, "min exceeds max");
+}
+
+/// The .nocobs layout, every field in file order. `TL` is `const Timeline`
+/// when writing and `Timeline` when reading.
+template <class Io, class TL>
+void walk(Io& io, TL& tl) {
+  const std::uint32_t version = io.preamble();
+  if constexpr (Io::kReading) tl.version = version;
+  io.as_u32(tl.width, "width");
+  io.as_u32(tl.height, "height");
+  io.as_u32(tl.num_routers, "num_routers");
+  io.as_u32(tl.num_islands, "num_islands");
+  io.as_u32(tl.concentration, "concentration");
+  io(tl.f_node_hz, tl.control_period_node_cycles);
+
+  const auto islands = static_cast<std::uint64_t>(std::max(tl.num_islands, 0));
+  entries(io, islands, "num_islands", std::tie(tl.island_policy, tl.island_nodes),
+          [](auto& io, auto& policy, auto& nodes) {
+            io.str(policy);
+            io.as_u32(nodes, "island_nodes");
+          });
+  const auto value = [](auto& io, auto& v) { io(v); };
+  list(io, "num_windows", std::tie(tl.window_t_ps), value);
+  const std::uint64_t windows = tl.window_t_ps.size();
+  entries(io, windows * islands, "island_rows", std::tie(tl.island_rows), [](auto& io, auto& r) {
+    io(r.f_hz, r.vdd, r.avg_delay_ns, r.lambda_offered, r.occupancy, r.ctrl_error, r.throttled);
+  });
+  list(io, "num_links", std::tie(tl.links), [](auto& io, auto& link) {
+    io.as_u32(link.src_router, "link src_router");
+    io.as_u32(link.src_port, "link src_port");
+    io.as_u32(link.dst_router, "link dst_router");
+  });
+  // windows × entities values: u64 deltas for a counter, f64 for a gauge.
+  list(io, "num_series", std::tie(tl.series), [&](auto& io, auto& s) {
+    io.str(s.name);
+    io(s.scope, s.kind);
+    io.as_u32(s.entities, "series entities");
+    const std::uint64_t n = windows * static_cast<std::uint64_t>(std::max(s.entities, 0));
+    if (s.kind == MetricKind::Counter) {
+      entries(io, n, "series values", std::tie(s.counts), value);
+    } else {
+      entries(io, n, "series values", std::tie(s.gauges), value);
+    }
+  });
+  list(io, "num_events", std::tie(tl.events),
+       [](auto& io, auto& e) { io(e.kind, e.island, e.t_ps, e.a, e.b); });
+
+  if (version < 2) return;
+  list(io, "num_flights", std::tie(tl.flights), [](auto& io, auto& f) {
+    io(f.packet_id, f.src, f.dst, f.size_flits, f.traffic_class, f.create_t_ps);
+    list(io, "flight events", std::tie(f.events),
+         [](auto& io, auto& ev) { io(ev.t_ps, ev.router, ev.arg, ev.stage); });
+  });
+  const std::size_t num_buckets = version >= 4 ? LatencyHistogram::kNumBuckets : kBucketsBeforeV4;
+  list(io, "num_histograms", std::tie(tl.histograms), [&](auto& io, auto& h) {
+    io.str(h.label);
+    io(h.count, h.min, h.max);
+    list(io, "histogram buckets", std::tie(h.bucket_index, h.bucket_count),
+         [](auto& io, auto& index, auto& count) { io(index, count); });
+    if constexpr (std::remove_cvref_t<decltype(io)>::kReading) check_histogram(h, io, num_buckets);
+  });
+  // Before v4 the buckets had another meaning; no reader of them is kept.
+  if constexpr (Io::kReading) {
+    if (version < 4) tl.histograms.clear();
+  }
+
+  if (version < 3) return;
+  list(io, "num_manifest", std::tie(tl.manifest), [](auto& io, auto& entry) {
+    io.str(entry.first);
+    io.str(entry.second);
+  });
+  list(io, "num_phases", std::tie(tl.host_phases), [](auto& io, auto& p) {
+    io.str(p.name);
+    io.as_u32(p.depth, "phase depth");
+    io(p.calls, p.inclusive_ns, p.exclusive_ns);
+  });
+  list(io, "num_spans", std::tie(tl.host_spans),
+       [](auto& io, auto& span) { io(span.worker, span.point, span.t0_ns, span.t1_ns); });
+  list(io, "num_workers", std::tie(tl.host_workers),
+       [](auto& io, auto& w) { io(w.worker, w.points, w.busy_ns); });
 }
 
 // ---- JSON helpers ---------------------------------------------------------
 
 double to_us(std::uint64_t t_ps) { return static_cast<double>(t_ps) * 1e-6; }
-
-void json_str(std::ostream& os, const std::string& s) {
-  os << '"';
-  for (const char ch : s) {
-    switch (ch) {
-      case '"': os << "\\\""; break;
-      case '\\': os << "\\\\"; break;
-      case '\n': os << "\\n"; break;
-      case '\t': os << "\\t"; break;
-      default:
-        if (static_cast<unsigned char>(ch) < 0x20) {
-          const char* hex = "0123456789abcdef";
-          os << "\\u00" << hex[(ch >> 4) & 0xF] << hex[ch & 0xF];
-        } else {
-          os << ch;
-        }
-    }
-  }
-  os << '"';
-}
 
 /// Emits one trace event object; `first` tracks the array comma.
 class EventArray {
@@ -139,341 +381,21 @@ class EventArray {
 void write_timeline_binary(const Timeline& tl, const std::string& path) {
   std::ofstream os(path, std::ios::binary | std::ios::trunc);
   if (!os) throw std::runtime_error("timeline: cannot open '" + path + "' for writing");
-
-  put<std::uint32_t>(os, kMagic);
-  put<std::uint32_t>(os, Timeline::kVersion);
-  put<std::uint32_t>(os, static_cast<std::uint32_t>(tl.width));
-  put<std::uint32_t>(os, static_cast<std::uint32_t>(tl.height));
-  put<std::uint32_t>(os, static_cast<std::uint32_t>(tl.num_routers));
-  put<std::uint32_t>(os, static_cast<std::uint32_t>(tl.num_islands));
-  put<std::uint32_t>(os, static_cast<std::uint32_t>(tl.concentration));
-  put<double>(os, tl.f_node_hz);
-  put<std::uint64_t>(os, tl.control_period_node_cycles);
-
-  for (int i = 0; i < tl.num_islands; ++i) {
-    put_str(os, i < static_cast<int>(tl.island_policy.size()) ? tl.island_policy[i] : "");
-    put<std::uint32_t>(os, static_cast<std::uint32_t>(
-                               i < static_cast<int>(tl.island_nodes.size()) ? tl.island_nodes[i] : 0));
-  }
-
-  put<std::uint32_t>(os, static_cast<std::uint32_t>(tl.window_t_ps.size()));
-  for (const std::uint64_t t : tl.window_t_ps) put<std::uint64_t>(os, t);
-
-  for (const IslandWindowRow& row : tl.island_rows) {
-    put<double>(os, row.f_hz);
-    put<double>(os, row.vdd);
-    put<double>(os, row.avg_delay_ns);
-    put<double>(os, row.lambda_offered);
-    put<double>(os, row.occupancy);
-    put<double>(os, row.ctrl_error);
-    put<std::uint8_t>(os, row.throttled);
-  }
-
-  put<std::uint32_t>(os, static_cast<std::uint32_t>(tl.links.size()));
-  for (const LinkInfo& link : tl.links) {
-    put<std::uint32_t>(os, static_cast<std::uint32_t>(link.src_router));
-    put<std::uint32_t>(os, static_cast<std::uint32_t>(link.src_port));
-    put<std::uint32_t>(os, static_cast<std::uint32_t>(link.dst_router));
-  }
-
-  put<std::uint32_t>(os, static_cast<std::uint32_t>(tl.series.size()));
-  for (const MetricSeries& s : tl.series) {
-    put_str(os, s.name);
-    put<std::uint8_t>(os, static_cast<std::uint8_t>(s.scope));
-    put<std::uint8_t>(os, static_cast<std::uint8_t>(s.kind));
-    put<std::uint32_t>(os, static_cast<std::uint32_t>(s.entities));
-    if (s.kind == MetricKind::Counter) {
-      for (const std::uint64_t v : s.counts) put<std::uint64_t>(os, v);
-    } else {
-      for (const double v : s.gauges) put<double>(os, v);
-    }
-  }
-
-  put<std::uint32_t>(os, static_cast<std::uint32_t>(tl.events.size()));
-  for (const TimelineEvent& e : tl.events) {
-    put<std::uint8_t>(os, static_cast<std::uint8_t>(e.kind));
-    put<std::int32_t>(os, e.island);
-    put<std::uint64_t>(os, e.t_ps);
-    put<double>(os, e.a);
-    put<double>(os, e.b);
-  }
-
-  // --- v2 sections ---
-  put<std::uint32_t>(os, static_cast<std::uint32_t>(tl.flights.size()));
-  for (const FlightRecord& f : tl.flights) {
-    put<std::uint64_t>(os, f.packet_id);
-    put<std::int32_t>(os, f.src);
-    put<std::int32_t>(os, f.dst);
-    put<std::int32_t>(os, f.size_flits);
-    put<std::uint8_t>(os, f.traffic_class);
-    put<std::uint64_t>(os, f.create_t_ps);
-    put<std::uint32_t>(os, static_cast<std::uint32_t>(f.events.size()));
-    for (const FlightEvent& ev : f.events) {
-      put<std::uint64_t>(os, ev.t_ps);
-      put<std::int32_t>(os, ev.router);
-      put<std::int32_t>(os, ev.arg);
-      put<std::uint8_t>(os, static_cast<std::uint8_t>(ev.stage));
-    }
-  }
-
-  put<std::uint32_t>(os, static_cast<std::uint32_t>(tl.histograms.size()));
-  for (const HistogramSnapshot& h : tl.histograms) {
-    put_str(os, h.label);
-    put<std::uint64_t>(os, h.count);
-    put<std::uint64_t>(os, h.min);
-    put<std::uint64_t>(os, h.max);
-    put<std::uint32_t>(os, static_cast<std::uint32_t>(h.bucket_index.size()));
-    for (std::size_t b = 0; b < h.bucket_index.size(); ++b) {
-      put<std::uint32_t>(os, h.bucket_index[b]);
-      put<std::uint64_t>(os, h.bucket_count[b]);
-    }
-  }
-
-  // --- v3 sections ---
-  put<std::uint32_t>(os, static_cast<std::uint32_t>(tl.manifest.size()));
-  for (const auto& [key, value] : tl.manifest) {
-    put_str(os, key);
-    put_str(os, value);
-  }
-
-  put<std::uint32_t>(os, static_cast<std::uint32_t>(tl.host_phases.size()));
-  for (const PhaseStats& p : tl.host_phases) {
-    put_str(os, p.name);
-    put<std::uint32_t>(os, static_cast<std::uint32_t>(p.depth));
-    put<std::uint64_t>(os, p.calls);
-    put<std::uint64_t>(os, p.inclusive_ns);
-    put<std::uint64_t>(os, p.exclusive_ns);
-  }
-
-  put<std::uint32_t>(os, static_cast<std::uint32_t>(tl.host_spans.size()));
-  for (const HostWorkerSpan& sp : tl.host_spans) {
-    put<std::int32_t>(os, sp.worker);
-    put<std::uint64_t>(os, sp.point);
-    put<std::uint64_t>(os, sp.t0_ns);
-    put<std::uint64_t>(os, sp.t1_ns);
-  }
-
-  put<std::uint32_t>(os, static_cast<std::uint32_t>(tl.host_workers.size()));
-  for (const HostWorkerStats& w : tl.host_workers) {
-    put<std::int32_t>(os, w.worker);
-    put<std::uint64_t>(os, w.points);
-    put<std::uint64_t>(os, w.busy_ns);
-  }
-
+  Writer writer(os);
+  walk(writer, tl);
   os.flush();
   if (!os) throw std::runtime_error("timeline: write to '" + path + "' failed");
 }
 
 Timeline read_timeline_binary(const std::string& path) {
   std::ifstream is(path, std::ios::binary | std::ios::ate);
-  if (!is) throw std::runtime_error("timeline: cannot open '" + path + "'");
-  const auto file_size = static_cast<std::uint64_t>(is.tellg());
+  const std::streamoff size = is ? static_cast<std::streamoff>(is.tellg()) : -1;
+  if (size < 0) throw std::runtime_error("timeline: cannot open '" + path + "'");
   is.seekg(0);
-  const auto bad = [&](const char* field, const std::string& why) {
-    return std::runtime_error("timeline: '" + path + "' " + field + ": " + why);
-  };
-  // Length fields are checked before anything is sized from them: a count
-  // stored as int must fit one, and `n` entries of at least `min_bytes`
-  // each must fit in the bytes left in the file.
-  const auto as_int = [&](std::uint32_t v, const char* field) {
-    if (v > static_cast<std::uint32_t>(std::numeric_limits<int>::max())) {
-      throw bad(field, std::to_string(v) + " exceeds INT_MAX");
-    }
-    return static_cast<int>(v);
-  };
-  const auto count = [&](std::uint64_t n, std::uint64_t min_bytes, const char* field) {
-    const std::uint64_t left = file_size - static_cast<std::uint64_t>(is.tellg());
-    if (n > left / min_bytes) {
-      throw bad(field, std::to_string(n) + " entries of at least " + std::to_string(min_bytes) +
-                           " bytes each, but " + std::to_string(left) + " bytes are left");
-    }
-    return static_cast<std::size_t>(n);
-  };
-
-  char magic_bytes[4] = {};
-  is.read(magic_bytes, sizeof magic_bytes);
-  if (!is) throw std::runtime_error("timeline: truncated file");
-  std::uint32_t magic = 0;
-  std::memcpy(&magic, magic_bytes, sizeof magic);
-  if (magic != kMagic) {
-    // The most common mix-up: handing a .noctrace packet trace to this
-    // reader. Name both magics and point at the right tool.
-    if (std::memcmp(magic_bytes, "NOCT", 4) == 0) {
-      throw std::runtime_error(
-          "timeline: '" + path +
-          "' starts with magic \"NOCT\" — this is a .noctrace packet trace, not a "
-          ".nocobs telemetry timeline (expected magic \"NOCO\"); inspect it with "
-          "nocdvfs_trace instead");
-    }
-    std::string found(magic_bytes, 4);
-    for (char& ch : found) {
-      if (static_cast<unsigned char>(ch) < 0x20 || static_cast<unsigned char>(ch) > 0x7E) {
-        ch = '.';
-      }
-    }
-    throw std::runtime_error("timeline: '" + path +
-                             "' is not a .nocobs file (found magic bytes \"" + found +
-                             "\", expected \"NOCO\")");
-  }
-  const auto version = get<std::uint32_t>(is);
-  if (version < 1 || version > Timeline::kVersion) {
-    throw std::runtime_error("timeline: unsupported version " + std::to_string(version));
-  }
-
+  Reader reader(is, static_cast<std::uint64_t>(size), path);
   Timeline tl;
-  tl.version = version;
-  tl.width = as_int(get<std::uint32_t>(is), "width");
-  tl.height = as_int(get<std::uint32_t>(is), "height");
-  tl.num_routers = as_int(get<std::uint32_t>(is), "num_routers");
-  tl.num_islands = as_int(get<std::uint32_t>(is), "num_islands");
-  tl.concentration = as_int(get<std::uint32_t>(is), "concentration");
-  tl.f_node_hz = get<double>(is);
-  tl.control_period_node_cycles = get<std::uint64_t>(is);
-
-  count(static_cast<std::uint64_t>(tl.num_islands), 8, "num_islands");
-  for (int i = 0; i < tl.num_islands; ++i) {
-    tl.island_policy.push_back(get_str(is));
-    tl.island_nodes.push_back(as_int(get<std::uint32_t>(is), "island_nodes"));
-  }
-
-  const std::uint32_t windows = get<std::uint32_t>(is);
-  tl.window_t_ps.reserve(count(windows, 8, "num_windows"));
-  for (std::uint32_t w = 0; w < windows; ++w) tl.window_t_ps.push_back(get<std::uint64_t>(is));
-
-  const std::size_t rows = count(
-      std::uint64_t{windows} * static_cast<std::uint64_t>(tl.num_islands), 49, "island_rows");
-  tl.island_rows.reserve(rows);
-  for (std::size_t r = 0; r < rows; ++r) {
-    IslandWindowRow row;
-    row.f_hz = get<double>(is);
-    row.vdd = get<double>(is);
-    row.avg_delay_ns = get<double>(is);
-    row.lambda_offered = get<double>(is);
-    row.occupancy = get<double>(is);
-    row.ctrl_error = get<double>(is);
-    row.throttled = get<std::uint8_t>(is);
-    tl.island_rows.push_back(row);
-  }
-
-  const auto num_links = get<std::uint32_t>(is);
-  tl.links.reserve(count(num_links, 12, "num_links"));
-  for (std::uint32_t l = 0; l < num_links; ++l) {
-    LinkInfo link;
-    link.src_router = as_int(get<std::uint32_t>(is), "link src_router");
-    link.src_port = as_int(get<std::uint32_t>(is), "link src_port");
-    link.dst_router = as_int(get<std::uint32_t>(is), "link dst_router");
-    tl.links.push_back(link);
-  }
-
-  const auto num_series = get<std::uint32_t>(is);
-  tl.series.reserve(count(num_series, 10, "num_series"));
-  for (std::uint32_t si = 0; si < num_series; ++si) {
-    MetricSeries s;
-    s.name = get_str(is);
-    s.scope = static_cast<MetricScope>(get<std::uint8_t>(is));
-    s.kind = static_cast<MetricKind>(get<std::uint8_t>(is));
-    s.entities = as_int(get<std::uint32_t>(is), "series entities");
-    const std::size_t n =
-        count(std::uint64_t{windows} * static_cast<std::uint64_t>(s.entities), 8, "series values");
-    if (s.kind == MetricKind::Counter) {
-      s.counts.reserve(n);
-      for (std::size_t i = 0; i < n; ++i) s.counts.push_back(get<std::uint64_t>(is));
-    } else {
-      s.gauges.reserve(n);
-      for (std::size_t i = 0; i < n; ++i) s.gauges.push_back(get<double>(is));
-    }
-    tl.series.push_back(std::move(s));
-  }
-
-  const auto num_events = get<std::uint32_t>(is);
-  tl.events.reserve(count(num_events, 29, "num_events"));
-  for (std::uint32_t e = 0; e < num_events; ++e) {
-    TimelineEvent ev;
-    ev.kind = static_cast<EventKind>(get<std::uint8_t>(is));
-    ev.island = get<std::int32_t>(is);
-    ev.t_ps = get<std::uint64_t>(is);
-    ev.a = get<double>(is);
-    ev.b = get<double>(is);
-    tl.events.push_back(ev);
-  }
-
-  if (version >= 2) {
-    const auto num_flights = get<std::uint32_t>(is);
-    tl.flights.reserve(count(num_flights, 33, "num_flights"));
-    for (std::uint32_t f = 0; f < num_flights; ++f) {
-      FlightRecord rec;
-      rec.packet_id = get<std::uint64_t>(is);
-      rec.src = get<std::int32_t>(is);
-      rec.dst = get<std::int32_t>(is);
-      rec.size_flits = get<std::int32_t>(is);
-      rec.traffic_class = get<std::uint8_t>(is);
-      rec.create_t_ps = get<std::uint64_t>(is);
-      const auto num_fe = get<std::uint32_t>(is);
-      rec.events.reserve(count(num_fe, 17, "flight events"));
-      for (std::uint32_t e = 0; e < num_fe; ++e) {
-        FlightEvent ev;
-        ev.t_ps = get<std::uint64_t>(is);
-        ev.router = get<std::int32_t>(is);
-        ev.arg = get<std::int32_t>(is);
-        ev.stage = static_cast<FlightStage>(get<std::uint8_t>(is));
-        rec.events.push_back(ev);
-      }
-      tl.flights.push_back(std::move(rec));
-    }
-
-    const auto num_hists = get<std::uint32_t>(is);
-    const std::size_t num_buckets =
-        version >= 4 ? LatencyHistogram::kNumBuckets : kBucketsBeforeV4;
-    count(num_hists, 32, "num_histograms");
-    for (std::uint32_t h = 0; h < num_hists; ++h) {
-      HistogramSnapshot snap = get_histogram(is, path, num_buckets);
-      // Before v4 the buckets had another meaning; no reader of them is kept.
-      if (version >= 4) tl.histograms.push_back(std::move(snap));
-    }
-  }
-
-  if (version >= 3) {
-    const auto num_manifest = get<std::uint32_t>(is);
-    tl.manifest.reserve(count(num_manifest, 8, "num_manifest"));
-    for (std::uint32_t m = 0; m < num_manifest; ++m) {
-      std::string key = get_str(is);
-      std::string value = get_str(is);
-      tl.manifest.emplace_back(std::move(key), std::move(value));
-    }
-
-    const auto num_phases = get<std::uint32_t>(is);
-    tl.host_phases.reserve(count(num_phases, 32, "num_phases"));
-    for (std::uint32_t p = 0; p < num_phases; ++p) {
-      PhaseStats ps;
-      ps.name = get_str(is);
-      ps.depth = as_int(get<std::uint32_t>(is), "phase depth");
-      ps.calls = get<std::uint64_t>(is);
-      ps.inclusive_ns = get<std::uint64_t>(is);
-      ps.exclusive_ns = get<std::uint64_t>(is);
-      tl.host_phases.push_back(std::move(ps));
-    }
-
-    const auto num_spans = get<std::uint32_t>(is);
-    tl.host_spans.reserve(count(num_spans, 28, "num_spans"));
-    for (std::uint32_t sp = 0; sp < num_spans; ++sp) {
-      HostWorkerSpan span;
-      span.worker = get<std::int32_t>(is);
-      span.point = get<std::uint64_t>(is);
-      span.t0_ns = get<std::uint64_t>(is);
-      span.t1_ns = get<std::uint64_t>(is);
-      tl.host_spans.push_back(span);
-    }
-
-    const auto num_workers = get<std::uint32_t>(is);
-    tl.host_workers.reserve(count(num_workers, 20, "num_workers"));
-    for (std::uint32_t w = 0; w < num_workers; ++w) {
-      HostWorkerStats stats;
-      stats.worker = get<std::int32_t>(is);
-      stats.points = get<std::uint64_t>(is);
-      stats.busy_ns = get<std::uint64_t>(is);
-      tl.host_workers.push_back(stats);
-    }
-  }
+  walk(reader, tl);
+  reader.finish();
   return tl;
 }
 
@@ -495,7 +417,7 @@ void write_timeline_perfetto(const Timeline& tl, std::ostream& os) {
     auto& o = arr.next();
     o << R"({"name":"process_name","ph":"M","pid":)" << (i + 1)
       << R"(,"tid":0,"args":{"name":)";
-    json_str(o, "island " + std::to_string(i) + " (" + policy + ")");
+    o << common::json_quote("island " + std::to_string(i) + " (" + policy + ")");
     o << "}}";
   }
 
@@ -529,7 +451,7 @@ void write_timeline_perfetto(const Timeline& tl, std::ostream& os) {
     const int pid = e.island >= 0 ? e.island + 1 : 0;
     auto& o = arr.next();
     o << R"({"name":)";
-    json_str(o, to_string(e.kind));
+    o << common::json_quote(to_string(e.kind));
     o << R"(,"cat":"event","ph":"i","s":"p","pid":)" << pid << R"(,"tid":0,"ts":)"
       << to_us(e.t_ps) << R"(,"args":{"a":)" << e.a << R"(,"b":)" << e.b << "}}";
   }
@@ -579,7 +501,7 @@ void write_timeline_perfetto(const Timeline& tl, std::ostream& os) {
             if (in_hop && ev.t_ps > arrive_ps) {
               auto& o = arr.next();
               o << R"({"name":)";
-              json_str(o, "hop r" + std::to_string(ev.router));
+              o << common::json_quote("hop r" + std::to_string(ev.router));
               o << R"(,"cat":"flight","ph":"X","pid":)" << fpid << R"(,"tid":)" << tid
                 << R"(,"ts":)" << to_us(arrive_ps) << R"(,"dur":)"
                 << to_us(ev.t_ps - arrive_ps) << R"(,"args":{"packet_id":)" << f.packet_id
@@ -647,7 +569,7 @@ void write_timeline_perfetto(const Timeline& tl, std::ostream& os) {
         const std::uint64_t start = cursor[d];
         auto& o = arr.next();
         o << R"({"name":)";
-        json_str(o, p.name);
+        o << common::json_quote(p.name);
         o << R"(,"cat":"host","ph":"X","pid":)" << hpid << R"(,"tid":0,"ts":)"
           << ns_to_us(start) << R"(,"dur":)" << ns_to_us(p.inclusive_ns)
           << R"(,"args":{"calls":)" << p.calls << R"(,"inclusive_ms":)"
@@ -673,14 +595,14 @@ void write_timeline_perfetto(const Timeline& tl, std::ostream& os) {
         auto& o = arr.next();
         o << R"({"name":"thread_name","ph":"M","pid":)" << hpid << R"(,"tid":)"
           << (w.worker + 1) << R"(,"args":{"name":)";
-        json_str(o, "worker " + std::to_string(w.worker) + " (" +
+        o << common::json_quote("worker " + std::to_string(w.worker) + " (" +
                         std::to_string(w.points) + " pts, " + util_buf + ")");
         o << "}}";
       }
       for (const HostWorkerSpan& sp : tl.host_spans) {
         auto& o = arr.next();
         o << R"({"name":)";
-        json_str(o, "point #" + std::to_string(sp.point));
+        o << common::json_quote("point #" + std::to_string(sp.point));
         o << R"(,"cat":"host","ph":"X","pid":)" << hpid << R"(,"tid":)"
           << (sp.worker + 1) << R"(,"ts":)" << ns_to_us(sp.t0_ns) << R"(,"dur":)"
           << ns_to_us(sp.t1_ns - sp.t0_ns) << R"(,"args":{"point":)" << sp.point

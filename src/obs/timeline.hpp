@@ -7,45 +7,26 @@
 ///
 /// ## Binary format (`.nocobs`, version 4)
 ///
-/// All integers little-endian, strings length-prefixed (u32 + bytes):
+/// The layout is written down once, as the field walk `walk` in
+/// timeline.cpp: it names every field in file order, and the same walk
+/// writes a file and reads it back. The file opens with the magic "NOCO"
+/// and a u32 version. Integers and doubles are little-endian on every host
+/// (common/binary_io.hpp); a string is a u32 length and its bytes, a list a
+/// u32 count and its entries.
 ///
-///     u32 magic  'N''O''C''O' (0x4F434F4E)     u32 version
-///     u32 width, height, num_routers, num_islands, concentration
-///     f64 f_node_hz           u64 control_period_node_cycles
-///     per island: str policy, u32 nodes
-///     u32 num_windows; u64 window_t_ps[num_windows]
-///     per (window, island) row-major: f64 f_hz, vdd, avg_delay_ns,
-///         lambda_offered, occupancy, ctrl_error; u8 throttled
-///     u32 num_links; per link: u32 src_router, src_port, dst_router
-///     u32 num_series; per series: str name, u8 scope, u8 kind,
-///         u32 entities, then windows*entities values
-///         (u64 deltas for counters, f64 for gauges)
-///     u32 num_events; per event: u8 kind, i32 island, u64 t_ps, f64 a, f64 b
+/// Version 2 added the sampled packet flights and the latency histograms,
+/// version 3 the host sections (manifest, phases, worker spans and worker
+/// stats). A file of an older version reads back with the newer sections
+/// empty. Version 4 changes no layout: it marks the eight-sub-bucket
+/// histogram indices (obs/latency_hist.hpp). A v2/v3 file's histograms used
+/// another bucket scheme; the reader checks and then drops them.
 ///
-/// Version 2 appends (a v1 file reads back with both sections empty):
-///
-///     u32 num_flights; per flight: u64 packet_id, i32 src, i32 dst,
-///         i32 size_flits, u8 traffic_class, u64 create_t_ps,
-///         u32 num_events; per event: u64 t_ps, i32 router, i32 arg, u8 stage
-///     u32 num_histograms; per histogram: str label, u64 count, min, max,
-///         u32 num_buckets; per bucket: u32 index, u64 count
-///
-///     The reader rejects a histogram whose buckets are more than
-///     LatencyHistogram::kNumBuckets, not strictly ascending, out of range
-///     or not summing to count, or whose min exceeds max.
-///
-/// Version 3 appends the host-observability sections (empty when reading
-/// a v1/v2 file):
-///
-///     u32 num_manifest; per entry: str key, str value
-///     u32 num_host_phases; per phase (preorder): str name, u32 depth,
-///         u64 calls, inclusive_ns, exclusive_ns
-///     u32 num_host_spans; per span: i32 worker, u64 point, t0_ns, t1_ns
-///     u32 num_host_workers; per worker: i32 worker, u64 points, busy_ns
-///
-/// Version 4 changes no layout: it marks the eight-sub-bucket histogram
-/// indices (obs/latency_hist.hpp). A v2/v3 file's histograms used another
-/// bucket scheme; the reader checks and then drops them.
+/// The reader checks every count before anything is sized from it: its
+/// entries, each at least as long as its smallest encoding, must fit in the
+/// bytes left. It rejects a histogram whose buckets are more than the
+/// scheme has, not strictly ascending, out of range or not summing to its
+/// count, or whose min exceeds max, and it rejects bytes after the last
+/// section.
 ///
 /// ## Perfetto JSON
 ///
@@ -77,8 +58,8 @@ namespace nocdvfs::obs {
 /// std::runtime_error on I/O failure.
 void write_timeline_binary(const Timeline& timeline, const std::string& path);
 
-/// Reads a binary timeline back. Throws std::runtime_error on a bad
-/// magic/version or a truncated file.
+/// Reads a binary timeline back. Throws std::runtime_error naming `path`
+/// on a bad magic/version or a truncated, oversized or malformed file.
 Timeline read_timeline_binary(const std::string& path);
 
 /// Writes the Perfetto / Chrome trace-event JSON view of `timeline`.

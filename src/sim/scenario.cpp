@@ -18,7 +18,10 @@
 #include "topo/routing_engine.hpp"
 #include "topo/topology.hpp"
 #include "trace/recording_traffic.hpp"
+#include "trace/trace.hpp"
 #include "trace/trace_traffic.hpp"
+#include "traffic/injection.hpp"
+#include "traffic/pattern.hpp"
 #include "vfi/island_map.hpp"
 
 namespace nocdvfs::sim {
@@ -493,10 +496,19 @@ std::string problem_of(const Scenario& s, vfi::IslandMap& map) {
     }
     if (s.pkt_trace_rate < 1) return "pkt_trace_rate must be >= 1";
 
-    // Workloads whose traffic comes from outside the key surface.
-    if (s.workload == Scenario::Workload::Trace && s.trace_path.empty()) {
-      return "workload=trace but no trace file is set (assign trace=<path.noctrace> or "
-             "Scenario::trace_path)";
+    // Workload inputs: the synthetic pattern and process names (and the
+    // pattern's fit to the mesh), and a trace file that opens and validates.
+    if (s.workload == Scenario::Workload::Synthetic) {
+      traffic::TrafficPattern::create(s.pattern, noc::MeshTopology(width, height), s.seed,
+                                      s.hotspot_fraction);
+      traffic::InjectionProcess::create(s.process, 0.0);
+    }
+    if (s.workload == Scenario::Workload::Trace) {
+      if (s.trace_path.empty()) {
+        return "workload=trace but no trace file is set (assign trace=<path.noctrace> or "
+               "Scenario::trace_path)";
+      }
+      trace::TraceReader reader(s.trace_path);
     }
     if (s.workload == Scenario::Workload::Custom && !s.traffic_factory) {
       return "workload=custom but no traffic_factory is set (assign "
@@ -513,6 +525,12 @@ std::string problem_of(const Scenario& s, vfi::IslandMap& map) {
 std::string scenario_problem(const Scenario& s) {
   vfi::IslandMap map;
   return problem_of(s, map);
+}
+
+void check_scenario(const Scenario& s) {
+  if (const std::string problem = scenario_problem(s); !problem.empty()) {
+    throw std::invalid_argument("Scenario: " + problem);
+  }
 }
 
 void Scenario::declare_keys(common::Config& c) { declare_keys(c, Scenario{}); }

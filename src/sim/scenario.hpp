@@ -191,13 +191,19 @@ std::unique_ptr<Simulator> make_simulator(const Scenario& scenario);
 /// routing's deadlock-avoidance classes, a well-formed fault spec, thermal
 /// only on the plain mesh, no island splitting a concentrated tile),
 /// telemetry (mode name, `pkt_trace=on` needing a non-off mode, a rate of
-/// at least 1), and the workloads fed from outside the keys
-/// (`workload=trace` needs a trace path, `workload=custom` a
-/// traffic_factory). Returns an empty string when the scenario is
+/// at least 1), and the workload's inputs (`workload=synthetic` needs a
+/// known pattern that fits the mesh and a known injection process,
+/// `workload=trace` a trace file that opens and validates, `workload=custom`
+/// a traffic_factory). Returns an empty string when the scenario is
 /// runnable, else a human-readable description of the first problem.
-/// `make_simulator` throws it; `SweepRunner` prefixes it with the
-/// offending point/axis.
+/// `make_simulator` and `check_scenario` throw it; `SweepRunner` prefixes it
+/// with the offending point/axis.
 std::string scenario_problem(const Scenario& scenario);
+
+/// Throws std::invalid_argument("Scenario: <problem>") when
+/// scenario_problem finds one. Programs call it on the scenario their keys
+/// describe, so a bad value is rejected before anything runs.
+void check_scenario(const Scenario& scenario);
 
 /// A workload's load axis: the one scenario field that carries its
 /// offered load (`lambda` for synthetic traffic, `speed` for app task

@@ -2,7 +2,6 @@
 
 #include <atomic>
 #include <chrono>
-#include <cstdio>
 #include <exception>
 #include <filesystem>
 #include <mutex>
@@ -327,34 +326,6 @@ std::string csv_escape(const std::string& cell) {
   return out;
 }
 
-std::string json_escape(std::string_view s) {
-  std::string out;
-  out.reserve(s.size());
-  for (const char ch : s) {
-    switch (ch) {
-      case '"': out += "\\\""; break;
-      case '\\': out += "\\\\"; break;
-      case '\n': out += "\\n"; break;
-      case '\t': out += "\\t"; break;
-      case '\r': out += "\\r"; break;
-      case '\b': out += "\\b"; break;
-      case '\f': out += "\\f"; break;
-      default:
-        // Remaining C0 control bytes must be \u-escaped; bytes >= 0x80
-        // (UTF-8 continuation/lead bytes) pass through verbatim — JSON
-        // strings are UTF-8.
-        if (static_cast<unsigned char>(ch) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof buf, "\\u%04x", static_cast<unsigned>(ch));
-          out += buf;
-        } else {
-          out += ch;
-        }
-    }
-  }
-  return out;
-}
-
 /// One CSV cell: flags as 1/0, the manifest as ';'-joined k=v pairs.
 struct CsvCell {
   std::string operator()(const std::string& text) const { return csv_escape(text); }
@@ -382,7 +353,7 @@ struct JsonOut {
   }
   void key(std::string_view name) const {
     item();
-    out += '"' + json_escape(name) + "\":";
+    out += common::json_quote(name) + ':';
   }
   template <class T>
   void field(std::string_view name, const T& value) const {
@@ -390,7 +361,7 @@ struct JsonOut {
     (*this)(value);
   }
 
-  void operator()(const std::string& text) const { out += '"' + json_escape(text) + '"'; }
+  void operator()(const std::string& text) const { out += common::json_quote(text); }
   void operator()(bool flag) const { out += flag ? "true" : "false"; }
   void operator()(std::int64_t v) const { out += std::to_string(v); }
   void operator()(std::uint64_t v) const { out += std::to_string(v); }

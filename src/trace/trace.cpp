@@ -1,57 +1,29 @@
 #include "trace/trace.hpp"
 
-#include <bit>
 #include <cstring>
 #include <filesystem>
 #include <limits>
 #include <stdexcept>
 
+#include "common/binary_io.hpp"
+
 namespace nocdvfs::trace {
 
 namespace {
 
-// Explicit little-endian encode/decode so traces are portable between
-// hosts regardless of native byte order.
-
-void put_u16(unsigned char* p, std::uint16_t v) {
-  p[0] = static_cast<unsigned char>(v & 0xff);
-  p[1] = static_cast<unsigned char>(v >> 8);
-}
-
-void put_u32(unsigned char* p, std::uint32_t v) {
-  for (int i = 0; i < 4; ++i) p[i] = static_cast<unsigned char>((v >> (8 * i)) & 0xff);
-}
-
-void put_u64(unsigned char* p, std::uint64_t v) {
-  for (int i = 0; i < 8; ++i) p[i] = static_cast<unsigned char>((v >> (8 * i)) & 0xff);
-}
-
-std::uint16_t get_u16(const unsigned char* p) {
-  return static_cast<std::uint16_t>(p[0] | (p[1] << 8));
-}
-
-std::uint32_t get_u32(const unsigned char* p) {
-  std::uint32_t v = 0;
-  for (int i = 0; i < 4; ++i) v |= static_cast<std::uint32_t>(p[i]) << (8 * i);
-  return v;
-}
-
-std::uint64_t get_u64(const unsigned char* p) {
-  std::uint64_t v = 0;
-  for (int i = 0; i < 8; ++i) v |= static_cast<std::uint64_t>(p[i]) << (8 * i);
-  return v;
-}
+using common::get_le;
+using common::put_le;
 
 void encode_header(unsigned char (&buf)[kTraceHeaderBytes], const TraceHeader& h) {
   std::memcpy(buf, kTraceMagic, sizeof(kTraceMagic));
-  put_u16(buf + 8, kTraceVersion);
-  put_u16(buf + 10, kTraceHeaderBytes);
-  put_u16(buf + 12, h.width);
-  put_u16(buf + 14, h.height);
-  put_u32(buf + 16, h.flit_bits);
-  put_u32(buf + 20, 0);  // reserved
-  put_u64(buf + 24, std::bit_cast<std::uint64_t>(h.f_node_hz));
-  put_u64(buf + 32, h.packet_count);
+  put_le(buf + 8, kTraceVersion);
+  put_le(buf + 10, kTraceHeaderBytes);
+  put_le(buf + 12, h.width);
+  put_le(buf + 14, h.height);
+  put_le(buf + 16, h.flit_bits);
+  put_le(buf + 20, std::uint32_t{0});  // reserved
+  put_le(buf + 24, h.f_node_hz);
+  put_le(buf + 32, h.packet_count);
 }
 
 [[noreturn]] void corrupt(const std::string& path, const std::string& why) {
@@ -103,10 +75,10 @@ void TraceWriter::append(const TracePacket& p) {
   if (p.flits < 1) throw std::invalid_argument("TraceWriter: packet must have >= 1 flit");
 
   unsigned char buf[kTraceRecordBytes];
-  put_u32(buf, static_cast<std::uint32_t>(delta));
-  put_u16(buf + 4, p.src);
-  put_u16(buf + 6, p.dst);
-  put_u16(buf + 8, p.flits);
+  put_le(buf, static_cast<std::uint32_t>(delta));
+  put_le(buf + 4, p.src);
+  put_le(buf + 6, p.dst);
+  put_le(buf + 8, p.flits);
   buf[10] = p.traffic_class;
   buf[11] = 0;
   out_.write(reinterpret_cast<const char*>(buf), sizeof(buf));
@@ -118,7 +90,7 @@ void TraceWriter::close() {
   if (!open_) return;
   open_ = false;
   unsigned char buf[8];
-  put_u64(buf, count_);
+  put_le(buf, count_);
   out_.seekp(32);
   out_.write(reinterpret_cast<const char*>(buf), sizeof(buf));
   out_.flush();
@@ -157,17 +129,17 @@ TraceReader::TraceReader(const std::string& path) : path_(path) {
     corrupt(path, "bad magic (found bytes \"" + found +
                       "\", expected \"NOCTRACE\" — not a .noctrace file)");
   }
-  const std::uint16_t version = get_u16(buf + 8);
+  const auto version = get_le<std::uint16_t>(buf + 8);
   if (version != kTraceVersion) {
     corrupt(path, "unsupported version " + std::to_string(version));
   }
-  const std::uint16_t header_bytes = get_u16(buf + 10);
+  const auto header_bytes = get_le<std::uint16_t>(buf + 10);
   if (header_bytes < kTraceHeaderBytes) corrupt(path, "implausible header size");
-  header_.width = get_u16(buf + 12);
-  header_.height = get_u16(buf + 14);
-  header_.flit_bits = get_u32(buf + 16);
-  header_.f_node_hz = std::bit_cast<double>(get_u64(buf + 24));
-  header_.packet_count = get_u64(buf + 32);
+  header_.width = get_le<std::uint16_t>(buf + 12);
+  header_.height = get_le<std::uint16_t>(buf + 14);
+  header_.flit_bits = get_le<std::uint32_t>(buf + 16);
+  header_.f_node_hz = get_le<double>(buf + 24);
+  header_.packet_count = get_le<std::uint64_t>(buf + 32);
   if (header_.width < 1 || header_.height < 1) corrupt(path, "degenerate mesh dimensions");
 
   // Exact-size check: catches truncation, trailing garbage, and a writer
@@ -192,11 +164,11 @@ std::optional<TracePacket> TraceReader::next() {
     corrupt(path_, "truncated record");
   }
   TracePacket p;
-  prev_cycle_ += get_u32(buf);
+  prev_cycle_ += get_le<std::uint32_t>(buf);
   p.inject_node_cycle = prev_cycle_;
-  p.src = get_u16(buf + 4);
-  p.dst = get_u16(buf + 6);
-  p.flits = get_u16(buf + 8);
+  p.src = get_le<std::uint16_t>(buf + 4);
+  p.dst = get_le<std::uint16_t>(buf + 6);
+  p.flits = get_le<std::uint16_t>(buf + 8);
   p.traffic_class = buf[10];
   const int n = header_.num_nodes();
   if (p.src >= n || p.dst >= n) corrupt(path_, "record src/dst outside the trace mesh");

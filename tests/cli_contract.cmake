@@ -8,6 +8,10 @@
 #   2. an unknown key exits 1;
 #   3. a value that only fails after the parse exits 1 (`width=0` for every
 #      Scenario-driven program, a per-program key for the others below);
+#   4. a Scenario-driven program rejects an unknown traffic pattern
+#      (`workload=synthetic pattern=nosuch`, so the pattern is read even
+#      where a program's default workload is an app) with exit 1;
+#   5. perf_baseline rejects an `out=` path it cannot open before its sweep;
 # and every failing run prints exactly one `<program>: <reason>` line on
 # stderr, no "terminate called", and nothing on stdout, so no banner is
 # printed and no simulation starts before the input is rejected.
@@ -88,6 +92,23 @@ foreach(program IN LISTS programs)
     expect_error("${arg}")
     if(err MATCHES "unknown key")
       fail("rejected as an unknown key, not after the parse: ${err}")
+    endif()
+  endif()
+
+  if(NOT DEFINED post_parse_${name})
+    set(arg "workload=synthetic;pattern=nosuch")
+    expect_error("${arg}")
+    if(NOT err MATCHES "unknown pattern 'nosuch'")
+      fail("the reason does not name the unknown pattern: ${err}")
+    endif()
+  endif()
+
+  if(name STREQUAL "perf_baseline")
+    # Below a regular file, so no directory of that name can exist.
+    set(arg "out=${program}/baseline.json")
+    expect_error("${arg}")
+    if(NOT err MATCHES "cannot open output file")
+      fail("the reason does not name the unwritable output: ${err}")
     endif()
   endif()
 endforeach()

@@ -6,14 +6,18 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstdint>
 #include <filesystem>
 #include <fstream>
 #include <sstream>
 #include <stdexcept>
+#include <string>
 
+#include "common/binary_io.hpp"
 #include "common/config.hpp"
 #include "common/rng.hpp"
 #include "common/stats.hpp"
+#include "common/strings.hpp"
 #include "common/table.hpp"
 #include "common/units.hpp"
 
@@ -393,6 +397,43 @@ TEST(Table, RowWidthMismatchThrows) {
 TEST(Table, FmtPrecision) {
   EXPECT_EQ(Table::fmt(1.23456, 2), "1.23");
   EXPECT_EQ(Table::fmt(1.0, 0), "1");
+}
+
+// ------------------------------------------------------------ strings ----
+
+TEST(JsonQuote, EscapesQuotesBackslashesAndEveryControlByte) {
+  EXPECT_EQ(json_quote("plain"), "\"plain\"");
+  EXPECT_EQ(json_quote("a\"b\\c"), "\"a\\\"b\\\\c\"");
+  EXPECT_EQ(json_quote("\b\f\n\r\t"), "\"\\b\\f\\n\\r\\t\"");
+  EXPECT_EQ(json_quote(std::string("\0\x01\x1f", 3)), "\"\\u0000\\u0001\\u001f\"");
+  // UTF-8 bytes and DEL pass through.
+  EXPECT_EQ(json_quote("\xc3\xa9 \x7f"), "\"\xc3\xa9 \x7f\"");
+}
+
+// ---------------------------------------------------------- binary_io ----
+
+TEST(BinaryIo, EncodesLittleEndianOnEveryHost) {
+  unsigned char b[8] = {};
+  put_le(b, std::uint16_t{0xBEEF});
+  EXPECT_EQ(b[0], 0xEF);
+  EXPECT_EQ(b[1], 0xBE);
+  EXPECT_EQ(get_le<std::uint16_t>(b), 0xBEEF);
+  put_le(b, std::uint32_t{0x01020304});
+  EXPECT_EQ(b[0], 0x04);
+  EXPECT_EQ(b[3], 0x01);
+  EXPECT_EQ(get_le<std::uint32_t>(b), 0x01020304u);
+  put_le(b, std::int32_t{-2});
+  EXPECT_EQ(b[0], 0xFE);
+  EXPECT_EQ(b[3], 0xFF);
+  EXPECT_EQ(get_le<std::int32_t>(b), -2);
+  put_le(b, std::uint64_t{0x0102030405060708});
+  EXPECT_EQ(b[0], 0x08);
+  EXPECT_EQ(b[7], 0x01);
+  EXPECT_EQ(get_le<std::uint64_t>(b), 0x0102030405060708u);
+  put_le(b, 1e9);  // IEEE-754 0x41CDCD6500000000
+  const unsigned char one_ghz[8] = {0, 0, 0, 0, 0x65, 0xcd, 0xcd, 0x41};
+  for (int i = 0; i < 8; ++i) EXPECT_EQ(b[i], one_ghz[i]) << "byte " << i;
+  EXPECT_EQ(get_le<double>(b), 1e9);
 }
 
 // -------------------------------------------------------------- units ----

@@ -1,5 +1,6 @@
 // Telemetry subsystem tests: registry/sampler semantics, binary timeline
-// round-trip, Perfetto writer structure, and — the load-bearing part —
+// round-trip, the .nocobs golden bytes and hostile mutations of them,
+// Perfetto writer structure, and — the load-bearing part —
 // exact conservation between the sampled per-tile series and the
 // network's live counters (stall taxonomy included) across mesh, torus,
 // faulted, and multi-island scenarios.
@@ -16,6 +17,7 @@
 #include <utility>
 #include <vector>
 
+#include "alloc_probe.hpp"
 #include "obs/telemetry.hpp"
 #include "obs/timeline.hpp"
 #include "sim/scenario.hpp"
@@ -376,6 +378,277 @@ TEST(TimelineBinary, DropsPreV4Histograms) {
   EXPECT_EQ(rt.version, 3u);
   EXPECT_EQ(rt.flights.size(), 1u);
   EXPECT_TRUE(rt.histograms.empty());
+  fs::remove(path);
+}
+
+// ---------------------------------------------------------------------------
+// .nocobs golden bytes and mutations
+// ---------------------------------------------------------------------------
+
+/// synthetic_timeline() plus the v3 host sections, so every v4 section has
+/// entries. tests/golden/timeline_v4.nocobs is its encoding, written by the
+/// writer that preceded the single field walk.
+obs::Timeline golden_timeline() {
+  obs::Timeline tl = synthetic_timeline();
+  tl.manifest = {{"scenario.seed", "1"}, {"build.compiler", "test"}};
+  tl.host_phases = {{"run", 0, 1, 5000, 2000}, {"island_step#0", 1, 10, 3000, 3000}};
+  tl.host_spans = {{0, 0, 100, 200}, {1, 1, 120, 260}};
+  tl.host_workers = {{0, 1, 100}, {1, 1, 140}};
+  return tl;
+}
+
+const std::string kGoldenTimeline = std::string(NOCDVFS_GOLDEN_DIR) + "/timeline_v4.nocobs";
+constexpr std::size_t kGoldenTimelineBytes = 1098;
+
+std::string file_bytes(const std::string& path) {
+  std::ifstream is(path, std::ios::binary);
+  return std::string(std::istreambuf_iterator<char>(is), std::istreambuf_iterator<char>());
+}
+
+/// Every field of `a` equals the one in `b`; doubles bit for bit.
+void expect_same_timeline(const obs::Timeline& a, const obs::Timeline& b) {
+  EXPECT_EQ(a.version, b.version);
+  EXPECT_EQ(a.width, b.width);
+  EXPECT_EQ(a.height, b.height);
+  EXPECT_EQ(a.num_routers, b.num_routers);
+  EXPECT_EQ(a.num_islands, b.num_islands);
+  EXPECT_EQ(a.concentration, b.concentration);
+  EXPECT_EQ(a.f_node_hz, b.f_node_hz);
+  EXPECT_EQ(a.control_period_node_cycles, b.control_period_node_cycles);
+  EXPECT_EQ(a.island_policy, b.island_policy);
+  EXPECT_EQ(a.island_nodes, b.island_nodes);
+  EXPECT_EQ(a.window_t_ps, b.window_t_ps);
+  ASSERT_EQ(a.island_rows.size(), b.island_rows.size());
+  for (std::size_t i = 0; i < a.island_rows.size(); ++i) {
+    const obs::IslandWindowRow& x = a.island_rows[i];
+    const obs::IslandWindowRow& y = b.island_rows[i];
+    EXPECT_EQ(x.f_hz, y.f_hz) << "row " << i;
+    EXPECT_EQ(x.vdd, y.vdd) << "row " << i;
+    EXPECT_EQ(x.avg_delay_ns, y.avg_delay_ns) << "row " << i;
+    EXPECT_EQ(x.lambda_offered, y.lambda_offered) << "row " << i;
+    EXPECT_EQ(x.occupancy, y.occupancy) << "row " << i;
+    EXPECT_EQ(x.ctrl_error, y.ctrl_error) << "row " << i;
+    EXPECT_EQ(x.throttled, y.throttled) << "row " << i;
+  }
+  ASSERT_EQ(a.links.size(), b.links.size());
+  for (std::size_t i = 0; i < a.links.size(); ++i) {
+    EXPECT_EQ(a.links[i].src_router, b.links[i].src_router) << "link " << i;
+    EXPECT_EQ(a.links[i].src_port, b.links[i].src_port) << "link " << i;
+    EXPECT_EQ(a.links[i].dst_router, b.links[i].dst_router) << "link " << i;
+  }
+  ASSERT_EQ(a.series.size(), b.series.size());
+  for (std::size_t i = 0; i < a.series.size(); ++i) {
+    EXPECT_EQ(a.series[i].name, b.series[i].name);
+    EXPECT_EQ(a.series[i].scope, b.series[i].scope);
+    EXPECT_EQ(a.series[i].kind, b.series[i].kind);
+    EXPECT_EQ(a.series[i].entities, b.series[i].entities);
+    EXPECT_EQ(a.series[i].counts, b.series[i].counts);
+    EXPECT_EQ(a.series[i].gauges, b.series[i].gauges);
+  }
+  ASSERT_EQ(a.events.size(), b.events.size());
+  for (std::size_t i = 0; i < a.events.size(); ++i) {
+    EXPECT_EQ(a.events[i].kind, b.events[i].kind) << "event " << i;
+    EXPECT_EQ(a.events[i].island, b.events[i].island) << "event " << i;
+    EXPECT_EQ(a.events[i].t_ps, b.events[i].t_ps) << "event " << i;
+    EXPECT_EQ(a.events[i].a, b.events[i].a) << "event " << i;
+    EXPECT_EQ(a.events[i].b, b.events[i].b) << "event " << i;
+  }
+  ASSERT_EQ(a.flights.size(), b.flights.size());
+  for (std::size_t i = 0; i < a.flights.size(); ++i) {
+    const obs::FlightRecord& x = a.flights[i];
+    const obs::FlightRecord& y = b.flights[i];
+    EXPECT_EQ(x.packet_id, y.packet_id);
+    EXPECT_EQ(x.src, y.src);
+    EXPECT_EQ(x.dst, y.dst);
+    EXPECT_EQ(x.size_flits, y.size_flits);
+    EXPECT_EQ(x.traffic_class, y.traffic_class);
+    EXPECT_EQ(x.create_t_ps, y.create_t_ps);
+    ASSERT_EQ(x.events.size(), y.events.size());
+    for (std::size_t e = 0; e < x.events.size(); ++e) {
+      EXPECT_EQ(x.events[e].t_ps, y.events[e].t_ps) << "flight event " << e;
+      EXPECT_EQ(x.events[e].router, y.events[e].router) << "flight event " << e;
+      EXPECT_EQ(x.events[e].arg, y.events[e].arg) << "flight event " << e;
+      EXPECT_EQ(x.events[e].stage, y.events[e].stage) << "flight event " << e;
+    }
+  }
+  ASSERT_EQ(a.histograms.size(), b.histograms.size());
+  for (std::size_t i = 0; i < a.histograms.size(); ++i) {
+    EXPECT_EQ(a.histograms[i].label, b.histograms[i].label);
+    EXPECT_EQ(a.histograms[i].count, b.histograms[i].count);
+    EXPECT_EQ(a.histograms[i].min, b.histograms[i].min);
+    EXPECT_EQ(a.histograms[i].max, b.histograms[i].max);
+    EXPECT_EQ(a.histograms[i].bucket_index, b.histograms[i].bucket_index);
+    EXPECT_EQ(a.histograms[i].bucket_count, b.histograms[i].bucket_count);
+  }
+  EXPECT_EQ(a.manifest, b.manifest);
+  ASSERT_EQ(a.host_phases.size(), b.host_phases.size());
+  for (std::size_t i = 0; i < a.host_phases.size(); ++i) {
+    EXPECT_EQ(a.host_phases[i].name, b.host_phases[i].name);
+    EXPECT_EQ(a.host_phases[i].depth, b.host_phases[i].depth);
+    EXPECT_EQ(a.host_phases[i].calls, b.host_phases[i].calls);
+    EXPECT_EQ(a.host_phases[i].inclusive_ns, b.host_phases[i].inclusive_ns);
+    EXPECT_EQ(a.host_phases[i].exclusive_ns, b.host_phases[i].exclusive_ns);
+  }
+  ASSERT_EQ(a.host_spans.size(), b.host_spans.size());
+  for (std::size_t i = 0; i < a.host_spans.size(); ++i) {
+    EXPECT_EQ(a.host_spans[i].worker, b.host_spans[i].worker);
+    EXPECT_EQ(a.host_spans[i].point, b.host_spans[i].point);
+    EXPECT_EQ(a.host_spans[i].t0_ns, b.host_spans[i].t0_ns);
+    EXPECT_EQ(a.host_spans[i].t1_ns, b.host_spans[i].t1_ns);
+  }
+  ASSERT_EQ(a.host_workers.size(), b.host_workers.size());
+  for (std::size_t i = 0; i < a.host_workers.size(); ++i) {
+    EXPECT_EQ(a.host_workers[i].worker, b.host_workers[i].worker);
+    EXPECT_EQ(a.host_workers[i].points, b.host_workers[i].points);
+    EXPECT_EQ(a.host_workers[i].busy_ns, b.host_workers[i].busy_ns);
+  }
+}
+
+TEST(TimelineBinary, GoldenBytesAndRoundTrip) {
+  const std::string golden = file_bytes(kGoldenTimeline);
+  ASSERT_EQ(golden.size(), kGoldenTimelineBytes) << kGoldenTimeline;
+  const std::string path = temp_base("golden") + ".nocobs";
+  obs::write_timeline_binary(golden_timeline(), path);
+  const std::string written = file_bytes(path);
+  ASSERT_EQ(written.size(), golden.size());
+  for (std::size_t i = 0; i < golden.size(); ++i) {
+    ASSERT_EQ(written[i], golden[i]) << "first difference at byte " << i;
+  }
+  expect_same_timeline(obs::read_timeline_binary(kGoldenTimeline), golden_timeline());
+  fs::remove(path);
+}
+
+/// Largest allocation a read may make per byte of its file: a count is
+/// trusted only as far as the file holds its entries, and one in-memory
+/// entry is at most this many times its smallest encoding. The allowance
+/// on top covers the file stream's own buffer.
+constexpr std::size_t kAllocPerFileByte = 16;
+constexpr std::size_t kStreamBufferBytes = std::size_t{16} << 10;
+
+/// Reads `bytes` as a .nocobs file: it must parse, or throw
+/// std::runtime_error naming the file, without any allocation past the
+/// bound above. Returns the error message, empty when it parsed.
+std::string read_mutant(const std::string& path, const std::string& bytes,
+                        const std::string& what) {
+  write_bytes(path, bytes);
+  g_largest_allocation.store(0);
+  std::string error;
+  try {
+    (void)obs::read_timeline_binary(path);
+  } catch (const std::runtime_error& e) {
+    error = e.what();
+    EXPECT_NE(error.find("'" + path + "'"), std::string::npos) << what << ": " << error;
+  } catch (const std::exception& e) {
+    ADD_FAILURE() << what << ": escaped as a non-runtime_error: " << e.what();
+  }
+  EXPECT_LE(g_largest_allocation.load(), kAllocPerFileByte * bytes.size() + kStreamBufferBytes)
+      << what;
+  return error;
+}
+
+/// A count field of the golden file: where it sits, the count it holds,
+/// where its entries start, and the smallest encoding of one entry.
+struct CountField {
+  const char* name;
+  std::size_t at;
+  std::uint32_t value;
+  std::size_t entries_at;
+  std::size_t entry_bytes;
+};
+
+constexpr CountField kGoldenCounts[] = {
+    {"num_islands", 20, 2, 44, 8},          {"num_windows", 68, 2, 72, 8},
+    {"num_links", 284, 2, 288, 12},         {"num_series", 312, 2, 316, 10},
+    {"num_events", 492, 3, 496, 29},        {"num_flights", 583, 1, 587, 33},
+    {"flight events", 616, 10, 620, 17},    {"num_histograms", 790, 1, 794, 32},
+    {"histogram buckets", 830, 2, 834, 12}, {"num_manifest", 858, 2, 862, 8},
+    {"num_phases", 910, 2, 914, 32},        {"num_spans", 994, 2, 998, 28},
+    {"num_workers", 1054, 2, 1058, 20},
+};
+constexpr std::size_t kGoldenHeaderBytes = 44;
+
+std::uint32_t u32_at(const std::string& bytes, std::size_t at) {
+  std::uint32_t v = 0;
+  for (int i = 3; i >= 0; --i) v = (v << 8) | static_cast<unsigned char>(bytes[at + i]);
+  return v;
+}
+
+void set_u32(std::string& bytes, std::size_t at, std::uint32_t v) {
+  for (int i = 0; i < 4; ++i) bytes[at + i] = static_cast<char>((v >> (8 * i)) & 0xFF);
+}
+
+TEST(TimelineMutation, EveryPrefixIsRejectedNamingTheFile) {
+  const std::string golden = file_bytes(kGoldenTimeline);
+  ASSERT_EQ(golden.size(), kGoldenTimelineBytes);
+  const std::string path = temp_base("mut_prefix") + ".nocobs";
+  for (std::size_t n = 0; n < golden.size(); ++n) {
+    EXPECT_NE(read_mutant(path, golden.substr(0, n), "prefix " + std::to_string(n)), "")
+        << "a " << n << "-byte prefix parsed";
+  }
+  fs::remove(path);
+}
+
+TEST(TimelineMutation, TrailingBytesAreRejected) {
+  const std::string path = temp_base("mut_trailing") + ".nocobs";
+  const std::string error = read_mutant(path, file_bytes(kGoldenTimeline) + '\0', "one more byte");
+  EXPECT_NE(error.find("1 trailing bytes"), std::string::npos) << error;
+  fs::remove(path);
+}
+
+TEST(TimelineMutation, FlipsInTheHeaderAndEveryCountParseOrThrow) {
+  const std::string golden = file_bytes(kGoldenTimeline);
+  ASSERT_EQ(golden.size(), kGoldenTimelineBytes);
+  std::vector<std::size_t> offsets;
+  for (std::size_t at = 0; at < kGoldenHeaderBytes; ++at) offsets.push_back(at);
+  for (const CountField& c : kGoldenCounts) {
+    for (std::size_t i = 0; i < 4; ++i) offsets.push_back(c.at + i);
+  }
+  const std::string path = temp_base("mut_flip") + ".nocobs";
+  for (const std::size_t at : offsets) {
+    for (int bit = 0; bit < 8; ++bit) {
+      std::string flipped = golden;
+      flipped[at] = static_cast<char>(flipped[at] ^ (1 << bit));
+      read_mutant(path, flipped, "byte " + std::to_string(at) + " bit " + std::to_string(bit));
+    }
+    std::string inverted = golden;
+    inverted[at] = static_cast<char>(~inverted[at]);
+    read_mutant(path, inverted, "byte " + std::to_string(at) + " inverted");
+  }
+  fs::remove(path);
+}
+
+/// A count past what the file can hold is rejected by name before anything
+/// is sized from it. The bound is each entry's smallest encoding, derived
+/// from the field walk: one entry more than fits is rejected, and as many
+/// as fit pass the count check.
+TEST(TimelineMutation, LyingCountsAreRejectedNamingTheField) {
+  const std::string golden = file_bytes(kGoldenTimeline);
+  ASSERT_EQ(golden.size(), kGoldenTimelineBytes);
+  const std::string path = temp_base("mut_count") + ".nocobs";
+  for (const CountField& c : kGoldenCounts) {
+    SCOPED_TRACE(c.name);
+    ASSERT_EQ(u32_at(golden, c.at), c.value) << "the table no longer matches the golden file";
+
+    std::string lie = golden;
+    set_u32(lie, c.at, 0xFFFFFFFFu);
+    std::string error = read_mutant(path, lie, "UINT32_MAX");
+    EXPECT_NE(error.find(std::string(c.name) + ": 4294967295"), std::string::npos) << error;
+
+    const std::size_t left = golden.size() - c.entries_at;
+    const auto fits = static_cast<std::uint32_t>(left / c.entry_bytes);
+    set_u32(lie, c.at, fits + 1);
+    error = read_mutant(path, lie, "one more than fits");
+    EXPECT_NE(error.find(std::string(c.name) + ": " + std::to_string(fits + 1) +
+                         " entries of at least " + std::to_string(c.entry_bytes) + " bytes"),
+              std::string::npos)
+        << error;
+
+    set_u32(lie, c.at, fits);
+    error = read_mutant(path, lie, "as many as fit");
+    EXPECT_EQ(error.find(std::string(c.name) + ": " + std::to_string(fits) + " entries"),
+              std::string::npos)
+        << error;
+  }
   fs::remove(path);
 }
 

@@ -6,14 +6,11 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
-#include <atomic>
 #include <chrono>
 #include <cstdint>
 #include <cmath>
-#include <cstdlib>
 #include <filesystem>
 #include <fstream>
-#include <new>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -29,44 +26,8 @@
 #include "sim/sweep.hpp"
 #include "trace/trace.hpp"
 
-namespace {
-
-// ---------------------------------------------------------------------------
-// Global allocation counter (for the off-mode zero-allocation test). The
-// replacement operators delegate to malloc/free, so every other test runs
-// through them too — harmless, they only add a relaxed counter bump.
-// ---------------------------------------------------------------------------
-
-std::atomic<std::uint64_t> g_allocations{0};
-
-void* counted_malloc(std::size_t n) noexcept {
-  g_allocations.fetch_add(1, std::memory_order_relaxed);
-  return std::malloc(n ? n : 1);
-}
-
-// Out of line, so the compiler never pairs an inlined free() with the
-// replaced operator new at a call site.
-[[gnu::noinline]] void counted_free(void* p) noexcept { std::free(p); }
-
-}  // namespace
-
-// Every allocating form goes through counted_malloc, and every releasing
-// form through counted_free — including the nothrow pair the standard library
-// uses for temporary buffers, so no allocation escapes the count or is
-// released by a mismatched deallocator.
-void* operator new(std::size_t n) {
-  if (void* p = counted_malloc(n)) return p;
-  throw std::bad_alloc();
-}
-void* operator new[](std::size_t n) { return operator new(n); }
-void* operator new(std::size_t n, const std::nothrow_t&) noexcept { return counted_malloc(n); }
-void* operator new[](std::size_t n, const std::nothrow_t&) noexcept { return counted_malloc(n); }
-void operator delete(void* p) noexcept { counted_free(p); }
-void operator delete[](void* p) noexcept { counted_free(p); }
-void operator delete(void* p, std::size_t) noexcept { counted_free(p); }
-void operator delete[](void* p, std::size_t) noexcept { counted_free(p); }
-void operator delete(void* p, const std::nothrow_t&) noexcept { counted_free(p); }
-void operator delete[](void* p, const std::nothrow_t&) noexcept { counted_free(p); }
+// Global allocation counter, for the off-mode zero-allocation test.
+#include "alloc_probe.hpp"
 
 namespace nocdvfs {
 namespace {

@@ -346,6 +346,39 @@ TEST(ScenarioRun, CustomWorkloadWithoutFactoryThrows) {
   EXPECT_THROW(run(s), std::invalid_argument);
 }
 
+/// The problem scenario_problem reports, which must mention `needle`.
+void expect_problem_naming(const Scenario& s, const std::string& needle) {
+  const std::string problem = scenario_problem(s);
+  EXPECT_NE(problem.find(needle), std::string::npos) << "problem: '" << problem << "'";
+}
+
+TEST(ScenarioValidation, UnknownPatternIsAProblem) {
+  Scenario s = small_synthetic();
+  s.pattern = "nosuch";
+  expect_problem_naming(s, "unknown pattern 'nosuch'");
+  // Inert outside the synthetic workload.
+  s.workload = Scenario::Workload::App;
+  EXPECT_EQ(scenario_problem(s), "");
+}
+
+TEST(ScenarioValidation, UnknownInjectionProcessIsAProblem) {
+  Scenario s = small_synthetic();
+  s.process = "nosuch";
+  expect_problem_naming(s, "unknown kind 'nosuch'");
+  s.process = "onoff";
+  EXPECT_EQ(scenario_problem(s), "");
+}
+
+TEST(ScenarioValidation, UnopenableTraceIsAProblem) {
+  Scenario s = small_synthetic();
+  s.workload = Scenario::Workload::Trace;
+  s.trace_path = (std::filesystem::temp_directory_path() / "nocdvfs_no_such_trace.noctrace")
+                     .string();
+  std::filesystem::remove(s.trace_path);
+  expect_problem_naming(s, s.trace_path);
+  EXPECT_THROW(make_simulator(s), std::invalid_argument);
+}
+
 TEST(ScenarioMeanLambda, PerWorkloadSemantics) {
   Scenario s = small_synthetic();
   EXPECT_DOUBLE_EQ(mean_lambda(s), s.lambda);
