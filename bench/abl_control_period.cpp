@@ -18,11 +18,11 @@ int main(int argc, char** argv) {
   return h.run(argc, argv, [&] {
     const sim::Scenario base = h.scenario();
     const auto anchors = h.anchor(base);
-    const double lambda = 0.45 * anchors.lambda_sat;
-    std::cout << "operating point lambda = " << common::Table::fmt(lambda, 3) << "\n\n";
+    constexpr double kLoad = 0.45;  // of lambda_sat
+    std::cout << "operating point lambda = "
+              << common::Table::fmt(kLoad * anchors.lambda_sat, 3) << "\n\n";
 
-    sim::Scenario op = sim::anchored(base, anchors);
-    sim::set_offered_lambda(op, lambda);
+    sim::Scenario op = sim::operating_point(base, anchors, kLoad);
     op.policy.policy = sim::Policy::Dmsd;
 
     const std::vector<std::uint64_t> periods = {2500, 5000, 10000, 20000, 40000};
@@ -54,8 +54,7 @@ int main(int argc, char** argv) {
     big.network.width = 8;
     big.network.height = 8;
     const auto big_anchors = h.anchor(big);
-    big = sim::anchored(big, big_anchors);
-    sim::set_offered_lambda(big, 0.45 * big_anchors.lambda_sat);
+    big = sim::operating_point(big, big_anchors, kLoad);
     big.policy.policy = sim::Policy::Dmsd;
     const sim::RunResult r = sim::run(big);
     std::cout << "  8x8 DMSD: delay " << common::Table::fmt(r.avg_delay_ns, 1) << " ns vs target "

@@ -18,11 +18,11 @@ int main(int argc, char** argv) {
   return h.run(argc, argv, [&] {
     const sim::Scenario base = h.scenario();
     const auto anchors = h.anchor(base);
-    const double lambda = 0.45 * anchors.lambda_sat;
-    std::cout << "operating point lambda = " << common::Table::fmt(lambda, 3) << "\n\n";
+    constexpr double kLoad = 0.45;  // of lambda_sat
+    std::cout << "operating point lambda = "
+              << common::Table::fmt(kLoad * anchors.lambda_sat, 3) << "\n\n";
 
-    sim::Scenario op = sim::anchored(base, anchors);
-    sim::set_offered_lambda(op, lambda);
+    const sim::Scenario op = sim::operating_point(base, anchors, kLoad);
 
     const std::vector<sim::Policy> policies = {sim::Policy::Rmsd, sim::Policy::Dmsd};
     const std::vector<int> levels = {0, 16, 8, 4};

@@ -19,8 +19,9 @@ int main(int argc, char** argv) {
   return h.run(argc, argv, [&] {
     const sim::Scenario base = h.scenario();
     const auto anchors = h.anchor(base);
-    const double lambda = 0.45 * anchors.lambda_sat;
-    std::cout << "operating point lambda = " << common::Table::fmt(lambda, 3) << "\n\n";
+    constexpr double kLoad = 0.45;  // of lambda_sat
+    std::cout << "operating point lambda = "
+              << common::Table::fmt(kLoad * anchors.lambda_sat, 3) << "\n\n";
 
     struct GainPair {
       double ki, kp;
@@ -36,8 +37,7 @@ int main(int argc, char** argv) {
         {0.025, 0.0, "I-only"},
     };
 
-    sim::Scenario op = sim::anchored(base, anchors);
-    sim::set_offered_lambda(op, lambda);
+    sim::Scenario op = sim::operating_point(base, anchors, kLoad);
     op.policy.policy = sim::Policy::Dmsd;
 
     sim::SweepAxis gain_axis = sim::SweepAxis::custom("gains", {});

@@ -27,8 +27,7 @@ int main(int argc, char** argv) {
     // DMSD target: measure occupancy when the network delivers the target
     // delay (No-DVFS at lambda_max would be ~saturated occupancy; instead
     // use the occupancy of the DMSD operating point at mid load).
-    sim::Scenario probe = sim::anchored(base, anchors);
-    sim::set_offered_lambda(probe, 0.45 * anchors.lambda_sat);
+    sim::Scenario probe = sim::operating_point(base, anchors, 0.45);
     probe.policy.policy = sim::Policy::Dmsd;
     const sim::RunResult dmsd_ref = sim::run(probe);
     // Calibrate the proxy on the target: the occupancy the network actually

@@ -15,12 +15,20 @@
 /// every key with its default and exits 0; a run exits 0 on success and 1
 /// on any error, printing one `<program>: <reason>` line on stderr. An
 /// unknown key, an invalid Scenario or an output path that cannot be
-/// opened is rejected before the banner, so no simulation starts.
+/// opened is rejected before the banner, so no simulation starts. A
+/// bench resolves its own list keys (`workloads=`, `layouts=`,
+/// `topologies=`, `routings=`, `fault_specs=`) in the same step, so an
+/// unknown name fails there too.
 ///
 /// λ is the load of every workload. Benches set it only through
-/// `sim::set_offered_lambda` and `sim::SweepAxis::lambda`, which write the
-/// workload's own load field (synthetic λ, app speed, trace time-warp), so
-/// a bench run with `workload=app|trace` runs each row at its λ label.
+/// `sim::operating_point` (the anchors, then one load) and
+/// `sim::SweepAxis::lambda`, which write the workload's own load field
+/// (synthetic λ, app speed, trace time-warp) with `sim::set_offered_lambda`,
+/// so a bench run with `workload=app|trace` runs each row at its λ label.
+///
+/// The extension figures share their workloads and axes from here:
+/// `UnevenWorkloads` and `island_axis` (fig11, fig12), `topology_axis`,
+/// `routing_axis` and `anchored_base` (fig13, fig14).
 ///
 /// Fast mode: pass `fast=1` to shrink sweeps and phases (~4× faster,
 /// coarser curves). Every Scenario key, with its default and help text,
@@ -31,15 +39,21 @@
 #include <functional>
 #include <iostream>
 #include <memory>
+#include <optional>
+#include <stdexcept>
 #include <string>
 #include <utility>
 #include <vector>
 
 #include "common/config.hpp"
+#include "common/strings.hpp"
 #include "common/table.hpp"
+#include "noc/routing.hpp"
 #include "sim/saturation.hpp"
 #include "sim/scenario.hpp"
 #include "sim/sweep.hpp"
+#include "topo/topology.hpp"
+#include "vfi/island_map.hpp"
 
 namespace nocdvfs::bench {
 
@@ -151,15 +165,21 @@ class Harness {
   /// The bench's `main`: common::run_main over argv. After the parse,
   /// `fast=1` rescales the phase/period defaults (explicit assignments win;
   /// Config::declare keeps them), so `help=1 fast=1` lists the fast
-  /// defaults. Before `body` runs, the Scenario is built and validated and
-  /// the csv/json/prof_out outputs are opened; any failure there exits 1
-  /// before the banner.
+  /// defaults. Before `body` runs, the Scenario is built and validated,
+  /// `resolve` (if set) turns the bench's own keys into workloads and axes,
+  /// and the csv/json/prof_out outputs are opened; any failure there exits
+  /// 1 before the banner.
   int run(int argc, const char* const* argv, const std::function<int()>& body) {
+    return run(argc, argv, {}, body);
+  }
+  int run(int argc, const char* const* argv, const std::function<void()>& resolve,
+          const std::function<int()>& body) {
     return common::run_main(
         config_, argc, argv,
         [&] {
           scenario_ = sim::Scenario::from_config(config_);
           sim::check_scenario(scenario_);
+          if (resolve) resolve();
           open_outputs();
           banner(figure_, what_);
           return body();
@@ -175,8 +195,7 @@ class Harness {
 
   /// The paper's anchors for `base` (sim::find_anchors with
   /// bench_saturation_options()), printed as one line. Apply them with
-  /// sim::anchored *before* setting a load: an app's calibration rescales
-  /// the field its load is read from.
+  /// sim::operating_point (or sim::anchored when a load axis follows).
   static sim::Anchors anchor(const sim::Scenario& base) {
     const sim::Anchors a = sim::find_anchors(base, bench_saturation_options());
     std::cout << "lambda_sat = " << common::Table::fmt(a.lambda_sat, 3)
@@ -235,5 +254,118 @@ class Harness {
   std::unique_ptr<sim::CsvResultSink> csv_sink_;
   std::unique_ptr<sim::JsonlResultSink> json_sink_;
 };
+
+/// The load of the extension figures (fig11–fig14), as a fraction of λ_sat.
+inline constexpr double kExtensionLoad = 0.6;
+
+/// The spatially uneven workloads the island and thermal figures (fig11,
+/// fig12) compare on, each at kExtensionLoad·λ_sat of its own anchors:
+/// `hotspot`, `transpose`, and `trace`, the anchored hotspot stream
+/// recorded once under No-DVFS (so the capture is policy-free) and replayed
+/// looped. The hotspot anchors are found once and reused.
+class UnevenWorkloads {
+ public:
+  /// Declares `workloads=` and `trace_file=` (default
+  /// `bench/out/<program>.noctrace`).
+  static void declare_keys(common::Config& c, const std::string& program) {
+    c.declare("workloads", "hotspot,transpose,trace",
+              "comma list of workloads (hotspot,transpose,trace)");
+    c.declare("trace_file", "bench/out/" + program + ".noctrace",
+              "scratch .noctrace recorded for the trace workload");
+  }
+
+  /// Reads the keys back. An unknown workload throws; with `trace` listed,
+  /// the trace file is opened (common::open_output), so an unwritable path
+  /// fails here.
+  explicit UnevenWorkloads(const common::Config& c)
+      : names_(common::split_csv(c.get_string("workloads"))),
+        trace_file_(c.get_string("trace_file")) {
+    for (const std::string& name : names_) {
+      if (name == "trace") {
+        common::open_output(trace_file_);
+      } else if (name != "hotspot" && name != "transpose") {
+        throw std::invalid_argument("unknown workload '" + name +
+                                    "' (valid: hotspot transpose trace)");
+      }
+    }
+  }
+
+  const std::vector<std::string>& names() const noexcept { return names_; }
+
+  /// Workload `name` on `base` at its operating point; anchoring prints
+  /// its line (Harness::anchor), and `trace` records its capture first.
+  sim::Scenario build(sim::Scenario base, const std::string& name) {
+    if (name == "transpose") {
+      base.pattern = "transpose";
+      return sim::operating_point(base, Harness::anchor(base), kExtensionLoad);
+    }
+    base.pattern = "hotspot";
+    if (!hotspot_anchors_) hotspot_anchors_ = Harness::anchor(base);
+    sim::Scenario s = sim::operating_point(base, *hotspot_anchors_, kExtensionLoad);
+    if (name == "trace") {
+      sim::Scenario rec = s;
+      rec.policy.policy = sim::Policy::NoDvfs;
+      rec.record_path = trace_file_;
+      sim::run(rec);
+      s.workload = sim::Scenario::Workload::Trace;
+      s.trace_path = trace_file_;
+      s.trace_loop = true;
+      s.trace_scale = 1.0;
+    }
+    return s;
+  }
+
+ private:
+  std::vector<std::string> names_;
+  std::string trace_file_;
+  std::optional<sim::Anchors> hotspot_anchors_;
+};
+
+/// `names` as a VF-island layout axis; an unknown preset throws.
+inline sim::SweepAxis island_axis(const std::vector<std::string>& names) {
+  for (const std::string& name : names) vfi::preset_from_string(name);
+  return sim::SweepAxis::islands(names);
+}
+
+/// The topology axis of fig13 and fig14; an unknown name throws. `mesh` is
+/// a no-op, so its rows stay bit-identical to a `baseline` group that
+/// never touches a topology key; `cmesh` is the 6×4 NI grid in 2×2 blocks
+/// (6 routers switching 24 NIs).
+inline sim::SweepAxis topology_axis(const std::vector<std::string>& names) {
+  std::vector<sim::SweepAxis::Point> points;
+  for (const std::string& name : names) {
+    const topo::TopologyKind kind = topo::topology_kind_from_string(name);
+    points.push_back({name, [kind](sim::Scenario& s) {
+                        if (kind == topo::TopologyKind::Mesh) return;
+                        s.network.topology = kind;
+                        if (kind == topo::TopologyKind::Cmesh) {
+                          s.network.width = 6;
+                          s.network.height = 4;
+                          s.network.concentration = 4;
+                        }
+                      }});
+  }
+  return sim::SweepAxis::custom("topology", std::move(points));
+}
+
+/// The routing axis of fig13; an unknown algorithm throws.
+inline sim::SweepAxis routing_axis(const std::vector<std::string>& names) {
+  std::vector<sim::SweepAxis::Point> points;
+  for (const std::string& name : names) {
+    const noc::RoutingAlgo algo = noc::routing_algo_from_string(name);
+    points.push_back({name, [algo](sim::Scenario& s) { s.network.routing = algo; }});
+  }
+  return sim::SweepAxis::custom("routing", std::move(points));
+}
+
+/// The base scenario fig13 and fig14 sweep from: `base` at
+/// kExtensionLoad·λ_sat of `anchors`, with telemetry_out cleared (the
+/// points of one sweep would collide on it; a dedicated export run sets it
+/// back).
+inline sim::Scenario anchored_base(const sim::Scenario& base, const sim::Anchors& anchors) {
+  sim::Scenario s = sim::operating_point(base, anchors, kExtensionLoad);
+  s.telemetry_out.clear();
+  return s;
+}
 
 }  // namespace nocdvfs::bench

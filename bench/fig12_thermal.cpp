@@ -16,15 +16,15 @@
 /// cap_fraction · (probe peak − ambient)), so the hotter policy families
 /// must throttle and the per-island guard has something to do.
 ///
-/// Accepts `key=value` overrides and `help=1`; `csv=`/`json=` rows carry
+/// `layouts=` and `workloads=` slice the matrix; `csv=`/`json=` rows carry
 /// the appended thermal columns (`thermal`, `peak_temp_c`, `mean_temp_c`,
 /// `throttle_residency`, `leakage_j`, `leakage_ref_j`). A `baseline`
 /// sweep group repeats the hotspot runs through a scenario that never
 /// touches any thermal key — its rows must match the thermal=off
 /// `islands=global` rows bit-for-bit (CI asserts this).
 
-#include <filesystem>
 #include <iostream>
+#include <optional>
 #include <vector>
 
 #include "bench_common.hpp"
@@ -49,63 +49,23 @@ int main(int argc, char** argv) {
                    "RMSD/DMSD/QBSD throttling");
   h.config().declare("layouts", "global,quadrants",
                      "comma list of island layouts to compare");
-  h.config().declare("workloads", "hotspot,transpose,trace",
-                     "comma list of workloads (hotspot,transpose,trace)");
-  h.config().declare("trace_file", "bench/out/fig12_thermal.noctrace",
-                     "scratch .noctrace recorded for the trace workload");
+  bench::UnevenWorkloads::declare_keys(h.config(), "fig12_thermal");
   h.config().declare_double("cap_fraction", 0.75,
                             "throttle cap as a fraction of the probed peak rise above ambient");
-  return h.run(argc, argv, [&] {
-    const std::vector<std::string> layouts = common::split_csv(h.config().get_string("layouts"));
+  sim::SweepAxis layouts;
+  std::optional<bench::UnevenWorkloads> workloads;
+  const auto resolve = [&] {
+    layouts = bench::island_axis(common::split_csv(h.config().get_string("layouts")));
+    workloads.emplace(h.config());
+  };
+  return h.run(argc, argv, resolve, [&] {
     const double cap_fraction = h.config().get_double("cap_fraction");
     const std::vector<sim::Policy> policies = {sim::Policy::Rmsd, sim::Policy::Dmsd,
                                                sim::Policy::Qbsd};
 
-    sim::Anchors hotspot_anchors{};
-    bool have_hotspot_anchors = false;
-    auto hotspot_anchored = [&](sim::Scenario s) {
-      s.pattern = "hotspot";
-      if (!have_hotspot_anchors) {
-        hotspot_anchors = h.anchor(s);
-        have_hotspot_anchors = true;
-      }
-      s = sim::anchored(s, hotspot_anchors);
-      sim::set_offered_lambda(s, 0.6 * hotspot_anchors.lambda_sat);
-      return s;
-    };
-
-    for (const std::string& workload : common::split_csv(h.config().get_string("workloads"))) {
-      sim::Scenario base = h.scenario();
+    for (const std::string& workload : workloads->names()) {
       std::cout << "\n--- workload: " << workload << " ---\n";
-      if (workload == "hotspot") {
-        base = hotspot_anchored(base);
-      } else if (workload == "transpose") {
-        base.pattern = "transpose";
-        const auto anchors = h.anchor(base);
-        base = sim::anchored(base, anchors);
-        sim::set_offered_lambda(base, 0.6 * anchors.lambda_sat);
-      } else if (workload == "trace") {
-        // Record the anchored hotspot stream once (No-DVFS, policy-free
-        // capture), then replay the identical packets under every cell.
-        const std::string trace_file = h.config().get_string("trace_file");
-        const std::filesystem::path p(trace_file);
-        if (p.has_parent_path()) {
-          std::error_code ec;
-          std::filesystem::create_directories(p.parent_path(), ec);
-        }
-        sim::Scenario rec = hotspot_anchored(h.scenario());
-        rec.policy.policy = sim::Policy::NoDvfs;
-        rec.record_path = trace_file;
-        sim::run(rec);
-        base = hotspot_anchored(h.scenario());
-        base.workload = sim::Scenario::Workload::Trace;
-        base.trace_path = trace_file;
-        base.trace_loop = true;
-        base.trace_scale = 1.0;
-      } else {
-        std::cerr << "unknown workload '" << workload << "' (skipping)\n";
-        continue;
-      }
+      const sim::Scenario base = workloads->build(h.scenario(), workload);
 
       // An unreachable cap for the probe and the `free` cells: the Scenario
       // default (85 C) is above every *default-calibration* peak, but an
@@ -136,10 +96,8 @@ int main(int argc, char** argv) {
                          s.temp_cap_c = cap_c;
                        }}});
       const char* thermal_labels[] = {"off", "free", "cap"};
-      const auto recs = h.sweep(
-          base,
-          {sim::SweepAxis::islands(layouts), thermal_axis, sim::SweepAxis::policies(policies)},
-          "fig12-" + workload);
+      const auto recs = h.sweep(base, {layouts, thermal_axis, sim::SweepAxis::policies(policies)},
+                                "fig12-" + workload);
 
       common::Table table({"layout", "thermal", "policy", "delay ns", "P mW", "peak C",
                            "mean C", "thr %", "leak+%", "sat"});
@@ -149,7 +107,8 @@ int main(int argc, char** argv) {
           for (std::size_t pi = 0; pi < policies.size(); ++pi) {
             const sim::RunResult& r =
                 recs[l * cells_per_layout + t * policies.size() + pi].result;
-            table.add_row({layouts[l], thermal_labels[t], sim::to_string(policies[pi]),
+            table.add_row({layouts.points[l].label, thermal_labels[t],
+                           sim::to_string(policies[pi]),
                            common::Table::fmt(r.avg_delay_ns, 1),
                            common::Table::fmt(r.power_mw(), 1),
                            r.thermal.enabled ? common::Table::fmt(r.thermal.peak_temp_c, 1) : "-",
@@ -169,10 +128,8 @@ int main(int argc, char** argv) {
     // built from a Scenario whose thermal keys are never touched. Bit-equal
     // to the thermal=off islands=global rows above, or the default path
     // regressed.
-    {
-      const sim::Scenario base = hotspot_anchored(h.scenario());
-      h.sweep(base, {sim::SweepAxis::policies(policies)}, "baseline");
-    }
+    h.sweep(workloads->build(h.scenario(), "hotspot"), {sim::SweepAxis::policies(policies)},
+            "baseline");
 
     std::cout << "\nConclusion check: the two sensing channels heat the die differently —\n"
                  "whichever loop holds the higher clock (here the delay-based one defending\n"

@@ -10,14 +10,14 @@
 /// reroute does to path lengths — so DMSD re-targets transparently where
 /// RMSD's λ_max anchor silently shifts meaning.
 ///
-/// Accepts `key=value` overrides and `help=1`; `topologies=` and
-/// `routings=` slice the matrix; `csv=`/`json=` write machine-readable
-/// rows with the appended topology/routing/faults/max_hops/drop columns.
-/// A `baseline` sweep group repeats the mesh runs through a scenario that
-/// never touches the topology keys — its rows must match the
-/// topology=mesh routing=xy rows bit-for-bit (CI asserts this), and CI
-/// additionally asserts that a faulted torus row rerouted traffic
-/// (rerouted_pairs > 0) without losing anything (dropped_packets == 0).
+/// `topologies=`, `routings=` and `fault_specs=` slice the matrix;
+/// `csv=`/`json=` write machine-readable rows with the appended
+/// topology/routing/faults/max_hops/drop columns. A `baseline` sweep group
+/// repeats the mesh runs through a scenario that never touches the
+/// topology keys — its rows must match the topology=mesh routing=xy rows
+/// bit-for-bit (CI asserts this), and CI additionally asserts that a
+/// faulted torus row rerouted traffic (rerouted_pairs > 0) without losing
+/// anything (dropped_packets == 0).
 
 #include <iostream>
 #include <vector>
@@ -28,50 +28,6 @@
 
 using namespace nocdvfs;
 
-namespace {
-
-sim::SweepAxis topology_axis(const std::vector<std::string>& names) {
-  std::vector<sim::SweepAxis::Point> points;
-  for (const std::string& name : names) {
-    if (name == "mesh") {
-      // Deliberately a no-op: the mesh point must leave every topology key
-      // untouched so its rows are bit-identical to the `baseline` group.
-      points.push_back({"mesh", [](sim::Scenario&) {}});
-    } else if (name == "torus") {
-      points.push_back({"torus", [](sim::Scenario& s) {
-                          s.network.topology = topo::TopologyKind::Torus;
-                        }});
-    } else if (name == "cmesh") {
-      // 6×4 NI grid in 2×2 blocks: 6 routers switching 24 NIs.
-      points.push_back({"cmesh", [](sim::Scenario& s) {
-                          s.network.topology = topo::TopologyKind::Cmesh;
-                          s.network.width = 6;
-                          s.network.height = 4;
-                          s.network.concentration = 4;
-                        }});
-    } else if (name == "dragonfly") {
-      points.push_back({"dragonfly", [](sim::Scenario& s) {
-                          s.network.topology = topo::TopologyKind::Dragonfly;
-                        }});
-    } else {
-      std::cerr << "unknown topology '" << name << "' (skipping)\n";
-    }
-  }
-  return sim::SweepAxis::custom("topology", std::move(points));
-}
-
-sim::SweepAxis routing_axis(const std::vector<std::string>& names) {
-  std::vector<sim::SweepAxis::Point> points;
-  for (const std::string& name : names) {
-    points.push_back({name, [name](sim::Scenario& s) {
-                        s.network.routing = noc::routing_algo_from_string(name);
-                      }});
-  }
-  return sim::SweepAxis::custom("routing", std::move(points));
-}
-
-}  // namespace
-
 int main(int argc, char** argv) {
   bench::Harness h("Figure 13 (extension)",
                    "RMSD vs DMSD across topologies, routing algorithms and faults");
@@ -81,42 +37,43 @@ int main(int argc, char** argv) {
                      "comma list of routing algorithms (xy,yx,adaptive,ugal)");
   h.config().declare("fault_specs", "off,links:2@0,links:1@40000+routers:1@120000",
                      "comma list of fault specs for the faulted-torus group");
-  return h.run(argc, argv, [&] {
-    const auto topologies = common::split_csv(h.config().get_string("topologies"));
-    const auto routings = common::split_csv(h.config().get_string("routings"));
+  sim::SweepAxis topologies;
+  sim::SweepAxis routings;
+  sim::SweepAxis faults = sim::SweepAxis::custom("faults", {});
+  const auto resolve = [&] {
+    topologies = bench::topology_axis(common::split_csv(h.config().get_string("topologies")));
+    routings = bench::routing_axis(common::split_csv(h.config().get_string("routings")));
+    for (const std::string& spec : common::split_csv(h.config().get_string("fault_specs"))) {
+      faults.points.push_back({spec, [spec](sim::Scenario& s) {
+                                 s.network.topology = topo::TopologyKind::Torus;
+                                 s.network.faults = spec == "off" ? std::string() : spec;
+                               }});
+      sim::Scenario s = h.scenario();
+      faults.points.back().apply(s);
+      sim::check_scenario(s);  // a malformed spec fails before the banner
+    }
+  };
+  return h.run(argc, argv, resolve, [&] {
     const std::vector<sim::Policy> policies = {sim::Policy::Rmsd, sim::Policy::Dmsd};
 
     // One anchor set, derived on the paper's mesh: every topology runs the
     // same offered load and policy parameters, so row differences are
     // attributable to the shape and the routing alone. (Re-anchoring per
     // topology would also break the mesh-row identity with `baseline`.)
-    const auto anchors = h.anchor(h.scenario());
-    auto anchored_base = [&] {
-      sim::Scenario s = sim::anchored(h.scenario(), anchors);
-      sim::set_offered_lambda(s, 0.6 * anchors.lambda_sat);
-      // Sweeps share one base scenario; a telemetry_out here would collide
-      // across points (the sweep rejects duplicate export basenames). The
-      // dedicated export run below honours it instead.
-      s.telemetry_out.clear();
-      return s;
-    };
+    const sim::Scenario base = bench::anchored_base(h.scenario(), h.anchor(h.scenario()));
 
     // --- topology x routing x policy matrix ---------------------------------
-    const auto recs = h.sweep(
-        anchored_base(),
-        {topology_axis(topologies), routing_axis(routings), sim::SweepAxis::policies(policies)},
-        "fig13-topology");
+    const auto recs = h.sweep(base, {topologies, routings, sim::SweepAxis::policies(policies)},
+                              "fig13-topology");
 
     common::Table table({"topology", "routing", "policy", "delay ns", "p99 ns", "hops",
                          "max", "P mW", "pJ/bit", "sat"});
     for (std::size_t t = 0; t < topologies.size(); ++t) {
       for (std::size_t a = 0; a < routings.size(); ++a) {
         for (std::size_t p = 0; p < policies.size(); ++p) {
-          const std::size_t i = (t * routings.size() + a) * policies.size() + p;
-          if (i >= recs.size()) continue;
-          const sim::RunResult& r = recs[i].result;
-          table.add_row({topologies[t], routings[a], sim::to_string(policies[p]),
-                         common::Table::fmt(r.avg_delay_ns, 1),
+          const sim::RunResult& r = recs[(t * routings.size() + a) * policies.size() + p].result;
+          table.add_row({topologies.points[t].label, routings.points[a].label,
+                         sim::to_string(policies[p]), common::Table::fmt(r.avg_delay_ns, 1),
                          common::Table::fmt(r.p99_delay_ns, 1),
                          common::Table::fmt(r.avg_hops, 2), std::to_string(r.max_hops),
                          common::Table::fmt(r.power_mw(), 1),
@@ -127,29 +84,16 @@ int main(int argc, char** argv) {
     table.print(std::cout);
 
     // --- faulted torus: reroute under each control policy -------------------
-    const auto fault_specs = common::split_csv(h.config().get_string("fault_specs"));
-    std::vector<sim::SweepAxis::Point> fault_points;
-    for (const std::string& spec : fault_specs) {
-      fault_points.push_back({spec, [spec](sim::Scenario& s) {
-                                s.network.topology = topo::TopologyKind::Torus;
-                                s.network.faults = spec == "off" ? std::string() : spec;
-                              }});
-    }
-    const auto frecs = h.sweep(
-        anchored_base(),
-        {sim::SweepAxis::custom("faults", std::move(fault_points)),
-         sim::SweepAxis::policies(policies)},
-        "fig13-faults");
+    const auto frecs =
+        h.sweep(base, {faults, sim::SweepAxis::policies(policies)}, "fig13-faults");
 
     std::cout << "\n--- faulted torus (xy + up*/down* reroute) ---\n";
     common::Table ftable({"faults", "policy", "delay ns", "hops", "max", "rerouted",
                           "unreach", "dropped", "sat"});
-    for (std::size_t f = 0; f < fault_specs.size(); ++f) {
+    for (std::size_t f = 0; f < faults.size(); ++f) {
       for (std::size_t p = 0; p < policies.size(); ++p) {
-        const std::size_t i = f * policies.size() + p;
-        if (i >= frecs.size()) continue;
-        const sim::RunResult& r = frecs[i].result;
-        ftable.add_row({fault_specs[f], sim::to_string(policies[p]),
+        const sim::RunResult& r = frecs[f * policies.size() + p].result;
+        ftable.add_row({faults.points[f].label, sim::to_string(policies[p]),
                         common::Table::fmt(r.avg_delay_ns, 1),
                         common::Table::fmt(r.avg_hops, 2), std::to_string(r.max_hops),
                         std::to_string(r.rerouted_pairs), std::to_string(r.unreachable_pairs),
@@ -163,7 +107,7 @@ int main(int argc, char** argv) {
     // of the matrix (faulted torus under RMSD) once and export its timeline
     // — the artifact CI uploads and `nocdvfs_report` renders.
     if (h.scenario().telemetry != "off" && !h.scenario().telemetry_out.empty()) {
-      sim::Scenario s = anchored_base();
+      sim::Scenario s = base;
       s.network.topology = topo::TopologyKind::Torus;
       s.network.faults = "links:2@0";
       s.policy.policy = sim::Policy::Rmsd;
@@ -178,7 +122,7 @@ int main(int argc, char** argv) {
     // Baseline rows for the CI identity check: the same policy sweep built
     // from a Scenario whose topology keys are never touched. Bit-equal to
     // the topology=mesh routing=xy rows above, or the default path regressed.
-    h.sweep(anchored_base(), {sim::SweepAxis::policies(policies)}, "baseline");
+    h.sweep(base, {sim::SweepAxis::policies(policies)}, "baseline");
 
     std::cout << "\nConclusion check: RMSD's λ_max anchor was measured on the mesh — on\n"
                  "shapes with different bisection it over- or under-clocks at the same\n"

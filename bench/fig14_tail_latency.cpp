@@ -9,12 +9,12 @@
 /// is the p99/p50 ratio per policy, across shapes with different path
 /// diversity (mesh vs torus).
 ///
-/// Accepts `key=value` overrides and `help=1`; `topologies=` slices the
-/// matrix; `csv=`/`json=` write machine-readable rows with the appended
-/// min/max and dist_* columns. The matrix is topology × policy with the
-/// mesh rows first, and a `baseline` sweep group repeats the policy sweep
-/// through a scenario that never touches a topology key — its rows must
-/// match the topology=mesh rows bit-for-bit (CI asserts this).
+/// `topologies=` slices the matrix; `csv=`/`json=` write machine-readable
+/// rows with the appended min/max and dist_* columns. The matrix is
+/// topology × policy with the mesh rows first, and a `baseline` sweep group
+/// repeats the policy sweep through a scenario that never touches a
+/// topology key — its rows must match the topology=mesh rows bit-for-bit
+/// (CI asserts this).
 ///
 /// With `telemetry=windows|full telemetry_out=<base>` a dedicated export
 /// run re-runs the mesh/RMSD cell with `pkt_trace=on` and writes
@@ -32,31 +32,6 @@ using namespace nocdvfs;
 
 namespace {
 
-sim::SweepAxis topology_axis(const std::vector<std::string>& names) {
-  std::vector<sim::SweepAxis::Point> points;
-  for (const std::string& name : names) {
-    if (name == "mesh") {
-      // Deliberately a no-op so the mesh rows stay bit-identical to the
-      // `baseline` group.
-      points.push_back({"mesh", [](sim::Scenario&) {}});
-    } else if (name == "torus") {
-      points.push_back({"torus", [](sim::Scenario& s) {
-                          s.network.topology = topo::TopologyKind::Torus;
-                        }});
-    } else if (name == "cmesh") {
-      points.push_back({"cmesh", [](sim::Scenario& s) {
-                          s.network.topology = topo::TopologyKind::Cmesh;
-                          s.network.width = 6;
-                          s.network.height = 4;
-                          s.network.concentration = 4;
-                        }});
-    } else {
-      std::cerr << "unknown topology '" << name << "' (skipping)\n";
-    }
-  }
-  return sim::SweepAxis::custom("topology", std::move(points));
-}
-
 std::string ratio_fmt(double num, double den) {
   return den > 0.0 ? common::Table::fmt(num / den, 2) : "-";
 }
@@ -67,29 +42,23 @@ int main(int argc, char** argv) {
   bench::Harness h("Figure 14 (extension)",
                    "tail latency (p50/p95/p99/p99.9) under RMSD vs DMSD");
   h.config().declare("topologies", "mesh,torus",
-                     "comma list of topologies (mesh,torus,cmesh)");
-  return h.run(argc, argv, [&] {
-    const auto topologies = common::split_csv(h.config().get_string("topologies"));
+                     "comma list of topologies (mesh,torus,cmesh,dragonfly)");
+  sim::SweepAxis topologies;
+  const auto resolve = [&] {
+    topologies = bench::topology_axis(common::split_csv(h.config().get_string("topologies")));
+  };
+  return h.run(argc, argv, resolve, [&] {
     const std::vector<sim::Policy> policies = {sim::Policy::Rmsd, sim::Policy::Dmsd};
 
     // One anchor set, derived on the paper's mesh, shared by every cell so
     // tail differences are attributable to the policy and the shape alone.
-    const auto anchors = h.anchor(h.scenario());
-    auto anchored_base = [&] {
-      sim::Scenario s = sim::anchored(h.scenario(), anchors);
-      sim::set_offered_lambda(s, 0.6 * anchors.lambda_sat);
-      // Sweeps share one base scenario; a telemetry_out here would collide
-      // across points. The dedicated export run below honours it instead.
-      s.telemetry_out.clear();
-      return s;
-    };
+    const sim::Scenario base = bench::anchored_base(h.scenario(), h.anchor(h.scenario()));
 
     // --- topology x policy matrix -------------------------------------------
     // The first P rows are the mesh rows the baseline group must reproduce
     // bit-for-bit.
-    const auto recs = h.sweep(anchored_base(),
-                              {topology_axis(topologies), sim::SweepAxis::policies(policies)},
-                              "fig14-tail");
+    const auto recs =
+        h.sweep(base, {topologies, sim::SweepAxis::policies(policies)}, "fig14-tail");
 
     common::Table table({"topology", "policy", "mean ns", "p50 ns", "p95 ns", "p99 ns",
                          "p99.9 ns", "max ns", "p99/p50", "sat"});
@@ -108,7 +77,7 @@ int main(int argc, char** argv) {
 
     // --- dedicated export run: histograms + sampled packet flights ----------
     if (h.scenario().telemetry != "off" && !h.scenario().telemetry_out.empty()) {
-      sim::Scenario s = anchored_base();
+      sim::Scenario s = base;
       s.policy.policy = sim::Policy::Rmsd;
       s.pkt_trace = "on";
       s.pkt_trace_rate = h.scenario().pkt_trace_rate;
@@ -125,7 +94,7 @@ int main(int argc, char** argv) {
     // Baseline rows for the CI identity check: the same policy sweep built
     // from a Scenario that never touches the topology keys. Bit-equal to the
     // topology=mesh rows above, or the sweep plumbing perturbed the run.
-    h.sweep(anchored_base(), {sim::SweepAxis::policies(policies)}, "baseline");
+    h.sweep(base, {sim::SweepAxis::policies(policies)}, "baseline");
 
     // The claim, computed from the rows above. RMSD holds delay constant in
     // NoC cycles, not in ns, so its mean need not match DMSD's; the p99/p50

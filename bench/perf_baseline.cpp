@@ -230,14 +230,18 @@ bool load_baseline(const std::string& path, Baseline& out) {
   std::ifstream in(path);
   if (!in) return false;
   std::string line;
-  while (std::getline(in, line)) {
-    if (line.find("\"calib_mops\"") != std::string::npos) {
-      out.calib_mops = std::stod(extract(line, "calib_mops"));
+  try {
+    while (std::getline(in, line)) {
+      if (line.find("\"calib_mops\"") != std::string::npos) {
+        out.calib_mops = std::stod(extract(line, "calib_mops"));
+      }
+      const std::string name = extract(line, "name");
+      if (!name.empty()) {
+        out.cycles_per_sec[name] = std::stod(extract(line, "cycles_per_sec"));
+      }
     }
-    const std::string name = extract(line, "name");
-    if (!name.empty()) {
-      out.cycles_per_sec[name] = std::stod(extract(line, "cycles_per_sec"));
-    }
+  } catch (const std::logic_error&) {  // std::stod: not a number, or out of range
+    return false;
   }
   return !out.cycles_per_sec.empty() && out.calib_mops > 0.0;
 }
@@ -286,11 +290,18 @@ int main(int argc, char** argv) {
   return common::run_main(cfg, argc, argv, [&] {
     const bool fast = cfg.get_bool("fast");
     const int repeats = static_cast<int>(cfg.get_int("repeats"));
-    // Reject an unwritable out= before the sweep. Append mode leaves the
-    // file as it is, so out= may name the compare= baseline.
+    // Reject an unwritable out= and load the compare= baseline before the
+    // sweep, so out= may name the baseline it is compared against. Append
+    // mode leaves the file as it is.
     const std::string out_path = cfg.get_string("out");
     if (!out_path.empty() && !std::ofstream(out_path, std::ios::app)) {
       throw std::runtime_error("cannot open output file '" + out_path + "' for writing");
+    }
+    const std::string compare_path = cfg.get_string("compare");
+    Baseline base;
+    if (!compare_path.empty() && !load_baseline(compare_path, base)) {
+      throw std::runtime_error("cannot parse baseline " + compare_path +
+                               " (regenerate with out=" + compare_path + ")");
     }
     std::cout << "perf_baseline: " << (fast ? "fast" : "full") << " sweep, best of "
               << repeats << "\n";
@@ -321,14 +332,8 @@ int main(int argc, char** argv) {
       std::cout << "\nwrote " << out_path << "\n";
     }
 
-    const std::string compare_path = cfg.get_string("compare");
     if (compare_path.empty()) return 0;
 
-    Baseline base;
-    if (!load_baseline(compare_path, base)) {
-      throw std::runtime_error("cannot parse baseline " + compare_path +
-                               " (regenerate with out=" + compare_path + ")");
-    }
     const double tolerance = cfg.get_double("tolerance");
     std::cout << "\ncompare vs " << compare_path << " (baseline host " << std::fixed
               << std::setprecision(1) << base.calib_mops << " Mops, tolerance "

@@ -63,8 +63,7 @@ int main(int argc, char** argv) {
 
     std::cout << "Measuring saturation rate (short probe runs)...\n";
     const sim::Anchors anchors = sim::find_anchors(cfg);
-    cfg = sim::anchored(cfg, anchors);
-    sim::set_offered_lambda(cfg, 0.7 * anchors.lambda_sat);
+    cfg = sim::operating_point(cfg, anchors, 0.7);
 
     // 2. Free-running thermal runs: how hot does each control family drive
     //    the die? The cap is set genuinely out of reach (not just the 85 C

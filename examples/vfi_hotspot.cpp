@@ -37,8 +37,7 @@ int main(int argc, char** argv) {
     // λ_node = λ_max, leaving headroom to slow lightly loaded domains.
     std::cout << "Measuring saturation rate (short probe runs)...\n";
     const sim::Anchors anchors = sim::find_anchors(cfg);
-    cfg = sim::anchored(cfg, anchors);
-    sim::set_offered_lambda(cfg, 0.6 * anchors.lambda_sat);
+    cfg = sim::operating_point(cfg, anchors, 0.6);
     cfg.policy.policy = sim::Policy::Dmsd;
 
     // 2. The same scenario under the global domain and under quadrant

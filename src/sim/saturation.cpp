@@ -1,6 +1,7 @@
 #include "sim/saturation.hpp"
 
 #include <stdexcept>
+#include <utility>
 
 namespace nocdvfs::sim {
 
@@ -112,6 +113,12 @@ Scenario anchored(Scenario s, const Anchors& anchors) {
     s.traffic_scale = anchors.traffic_scale;
     s.speed = 1.0;
   }
+  return s;
+}
+
+Scenario operating_point(Scenario s, const Anchors& anchors, double load_fraction) {
+  s = anchored(std::move(s), anchors);
+  set_offered_lambda(s, load_fraction * anchors.lambda_sat);
   return s;
 }
 

@@ -79,4 +79,10 @@ Anchors find_anchors(const Scenario& base, const SaturationSearchOptions& opt = 
 /// set its calibrated traffic_scale and speed 1.0.
 Scenario anchored(Scenario s, const Anchors& anchors);
 
+/// The operating point every bench and example sweeps from: `anchored(s,
+/// anchors)` offering `load_fraction`·λ_sat (set_offered_lambda). The
+/// anchors go first because an app's calibration rescales the
+/// traffic_scale its load axis reads.
+Scenario operating_point(Scenario s, const Anchors& anchors, double load_fraction);
+
 }  // namespace nocdvfs::sim

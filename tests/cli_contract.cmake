@@ -11,7 +11,11 @@
 #   4. a Scenario-driven program rejects an unknown traffic pattern
 #      (`workload=synthetic pattern=nosuch`, so the pattern is read even
 #      where a program's default workload is an app) with exit 1;
-#   5. perf_baseline rejects an `out=` path it cannot open before its sweep;
+#   5. the extension figures reject an unknown name in a list key
+#      (`workloads=`, `layouts=`, `topologies=`, `routings=`, fig13's
+#      `fault_specs=`) and fig11/fig12 a `trace_file=` they cannot write;
+#   6. perf_baseline rejects an `out=` path it cannot open and a `compare=`
+#      file that is not a baseline before its sweep;
 # and every failing run prints exactly one `<program>: <reason>` line on
 # stderr, no "terminate called", and nothing on stdout, so no banner is
 # printed and no simulation starts before the input is rejected.
@@ -39,6 +43,13 @@ set(post_parse_saturation_probe "knee=abc")
 set(post_parse_quickstart "")
 set(post_parse_thermal_throttle "")
 set(post_parse_vfi_hotspot "")
+
+# List-key values naming one unknown entry, per program.
+set(bad_lists_fig11_vfi "workloads=hotspot,nosuch" "layouts=global,nosuch")
+set(bad_lists_fig12_thermal "workloads=hotspot,nosuch" "layouts=global,nosuch")
+set(bad_lists_fig13_topology "topologies=mesh,nosuch" "routings=xy,nosuch"
+    "fault_specs=off,links:nosuch")
+set(bad_lists_fig14_tail_latency "topologies=mesh,nosuch")
 
 set(failures 0)
 macro(fail msg)
@@ -103,12 +114,33 @@ foreach(program IN LISTS programs)
     endif()
   endif()
 
+  foreach(arg IN LISTS bad_lists_${name})
+    expect_error("${arg}")
+    if(NOT err MATCHES "'nosuch'")
+      fail("the reason does not name the unknown entry: ${err}")
+    endif()
+  endforeach()
+
+  if(name MATCHES "^fig1[12]_")
+    set(arg "workloads=trace;trace_file=${program}/trace.noctrace")
+    expect_error("${arg}")
+    if(NOT err MATCHES "cannot open output file")
+      fail("the reason does not name the unwritable trace file: ${err}")
+    endif()
+  endif()
+
   if(name STREQUAL "perf_baseline")
     # Below a regular file, so no directory of that name can exist.
     set(arg "out=${program}/baseline.json")
     expect_error("${arg}")
     if(NOT err MATCHES "cannot open output file")
       fail("the reason does not name the unwritable output: ${err}")
+    endif()
+    # This script is a readable file that is not a baseline.
+    set(arg "compare=${CMAKE_CURRENT_LIST_FILE}")
+    expect_error("${arg}")
+    if(NOT err MATCHES "cannot parse baseline")
+      fail("the reason does not name the unparsable baseline: ${err}")
     endif()
   endif()
 endforeach()

@@ -8,7 +8,10 @@
 #include <cstring>
 #include <filesystem>
 #include <string>
+#include <utility>
+#include <vector>
 
+#include "common/config.hpp"
 #include "sim/saturation.hpp"
 #include "sim/scenario.hpp"
 
@@ -323,6 +326,73 @@ TEST(Anchors, CustomWorkloadThrows) {
   Scenario cfg;
   cfg.workload = Scenario::Workload::Custom;
   EXPECT_THROW(find_anchors(cfg, short_search()), std::invalid_argument);
+}
+
+// Every key of `s` in its declared text form (doubles in shortest
+// round-trip form), so equal lists mean the scenarios agree field for field.
+std::vector<std::pair<std::string, std::string>> keys_of(const Scenario& s) {
+  common::Config c;
+  Scenario::declare_keys(c, s);
+  return c.kv_pairs();
+}
+
+// operating_point against its definition: anchored, then set_offered_lambda.
+Scenario expect_operating_point(const Scenario& base, const Anchors& a, double fraction) {
+  Scenario expected = anchored(base, a);
+  set_offered_lambda(expected, fraction * a.lambda_sat);
+  const Scenario op = operating_point(base, a, fraction);
+  EXPECT_EQ(keys_of(op), keys_of(expected));
+  return op;
+}
+
+Anchors fixed_anchors() {
+  Anchors a;
+  a.saturation = 0.4;
+  a.lambda_sat = 0.4;
+  a.lambda_max = 0.36;
+  a.target_delay_ns = 123.0;
+  return a;
+}
+
+TEST(OperatingPoint, SyntheticIsAnchoredThenLoaded) {
+  const Anchors a = fixed_anchors();
+  const Scenario op = expect_operating_point(Scenario{}, a, 0.6);
+  EXPECT_EQ(op.lambda, 0.6 * a.lambda_sat);
+  EXPECT_EQ(op.policy.lambda_max, a.lambda_max);
+  EXPECT_EQ(op.policy.target_delay_ns, a.target_delay_ns);
+}
+
+TEST(OperatingPoint, AppLoadIsSetAfterTheCalibration) {
+  Anchors a = fixed_anchors();
+  a.traffic_scale = 2.5;  // rescales the field the app's load axis reads
+  const Scenario op = expect_operating_point(app_scenario(), a, 0.45);
+  EXPECT_EQ(op.traffic_scale, a.traffic_scale);
+  const double want = 0.45 * a.lambda_sat;
+  EXPECT_NEAR(mean_lambda(op), want, 1e-12 * want);
+}
+
+TEST(OperatingPoint, TraceLoadIsTheReplayWarp) {
+  const std::string path = (std::filesystem::temp_directory_path() /
+                            "nocdvfs_test_operating_point.noctrace")
+                               .string();
+  Scenario rec;
+  rec.network.width = 3;
+  rec.network.height = 3;
+  rec.packet_size = 4;
+  rec.lambda = 0.12;
+  rec.phases = short_run_phases();
+  rec.record_path = path;
+  run(rec);
+
+  Scenario replay = rec;
+  replay.record_path.clear();
+  replay.workload = Scenario::Workload::Trace;
+  replay.trace_path = path;
+  const Anchors a = fixed_anchors();
+  const Scenario op = expect_operating_point(replay, a, 0.6);
+  const double want = 0.6 * a.lambda_sat;
+  EXPECT_NEAR(mean_lambda(op), want, 1e-12 * want);
+  std::filesystem::remove(path);
 }
 
 }  // namespace
