@@ -284,7 +284,7 @@ class UnevenWorkloads {
       if (name == "trace") {
         common::open_output(trace_file_);
       } else if (name != "hotspot" && name != "transpose") {
-        throw std::invalid_argument("unknown workload '" + name +
+        throw std::invalid_argument("workloads: unknown workload '" + name +
                                     "' (valid: hotspot transpose trace)");
       }
     }
@@ -321,20 +321,24 @@ class UnevenWorkloads {
   std::optional<sim::Anchors> hotspot_anchors_;
 };
 
-/// `names` as a VF-island layout axis; an unknown preset throws.
+/// `names` (the `layouts=` key) as a VF-island layout axis; an unknown
+/// layout throws.
 inline sim::SweepAxis island_axis(const std::vector<std::string>& names) {
-  for (const std::string& name : names) vfi::preset_from_string(name);
+  for (const std::string& name : names) {
+    common::parse_key_value("layouts", name, vfi::preset_from_string);
+  }
   return sim::SweepAxis::islands(names);
 }
 
-/// The topology axis of fig13 and fig14; an unknown name throws. `mesh` is
-/// a no-op, so its rows stay bit-identical to a `baseline` group that
-/// never touches a topology key; `cmesh` is the 6×4 NI grid in 2×2 blocks
-/// (6 routers switching 24 NIs).
+/// The topology axis (`topologies=`) of fig13 and fig14; an unknown name
+/// throws. `mesh` is a no-op, so its rows stay bit-identical to a
+/// `baseline` group that never touches a topology key; `cmesh` is the 6×4
+/// NI grid in 2×2 blocks (6 routers switching 24 NIs).
 inline sim::SweepAxis topology_axis(const std::vector<std::string>& names) {
   std::vector<sim::SweepAxis::Point> points;
   for (const std::string& name : names) {
-    const topo::TopologyKind kind = topo::topology_kind_from_string(name);
+    const topo::TopologyKind kind =
+        common::parse_key_value("topologies", name, topo::topology_kind_from_string);
     points.push_back({name, [kind](sim::Scenario& s) {
                         if (kind == topo::TopologyKind::Mesh) return;
                         s.network.topology = kind;
@@ -348,11 +352,12 @@ inline sim::SweepAxis topology_axis(const std::vector<std::string>& names) {
   return sim::SweepAxis::custom("topology", std::move(points));
 }
 
-/// The routing axis of fig13; an unknown algorithm throws.
+/// The routing axis (`routings=`) of fig13; an unknown algorithm throws.
 inline sim::SweepAxis routing_axis(const std::vector<std::string>& names) {
   std::vector<sim::SweepAxis::Point> points;
   for (const std::string& name : names) {
-    const noc::RoutingAlgo algo = noc::routing_algo_from_string(name);
+    const noc::RoutingAlgo algo =
+        common::parse_key_value("routings", name, noc::routing_algo_from_string);
     points.push_back({name, [algo](sim::Scenario& s) { s.network.routing = algo; }});
   }
   return sim::SweepAxis::custom("routing", std::move(points));

@@ -50,7 +50,9 @@ int main(int argc, char** argv) {
                                }});
       sim::Scenario s = h.scenario();
       faults.points.back().apply(s);
-      sim::check_scenario(s);  // a malformed spec fails before the banner
+      // A malformed spec fails before the banner.
+      common::parse_key_value("fault_specs", spec,
+                              [&](const std::string&) { sim::check_scenario(s); });
     }
   };
   return h.run(argc, argv, resolve, [&] {

@@ -84,4 +84,16 @@ Enum from_name(const std::string& name, const Enum (&all)[N], const std::string&
   throw std::invalid_argument(msg + ")");
 }
 
+/// `parse(value)` for a value of the key `key` (or one entry of a list
+/// key); a rejected value rethrows with "<key>: " in front, so the error
+/// names the key the user typed, not only the value.
+template <typename Parse>
+auto parse_key_value(const char* key, const std::string& value, Parse parse) {
+  try {
+    return parse(value);
+  } catch (const std::invalid_argument& e) {
+    throw std::invalid_argument(std::string(key) + ": " + e.what());
+  }
+}
+
 }  // namespace nocdvfs::common

@@ -1,11 +1,10 @@
 #include "dvfs/dmsd.hpp"
 
-#include <algorithm>
 #include <stdexcept>
 
 namespace nocdvfs::dvfs {
 
-DmsdController::DmsdController(const DmsdConfig& cfg) : cfg_(cfg), u_(cfg.u_init) {
+DmsdController::DmsdController(const DmsdConfig& cfg) : cfg_(cfg), pi_{cfg.u_init} {
   if (!(cfg.target_delay_ns > 0.0)) {
     throw std::invalid_argument("DmsdController: target delay must be positive");
   }
@@ -21,24 +20,13 @@ DmsdController::DmsdController(const DmsdConfig& cfg) : cfg_(cfg), u_(cfg.u_init
 }
 
 common::Hertz DmsdController::update(const ControlContext& ctx, const WindowMeasurements& m) {
-  const double u_min = ctx.f_min / ctx.f_max;
-  const double u_max = 1.0;
-
-  double e = e_prev_;  // sample hold when no packet completed this window
+  double e = pi_.e_prev;  // sample hold when no packet completed this window
   if (m.has_delay_sample()) {
     e = (m.avg_delay_ns - cfg_.target_delay_ns) / cfg_.target_delay_ns;
   }
-  const double e_delta = has_prev_ ? (e - e_prev_) : 0.0;
-  u_ = std::clamp(u_ + cfg_.ki * e + cfg_.kp * e_delta, u_min, u_max);
-  e_prev_ = e;
-  has_prev_ = true;
-  return u_ * ctx.f_max;
+  return pi_.step(e, cfg_.ki, cfg_.kp, ctx.f_min / ctx.f_max) * ctx.f_max;
 }
 
-void DmsdController::reset() {
-  u_ = cfg_.u_init;
-  e_prev_ = 0.0;
-  has_prev_ = false;
-}
+void DmsdController::reset() { pi_.reset(cfg_.u_init); }
 
 }  // namespace nocdvfs::dvfs

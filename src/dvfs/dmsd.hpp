@@ -22,9 +22,31 @@
 ///  * sample hold — a window that delivered no packets reuses the previous
 ///    error instead of injecting a spurious zero.
 
+#include <algorithm>
+
 #include "dvfs/controller.hpp"
 
 namespace nocdvfs::dvfs {
+
+/// The velocity-form PI state above, shared with QBSD (which runs the same
+/// law on a buffer-occupancy error). U_max is 1; the first step has no
+/// E_{n−1}, so its proportional term is zero.
+struct PiLoop {
+  double u = 1.0;
+  double e_prev = 0.0;
+  bool has_prev = false;
+
+  /// One control step on the normalized error `e`; returns the new U_n.
+  double step(double e, double ki, double kp, double u_min) {
+    const double e_delta = has_prev ? (e - e_prev) : 0.0;
+    u = std::clamp(u + ki * e + kp * e_delta, u_min, 1.0);
+    e_prev = e;
+    has_prev = true;
+    return u;
+  }
+
+  void reset(double u_init) { *this = PiLoop{u_init}; }
+};
 
 struct DmsdConfig {
   double target_delay_ns = 150.0;
@@ -42,14 +64,12 @@ class DmsdController final : public DvfsController {
   void reset() override;
 
   const DmsdConfig& config() const noexcept { return cfg_; }
-  double control_variable() const noexcept { return u_; }
-  double last_error() const noexcept override { return e_prev_; }
+  double control_variable() const noexcept { return pi_.u; }
+  double last_error() const noexcept override { return pi_.e_prev; }
 
  private:
   DmsdConfig cfg_;
-  double u_;
-  double e_prev_ = 0.0;
-  bool has_prev_ = false;
+  PiLoop pi_;
 };
 
 }  // namespace nocdvfs::dvfs

@@ -1,11 +1,10 @@
 #include "dvfs/qbsd.hpp"
 
-#include <algorithm>
 #include <stdexcept>
 
 namespace nocdvfs::dvfs {
 
-QbsdController::QbsdController(const QbsdConfig& cfg) : cfg_(cfg), u_(cfg.u_init) {
+QbsdController::QbsdController(const QbsdConfig& cfg) : cfg_(cfg), pi_{cfg.u_init} {
   if (!(cfg.occupancy_setpoint > 0.0) || cfg.occupancy_setpoint >= 1.0) {
     throw std::invalid_argument("QbsdController: setpoint must be in (0, 1)");
   }
@@ -18,20 +17,11 @@ QbsdController::QbsdController(const QbsdConfig& cfg) : cfg_(cfg), u_(cfg.u_init
 }
 
 common::Hertz QbsdController::update(const ControlContext& ctx, const WindowMeasurements& m) {
-  const double u_min = ctx.f_min / ctx.f_max;
   const double e =
       (m.avg_buffer_occupancy - cfg_.occupancy_setpoint) / cfg_.occupancy_setpoint;
-  const double e_delta = has_prev_ ? (e - e_prev_) : 0.0;
-  u_ = std::clamp(u_ + cfg_.ki * e + cfg_.kp * e_delta, u_min, 1.0);
-  e_prev_ = e;
-  has_prev_ = true;
-  return u_ * ctx.f_max;
+  return pi_.step(e, cfg_.ki, cfg_.kp, ctx.f_min / ctx.f_max) * ctx.f_max;
 }
 
-void QbsdController::reset() {
-  u_ = cfg_.u_init;
-  e_prev_ = 0.0;
-  has_prev_ = false;
-}
+void QbsdController::reset() { pi_.reset(cfg_.u_init); }
 
 }  // namespace nocdvfs::dvfs

@@ -15,13 +15,13 @@
 ///     U_n = U_{n−1} + K_I·E_n + K_P·(E_n − E_{n−1})
 ///
 /// Occupancy above the setpoint means the network is too slow (queues
-/// filling) → speed up; below → slow down. Structurally identical to DMSD
-/// but sensing a *proxy* for delay rather than delay itself: the ablation
+/// filling) → speed up; below → slow down. The PI law is DMSD's (PiLoop),
+/// sensing a *proxy* for delay rather than delay itself: the ablation
 /// bench shows where the proxy is faithful and where it drifts (occupancy
 /// saturates near zero at light load, so the delay guarantee is lost
 /// exactly where RMSD also misbehaves).
 
-#include "dvfs/controller.hpp"
+#include "dvfs/dmsd.hpp"
 
 namespace nocdvfs::dvfs {
 
@@ -41,14 +41,12 @@ class QbsdController final : public DvfsController {
   void reset() override;
 
   const QbsdConfig& config() const noexcept { return cfg_; }
-  double control_variable() const noexcept { return u_; }
-  double last_error() const noexcept override { return e_prev_; }
+  double control_variable() const noexcept { return pi_.u; }
+  double last_error() const noexcept override { return pi_.e_prev; }
 
  private:
   QbsdConfig cfg_;
-  double u_;
-  double e_prev_ = 0.0;
-  bool has_prev_ = false;
+  PiLoop pi_;
 };
 
 }  // namespace nocdvfs::dvfs

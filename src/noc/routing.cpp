@@ -10,7 +10,7 @@ constexpr RoutingAlgo kAllAlgos[] = {RoutingAlgo::XY, RoutingAlgo::YX, RoutingAl
 }  // namespace
 
 RoutingAlgo routing_algo_from_string(const std::string& name) {
-  return common::from_name(name, kAllAlgos, "routing_algo_from_string: unknown algorithm");
+  return common::from_name(name, kAllAlgos, "unknown routing");
 }
 
 const char* to_string(RoutingAlgo algo) noexcept {

@@ -45,7 +45,7 @@ constexpr Policy kAllPolicies[] = {Policy::NoDvfs, Policy::Rmsd, Policy::RmsdClo
 }  // namespace
 
 Policy policy_from_string(const std::string& name) {
-  return common::from_name(name, kAllPolicies, "policy_from_string: unknown policy");
+  return common::from_name(name, kAllPolicies, "unknown policy");
 }
 
 std::unique_ptr<dvfs::DvfsController> make_controller(const PolicyConfig& cfg) {
@@ -404,7 +404,8 @@ std::string problem_of(const Scenario& s, vfi::IslandMap& map) {
 
     // VF islands: preset, custom map and per-island policies, resolved
     // against the mesh the run will actually use.
-    const vfi::Preset preset = vfi::preset_from_string(s.islands);
+    const vfi::Preset preset =
+        common::parse_key_value("islands", s.islands, vfi::preset_from_string);
     if (preset != vfi::Preset::Custom && !s.island_map.empty()) {
       return "island_map= is only read with islands=custom (got islands=" + s.islands + ")";
     }
@@ -414,7 +415,9 @@ std::string problem_of(const Scenario& s, vfi::IslandMap& map) {
       return "island_policies lists " + std::to_string(names.size()) + " policies but the '" +
              s.islands + "' partition has " + std::to_string(map.num_islands()) + " islands";
     }
-    for (const std::string& name : names) policy_from_string(name);
+    for (const std::string& name : names) {
+      common::parse_key_value("island_policies", name, policy_from_string);
+    }
 
     // Thermal: the keys are inert with thermal=off and never rejected then.
     if (s.thermal) {

@@ -12,7 +12,6 @@
 #include <thread>
 #include <variant>
 
-#include "common/log.hpp"
 #include "common/strings.hpp"
 #include "obs/timeline.hpp"
 #include "sim/result_schema.hpp"
@@ -209,10 +208,8 @@ std::vector<SweepRecord> SweepRunner::run(const Scenario& base,
 
   const int threads = resolved_threads(points.size());
   std::atomic<std::size_t> next{0};
-  std::atomic<std::size_t> completed{0};
   std::exception_ptr first_error;
   std::mutex error_mutex;
-  const std::string sweep_name = group.empty() ? "sweep" : "sweep '" + group + "'";
 
   // Per-worker span logs (worker-private, so no contention); merged into
   // host_report_ after the pool drains.
@@ -232,8 +229,6 @@ std::vector<SweepRecord> SweepRunner::run(const Scenario& base,
         const auto t0 = std::chrono::steady_clock::now();
         results[i] = sim::run(points[i].scenario);
         const auto t1 = std::chrono::steady_clock::now();
-        const auto wall_ms =
-            std::chrono::duration_cast<std::chrono::milliseconds>(t1 - t0).count();
         obs::HostWorkerSpan span;
         span.worker = wid;
         span.point = i;
@@ -242,10 +237,6 @@ std::vector<SweepRecord> SweepRunner::run(const Scenario& base,
         span.t1_ns = static_cast<std::uint64_t>(
             std::chrono::duration_cast<std::chrono::nanoseconds>(t1 - sweep_t0).count());
         worker_spans[static_cast<std::size_t>(wid)].push_back(span);
-        const std::size_t done = completed.fetch_add(1) + 1;
-        common::log_info(sweep_name, ": ", done, "/", points.size(), " done (point #", i,
-                         !points[i].label(axes).empty() ? " " + points[i].label(axes) : "",
-                         ", ", wall_ms, " ms)");
       } catch (...) {
         std::lock_guard<std::mutex> lock(error_mutex);
         if (!first_error) first_error = std::current_exception();

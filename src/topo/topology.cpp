@@ -30,7 +30,7 @@ constexpr TopologyKind kAllKinds[] = {TopologyKind::Mesh, TopologyKind::Torus,
 }  // namespace
 
 TopologyKind topology_kind_from_string(const std::string& name) {
-  return common::from_name(name, kAllKinds, "topology_kind_from_string: unknown topology");
+  return common::from_name(name, kAllKinds, "unknown topology");
 }
 
 Topology::Topology(TopologyKind kind, int width, int height, int concentration,

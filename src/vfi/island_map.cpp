@@ -22,7 +22,7 @@ const char* to_string(Preset preset) noexcept {
 Preset preset_from_string(const std::string& name) {
   constexpr Preset kAll[] = {Preset::Global,    Preset::Rows,   Preset::Cols,
                              Preset::Quadrants, Preset::PerRouter, Preset::Custom};
-  return common::from_name(name, kAll, "islands: unknown preset");
+  return common::from_name(name, kAll, "unknown island layout");
 }
 
 std::vector<int> parse_island_list(const std::string& text) {

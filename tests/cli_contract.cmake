@@ -13,7 +13,8 @@
 #      where a program's default workload is an app) with exit 1;
 #   5. the extension figures reject an unknown name in a list key
 #      (`workloads=`, `layouts=`, `topologies=`, `routings=`, fig13's
-#      `fault_specs=`) and fig11/fig12 a `trace_file=` they cannot write;
+#      `fault_specs=`), with a reason that starts with that key and names
+#      no C++ function, and fig11/fig12 a `trace_file=` they cannot write;
 #   6. perf_baseline rejects an `out=` path it cannot open and a `compare=`
 #      file that is not a baseline before its sweep;
 # and every failing run prints exactly one `<program>: <reason>` line on
@@ -116,8 +117,13 @@ foreach(program IN LISTS programs)
 
   foreach(arg IN LISTS bad_lists_${name})
     expect_error("${arg}")
+    string(REGEX REPLACE "=.*" "" key "${arg}")
     if(NOT err MATCHES "'nosuch'")
       fail("the reason does not name the unknown entry: ${err}")
+    elseif(NOT err MATCHES "^${name}: ${key}: ")
+      fail("the reason does not start with the list key '${key}': ${err}")
+    elseif(err MATCHES "_from_string")
+      fail("the reason names a C++ function, not the user's key: ${err}")
     endif()
   endforeach()
 

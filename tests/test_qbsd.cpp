@@ -4,7 +4,9 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <vector>
 
+#include "dvfs/dmsd.hpp"
 #include "dvfs/qbsd.hpp"
 #include "sim/scenario.hpp"
 
@@ -76,6 +78,52 @@ TEST(Qbsd, ClampsAtRangeEnds) {
   for (int i = 0; i < 200; ++i) c.update(context, occupancy_measurement(0.0));
   // Bottom rail is f_min/f_max = 333 MHz / 1 GHz = 0.333 exactly.
   EXPECT_NEAR(c.control_variable(), 0.333, 1e-9);
+}
+
+TEST(Qbsd, RunsDmsdPiLawBitForBit) {
+  // Equal gains and u_init, and inputs whose normalized errors match window
+  // by window (dyadic errors on a 64 ns target and a 0.25 setpoint, so both
+  // divisions are exact): the two control variables must agree bit for bit,
+  // through both clamps and a DMSD window with no packets (sample hold, so
+  // QBSD is fed the held error again).
+  dvfs::DmsdConfig dcfg;
+  dcfg.target_delay_ns = 64.0;
+  dcfg.ki = 0.05;
+  dcfg.kp = 0.025;
+  dcfg.u_init = 0.5;
+  dvfs::QbsdConfig qcfg;
+  qcfg.occupancy_setpoint = 0.25;
+  qcfg.ki = dcfg.ki;
+  qcfg.kp = dcfg.kp;
+  qcfg.u_init = dcfg.u_init;
+  dvfs::DmsdController dmsd(dcfg);
+  dvfs::QbsdController qbsd(qcfg);
+
+  constexpr double kHold = 99.0;  // a DMSD window that delivered no packets
+  std::vector<double> errors = {3.0, 3.0, 3.0, 3.0, 0.5};
+  errors.insert(errors.end(), 20, -1.0);
+  for (const double e : {kHold, 0.5, kHold, -0.25, 0.25, -0.75}) errors.push_back(e);
+
+  const auto context = ctx();
+  double held = 0.0;
+  bool hit_top = false;
+  bool hit_bottom = false;
+  for (const double step : errors) {
+    const double e = step == kHold ? held : step;
+    dvfs::WindowMeasurements m = occupancy_measurement(qcfg.occupancy_setpoint * (1.0 + e));
+    if (step != kHold) {
+      m.avg_delay_ns = dcfg.target_delay_ns * (1.0 + e);
+      m.packets_delivered = 1;
+    }
+    held = e;
+    EXPECT_EQ(dmsd.update(context, m), qbsd.update(context, m)) << "error " << step;
+    EXPECT_EQ(dmsd.control_variable(), qbsd.control_variable()) << "error " << step;
+    EXPECT_EQ(dmsd.last_error(), qbsd.last_error()) << "error " << step;
+    hit_top |= qbsd.control_variable() == 1.0;
+    hit_bottom |= qbsd.control_variable() == context.f_min / context.f_max;
+  }
+  EXPECT_TRUE(hit_top);
+  EXPECT_TRUE(hit_bottom);
 }
 
 TEST(Qbsd, ValidationErrors) {

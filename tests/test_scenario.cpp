@@ -369,6 +369,17 @@ TEST(ScenarioValidation, UnknownInjectionProcessIsAProblem) {
   EXPECT_EQ(scenario_problem(s), "");
 }
 
+TEST(ScenarioValidation, UnknownIslandNamesNameTheirKey) {
+  Scenario s = small_synthetic();
+  s.islands = "nosuch";
+  expect_problem_naming(s, "islands: unknown island layout 'nosuch'");
+  s.islands = "rows";  // 3 islands on the 3x3 mesh
+  s.island_policies = "rmsd,nosuch,dmsd";
+  expect_problem_naming(s, "island_policies: unknown policy 'nosuch'");
+  s.island_policies = "rmsd,qbsd,dmsd";
+  EXPECT_EQ(scenario_problem(s), "");
+}
+
 TEST(ScenarioValidation, UnopenableTraceIsAProblem) {
   Scenario s = small_synthetic();
   s.workload = Scenario::Workload::Trace;
