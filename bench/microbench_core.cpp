@@ -117,14 +117,20 @@ void BM_SyntheticTrafficNodeTick(benchmark::State& state) {
 }
 BENCHMARK(BM_SyntheticTrafficNodeTick);
 
-/// Full network cycle cost vs mesh size at a moderate load. The counter
-/// `items_processed` makes the per-cycle cost directly readable.
+/// Full network cycle cost vs mesh size at a moderate load, on `workers`
+/// island-step workers (1 = serial). The counter `items_processed` makes
+/// the per-cycle cost directly readable; `awake_tiles` is the mean number
+/// of tiles a step phases, the quantity the parallel step's tiles per
+/// worker (noc::kStepTilesPerWorker) is set against. Every step here uses
+/// all `workers`, however few tiles it has.
 void BM_NetworkStep(benchmark::State& state) {
   const int k = static_cast<int>(state.range(0));
   const double lambda = static_cast<double>(state.range(1)) / 100.0;
   noc::NetworkConfig cfg;
   cfg.width = k;
   cfg.height = k;
+  cfg.step.workers = static_cast<int>(state.range(2));
+  cfg.step.tiles_per_worker = 1;
   noc::Network net(cfg);
   noc::MeshTopology topo(k, k);
   traffic::SyntheticTrafficParams params;
@@ -137,20 +143,29 @@ void BM_NetworkStep(benchmark::State& state) {
     net.step_island(0, (net.cycle() + 1) * 1000);
     net.delivered().clear();
   }
+  std::uint64_t awake = 0;
   for (auto _ : state) {
     gen.node_tick(net.cycle() * 1000, net.cycle(), net);
-    net.step_island(0, (net.cycle() + 1) * 1000);
+    net.tick_island(0);
+    awake += static_cast<std::uint64_t>(net.island_active_nodes(0));
+    net.run_island_phases(0, net.cycle() * 1000);
     net.delivered().clear();
   }
   state.SetItemsProcessed(state.iterations());
+  state.counters["awake_tiles"] =
+      benchmark::Counter(static_cast<double>(awake), benchmark::Counter::kAvgIterations);
 }
 BENCHMARK(BM_NetworkStep)
-    ->Args({5, 5})
-    ->Args({5, 20})
-    ->Args({5, 35})
-    ->Args({8, 20})
-    ->Args({4, 20})
-    ->Args({32, 1});  // 32×32: router and channel state well beyond L2
+    ->ArgNames({"k", "lambda%", "workers"})
+    ->Args({5, 5, 1})
+    ->Args({5, 20, 1})
+    ->Args({5, 35, 1})
+    ->Args({4, 20, 1})
+    ->ArgsProduct({{6}, {20}, {1, 2, 4}})  // ~29 awake tiles: serial wins
+    ->ArgsProduct({{8}, {20}, {1, 2, 4}})  // ~57: break-even on any count
+    ->ArgsProduct({{16}, {2, 4}, {1, 2, 4}})
+    ->ArgsProduct({{32}, {1, 4}, {1, 4}})  // router and channel state well beyond L2
+    ->UseRealTime();
 
 /// Skip-idle vs always-step on an idle mesh — the cost of a quiescent
 /// cycle under each discipline (the activity-list win in isolation).

@@ -39,7 +39,14 @@
 /// polls only the inputs whose bit is set, and "every input is empty" is
 /// one compare. A push across an island boundary writes the reader
 /// island's mask from the writer's island, exactly as `Network::wake` does.
+/// Several writers share one reader mask, and the parallel island step
+/// (network.hpp) runs them on different threads, so while a thread runs
+/// a parallel step (`t_parallel_step`) its bit updates are atomic
+/// read-modify-writes; a serial step keeps the plain ones, which cost a
+/// fraction of a locked instruction. Everything else in a channel has one
+/// writer and one reader, which run in different regions of a step.
 
+#include <atomic>
 #include <bit>
 #include <cstdint>
 #include <memory>
@@ -50,6 +57,9 @@
 #include "noc/types.hpp"
 
 namespace nocdvfs::noc {
+
+/// True on a thread while it runs the regions of a parallel island step.
+inline thread_local bool t_parallel_step = false;
 
 template <typename T>
 class Channel {
@@ -73,6 +83,30 @@ class Channel {
     return Channel(ready_delay, capacity, false, reader_clock);
   }
 
+  /// Moving keeps the ring: an inline one is copied and re-pointed.
+  Channel(Channel&& o) noexcept
+      : heap_ring_(std::move(o.heap_ring_)),
+        clock_(o.clock_),
+        pending_mask_(o.pending_mask_),
+        pending_bit_(o.pending_bit_),
+        delay_(o.delay_),
+        last_push_(o.last_push_),
+        last_pop_(o.last_pop_),
+        capacity_(o.capacity_),
+        ring_mask_(o.ring_mask_),
+        head_(o.head_),
+        count_(o.count_),
+        same_clock_(o.same_clock_) {
+    if (heap_ring_) {
+      ring_ = heap_ring_.get();
+    } else {
+      for (std::size_t i = 0; i < kInlineSlots; ++i) inline_ring_[i] = std::move(o.inline_ring_[i]);
+    }
+    o.ring_ = o.inline_ring_;
+    o.count_ = 0;
+  }
+  Channel& operator=(Channel&&) = delete;
+
   void push(T item) {
     const std::uint64_t now = *clock_;
     if (same_clock_) {
@@ -84,7 +118,13 @@ class Channel {
     e.item = std::move(item);
     e.ready = now + delay_;
     ++count_;
-    if (pending_mask_ != nullptr) *pending_mask_ |= pending_bit_;
+    if (pending_mask_ == nullptr) return;
+    if (t_parallel_step) {
+      std::atomic_ref<std::uint64_t>(*pending_mask_).fetch_or(pending_bit_,
+                                                              std::memory_order_relaxed);
+    } else {
+      *pending_mask_ |= pending_bit_;
+    }
   }
 
   std::optional<T> pop() {
@@ -95,7 +135,14 @@ class Channel {
     NOCDVFS_ASSERT(!same_clock_ || e.ready == now, "DelayLine: a due item was not popped");
     last_pop_ = now;
     head_ = (head_ + 1) & ring_mask_;
-    if (--count_ == 0 && pending_mask_ != nullptr) *pending_mask_ &= ~pending_bit_;
+    if (--count_ == 0 && pending_mask_ != nullptr) {
+      if (t_parallel_step) {
+        std::atomic_ref<std::uint64_t>(*pending_mask_).fetch_and(~pending_bit_,
+                                                                 std::memory_order_relaxed);
+      } else {
+        *pending_mask_ &= ~pending_bit_;
+      }
+    }
     return std::optional<T>(std::move(e.item));
   }
 
@@ -126,11 +173,20 @@ class Channel {
         same_clock_(same_clock) {
     if (reader_clock == nullptr) throw std::invalid_argument("Channel: null reader clock");
     const std::size_t slots = std::bit_ceil(static_cast<std::size_t>(capacity));
-    ring_ = std::make_unique<Entry[]>(slots);
+    if (slots > kInlineSlots) {
+      heap_ring_ = std::make_unique<Entry[]>(slots);
+      ring_ = heap_ring_.get();
+    }
     ring_mask_ = static_cast<std::uint32_t>(slots - 1);
   }
 
-  std::unique_ptr<Entry[]> ring_;
+  /// Rings of up to two slots (every latency-1 link) live inside the
+  /// channel: a network has one per link direction, and a separate
+  /// allocation each was a third of a network's construction allocations.
+  static constexpr std::size_t kInlineSlots = 2;
+  Entry inline_ring_[kInlineSlots];
+  std::unique_ptr<Entry[]> heap_ring_;  ///< larger rings (CDC fifos, long links)
+  Entry* ring_ = inline_ring_;
   const std::uint64_t* clock_;
   std::uint64_t* pending_mask_ = nullptr;
   std::uint64_t pending_bit_ = 0;

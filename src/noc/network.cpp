@@ -1,9 +1,248 @@
 #include "noc/network.hpp"
 
 #include <algorithm>
+#include <array>
+#include <atomic>
+#include <bit>
+#include <chrono>
+#include <exception>
 #include <stdexcept>
+#include <thread>
+#include <utility>
+
+#if defined(__x86_64__) || defined(__i386__)
+#include <immintrin.h>
+#endif
 
 namespace nocdvfs::noc {
+
+namespace {
+
+/// Where `Network::wake` records the tiles a helper step worker claims:
+/// its own StepWorker::woken. Null on every other thread (the control
+/// thread, node-domain enqueues), which append to the island's
+/// newly_awake directly.
+thread_local std::vector<NodeId>* t_woken = nullptr;
+
+/// How a waiting step worker polls before it blocks in std::atomic::wait.
+/// Consecutive island steps and the regions inside one are microseconds
+/// apart, so a short spin catches almost every hand-off without a futex
+/// round trip. The first polls pause (~10 us in all); the rest yield the
+/// CPU, so on an oversubscribed host the worker everyone waits for can
+/// run instead of the spinners.
+constexpr int kPausePolls = 512;
+constexpr int kSpinPolls = kPausePolls + 128;
+
+inline void cpu_relax() noexcept {
+#if defined(__x86_64__) || defined(__i386__)
+  _mm_pause();
+#endif
+}
+
+/// Return once `word` differs from `seen`: spin briefly, then block.
+template <typename Word>
+void await_change(const std::atomic<Word>& word, Word seen) noexcept {
+  for (int i = 0; i < kSpinPolls; ++i) {
+    if (word.load(std::memory_order_acquire) != seen) return;
+    if (i < kPausePolls) {
+      cpu_relax();
+    } else {
+      std::this_thread::yield();
+    }
+  }
+  while (word.load(std::memory_order_acquire) == seen) {
+    word.wait(seen, std::memory_order_acquire);
+  }
+}
+
+int resolve_step_workers(const StepParallelism& step) {
+  if (step.workers < 0 || step.workers > kMaxStepWorkers) {
+    throw std::invalid_argument("Network: step.workers must be in [0, " +
+                                std::to_string(kMaxStepWorkers) + "]");
+  }
+  if (step.tiles_per_worker < 1) {
+    throw std::invalid_argument("Network: step.tiles_per_worker must be >= 1");
+  }
+  return step.workers > 0 ? step.workers : step_worker_budget(host_cpus(), 1);
+}
+
+}  // namespace
+
+int host_cpus() {
+  static const int cpus = std::max(1, static_cast<int>(std::thread::hardware_concurrency()));
+  return cpus;
+}
+
+int step_worker_budget(int cpus, int concurrent_runs) noexcept {
+  return std::clamp(cpus / std::max(1, concurrent_runs), 1, kDefaultStepWorkers);
+}
+
+/// The helper threads of the parallel island step. The control thread (the
+/// one calling `run_island_phases`) is worker 0; helpers 1..n-1 wait for a
+/// step and join it. A step of n workers has n chunks, and each region's
+/// chunks are claimed, not assigned: a worker claims its own chunk first
+/// (so a tile keeps its worker, and its data that worker's cache), then
+/// any chunk still unclaimed. A region is over when all its chunks are
+/// done. So no worker waits for a thread that has not started a chunk: on
+/// an oversubscribed host a descheduled helper's chunk is taken by whoever
+/// runs, down to the control thread alone, where a barrier would stall the
+/// step until the helper ran again.
+///
+/// The step word carries a sequence number and the step's worker count; a
+/// helper outside the count goes back to waiting. Each region's claim word
+/// carries the sequence number beside its claimed-chunk bits, so a helper
+/// that wakes after its step ended finds nothing to claim and touches no
+/// step state. An exception in a chunk is kept per worker; the remaining
+/// chunks are claimed and skipped, and the lowest worker's exception is
+/// rethrown on the control thread.
+class Network::StepPool {
+ public:
+  StepPool(Network& net, int workers) : net_(net), errors_(static_cast<std::size_t>(workers)) {
+    threads_.reserve(static_cast<std::size_t>(workers - 1));
+    for (int w = 1; w < workers; ++w) threads_.emplace_back([this, w] { helper(w); });
+  }
+
+  ~StepPool() {
+    stop_.store(true, std::memory_order_relaxed);
+    step_.fetch_add(kSeqUnit, std::memory_order_release);
+    step_.notify_all();
+    for (std::thread& t : threads_) t.join();
+  }
+
+  StepPool(const StepPool&) = delete;
+  StepPool& operator=(const StepPool&) = delete;
+
+  /// Run one step of `n` chunks (`net_.step_` is published first); returns
+  /// once every chunk of every region is done.
+  void run(int n) {
+    const std::uint32_t seq = ++seq_;
+    for (int r = 0; r < kStepRegions; ++r) {
+      done_[static_cast<std::size_t>(r)].store(0, std::memory_order_relaxed);
+      claimed_[static_cast<std::size_t>(r)].store(std::uint64_t{seq} << 32,
+                                                  std::memory_order_relaxed);
+    }
+    step_.store(std::uint64_t{seq} * kSeqUnit + static_cast<std::uint64_t>(n),
+                std::memory_order_release);
+    step_.notify_all();
+    t_parallel_step = true;
+    work(0, seq, n);
+    t_parallel_step = false;
+    if (failed_.load(std::memory_order_relaxed)) {
+      failed_.store(false, std::memory_order_relaxed);
+      for (std::exception_ptr& e : errors_) {
+        if (e) std::rethrow_exception(std::exchange(e, nullptr));
+      }
+    }
+  }
+
+ private:
+  /// The step word: the sequence number in units of kSeqUnit, the step's
+  /// worker (and chunk) count below.
+  static constexpr std::uint64_t kSeqUnit = 0x100;
+  static constexpr int kStale = -2;    ///< claim: the caller's step has ended
+  static constexpr int kNoChunk = -1;  ///< claim: every chunk of the region is taken
+
+  void helper(int w) {
+    t_woken = &net_.workers_[static_cast<std::size_t>(w)].woken;
+    t_parallel_step = true;
+    std::uint64_t seen = 0;
+    for (;;) {
+      await_change(step_, seen);
+      seen = step_.load(std::memory_order_acquire);
+      if (stop_.load(std::memory_order_relaxed)) return;
+      const int n = static_cast<int>(seen % kSeqUnit);
+      if (w < n) work(w, static_cast<std::uint32_t>(seen / kSeqUnit), n);
+    }
+  }
+
+  /// Worker `w`'s part of step `seq`: claim and run chunks region by
+  /// region. Returns when the last region is done, or (a helper only) once
+  /// the step turns out to have ended without it.
+  void work(int w, std::uint32_t seq, int n) {
+    StepWorker& me = net_.workers_[static_cast<std::size_t>(w)];
+    const bool timed = net_.step_timing_;
+    bool counted = false;
+    for (int region = 0; region < kStepRegions; ++region) {
+      int c = 0;
+      while ((c = claim(region, seq, w, n)) >= 0) {
+        if (!failed_.load(std::memory_order_relaxed)) {
+          const auto t0 = timed ? std::chrono::steady_clock::now()
+                                : std::chrono::steady_clock::time_point{};
+          try {
+            net_.step_region(c, region);
+          } catch (...) {
+            if (!errors_[static_cast<std::size_t>(w)]) {
+              errors_[static_cast<std::size_t>(w)] = std::current_exception();
+            }
+            failed_.store(true, std::memory_order_relaxed);
+          }
+          if (timed) {
+            me.busy_ns += static_cast<std::uint64_t>(
+                std::chrono::duration_cast<std::chrono::nanoseconds>(
+                    std::chrono::steady_clock::now() - t0)
+                    .count());
+            // Counted before the chunk is marked done, which orders it
+            // before any read.
+            if (!std::exchange(counted, true)) ++me.parallel_steps;
+          }
+        }
+        std::atomic<std::uint32_t>& done = done_[static_cast<std::size_t>(region)];
+        if (done.fetch_add(1, std::memory_order_acq_rel) + 1 == static_cast<std::uint32_t>(n)) {
+          done.notify_all();
+        }
+      }
+      if (c == kStale || !await_region(region, seq, n)) return;
+    }
+  }
+
+  /// Claim a chunk of `region` in step `seq` for worker `w`: its own chunk
+  /// if that is free, else the lowest free one.
+  int claim(int region, std::uint32_t seq, int w, int n) {
+    std::atomic<std::uint64_t>& word = claimed_[static_cast<std::size_t>(region)];
+    std::uint64_t cur = word.load(std::memory_order_relaxed);
+    const std::uint64_t all = (std::uint64_t{1} << n) - 1;
+    for (;;) {
+      if (static_cast<std::uint32_t>(cur >> 32) != seq) return kStale;
+      const std::uint64_t free = all & ~cur;
+      if (free == 0) return kNoChunk;
+      const int c = ((free >> w) & 1) != 0 ? w : std::countr_zero(free);
+      if (word.compare_exchange_weak(cur, cur | (std::uint64_t{1} << c),
+                                     std::memory_order_acquire, std::memory_order_relaxed)) {
+        return c;
+      }
+    }
+  }
+
+  /// Wait until every chunk of `region` is done: spin briefly, then block.
+  /// False if step `seq` ended meanwhile (a late helper).
+  bool await_region(int region, std::uint32_t seq, int n) {
+    const std::atomic<std::uint32_t>& done = done_[static_cast<std::size_t>(region)];
+    for (int i = 0;; ++i) {
+      const std::uint32_t d = done.load(std::memory_order_acquire);
+      if (d == static_cast<std::uint32_t>(n)) return true;
+      if (step_.load(std::memory_order_relaxed) / kSeqUnit != seq) return false;
+      if (i < kPausePolls) {
+        cpu_relax();
+      } else if (i < kSpinPolls) {
+        std::this_thread::yield();
+      } else {
+        done.wait(d, std::memory_order_acquire);
+      }
+    }
+  }
+
+  Network& net_;
+  std::vector<std::exception_ptr> errors_;
+  std::uint32_t seq_ = 0;  ///< control thread only
+  alignas(64) std::atomic<std::uint64_t> step_{0};  ///< the step word
+  /// Per region: the step's sequence number above bit 32, claimed chunks below.
+  alignas(64) std::array<std::atomic<std::uint64_t>, kStepRegions> claimed_{};
+  /// Per region: chunks done.
+  alignas(64) std::array<std::atomic<std::uint32_t>, kStepRegions> done_{};
+  std::atomic<bool> failed_{false};
+  std::atomic<bool> stop_{false};
+  std::vector<std::thread> threads_;  ///< last: the helpers use every member above
+};
 
 int NetworkConfig::num_islands() const noexcept {
   if (island_of.empty()) return 1;
@@ -93,7 +332,7 @@ Network::Network(const NetworkConfig& cfg) : cfg_(cfg) {
   }
   nis_.reserve(static_cast<std::size_t>(n));
   for (NodeId id = 0; id < n; ++id) {
-    nis_.push_back(std::make_unique<NetworkInterface>(id, ncfg, &delivered_));
+    nis_.push_back(std::make_unique<NetworkInterface>(id, ncfg));
     nis_.back()->set_wake_id(topol_->router_of(id));
     nis_.back()->set_packet_id_source(&next_packet_id_);
   }
@@ -153,6 +392,9 @@ Network::Network(const NetworkConfig& cfg) : cfg_(cfg) {
   // park them) and every component reports its pushes. With skip_idle off
   // the sinks stay null and every tile is phased every cycle.
   skip_idle_ = cfg.skip_idle;
+  workers_ = std::vector<StepWorker>(static_cast<std::size_t>(resolve_step_workers(cfg.step)));
+  chunks_ = std::vector<StepChunk>(workers_.size());
+  tiles_per_worker_ = cfg.step.tiles_per_worker;
   node_awake_.assign(static_cast<std::size_t>(num_r), skip_idle_ ? 1 : 0);
   if (skip_idle_) {
     for (auto& isl : islands_) isl.active = isl.tiles;
@@ -169,6 +411,8 @@ Network::Network(const NetworkConfig& cfg) : cfg_(cfg) {
     fault_pending_ = faults_->has_pending();
   }
 }
+
+Network::~Network() = default;
 
 void Network::apply_due_faults(std::uint64_t cycle, common::Picoseconds now) {
   faults_->advance_to(cycle);
@@ -249,27 +493,144 @@ void Network::run_island_phases(int island, common::Picoseconds now) {
   // `active` is sorted ascending, so with skip-idle on the awake tiles are
   // phased in exactly the order the tile loops would visit them — the
   // delivery order (and every float accumulation downstream of it) cannot
-  // tell the two disciplines apart.
+  // tell the two disciplines apart. The chunks are contiguous and merge in
+  // chunk order, so neither can the worker count. The flight recorder's
+  // clock and event log are shared, so a recorded step runs serially.
+  // Otherwise each worker gets at least `tiles_per_worker_` tiles, and a
+  // step that cannot give two workers that many runs serially (tested
+  // first: a serial step pays no division).
   const std::vector<NodeId>& tiles = skip_idle_ ? isl.active : isl.tiles;
-  for (const NodeId t : tiles) routers_[static_cast<std::size_t>(t)]->receive_phase();
-  for (const NodeId t : tiles) {
-    for (const NodeId nd : tile_nis_[static_cast<std::size_t>(t)]) {
-      nis_[static_cast<std::size_t>(nd)]->receive_phase(now, cycle);
+  const std::size_t per_worker = static_cast<std::size_t>(tiles_per_worker_);
+  const int workers =
+      flight_recorder_ != nullptr || workers_.size() < 2 || tiles.size() < 2 * per_worker
+          ? 1
+          : static_cast<int>(std::min(workers_.size(), tiles.size() / per_worker));
+  step_ = Step{&isl, &tiles, now, cycle, workers};
+  if (workers > 1) {
+    ++parallel_steps_;
+    if (!pool_) pool_ = std::make_unique<StepPool>(*this, step_workers());
+    pool_->run(workers);
+  } else {
+    ++serial_steps_;
+    for (int region = 0; region < kStepRegions; ++region) step_region(0, region);
+  }
+  merge_step(isl);
+}
+
+void Network::step_region(int c, int region) {
+  StepChunk& me = chunks_[static_cast<std::size_t>(c)];
+  const std::vector<NodeId>& tiles = *step_.tiles;
+  if (region == 0) {
+    const std::size_t n = tiles.size();
+    const auto k = static_cast<std::size_t>(step_.workers);
+    me.begin = k == 1 ? 0 : n * static_cast<std::size_t>(c) / k;
+    me.end = k == 1 ? n : n * static_cast<std::size_t>(c + 1) / k;
+  }
+  const auto first = tiles.begin() + static_cast<std::ptrdiff_t>(me.begin);
+  const auto last = tiles.begin() + static_cast<std::ptrdiff_t>(me.end);
+  switch (region) {
+    case 0: {  // receive: pop every input whose pending bit is set
+      std::vector<PacketRecord>& delivered = c == 0 ? delivered_ : me.delivered;
+      for (auto t = first; t != last; ++t) routers_[static_cast<std::size_t>(*t)]->receive_phase();
+      for (auto t = first; t != last; ++t) {
+        for (const NodeId nd : tile_nis_[static_cast<std::size_t>(*t)]) {
+          nis_[static_cast<std::size_t>(nd)]->receive_phase(step_.now, step_.cycle, delivered);
+        }
+      }
+      break;
+    }
+    case 1:  // compute: pipeline stages and injection; the only pushes to other tiles
+      for (auto t = first; t != last; ++t) routers_[static_cast<std::size_t>(*t)]->compute_phase();
+      for (auto t = first; t != last; ++t) {
+        for (const NodeId nd : tile_nis_[static_cast<std::size_t>(*t)]) {
+          nis_[static_cast<std::size_t>(nd)]->inject_phase();
+        }
+      }
+      break;
+    default: {  // park: pending bits are stable once every push is done
+      // Sum the chunk's buffered flits and, with skip-idle on, drop tiles
+      // that ended the cycle with no work anywhere: empty router buffers,
+      // idle NIs, nothing in flight on any channel the tile reads. Kept
+      // tiles move to the front of the chunk (`tiles` is then `active`).
+      me.buffered = 0;
+      std::size_t kept = me.begin;
+      for (std::size_t i = me.begin; i < me.end; ++i) {
+        const NodeId id = tiles[i];
+        me.buffered +=
+            static_cast<std::uint64_t>(routers_[static_cast<std::size_t>(id)]->buffered_now());
+        if (!skip_idle_) continue;
+        if (const auto why = awake_reason(id)) {
+          ++(me.awake.*why);
+          step_.isl->active[kept++] = id;
+        } else {
+          node_awake_[static_cast<std::size_t>(id)] = 0;
+        }
+      }
+      me.kept = kept - me.begin;
+      break;
     }
   }
-  for (const NodeId t : tiles) routers_[static_cast<std::size_t>(t)]->compute_phase();
-  for (const NodeId t : tiles) {
-    for (const NodeId nd : tile_nis_[static_cast<std::size_t>(t)]) {
-      nis_[static_cast<std::size_t>(nd)]->inject_phase();
+}
+
+void Network::merge_step(Island& isl) {
+  const auto n = static_cast<std::size_t>(step_.workers);
+  // Wake claims of the helpers, in any order: admit_woken sorts them.
+  for (std::size_t w = 1; n > 1 && w < workers_.size(); ++w) {
+    std::vector<NodeId>& woken = workers_[w].woken;
+    for (const NodeId t : woken) {
+      islands_[static_cast<std::size_t>(router_island_[static_cast<std::size_t>(t)])]
+          .newly_awake.push_back(t);
     }
+    woken.clear();
   }
-  if (skip_idle_) park_quiescent(isl);
+  // Everything else in chunk order, which is tile order.
+  std::uint64_t buffered = 0;
+  std::size_t kept = 0;
+  for (std::size_t c = 0; c < n; ++c) {
+    StepChunk& me = chunks_[c];
+    buffered += me.buffered;
+    if (c > 0) {
+      delivered_.insert(delivered_.end(), me.delivered.begin(), me.delivered.end());
+      me.delivered.clear();
+    }
+    if (!skip_idle_) continue;
+    awake_tile_steps_.buffered_flits += std::exchange(me.awake.buffered_flits, 0);
+    awake_tile_steps_.router_input += std::exchange(me.awake.router_input, 0);
+    awake_tile_steps_.ni_busy += std::exchange(me.awake.ni_busy, 0);
+    awake_tile_steps_.ni_input += std::exchange(me.awake.ni_input, 0);
+    // Concatenate the kept prefixes of the chunks, in chunk order (the
+    // first chunk's prefix is already in place).
+    if (me.begin != kept) {
+      const auto src = isl.active.begin() + static_cast<std::ptrdiff_t>(me.begin);
+      std::copy(src, src + static_cast<std::ptrdiff_t>(me.kept),
+                isl.active.begin() + static_cast<std::ptrdiff_t>(kept));
+    }
+    kept += me.kept;
+  }
+  if (skip_idle_) isl.active.resize(kept);
+  isl.buffered_flits = buffered;
 }
 
 void Network::wake(NodeId tile) {
-  auto& awake = node_awake_[static_cast<std::size_t>(tile)];
-  if (awake) return;
-  awake = 1;
+  // Step workers may wake one tile concurrently: in a parallel step the
+  // exchange lets exactly one of them claim it. A helper worker records
+  // the claim in its own buffer (merged after the step); any other caller
+  // appends directly.
+  std::uint8_t& flag = node_awake_[static_cast<std::size_t>(tile)];
+  if (t_parallel_step) {
+    std::atomic_ref<std::uint8_t> awake(flag);
+    if (awake.load(std::memory_order_relaxed) != 0 ||
+        awake.exchange(1, std::memory_order_relaxed) != 0) {
+      return;
+    }
+  } else {
+    if (flag != 0) return;
+    flag = 1;
+  }
+  if (t_woken != nullptr) {
+    t_woken->push_back(tile);
+    return;
+  }
   islands_[static_cast<std::size_t>(router_island_[static_cast<std::size_t>(tile)])]
       .newly_awake.push_back(tile);
 }
@@ -282,17 +643,14 @@ void Network::admit_woken(Island& isl) {
   isl.newly_awake.clear();
 }
 
-void Network::park_quiescent(Island& isl) {
-  std::size_t kept = 0;
-  for (const NodeId id : isl.active) {
-    if (const auto why = awake_reason(id)) {
-      ++(awake_tile_steps_.*why);
-      isl.active[kept++] = id;
-    } else {
-      node_awake_[static_cast<std::size_t>(id)] = 0;
-    }
+std::vector<obs::HostWorkerStats> Network::step_worker_stats() const {
+  std::vector<obs::HostWorkerStats> stats;
+  if (!pool_) return stats;
+  for (std::size_t w = 0; w < workers_.size(); ++w) {
+    stats.push_back(obs::HostWorkerStats{static_cast<std::int32_t>(w),
+                                         workers_[w].parallel_steps, workers_[w].busy_ns});
   }
-  isl.active.resize(kept);
+  return stats;
 }
 
 std::uint64_t AwakeTileSteps::*Network::awake_reason(NodeId tile) const {
@@ -452,16 +810,7 @@ std::uint64_t Network::island_flits_injected(int island) const {
 }
 
 std::uint64_t Network::island_buffered_flits_now(int island) const {
-  // Sampled every cycle by the occupancy window. Parked tiles buffer
-  // nothing by definition, so with skip-idle on the activity list is the
-  // exact support of this sum — O(awake) instead of O(tiles).
-  const Island& isl = islands_.at(static_cast<std::size_t>(island));
-  const std::vector<NodeId>& tiles = skip_idle_ ? isl.active : isl.tiles;
-  std::uint64_t n = 0;
-  for (const NodeId id : tiles) {
-    n += static_cast<std::uint64_t>(routers_[static_cast<std::size_t>(id)]->buffered_now());
-  }
-  return n;
+  return islands_.at(static_cast<std::size_t>(island)).buffered_flits;
 }
 
 std::uint64_t Network::island_buffer_capacity_flits(int island) const {

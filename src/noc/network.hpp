@@ -36,6 +36,19 @@
 /// routers start reporting traversals, and packets without a surviving
 /// route drain into drop counters (at the source NI for packets enqueued
 /// after the epoch, inside routers for packets already in flight).
+///
+/// Parallel island step: `run_island_phases` splits the island's ascending
+/// awake list into contiguous chunks, one per step worker, and runs the
+/// stage loops in three regions (receive, compute, park), each starting
+/// once every chunk of the one before is done. Workers claim chunks, so a
+/// descheduled helper's chunk is taken by another worker. Every channel
+/// has at least one cycle of latency, a receive only pops (an NI's credit
+/// back to its own router stays inside the tile) and a compute only
+/// pushes, so the tiles of one step are independent; the per-chunk results
+/// (deliveries, kept tiles, awake-reason shares, buffered flits) merge in
+/// chunk order, which is tile order, so a run is bit-identical to serial
+/// for any worker count. docs/ARCHITECTURE.md ("Parallel island step") has
+/// the full contract.
 
 #include <deque>
 #include <memory>
@@ -55,6 +68,37 @@
 #include "topo/topology.hpp"
 
 namespace nocdvfs::noc {
+
+/// Awake tiles each worker of a parallel island step gets at least: a step
+/// with n awake tiles uses min(step workers, n / this) workers, and runs on
+/// the calling thread alone when that is below 2. Measured with
+/// `BM_NetworkStep` (docs/ARCHITECTURE.md, "Parallel island step").
+inline constexpr int kStepTilesPerWorker = 32;
+/// Step workers a network uses on auto at most: the counts measured so far.
+inline constexpr int kDefaultStepWorkers = 4;
+/// Upper bound on the step workers one network may be forced to: a step's
+/// chunks are claimed through one bit each in a 32-bit mask.
+inline constexpr int kMaxStepWorkers = 32;
+
+/// The host's hardware threads (>= 1), read once per process: the query
+/// reads sysfs, which would cost a 5x5 network a tenth of its construction.
+int host_cpus();
+/// Step workers each of `concurrent_runs` runs gets on auto: the host's
+/// `cpus` divided among the runs, clamped to [1, kDefaultStepWorkers]. A
+/// network on its own resolves auto as `step_worker_budget(host_cpus(), 1)`;
+/// SweepRunner passes its thread count.
+int step_worker_budget(int cpus, int concurrent_runs) noexcept;
+
+/// How one island step is shared among host threads. It never changes a
+/// result: the parallel step is bit-identical to the serial one.
+struct StepParallelism {
+  /// Threads one island step may use, the calling thread included, in
+  /// [0, kMaxStepWorkers]; 0 = auto (step_worker_budget).
+  int workers = 0;
+  /// Awake tiles per worker a parallel step needs (>= 1); tests lower it
+  /// to force small steps onto several workers.
+  int tiles_per_worker = kStepTilesPerWorker;
+};
 
 struct NetworkConfig {
   int width = 5;
@@ -88,6 +132,9 @@ struct NetworkConfig {
   /// step-everything discipline (the in-tree comparison path).
   bool skip_idle = true;
 
+  /// Step workers (see StepParallelism); tests force a count here.
+  StepParallelism step;
+
   int num_nodes() const noexcept { return width * height; }
   int num_islands() const noexcept;
 };
@@ -110,6 +157,7 @@ struct AwakeTileSteps {
 class Network : public WakeSink {
  public:
   explicit Network(const NetworkConfig& cfg);
+  ~Network();
 
   Network(const Network&) = delete;
   Network& operator=(const Network&) = delete;
@@ -170,6 +218,22 @@ class Network : public WakeSink {
   /// The four sum to the kept tile-steps since construction (all 0 with
   /// skip_idle off).
   const AwakeTileSteps& awake_tile_steps() const noexcept { return awake_tile_steps_; }
+
+  // --- parallel island step (see the file comment) ---
+  /// Threads an island step may use (StepParallelism::workers resolved);
+  /// each step uses at most one per `tiles_per_worker` awake tiles.
+  int step_workers() const noexcept { return static_cast<int>(workers_.size()); }
+  /// Island steps run on the worker pool / on the calling thread alone.
+  std::uint64_t parallel_steps() const noexcept { return parallel_steps_; }
+  std::uint64_t serial_steps() const noexcept { return serial_steps_; }
+  /// Time each worker's share of every parallel step (prof=on). Off, the
+  /// step reads no clock.
+  void set_step_timing(bool on) noexcept { step_timing_ = on; }
+  /// One entry per step worker once the first parallel step has started
+  /// the worker threads (empty before): the parallel steps it ran a chunk
+  /// of and its busy time inside its chunks, both counted only with step
+  /// timing on.
+  std::vector<obs::HostWorkerStats> step_worker_stats() const;
 
   /// WakeSink: put tile `tile` on its island's activity list at that
   /// island's next clock edge (no-op while the tile is already awake).
@@ -275,6 +339,8 @@ class Network : public WakeSink {
   power::NetworkInventory island_inventory(int island) const;
   std::uint64_t island_flits_generated(int island) const;
   std::uint64_t island_flits_injected(int island) const;
+  /// Flits buffered in the island's routers, summed by the park region of
+  /// its last step (an island's buffers change only inside its own steps).
   std::uint64_t island_buffered_flits_now(int island) const;
   std::uint64_t island_buffer_capacity_flits(int island) const;
 
@@ -296,7 +362,47 @@ class Network : public WakeSink {
     std::vector<NodeId> active;
     std::vector<NodeId> newly_awake;
     std::uint64_t idle_steps_skipped = 0;
+    std::uint64_t buffered_flits = 0;  ///< router buffers after the last step
   };
+
+  /// The island step in progress, as every step worker reads it.
+  struct Step {
+    Island* isl = nullptr;
+    const std::vector<NodeId>* tiles = nullptr;  ///< isl->active, or isl->tiles (skip-idle off)
+    common::Picoseconds now = 0;
+    std::uint64_t cycle = 0;
+    int workers = 1;
+  };
+
+  /// One chunk of a step's tile list and its outputs, written by whichever
+  /// worker claims the chunk in each region. Cache-line aligned so chunks
+  /// never share a line; the control thread merges them after the step, in
+  /// chunk order.
+  struct alignas(64) StepChunk {
+    std::size_t begin = 0;               ///< range of the step's tile list
+    std::size_t end = 0;
+    std::size_t kept = 0;                ///< park: kept tiles, moved to the chunk front
+    std::uint64_t buffered = 0;          ///< park: flits buffered in the chunk
+    AwakeTileSteps awake;                ///< park: why the kept tiles stay awake
+    std::vector<PacketRecord> delivered;  ///< receive (chunk 0 writes delivered_)
+  };
+
+  /// One step worker's private state.
+  struct alignas(64) StepWorker {
+    std::vector<NodeId> woken;         ///< wake() claims (worker 0 writes newly_awake)
+    std::uint64_t parallel_steps = 0;  ///< step timing: parallel steps it ran a chunk of
+    std::uint64_t busy_ns = 0;         ///< step timing: time inside its chunks
+  };
+
+  /// The helper threads of the parallel step (network.cpp).
+  class StepPool;
+  /// The three regions; in a parallel step each starts once every chunk of
+  /// the one before is done.
+  static constexpr int kStepRegions = 3;
+  /// Region `region` of chunk `c`: 0 receive, 1 compute, 2 park.
+  void step_region(int c, int region);
+  /// Fold the chunks' and workers' outputs into the network.
+  void merge_step(Island& isl);
 
   // Channel factories: each channel is bound to its reader island's clock.
   FlitChannel& new_flit_channel(int latency, int reader_island);
@@ -306,9 +412,6 @@ class Network : public WakeSink {
 
   /// Sorted-merge `newly_awake` into `active` (amortized O(new·log new)).
   void admit_woken(Island& isl);
-  /// Drop tiles that ended the cycle with no work anywhere: empty router
-  /// buffers, idle NIs, nothing in flight on any channel the tile reads.
-  void park_quiescent(Island& isl);
   /// The AwakeTileSteps counter naming the first reason `tile` must stay
   /// awake, or nullptr when it is quiescent.
   std::uint64_t AwakeTileSteps::*awake_reason(NodeId tile) const;
@@ -346,6 +449,17 @@ class Network : public WakeSink {
   bool skip_idle_ = true;
   std::vector<std::uint8_t> node_awake_;  ///< per tile: on an active/newly_awake list
   AwakeTileSteps awake_tile_steps_;
+
+  Step step_;
+  std::vector<StepWorker> workers_;  ///< one per step worker (size >= 1)
+  std::vector<StepChunk> chunks_;    ///< one per step worker: a step has as many chunks
+  int tiles_per_worker_ = kStepTilesPerWorker;
+  std::uint64_t parallel_steps_ = 0;
+  std::uint64_t serial_steps_ = 0;
+  bool step_timing_ = false;
+  /// Started at the first parallel step; declared last so its threads are
+  /// joined before anything they touch is destroyed.
+  std::unique_ptr<StepPool> pool_;
 };
 
 }  // namespace nocdvfs::noc

@@ -6,14 +6,10 @@
 
 namespace nocdvfs::noc {
 
-NetworkInterface::NetworkInterface(NodeId node, const NiConfig& cfg,
-                                   std::vector<PacketRecord>* delivered_sink)
-    : node_(node), cfg_(cfg), delivered_sink_(delivered_sink), wake_id_(node) {
+NetworkInterface::NetworkInterface(NodeId node, const NiConfig& cfg)
+    : node_(node), cfg_(cfg), wake_id_(node) {
   if (cfg.num_vcs < 1 || cfg.vc_buffer_depth < 1) {
     throw std::invalid_argument("NetworkInterface: degenerate VC configuration");
-  }
-  if (delivered_sink == nullptr) {
-    throw std::invalid_argument("NetworkInterface: delivered sink must not be null");
   }
   credits_.assign(static_cast<std::size_t>(cfg.num_vcs), cfg.vc_buffer_depth);
   assembly_.assign(static_cast<std::size_t>(cfg.num_vcs), Reassembly{});
@@ -75,7 +71,8 @@ void NetworkInterface::enqueue_packet(NodeId dst, int size_flits,
   if (injection_observer_) (*injection_observer_)(pid, node_, dst, size_flits, traffic_class);
 }
 
-void NetworkInterface::receive_phase(common::Picoseconds now, std::uint64_t noc_cycle) {
+void NetworkInterface::receive_phase(common::Picoseconds now, std::uint64_t noc_cycle,
+                                     std::vector<PacketRecord>& delivered) {
   if (((pending_ >> kCreditInBit) & 1) != 0) {
     if (auto credit = inject_credit_in_->pop()) {
       auto& c = credits_[credit->vc];
@@ -116,7 +113,7 @@ void NetworkInterface::receive_phase(common::Picoseconds now, std::uint64_t noc_
       rec.eject_time_ps = now;
       rec.create_noc_cycle = flit->create_noc_cycle;
       rec.eject_noc_cycle = noc_cycle;
-      delivered_sink_->push_back(rec);
+      delivered.push_back(rec);
       if (flight_recorder_) flight_recorder_->on_eject(flit->packet_id);
     }
   }

@@ -52,7 +52,7 @@ using ReachabilityFn = std::function<bool(NodeId src, NodeId dst)>;
 
 class NetworkInterface {
  public:
-  NetworkInterface(NodeId node, const NiConfig& cfg, std::vector<PacketRecord>* delivered_sink);
+  NetworkInterface(NodeId node, const NiConfig& cfg);
 
   NetworkInterface(const NetworkInterface&) = delete;
   NetworkInterface& operator=(const NetworkInterface&) = delete;
@@ -70,8 +70,12 @@ class NetworkInterface {
   void enqueue_packet(NodeId dst, int size_flits, common::Picoseconds create_time_ps,
                       std::uint64_t create_noc_cycle, std::uint8_t traffic_class = 0);
 
-  /// NoC-domain phase 1: latch ejected flits and returning credits.
-  void receive_phase(common::Picoseconds now, std::uint64_t noc_cycle);
+  /// NoC-domain phase 1: latch ejected flits and returning credits, and
+  /// append a PacketRecord to `delivered` for every completed packet. The
+  /// caller picks the sink per step: the network hands each step worker
+  /// its own and concatenates them in tile order.
+  void receive_phase(common::Picoseconds now, std::uint64_t noc_cycle,
+                     std::vector<PacketRecord>& delivered);
   /// NoC-domain phase 2: inject at most one flit if a VC/credit allows.
   void inject_phase();
 
@@ -157,7 +161,6 @@ class NetworkInterface {
 
   NodeId node_;
   NiConfig cfg_;
-  std::vector<PacketRecord>* delivered_sink_;
   const InjectionObserver* injection_observer_ = nullptr;
   const ReachabilityFn* reachable_ = nullptr;
   std::uint64_t* packet_id_source_ = nullptr;

@@ -36,6 +36,8 @@ Router::Router(NodeId id, int radix, const RouterConfig& cfg)
   vcs_.resize(vcs);
   slots_.resize(vcs * static_cast<std::size_t>(cfg.vc_buffer_depth));
   credits_.assign(vcs, 0);
+  wired_in_.reserve(static_cast<std::size_t>(radix));
+  wired_out_.reserve(static_cast<std::size_t>(radix));
   port_peer_.fill(id);
   first_local_port_ = radix;  // no local ports until told otherwise
 }

@@ -1,5 +1,7 @@
 #include "obs/telemetry.hpp"
 
+#include <algorithm>
+
 #include "common/assert.hpp"
 #include "common/strings.hpp"
 
@@ -94,6 +96,16 @@ const MetricSeries* Timeline::find_series(const std::string& name) const noexcep
     if (s.name == name) return &s;
   }
   return nullptr;
+}
+
+std::uint64_t Timeline::host_worker_span_ns() const noexcept {
+  std::uint64_t span = 0;
+  for (const HostWorkerSpan& sp : host_spans) span = std::max(span, sp.t1_ns);
+  if (!host_spans.empty()) return span;
+  for (const PhaseStats& p : host_phases) {
+    if (p.depth == 0) span += p.inclusive_ns;
+  }
+  return span;
 }
 
 TelemetrySampler::TelemetrySampler(const TelemetryRegistry& registry) : registry_(registry) {

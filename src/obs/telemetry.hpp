@@ -169,11 +169,12 @@ struct HostWorkerSpan {
   std::uint64_t t1_ns = 0;
 };
 
-/// Whole-sweep utilization summary of one SweepRunner worker.
+/// Utilization summary of one host worker: a SweepRunner worker over a
+/// sweep, or an island-step worker over one run (prof=on).
 struct HostWorkerStats {
   std::int32_t worker = 0;
-  std::uint64_t points = 0;   ///< sweep points this worker executed
-  std::uint64_t busy_ns = 0;  ///< Σ point wall time on this worker
+  std::uint64_t points = 0;   ///< sweep points / parallel island steps this worker ran
+  std::uint64_t busy_ns = 0;  ///< Σ point wall time / time inside the step regions
 };
 
 /// The complete observable record of one run: header, per-window columnar
@@ -213,10 +214,14 @@ struct Timeline {
   std::vector<std::pair<std::string, std::string>> manifest;
   /// Host phase profile, preorder (prof=on runs; see obs/prof.hpp).
   std::vector<PhaseStats> host_phases;
-  /// SweepRunner per-point worker spans + per-worker utilization (sweep
-  /// host timelines only; empty for a single run's export).
+  /// SweepRunner per-point worker spans (sweep host timelines only).
   std::vector<HostWorkerSpan> host_spans;
+  /// Per-worker utilization: the sweep's workers, or a single run's
+  /// island-step workers (prof=on runs that started them; no spans).
   std::vector<HostWorkerStats> host_workers;
+  /// The wall time worker utilization is relative to: the sweep span (the
+  /// latest span end), or a run's profiled root time.
+  std::uint64_t host_worker_span_ns() const noexcept;
 
   int windows() const noexcept { return static_cast<int>(window_t_ps.size()); }
   const IslandWindowRow& island_row(int window, int island) const {

@@ -543,8 +543,9 @@ void write_timeline_perfetto(const Timeline& tl, std::ostream& os) {
   }
 
   // Host process (pid = num_islands + 2): the simulator's own phase
-  // profile and, for sweep exports, one track per SweepRunner worker.
-  if (!tl.host_phases.empty() || !tl.host_spans.empty()) {
+  // profile and one track per host worker (SweepRunner workers for a
+  // sweep export, island-step workers for a run).
+  if (!tl.host_phases.empty() || !tl.host_workers.empty()) {
     const int hpid = tl.num_islands + 2;
     const auto ns_to_us = [](std::uint64_t ns) { return static_cast<double>(ns) * 1e-3; };
     {
@@ -580,23 +581,21 @@ void write_timeline_perfetto(const Timeline& tl, std::ostream& os) {
         cursor[d + 1] = start;  // children start at this phase's origin
       }
     }
-    if (!tl.host_spans.empty()) {
-      std::uint64_t sweep_end_ns = 0;
-      for (const HostWorkerSpan& sp : tl.host_spans) {
-        if (sp.t1_ns > sweep_end_ns) sweep_end_ns = sp.t1_ns;
-      }
+    if (!tl.host_workers.empty()) {
+      // A sweep's workers run points; a run's step workers run island steps.
+      const std::uint64_t span_ns = tl.host_worker_span_ns();
+      const char* unit = tl.host_spans.empty() ? " steps, " : " pts, ";
       for (const HostWorkerStats& w : tl.host_workers) {
         const double util =
-            sweep_end_ns > 0 ? static_cast<double>(w.busy_ns) /
-                                   static_cast<double>(sweep_end_ns) * 100.0
-                             : 0.0;
+            span_ns > 0 ? static_cast<double>(w.busy_ns) / static_cast<double>(span_ns) * 100.0
+                        : 0.0;
         char util_buf[48];
         std::snprintf(util_buf, sizeof util_buf, "%.0f%% busy", util);
         auto& o = arr.next();
         o << R"({"name":"thread_name","ph":"M","pid":)" << hpid << R"(,"tid":)"
           << (w.worker + 1) << R"(,"args":{"name":)";
         o << common::json_quote("worker " + std::to_string(w.worker) + " (" +
-                        std::to_string(w.points) + " pts, " + util_buf + ")");
+                        std::to_string(w.points) + unit + util_buf + ")");
         o << "}}";
       }
       for (const HostWorkerSpan& sp : tl.host_spans) {

@@ -1,7 +1,8 @@
-// Host-observability plug-in: wall clock, peak RSS, why tiles stayed awake
-// and manifest (always),
-// phase profiler (`prof=on`) and memory breakdown (`mem=on`). Host facts
-// only; nothing feeds back into the simulated metrics.
+// Host-observability plug-in: wall clock, peak RSS, why tiles stayed awake,
+// how island steps were shared among threads and manifest (always), phase
+// profiler and step-worker tracks (`prof=on`) and memory breakdown
+// (`mem=on`). Host facts only; nothing feeds back into the simulated
+// metrics.
 
 #include <chrono>
 
@@ -18,14 +19,19 @@ class HostPlugin final : public RunPlugin {
   /// The wall clock starts, and the profiler is installed, before the
   /// run's root scope opens. The collector is thread-local, so parallel
   /// sweep workers with mixed prof settings never contaminate each other.
+  /// With `prof=on` the step workers also time their regions.
   explicit HostPlugin(const RunContext& ctx) : t0_(std::chrono::steady_clock::now()) {
-    if (ctx.cfg.prof) collector_.install();
+    if (ctx.cfg.prof) {
+      collector_.install();
+      ctx.net.set_step_timing(true);
+    }
   }
 
   void post_run(RunContext& ctx, RunResult& result) override {
     if (ctx.cfg.prof) {
       collector_.uninstall();
       result.host.profile = collector_.take();
+      result.host.step_workers = ctx.net.step_worker_stats();
     }
     result.host.wall_s =
         std::chrono::duration<double>(std::chrono::steady_clock::now() - t0_).count();
@@ -48,6 +54,10 @@ class HostPlugin final : public RunPlugin {
     mf.set("noc.awake.router_input", awake.router_input);
     mf.set("noc.awake.ni_busy", awake.ni_busy);
     mf.set("noc.awake.ni_input", awake.ni_input);
+    // How the island steps were shared among host threads.
+    mf.set("noc.step_workers", static_cast<std::uint64_t>(ctx.net.step_workers()));
+    mf.set("noc.parallel_steps", ctx.net.parallel_steps());
+    mf.set("noc.serial_steps", ctx.net.serial_steps());
     if (!ctx.cfg.mem) return;
     const obs::MemBreakdown mem = memory(ctx, result);
     for (const obs::MemOwner& o : mem.owners) {

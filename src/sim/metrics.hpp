@@ -13,6 +13,7 @@
 #include "dvfs/dvfs_manager.hpp"
 #include "obs/manifest.hpp"
 #include "obs/prof.hpp"
+#include "obs/telemetry.hpp"
 #include "power/power_model.hpp"
 #include "vfi/residency.hpp"
 
@@ -154,6 +155,9 @@ struct HostResult {
   double wall_s = 0.0;               ///< Simulator::run wall time, seconds
   std::uint64_t peak_rss_bytes = 0;  ///< process VmHWM after the run (0 = unavailable)
   obs::Profile profile;              ///< phase tree (prof=on runs only)
+  /// Island-step workers: parallel steps and busy time each (prof=on runs
+  /// whose network started its step workers; worker 0 is the run's thread).
+  std::vector<obs::HostWorkerStats> step_workers;
 };
 
 struct RunResult {

@@ -207,6 +207,12 @@ std::vector<SweepRecord> SweepRunner::run(const Scenario& base,
   std::vector<RunResult> results(points.size());
 
   const int threads = resolved_threads(points.size());
+  // Divide the host's CPUs among the runs executing at once, so a sweep
+  // never asks for more threads than the host has.
+  const int step_budget = noc::step_worker_budget(noc::host_cpus(), threads);
+  for (SweepPoint& p : points) {
+    if (p.scenario.network.step.workers == 0) p.scenario.network.step.workers = step_budget;
+  }
   std::atomic<std::size_t> next{0};
   std::exception_ptr first_error;
   std::mutex error_mutex;

@@ -141,7 +141,9 @@ class SweepRunner {
  public:
   struct Options {
     /// Worker threads; 0 = std::thread::hardware_concurrency(). 1 runs the
-    /// sweep inline on the calling thread.
+    /// sweep inline on the calling thread. Points that leave
+    /// `network.step.workers` on auto share the host:
+    /// `noc::step_worker_budget(CPUs, threads)` island-step workers each.
     int threads = 0;
   };
 

@@ -118,6 +118,7 @@ class TelemetryPlugin final : public RunPlugin {
     if (base.empty()) return;
     timeline_.manifest = result.manifest.entries;
     timeline_.host_phases = result.host.profile.phases;
+    timeline_.host_workers = result.host.step_workers;
     obs::write_timeline_binary(timeline_, base + ".nocobs");
     obs::write_timeline_perfetto(timeline_, base + ".json");
   }

@@ -114,9 +114,18 @@ std::string metrics_line(const std::string& name, const RunResult& r) {
   return os.str();
 }
 
-std::vector<std::string> compute_lines() {
+/// Four forced island-step workers and one awake tile per worker, so every
+/// step of the 5x5 golden runs with two or more awake tiles goes through
+/// the worker pool.
+void force_parallel_step(Scenario& s) {
+  s.network.step.workers = 4;
+  s.network.step.tiles_per_worker = 1;
+}
+
+std::vector<std::string> compute_lines(bool parallel_step = false) {
   std::vector<std::string> lines;
-  for (const Scenario& s : golden_matrix()) {
+  for (Scenario s : golden_matrix()) {
+    if (parallel_step) force_parallel_step(s);
     lines.push_back(metrics_line(scenario_name(s), run(s)));
   }
   return lines;
@@ -504,11 +513,12 @@ void dump_timeline(Dump& d, const std::string& name, const obs::Timeline& tl) {
   }
 }
 
-std::vector<std::string> compute_subsystem_lines() {
+std::vector<std::string> compute_subsystem_lines(bool parallel_step = false) {
   namespace fs = std::filesystem;
   std::vector<std::string> lines;
   Dump d(lines);
   for (Scenario s : subsystems_matrix()) {
+    if (parallel_step) force_parallel_step(s);
     const std::string name =
         std::string(to_string(s.policy.policy)) + "-" + s.pattern + "-" + s.islands;
     const std::string base =
@@ -525,6 +535,15 @@ std::vector<std::string> compute_subsystem_lines() {
 
 TEST(GoldenMetrics, SubsystemsMatchCheckedInGolden) {
   check_against_golden(kSubsystemsGoldenPath, compute_subsystem_lines());
+}
+
+/// The parallel island step is an optimization, not a behaviour change:
+/// both goldens reproduce byte for byte with the steps split across four
+/// workers. Never regenerates (update mode writes from the serial runs).
+TEST(GoldenMetrics, ParallelStepMatchesCheckedInGoldens) {
+  if (update_mode()) GTEST_SKIP() << "the goldens are written from the serial runs";
+  check_against_golden(kGoldenPath, compute_lines(true));
+  check_against_golden(kSubsystemsGoldenPath, compute_subsystem_lines(true));
 }
 
 /// The headline percentiles must not clip: on the saturated RMSD hotspot

@@ -14,7 +14,7 @@ namespace {
 class NiHarness {
  public:
   explicit NiHarness(NiConfig cfg = NiConfig{4, 2})
-      : cfg_(cfg), ni_(7, cfg, &delivered_) {
+      : cfg_(cfg), ni_(7, cfg) {
     ni_.connect(&inject_flit, &inject_credit, &eject_flit, &eject_credit);
   }
 
@@ -22,7 +22,7 @@ class NiHarness {
   /// channel reads advances, then the NI's phases run.
   void cycle(common::Picoseconds now = 0, std::uint64_t noc_cycle = 0) {
     ++clock;
-    ni_.receive_phase(now, noc_cycle);
+    ni_.receive_phase(now, noc_cycle, delivered_);
     ni_.inject_phase();
   }
 
@@ -189,11 +189,9 @@ TEST(NetworkInterface, InterleavedPacketsOnOneVcViolateInvariant) {
 }
 
 TEST(NetworkInterface, ConstructionValidation) {
-  std::vector<PacketRecord> sink;
-  EXPECT_THROW(NetworkInterface(0, NiConfig{0, 4}, &sink), std::invalid_argument);
-  EXPECT_THROW(NetworkInterface(0, NiConfig{4, 0}, &sink), std::invalid_argument);
-  EXPECT_THROW(NetworkInterface(0, NiConfig{4, 4}, nullptr), std::invalid_argument);
-  NetworkInterface ni(0, NiConfig{4, 4}, &sink);
+  EXPECT_THROW(NetworkInterface(0, NiConfig{0, 4}), std::invalid_argument);
+  EXPECT_THROW(NetworkInterface(0, NiConfig{4, 0}), std::invalid_argument);
+  NetworkInterface ni(0, NiConfig{4, 4});
   std::uint64_t clock = 0;
   FlitChannel f = FlitChannel::delay_line(1, &clock);
   CreditChannel c = CreditChannel::delay_line(1, &clock);
@@ -201,9 +199,8 @@ TEST(NetworkInterface, ConstructionValidation) {
 }
 
 TEST(NetworkInterface, PacketIdsAreNodeUnique) {
-  std::vector<PacketRecord> sink;
-  NetworkInterface a(1, NiConfig{2, 2}, &sink);
-  NetworkInterface b(2, NiConfig{2, 2}, &sink);
+  NetworkInterface a(1, NiConfig{2, 2});
+  NetworkInterface b(2, NiConfig{2, 2});
   std::uint64_t clock = 0;
   FlitChannel fa = FlitChannel::delay_line(1, &clock);
   FlitChannel fb = FlitChannel::delay_line(1, &clock);

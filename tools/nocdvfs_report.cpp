@@ -31,6 +31,7 @@
 #include <cstdint>
 #include <iomanip>
 #include <iostream>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -342,20 +343,21 @@ int cmd_profile(const Timeline& tl, const std::string& path) {
   }
 
   if (!tl.host_workers.empty()) {
-    std::uint64_t sweep_end_ns = 0;
-    for (const nocdvfs::obs::HostWorkerSpan& sp : tl.host_spans) {
-      sweep_end_ns = std::max(sweep_end_ns, sp.t1_ns);
-    }
-    std::cout << "\nsweep workers (" << tl.host_workers.size() << ", sweep span "
-              << std::fixed << std::setprecision(3)
-              << static_cast<double>(sweep_end_ns) * 1e-9 << " s):\n"
+    // A sweep export's workers ran points; a run's island-step workers ran
+    // parallel steps, and their utilization is relative to the run.
+    const bool sweep = !tl.host_spans.empty();
+    const std::uint64_t span_ns = tl.host_worker_span_ns();
+    std::cout << (sweep ? "\nsweep workers (" : "\nisland-step workers (")
+              << tl.host_workers.size() << (sweep ? ", sweep span " : ", run ")
+              << std::fixed << std::setprecision(3) << static_cast<double>(span_ns) * 1e-9
+              << " s):\n"
               << std::defaultfloat << std::left << std::setw(10) << "  worker"
-              << std::right << std::setw(8) << "points" << std::setw(12) << "busy(s)"
-              << std::setw(8) << "util" << "\n";
+              << std::right << std::setw(8) << (sweep ? "points" : "steps") << std::setw(12)
+              << "busy(s)" << std::setw(8) << "util" << "\n";
     for (const nocdvfs::obs::HostWorkerStats& w : tl.host_workers) {
-      const double util = sweep_end_ns > 0 ? 100.0 * static_cast<double>(w.busy_ns) /
-                                                 static_cast<double>(sweep_end_ns)
-                                           : 0.0;
+      const double util = span_ns > 0 ? 100.0 * static_cast<double>(w.busy_ns) /
+                                             static_cast<double>(span_ns)
+                                       : 0.0;
       std::cout << "  " << std::left << std::setw(8) << w.worker << std::right
                 << std::setw(8) << w.points << std::fixed << std::setprecision(3)
                 << std::setw(12) << static_cast<double>(w.busy_ns) * 1e-9
@@ -364,6 +366,16 @@ int cmd_profile(const Timeline& tl, const std::string& path) {
     }
   }
 
+  // A manifest entry read as a count, when present and well formed.
+  const auto manifest_count = [&tl](const std::string& key) -> std::optional<std::uint64_t> {
+    for (const auto& [k, value] : tl.manifest) {
+      std::uint64_t n = 0;
+      const auto [end, ec] = std::from_chars(value.data(), value.data() + value.size(), n);
+      if (k == key && ec == std::errc{} && end == value.data() + value.size()) return n;
+    }
+    return std::nullopt;
+  };
+
   // Skip-idle: why awake tiles were kept, as shares of the kept tile-steps
   // (the four noc.awake.* manifest counts, in the order they are tested).
   static constexpr const char* kAwakeReasons[] = {"buffered_flits", "router_input", "ni_busy",
@@ -371,13 +383,9 @@ int cmd_profile(const Timeline& tl, const std::string& path) {
   std::vector<std::pair<const char*, std::uint64_t>> awake;
   std::uint64_t kept = 0;
   for (const char* reason : kAwakeReasons) {
-    const std::string key = std::string("noc.awake.") + reason;
-    for (const auto& [k, value] : tl.manifest) {
-      std::uint64_t steps = 0;
-      const auto [end, ec] = std::from_chars(value.data(), value.data() + value.size(), steps);
-      if (k != key || ec != std::errc{} || end != value.data() + value.size()) continue;
-      awake.emplace_back(reason, steps);
-      kept += steps;
+    if (const auto steps = manifest_count(std::string("noc.awake.") + reason)) {
+      awake.emplace_back(reason, *steps);
+      kept += *steps;
     }
   }
   if (!awake.empty()) {
@@ -389,6 +397,15 @@ int cmd_profile(const Timeline& tl, const std::string& path) {
                 << std::setw(14) << steps << std::fixed << std::setprecision(1)
                 << std::setw(8) << pct << "%" << std::defaultfloat << "\n";
     }
+  }
+
+  // How the run's island steps were shared among host threads.
+  const auto step_workers = manifest_count("noc.step_workers");
+  const auto parallel = manifest_count("noc.parallel_steps");
+  const auto serial = manifest_count("noc.serial_steps");
+  if (step_workers && parallel && serial) {
+    std::cout << "\nisland steps: " << *parallel << " parallel on up to " << *step_workers
+              << " step workers, " << *serial << " serial\n";
   }
 
   if (!tl.manifest.empty()) {
