@@ -106,6 +106,13 @@ class Network::StepPool {
     stop_.store(true, std::memory_order_relaxed);
     step_.fetch_add(kSeqUnit, std::memory_order_release);
     step_.notify_all();
+    // A helper that fell behind may block in await_region on a done count
+    // that later steps reset and refilled to the very value it read; no
+    // notify releases it then. Move every count so its wait returns.
+    for (std::atomic<std::uint32_t>& done : done_) {
+      done.fetch_add(1, std::memory_order_release);
+      done.notify_all();
+    }
     for (std::thread& t : threads_) t.join();
   }
 
@@ -244,9 +251,42 @@ class Network::StepPool {
   std::vector<std::thread> threads_;  ///< last: the helpers use every member above
 };
 
-int NetworkConfig::num_islands() const noexcept {
-  if (island_of.empty()) return 1;
-  return *std::max_element(island_of.begin(), island_of.end()) + 1;
+int check_island_partition(const std::vector<int>& island_of, const topo::Topology& topo) {
+  const int n = topo.num_nodes();
+  if (island_of.size() != static_cast<std::size_t>(n)) {
+    throw std::invalid_argument("island partition has " + std::to_string(island_of.size()) +
+                                " entries but the network has " + std::to_string(n) + " nodes");
+  }
+  std::vector<char> used(static_cast<std::size_t>(n), 0);
+  std::vector<int> tile_island(static_cast<std::size_t>(topo.num_routers()), -1);
+  int k = 0;
+  for (NodeId id = 0; id < n; ++id) {
+    const int isl = island_of[static_cast<std::size_t>(id)];
+    if (isl < 0 || isl >= n) {
+      throw std::invalid_argument("island partition: node " + std::to_string(id) +
+                                  " has island id " + std::to_string(isl) + ", outside [0, " +
+                                  std::to_string(n) + ") for a network of " +
+                                  std::to_string(n) + " nodes");
+    }
+    const int r = topo.router_of(id);
+    int& owner = tile_island[static_cast<std::size_t>(r)];
+    if (owner != -1 && owner != isl) {
+      throw std::invalid_argument("island partition splits tile " + std::to_string(r) +
+                                  " (concentration=" + std::to_string(topo.concentration()) +
+                                  "): a router and all its NIs must share one island");
+    }
+    owner = isl;
+    used[static_cast<std::size_t>(isl)] = 1;
+    k = std::max(k, isl + 1);
+  }
+  for (int isl = 0; isl < k; ++isl) {
+    if (!used[static_cast<std::size_t>(isl)]) {
+      throw std::invalid_argument("island partition: island ids must be contiguous (island " +
+                                  std::to_string(isl) + " of 0.." + std::to_string(k - 1) +
+                                  " has no nodes)");
+    }
+  }
+  return k;
 }
 
 Network::Network(const NetworkConfig& cfg) : cfg_(cfg) {
@@ -259,50 +299,28 @@ Network::Network(const NetworkConfig& cfg) : cfg_(cfg) {
   const int n = topol_->num_nodes();
   const int num_r = topol_->num_routers();
 
-  // Resolve the island partition (empty config = one global island) and
-  // validate it the same way vfi::IslandMap does: contiguous non-empty ids.
-  if (cfg.island_of.empty()) {
-    island_of_.assign(static_cast<std::size_t>(n), 0);
-  } else if (static_cast<int>(cfg.island_of.size()) != n) {
-    throw std::invalid_argument("Network: island_of must have one entry per node");
-  } else {
-    island_of_ = cfg.island_of;
-  }
-  const int k = *std::max_element(island_of_.begin(), island_of_.end()) + 1;
-  if (*std::min_element(island_of_.begin(), island_of_.end()) < 0) {
-    throw std::invalid_argument("Network: negative island id");
-  }
+  // Resolve the island partition (empty config = one global island).
+  island_of_ = cfg.island_of;
+  if (island_of_.empty()) island_of_.assign(static_cast<std::size_t>(n), 0);
+  const int k = check_island_partition(island_of_, *topol_);
   islands_.resize(static_cast<std::size_t>(k));
   island_cycles_.assign(static_cast<std::size_t>(k), 0);
   for (NodeId id = 0; id < n; ++id) {
     islands_[static_cast<std::size_t>(island_of_[static_cast<std::size_t>(id)])]
         .members.push_back(id);
   }
-  for (int isl = 0; isl < k; ++isl) {
-    if (islands_[static_cast<std::size_t>(isl)].members.empty()) {
-      throw std::invalid_argument("Network: island ids must be contiguous (island " +
-                                  std::to_string(isl) + " has no nodes)");
-    }
-  }
 
   // Tiles: the NIs behind each router, in ascending node order (which is
-  // also local-port order — Topology guarantees it). A clock island may
-  // not split a tile: the router and all its NIs share one domain.
+  // also local-port order — Topology guarantees it), all on their router's
+  // island (the partition check guarantees it).
   tile_nis_.resize(static_cast<std::size_t>(num_r));
   for (NodeId id = 0; id < n; ++id) {
     tile_nis_[static_cast<std::size_t>(topol_->router_of(id))].push_back(id);
   }
   router_island_.resize(static_cast<std::size_t>(num_r));
   for (int r = 0; r < num_r; ++r) {
-    const auto& members = tile_nis_[static_cast<std::size_t>(r)];
-    const int isl = island_of_[static_cast<std::size_t>(members.front())];
-    for (const NodeId id : members) {
-      if (island_of_[static_cast<std::size_t>(id)] != isl) {
-        throw std::invalid_argument(
-            "Network: island partition splits tile " + std::to_string(r) +
-            " (a router and all its NIs must share one island)");
-      }
-    }
+    const NodeId first_ni = tile_nis_[static_cast<std::size_t>(r)].front();
+    const int isl = island_of_[static_cast<std::size_t>(first_ni)];
     router_island_[static_cast<std::size_t>(r)] = isl;
     islands_[static_cast<std::size_t>(isl)].tiles.push_back(r);
   }

@@ -119,7 +119,7 @@ struct NetworkConfig {
   std::uint64_t fault_seed = 1;
 
   /// Node→island assignment in row-major node order; empty means one
-  /// global island (ids must be contiguous 0..K-1; see vfi::IslandMap).
+  /// global island (see check_island_partition).
   std::vector<int> island_of;
   /// Synchronizer penalty on island-boundary links, in receiver-domain
   /// cycles (applies to flits and returning credits alike).
@@ -136,8 +136,15 @@ struct NetworkConfig {
   StepParallelism step;
 
   int num_nodes() const noexcept { return width * height; }
-  int num_islands() const noexcept;
 };
+
+/// The one check of a node→island partition (NetworkConfig::island_of and
+/// the `islands=`/`island_map=` scenario keys): one entry per node of
+/// `topo`, every id in [0, nodes), ids contiguous 0..K-1 with no island
+/// empty, and no island splitting a tile (a router and all its NIs share
+/// one domain). Every id is bounded by the node count before anything is
+/// sized. Returns K; throws std::invalid_argument naming the violation.
+int check_island_partition(const std::vector<int>& island_of, const topo::Topology& topo);
 
 /// Kept tile-steps by the reason the tile stayed awake, in the order the
 /// quiescence test checks them (Network::awake_tile_steps).

@@ -53,8 +53,6 @@ struct TelemetryConfig {
   /// Empty keeps the timeline in memory only (the RunResult summary slice
   /// is still populated).
   std::string out_base;
-  /// Entries kept in the RunResult top-k hot tile/link lists.
-  int top_k = 8;
 
   bool enabled() const noexcept { return mode != TelemetryMode::Off; }
 };

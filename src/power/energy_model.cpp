@@ -57,12 +57,6 @@ double EnergyModel::leakage_scale(double vdd) const noexcept {
   return std::pow(vdd / params_.v_nominal, params_.leakage_exponent);
 }
 
-double EnergyModel::leakage_scale(double vdd, double temp_k) const noexcept {
-  const double temp_c = temp_k - common::kCelsiusToKelvinOffset;
-  return leakage_scale(vdd) *
-         bounded_arrhenius(params_.leak_temp_coeff_per_k, temp_c - params_.temp_ref_c);
-}
-
 double EnergyModel::event_energy_j(const ActivityCounters& ev,
                                    const VoltageScale& s) const noexcept {
   const double nominal =

@@ -32,18 +32,15 @@
 namespace nocdvfs::power {
 
 /// Numerical ceiling on the Arrhenius leakage–temperature factor
-/// exp(k·(T − T_ref)), shared by `EnergyModel::leakage_scale(vdd, temp_k)`
-/// and the thermal subsystem's RC integration so the two paths charge the
-/// same energy. The temperature→leakage feedback is regenerative: past the
-/// point where R_eff·P_leak·k·exp(k·ΔT) > 1 there is no finite fixed
-/// point, and the ceiling (32× ≈ +87 K at the default k = 0.04/K) keeps a
-/// runaway visible but finite instead of overflowing to inf.
+/// exp(k·(T − T_ref)) the thermal subsystem's RC integration applies. The
+/// temperature→leakage feedback is regenerative: past the point where
+/// R_eff·P_leak·k·exp(k·ΔT) > 1 there is no finite fixed point, and the
+/// ceiling (32× ≈ +87 K at the default k = 0.04/K) keeps a runaway
+/// visible but finite instead of overflowing to inf.
 inline constexpr double kMaxLeakTempScale = 32.0;
 
-/// THE bounded Arrhenius factor: exp(k·ΔT) capped at `kMaxLeakTempScale`.
-/// Single implementation shared by `EnergyModel::leakage_scale(vdd, temp_k)`
-/// and the thermal RC integration, so the energy the two paths charge can
-/// never desynchronize.
+/// THE bounded Arrhenius factor: exp(k·ΔT) capped at `kMaxLeakTempScale`,
+/// the one leakage–temperature law (`thermal::ThermalModel` charges it).
 inline double bounded_arrhenius(double coeff_per_k, double delta_t_k) noexcept {
   return std::min(std::exp(coeff_per_k * delta_t_k), kMaxLeakTempScale);
 }
@@ -85,12 +82,6 @@ struct EnergyParams {
   double p_leak_link_mw = 0.10;      ///< per unidirectional inter-router link
   double dynamic_exponent = 2.0;     ///< E(V) = E0 (V/V0)^dyn
   double leakage_exponent = 3.0;     ///< P(V) = P0 (V/V0)^leak
-  /// Arrhenius-style leakage–temperature coefficient [1/K]: the scale
-  /// factor exp(k·(T − T_ref)) doubles leakage every ln2/k ≈ 17 K at the
-  /// default. Only the temperature-aware overload of `leakage_scale` reads
-  /// it, so temperature-blind callers are unaffected.
-  double leak_temp_coeff_per_k = 0.04;
-  double temp_ref_c = 45.0;          ///< temperature the leakage constants are quoted at
 };
 
 /// Scales the calibrated constants to a geometry and evaluates energies at a
@@ -107,13 +98,6 @@ class EnergyModel {
   double dynamic_scale(double vdd) const noexcept;
   /// Leakage voltage scale factor (V/V0)^leak at the reference temperature.
   double leakage_scale(double vdd) const noexcept;
-  /// Temperature-aware leakage scale: (V/V0)^leak · exp(k·(T − T_ref)),
-  /// with the exponential bounded by `kMaxLeakTempScale`. `temp_k` is in
-  /// kelvin; at the reference temperature this equals the voltage-only
-  /// overload exactly. The thermal subsystem applies the identical
-  /// (identically bounded) factor inside its integration, so energies
-  /// agree between the two paths.
-  double leakage_scale(double vdd, double temp_k) const noexcept;
   /// Both voltage scale factors of `vdd`; the energies below take them.
   VoltageScale voltage_scale(double vdd) const noexcept {
     return {dynamic_scale(vdd), leakage_scale(vdd)};

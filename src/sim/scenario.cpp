@@ -12,6 +12,7 @@
 #include "dvfs/dmsd.hpp"
 #include "dvfs/qbsd.hpp"
 #include "dvfs/rmsd.hpp"
+#include "noc/network.hpp"
 #include "noc/router.hpp"
 #include "noc/routing.hpp"
 #include "topo/fault_model.hpp"
@@ -391,9 +392,15 @@ const std::vector<Key>& keys() {
 
 #undef FIELD
 
-/// The checks behind scenario_problem. The island map they resolve is left
-/// in `map`, so make_simulator builds it only once.
-std::string problem_of(const Scenario& s, vfi::IslandMap& map) {
+/// The node→island partition scenario_problem resolves and checks.
+struct IslandPartition {
+  std::vector<int> island_of;  ///< row-major node→island assignment
+  int islands = 1;
+};
+
+/// The checks behind scenario_problem. The island partition they resolve is
+/// left in `part`, so make_simulator builds it only once.
+std::string problem_of(const Scenario& s, IslandPartition& part) {
   for (const Key& key : keys()) {
     if (!key.problem) continue;
     if (std::string problem = key.problem(s); !problem.empty()) return problem;
@@ -401,19 +408,22 @@ std::string problem_of(const Scenario& s, vfi::IslandMap& map) {
   std::ostringstream os;
   try {
     const auto [width, height] = effective_mesh_dims(s);
+    const std::unique_ptr<topo::Topology> topo =
+        topo::Topology::make(s.network.topology, width, height, s.network.concentration);
 
     // VF islands: preset, custom map and per-island policies, resolved
-    // against the mesh the run will actually use.
+    // against the network the run will actually use.
     const vfi::Preset preset =
         common::parse_key_value("islands", s.islands, vfi::preset_from_string);
     if (preset != vfi::Preset::Custom && !s.island_map.empty()) {
       return "island_map= is only read with islands=custom (got islands=" + s.islands + ")";
     }
-    map = vfi::IslandMap::build(preset, width, height, s.island_map);
+    part.island_of = vfi::island_assignment(preset, width, height, s.island_map);
+    part.islands = noc::check_island_partition(part.island_of, *topo);
     const std::vector<std::string> names = common::split_csv(s.island_policies);
-    if (!names.empty() && static_cast<int>(names.size()) != map.num_islands()) {
+    if (!names.empty() && static_cast<int>(names.size()) != part.islands) {
       return "island_policies lists " + std::to_string(names.size()) + " policies but the '" +
-             s.islands + "' partition has " + std::to_string(map.num_islands()) + " islands";
+             s.islands + "' partition has " + std::to_string(part.islands) + " islands";
     }
     for (const std::string& name : names) {
       common::parse_key_value("island_policies", name, policy_from_string);
@@ -452,9 +462,7 @@ std::string problem_of(const Scenario& s, vfi::IslandMap& map) {
       }
     }
 
-    // Topology, routing and faults.
-    const std::unique_ptr<topo::Topology> topo =
-        topo::Topology::make(s.network.topology, width, height, s.network.concentration);
+    // Routing and faults.
     const int need = topo::RoutingEngine::required_vcs(*topo, s.network.routing);
     if (s.network.num_vcs < need) {
       return std::string("routing=") + noc::to_string(s.network.routing) + " on topology=" +
@@ -472,25 +480,6 @@ std::string problem_of(const Scenario& s, vfi::IslandMap& map) {
              topo::to_string(s.network.topology) +
              " concentration=" + std::to_string(s.network.concentration) + ")";
     }
-    if (topo->concentration() > 1 && map.num_islands() > 1) {
-      // A clock island must hold whole tiles: the router and every NI
-      // behind it share one domain (Network enforces this too; catching it
-      // here names the offending tile before construction).
-      const std::vector<int>& assign = map.assignment();
-      std::vector<int> tile_island(static_cast<std::size_t>(topo->num_routers()), -1);
-      for (noc::NodeId id = 0; id < topo->num_nodes(); ++id) {
-        const auto r = static_cast<std::size_t>(topo->router_of(id));
-        const int isl = assign[static_cast<std::size_t>(id)];
-        if (tile_island[r] == -1) {
-          tile_island[r] = isl;
-        } else if (tile_island[r] != isl) {
-          return "islands=" + s.islands + " splits tile " + std::to_string(topo->router_of(id)) +
-                 " (concentration=" + std::to_string(topo->concentration()) +
-                 "): a router and all its NIs must share one island";
-        }
-      }
-    }
-
     // Telemetry.
     obs::telemetry_mode_from_string(s.telemetry);
     if (s.pkt_trace == "on" && s.telemetry == "off") {
@@ -526,8 +515,8 @@ std::string problem_of(const Scenario& s, vfi::IslandMap& map) {
 }  // namespace
 
 std::string scenario_problem(const Scenario& s) {
-  vfi::IslandMap map;
-  return problem_of(s, map);
+  IslandPartition part;
+  return problem_of(s, part);
 }
 
 void check_scenario(const Scenario& s) {
@@ -549,8 +538,8 @@ Scenario Scenario::from_config(const common::Config& c) {
 }
 
 std::unique_ptr<Simulator> make_simulator(const Scenario& s) {
-  vfi::IslandMap map;
-  if (const std::string problem = problem_of(s, map); !problem.empty()) {
+  IslandPartition part;
+  if (const std::string problem = problem_of(s, part); !problem.empty()) {
     throw std::invalid_argument("Scenario: " + problem);
   }
 
@@ -580,9 +569,6 @@ std::unique_ptr<Simulator> make_simulator(const Scenario& s) {
     sim_cfg.thermal.step_ps = thermal_step_ps_from(s);
     sim_cfg.thermal.guard.temp_cap_c = s.temp_cap_c;
     sim_cfg.thermal.guard.hysteresis_c = s.temp_hysteresis_c;
-    // Keep the energy model's Arrhenius factor in lockstep with the RC
-    // integration so leakage_scale(vdd, temp) matches the charged energy.
-    sim_cfg.energy_params.leak_temp_coeff_per_k = s.leak_temp_coeff;
   }
 
   std::unique_ptr<traffic::TrafficModel> traffic_model = make_traffic(s, sim_cfg);
@@ -602,10 +588,10 @@ std::unique_ptr<Simulator> make_simulator(const Scenario& s) {
   // The validator resolved the island partition against the mesh the run
   // actually uses. A single-island partition keeps the empty assignment —
   // the pre-VFI fast path.
-  if (map.num_islands() > 1) sim_cfg.network.island_of = map.assignment();
+  if (part.islands > 1) sim_cfg.network.island_of = std::move(part.island_of);
 
   return std::make_unique<Simulator>(sim_cfg, std::move(traffic_model),
-                                     make_island_controllers(s, map.num_islands()),
+                                     make_island_controllers(s, part.islands),
                                      make_curve(s.vf_levels));
 }
 

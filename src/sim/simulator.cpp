@@ -477,7 +477,7 @@ Simulator::Simulator(const SimulatorConfig& cfg, std::unique_ptr<traffic::Traffi
     : cfg_(cfg),
       net_(cfg.network),
       traffic_(std::move(traffic)),
-      bank_(checked_controllers(std::move(controllers), cfg.network.num_islands()),
+      bank_(checked_controllers(std::move(controllers), net_.num_islands()),
             std::move(curve), cfg.f_node, cfg.control_period_node_cycles, cfg.vf_trace_max),
       energy_(geometry_from(net_, cfg.flit_bits), cfg.energy_params),
       clock_(cfg.f_node, std::vector<common::Hertz>(

@@ -14,11 +14,14 @@
 namespace nocdvfs::sim {
 namespace {
 
-/// `v` sorted by `less`, cut to its first `k` entries.
+/// Entries kept in the RunResult hot tile/link lists.
+constexpr std::size_t kTopK = 8;
+
+/// `v` sorted by `less`, cut to its first kTopK entries.
 template <class T, class Less>
-std::vector<T> top_k(std::vector<T> v, std::size_t k, Less less) {
+std::vector<T> top_k(std::vector<T> v, Less less) {
   std::sort(v.begin(), v.end(), less);
-  if (v.size() > k) v.resize(k);
+  if (v.size() > kTopK) v.resize(kTopK);
   return v;
 }
 
@@ -172,8 +175,7 @@ class TelemetryPlugin final : public RunPlugin {
       tr.flits_forwarded += fw;
       tiles.push_back({r, fw});
     }
-    const std::size_t k = static_cast<std::size_t>(std::max(0, ctx.cfg.telemetry.top_k));
-    tr.top_tiles = top_k(std::move(tiles), k, [](const auto& a, const auto& b) {
+    tr.top_tiles = top_k(std::move(tiles), [](const auto& a, const auto& b) {
       return a.flits != b.flits ? a.flits > b.flits : a.tile < b.tile;
     });
 
@@ -182,7 +184,7 @@ class TelemetryPlugin final : public RunPlugin {
       links.push_back({li.src_router, li.dst_router,
                        ctx.net.router_at(li.src_router).port_flits_forwarded(li.src_port)});
     }
-    tr.top_links = top_k(std::move(links), k, [](const auto& a, const auto& b) {
+    tr.top_links = top_k(std::move(links), [](const auto& a, const auto& b) {
       if (a.flits != b.flits) return a.flits > b.flits;
       return a.src != b.src ? a.src < b.src : a.dst < b.dst;
     });

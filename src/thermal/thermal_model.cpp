@@ -80,10 +80,8 @@ void ThermalModel::euler_step(double dt_s, const std::vector<double>& dynamic_w,
     for (int x = 0; x < width_; ++x) {
       const std::size_t i = static_cast<std::size_t>(y * width_ + x);
       const double t = temps_c_[i];
-      // Temperature-resolved leakage: the one shared bounded-Arrhenius
-      // factor `EnergyModel::leakage_scale(vdd, temp_k)` also applies, so
-      // the two paths charge identical energy and a regenerative runaway
-      // stays finite at the ceiling.
+      // Temperature-resolved leakage: the one bounded-Arrhenius law, so a
+      // regenerative runaway stays finite at the ceiling.
       const double leak_w = leakage_nominal_w[i] * power::bounded_arrhenius(k, t - t_ref);
       leak_j_[i] += leak_w * dt_s;
       leak_ref_j_[i] += leakage_nominal_w[i] * dt_s;

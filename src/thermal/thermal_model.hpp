@@ -24,8 +24,7 @@
 ///
 /// Leakage heat is temperature-dependent *inside* the integration: each
 /// step charges P_leak(T) = P_leak_nominal · exp(k·(T − T_ref)) — the
-/// Arrhenius-style factor `EnergyModel::leakage_scale(vdd, temp_k)` uses —
-/// both as heat input into the tile and into the per-tile accumulated
+/// Arrhenius-style factor `power::bounded_arrhenius` — both as heat input into the tile and into the per-tile accumulated
 /// leakage-energy counters. That closes the temperature → leakage → power
 /// → temperature loop self-consistently, and gives the power plane the
 /// temperature-resolved leakage energy (alongside the reference-temperature
@@ -46,9 +45,7 @@
 namespace nocdvfs::thermal {
 
 /// The Arrhenius factor exp(k·(T − T_ref)) the integration applies to
-/// nominal leakage is bounded by `power::kMaxLeakTempScale` — one shared
-/// ceiling, so the energy the RC network charges and the energy
-/// `EnergyModel::leakage_scale(vdd, temp_k)` reports always agree (see the
+/// nominal leakage is bounded by `power::kMaxLeakTempScale` (see the
 /// constant's doc for the thermal-runaway rationale).
 
 struct ThermalParams {

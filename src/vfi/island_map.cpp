@@ -25,6 +25,10 @@ Preset preset_from_string(const std::string& name) {
   return common::from_name(name, kAll, "unknown island layout");
 }
 
+namespace {
+
+/// Parse a comma-separated island-id list ("0,0,1,1"); throws
+/// std::invalid_argument on malformed input.
 std::vector<int> parse_island_list(const std::string& text) {
   std::vector<int> out;
   std::size_t pos = 0;
@@ -58,10 +62,12 @@ std::vector<int> parse_island_list(const std::string& text) {
   return out;
 }
 
-IslandMap IslandMap::build(Preset preset, int width, int height,
-                           const std::string& custom_map) {
+}  // namespace
+
+std::vector<int> island_assignment(Preset preset, int width, int height,
+                                   const std::string& custom_map) {
   if (width < 1 || height < 1) {
-    throw std::invalid_argument("IslandMap: mesh dimensions must be positive");
+    throw std::invalid_argument("islands: mesh dimensions must be positive");
   }
   const int n = width * height;
   std::vector<int> island_of(static_cast<std::size_t>(n), 0);
@@ -106,55 +112,10 @@ IslandMap IslandMap::build(Preset preset, int width, int height,
             "islands=custom requires island_map=<id,id,...> (one id per node, "
             "row-major)");
       }
-      island_of = parse_island_list(custom_map);
-      break;
+      return parse_island_list(custom_map);
     }
   }
-  return from_assignment(std::move(island_of), width, height);
-}
-
-IslandMap IslandMap::from_assignment(std::vector<int> island_of, int width, int height) {
-  const int n = width * height;
-  if (static_cast<int>(island_of.size()) != n) {
-    throw std::invalid_argument("island_map has " + std::to_string(island_of.size()) +
-                                " entries but the mesh is " + std::to_string(width) + "x" +
-                                std::to_string(height) + " = " + std::to_string(n) +
-                                " nodes");
-  }
-  const int max_id = *std::max_element(island_of.begin(), island_of.end());
-  const int k = max_id + 1;
-  std::vector<std::vector<noc::NodeId>> members(static_cast<std::size_t>(k));
-  for (int i = 0; i < n; ++i) {
-    members[static_cast<std::size_t>(island_of[static_cast<std::size_t>(i)])].push_back(i);
-  }
-  for (int isl = 0; isl < k; ++isl) {
-    if (members[static_cast<std::size_t>(isl)].empty()) {
-      throw std::invalid_argument("island_map: island ids must be contiguous (island " +
-                                  std::to_string(isl) + " of 0.." + std::to_string(max_id) +
-                                  " has no nodes)");
-    }
-  }
-
-  IslandMap map;
-  map.width_ = width;
-  map.height_ = height;
-  map.num_islands_ = k;
-  map.island_of_ = std::move(island_of);
-  map.members_ = std::move(members);
-
-  // Count directed boundary links (east/west and north/south neighbours).
-  int boundary = 0;
-  const auto isl_at = [&map, width](int x, int y) {
-    return map.island_of_[static_cast<std::size_t>(y * width + x)];
-  };
-  for (int y = 0; y < height; ++y) {
-    for (int x = 0; x < width; ++x) {
-      if (x + 1 < width && isl_at(x, y) != isl_at(x + 1, y)) boundary += 2;
-      if (y + 1 < height && isl_at(x, y) != isl_at(x, y + 1)) boundary += 2;
-    }
-  }
-  map.boundary_links_ = boundary;
-  return map;
+  return island_of;
 }
 
 }  // namespace nocdvfs::vfi

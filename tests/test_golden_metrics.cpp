@@ -546,6 +546,25 @@ TEST(GoldenMetrics, ParallelStepMatchesCheckedInGoldens) {
   check_against_golden(kSubsystemsGoldenPath, compute_subsystem_lines(true));
 }
 
+/// One golden row per policy, covering both island layouts and thermal on.
+constexpr std::size_t kSliceRows[] = {0, 7, 17, 22, 30};
+
+/// The forced-worker gate at a fraction of the cost, for instrumented
+/// builds: the slice rows of the headline golden plus every subsystem row.
+TEST(GoldenMetrics, ParallelStepSlice) {
+  if (update_mode()) GTEST_SKIP() << "the goldens are written from the serial runs";
+  const std::vector<std::string> golden = read_lines(kGoldenPath);
+  const std::vector<Scenario> matrix = golden_matrix();
+  ASSERT_EQ(golden.size(), matrix.size());
+  for (const std::size_t i : kSliceRows) {
+    Scenario s = matrix[i];
+    force_parallel_step(s);
+    EXPECT_EQ(golden[i], metrics_line(scenario_name(s), run(s)))
+        << "the parallel step diverged from the golden on line " << i + 1;
+  }
+  check_against_golden(kSubsystemsGoldenPath, compute_subsystem_lines(true));
+}
+
 /// The headline percentiles must not clip: on the saturated RMSD hotspot
 /// row most packets wait longer than 8 us (the old fixed-range histogram's
 /// ceiling, which it returned for all three), so p50 lies above it and the
@@ -571,8 +590,7 @@ TEST(GoldenMetrics, SaturatedPercentilesDoNotClip) {
 /// optimization, not a behaviour change.
 TEST(GoldenMetrics, SkipIdleOffIsBitIdentical) {
   const std::vector<Scenario> matrix = golden_matrix();
-  // One scenario per policy, covering both island layouts and thermal on.
-  for (const std::size_t i : {0u, 7u, 17u, 22u, 30u}) {
+  for (const std::size_t i : kSliceRows) {
     ASSERT_LT(i, matrix.size());
     Scenario on = matrix[i];
     Scenario off = matrix[i];

@@ -175,22 +175,22 @@ TEST(ThermalModel, WindowStatsTrackPeakAndReset) {
 }
 
 // ---------------------------------------------------------------------------
-// EnergyModel: Arrhenius-style leakage scale
+// Arrhenius-style leakage–temperature law (power::bounded_arrhenius)
 // ---------------------------------------------------------------------------
 
 TEST(EnergyModelThermal, TemperatureScaleAnchorsAndDoubling) {
-  const power::EnergyModel m(power::EnergyModel::reference_geometry());
-  const double t_ref_k = 45.0 + common::kCelsiusToKelvinOffset;
-  // At the reference temperature the overloads agree exactly.
-  EXPECT_DOUBLE_EQ(m.leakage_scale(0.9, t_ref_k), m.leakage_scale(0.9));
-  EXPECT_DOUBLE_EQ(m.leakage_scale(0.56, t_ref_k), m.leakage_scale(0.56));
+  const thermal::ThermalParams p;
+  const double k = p.leak_temp_coeff_per_k;
+  // At the reference temperature the factor is exactly 1.
+  EXPECT_DOUBLE_EQ(power::bounded_arrhenius(k, 0.0), 1.0);
   // Default coefficient 0.04/K doubles leakage every ln2/0.04 K.
-  const double doubling_k = std::log(2.0) / 0.04;
-  EXPECT_NEAR(m.leakage_scale(0.9, t_ref_k + doubling_k), 2.0 * m.leakage_scale(0.9), 1e-9);
+  EXPECT_DOUBLE_EQ(k, 0.04);
+  const double doubling_k = std::log(2.0) / k;
+  EXPECT_NEAR(power::bounded_arrhenius(k, doubling_k), 2.0, 1e-9);
   // And halves it the same distance below.
-  EXPECT_NEAR(m.leakage_scale(0.9, t_ref_k - doubling_k), 0.5 * m.leakage_scale(0.9), 1e-9);
-  // Voltage and temperature factors compose multiplicatively.
-  EXPECT_NEAR(m.leakage_scale(0.56, t_ref_k + doubling_k), 2.0 * m.leakage_scale(0.56), 1e-9);
+  EXPECT_NEAR(power::bounded_arrhenius(k, -doubling_k), 0.5, 1e-9);
+  // A runaway stays finite at the ceiling.
+  EXPECT_DOUBLE_EQ(power::bounded_arrhenius(k, 1000.0), power::kMaxLeakTempScale);
 }
 
 // ---------------------------------------------------------------------------

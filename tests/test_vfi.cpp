@@ -1,15 +1,18 @@
-// Voltage–frequency island tests: partition presets and validation, the
-// clock-domain-crossing FIFO, per-island control/measurement/energy
-// attribution through whole-simulator runs, per-island policy overrides,
-// sweep pre-validation messages, and serial-vs-parallel determinism of
-// island sweeps.
+// Voltage–frequency island tests: partition presets and validation through
+// a built network, the clock-domain-crossing FIFO, per-island
+// control/measurement/energy attribution through whole-simulator runs,
+// per-island policy overrides, sweep pre-validation messages, and
+// serial-vs-parallel determinism of island sweeps.
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <memory>
 #include <set>
+#include <string>
 
 #include "noc/channel.hpp"
+#include "noc/network.hpp"
 #include "sim/scenario.hpp"
 #include "sim/sweep.hpp"
 #include "vfi/island_map.hpp"
@@ -19,60 +22,117 @@ namespace nocdvfs {
 namespace {
 
 // ---------------------------------------------------------------------------
-// IslandMap
+// Island partition: vfi::island_assignment builds it, noc::Network checks
+// and owns it
 // ---------------------------------------------------------------------------
 
-TEST(IslandMap, PresetShapes) {
-  const auto global = vfi::IslandMap::build(vfi::Preset::Global, 5, 5);
-  EXPECT_EQ(global.num_islands(), 1);
-  EXPECT_EQ(global.nodes_of(0).size(), 25u);
-  EXPECT_EQ(global.num_boundary_links(), 0);
+/// A width×height network of `kind` partitioned by `preset`.
+std::unique_ptr<noc::Network> partitioned(
+    vfi::Preset preset, int width, int height, const std::string& custom_map = "",
+    topo::TopologyKind kind = topo::TopologyKind::Mesh) {
+  noc::NetworkConfig cfg;
+  cfg.width = width;
+  cfg.height = height;
+  cfg.topology = kind;
+  cfg.island_of = vfi::island_assignment(preset, width, height, custom_map);
+  return std::make_unique<noc::Network>(cfg);
+}
 
-  const auto rows = vfi::IslandMap::build(vfi::Preset::Rows, 4, 3);
-  EXPECT_EQ(rows.num_islands(), 3);
-  for (int i = 0; i < 3; ++i) EXPECT_EQ(rows.nodes_of(i).size(), 4u);
-  EXPECT_EQ(rows.island_of(0), 0);
-  EXPECT_EQ(rows.island_of(11), 2);
+/// The message `fn` throws as std::invalid_argument, or "" if it returns.
+template <class Fn>
+std::string invalid_argument_of(Fn fn) {
+  try {
+    fn();
+  } catch (const std::invalid_argument& e) {
+    return e.what();
+  }
+  return "";
+}
 
-  const auto cols = vfi::IslandMap::build(vfi::Preset::Cols, 4, 3);
-  EXPECT_EQ(cols.num_islands(), 4);
-  EXPECT_EQ(cols.island_of(5), 1);  // node (x=1, y=1)
+TEST(IslandPartition, PresetShapes) {
+  const auto global = partitioned(vfi::Preset::Global, 5, 5);
+  EXPECT_EQ(global->num_islands(), 1);
+  EXPECT_EQ(global->island_members(0).size(), 25u);
+  EXPECT_EQ(global->num_boundary_links(), 0);
 
-  const auto per_router = vfi::IslandMap::build(vfi::Preset::PerRouter, 3, 3);
-  EXPECT_EQ(per_router.num_islands(), 9);
+  const auto rows = partitioned(vfi::Preset::Rows, 4, 3);
+  EXPECT_EQ(rows->num_islands(), 3);
+  for (int i = 0; i < 3; ++i) EXPECT_EQ(rows->island_members(i).size(), 4u);
+  EXPECT_EQ(rows->island_of(0), 0);
+  EXPECT_EQ(rows->island_of(11), 2);
+
+  const auto cols = partitioned(vfi::Preset::Cols, 4, 3);
+  EXPECT_EQ(cols->num_islands(), 4);
+  EXPECT_EQ(cols->island_of(5), 1);  // node (x=1, y=1)
+
+  const auto per_router = partitioned(vfi::Preset::PerRouter, 3, 3);
+  EXPECT_EQ(per_router->num_islands(), 9);
   // Every inter-router link crosses a boundary.
-  EXPECT_EQ(per_router.num_boundary_links(), 24);
+  EXPECT_EQ(per_router->num_boundary_links(), 24);
 }
 
-TEST(IslandMap, QuadrantsSplitOddMeshesLowHeavy) {
-  const auto q = vfi::IslandMap::build(vfi::Preset::Quadrants, 5, 5);
-  EXPECT_EQ(q.num_islands(), 4);
-  EXPECT_EQ(q.nodes_of(0).size(), 9u);  // 3x3 low-x/low-y quadrant
-  EXPECT_EQ(q.nodes_of(1).size(), 6u);  // 2x3
-  EXPECT_EQ(q.nodes_of(2).size(), 6u);  // 3x2
-  EXPECT_EQ(q.nodes_of(3).size(), 4u);  // 2x2
-  EXPECT_EQ(q.island_of(0), 0);
-  EXPECT_EQ(q.island_of(4), 1);   // (4,0)
-  EXPECT_EQ(q.island_of(20), 2);  // (0,4)
-  EXPECT_EQ(q.island_of(24), 3);  // (4,4)
+TEST(IslandPartition, PerRouterTorusCrossesEveryWrapLinkToo) {
+  // 9 routers with 4 directed links each: the wrap-around links cross too,
+  // which a mesh-only count (24) would miss.
+  const auto net = partitioned(vfi::Preset::PerRouter, 3, 3, "", topo::TopologyKind::Torus);
+  EXPECT_EQ(net->num_islands(), 9);
+  EXPECT_EQ(net->link_table().size(), 36u);
+  EXPECT_EQ(net->num_boundary_links(), 36);
 }
 
-TEST(IslandMap, CustomMapParsesAndValidates) {
-  const auto m = vfi::IslandMap::build(vfi::Preset::Custom, 2, 2, "0, 0,1,1");
-  EXPECT_EQ(m.num_islands(), 2);
-  EXPECT_EQ(m.nodes_of(1), (std::vector<noc::NodeId>{2, 3}));
-  EXPECT_EQ(m.num_boundary_links(), 4);
+TEST(IslandPartition, QuadrantsSplitOddMeshesLowHeavy) {
+  const auto q = partitioned(vfi::Preset::Quadrants, 5, 5);
+  EXPECT_EQ(q->num_islands(), 4);
+  EXPECT_EQ(q->island_members(0).size(), 9u);  // 3x3 low-x/low-y quadrant
+  EXPECT_EQ(q->island_members(1).size(), 6u);  // 2x3
+  EXPECT_EQ(q->island_members(2).size(), 6u);  // 3x2
+  EXPECT_EQ(q->island_members(3).size(), 4u);  // 2x2
+  EXPECT_EQ(q->island_of(0), 0);
+  EXPECT_EQ(q->island_of(4), 1);   // (4,0)
+  EXPECT_EQ(q->island_of(20), 2);  // (0,4)
+  EXPECT_EQ(q->island_of(24), 3);  // (4,4)
+}
+
+TEST(IslandPartition, CustomMapParsesAndValidates) {
+  const auto m = partitioned(vfi::Preset::Custom, 2, 2, "0, 0,1,1");
+  EXPECT_EQ(m->num_islands(), 2);
+  EXPECT_EQ(m->island_members(1), (std::vector<noc::NodeId>{2, 3}));
+  EXPECT_EQ(m->num_boundary_links(), 4);
 
   // Missing map, wrong size, non-contiguous ids, junk entries.
-  EXPECT_THROW(vfi::IslandMap::build(vfi::Preset::Custom, 2, 2, ""), std::invalid_argument);
-  EXPECT_THROW(vfi::IslandMap::build(vfi::Preset::Custom, 2, 2, "0,1,0"),
-               std::invalid_argument);
-  EXPECT_THROW(vfi::IslandMap::build(vfi::Preset::Custom, 2, 2, "0,0,2,2"),
-               std::invalid_argument);
-  EXPECT_THROW(vfi::IslandMap::build(vfi::Preset::Custom, 2, 2, "0,0,1,x"),
-               std::invalid_argument);
-  EXPECT_THROW(vfi::IslandMap::build(vfi::Preset::Quadrants, 1, 5), std::invalid_argument);
+  const auto custom = [](const char* map) { partitioned(vfi::Preset::Custom, 2, 2, map); };
+  EXPECT_NE(invalid_argument_of([&] { custom(""); }).find("island_map"), std::string::npos);
+  const std::string short_map = invalid_argument_of([&] { custom("0,1,0"); });
+  EXPECT_NE(short_map.find("3 entries"), std::string::npos) << short_map;
+  EXPECT_NE(short_map.find("4 nodes"), std::string::npos) << short_map;
+  EXPECT_NE(invalid_argument_of([&] { custom("0,0,2,2"); }).find("must be contiguous"),
+            std::string::npos);
+  EXPECT_NE(invalid_argument_of([&] { custom("0,0,1,x"); }).find("island_map"),
+            std::string::npos);
+  EXPECT_THROW(vfi::island_assignment(vfi::Preset::Quadrants, 1, 5), std::invalid_argument);
   EXPECT_THROW(vfi::preset_from_string("diagonal"), std::invalid_argument);
+}
+
+TEST(IslandPartition, OutOfRangeIdsNameTheIdAndTheNodeCount) {
+  // Through the scenario check: the id is bounded before anything is sized,
+  // so neither a huge allocation nor max_id + 1 overflow happens.
+  sim::Scenario s;
+  s.network.width = 2;
+  s.network.height = 1;
+  s.islands = "custom";
+  s.island_map = "0,2147483647";
+  const std::string via_scenario = sim::scenario_problem(s);
+  EXPECT_NE(via_scenario.find("2147483647"), std::string::npos) << via_scenario;
+  EXPECT_NE(via_scenario.find("2 nodes"), std::string::npos) << via_scenario;
+
+  // Through the network itself.
+  noc::NetworkConfig cfg;
+  cfg.width = 2;
+  cfg.height = 1;
+  cfg.island_of = {0, 5};
+  const std::string via_network = invalid_argument_of([&] { noc::Network net(cfg); });
+  EXPECT_NE(via_network.find("island id 5"), std::string::npos) << via_network;
+  EXPECT_NE(via_network.find("2 nodes"), std::string::npos) << via_network;
 }
 
 // ---------------------------------------------------------------------------
