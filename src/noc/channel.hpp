@@ -107,7 +107,7 @@ class Channel {
   }
   Channel& operator=(Channel&&) = delete;
 
-  void push(T item) {
+  void push(const T& item) {
     const std::uint64_t now = *clock_;
     if (same_clock_) {
       NOCDVFS_ASSERT(last_push_ != now, "DelayLine: two pushes in one cycle");
@@ -115,7 +115,7 @@ class Channel {
     }
     NOCDVFS_ASSERT(count_ < capacity_, "Channel: occupancy exceeds its bound");
     Entry& e = ring_[(head_ + count_) & ring_mask_];
-    e.item = std::move(item);
+    e.item = item;
     e.ready = now + delay_;
     ++count_;
     if (pending_mask_ == nullptr) return;
@@ -127,13 +127,22 @@ class Channel {
     }
   }
 
-  std::optional<T> pop() {
-    if (count_ == 0) return std::nullopt;
+  /// The front item if it may be popped in this reader cycle, else
+  /// nullptr. A reader that takes it calls `pop_front()` in the same
+  /// cycle, so it copies the item once, straight out of the channel.
+  const T* peek() const {
+    if (count_ == 0) return nullptr;
     const std::uint64_t now = *clock_;
-    Entry& e = ring_[head_];
-    if (e.ready > now || last_pop_ == now) return std::nullopt;
+    const Entry& e = ring_[head_];
+    if (e.ready > now || last_pop_ == now) return nullptr;
     NOCDVFS_ASSERT(!same_clock_ || e.ready == now, "DelayLine: a due item was not popped");
-    last_pop_ = now;
+    return &e.item;
+  }
+
+  /// Remove the item the last `peek()` of this reader cycle returned.
+  void pop_front() {
+    NOCDVFS_ASSERT(count_ > 0, "Channel: pop_front on an empty channel");
+    last_pop_ = *clock_;
     head_ = (head_ + 1) & ring_mask_;
     if (--count_ == 0 && pending_mask_ != nullptr) {
       if (t_parallel_step) {
@@ -143,7 +152,15 @@ class Channel {
         *pending_mask_ &= ~pending_bit_;
       }
     }
-    return std::optional<T>(std::move(e.item));
+  }
+
+  /// `peek()` and `pop_front()` with the item copied out.
+  std::optional<T> pop() {
+    const T* item = peek();
+    if (item == nullptr) return std::nullopt;
+    std::optional<T> out(*item);
+    pop_front();
+    return out;
   }
 
   /// Items pushed and not yet popped.

@@ -130,6 +130,10 @@ class NetworkInterface {
   std::uint64_t packets_ejected() const noexcept { return packets_ejected_; }
   /// Flits still waiting in (or partially drained from) the source queue.
   std::uint64_t source_backlog_flits() const noexcept;
+  /// Bytes of the queued packets: one entry per packet, whatever its size.
+  std::uint64_t source_queue_bytes() const noexcept {
+    return source_queue_.size() * sizeof(PendingPacket);
+  }
   /// Packets/flits refused at enqueue time because no route survives the
   /// active fault set (counted generated too — conservation keeps closing).
   std::uint64_t dropped_packets() const noexcept { return dropped_packets_; }

@@ -1,5 +1,6 @@
 #include "noc/router.hpp"
 
+#include <algorithm>
 #include <array>
 #include <bit>
 #include <stdexcept>
@@ -34,7 +35,7 @@ Router::Router(NodeId id, int radix, const RouterConfig& cfg)
   }
   const auto vcs = static_cast<std::size_t>(radix * cfg.num_vcs);
   vcs_.resize(vcs);
-  slots_.resize(vcs * static_cast<std::size_t>(cfg.vc_buffer_depth));
+  ring_.resize(vcs * static_cast<std::size_t>(cfg.vc_buffer_depth));
   credits_.assign(vcs, 0);
   wired_in_.reserve(static_cast<std::size_t>(radix));
   wired_out_.reserve(static_cast<std::size_t>(radix));
@@ -78,9 +79,34 @@ void Router::connect_output(int port, FlitChannel* flit_out, CreditChannel* cred
   }
 }
 
-void Router::advance_head(InputVc& ivc) noexcept {
+std::uint32_t Router::take_front(std::size_t k) noexcept {
+  InputVc& ivc = vcs_[k];
+  const std::uint32_t slot = ring_at(k, ivc.head);
   ivc.head = static_cast<std::uint8_t>(ivc.head + 1 == cfg_.vc_buffer_depth ? 0 : ivc.head + 1);
   --ivc.count;
+  return slot;
+}
+
+std::uint32_t Router::store(const Flit& flit) {
+  if (!free_.empty()) {
+    const std::uint32_t slot = free_.back();
+    free_.pop_back();
+    pool_[slot] = flit;
+    return slot;
+  }
+  // Every slot holds a buffered flit, and each VC ring bounds its own
+  // count, so the pool stays within one slot per ring entry. It doubles up
+  // to that cap, and the free list reserves as much, so freeing a slot
+  // never allocates.
+  const std::size_t slot = pool_.size();
+  NOCDVFS_ASSERT(slot < ring_.size(), "flit pool outgrew the router's buffers");
+  if (slot == pool_.capacity()) {
+    const std::size_t grown = std::min(std::max<std::size_t>(2 * slot, 4), ring_.size());
+    pool_.reserve(grown);
+    free_.reserve(grown);
+  }
+  pool_.push_back(flit);
+  return static_cast<std::uint32_t>(slot);
 }
 
 void Router::receive_phase() {
@@ -100,28 +126,33 @@ void Router::receive_phase() {
   for (std::uint64_t m = pending_.flits; m != 0; m &= m - 1) {
     const int slot = std::countr_zero(m);
     const int p = wired_in_[static_cast<std::size_t>(slot)];
-    if (auto flit = flit_in_[static_cast<std::size_t>(p)]->pop()) {
-      const int v = flit->vc;
-      const std::size_t k = vc_index(p, v);
-      InputVc& ivc = vcs_[k];
-      NOCDVFS_ASSERT(ivc.count < depth, "flit arrived to a full VC buffer (credit bug)");
-      int tail = ivc.head + ivc.count;
-      if (tail >= depth) tail -= depth;
-      slots_[k * static_cast<std::size_t>(depth) + static_cast<std::size_t>(tail)] = *flit;
-      ++ivc.count;
-      ++activity_.buffer_writes;
-      ++buffered_total_;
-      if (flight_recorder_ && flit->head) {
-        flight_recorder_->on_router_arrive(flit->packet_id, id_);
-      }
-      if (ivc.state == VcStateKind::Idle && ivc.count == 1) {
-        rc_mask_[static_cast<std::size_t>(p)] |= bit(v);
-        rc_ports_ |= 1u << slot;
-      } else if (ivc.state == VcStateKind::Active) {
-        sa_candidates_[static_cast<std::size_t>(p)] |= bit(v);
-      }
-      // Drop VCs just accumulate; the drain stage empties them.
+    FlitChannel& in = *flit_in_[static_cast<std::size_t>(p)];
+    const Flit* arriving = in.peek();
+    if (arriving == nullptr) continue;
+    // The one copy of this hop's arrival: channel entry -> pool slot.
+    const int v = arriving->vc;
+    const std::size_t k = vc_index(p, v);
+    InputVc& ivc = vcs_[k];
+    NOCDVFS_ASSERT(ivc.count < depth, "flit arrived to a full VC buffer (credit bug)");
+    int tail = ivc.head + ivc.count;
+    if (tail >= depth) tail -= depth;
+    const std::uint32_t stored = store(*arriving);
+    in.pop_front();
+    ring_at(k, tail) = stored;
+    ++ivc.count;
+    ++activity_.buffer_writes;
+    ++buffered_total_;
+    const Flit& flit = pool_[stored];
+    if (flight_recorder_ && flit.head) {
+      flight_recorder_->on_router_arrive(flit.packet_id, id_);
     }
+    if (ivc.state == VcStateKind::Idle && ivc.count == 1) {
+      rc_mask_[static_cast<std::size_t>(p)] |= bit(v);
+      rc_ports_ |= 1u << slot;
+    } else if (ivc.state == VcStateKind::Active) {
+      sa_candidates_[static_cast<std::size_t>(p)] |= bit(v);
+    }
+    // Drop VCs just accumulate; the drain stage empties them.
   }
 }
 
@@ -251,10 +282,11 @@ void Router::traverse(int in_port, int in_vc) {
   const auto qi = static_cast<std::size_t>(q);
   const auto pi = static_cast<std::size_t>(in_port);
 
-  // The slot stays intact until the next receive_phase, so the flit is
-  // restamped and pushed in place after the ring has advanced past it.
-  Flit& flit = front(k);
-  advance_head(ivc);
+  // Only receive_phase hands out pool slots, so the slot stays intact until
+  // the next receive_phase: the flit is restamped and pushed in place after
+  // the ring has advanced past it, and its slot is freed once it is pushed.
+  const std::uint32_t slot = take_front(k);
+  Flit& flit = pool_[slot];
   --buffered_total_;
   if (ivc.count == 0) sa_candidates_[pi] &= ~bit(in_vc);
   ++activity_.buffer_reads;
@@ -276,6 +308,7 @@ void Router::traverse(int in_port, int in_vc) {
     ++activity_.link_flit_hops;
   }
   flit_out_[qi]->push(flit);
+  free_.push_back(slot);
 
   // Freed buffer slot: credit flows back to the upstream sender.
   credit_out_[pi]->push(Credit{static_cast<std::uint8_t>(in_vc)});
@@ -313,8 +346,9 @@ void Router::drain_drops() {
       const std::size_t k = vc_index(p, v);
       InputVc& ivc = vcs_[k];
       if (ivc.state != VcStateKind::Drop || ivc.count == 0) continue;
-      const Flit& flit = front(k);
-      advance_head(ivc);
+      const std::uint32_t slot = take_front(k);
+      const Flit& flit = pool_[slot];
+      free_.push_back(slot);  // intact until the next receive_phase
       --buffered_total_;
       ++activity_.buffer_reads;
       ++dropped_flits_;

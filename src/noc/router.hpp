@@ -31,9 +31,15 @@
 /// the crossbar.
 ///
 /// Storage is flat: one `radix × num_vcs` array of input-VC control
-/// structs, one `radix × num_vcs × depth` array of flit slots (each VC's
-/// FIFO is a ring inside it), and one `radix × num_vcs` array of output-VC
-/// credit counters. Each stage visits only live VCs through bit masks
+/// structs, one `radix × num_vcs` array of output-VC credit counters, and
+/// a router-local flit pool sized by use, not by capacity. Each VC's FIFO
+/// is a ring of 32-bit pool slot indices (`radix × num_vcs × depth` of
+/// them); the flits themselves live once, in a pool that grows on demand
+/// to the most flits this router has held at once (never beyond
+/// `radix × num_vcs × depth`), with a last-in-first-out free list. Only
+/// receive_phase hands out slots; traversal and the drop drain return
+/// them. A pool belongs to its tile, so whichever worker steps the tile
+/// is its only user. Each stage visits only live VCs through bit masks
 /// kept next to that storage (see "Per-stage work masks" below).
 
 #include <array>
@@ -185,6 +191,17 @@ class Router : public topo::RouterView {
   int buffer_capacity() const noexcept {
     return static_cast<int>(wired_in_.size()) * cfg_.num_vcs * cfg_.vc_buffer_depth;
   }
+  /// Flit pool slots handed out so far (the most flits this router held
+  /// at once after a receive_phase), and how many of them are free:
+  /// `pool_slots() == pool_free_slots() + buffered_now()` at all times, and
+  /// `pool_slots() <= radix × num_vcs × depth`.
+  int pool_slots() const noexcept { return static_cast<int>(pool_.size()); }
+  int pool_free_slots() const noexcept { return static_cast<int>(free_.size()); }
+  /// Heap bytes the buffers hold: slot rings, pool and free list.
+  std::size_t buffer_bytes() const noexcept {
+    return ring_.capacity() * sizeof(std::uint32_t) + pool_.capacity() * sizeof(Flit) +
+           free_.capacity() * sizeof(std::uint32_t);
+  }
   int output_credits(PortDir port, int vc) const;
   bool output_vc_allocated(PortDir port, int vc) const;
   VcStateKind input_vc_state(PortDir port, int vc) const;
@@ -220,13 +237,19 @@ class Router : public topo::RouterView {
   }
   /// Bounds-checked vc_index for the introspection accessors.
   std::size_t checked_vc_index(PortDir port, int vc) const;
-  Flit& front(std::size_t k) noexcept {
-    return slots_[k * static_cast<std::size_t>(cfg_.vc_buffer_depth) + vcs_[k].head];
+  /// Ring entry `i` of VC `k`: the pool slot of its i-th flit.
+  std::uint32_t& ring_at(std::size_t k, int i) noexcept {
+    return ring_[k * static_cast<std::size_t>(cfg_.vc_buffer_depth) +
+                 static_cast<std::size_t>(i)];
   }
-  /// Drop the front flit of a VC's ring (its slot is overwritten only by
-  /// a later arrival, so a reference taken by `front` stays valid until
-  /// the next receive_phase).
-  void advance_head(InputVc& ivc) noexcept;
+  Flit& front(std::size_t k) noexcept { return pool_[ring_at(k, vcs_[k].head)]; }
+  /// Take the front flit off VC `k`'s ring and return its pool slot, which
+  /// the caller frees (`free_.push_back`) once done with the flit. Only
+  /// receive_phase hands slots out, so the flit stays intact until then.
+  std::uint32_t take_front(std::size_t k) noexcept;
+  /// Copy an arriving flit into a free pool slot, growing the pool when
+  /// every slot is in use; returns the slot.
+  std::uint32_t store(const Flit& flit);
   /// Idle VC `vc` of input port `port` now has a buffered head: RC work.
   void mark_routable(int port, int vc) noexcept {
     rc_mask_[static_cast<std::size_t>(port)] |= std::uint64_t{1} << vc;
@@ -250,7 +273,9 @@ class Router : public topo::RouterView {
   std::uint64_t all_vcs_;  ///< bits 0 .. num_vcs-1
 
   std::vector<InputVc> vcs_;           ///< [port * num_vcs + vc]
-  std::vector<Flit> slots_;            ///< [(port * num_vcs + vc) * depth + ring index]
+  std::vector<std::uint32_t> ring_;    ///< pool slots, [(port * num_vcs + vc) * depth + ring index]
+  std::vector<Flit> pool_;             ///< buffered flits; grows to the peak held at once
+  std::vector<std::uint32_t> free_;    ///< free pool slots, last freed on top
   std::vector<std::uint8_t> credits_;  ///< output VC credits, [port * num_vcs + vc]
   std::array<FlitChannel*, kMaxPorts> flit_in_{};      ///< per input port
   std::array<CreditChannel*, kMaxPorts> credit_out_{};  ///< per input port

@@ -72,9 +72,25 @@ class HostPlugin final : public RunPlugin {
     static const obs::Timeline kNoTimeline;
     const obs::Timeline& tl = ctx.timeline != nullptr ? *ctx.timeline : kNoTimeline;
     obs::MemBreakdown mem;
+    // Router buffers are the largest owner: slot rings, flit pools and
+    // free lists, counted in pool slots. A buffered flit's bytes are
+    // there, so flits in flight add only the source queues, which hold
+    // one entry per queued packet, not per flit.
+    std::uint64_t pool_slots = 0;
+    std::uint64_t buffer_bytes = 0;
+    for (int r = 0; r < ctx.net.num_routers(); ++r) {
+      const noc::Router& router = ctx.net.router_at(r);
+      pool_slots += static_cast<std::uint64_t>(router.pool_slots());
+      buffer_bytes += router.buffer_bytes();
+    }
+    mem.add("router_buffers", pool_slots, buffer_bytes);
+    std::uint64_t queue_bytes = 0;
+    for (noc::NodeId n = 0; n < ctx.net.num_nodes(); ++n) {
+      queue_bytes += ctx.net.ni(n).source_queue_bytes();
+    }
     const std::uint64_t flits =
         ctx.net.buffered_flits_now() + ctx.net.total_source_backlog_flits();
-    mem.add("flits_in_flight", flits, flits * sizeof(noc::Flit));
+    mem.add("flits_in_flight", flits, queue_bytes);
     std::uint64_t tl_bytes = tl.window_t_ps.size() * sizeof(std::uint64_t) +
                              tl.island_rows.size() * sizeof(obs::IslandWindowRow) +
                              tl.events.size() * sizeof(obs::TimelineEvent);

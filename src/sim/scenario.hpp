@@ -125,8 +125,8 @@ struct Scenario {
   /// only — simulated metrics are bit-identical either way; `off` (the
   /// default) costs one predictable branch per scope.
   std::string prof = "off";
-  /// `on` adds a host memory breakdown (flits in flight, timeline,
-  /// histogram pools, trace buffers) to the run manifest as `mem.*`
+  /// `on` adds a host memory breakdown (router buffers, flits in flight,
+  /// timeline, histogram pools, trace buffers) to the run manifest as `mem.*`
   /// entries. Computed once at end of run; no hot-path counters.
   std::string mem = "off";
 

@@ -1,11 +1,12 @@
 #pragma once
 
 // Replacement global operator new/delete for one test binary: every
-// allocation bumps `g_allocations` and raises `g_largest_allocation`, the
-// largest single request since a test last reset it. Include it from
+// allocation bumps `g_allocations`, adds its size to `g_allocated_bytes`
+// and raises `g_largest_allocation`, the largest single request since a
+// test last reset it. Include it from
 // exactly one translation unit of a binary. The replacements delegate to
 // malloc/free, so every other test runs through them too — harmless, they
-// only add two relaxed atomic updates.
+// only add three relaxed atomic updates.
 
 #include <atomic>
 #include <cstddef>
@@ -16,10 +17,12 @@
 namespace {
 
 std::atomic<std::uint64_t> g_allocations{0};
+std::atomic<std::uint64_t> g_allocated_bytes{0};
 std::atomic<std::size_t> g_largest_allocation{0};
 
 void* counted_malloc(std::size_t n) noexcept {
   g_allocations.fetch_add(1, std::memory_order_relaxed);
+  g_allocated_bytes.fetch_add(n, std::memory_order_relaxed);
   std::size_t largest = g_largest_allocation.load(std::memory_order_relaxed);
   while (n > largest &&
          !g_largest_allocation.compare_exchange_weak(largest, n, std::memory_order_relaxed)) {

@@ -16,6 +16,7 @@
 #include <vector>
 
 #include "common/strings.hpp"
+#include "noc/network.hpp"
 #include "obs/manifest.hpp"
 #include "obs/memstats.hpp"
 #include "obs/prof.hpp"
@@ -210,6 +211,22 @@ TEST(MemStats, ProcessMemorySamplesNonZeroOnLinux) {
 #endif
 }
 
+TEST(MemStats, Sparse64NetworkBuildsInUnder9KiBPerTile) {
+  // sparse64's network shape: a 64x64 mesh, one island, default VCs and
+  // buffer depth. Router buffers sized by capacity (8 VCs x depth 4 x 5
+  // ports of 48-byte flits per router) put construction at about 14 KiB
+  // per tile; slot rings and an empty pool keep it near 7.5 KiB.
+  noc::NetworkConfig cfg;
+  cfg.width = 64;
+  cfg.height = 64;
+  const std::uint64_t before = g_allocated_bytes.load(std::memory_order_relaxed);
+  const noc::Network net(cfg);
+  const std::uint64_t bytes = g_allocated_bytes.load(std::memory_order_relaxed) - before;
+  EXPECT_LE(bytes, std::uint64_t{9} * 1024 * 4096)
+      << static_cast<double>(bytes) / 4096.0 / 1024.0 << " KiB per tile";
+  EXPECT_EQ(net.router_at(0).pool_slots(), 0);
+}
+
 TEST(HostResult, RunAttachesWallTimeManifestAndProfile) {
   sim::Scenario s = small_scenario();
   s.prof = "on";
@@ -231,6 +248,15 @@ TEST(HostResult, RunAttachesWallTimeManifestAndProfile) {
   ASSERT_NE(r.manifest.find("host.calib_mops"), nullptr);
   ASSERT_NE(r.manifest.find("mem.total_bytes"), nullptr);
   ASSERT_NE(r.manifest.find("mem.flits_in_flight.bytes"), nullptr);
+  // Router buffers: every 5x5 mesh router's slot rings (radix 5, 8 VCs,
+  // depth 4, 4-byte slot indices) plus the pool slots the run grew.
+  const std::string* pool_slots = r.manifest.find("mem.router_buffers.objects");
+  const std::string* buffer_bytes = r.manifest.find("mem.router_buffers.bytes");
+  ASSERT_NE(pool_slots, nullptr);
+  ASSERT_NE(buffer_bytes, nullptr);
+  EXPECT_GT(std::stoull(*pool_slots), 0u);
+  EXPECT_GE(std::stoull(*buffer_bytes),
+            25u * 5 * 8 * 4 * sizeof(std::uint32_t) + std::stoull(*pool_slots) * sizeof(noc::Flit));
 
   // prof=on yields a profile rooted at the main loop's "run" phase, and
   // the root's inclusive time is bounded by the measured host wall time.

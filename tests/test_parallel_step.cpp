@@ -17,6 +17,7 @@
 #include <thread>
 #include <vector>
 
+#include "common/rng.hpp"
 #include "noc/network.hpp"
 #include "noc/topology.hpp"
 #include "obs/timeline.hpp"
@@ -422,6 +423,47 @@ TEST(ParallelStep, TileWokenByTwoWorkersIsAdmittedOnce) {
     EXPECT_EQ(t.parallel->delivered().size(), 40u);
     EXPECT_GT(t.parallel->parallel_steps(), 0u);
   }
+}
+
+TEST(ParallelStep, RouterPoolsGrowInsideParallelSteps) {
+  // A 16x16 mesh near saturation on four workers with one awake tile each:
+  // routers grow their flit pools inside parallel steps, and a tile (with
+  // its pool) may be stepped by a different worker from one step to the
+  // next. Deliveries and every router's pool must match the serial twin
+  // after every step.
+  Twins t(16, 4);
+  common::Rng rng(7);
+  const auto pool_slots = [](const noc::Network& net) {
+    std::uint64_t n = 0;
+    for (int r = 0; r < net.num_routers(); ++r) {
+      n += static_cast<std::uint64_t>(net.router_at(r).pool_slots());
+    }
+    return n;
+  };
+  std::uint64_t grown_in_parallel = 0;
+  for (int c = 0; c < 500; ++c) {
+    if (c < 300) {
+      for (noc::NodeId src = 0; src < 256; ++src) {
+        if (rng.bernoulli(0.08)) {  // 0.4 flits per node and cycle
+          t.enqueue(src, static_cast<noc::NodeId>(rng.uniform_below(256)), 5);
+        }
+      }
+    }
+    const std::uint64_t slots_before = pool_slots(*t.parallel);
+    const std::uint64_t parallel_before = t.parallel->parallel_steps();
+    t.step_and_compare();
+    if (HasFatalFailure()) return;
+    for (int r = 0; r < 256; ++r) {
+      ASSERT_EQ(t.parallel->router_at(r).pool_slots(), t.serial->router_at(r).pool_slots())
+          << "router " << r << ", cycle " << c;
+    }
+    if (t.parallel->parallel_steps() > parallel_before &&
+        pool_slots(*t.parallel) > slots_before) {
+      ++grown_in_parallel;
+    }
+  }
+  EXPECT_GT(grown_in_parallel, 0u);
+  EXPECT_GT(t.parallel->delivered().size(), 0u);
 }
 
 TEST(ParallelStep, StepWorkerBudgetIsBounded) {

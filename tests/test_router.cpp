@@ -4,6 +4,8 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <array>
 #include <optional>
 
 #include "mesh_router.hpp"
@@ -309,6 +311,65 @@ TEST(Router, PushSetsExactlyTheReadersPendingBit) {
   h.router().receive_phase();
   EXPECT_FALSE(r.inputs_pending().any());
   EXPECT_EQ(r.buffered_now(), 1);
+}
+
+TEST(Router, FlitPoolGrowsToThePeakBuffered) {
+  // One VC of depth 4 per port, and 4-flit packets Local -> East and
+  // East -> Local. Neither sink returns a credit before cycle 40, so on
+  // each input the first packet crosses on the four downstream credits and
+  // the second buffers whole: the burst peaks at 8 flits buffered. The pool
+  // grows to exactly that peak, every slot is free again once the sinks'
+  // credits drain it, and the third packets reuse freed slots.
+  RouterConfig cfg;
+  cfg.num_vcs = 1;
+  cfg.vc_buffer_depth = 4;
+  RouterHarness h(cfg);
+  Router& r = h.router();
+  constexpr int kSize = 4;
+  struct Stream {
+    FlitChannel& in;
+    CreditChannel& credit_back;
+    FlitChannel& out;
+    CreditChannel& sink_credit;
+    NodeId src, dst;
+    int sent = 0, credits = 4, owed = 0, received = 0;
+  };
+  std::array<Stream, 2> streams{
+      Stream{h.in_local, h.credit_to_local_src, h.out_east, h.credit_from_east_sink, 0, 1},
+      Stream{h.in_east, h.credit_to_east_src, h.out_local, h.credit_from_local_sink, 1, 0}};
+  int peak = 0;
+  for (int cyc = 0; cyc < 120; ++cyc) {
+    const int packets = cyc < 60 ? 2 : 3;
+    for (Stream& st : streams) {
+      if (st.credit_back.pop()) ++st.credits;
+      if (st.sent < packets * kSize && st.credits > 0) {
+        st.in.push(make_flit(st.src, st.dst, st.sent % kSize, kSize, 0));
+        ++st.sent;
+        --st.credits;
+      }
+    }
+    ++h.clock;
+    r.receive_phase();
+    peak = std::max(peak, r.buffered_now());  // slots are handed out only here
+    r.compute_phase();
+    for (Stream& st : streams) {
+      if (st.out.pop()) {
+        ++st.owed;
+        ++st.received;
+      }
+      if (cyc >= 40 && st.owed > 0) {
+        st.sink_credit.push(Credit{0});
+        --st.owed;
+      }
+    }
+    ASSERT_EQ(r.pool_slots(), r.pool_free_slots() + r.buffered_now()) << "cycle " << cyc;
+  }
+  EXPECT_EQ(peak, 8);
+  EXPECT_EQ(r.pool_slots(), peak);
+  EXPECT_LT(r.pool_slots(), kMeshPorts * cfg.num_vcs * cfg.vc_buffer_depth);
+  EXPECT_EQ(r.buffered_now(), 0);
+  EXPECT_EQ(r.pool_free_slots(), r.pool_slots());
+  for (const Stream& st : streams) EXPECT_EQ(st.received, 3 * kSize);
 }
 
 TEST(Router, ConfigValidation) {

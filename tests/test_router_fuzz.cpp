@@ -6,7 +6,10 @@
 //   for every output VC:  router credits + credits in flight back to the
 //   router + flits the sink has not yet credited == buffer depth
 //
-// and, at the end, complete in-order delivery of every packet.
+// and, at the end, complete in-order delivery of every packet. Every
+// suite here also checks each router's flit pool every cycle: each slot is
+// free or holds a buffered flit, and the pool never outgrows the
+// router's buffers.
 
 #include <gtest/gtest.h>
 
@@ -28,6 +31,29 @@ struct FuzzParams {
   int depth;
   std::uint64_t seed;
 };
+
+/// Flit pool slot conservation of one router.
+::testing::AssertionResult pool_conserves(const Router& r) {
+  const int cap = r.radix() * r.config().num_vcs * r.config().vc_buffer_depth;
+  if (r.pool_slots() != r.pool_free_slots() + r.buffered_now()) {
+    return ::testing::AssertionFailure()
+           << "pool slots " << r.pool_slots() << " != free " << r.pool_free_slots()
+           << " + buffered " << r.buffered_now();
+  }
+  if (r.pool_slots() > cap) {
+    return ::testing::AssertionFailure()
+           << "pool slots " << r.pool_slots() << " exceed radix x VCs x depth " << cap;
+  }
+  return ::testing::AssertionSuccess();
+}
+
+/// pool_conserves for every router of `net`.
+::testing::AssertionResult pools_conserve(const Network& net) {
+  for (int r = 0; r < net.num_routers(); ++r) {
+    if (auto ok = pool_conserves(net.router_at(r)); !ok) return ok << " (router " << r << ')';
+  }
+  return ::testing::AssertionSuccess();
+}
 
 class RouterFuzz : public ::testing::TestWithParam<FuzzParams> {};
 
@@ -83,6 +109,7 @@ TEST_P(RouterFuzz, CreditLoopConservesAndDeliversInOrder) {
     }
     router.receive_phase();
     router.compute_phase();
+    ASSERT_TRUE(pool_conserves(router)) << "cycle " << cyc;
 
     // Sink: receive flits, schedule credit return 1..4 cycles later.
     if (auto f = out_east.pop()) {
@@ -258,6 +285,8 @@ TEST_P(ActivityFuzz, BurstyOnOffConservesAndMatchesAlwaysStep) {
               on.total_flits_ejected() + on.flits_in_network() +
                   on.total_source_backlog_flits())
         << "conservation violated at cycle " << c;
+    ASSERT_TRUE(pools_conserve(on)) << "skip-idle, cycle " << c;
+    ASSERT_TRUE(pools_conserve(off)) << "always-step, cycle " << c;
   }
 
   // No stuck router: the silence tail drains everything.
@@ -367,6 +396,7 @@ TEST_P(TopologyFuzz, FaultAwareConservationAndProgress) {
               net.total_flits_ejected() + net.flits_in_network() +
                   net.total_source_backlog_flits() + net.total_flits_dropped())
         << "conservation violated at cycle " << c;
+    ASSERT_TRUE(pools_conserve(net)) << "cycle " << c;
 
     // Watchdog: anything in flight must keep the ledger moving.
     const std::uint64_t ledger = net.total_flits_ejected() + net.total_flits_dropped();
